@@ -8,14 +8,14 @@ lineage and fidelity notes, and inverts itself when every step is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import yaml
 
 from .errors import KernelError, ValidationError
-from .lineage import LineageRecord
+from .lineage import Lineage
 from .properties import PropertySet, implication_closure
 from .schema import SchemaManifest, load_manifest, manifest_from_data, manifest_to_data
 from .table import DataTable
@@ -35,12 +35,14 @@ _TARGET_SPACE = {"to_model_ready": "model_ready", "to_interpretable": "interpret
 
 @dataclass(frozen=True)
 class FittedStep:
-    """One step with its learned parameters and resolved input/output schemas."""
+    """One step with its learned parameters, resolved input/output schemas,
+    and the names of the features it produces, in the kernel's order."""
 
     step: TransformStep
     fit_state: FitState | None
     input_schema: SchemaManifest
     output_schema: SchemaManifest
+    produced: tuple[str, ...]
 
     def signature(self):
         """Step identity with fit parameters folded in.
@@ -79,7 +81,7 @@ class FittedPipeline:
             cfg = fstep.step.config
             fmt = cfg.get("display_format")
             if fmt:
-                for name in _produced_names(fstep):
+                for name in fstep.produced:
                     formats[name] = fmt
         return formats
 
@@ -88,7 +90,7 @@ class FittedPipeline:
 class RunResult:
     table: DataTable
     output_schema: SchemaManifest
-    lineage: tuple[LineageRecord, ...]
+    lineage: Lineage
     fidelity_notes: tuple[str, ...]
 
 
@@ -112,19 +114,6 @@ def _to_plain(value):
     return value
 
 
-def _produced_names(fstep: FittedStep) -> tuple[str, ...]:
-    kernel = kernel_for(fstep.step.kind)
-    plan = kernel.plan(fstep.input_schema, fstep.step.config, fstep.fit_state)
-    return tuple(plan.produced)
-
-
-def step_io(fstep: FittedStep) -> dict[str, tuple[str, ...]]:
-    """Mapping of produced feature name to the input features it consumed."""
-    kernel = kernel_for(fstep.step.kind)
-    plan = kernel.plan(fstep.input_schema, fstep.step.config, fstep.fit_state)
-    return dict(plan.produced)
-
-
 def _final_properties(kind: str, out_spec, base: PropertySet,
                       overrides: Mapping[str, bool],
                       extra_implications) -> PropertySet:
@@ -146,8 +135,10 @@ def _final_properties(kind: str, out_spec, base: PropertySet,
 
 def _plan_step(kernel: Kernel, step: TransformStep, schema: SchemaManifest,
                fit_state: FitState | None, step_number: int,
-               final_space: str | None) -> SchemaManifest:
+               final_space: str | None) -> tuple[SchemaManifest, tuple[str, ...]]:
+    """Output schema of one step and the names it produces."""
     plan = kernel.plan(schema, step.config, fit_state)
+    produced = tuple(plan.produced)
     stray = sorted(set(step.property_delta) - set(plan.produced))
     if stray:
         raise ValidationError(
@@ -166,13 +157,13 @@ def _plan_step(kernel: Kernel, step: TransformStep, schema: SchemaManifest,
                               extra_implications=schema.extra_implications)
 
     try:
-        return build(final_space if final_space is not None else "original")
+        return build(final_space if final_space is not None else "original"), produced
     except ValidationError as exc:
         if final_space == "model_ready":
             # The flow did not reach model-ready space (some feature is not
             # model-compatible); the output keeps the neutral tag.
             try:
-                return build("original")
+                return build("original"), produced
             except ValidationError:
                 pass
         raise ValidationError(f"step {step_number} ({step.kind}): {exc}") from None
@@ -215,16 +206,11 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
                 raise ValidationError(
                     f"step {number} ({step.kind}): requires fitting; provide data")
         final_space = _TARGET_SPACE[direction] if i == last else None
-        out_schema = _plan_step(kernel, norm, schema, state, number, final_space)
+        out_schema, produced = _plan_step(kernel, norm, schema, state, number, final_space)
+        fstep = FittedStep(norm, state, schema, out_schema, produced)
         if table is not None:
-            try:
-                rows, _ = kernel.apply(table, cfg, state,
-                                       RunContext(number, series_store))
-            except KernelError as exc:
-                raise KernelError(f"step {number} ({step.kind}): {exc}",
-                                  row_index=exc.row_index, step_number=number) from None
-            table = DataTable(schema=out_schema, rows=rows)
-        fitted.append(FittedStep(norm, state, schema, out_schema))
+            table, _ = _apply_step(kernel, fstep, table, number, series_store)
+        fitted.append(fstep)
         normalized.append(norm)
         schema = out_schema
     return tuple(normalized), tuple(fitted), schema
@@ -284,29 +270,36 @@ def _check_table_matches(table: DataTable, schema: SchemaManifest) -> None:
                 f"column {want.name!r}: categories do not match the pipeline input schema")
 
 
+def _apply_step(kernel: Kernel, fstep: FittedStep, table: DataTable, number: int,
+                series_store: Mapping[str, Sequence[float]] | None):
+    """Next table and the step's column lineage. Only the produced columns
+    are computed; every other column is carried over by reference."""
+    try:
+        columns, lineage = kernel.apply(table, fstep.step.config, fstep.fit_state,
+                                        RunContext(number, series_store))
+    except KernelError as exc:
+        raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
+                          row_index=exc.row_index, step_number=number) from None
+    produced = dict(zip(fstep.produced, columns, strict=True))
+    return table.with_columns(fstep.output_schema, produced), lineage
+
+
 def run(fitted: FittedPipeline, table: DataTable,
         series_store: Mapping[str, Sequence[float]] | None = None) -> RunResult:
     """Apply every fitted step; accumulate lineage and lossy-step warnings."""
     _check_table_matches(table, fitted.input_schema)
-    lineage: list[LineageRecord] = []
+    lineage = []
     notes: list[str] = []
     current = table
-    for i, fstep in enumerate(fitted.steps):
-        number = i + 1
+    for number, fstep in enumerate(fitted.steps, 1):
         kernel = kernel_for(fstep.step.kind)
-        ctx = RunContext(step_number=number, series_store=series_store)
-        try:
-            rows, records = kernel.apply(current, fstep.step.config, fstep.fit_state, ctx)
-        except KernelError as exc:
-            raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
-                              row_index=exc.row_index, step_number=number) from None
-        current = DataTable(schema=fstep.output_schema, rows=rows)
-        lineage.extend(records)
+        current, columns = _apply_step(kernel, fstep, current, number, series_store)
+        lineage.append((table.num_rows, columns))
         if kernel.invertible in ("lossy", "none"):
             notes.append(f"step {number} ({fstep.step.kind}): lossy transform; "
                          "inverse not offered")
     return RunResult(table=current, output_schema=fitted.output_schema,
-                     lineage=tuple(lineage), fidelity_notes=tuple(notes))
+                     lineage=Lineage(lineage), fidelity_notes=tuple(notes))
 
 
 def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
@@ -410,11 +403,14 @@ def load_pipeline(path: str | Path) -> Pipeline:
         raise ValidationError(f"{path}: {exc}") from None
 
 
+_FIT_STATE_KEYS = tuple(f.name for f in fields(FitState))
+
+
 def _fit_state_to_data(state: FitState | None) -> dict | None:
     if state is None:
         return None
     out = {}
-    for key in ("mean", "scale", "min", "max", "edges", "means", "loadings"):
+    for key in _FIT_STATE_KEYS:
         value = getattr(state, key)
         if value is not None:
             out[key] = _to_plain(value)
@@ -441,6 +437,20 @@ def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
                           encoding="utf-8")
 
 
+def _fit_state_from_data(data: Any, where: str) -> FitState | None:
+    if data is None:
+        return None
+    if not isinstance(data, Mapping):
+        raise ValidationError(f"{where}: fit_state must be a mapping")
+    unknown = sorted(set(data) - set(_FIT_STATE_KEYS))
+    if unknown:
+        raise ValidationError(f"{where}: fit_state has unknown keys {unknown}")
+    try:
+        return FitState(**data)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: malformed fit_state: {exc}") from None
+
+
 def load_fitted(path: str | Path) -> FittedPipeline:
     path = Path(path)
     try:
@@ -451,12 +461,20 @@ def load_fitted(path: str | Path) -> FittedPipeline:
         raise ValidationError(f"{path}: fitted pipeline parse error: {exc}") from exc
     if not isinstance(doc, Mapping) or doc.get("document") != FITTED_DOCUMENT:
         raise ValidationError(f"{path}: not a fitted pipeline document")
-    schema = manifest_from_data(doc["input_manifest"])
+    if "input_manifest" not in doc:
+        raise ValidationError(f"{path}: fitted pipeline document needs input_manifest")
+    try:
+        schema = manifest_from_data(doc["input_manifest"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: input_manifest: {exc}") from None
     raw_steps = doc.get("steps") or []
+    if not isinstance(raw_steps, list):
+        raise ValidationError(f"{path}: steps must be a list")
     states = []
-    for item in raw_steps:
-        data = item.get("fit_state") if isinstance(item, Mapping) else None
-        states.append(None if data is None else FitState(**data))
+    for i, item in enumerate(raw_steps):
+        if not isinstance(item, Mapping):
+            raise ValidationError(f"{path}: steps[{i}] must be a mapping")
+        states.append(_fit_state_from_data(item.get("fit_state"), f"{path}: steps[{i}]"))
     steps = _steps_from_data([
         {k: v for k, v in item.items() if k != "fit_state"} for item in raw_steps
     ])

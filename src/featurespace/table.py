@@ -9,9 +9,8 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .schema import FeatureSpec, SchemaManifest
@@ -37,6 +36,8 @@ MISSING = _MissingType()
 Cell = "int | float | str | bool | _MissingType"
 
 _INT_RE = re.compile(r"[+-]?\d+$")
+_NUMERIC_TYPES = frozenset({int, float, _MissingType})
+_BOOLEAN_TYPES = frozenset({bool, _MissingType})
 
 
 def is_missing(cell) -> bool:
@@ -63,33 +64,142 @@ def check_cell(cell, spec: FeatureSpec) -> None:
                 f"feature {spec.name!r}: label {cell!r} not in declared categories")
 
 
-@dataclass(frozen=True)
+def _column_passes(values: list, spec: FeatureSpec) -> bool:
+    """Whole-column fast check: True guarantees ``check_cell`` accepts every
+    cell. False only means some cell needs ``check_cell`` to decide."""
+    if spec.dtype == "numeric":
+        types = set(map(type, values))
+        if not types <= _NUMERIC_TYPES:
+            return False
+        if float not in types:
+            return True
+        floats = values if len(types) == 1 else [v for v in values if type(v) is float]
+        return all(map(math.isfinite, floats))
+    if spec.dtype == "boolean":
+        return set(map(type, values)) <= _BOOLEAN_TYPES
+    try:
+        labels = set(values)
+    except TypeError:  # an unhashable cell
+        return False
+    labels.discard(MISSING)
+    return labels <= set(spec.categories)
+
+
 class DataTable:
-    """Immutable rows of typed cells aligned to a schema manifest."""
+    """Immutable typed columns aligned to a schema manifest.
 
-    schema: SchemaManifest
-    rows: tuple[tuple[object, ...], ...]
+    Cells are stored as one list per feature, in schema order (``columns``).
+    ``DataTable(schema, rows)`` builds from row sequences and validates every
+    cell; ``from_columns`` and ``with_columns`` build from column lists and
+    validate only the columns not already known to be valid. Column lists
+    may be shared between tables and must never be mutated. ``rows`` is
+    derived on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        width = len(self.schema.features)
-        for r, row in enumerate(self.rows):
+    def __init__(self, schema: SchemaManifest, rows: Iterable[Sequence]):
+        rows = [tuple(row) for row in rows]
+        width = len(schema.features)
+        for r, row in enumerate(rows):
             if len(row) != width:
+                DataTable(schema, rows[:r])  # cells above a ragged row are reported first
+                raise ValidationError(f"row {r}: expected {width} cells, got {len(row)}")
+        columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
+        self._set(schema, columns, len(rows))
+        self.__post_init__(range(width))
+
+    @classmethod
+    def from_columns(cls, schema: SchemaManifest, columns: Sequence[list],
+                     num_rows: int, unchecked: Iterable[int] | None = None) -> DataTable:
+        """Table over the given column lists, validating the columns at the
+        positions in ``unchecked`` (every column by default)."""
+        table = cls.__new__(cls)
+        table._set(schema, columns, num_rows)
+        table.__post_init__(range(len(columns)) if unchecked is None else unchecked)
+        return table
+
+    def with_columns(self, schema: SchemaManifest,
+                     produced: Mapping[str, list]) -> DataTable:
+        """Table over ``schema`` taking each column from ``produced`` by name,
+        else from this table by reference.
+
+        A column is revalidated unless it is the very list this table holds
+        under the same name, with the same dtype and categories.
+        """
+        columns, unchecked = [], []
+        for i, spec in enumerate(schema.features):
+            column = produced.get(spec.name)
+            trusted = False
+            if spec.name in self.schema:
+                j = self.schema.index(spec.name)
+                before = self.schema.features[j]
+                if column is None:
+                    column = self.columns[j]
+                trusted = (column is self.columns[j] and before.dtype == spec.dtype
+                           and before.categories == spec.categories)
+            columns.append(column)
+            if not trusted:
+                unchecked.append(i)
+        return DataTable.from_columns(schema, columns, self.num_rows, unchecked)
+
+    def _set(self, schema: SchemaManifest, columns: Sequence[list], num_rows: int) -> None:
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "num_rows", num_rows)
+        object.__setattr__(self, "_rows", None)
+
+    def __post_init__(self, unchecked: Iterable[int]) -> None:
+        """Validate the columns at the positions in ``unchecked``.
+
+        Each column gets a whole-column check; only columns that fail it are
+        rescanned cell by cell, row-major, so the error names the same first
+        offending cell as a row-by-row scan would.
+        """
+        features = self.schema.features
+        suspect = []
+        for i in unchecked:
+            column, spec = self.columns[i], features[i]
+            if len(column) != self.num_rows:
                 raise ValidationError(
-                    f"row {r}: expected {width} cells, got {len(row)}")
-            for cell, spec in zip(row, self.schema.features):
+                    f"feature {spec.name!r}: expected {self.num_rows} cells, got {len(column)}")
+            if not _column_passes(column, spec):
+                suspect.append(i)
+        if not suspect:
+            return
+        for r in range(self.num_rows):
+            for i in suspect:
                 try:
-                    check_cell(cell, spec)
+                    check_cell(self.columns[i][r], features[i])
                 except ValidationError as exc:
                     raise ValidationError(f"row {r}: {exc}") from None
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DataTable is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, DataTable):
+            return NotImplemented
+        return (self.schema == other.schema and self.num_rows == other.num_rows
+                and self.columns == other.columns)
+
+    def __hash__(self):
+        return hash((self.schema, self.rows))
+
+    def __repr__(self):
+        return f"DataTable({len(self.columns)} columns x {self.num_rows} rows)"
+
     @property
-    def num_rows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[object, ...], ...]:
+        if self._rows is None:
+            rows = tuple(zip(*self.columns)) if self.columns else ((),) * self.num_rows
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+    def values(self, name: str) -> list:
+        """The stored column list for ``name``; read it, never mutate it."""
+        return self.columns[self.schema.index(name)]
 
     def column(self, name: str) -> tuple:
-        idx = self.schema.index(name)
-        return tuple(row[idx] for row in self.rows)
+        return tuple(self.values(name))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +230,22 @@ def parse_cell(text: str, spec: FeatureSpec):
     return text
 
 
+_BOOLEAN_TEXT = {"": MISSING, "TRUE": True, "FALSE": False}
+
+
+def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
+    """``parse_cell`` over a whole column; raises on the first bad cell."""
+    if spec.dtype == "numeric":
+        # isdecimal() accepts exactly the unsigned texts _INT_RE reads as ints.
+        return [int(t) if t.isdecimal() else parse_cell(t, spec) for t in texts]
+    if spec.dtype == "boolean":
+        try:
+            return [_BOOLEAN_TEXT[t] for t in texts]
+        except KeyError:
+            return [parse_cell(t, spec) for t in texts]
+    return [t if t != "" else MISSING for t in texts]
+
+
 def render_cell(cell, display_format: str | None = None) -> str:
     if cell is MISSING:
         return ""
@@ -130,6 +256,19 @@ def render_cell(cell, display_format: str | None = None) -> str:
             return format(cell, display_format)
         return repr(cell) if isinstance(cell, float) else str(cell)
     return str(cell)
+
+
+def _render_column(values: list, spec: FeatureSpec, display_format: str | None) -> list:
+    """``render_cell`` over a validated column, dispatching once on the dtype
+    instead of once per cell."""
+    if spec.dtype == "boolean":
+        return ["" if v is MISSING else "TRUE" if v else "FALSE" for v in values]
+    if spec.dtype == "numeric":
+        if display_format:
+            return ["" if v is MISSING else format(v, display_format) for v in values]
+        return ["" if v is MISSING else repr(v) if isinstance(v, float) else str(v)
+                for v in values]
+    return ["" if v is MISSING else str(v) for v in values]
 
 
 def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> DataTable:
@@ -153,17 +292,25 @@ def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> Data
         raise ValidationError(
             f"data header must match manifest feature names exactly and in order; "
             f"got {header}, expected {list(schema.names)}")
-    rows = []
-    for r, raw in enumerate(reader):
-        if len(raw) != len(schema.names):
-            raise ValidationError(
-                f"row {r}: expected {len(schema.names)} fields, got {len(raw)}")
-        try:
-            rows.append(tuple(parse_cell(text, spec)
-                              for text, spec in zip(raw, schema.features)))
-        except ValidationError as exc:
-            raise ValidationError(f"row {r}: {exc}") from None
-    return DataTable(schema=schema, rows=tuple(rows))
+    raw = list(reader)
+    width = len(schema.names)
+    ragged = next((r for r, fields in enumerate(raw) if len(fields) != width), None)
+    body = raw if ragged is None else raw[:ragged]
+    texts = list(zip(*body)) if body else [()] * width
+    try:
+        columns = [_parse_column(t, spec) for t, spec in zip(texts, schema.features)]
+    except ValidationError:
+        for r, fields in enumerate(body):  # find the row-major first parse error
+            try:
+                for text, spec in zip(fields, schema.features):
+                    parse_cell(text, spec)
+            except ValidationError as exc:
+                raise ValidationError(f"row {r}: {exc}") from None
+        raise
+    if ragged is not None:
+        raise ValidationError(
+            f"row {ragged}: expected {width} fields, got {len(raw[ragged])}")
+    return DataTable.from_columns(schema, columns, len(body))
 
 
 def write_table_csv(table: DataTable, target: str | Path | IO[str],
@@ -181,17 +328,20 @@ def write_table_csv(table: DataTable, target: str | Path | IO[str],
     formats = display_formats or {}
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(table.schema.names)
-    fmt_per_col = [formats.get(name) for name in table.schema.names]
-    for row in table.rows:
-        writer.writerow([render_cell(cell, fmt) for cell, fmt in zip(row, fmt_per_col)])
+    rendered = [_render_column(values, spec, formats.get(spec.name))
+                for values, spec in zip(table.columns, table.schema.features)]
+    if rendered:
+        writer.writerows(zip(*rendered))
+    else:
+        writer.writerows([] for _ in range(table.num_rows))
 
 
 def tables_equal(a: DataTable, b: DataTable, numeric_tol: float = 0.0) -> bool:
     """Cell-level equality; numeric cells compare within ``numeric_tol``."""
     if a.schema.names != b.schema.names or a.num_rows != b.num_rows:
         return False
-    for row_a, row_b in zip(a.rows, b.rows):
-        for x, y in zip(row_a, row_b):
+    for column_a, column_b in zip(a.columns, b.columns):
+        for x, y in zip(column_a, column_b):
             if x is MISSING or y is MISSING:
                 if x is not y:
                     return False

@@ -3,12 +3,15 @@
 Every kernel is a pure column operation with a declared inverse capability
 (``exact``, ``lossy``, or ``none``), a static output-schema plan, an optional
 fit phase, and a default property delta applied during schema propagation.
+A kernel computes only the columns it produces; the pipeline carries every
+other column over by reference.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from operator import mul
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import KernelError, ValidationError
 from .expressions import evaluate, expression_names, parse_expression
-from .lineage import Computed, Imputed, LineageRecord, RawLinked
+from .lineage import ColumnLineage, Computed, Imputed, RawLinked
 from .properties import PropertySet
 from .schema import (
     DerivedFrom,
@@ -230,7 +233,14 @@ class Kernel:
         raise NotImplementedError
 
     def apply(self, table: DataTable, cfg: Mapping, fit_state: FitState | None,
-              ctx: RunContext) -> tuple[list[tuple], list[LineageRecord]]:
+              ctx: RunContext) -> tuple[list[list], list[ColumnLineage]]:
+        """Compute the produced columns from the table's columns.
+
+        Returns one list of cells per produced feature, in ``plan(...).produced``
+        order, and the lineage of those columns: one ``ColumnLineage`` per
+        produced feature that has a record, in the order each row's records
+        are listed. Input columns are read, never mutated.
+        """
         raise NotImplementedError
 
     def inverse(self, cfg: Mapping, fit_state: FitState | None,
@@ -243,13 +253,13 @@ class Kernel:
         return dict(cfg)
 
 
-def _column_values(table: DataTable, name: str) -> list:
-    idx = table.schema.index(name)
-    return [row[idx] for row in table.rows]
-
-
 def _non_missing(values) -> list:
     return [v for v in values if v is not MISSING]
+
+
+def _label_bins(values: list, boundaries: Sequence[float], labels: Sequence[str]) -> list:
+    return [MISSING if v is MISSING else labels[bisect.bisect_right(boundaries, v)]
+            for v in values]
 
 
 class OneHotEncode(Kernel):
@@ -297,21 +307,11 @@ class OneHotEncode(Kernel):
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
-        idx = table.schema.index(feature)
-        categories = table.schema.feature(feature).categories
-        names = cfg["names"]
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            if value is MISSING:
-                cells = (MISSING,) * len(names)
-            else:
-                cells = tuple(value == c for c in categories)
-            rows.append(row[:idx] + cells + row[idx + 1:])
-            for name in names:
-                lineage.append(LineageRecord(r, name, Computed(self.kind, (feature,))))
-        return rows, lineage
+        values = table.values(feature)
+        columns = [[MISSING if v is MISSING else v == c for v in values]
+                   for c in table.schema.feature(feature).categories]
+        origin = Computed(self.kind, (feature,))
+        return columns, [ColumnLineage(name, origin) for name in cfg["names"]]
 
     def inverse(self, cfg, fit_state, input_schema):
         spec = input_schema.feature(cfg["feature"])
@@ -377,14 +377,9 @@ class OneHotDecode(Kernel):
 
     def apply(self, table, cfg, fit_state, ctx):
         group = cfg["group"]
-        indices = [table.schema.index(n) for n in group]
         categories = cfg["restore"]["categories"]
-        insert_at = min(indices)
-        removed = set(indices)
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            cells = [row[i] for i in indices]
+        decoded = []
+        for r, cells in enumerate(zip(*(table.values(n) for n in group))):
             missing = [c is MISSING for c in cells]
             if all(missing):
                 value = MISSING
@@ -406,11 +401,8 @@ class OneHotDecode(Kernel):
                     raise KernelError(
                         f"row {r}: zero indicators TRUE in one-hot group {list(group)}",
                         row_index=r)
-            kept = tuple(c for i, c in enumerate(row) if i not in removed)
-            split = sum(1 for i in range(insert_at) if i not in removed)
-            rows.append(kept[:split] + (value,) + kept[split:])
-            lineage.append(LineageRecord(r, cfg["target"], Computed(self.kind, group)))
-        return rows, lineage
+            decoded.append(value)
+        return [decoded], [ColumnLineage(cfg["target"], Computed(self.kind, group))]
 
     def inverse(self, cfg, fit_state, input_schema):
         return TransformStep("one_hot_encode", {
@@ -447,7 +439,7 @@ class Standardize(Kernel):
         return cfg["mean"] is None
 
     def fit(self, table, cfg):
-        values = _non_missing(_column_values(table, cfg["feature"]))
+        values = _non_missing(table.values(cfg["feature"]))
         if not values:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} has no observed values")
         mean = sum(values) / len(values)
@@ -483,17 +475,10 @@ class Standardize(Kernel):
 
     def apply(self, table, cfg, fit_state, ctx):
         mean, scale = self._params(cfg, fit_state)
-        idx = table.schema.index(cfg["feature"])
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            if value is not MISSING:
-                value = (value - mean) / scale
-            rows.append(row[:idx] + (value,) + row[idx + 1:])
-            lineage.append(LineageRecord(r, cfg["target"],
-                                         Computed(self.kind, (cfg["feature"],))))
-        return rows, lineage
+        values = table.values(cfg["feature"])
+        column = [v if v is MISSING else (v - mean) / scale for v in values]
+        return [column], [ColumnLineage(cfg["target"],
+                                        Computed(self.kind, (cfg["feature"],)))]
 
     def inverse(self, cfg, fit_state, input_schema):
         mean, scale = self._params(cfg, fit_state)
@@ -544,18 +529,11 @@ class Unstandardize(Kernel):
         return PlanResult(features, {cfg["target"]: (feature,)})
 
     def apply(self, table, cfg, fit_state, ctx):
-        idx = table.schema.index(cfg["feature"])
         mean, scale = cfg["mean"], cfg["scale"]
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            if value is not MISSING:
-                value = value * scale + mean
-            rows.append(row[:idx] + (value,) + row[idx + 1:])
-            lineage.append(LineageRecord(r, cfg["target"],
-                                         Computed(self.kind, (cfg["feature"],))))
-        return rows, lineage
+        values = table.values(cfg["feature"])
+        column = [v if v is MISSING else v * scale + mean for v in values]
+        return [column], [ColumnLineage(cfg["target"],
+                                        Computed(self.kind, (cfg["feature"],)))]
 
     def inverse(self, cfg, fit_state, input_schema):
         return TransformStep("standardize", {
@@ -621,7 +599,7 @@ class StatisticalBin(Kernel):
         return cfg["min"] is None
 
     def fit(self, table, cfg):
-        values = _non_missing(_column_values(table, cfg["feature"]))
+        values = _non_missing(table.values(cfg["feature"]))
         if not values:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} has no observed values")
         lo, hi = min(values), max(values)
@@ -675,27 +653,17 @@ class StatisticalBin(Kernel):
         feature = cfg["feature"]
         lo, hi, edges = self._params(cfg, fit_state)
         categories = self._categories(table.schema, cfg, fit_state)
-        idx = table.schema.index(feature)
-        keep = cfg["keep_original"]
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            if value is MISSING:
-                label = MISSING
-            else:
-                if value < lo or value > hi:
-                    raise KernelError(
-                        f"row {r}: value {value!r} of {feature!r} outside bin range "
-                        f"[{lo}, {hi}]", row_index=r)
-                i = bisect.bisect_right(edges, value) - 1
-                label = categories[min(max(i, 0), cfg["bins"] - 1)]
-            if keep:
-                rows.append(row + (label,))
-            else:
-                rows.append(row[:idx] + (label,) + row[idx + 1:])
-            lineage.append(LineageRecord(r, cfg["target"], Computed(self.kind, (feature,))))
-        return rows, lineage
+        values = table.values(feature)
+        for r, value in enumerate(values):
+            if value is not MISSING and (value < lo or value > hi):
+                raise KernelError(
+                    f"row {r}: value {value!r} of {feature!r} outside bin range "
+                    f"[{lo}, {hi}]", row_index=r)
+        top = cfg["bins"] - 1
+        column = [MISSING if v is MISSING
+                  else categories[min(max(bisect.bisect_right(edges, v) - 1, 0), top)]
+                  for v in values]
+        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
 
 
 class SemanticBin(Kernel):
@@ -746,23 +714,8 @@ class SemanticBin(Kernel):
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
-        idx = table.schema.index(feature)
-        boundaries, labels = cfg["boundaries"], cfg["labels"]
-        keep = cfg["keep_original"]
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            if value is MISSING:
-                label = MISSING
-            else:
-                label = labels[bisect.bisect_right(boundaries, value)]
-            if keep:
-                rows.append(row + (label,))
-            else:
-                rows.append(row[:idx] + (label,) + row[idx + 1:])
-            lineage.append(LineageRecord(r, cfg["target"], Computed(self.kind, (feature,))))
-        return rows, lineage
+        column = _label_bins(table.values(feature), cfg["boundaries"], cfg["labels"])
+        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
 
 
 class ImputeFlagged(Kernel):
@@ -805,39 +758,38 @@ class ImputeFlagged(Kernel):
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
-        idx = table.schema.index(feature)
         strategy = cfg["strategy"]
-        column = [row[idx] for row in table.rows]
-        if strategy == "mean":
-            observed = _non_missing(column)
-            if not observed:
-                raise KernelError(
-                    f"{self.kind}: column {feature!r} is entirely missing; "
-                    "mean strategy has nothing to average")
-            fill_value = sum(observed) / len(observed)
-        rows = []
-        lineage = []
-        previous = None
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            imputed = value is MISSING
-            if imputed:
-                if strategy == "mean":
-                    value = fill_value
-                elif strategy == "constant":
-                    value = cfg["constant"]
-                else:
+        values = table.values(feature)
+        flags = [v is MISSING for v in values]
+        if strategy == "forward_fill":
+            filled = []
+            previous = None
+            for r, value in enumerate(values):
+                if value is MISSING:
                     if previous is None:
                         raise KernelError(
                             f"row {r}: forward_fill has no preceding value for {feature!r}",
                             row_index=r)
                     value = previous
-                lineage.append(LineageRecord(r, feature, Imputed(strategy)))
-            previous = value
-            rows.append(row[:idx] + (value,) + row[idx + 1:] + (imputed,))
-            lineage.append(LineageRecord(r, cfg["flag_name"],
-                                         Computed(self.kind, (feature,))))
-        return rows, lineage
+                filled.append(value)
+                previous = value
+        else:
+            if strategy == "mean":
+                observed = _non_missing(values)
+                if not observed:
+                    raise KernelError(
+                        f"{self.kind}: column {feature!r} is entirely missing; "
+                        "mean strategy has nothing to average")
+                fill_value = sum(observed) / len(observed)
+            else:
+                fill_value = cfg["constant"]
+            filled = [fill_value if v is MISSING else v for v in values]
+        imputed = dict.fromkeys((r for r, flag in enumerate(flags) if flag),
+                                Imputed(strategy))
+        return [filled, flags], [
+            ColumnLineage(feature, None, imputed),
+            ColumnLineage(cfg["flag_name"], Computed(self.kind, (feature,))),
+        ]
 
 
 def _formula_normalized(formula, inputs: tuple[str, ...], kind: str):
@@ -862,15 +814,16 @@ def _formula_descriptor(formula) -> str:
     return formula if isinstance(formula, str) else formula["expr"]
 
 
-def _evaluate_formula(formula, inputs: tuple[str, ...], values: list):
+def _formula_function(formula, inputs: tuple[str, ...]):
+    """The formula as a function of one row's input values."""
     if formula == "euclidean_floor":
-        return math.floor(math.sqrt(sum(v * v for v in values)))
+        return lambda values: math.floor(math.sqrt(sum(v * v for v in values)))
     if formula == "sum":
-        return sum(values)
+        return sum
     if formula == "mean":
-        return sum(values) / len(values)
-    env = dict(zip(inputs, values))
-    return evaluate(parse_expression(formula["expr"]), env)
+        return lambda values: sum(values) / len(values)
+    ast = parse_expression(formula["expr"])
+    return lambda values: evaluate(ast, dict(zip(inputs, values)))
 
 
 class AggregateNumeric(Kernel):
@@ -919,31 +872,18 @@ class AggregateNumeric(Kernel):
 
     def apply(self, table, cfg, fit_state, ctx):
         inputs = cfg["inputs"]
-        indices = [table.schema.index(n) for n in inputs]
-        keep = cfg["keep_inputs"]
-        removed = set(indices)
-        insert_at = min(indices)
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            values = [row[i] for i in indices]
-            if any(v is MISSING for v in values):
-                result = MISSING
-            else:
-                try:
-                    result = _evaluate_formula(cfg["formula"], inputs, values)
-                except KernelError as exc:
-                    raise KernelError(f"row {r}: {exc}", row_index=r) from None
-            if keep:
-                rows.append(row + (result,))
-            else:
-                kept = tuple(c for i, c in enumerate(row) if i not in removed)
-                split = sum(1 for i in range(insert_at) if i not in removed)
-                rows.append(kept[:split] + (result,) + kept[split:])
-            lineage.append(LineageRecord(
-                r, cfg["target"],
-                Computed(_formula_descriptor(cfg["formula"]), inputs)))
-        return rows, lineage
+        formula = _formula_function(cfg["formula"], inputs)
+        column = []
+        for r, values in enumerate(zip(*(table.values(n) for n in inputs))):
+            if MISSING in values:
+                column.append(MISSING)
+                continue
+            try:
+                column.append(formula(values))
+            except KernelError as exc:
+                raise KernelError(f"row {r}: {exc}", row_index=r) from None
+        origin = Computed(_formula_descriptor(cfg["formula"]), inputs)
+        return [column], [ColumnLineage(cfg["target"], origin)]
 
 
 class AbstractConcept(AggregateNumeric):
@@ -984,20 +924,11 @@ class AbstractConcept(AggregateNumeric):
         )
 
     def apply(self, table, cfg, fit_state, ctx):
-        rows, lineage = super().apply(table, cfg, fit_state, ctx)
+        (column,), lineage = super().apply(table, cfg, fit_state, ctx)
         labeling = cfg["labeling"]
-        if labeling is None:
-            return rows, lineage
-        target_idx = len(rows[0]) - 1 if cfg["keep_inputs"] else \
-            min(table.schema.index(n) for n in cfg["inputs"])
-        boundaries, labels = labeling["boundaries"], labeling["labels"]
-        labeled = []
-        for row in rows:
-            value = row[target_idx]
-            if value is not MISSING:
-                value = labels[bisect.bisect_right(boundaries, value)]
-            labeled.append(row[:target_idx] + (value,) + row[target_idx + 1:])
-        return labeled, lineage
+        if labeling is not None:
+            column = _label_bins(column, labeling["boundaries"], labeling["labels"])
+        return [column], lineage
 
 
 class HierarchyRollup(Kernel):
@@ -1060,23 +991,13 @@ class HierarchyRollup(Kernel):
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
-        idx = table.schema.index(feature)
         mapping = cfg["mapping"]
-        keep = cfg["keep_original"]
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            if value is not MISSING:
-                if value not in mapping:
-                    raise KernelError(f"row {r}: unmapped category {value!r}", row_index=r)
-                value = mapping[value]
-            if keep:
-                rows.append(row + (value,))
-            else:
-                rows.append(row[:idx] + (value,) + row[idx + 1:])
-            lineage.append(LineageRecord(r, cfg["target"], Computed(self.kind, (feature,))))
-        return rows, lineage
+        values = table.values(feature)
+        for r, value in enumerate(values):
+            if value is not MISSING and value not in mapping:
+                raise KernelError(f"row {r}: unmapped category {value!r}", row_index=r)
+        column = [MISSING if v is MISSING else mapping[v] for v in values]
+        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
 
 
 class RenderStatement(Kernel):
@@ -1117,16 +1038,9 @@ class RenderStatement(Kernel):
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
         spec = table.schema.feature(feature)
-        idx = table.schema.index(feature)
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            if value is not MISSING:
-                value = render_value(spec, value)
-            rows.append(row[:idx] + (value,) + row[idx + 1:])
-            lineage.append(LineageRecord(r, cfg["target"], Computed(self.kind, (feature,))))
-        return rows, lineage
+        column = [MISSING if v is MISSING else render_value(spec, v)
+                  for v in table.values(feature)]
+        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
 
     def inverse(self, cfg, fit_state, input_schema):
         return TransformStep("unrender_statement", {
@@ -1177,22 +1091,16 @@ class UnrenderStatement(Kernel):
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
-        idx = table.schema.index(feature)
         restored = self._restored_spec(cfg)
         reverse = {render_value(restored, v): v for v in _domain_values(restored)}
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            value = row[idx]
-            if value is not MISSING:
-                if value not in reverse:
-                    raise KernelError(
-                        f"row {r}: statement {value!r} does not match any template",
-                        row_index=r)
-                value = reverse[value]
-            rows.append(row[:idx] + (value,) + row[idx + 1:])
-            lineage.append(LineageRecord(r, cfg["target"], Computed(self.kind, (feature,))))
-        return rows, lineage
+        values = table.values(feature)
+        for r, value in enumerate(values):
+            if value is not MISSING and value not in reverse:
+                raise KernelError(
+                    f"row {r}: statement {value!r} does not match any template",
+                    row_index=r)
+        column = [MISSING if v is MISSING else reverse[v] for v in values]
+        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
 
     def inverse(self, cfg, fit_state, input_schema):
         return TransformStep("render_statement", {
@@ -1241,13 +1149,11 @@ class PcaProject(Kernel):
 
     def fit(self, table, cfg):
         inputs = cfg["inputs"]
-        columns = []
-        for name in inputs:
-            column = _column_values(table, name)
-            if any(v is MISSING for v in column):
+        columns = [table.values(name) for name in inputs]
+        for name, column in zip(inputs, columns):
+            if MISSING in column:
                 raise KernelError(
                     f"{self.kind}: column {name!r} contains MISSING values; impute first")
-            columns.append(column)
         data = np.array(columns, dtype=float).T
         if data.shape[0] < 2:
             raise KernelError(f"{self.kind}: need at least 2 rows to fit")
@@ -1307,28 +1213,21 @@ class PcaProject(Kernel):
     def apply(self, table, cfg, fit_state, ctx):
         inputs = cfg["inputs"]
         means, loadings = self._params(cfg, fit_state)
-        indices = [table.schema.index(n) for n in inputs]
-        names = self._names(cfg)
-        removed = set(indices)
-        insert_at = min(indices)
-        rows = []
-        lineage = []
-        for r, row in enumerate(table.rows):
-            values = [row[i] for i in indices]
-            if any(v is MISSING for v in values):
-                raise KernelError(
-                    f"row {r}: MISSING value in PCA inputs; impute first", row_index=r)
-            centered = [v - m for v, m in zip(values, means)]
-            projected = tuple(
-                sum(centered[i] * loadings[i][k] for i in range(len(inputs)))
-                for k in range(cfg["components"])
-            )
-            kept = tuple(c for i, c in enumerate(row) if i not in removed)
-            split = sum(1 for i in range(insert_at) if i not in removed)
-            rows.append(kept[:split] + projected + kept[split:])
-            for name in names:
-                lineage.append(LineageRecord(r, name, Computed(self.kind, inputs)))
-        return rows, lineage
+        columns = [table.values(name) for name in inputs]
+        first = [column.index(MISSING) for column in columns if MISSING in column]
+        if first:
+            r = min(first)
+            raise KernelError(f"row {r}: MISSING value in PCA inputs; impute first",
+                              row_index=r)
+        centered = list(zip(*([v - m for v in column]
+                              for column, m in zip(columns, means))))
+        projected = []
+        for k in range(cfg["components"]):
+            weights = [row[k] for row in loadings]
+            # sum() in input order; a vectorized product would round differently.
+            projected.append([sum(map(mul, row, weights)) for row in centered])
+        origin = Computed(self.kind, inputs)
+        return projected, [ColumnLineage(name, origin) for name in self._names(cfg)]
 
 
 class LinkRaw(Kernel):
@@ -1371,11 +1270,9 @@ class LinkRaw(Kernel):
             raise KernelError(
                 f"{self.kind}: window [{start}, {stop}) outside series "
                 f"{cfg['series_id']!r} of length {len(series)}")
-        lineage = [
-            LineageRecord(r, cfg["feature"], RawLinked(cfg["series_id"], start, stop))
-            for r in range(table.num_rows)
-        ]
-        return list(table.rows), lineage
+        feature = cfg["feature"]
+        return [table.values(feature)], [
+            ColumnLineage(feature, RawLinked(cfg["series_id"], start, stop))]
 
     def inverse(self, cfg, fit_state, input_schema):
         # Identity on data; linking again in the other direction is harmless.

@@ -141,6 +141,41 @@ steps:
     assert len(read_rows(out)) == 4
 
 
+def _drop_manifest(doc):
+    del doc["input_manifest"]
+
+
+def _unknown_fit_state_key(doc):
+    doc["steps"][0]["fit_state"]["median"] = 1.0
+
+
+def _steps_not_a_list(doc):
+    doc["steps"] = {"kind": "standardize"}
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (_drop_manifest, "input_manifest"),
+    (_unknown_fit_state_key, "median"),
+    (_steps_not_a_list, "steps"),
+])
+def test_malformed_fitted_document_exits_1(workspace, capsys, corrupt, field):
+    fitted_path = workspace / "fitted.json"
+    assert main(["fit", "--pipeline", str(workspace / "pipeline.yaml"),
+                 "--data", str(workspace / "data.csv"), "--out", str(fitted_path)]) == 0
+    doc = json.loads(fitted_path.read_text())
+    doc["steps"][0]["fit_state"] = {"mean": 1.0, "scale": 2.0}
+    corrupt(doc)
+    fitted_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["transform", "--pipeline", str(fitted_path),
+                 "--data", str(workspace / "data.csv"),
+                 "--out", str(workspace / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_invert_roundtrip_through_cli(workspace):
     encoded = workspace / "encoded.csv"
     assert main(["transform", "--pipeline", str(workspace / "pipeline.yaml"),

@@ -1,0 +1,126 @@
+"""Properties of the columnar table core and the column-backed lineage."""
+
+from __future__ import annotations
+
+import io
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from featurespace.errors import ValidationError
+from featurespace.lineage import lineage_to_data
+from featurespace.pipeline import compose, fit, run
+from featurespace.table import (
+    DataTable,
+    check_cell,
+    parse_cell,
+    read_table_csv,
+    tables_equal,
+    write_table_csv,
+)
+from featurespace.transforms import TransformStep
+
+from _generators import random_exact_pipeline, random_schema, random_table
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+# A cell value each dtype rejects, and CSV text each dtype rejects. Numeric and
+# boolean texts fail while parsing; a categorical text fails validation.
+BAD_CELL = {"numeric": "not a number", "boolean": 1, "categorical": "no-such-label"}
+BAD_TEXT = {"numeric": "abc", "boolean": "yes", "categorical": "no-such-label"}
+
+
+def _csv_text(table: DataTable) -> str:
+    out = io.StringIO()
+    write_table_csv(table, out)
+    return out.getvalue()
+
+
+def _error(fn) -> str:
+    try:
+        fn()
+    except ValidationError as exc:
+        return str(exc)
+    raise AssertionError("expected a ValidationError")
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_rows_and_csv_round_trip(seed):
+    rng = random.Random(seed)
+    table = random_table(rng, missing_rate=0.2)
+    again = DataTable(table.schema, table.rows)
+    assert again == table
+    assert tables_equal(again, table)
+    assert again.num_rows == len(table.rows)
+    for i, name in enumerate(table.schema.names):
+        assert table.column(name) == tuple(row[i] for row in table.rows)
+    parsed = read_table_csv(io.StringIO(_csv_text(table)), table.schema)
+    assert parsed == table
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_lineage_length_matches_its_expansions(seed):
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    table = random_table(rng, schema, missing_rate=0.3)
+    steps = list(random_exact_pipeline(rng, schema).steps)
+    numerics = [f.name for f in schema.features if f.dtype == "numeric"]
+    if numerics:  # imputation gives rows whose lineage differs from the column's
+        steps.insert(0, TransformStep("impute_flagged", {
+            "feature": rng.choice(numerics), "strategy": "constant", "constant": 0}))
+    result = run(fit(compose(steps, schema, "to_interpretable"), table), table)
+    records = list(result.lineage)
+    assert len(result.lineage) == len(records) == len(lineage_to_data(result.lineage))
+    assert result.lineage == tuple(records)
+    assert lineage_to_data(result.lineage) == lineage_to_data(records)
+    if records:
+        assert result.lineage[-1] == records[-1]
+        assert result.lineage[0] == records[0]
+
+
+def _two_positions(rng: random.Random, table: DataTable):
+    cells = [(r, c) for r in range(table.num_rows) for c in range(len(table.schema.features))]
+    return rng.sample(cells, 2)
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_first_bad_cell_is_reported_row_major(seed):
+    rng = random.Random(seed)
+    table = random_table(rng, n_rows=rng.randint(2, 12))
+    features = table.schema.features
+    positions = sorted(_two_positions(rng, table))
+    rows = [list(row) for row in table.rows]
+    for r, c in positions:
+        rows[r][c] = BAD_CELL[features[c].dtype]
+    r, c = positions[0]
+    expected = f"row {r}: " + _error(lambda: check_cell(rows[r][c], features[c]))
+    assert _error(lambda: DataTable(table.schema, rows)) == expected
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_csv_reports_the_first_bad_cell_with_parse_errors_first(seed):
+    rng = random.Random(seed)
+    table = random_table(rng, n_rows=rng.randint(2, 12))
+    features = table.schema.features
+    lines = _csv_text(table).splitlines()
+    grid = [line.split(",") for line in lines[1:]]  # generated labels hold no commas
+    positions = sorted(_two_positions(rng, table))
+    for r, c in positions:
+        grid[r][c] = BAD_TEXT[features[c].dtype]
+    text = "\n".join([lines[0], *(",".join(fields) for fields in grid)]) + "\n"
+    # Every cell is parsed before any is validated, so a parse error anywhere
+    # wins over a validation error; within each class the first row-major wins.
+    parse_errors = [(r, c) for r, c in positions if features[c].dtype != "categorical"]
+    r, c = (parse_errors or positions)[0]
+    if parse_errors:
+        message = _error(lambda: parse_cell(grid[r][c], features[c]))
+    else:
+        message = _error(lambda: check_cell(grid[r][c], features[c]))
+    got = _error(lambda: read_table_csv(io.StringIO(text), table.schema))
+    assert got == f"row {r}: {message}"
