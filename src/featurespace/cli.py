@@ -28,8 +28,7 @@ from .pipeline import (
     as_fitted,
     fit,
     invert,
-    is_fitted_document,
-    load_fitted,
+    load_document,
     load_pipeline,
     run,
     save_fitted,
@@ -52,9 +51,9 @@ def _require_files(*paths) -> None:
 
 
 def _load_any_pipeline(path: str, data: str | None, do_fit: bool) -> FittedPipeline:
-    if is_fitted_document(path):
-        return load_fitted(path)
-    pipeline = load_pipeline(path)
+    pipeline = load_document(path)
+    if isinstance(pipeline, FittedPipeline):
+        return pipeline
     if do_fit:
         if data is None:
             raise ValidationError("--fit requires --data")
@@ -94,11 +93,7 @@ def cmd_transform(args) -> int:
 
 def cmd_invert(args) -> int:
     _require_files(args.pipeline)
-    if is_fitted_document(args.pipeline):
-        fitted = load_fitted(args.pipeline)
-    else:
-        fitted = as_fitted(load_pipeline(args.pipeline))
-    result = invert(fitted)
+    result = invert(_load_any_pipeline(args.pipeline, None, False))
     if isinstance(result, InversionRefusal):
         print(result.message, file=sys.stderr)
         return EXIT_REFUSAL
@@ -109,10 +104,7 @@ def cmd_invert(args) -> int:
 
 def cmd_explain_map(args) -> int:
     _require_files(args.pipeline, args.contribs)
-    if is_fitted_document(args.pipeline):
-        fitted = load_fitted(args.pipeline)
-    else:
-        fitted = as_fitted(load_pipeline(args.pipeline))
+    fitted = _load_any_pipeline(args.pipeline, None, False)
     model_side = (fitted.input_schema if fitted.direction == "to_interpretable"
                   else fitted.output_schema)
     vectors = read_contributions(args.contribs, model_side)

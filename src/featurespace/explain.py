@@ -5,6 +5,21 @@ against the model-ready schema; this module carries them into the
 interpretable schema while preserving the total contribution. Mapping walks a
 ``to_interpretable`` pipeline forward, or a ``to_model_ready`` pipeline in
 reverse; either way the vector starts on the model-ready side.
+
+Nothing about a mapping depends on the vector's values except the arithmetic,
+so each ``(FittedPipeline, expose_flags)`` pair is compiled once, on first
+use, into a ``MappingPlan`` stored on the fitted pipeline. The plan caches the
+expected and final schemas, one index operation per output slot of every step
+(copy, sum from 0.0, two-term add, or weighted sum from 0.0 with the PCA
+redistribution weights precomputed), which slots feed exposed imputation
+flags, the static partition audit and fidelity notes, and the error of a
+pipeline that cannot be mapped. Per vector, mapping is the alignment check and
+list arithmetic over those operations.
+
+The operations keep each step's own summation order instead of folding the
+pipeline into one contribution matrix: a fused ``C @ M`` would reassociate
+the sums, so mapped values, and the conservation deltas computed from them,
+would change in their last bits.
 """
 
 from __future__ import annotations
@@ -13,33 +28,15 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from types import MappingProxyType
+from typing import IO, Callable, Mapping, Sequence
 
 from .errors import MappingError, ValidationError
 from .pipeline import FittedPipeline, FittedStep
 from .schema import SchemaManifest
-from .transforms import pca_redistribution_weights
+from .transforms import kernel_for, pca_redistribution_weights
 
 CONSERVATION_TOLERANCE = 1e-9
-
-# Rule applied per step kind when carrying contributions toward the
-# interpretable space. Every transform kind has exactly one rule.
-MAPPING_RULES: dict[str, str] = {
-    "one_hot_encode": "group_sum",
-    "one_hot_decode": "group_sum",
-    "standardize": "identity",
-    "unstandardize": "identity",
-    "statistical_bin": "identity",
-    "semantic_bin": "identity",
-    "render_statement": "identity",
-    "unrender_statement": "identity",
-    "hierarchy_rollup": "identity",
-    "impute_flagged": "absorb_flag",
-    "aggregate_numeric": "group_sum",
-    "abstract_concept": "group_sum",
-    "pca_project": "redistribute_by_squared_loadings",
-    "link_raw": "identity",
-}
 
 
 @dataclass(frozen=True)
@@ -51,14 +48,16 @@ class ContributionVector:
     base_value: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != len(self.schema.features):
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "values", values)
+        if len(values) != len(self.schema.features):
             raise ValidationError(
-                f"contribution vector has {len(self.values)} values for "
+                f"contribution vector has {len(values)} values for "
                 f"{len(self.schema.features)} features")
-        for name, value in zip(self.schema.names, self.values):
-            if not math.isfinite(value):
-                raise ValidationError(f"contribution for {name!r} is not finite: {value!r}")
+        if not all(map(math.isfinite, values)):
+            for name, value in zip(self.schema.names, values):
+                if not math.isfinite(value):
+                    raise ValidationError(f"contribution for {name!r} is not finite: {value!r}")
         if self.base_value is not None and not math.isfinite(self.base_value):
             raise ValidationError(f"base value is not finite: {self.base_value!r}")
 
@@ -99,125 +98,237 @@ def conservation_check(before: ContributionVector,
                               tolerance=tolerance)
 
 
+# ---------------------------------------------------------------------------
+# mapping rules: what one step does to a vector, by feature name
+
+@dataclass(frozen=True)
+class Rewrite:
+    """One rule application. ``ops`` gives the features the rule writes, each
+    as ``("copy", name)``, ``("sum", names)`` (added in order to 0.0),
+    ``("add", a, b)`` or ``("weighted", ((name, weight), ...))`` (products
+    added in order to 0.0); every other feature of the step's far side passes
+    through unchanged. ``consumed`` lists each near-side feature the rule uses
+    up, ``exposed`` the imputation flags it moves out of the vector."""
+
+    ops: Mapping[str, tuple]
+    consumed: tuple[str, ...] = ()
+    exposed: tuple[str, ...] = ()
+    note: str | None = None
+
+
+RuleFn = Callable[[FittedStep, bool], Rewrite]
+
+
+@dataclass(frozen=True)
+class MappingRule:
+    """How contributions cross one step kind. ``forward`` serves a
+    to_interpretable step (input -> output), ``reverse`` undoes a
+    to_model_ready step (output -> input); ``None`` means no rule exists in
+    that direction."""
+
+    name: str
+    forward: RuleFn | None
+    reverse: RuleFn | None
+
+
+ZERO = ("sum", ())
+PCA_NOTE = ("pca_project: contributions redistributed to inputs by squared "
+            "loadings; this is an approximation and lowers explanation fidelity")
+
+
 def _keep_flag(cfg) -> bool:
     return bool(cfg.get("keep_original") or cfg.get("keep_inputs"))
 
 
-def _forward_step(fstep: FittedStep, values: dict[str, float],
-                  expose_flags: bool, notes: list[str],
-                  exposed: dict[str, float]) -> tuple[dict[str, float], dict[str, int]]:
-    """Carry a vector across one step of a to_interpretable pipeline."""
-    kind = fstep.step.kind
+def _decode_forward(fstep, expose_flags):
     cfg = fstep.step.config
-    counts = {name: 0 for name in fstep.input_schema.names}
-    out: dict[str, float] = {}
-
-    if kind == "one_hot_decode":
-        total = 0.0
-        for name in cfg["group"]:
-            total += values[name]
-            counts[name] += 1
-        out[cfg["target"]] = total
-    elif kind in ("standardize", "unstandardize", "statistical_bin", "semantic_bin",
-                  "render_statement", "unrender_statement", "hierarchy_rollup"):
-        source, target = cfg["feature"], cfg["target"]
-        if _keep_flag(cfg):
-            out[target] = 0.0  # derived display feature; source keeps its share
-        else:
-            out[target] = values[source]
-            counts[source] += 1
-    elif kind in ("aggregate_numeric", "abstract_concept"):
-        if _keep_flag(cfg):
-            out[cfg["target"]] = 0.0
-        else:
-            total = 0.0
-            for name in cfg["inputs"]:
-                total += values[name]
-                counts[name] += 1
-            out[cfg["target"]] = total
-    elif kind == "impute_flagged":
-        out[cfg["flag_name"]] = 0.0  # flag is new; no contribution exists yet
-    elif kind == "link_raw":
-        pass
-    else:
-        raise MappingError(
-            f"step ({kind}) has no contribution rule in the forward direction; "
-            "map against the pipeline that produced the model-ready schema instead")
-
-    for name in fstep.output_schema.names:
-        if name not in out:
-            if name not in values:
-                raise MappingError(f"feature {name!r} appeared without a mapping rule")
-            out[name] = values[name]
-            counts[name] += 1
-    return out, counts
+    return Rewrite({cfg["target"]: ("sum", tuple(cfg["group"]))}, tuple(cfg["group"]))
 
 
-def _reverse_step(fstep: FittedStep, values: dict[str, float],
-                  expose_flags: bool, notes: list[str],
-                  exposed: dict[str, float]) -> tuple[dict[str, float], dict[str, int]]:
-    """Undo one step of a to_model_ready pipeline: vector moves output -> input."""
-    kind = fstep.step.kind
+def _encode_reverse(fstep, expose_flags):
     cfg = fstep.step.config
-    counts = {name: 0 for name in fstep.output_schema.names}
-    out: dict[str, float] = {}
+    return Rewrite({cfg["feature"]: ("sum", tuple(cfg["names"]))}, tuple(cfg["names"]))
 
-    if kind == "one_hot_encode":
-        total = 0.0
-        for name in cfg["names"]:
-            total += values[name]
-            counts[name] += 1
-        out[cfg["feature"]] = total
-    elif kind in ("standardize", "unstandardize", "statistical_bin", "semantic_bin",
-                  "render_statement", "unrender_statement", "hierarchy_rollup"):
-        source, target = cfg["feature"], cfg["target"]
-        if _keep_flag(cfg):
-            # The derived feature's share folds back into its source.
-            out[source] = values[source] + values[target]
-            counts[source] += 1
-            counts[target] += 1
-        else:
-            out[source] = values[target]
-            counts[target] += 1
-    elif kind == "impute_flagged":
-        feature, flag = cfg["feature"], cfg["flag_name"]
-        if expose_flags:
-            out[feature] = values[feature]
-            exposed[flag] = exposed.get(flag, 0.0) + values[flag]
-        else:
-            out[feature] = values[feature] + values[flag]
-        counts[feature] += 1
-        counts[flag] += 1
-    elif kind == "pca_project":
-        from .transforms import kernel_for
-        resolved = kernel_for(kind).resolved_config(cfg, fstep.fit_state)
-        loadings = resolved["loadings"]
-        weights = pca_redistribution_weights(loadings)
-        inputs = cfg["inputs"]
-        names = tuple(cfg["name_template"].format(i=i + 1)
-                      for i in range(cfg["components"]))
-        shares = {name: 0.0 for name in inputs}
-        for k, comp in enumerate(names):
-            for i, input_name in enumerate(inputs):
-                shares[input_name] += values[comp] * weights[k][i]
-            counts[comp] += 1
-        out.update(shares)
-        notes.append(
-            "pca_project: contributions redistributed to inputs by squared "
-            "loadings; this is an approximation and lowers explanation fidelity")
-    elif kind == "link_raw":
-        pass
-    else:
-        raise MappingError(
-            f"step ({kind}) has no contribution rule in the reverse direction")
 
-    for name in fstep.input_schema.names:
-        if name not in out:
-            if name not in values:
+def _identity_forward(fstep, expose_flags):
+    cfg = fstep.step.config
+    source, target = cfg["feature"], cfg["target"]
+    if _keep_flag(cfg):
+        return Rewrite({target: ZERO})  # derived display feature; source keeps its share
+    return Rewrite({target: ("copy", source)}, (source,))
+
+
+def _identity_reverse(fstep, expose_flags):
+    cfg = fstep.step.config
+    source, target = cfg["feature"], cfg["target"]
+    if _keep_flag(cfg):
+        # The derived feature's share folds back into its source.
+        return Rewrite({source: ("add", source, target)}, (source, target))
+    return Rewrite({source: ("copy", target)}, (target,))
+
+
+def _group_forward(fstep, expose_flags):
+    cfg = fstep.step.config
+    if _keep_flag(cfg):
+        return Rewrite({cfg["target"]: ZERO})
+    return Rewrite({cfg["target"]: ("sum", tuple(cfg["inputs"]))}, tuple(cfg["inputs"]))
+
+
+def _flag_forward(fstep, expose_flags):
+    return Rewrite({fstep.step.config["flag_name"]: ZERO})  # the flag is new; no share yet
+
+
+def _flag_reverse(fstep, expose_flags):
+    cfg = fstep.step.config
+    feature, flag = cfg["feature"], cfg["flag_name"]
+    if expose_flags:
+        return Rewrite({feature: ("copy", feature)}, (feature, flag), exposed=(flag,))
+    return Rewrite({feature: ("add", feature, flag)}, (feature, flag))
+
+
+def _pca_reverse(fstep, expose_flags):
+    cfg = fstep.step.config
+    loadings = kernel_for(fstep.step.kind).resolved_config(cfg, fstep.fit_state)["loadings"]
+    weights = pca_redistribution_weights(loadings)
+    names = tuple(cfg["name_template"].format(i=i + 1) for i in range(cfg["components"]))
+    ops = {input_name: ("weighted", tuple((comp, weights[k][i])
+                                          for k, comp in enumerate(names)))
+           for i, input_name in enumerate(cfg["inputs"])}
+    return Rewrite(ops, names, note=PCA_NOTE)
+
+
+def _pass(fstep, expose_flags):
+    return Rewrite({})
+
+
+IDENTITY = MappingRule("identity", _identity_forward, _identity_reverse)
+
+# Rule applied per step kind when carrying contributions toward the
+# interpretable space. Every transform kind has exactly one rule.
+MAPPING_RULES: dict[str, MappingRule] = {
+    "one_hot_encode": MappingRule("group_sum", None, _encode_reverse),
+    "one_hot_decode": MappingRule("group_sum", _decode_forward, None),
+    "standardize": IDENTITY,
+    "unstandardize": IDENTITY,
+    "statistical_bin": IDENTITY,
+    "semantic_bin": IDENTITY,
+    "render_statement": IDENTITY,
+    "unrender_statement": IDENTITY,
+    "hierarchy_rollup": IDENTITY,
+    "impute_flagged": MappingRule("absorb_flag", _flag_forward, _flag_reverse),
+    "aggregate_numeric": MappingRule("group_sum", _group_forward, None),
+    "abstract_concept": MappingRule("group_sum", _group_forward, None),
+    "pca_project": MappingRule("redistribute_by_squared_loadings", None, _pca_reverse),
+    "link_raw": MappingRule("identity", _pass, _pass),
+}
+
+
+# ---------------------------------------------------------------------------
+# compiled plans
+
+@dataclass(frozen=True)
+class StepOps:
+    """One step over slot indices: ``copy_from`` gives each output slot's
+    source slot (a placeholder where a later operation writes the slot);
+    ``sums``, ``adds`` and ``weighted`` write ``(slot, ...)``; ``exposed``
+    reads ``(flag, slot)`` before the step."""
+
+    copy_from: tuple[int, ...]
+    sums: tuple[tuple[int, tuple[int, ...]], ...]
+    adds: tuple[tuple[int, int, int], ...]
+    weighted: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
+    exposed: tuple[tuple[str, int], ...]
+
+
+@dataclass(frozen=True)
+class MappingPlan:
+    """Everything about mapping through one fitted pipeline that does not
+    depend on a vector's values. ``error`` is set when the pipeline cannot be
+    mapped; it is raised afresh on every call."""
+
+    expected: SchemaManifest
+    final: SchemaManifest
+    steps: tuple[StepOps, ...]
+    fidelity_notes: tuple[str, ...]
+    partition_audit: tuple[tuple[int, Mapping[str, int]], ...]
+    error: ValidationError | None = None
+
+
+def _compile_step(rewrite: Rewrite, near: SchemaManifest, far: SchemaManifest,
+                  label: str) -> tuple[StepOps, dict[str, int]]:
+    """Slot operations from ``near`` (the vector before the step) to ``far``,
+    and each near-side feature's consumption count."""
+    slot = {name: i for i, name in enumerate(near.names)}
+    counts = dict.fromkeys(near.names, 0)
+    for name in rewrite.consumed:
+        counts[name] += 1
+    copy_from, sums, adds, weighted = [], [], [], []
+    for out, name in enumerate(far.names):
+        op = rewrite.ops.get(name)
+        if op is None:
+            if name not in slot:
                 raise MappingError(f"feature {name!r} appeared without a mapping rule")
-            out[name] = values[name]
             counts[name] += 1
-    return out, counts
+            op = ("copy", name)
+        tag = op[0]
+        copy_from.append(slot[op[1]] if tag == "copy" else 0)
+        if tag == "sum":
+            sums.append((out, tuple(slot[n] for n in op[1])))
+        elif tag == "add":
+            adds.append((out, slot[op[1]], slot[op[2]]))
+        elif tag == "weighted":
+            weighted.append((out, tuple((slot[n], w) for n, w in op[1])))
+    bad = {name: c for name, c in counts.items() if c != 1}
+    if bad:
+        raise MappingError(f"{label}: contribution partition violated "
+                           f"(consumption counts {bad})")
+    ops = StepOps(tuple(copy_from), tuple(sums), tuple(adds), tuple(weighted),
+                  tuple((flag, slot[flag]) for flag in rewrite.exposed))
+    return ops, counts
+
+
+def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
+    numbered = tuple(enumerate(fitted.steps, start=1))
+    forward = fitted.direction == "to_interpretable"
+    if forward:
+        expected, final, order = fitted.input_schema, fitted.output_schema, numbered
+    else:
+        expected, final = fitted.output_schema, fitted.input_schema
+        order = tuple(reversed(numbered))
+    steps, notes, audit = [], [], []
+    try:
+        for number, fstep in order:
+            kind = fstep.step.kind
+            rule = MAPPING_RULES[kind]
+            if forward:
+                rule_fn, near, far = rule.forward, fstep.input_schema, fstep.output_schema
+            else:
+                rule_fn, near, far = rule.reverse, fstep.output_schema, fstep.input_schema
+            if rule_fn is None:
+                raise MappingError(
+                    f"step ({kind}) has no contribution rule in the forward direction; "
+                    "map against the pipeline that produced the model-ready schema instead"
+                    if forward else
+                    f"step ({kind}) has no contribution rule in the reverse direction")
+            rewrite = rule_fn(fstep, expose_flags)
+            ops, counts = _compile_step(rewrite, near, far, f"step {number} ({kind})")
+            steps.append(ops)
+            if rewrite.note is not None:
+                notes.append(rewrite.note)
+            audit.append((number, MappingProxyType(counts)))
+    except ValidationError as exc:
+        return MappingPlan(expected, final, (), (), (), error=exc.with_traceback(None))
+    return MappingPlan(expected, final, tuple(steps), tuple(notes), tuple(audit))
+
+
+def mapping_plan(fitted: FittedPipeline, expose_flags: bool = False) -> MappingPlan:
+    """The compiled plan for ``fitted``, built on first use and kept on the
+    fitted pipeline (which is immutable) for later calls."""
+    key = bool(expose_flags)
+    plan = fitted.mapping_plans.get(key)
+    if plan is None:
+        plan = fitted.mapping_plans[key] = _compile(fitted, key)
+    return plan
 
 
 def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
@@ -228,43 +339,37 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
     dropped or double-counted features raise MappingError. The base value
     passes through unchanged.
     """
-    numbered = tuple(enumerate(fitted.steps, start=1))
-    if fitted.direction == "to_interpretable":
-        expected = fitted.input_schema
-        steps = numbered
-        mapper = _forward_step
-        final_schema = fitted.output_schema
-    else:
-        expected = fitted.output_schema
-        steps = tuple(reversed(numbered))
-        mapper = _reverse_step
-        final_schema = fitted.input_schema
-    if contrib.schema.names != expected.names:
+    plan = mapping_plan(fitted, expose_flags)
+    expected = plan.expected.names
+    if contrib.schema.names != expected:
         raise MappingError(
             "contribution vector does not align with the pipeline's model-ready "
-            f"schema: got {list(contrib.schema.names)}, expected {list(expected.names)}")
-
-    values = contrib.as_dict()
-    notes: list[str] = []
+            f"schema: got {list(contrib.schema.names)}, expected {list(expected)}")
+    if plan.error is not None:
+        raise type(plan.error)(*plan.error.args)
+    values = contrib.values
     exposed: dict[str, float] = {}
-    audit: list[tuple[int, dict[str, int]]] = []
-    for step_number, fstep in steps:
-        values, counts = mapper(fstep, values, expose_flags, notes, exposed)
-        bad = {name: c for name, c in counts.items() if c != 1}
-        if bad:
-            raise MappingError(
-                f"step {step_number} ({fstep.step.kind}): contribution partition "
-                f"violated (consumption counts {bad})")
-        audit.append((step_number, counts))
-
-    vector = ContributionVector(
-        schema=final_schema,
-        values=tuple(values[name] for name in final_schema.names),
-        base_value=contrib.base_value,
-    )
-    return MappedContributions(vector=vector, fidelity_notes=tuple(notes),
-                               exposed_flags=dict(exposed),
-                               partition_audit=tuple(audit))
+    for step in plan.steps:
+        for flag, i in step.exposed:
+            exposed[flag] = exposed.get(flag, 0.0) + values[i]
+        out = [values[i] for i in step.copy_from]
+        for slot, indices in step.sums:
+            total = 0.0
+            for i in indices:
+                total += values[i]
+            out[slot] = total
+        for slot, i, j in step.adds:
+            out[slot] = values[i] + values[j]
+        for slot, terms in step.weighted:
+            total = 0.0
+            for i, weight in terms:
+                total += values[i] * weight
+            out[slot] = total
+        values = out
+    vector = ContributionVector(plan.final, tuple(values), contrib.base_value)
+    return MappedContributions(vector=vector, fidelity_notes=plan.fidelity_notes,
+                               exposed_flags=exposed,
+                               partition_audit=plan.partition_audit)
 
 
 # ---------------------------------------------------------------------------

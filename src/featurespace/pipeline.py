@@ -8,7 +8,7 @@ lineage and fidelity notes, and inverts itself when every step is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -71,6 +71,10 @@ class FittedPipeline:
     input_schema: SchemaManifest
     direction: str
     output_schema: SchemaManifest
+    # Contribution-mapping plans, compiled on first use by
+    # ``explain.mapping_plan`` and keyed by ``expose_flags``.
+    mapping_plans: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def display_formats(self) -> dict[str, str]:
         """Per-feature numeric display formats declared by the steps."""
@@ -380,13 +384,22 @@ def pipeline_from_doc(doc: Any, input_schema: SchemaManifest) -> Pipeline:
                    str(doc["direction"]))
 
 
+def _read_document(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read pipeline {path}: {exc}") from exc
+
+
 def load_pipeline(path: str | Path) -> Pipeline:
     """Load a pipeline document; input_manifest resolves relative to it."""
     path = Path(path)
+    return _pipeline_from_text(_read_document(path), path)
+
+
+def _pipeline_from_text(text: str, path: Path) -> Pipeline:
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read pipeline {path}: {exc}") from exc
+        doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: pipeline parse error: {exc}") from exc
     if not isinstance(doc, Mapping):
@@ -459,8 +472,30 @@ def load_fitted(path: str | Path) -> FittedPipeline:
         raise ValidationError(f"cannot read fitted pipeline {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: fitted pipeline parse error: {exc}") from exc
-    if not isinstance(doc, Mapping) or doc.get("document") != FITTED_DOCUMENT:
+    if not _is_fitted_document(doc):
         raise ValidationError(f"{path}: not a fitted pipeline document")
+    return _fitted_from_doc(doc, path)
+
+
+def load_document(path: str | Path) -> Pipeline | FittedPipeline:
+    """Load a fitted pipeline document, or else a pipeline document, reading
+    and parsing the file once."""
+    path = Path(path)
+    text = _read_document(path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None
+    if _is_fitted_document(doc):
+        return _fitted_from_doc(doc, path)
+    return _pipeline_from_text(text, path)
+
+
+def _is_fitted_document(doc: Any) -> bool:
+    return isinstance(doc, Mapping) and doc.get("document") == FITTED_DOCUMENT
+
+
+def _fitted_from_doc(doc: Mapping, path: Path) -> FittedPipeline:
     if "input_manifest" not in doc:
         raise ValidationError(f"{path}: fitted pipeline document needs input_manifest")
     try:
@@ -483,10 +518,3 @@ def load_fitted(path: str | Path) -> FittedPipeline:
                                             require_params=True)
     return FittedPipeline(fitted_steps, schema, direction, output_schema)
 
-
-def is_fitted_document(path: str | Path) -> bool:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(doc, Mapping) and doc.get("document") == FITTED_DOCUMENT

@@ -744,6 +744,17 @@ class ImputeFlagged(Kernel):
         return {"feature": feature, "strategy": strategy, "constant": constant,
                 "flag_name": flag_name}
 
+    def requires_fit(self, cfg):
+        return cfg["strategy"] == "mean"
+
+    def fit(self, table, cfg):
+        observed = _non_missing(table.values(cfg["feature"]))
+        if not observed:
+            raise KernelError(
+                f"{self.kind}: column {cfg['feature']!r} is entirely missing; "
+                "mean strategy has nothing to average")
+        return FitState(mean=sum(observed) / len(observed))
+
     def plan(self, schema, cfg, fit_state):
         feature = cfg["feature"]
         flag = FeatureSpec(
@@ -775,12 +786,9 @@ class ImputeFlagged(Kernel):
                 previous = value
         else:
             if strategy == "mean":
-                observed = _non_missing(values)
-                if not observed:
-                    raise KernelError(
-                        f"{self.kind}: column {feature!r} is entirely missing; "
-                        "mean strategy has nothing to average")
-                fill_value = sum(observed) / len(observed)
+                if fit_state is None or fit_state.mean is None:
+                    raise ValidationError(f"{self.kind}: mean strategy is not fitted")
+                fill_value = fit_state.mean
             else:
                 fill_value = cfg["constant"]
             filled = [fill_value if v is MISSING else v for v in values]
@@ -1361,7 +1369,9 @@ def pca_redistribution_weights(loadings: Sequence[Sequence[float]]) -> tuple[tup
     out = []
     for k in range(n_components):
         squares = [loadings[i][k] ** 2 for i in range(n_inputs)]
-        total = sum(squares)
+        total = 0.0
+        for square in squares:  # in input order; sum() compensates from Python 3.12
+            total += square
         if total <= 0:
             raise ValidationError(f"PCA component {k + 1} has zero loadings")
         out.append(tuple(s / total for s in squares))

@@ -116,6 +116,24 @@ steps:
     assert code == 2
 
 
+def test_transform_unfitted_impute_mean_exits_1(workspace, capsys):
+    doc = """
+input_manifest: original.yaml
+direction: to_interpretable
+steps:
+  - kind: impute_flagged
+    config: {feature: Elevation, strategy: mean}
+"""
+    (workspace / "impute.yaml").write_text(doc, encoding="utf-8")
+    code = main(["transform", "--pipeline", str(workspace / "impute.yaml"),
+                 "--data", str(workspace / "data.csv"),
+                 "--out", str(workspace / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "requires fitting" in err
+    assert "Traceback" not in err
+
+
 def test_fit_then_transform_with_fitted_document(workspace):
     doc = """
 input_manifest: original.yaml

@@ -8,11 +8,13 @@ import random
 import pytest
 
 from featurespace.errors import KernelError, ValidationError
-from featurespace.pipeline import compose, fit, run
+from featurespace.pipeline import compose, fit, load_fitted, run, save_fitted
 from featurespace.properties import PropertySet
 from featurespace.schema import FeatureSpec, RawSource, SchemaManifest, Wording
 from featurespace.table import MISSING, DataTable, tables_equal
 from featurespace.transforms import (
+    KERNELS,
+    RunContext,
     TransformStep,
     pca_reconstruct,
     pca_redistribution_weights,
@@ -363,6 +365,30 @@ def test_impute_flag_count_matches_missing_count():
         imputed = [r for r in result.lineage
                    if r.feature == "Elevation" and type(r.origin).__name__ == "Imputed"]
         assert len(imputed) == missing
+
+
+def test_impute_mean_is_fitted_not_recomputed_per_batch(tmp_path):
+    schema = elevation_table(1.0).schema
+    step = TransformStep("impute_flagged", {"feature": "Elevation", "strategy": "mean"})
+    fit_table = DataTable(schema, ((3000,), (MISSING,), (2000,), (2600,)))
+    fitted = fit(compose([step], schema, "to_interpretable"), fit_table)
+    mean = (3000 + 2000 + 2600) / 3
+    assert fitted.steps[0].fit_state.mean == mean
+    path = tmp_path / "fitted.json"
+    save_fitted(fitted, path)
+    lone = DataTable(schema, ((MISSING,),))
+    batch = DataTable(schema, ((MISSING,), (1.0,), (9999,), (MISSING,)))
+    for pipeline in (fitted, load_fitted(path)):
+        assert run(pipeline, lone).table.rows == ((mean, True),)
+        assert run(pipeline, batch).table.rows[0] == (mean, True)
+
+
+def test_impute_mean_without_fit_state_is_a_validation_error():
+    table = elevation_table(1.0)
+    cfg = {"feature": "Elevation", "strategy": "mean", "constant": None,
+           "flag_name": "Elevation Flag"}
+    with pytest.raises(ValidationError, match="not fitted"):
+        KERNELS["impute_flagged"].apply(table, cfg, None, RunContext(1))
 
 
 def test_impute_mean_needs_observed_values():
