@@ -187,14 +187,12 @@ def _flag_reverse(fstep, expose_flags):
 
 
 def _pca_reverse(fstep, expose_flags):
-    cfg = fstep.step.config
-    loadings = kernel_for(fstep.step.kind).resolved_config(cfg, fstep.fit_state)["loadings"]
-    weights = pca_redistribution_weights(loadings)
-    names = tuple(cfg["name_template"].format(i=i + 1) for i in range(cfg["components"]))
+    cfg = kernel_for(fstep.step.kind).resolved_config(fstep.step.config, fstep.fit_state)
+    weights = pca_redistribution_weights(cfg["loadings"])
     ops = {input_name: ("weighted", tuple((comp, weights[k][i])
-                                          for k, comp in enumerate(names)))
+                                          for k, comp in enumerate(fstep.produced)))
            for i, input_name in enumerate(cfg["inputs"])}
-    return Rewrite(ops, names, note=PCA_NOTE)
+    return Rewrite(ops, fstep.produced, note=PCA_NOTE)
 
 
 def _pass(fstep, expose_flags):
@@ -388,7 +386,10 @@ def read_contributions(source: str | Path | IO[str],
         except OSError as exc:
             raise ValidationError(f"cannot read contributions {path}: {exc}") from exc
         with handle:
-            return read_contributions(handle, schema)
+            try:
+                return read_contributions(handle, schema)
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"cannot read contributions {path}: {exc}") from exc
     reader = csv.reader(source)
     try:
         header = next(reader)

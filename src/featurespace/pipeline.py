@@ -24,7 +24,6 @@ from .transforms import (
     Kernel,
     RunContext,
     TransformStep,
-    default_property_delta,
     kernel_for,
 )
 
@@ -118,11 +117,11 @@ def _to_plain(value):
     return value
 
 
-def _final_properties(kind: str, out_spec, base: PropertySet,
+def _final_properties(delta: Mapping[str, bool], out_spec,
                       overrides: Mapping[str, bool],
                       extra_implications) -> PropertySet:
-    flags = base.flags()
-    flags.update(default_property_delta(kind, out_spec))
+    flags = out_spec.properties.flags()
+    flags.update(delta)
     explicit = {str(k): bool(v) for k, v in overrides.items()}
     bad = sorted(set(explicit) - set(flags))
     if bad:
@@ -151,7 +150,7 @@ def _plan_step(kernel: Kernel, step: TransformStep, schema: SchemaManifest,
     specs = []
     for spec in plan.features:
         if spec.name in plan.produced:
-            final = _final_properties(step.kind, spec, spec.properties,
+            final = _final_properties(kernel.delta_for(spec), spec,
                                       step.property_delta.get(spec.name, {}),
                                       schema.extra_implications)
             spec = replace(spec, properties=final)
@@ -193,12 +192,14 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     for i, step in enumerate(steps):
         number = i + 1
         kernel = kernel_for(step.kind)
+        state = states[i]
         try:
             cfg = kernel.normalize(step.config, schema)
-        except ValidationError as exc:
+            if state is not None and kernel.requires_fit(cfg):
+                kernel.check_learned(cfg, state, schema)
+        except (ValidationError, TypeError, ValueError) as exc:
             raise ValidationError(f"step {number} ({step.kind}): {exc}") from None
         norm = TransformStep(step.kind, cfg, step.property_delta)
-        state = states[i]
         if kernel.requires_fit(cfg) and state is None:
             if table is not None:
                 try:
@@ -335,15 +336,6 @@ def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
     )
 
 
-def propagate_properties(fitted: FittedPipeline) -> SchemaManifest:
-    """Output manifest with per-step property deltas and closure applied.
-
-    Propagation happens while schemas are planned; this accessor returns the
-    final manifest.
-    """
-    return fitted.output_schema
-
-
 # ---------------------------------------------------------------------------
 # documents
 
@@ -387,7 +379,7 @@ def pipeline_from_doc(doc: Any, input_schema: SchemaManifest) -> Pipeline:
 def _read_document(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read pipeline {path}: {exc}") from exc
 
 
@@ -467,9 +459,7 @@ def _fit_state_from_data(data: Any, where: str) -> FitState | None:
 def load_fitted(path: str | Path) -> FittedPipeline:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read fitted pipeline {path}: {exc}") from exc
+        doc = json.loads(_read_document(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: fitted pipeline parse error: {exc}") from exc
     if not _is_fitted_document(doc):

@@ -96,6 +96,8 @@ def load_persona(name_or_path: str | Path) -> Persona:
             "nor an existing config file")
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read persona {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: persona parse error: {exc}") from exc
     if not isinstance(doc, Mapping):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -166,35 +166,6 @@ class SchemaManifest:
     def feature(self, name: str) -> FeatureSpec:
         return self.features[self.index(name)]
 
-    def with_space_tag(self, tag: str) -> "SchemaManifest":
-        return replace(self, space_tag=tag)
-
-
-@dataclass(frozen=True)
-class SchemaDiff:
-    """Difference report between two manifests, keyed by feature name."""
-
-    added: tuple[str, ...]
-    removed: tuple[str, ...]
-    retyped: tuple[tuple[str, str, str], ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.added or self.removed or self.retyped)
-
-
-def compare_schemas(a: SchemaManifest, b: SchemaManifest) -> SchemaDiff:
-    """Symmetric difference by feature name plus dtype changes on shared names."""
-    a_names, b_names = set(a.names), set(b.names)
-    removed = tuple(n for n in a.names if n not in b_names)
-    added = tuple(n for n in b.names if n not in a_names)
-    retyped = tuple(
-        (n, a.feature(n).dtype, b.feature(n).dtype)
-        for n in a.names
-        if n in b_names and a.feature(n).dtype != b.feature(n).dtype
-    )
-    return SchemaDiff(added=added, removed=removed, retyped=retyped)
-
 
 # ---------------------------------------------------------------------------
 # Manifest document format (YAML): top-level `space_tag`, `features`, and an
@@ -316,7 +287,7 @@ def load_manifest(path: str | Path) -> SchemaManifest:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read manifest {path}: {exc}") from exc
     try:
         return parse_manifest(text)

@@ -279,7 +279,10 @@ def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> Data
         except OSError as exc:
             raise ValidationError(f"cannot read data file {path}: {exc}") from exc
         with handle:
-            return read_table_csv(handle, schema)
+            try:
+                return read_table_csv(handle, schema)
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"cannot read data file {path}: {exc}") from exc
     reader = csv.reader(source)
     try:
         header = next(reader)

@@ -1,10 +1,11 @@
 """Transform kernels between the model-ready and interpretable feature spaces.
 
-Every kernel is a pure column operation with a declared inverse capability
-(``exact``, ``lossy``, or ``none``), a static output-schema plan, an optional
-fit phase, and a default property delta applied during schema propagation.
-A kernel computes only the columns it produces; the pipeline carries every
-other column over by reference.
+Each transform kind is one ``Kernel`` subclass, and everything the package
+knows about the kind lives on it: the config it accepts, what it does to the
+properties of the features it produces, which parameters ``fit`` learns, the
+output-schema plan, the column computation and the inverse. A kernel computes
+only the columns it produces; the pipeline carries every other column over by
+reference.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .schema import (
     parse_wording_data,
     wording_to_data,
 )
-from .table import MISSING, DataTable
+from .table import MISSING, DataTable, check_cell
 
 
 @dataclass(frozen=True)
@@ -189,19 +190,28 @@ def _base_properties(schema: SchemaManifest, inputs: Sequence[str]) -> PropertyS
 
 
 def _replace_features(schema: SchemaManifest, remove: Sequence[str],
-                      insert_at: int, new_specs: Sequence[FeatureSpec]) -> tuple[FeatureSpec, ...]:
+                      new_specs: Sequence[FeatureSpec],
+                      keep: bool = False) -> tuple[FeatureSpec, ...]:
+    """The features after a step: ``new_specs`` take the place of the first
+    removed feature, or go last when the step keeps its inputs."""
+    if keep:
+        return schema.features + tuple(new_specs)
+    at = min(schema.index(name) for name in remove)
     removed = set(remove)
-    out: list[FeatureSpec] = []
-    inserted = False
-    for i, spec in enumerate(schema.features):
-        if i == insert_at:
-            out.extend(new_specs)
-            inserted = True
-        if spec.name not in removed:
-            out.append(spec)
-    if not inserted:
-        out.extend(new_specs)
-    return tuple(out)
+    kept = tuple(spec for spec in schema.features if spec.name not in removed)
+    return kept[:at] + tuple(new_specs) + kept[at:]
+
+
+def _target(cfg: Mapping, feature: str, schema: SchemaManifest, kind: str) -> tuple[str, bool]:
+    """Output name and ``keep_original`` of a step that derives one feature
+    from ``feature``."""
+    keep = bool(cfg.get("keep_original", False))
+    target = str(cfg.get("target") or feature)
+    if keep and target == feature:
+        raise ValidationError(f"{kind}: keep_original requires a distinct target name")
+    if target != feature:
+        _check_new_names([target], schema, set() if keep else {feature}, kind)
+    return target, keep
 
 
 def _wording_cfg(cfg: Mapping, kind: str) -> dict | None:
@@ -216,17 +226,56 @@ def _wording_cfg(cfg: Mapping, kind: str) -> dict | None:
 # kernels
 
 class Kernel:
+    """One transform kind. A kernel declares:
+
+    - ``delta``: the property flags set on every feature the step produces
+      (``delta_for`` when they depend on the produced feature);
+    - ``learned``: the config keys ``fit`` fills in, read back from the
+      ``FitState`` fields of the same names;
+    - ``normalize``: the checked config, also applied to learned values;
+    - ``fit``: the learned parameters, from the data the step sees;
+    - ``plan``: the output schema and the inputs of each produced feature;
+    - ``apply``: the produced columns and their lineage;
+    - ``inverse``: the step that undoes this one, when ``invertible`` is
+      ``exact``.
+    """
+
     kind: str = ""
     invertible: str = "lossy"  # exact | lossy | none
+    delta: Mapping[str, bool] = {}
+    learned: tuple[str, ...] = ()
 
     def normalize(self, cfg: Mapping, schema: SchemaManifest) -> dict:
         raise NotImplementedError
 
+    def delta_for(self, out_spec: FeatureSpec) -> Mapping[str, bool]:
+        return self.delta
+
     def requires_fit(self, cfg: Mapping) -> bool:
-        return False
+        return bool(self.learned) and cfg[self.learned[0]] is None
 
     def fit(self, table: DataTable, cfg: Mapping) -> FitState | None:
         return None
+
+    def resolved_config(self, cfg: Mapping, fit_state: FitState | None) -> dict:
+        """The config with the learned values of ``fit_state`` filled in;
+        used by ``apply``, serialization and step-identity comparisons."""
+        if not self.learned or cfg[self.learned[0]] is not None:
+            return dict(cfg)
+        if fit_state is None or getattr(fit_state, self.learned[0]) is None:
+            raise ValidationError(
+                f"{self.kind}: not fitted and no {'/'.join(self.learned)} configured")
+        return {**cfg, **{key: getattr(fit_state, key) for key in self.learned}}
+
+    def check_learned(self, cfg: Mapping, fit_state: FitState,
+                      schema: SchemaManifest) -> None:
+        """Reject learned values that would fail the checks of configured ones."""
+        resolved = self.resolved_config(cfg, fit_state)
+        checked = self.normalize(resolved, schema)
+        for key in self.learned:
+            if checked[key] != resolved[key]:
+                raise ValidationError(f"{self.kind}: fitted {key} is not a number: "
+                                      f"{resolved[key]!r}")
 
     def plan(self, schema: SchemaManifest, cfg: Mapping,
              fit_state: FitState | None) -> PlanResult:
@@ -247,11 +296,6 @@ class Kernel:
                 input_schema: SchemaManifest) -> TransformStep | None:
         return None
 
-    # Effective parameters with fit state folded in; used for serialization
-    # and step-identity comparisons.
-    def resolved_config(self, cfg: Mapping, fit_state: FitState | None) -> dict:
-        return dict(cfg)
-
 
 def _non_missing(values) -> list:
     return [v for v in values if v is not MISSING]
@@ -265,6 +309,7 @@ def _label_bins(values: list, boundaries: Sequence[float], labels: Sequence[str]
 class OneHotEncode(Kernel):
     kind = "one_hot_encode"
     invertible = "exact"
+    delta = {"model_compatible": True, "model_ready": True, "human_worded": False}
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "name_template", "names"}, self.kind)
@@ -302,7 +347,7 @@ class OneHotEncode(Kernel):
             )
             for name, category in zip(cfg["names"], spec.categories)
         )
-        features = _replace_features(schema, [feature], schema.index(feature), new_specs)
+        features = _replace_features(schema, [feature], new_specs)
         return PlanResult(features, {name: (feature,) for name in cfg["names"]})
 
     def apply(self, table, cfg, fit_state, ctx):
@@ -326,6 +371,12 @@ class OneHotEncode(Kernel):
 class OneHotDecode(Kernel):
     kind = "one_hot_decode"
     invertible = "exact"
+    delta = {"model_ready": False}
+
+    def delta_for(self, out_spec):
+        if out_spec.wording is not None and out_spec.wording.value_phrase is not None:
+            return {**self.delta, "human_worded": True}
+        return self.delta
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"group", "target", "categories", "wording", "unit",
@@ -371,9 +422,7 @@ class OneHotDecode(Kernel):
         base = _base_properties(schema, group)
         spec = spec_from_structural(cfg["target"], cfg["restore"],
                                     DerivedFrom(group, self.kind), base)
-        insert_at = min(schema.index(n) for n in group)
-        features = _replace_features(schema, group, insert_at, (spec,))
-        return PlanResult(features, {cfg["target"]: group})
+        return PlanResult(_replace_features(schema, group, (spec,)), {cfg["target"]: group})
 
     def apply(self, table, cfg, fit_state, ctx):
         group = cfg["group"]
@@ -414,6 +463,8 @@ class OneHotDecode(Kernel):
 class Standardize(Kernel):
     kind = "standardize"
     invertible = "exact"
+    delta = {"model_ready": True, "understandable": False, "human_worded": False}
+    learned = ("mean", "scale")
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "mean", "scale", "target", "display_format"}, self.kind)
@@ -424,9 +475,7 @@ class Standardize(Kernel):
             raise ValidationError(f"{self.kind}: configure mean and scale together or neither")
         if scale is not None and float(scale) <= 0:
             raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
-        target = str(cfg.get("target") or feature)
-        if target != feature:
-            _check_new_names([target], schema, {feature}, self.kind)
+        target, _ = _target(cfg, feature, schema, self.kind)
         return {
             "feature": feature,
             "mean": None if mean is None else float(mean),
@@ -434,9 +483,6 @@ class Standardize(Kernel):
             "target": target,
             "display_format": cfg.get("display_format"),
         }
-
-    def requires_fit(self, cfg):
-        return cfg["mean"] is None
 
     def fit(self, table, cfg):
         values = _non_missing(table.values(cfg["feature"]))
@@ -449,17 +495,6 @@ class Standardize(Kernel):
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} is constant (scale 0)")
         return FitState(mean=mean, scale=scale)
 
-    def _params(self, cfg, fit_state):
-        if cfg["mean"] is not None:
-            return cfg["mean"], cfg["scale"]
-        if fit_state is None or fit_state.mean is None:
-            raise ValidationError(f"{self.kind}: not fitted and no mean/scale configured")
-        return fit_state.mean, fit_state.scale
-
-    def resolved_config(self, cfg, fit_state):
-        mean, scale = self._params(cfg, fit_state)
-        return {**cfg, "mean": mean, "scale": scale}
-
     def plan(self, schema, cfg, fit_state):
         feature = cfg["feature"]
         spec = schema.feature(feature)
@@ -470,22 +505,23 @@ class Standardize(Kernel):
             properties=spec.properties,
             derived_from=DerivedFrom((feature,), self.kind),
         )
-        features = _replace_features(schema, [feature], schema.index(feature), (out,))
-        return PlanResult(features, {cfg["target"]: (feature,)})
+        return PlanResult(_replace_features(schema, [feature], (out,)),
+                          {cfg["target"]: (feature,)})
 
     def apply(self, table, cfg, fit_state, ctx):
-        mean, scale = self._params(cfg, fit_state)
+        cfg = self.resolved_config(cfg, fit_state)
+        mean, scale = cfg["mean"], cfg["scale"]
         values = table.values(cfg["feature"])
         column = [v if v is MISSING else (v - mean) / scale for v in values]
         return [column], [ColumnLineage(cfg["target"],
                                         Computed(self.kind, (cfg["feature"],)))]
 
     def inverse(self, cfg, fit_state, input_schema):
-        mean, scale = self._params(cfg, fit_state)
+        cfg = self.resolved_config(cfg, fit_state)
         return TransformStep("unstandardize", {
             "feature": cfg["target"],
-            "mean": mean,
-            "scale": scale,
+            "mean": cfg["mean"],
+            "scale": cfg["scale"],
             "target": cfg["feature"],
             "restore": structural_data(input_schema.feature(cfg["feature"])),
         })
@@ -494,6 +530,7 @@ class Standardize(Kernel):
 class Unstandardize(Kernel):
     kind = "unstandardize"
     invertible = "exact"
+    delta = {"understandable": True, "model_ready": False}
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "mean", "scale", "target", "restore",
@@ -504,7 +541,6 @@ class Unstandardize(Kernel):
         scale = float(_req(cfg, "scale", self.kind))
         if scale <= 0:
             raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
-        target = str(cfg.get("target") or feature)
         if cfg.get("restore") is not None:
             restore = _restore_from_data(cfg["restore"], self.kind)
         else:
@@ -515,8 +551,7 @@ class Unstandardize(Kernel):
                 restore["description"] = str(cfg["description"])
         if restore.get("dtype") != "numeric":
             raise ValidationError(f"{self.kind}: restored dtype must be numeric")
-        if target != feature:
-            _check_new_names([target], schema, {feature}, self.kind)
+        target, _ = _target(cfg, feature, schema, self.kind)
         return {"feature": feature, "mean": mean, "scale": scale, "target": target,
                 "restore": restore, "display_format": cfg.get("display_format")}
 
@@ -525,8 +560,8 @@ class Unstandardize(Kernel):
         spec = spec_from_structural(cfg["target"], cfg["restore"],
                                     DerivedFrom((feature,), self.kind),
                                     schema.feature(feature).properties)
-        features = _replace_features(schema, [feature], schema.index(feature), (spec,))
-        return PlanResult(features, {cfg["target"]: (feature,)})
+        return PlanResult(_replace_features(schema, [feature], (spec,)),
+                          {cfg["target"]: (feature,)})
 
     def apply(self, table, cfg, fit_state, ctx):
         mean, scale = cfg["mean"], cfg["scale"]
@@ -560,6 +595,8 @@ def _bin_labels(labels: Sequence[str], edges: Sequence[float], unit: str | None)
 class StatisticalBin(Kernel):
     kind = "statistical_bin"
     invertible = "lossy"
+    delta = {"model_ready": True, "understandable": False}
+    learned = ("min", "max")
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "bins", "min", "max", "labels", "target",
@@ -581,12 +618,7 @@ class StatisticalBin(Kernel):
             labels = tuple(str(x) for x in labels)
         if len(labels) != bins:
             raise ValidationError(f"{self.kind}: need exactly {bins} labels, got {len(labels)}")
-        keep = bool(cfg.get("keep_original", False))
-        target = str(cfg.get("target") or feature)
-        if keep and target == feature:
-            raise ValidationError(f"{self.kind}: keep_original requires a distinct target name")
-        if target != feature:
-            _check_new_names([target], schema, set() if keep else {feature}, self.kind)
+        target, keep = _target(cfg, feature, schema, self.kind)
         return {
             "feature": feature, "bins": bins,
             "min": None if lo is None else float(lo),
@@ -595,64 +627,52 @@ class StatisticalBin(Kernel):
             "wording": _wording_cfg(cfg, self.kind),
         }
 
-    def requires_fit(self, cfg):
-        return cfg["min"] is None
-
     def fit(self, table, cfg):
         values = _non_missing(table.values(cfg["feature"]))
         if not values:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} has no observed values")
-        lo, hi = min(values), max(values)
+        lo, hi = float(min(values)), float(max(values))
         if lo >= hi:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} has a degenerate range")
-        return FitState(min=float(lo), max=float(hi), edges=self._edges(lo, hi, cfg["bins"]))
+        return FitState(min=lo, max=hi, edges=self._edges({**cfg, "min": lo, "max": hi}))
+
+    def check_learned(self, cfg, fit_state, schema):
+        super().check_learned(cfg, fit_state, schema)
+        if fit_state.edges != self._edges(self.resolved_config(cfg, fit_state)):
+            raise ValidationError(f"{self.kind}: fitted edges do not match min, max and bins")
 
     @staticmethod
-    def _edges(lo: float, hi: float, bins: int) -> tuple[float, ...]:
+    def _edges(cfg) -> tuple[float, ...]:
+        lo, hi, bins = cfg["min"], cfg["max"], cfg["bins"]
         return tuple(lo + i * (hi - lo) / bins for i in range(bins + 1))
 
-    def _params(self, cfg, fit_state):
-        if cfg["min"] is not None:
-            lo, hi = cfg["min"], cfg["max"]
-            return lo, hi, self._edges(lo, hi, cfg["bins"])
-        if fit_state is None or fit_state.min is None:
-            raise ValidationError(f"{self.kind}: not fitted and no min/max configured")
-        return fit_state.min, fit_state.max, fit_state.edges
-
-    def resolved_config(self, cfg, fit_state):
-        lo, hi, _ = self._params(cfg, fit_state)
-        return {**cfg, "min": lo, "max": hi}
-
-    def _categories(self, schema, cfg, fit_state):
+    def _categories(self, schema, cfg) -> tuple[str, ...]:
         unit = schema.feature(cfg["feature"]).unit
-        try:
-            _, _, edges = self._params(cfg, fit_state)
-        except ValidationError:
-            return cfg["labels"]  # provisional until fitted
-        return _bin_labels(cfg["labels"], edges, unit)
+        return _bin_labels(cfg["labels"], self._edges(cfg), unit)
 
     def plan(self, schema, cfg, fit_state):
         feature = cfg["feature"]
-        spec = schema.feature(feature)
+        try:
+            categories = self._categories(schema, self.resolved_config(cfg, fit_state))
+        except ValidationError:
+            categories = cfg["labels"]  # provisional until fitted
         out = FeatureSpec(
             name=cfg["target"],
             dtype="ordinal",
             description=f"Uniform-width bins for {feature}",
-            categories=self._categories(schema, cfg, fit_state),
+            categories=categories,
             wording=parse_wording_data(cfg["wording"]),
-            properties=spec.properties,
+            properties=schema.feature(feature).properties,
             derived_from=DerivedFrom((feature,), self.kind),
         )
-        if cfg["keep_original"]:
-            features = schema.features + (out,)
-        else:
-            features = _replace_features(schema, [feature], schema.index(feature), (out,))
-        return PlanResult(features, {cfg["target"]: (feature,)})
+        return PlanResult(_replace_features(schema, [feature], (out,), cfg["keep_original"]),
+                          {cfg["target"]: (feature,)})
 
     def apply(self, table, cfg, fit_state, ctx):
-        feature = cfg["feature"]
-        lo, hi, edges = self._params(cfg, fit_state)
-        categories = self._categories(table.schema, cfg, fit_state)
+        cfg = self.resolved_config(cfg, fit_state)
+        feature, lo, hi = cfg["feature"], cfg["min"], cfg["max"]
+        edges = self._edges(cfg)
+        categories = self._categories(table.schema, cfg)
         values = table.values(feature)
         for r, value in enumerate(values):
             if value is not MISSING and (value < lo or value > hi):
@@ -669,6 +689,7 @@ class StatisticalBin(Kernel):
 class SemanticBin(Kernel):
     kind = "semantic_bin"
     invertible = "lossy"
+    delta = {"understandable": True}
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "boundaries", "labels", "target",
@@ -684,12 +705,7 @@ class SemanticBin(Kernel):
         if len(labels) != len(boundaries) + 1:
             raise ValidationError(
                 f"{self.kind}: need {len(boundaries) + 1} labels, got {len(labels)}")
-        keep = bool(cfg.get("keep_original", False))
-        target = str(cfg.get("target") or feature)
-        if keep and target == feature:
-            raise ValidationError(f"{self.kind}: keep_original requires a distinct target name")
-        if target != feature:
-            _check_new_names([target], schema, set() if keep else {feature}, self.kind)
+        target, keep = _target(cfg, feature, schema, self.kind)
         return {"feature": feature, "boundaries": boundaries, "labels": labels,
                 "target": target, "keep_original": keep,
                 "wording": _wording_cfg(cfg, self.kind)}
@@ -706,11 +722,8 @@ class SemanticBin(Kernel):
             properties=spec.properties,
             derived_from=DerivedFrom((feature,), self.kind),
         )
-        if cfg["keep_original"]:
-            features = schema.features + (out,)
-        else:
-            features = _replace_features(schema, [feature], schema.index(feature), (out,))
-        return PlanResult(features, {cfg["target"]: (feature,)})
+        return PlanResult(_replace_features(schema, [feature], (out,), cfg["keep_original"]),
+                          {cfg["target"]: (feature,)})
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
@@ -721,6 +734,7 @@ class SemanticBin(Kernel):
 class ImputeFlagged(Kernel):
     kind = "impute_flagged"
     invertible = "lossy"
+    delta = {"trackable": True}
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "strategy", "constant", "flag_name"}, self.kind)
@@ -737,7 +751,6 @@ class ImputeFlagged(Kernel):
         if strategy == "constant":
             if constant is None:
                 raise ValidationError(f"{self.kind}: constant strategy needs a constant value")
-            from .table import check_cell
             check_cell(constant, spec)
         flag_name = str(cfg.get("flag_name") or f"{feature} Flag")
         _check_new_names([flag_name], schema, set(), self.kind)
@@ -754,6 +767,11 @@ class ImputeFlagged(Kernel):
                 f"{self.kind}: column {cfg['feature']!r} is entirely missing; "
                 "mean strategy has nothing to average")
         return FitState(mean=sum(observed) / len(observed))
+
+    def check_learned(self, cfg, fit_state, schema):
+        if fit_state.mean is None:
+            raise ValidationError(f"{self.kind}: mean strategy is not fitted")
+        check_cell(fit_state.mean, schema.feature(cfg["feature"]))
 
     def plan(self, schema, cfg, fit_state):
         feature = cfg["feature"]
@@ -837,6 +855,7 @@ def _formula_function(formula, inputs: tuple[str, ...]):
 class AggregateNumeric(Kernel):
     kind = "aggregate_numeric"
     invertible = "lossy"
+    delta = {"understandable": True, "trackable": True}
 
     _KEYS = {"inputs", "formula", "target", "keep_inputs", "wording",
              "display_format", "unit", "description"}
@@ -870,12 +889,8 @@ class AggregateNumeric(Kernel):
         )
 
     def plan(self, schema, cfg, fit_state):
-        out = self._out_spec(schema, cfg)
-        if cfg["keep_inputs"]:
-            features = schema.features + (out,)
-        else:
-            insert_at = min(schema.index(n) for n in cfg["inputs"])
-            features = _replace_features(schema, cfg["inputs"], insert_at, (out,))
+        features = _replace_features(schema, cfg["inputs"], (self._out_spec(schema, cfg),),
+                                     cfg["keep_inputs"])
         return PlanResult(features, {cfg["target"]: cfg["inputs"]})
 
     def apply(self, table, cfg, fit_state, ctx):
@@ -897,6 +912,7 @@ class AggregateNumeric(Kernel):
 class AbstractConcept(AggregateNumeric):
     kind = "abstract_concept"
     invertible = "lossy"
+    delta = {"abstract_concept": True, "trackable": True}
 
     _KEYS = AggregateNumeric._KEYS | {"labeling"}
 
@@ -942,6 +958,7 @@ class AbstractConcept(AggregateNumeric):
 class HierarchyRollup(Kernel):
     kind = "hierarchy_rollup"
     invertible = "lossy"
+    delta = {"understandable": True}
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "mapping", "target", "keep_original",
@@ -962,12 +979,7 @@ class HierarchyRollup(Kernel):
         stray = sorted(set(mapping) - declared)
         if stray:
             raise ValidationError(f"{self.kind}: mapping keys not in declared categories: {stray}")
-        keep = bool(cfg.get("keep_original", False))
-        target = str(cfg.get("target") or feature)
-        if keep and target == feature:
-            raise ValidationError(f"{self.kind}: keep_original requires a distinct target name")
-        if target != feature:
-            _check_new_names([target], schema, set() if keep else {feature}, self.kind)
+        target, keep = _target(cfg, feature, schema, self.kind)
         return {"feature": feature, "mapping": mapping, "target": target,
                 "keep_original": keep, "wording": _wording_cfg(cfg, self.kind),
                 "description": str(cfg.get("description", ""))}
@@ -991,11 +1003,8 @@ class HierarchyRollup(Kernel):
             properties=schema.feature(feature).properties,
             derived_from=DerivedFrom((feature,), self.kind),
         )
-        if cfg["keep_original"]:
-            features = schema.features + (out,)
-        else:
-            features = _replace_features(schema, [feature], schema.index(feature), (out,))
-        return PlanResult(features, {cfg["target"]: (feature,)})
+        return PlanResult(_replace_features(schema, [feature], (out,), cfg["keep_original"]),
+                          {cfg["target"]: (feature,)})
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
@@ -1011,6 +1020,7 @@ class HierarchyRollup(Kernel):
 class RenderStatement(Kernel):
     kind = "render_statement"
     invertible = "exact"
+    delta = {"human_worded": True}
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "target"}, self.kind)
@@ -1040,8 +1050,8 @@ class RenderStatement(Kernel):
             properties=spec.properties,
             derived_from=DerivedFrom((feature,), self.kind),
         )
-        features = _replace_features(schema, [feature], schema.index(feature), (out,))
-        return PlanResult(features, {cfg["target"]: (feature,)})
+        return PlanResult(_replace_features(schema, [feature], (out,)),
+                          {cfg["target"]: (feature,)})
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
@@ -1061,6 +1071,7 @@ class RenderStatement(Kernel):
 class UnrenderStatement(Kernel):
     kind = "unrender_statement"
     invertible = "exact"
+    delta = {"human_worded": False}
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "target", "restore"}, self.kind)
@@ -1094,8 +1105,8 @@ class UnrenderStatement(Kernel):
             derived_from=DerivedFrom((feature,), self.kind),
             observed=restored.observed,
         )
-        features = _replace_features(schema, [feature], schema.index(feature), (out,))
-        return PlanResult(features, {cfg["target"]: (feature,)})
+        return PlanResult(_replace_features(schema, [feature], (out,)),
+                          {cfg["target"]: (feature,)})
 
     def apply(self, table, cfg, fit_state, ctx):
         feature = cfg["feature"]
@@ -1120,6 +1131,9 @@ class UnrenderStatement(Kernel):
 class PcaProject(Kernel):
     kind = "pca_project"
     invertible = "lossy"
+    delta = {"readable": False, "human_worded": False, "understandable": False,
+             "model_ready": True}
+    learned = ("means", "loadings")
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"inputs", "components", "means", "loadings",
@@ -1152,9 +1166,6 @@ class PcaProject(Kernel):
                 "means": means, "loadings": loadings,
                 "name_template": template, "display_format": cfg.get("display_format")}
 
-    def requires_fit(self, cfg):
-        return cfg["loadings"] is None
-
     def fit(self, table, cfg):
         inputs = cfg["inputs"]
         columns = [table.values(name) for name in inputs]
@@ -1186,17 +1197,6 @@ class PcaProject(Kernel):
         return FitState(means=tuple(float(m) for m in means),
                         loadings=tuple(tuple(float(v) for v in row) for row in vectors))
 
-    def _params(self, cfg, fit_state):
-        if cfg["loadings"] is not None:
-            return cfg["means"], cfg["loadings"]
-        if fit_state is None or fit_state.loadings is None:
-            raise ValidationError(f"{self.kind}: not fitted and no loadings configured")
-        return fit_state.means, fit_state.loadings
-
-    def resolved_config(self, cfg, fit_state):
-        means, loadings = self._params(cfg, fit_state)
-        return {**cfg, "means": means, "loadings": loadings}
-
     def _names(self, cfg) -> tuple[str, ...]:
         return tuple(cfg["name_template"].format(i=i + 1) for i in range(cfg["components"]))
 
@@ -1214,13 +1214,12 @@ class PcaProject(Kernel):
             )
             for i, name in enumerate(names)
         )
-        insert_at = min(schema.index(n) for n in inputs)
-        features = _replace_features(schema, inputs, insert_at, new_specs)
-        return PlanResult(features, {name: inputs for name in names})
+        return PlanResult(_replace_features(schema, inputs, new_specs),
+                          {name: inputs for name in names})
 
     def apply(self, table, cfg, fit_state, ctx):
-        inputs = cfg["inputs"]
-        means, loadings = self._params(cfg, fit_state)
+        cfg = self.resolved_config(cfg, fit_state)
+        inputs, means, loadings = cfg["inputs"], cfg["means"], cfg["loadings"]
         columns = [table.values(name) for name in inputs]
         first = [column.index(MISSING) for column in columns if MISSING in column]
         if first:
@@ -1241,6 +1240,7 @@ class PcaProject(Kernel):
 class LinkRaw(Kernel):
     kind = "link_raw"
     invertible = "exact"
+    delta = {"trackable": True}
 
     def normalize(self, cfg, schema):
         _check_keys(cfg, {"feature", "series_id", "window", "series"}, self.kind)
@@ -1390,42 +1390,3 @@ def pca_reconstruct(component_rows: Sequence[Sequence[float]],
             for i in range(n_inputs)
         ))
     return out
-
-
-# ---------------------------------------------------------------------------
-# default property deltas per kind, applied during schema propagation
-
-def default_property_delta(kind: str, out_spec: FeatureSpec) -> dict[str, bool]:
-    if kind == "one_hot_encode":
-        return {"model_compatible": True, "model_ready": True, "human_worded": False}
-    if kind == "one_hot_decode":
-        delta: dict[str, bool] = {"model_ready": False}
-        if out_spec.wording is not None and out_spec.wording.value_phrase is not None:
-            delta["human_worded"] = True
-        return delta
-    if kind == "standardize":
-        return {"model_ready": True, "understandable": False, "human_worded": False}
-    if kind == "unstandardize":
-        return {"understandable": True, "model_ready": False}
-    if kind == "statistical_bin":
-        return {"model_ready": True, "understandable": False}
-    if kind == "semantic_bin":
-        return {"understandable": True}
-    if kind == "impute_flagged":
-        return {"trackable": True}
-    if kind == "aggregate_numeric":
-        return {"understandable": True, "trackable": True}
-    if kind == "hierarchy_rollup":
-        return {"understandable": True}
-    if kind == "abstract_concept":
-        return {"abstract_concept": True, "trackable": True}
-    if kind == "render_statement":
-        return {"human_worded": True}
-    if kind == "unrender_statement":
-        return {"human_worded": False}
-    if kind == "pca_project":
-        return {"readable": False, "human_worded": False, "understandable": False,
-                "model_ready": True}
-    if kind == "link_raw":
-        return {"trackable": True}
-    raise ValidationError(f"unknown transform kind {kind!r}")

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from featurespace.cli import main
+from featurespace.pipeline import load_fitted
+
+from _fitted_documents import ROWS, fitted_document, step_of
 
 ORIGINAL_MANIFEST = """
 space_tag: original
@@ -290,3 +293,79 @@ def test_demo_covertype_passes(tmp_path, capsys):
 def test_demo_covertype_missing_data_exits_1(tmp_path):
     assert main(["demo-covertype", "--data", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "demo")]) == 1
+
+
+def _short_loadings(doc):
+    step_of(doc, "pca_project")["fit_state"]["loadings"].pop()  # 4 rows, 5 inputs
+
+
+def _short_edges(doc):
+    step_of(doc, "statistical_bin")["fit_state"]["edges"].pop()
+
+
+def _min_above_max(doc):
+    state = step_of(doc, "statistical_bin")["fit_state"]
+    state["min"], state["max"] = state["max"], state["min"]
+
+
+def _mean_without_scale(doc):
+    del step_of(doc, "standardize")["fit_state"]["scale"]
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("model_ready", _short_loadings, "step 4 (pca_project)"),
+    ("learned", _short_edges, "step 2 (statistical_bin)"),
+    ("learned", _min_above_max, "min must be < max"),
+    ("learned", _mean_without_scale, "mean and scale together"),
+], ids=["pca_loadings", "bin_edges", "bin_min_max", "standardize_scale"])
+def test_malformed_learned_values_exit_1(tmp_path, capsys, name, corrupt, message):
+    doc = fitted_document(name, tmp_path)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc), encoding="utf-8")
+    contribs = tmp_path / "contribs.csv"
+    with contribs.open("w", newline="", encoding="utf-8") as handle:
+        names = load_fitted(good).output_schema.names
+        csv.writer(handle).writerows([names, [0.5] * len(names)])
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for path, code in ((good, 0), (bad, 1)):
+        for argv in (["transform", "--data", str(ROWS)],
+                     ["explain-map", "--contribs", str(contribs)]):
+            capsys.readouterr()
+            assert main(argv + ["--pipeline", str(path),
+                                "--out", str(tmp_path / "out.csv")]) == code
+            err = capsys.readouterr().err
+            assert (message in err) == (code == 1)
+            assert "Traceback" not in err
+
+
+NOT_UTF8 = b"\xff\xfe" + "Elevation\n".encode("utf-16-le")
+
+
+@pytest.mark.parametrize("command, options, bad", [
+    ("transform", ("--pipeline", "--data"), "--pipeline"),
+    ("transform", ("--pipeline", "--data"), "--data"),
+    ("fit", ("--pipeline", "--data"), "--pipeline"),
+    ("explain-map", ("--pipeline", "--contribs"), "--contribs"),
+    ("audit", ("--manifest", "--persona"), "--manifest"),
+    ("audit", ("--manifest", "--persona"), "--persona"),
+])
+def test_non_utf8_input_exits_1(workspace, capsys, command, options, bad):
+    inputs = {"--pipeline": workspace / "pipeline.yaml", "--data": workspace / "data.csv",
+              "--contribs": workspace / "contribs.csv",
+              "--manifest": workspace / "original.yaml",
+              "--persona": workspace / "persona.yaml"}
+    inputs["--contribs"].write_text(
+        "Area Rawah,Area Neota,Area Comache Peak,Area Cache la Poudre,Elevation\n"
+        "0.1,0.0,0.0,0.0,0.2\n", encoding="utf-8")
+    inputs["--persona"].write_text("kind: developer\n", encoding="utf-8")
+    inputs[bad] = workspace / "bad.txt"
+    inputs[bad].write_bytes(NOT_UTF8)
+    argv = [command, "--out", str(workspace / "out")]
+    for option in options:
+        argv += [option, str(inputs[option])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(inputs[bad]) in err
+    assert "Traceback" not in err

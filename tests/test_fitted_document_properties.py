@@ -1,0 +1,73 @@
+"""Fuzzed fitted documents fail cleanly: loading and running one either
+succeeds or raises ``ValidationError`` or ``KernelError``, never anything
+else."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from featurespace.errors import KernelError, ValidationError
+from featurespace.pipeline import load_fitted, run
+from featurespace.table import read_table_csv
+
+from _fitted_documents import NAMES, ROWS, fitted_document
+
+NUMBERS = st.one_of(st.integers(-10**6, 10**6), st.floats())
+VALUES = st.one_of(
+    st.none(), st.booleans(), NUMBERS, st.text(max_size=6),
+    st.lists(NUMBERS, max_size=6),
+    st.lists(st.lists(NUMBERS, max_size=3), max_size=6),
+    st.dictionaries(st.text(max_size=4), NUMBERS, max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fitted")
+    docs = {name: fitted_document(name, workdir) for name in NAMES}
+    schema = load_fitted(workdir / "learned.fitted.json").input_schema
+    return workdir, docs, read_table_csv(ROWS, schema)
+
+
+def _mutate(data, value):
+    """A replacement for ``value``: a fresh value, or for a list, the list
+    shortened, lengthened or with one element replaced."""
+    if isinstance(value, list) and value and data.draw(st.booleans()):
+        value = list(value)
+        i = data.draw(st.integers(0, len(value) - 1))
+        how = data.draw(st.sampled_from(["drop", "repeat", "replace"]))
+        if how == "drop":
+            del value[i]
+        elif how == "repeat":
+            value.append(value[i])
+        else:
+            value[i] = _mutate(data, value[i])
+        return value
+    return data.draw(VALUES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_fitted_documents_fail_cleanly(documents, data):
+    workdir, docs, table = documents
+    doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(NAMES))]))
+    step = data.draw(st.sampled_from(doc["steps"]))
+    section = data.draw(st.sampled_from(["config", "fit_state"]))
+    if step[section] is None:
+        step[section] = {}
+    fields = step[section]
+    key = data.draw(st.sampled_from(sorted(fields) + ["mean", "min", "edges", "means"]))
+    if key in fields and data.draw(st.booleans()):
+        del fields[key]
+    else:
+        fields[key] = _mutate(data, fields.get(key))
+    path = workdir / "fuzzed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        run(load_fitted(path), table)
+    except (ValidationError, KernelError):
+        pass

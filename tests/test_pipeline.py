@@ -16,7 +16,6 @@ from featurespace.pipeline import (
     invert,
     load_fitted,
     load_pipeline,
-    propagate_properties,
     run,
     save_fitted,
 )
@@ -235,7 +234,7 @@ def test_lineage_covers_every_changed_cell():
 def test_propagate_decode_sets_human_worded_and_readable():
     fitted = as_fitted(compose([area_decode_step()], one_hot_area_schema(),
                                "to_interpretable"))
-    manifest = propagate_properties(fitted)
+    manifest = fitted.output_schema
     spec = manifest.feature("Wilderness area")
     assert spec.properties.human_worded
     assert spec.properties.readable
@@ -247,7 +246,7 @@ def test_propagate_standardize_sets_model_ready_and_compatible():
                     properties=BASE_PROPS.with_flags(model_compatible=False)),))
     step = TransformStep("standardize", {"feature": "x", "mean": 0.0, "scale": 1.0})
     fitted = as_fitted(compose([step], schema, "to_model_ready"))
-    spec = propagate_properties(fitted).feature("x")
+    spec = fitted.output_schema.feature("x")
     assert spec.properties.model_ready
     assert spec.properties.model_compatible  # via closure
 

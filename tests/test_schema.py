@@ -12,7 +12,6 @@ from featurespace.schema import (
     FeatureSpec,
     SchemaManifest,
     Wording,
-    compare_schemas,
     manifest_to_data,
     parse_manifest,
     serialize_manifest,
@@ -125,38 +124,6 @@ def test_manifest_round_trip_covertype_demo():
     manifest = demo.original_manifest()
     assert parse_manifest(serialize_manifest(manifest)) == manifest
     assert manifest_to_data(manifest)["space_tag"] == "original"
-
-
-def test_compare_identical_is_empty():
-    rng = random.Random(3)
-    manifest = random_schema(rng)
-    diff = compare_schemas(manifest, manifest)
-    assert diff.is_empty
-
-
-def test_compare_one_hot_vs_categorical():
-    one_hot = SchemaManifest(features=tuple(
-        FeatureSpec(f"Area {name}", "boolean")
-        for name in ("Rawah", "Neota", "Comache Peak", "Cache la Poudre")
-    ))
-    categorical = SchemaManifest(features=(
-        FeatureSpec("Wilderness area", "categorical",
-                    categories=("Rawah", "Neota", "Comache Peak", "Cache la Poudre")),
-    ))
-    diff = compare_schemas(one_hot, categorical)
-    assert len(diff.removed) == 4
-    assert diff.added == ("Wilderness area",)
-    assert diff.retyped == ()
-
-
-def test_compare_reports_retyped_features():
-    a = SchemaManifest(features=(FeatureSpec("Elevation", "numeric"),))
-    b = SchemaManifest(features=(
-        FeatureSpec("Elevation", "ordinal", categories=("Low", "High")),
-    ))
-    diff = compare_schemas(a, b)
-    assert diff.retyped == (("Elevation", "numeric", "ordinal"),)
-    assert diff.added == () and diff.removed == ()
 
 
 def test_extension_implications_enforced_per_feature():
