@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -34,8 +33,9 @@ from .pipeline import (
     save_fitted,
 )
 from .planner import audit, load_persona
-from .schema import load_manifest
-from .table import read_table_csv, write_table_csv
+from .schema import SchemaManifest, load_manifest
+from .table import MISSING, DataTable, parse_cell, read_table_csv, write_table_csv
+from .transforms import kernel_for
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -148,24 +148,27 @@ def cmd_audit(args) -> int:
 
 
 def _demo_elevation_stats(path: str) -> int:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or "Elevation" not in header:
-            raise ValidationError(f"{path}: expected a CSV with an Elevation column")
-        idx = header.index("Elevation")
-        values = []
-        for row in reader:
-            if idx < len(row) and row[idx] != "":
-                values.append(float(row[idx]))
-    if not values:
-        raise ValidationError(f"{path}: Elevation column is empty")
-    mean = sum(values) / len(values)
-    scale = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-    low, high = min(values), max(values)
+    spec = demo.original_manifest().feature("Elevation")
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or "Elevation" not in header:
+                raise ValidationError(f"{path}: expected a CSV with an Elevation column")
+            idx = header.index("Elevation")
+            column = [parse_cell(row[idx], spec) for row in reader if idx < len(row)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read data file {path}: {exc}") from exc
+    table = DataTable.from_columns(SchemaManifest((spec,)), [column], len(column))
+    try:
+        stats = kernel_for("standardize").fit(table, {"feature": "Elevation"})
+    except KernelError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    observed = [v for v in column if v is not MISSING]
+    low, high = min(observed), max(observed)
     failures = 0
-    for label, got, want in (("mean", mean, demo.ELEVATION_MEAN),
-                             ("scale", scale, demo.ELEVATION_SCALE),
+    for label, got, want in (("mean", stats["mean"], demo.ELEVATION_MEAN),
+                             ("scale", stats["scale"], demo.ELEVATION_SCALE),
                              ("min", low, demo.ELEVATION_MIN),
                              ("max", high, demo.ELEVATION_MAX)):
         ok = abs(got - want) <= 0.01

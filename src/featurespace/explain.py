@@ -6,15 +6,18 @@ interpretable schema while preserving the total contribution. Mapping walks a
 ``to_interpretable`` pipeline forward, or a ``to_model_ready`` pipeline in
 reverse; either way the vector starts on the model-ready side.
 
+How contributions cross one step is known by the step's kernel: its
+``forward_rule`` or ``reverse_rule`` returns a ``Rewrite`` that writes each
+output feature as a copy, a sum from 0.0, a two-term add or a weighted sum
+from 0.0 of near-side features (PCA's weights are its redistribution weights).
 Nothing about a mapping depends on the vector's values except the arithmetic,
 so each ``(FittedPipeline, expose_flags)`` pair is compiled once, on first
 use, into a ``MappingPlan`` stored on the fitted pipeline. The plan caches the
-expected and final schemas, one index operation per output slot of every step
-(copy, sum from 0.0, two-term add, or weighted sum from 0.0 with the PCA
-redistribution weights precomputed), which slots feed exposed imputation
-flags, the static partition audit and fidelity notes, and the error of a
-pipeline that cannot be mapped. Per vector, mapping is the alignment check and
-list arithmetic over those operations.
+expected and final schemas, each step's rewrite as index operations over
+slots, which slots feed exposed imputation flags, the static partition audit
+and fidelity notes, and the error of a pipeline that cannot be mapped. Per
+vector, mapping is the alignment check and list arithmetic over those
+operations.
 
 The operations keep each step's own summation order instead of folding the
 pipeline into one contribution matrix: a fused ``C @ M`` would reassociate
@@ -29,12 +32,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 from .errors import MappingError, ValidationError
-from .pipeline import FittedPipeline, FittedStep
+from .pipeline import FittedPipeline
 from .schema import SchemaManifest
-from .transforms import kernel_for, pca_redistribution_weights
+from .transforms import Rewrite, kernel_for
 
 CONSERVATION_TOLERANCE = 1e-9
 
@@ -96,129 +99,6 @@ def conservation_check(before: ContributionVector,
     tolerance = CONSERVATION_TOLERANCE * max(1.0, abs(total_before))
     return ConservationResult(passed=delta <= tolerance, delta=delta,
                               tolerance=tolerance)
-
-
-# ---------------------------------------------------------------------------
-# mapping rules: what one step does to a vector, by feature name
-
-@dataclass(frozen=True)
-class Rewrite:
-    """One rule application. ``ops`` gives the features the rule writes, each
-    as ``("copy", name)``, ``("sum", names)`` (added in order to 0.0),
-    ``("add", a, b)`` or ``("weighted", ((name, weight), ...))`` (products
-    added in order to 0.0); every other feature of the step's far side passes
-    through unchanged. ``consumed`` lists each near-side feature the rule uses
-    up, ``exposed`` the imputation flags it moves out of the vector."""
-
-    ops: Mapping[str, tuple]
-    consumed: tuple[str, ...] = ()
-    exposed: tuple[str, ...] = ()
-    note: str | None = None
-
-
-RuleFn = Callable[[FittedStep, bool], Rewrite]
-
-
-@dataclass(frozen=True)
-class MappingRule:
-    """How contributions cross one step kind. ``forward`` serves a
-    to_interpretable step (input -> output), ``reverse`` undoes a
-    to_model_ready step (output -> input); ``None`` means no rule exists in
-    that direction."""
-
-    name: str
-    forward: RuleFn | None
-    reverse: RuleFn | None
-
-
-ZERO = ("sum", ())
-PCA_NOTE = ("pca_project: contributions redistributed to inputs by squared "
-            "loadings; this is an approximation and lowers explanation fidelity")
-
-
-def _keep_flag(cfg) -> bool:
-    return bool(cfg.get("keep_original") or cfg.get("keep_inputs"))
-
-
-def _decode_forward(fstep, expose_flags):
-    cfg = fstep.step.config
-    return Rewrite({cfg["target"]: ("sum", tuple(cfg["group"]))}, tuple(cfg["group"]))
-
-
-def _encode_reverse(fstep, expose_flags):
-    cfg = fstep.step.config
-    return Rewrite({cfg["feature"]: ("sum", tuple(cfg["names"]))}, tuple(cfg["names"]))
-
-
-def _identity_forward(fstep, expose_flags):
-    cfg = fstep.step.config
-    source, target = cfg["feature"], cfg["target"]
-    if _keep_flag(cfg):
-        return Rewrite({target: ZERO})  # derived display feature; source keeps its share
-    return Rewrite({target: ("copy", source)}, (source,))
-
-
-def _identity_reverse(fstep, expose_flags):
-    cfg = fstep.step.config
-    source, target = cfg["feature"], cfg["target"]
-    if _keep_flag(cfg):
-        # The derived feature's share folds back into its source.
-        return Rewrite({source: ("add", source, target)}, (source, target))
-    return Rewrite({source: ("copy", target)}, (target,))
-
-
-def _group_forward(fstep, expose_flags):
-    cfg = fstep.step.config
-    if _keep_flag(cfg):
-        return Rewrite({cfg["target"]: ZERO})
-    return Rewrite({cfg["target"]: ("sum", tuple(cfg["inputs"]))}, tuple(cfg["inputs"]))
-
-
-def _flag_forward(fstep, expose_flags):
-    return Rewrite({fstep.step.config["flag_name"]: ZERO})  # the flag is new; no share yet
-
-
-def _flag_reverse(fstep, expose_flags):
-    cfg = fstep.step.config
-    feature, flag = cfg["feature"], cfg["flag_name"]
-    if expose_flags:
-        return Rewrite({feature: ("copy", feature)}, (feature, flag), exposed=(flag,))
-    return Rewrite({feature: ("add", feature, flag)}, (feature, flag))
-
-
-def _pca_reverse(fstep, expose_flags):
-    cfg = kernel_for(fstep.step.kind).resolved_config(fstep.step.config, fstep.fit_state)
-    weights = pca_redistribution_weights(cfg["loadings"])
-    ops = {input_name: ("weighted", tuple((comp, weights[k][i])
-                                          for k, comp in enumerate(fstep.produced)))
-           for i, input_name in enumerate(cfg["inputs"])}
-    return Rewrite(ops, fstep.produced, note=PCA_NOTE)
-
-
-def _pass(fstep, expose_flags):
-    return Rewrite({})
-
-
-IDENTITY = MappingRule("identity", _identity_forward, _identity_reverse)
-
-# Rule applied per step kind when carrying contributions toward the
-# interpretable space. Every transform kind has exactly one rule.
-MAPPING_RULES: dict[str, MappingRule] = {
-    "one_hot_encode": MappingRule("group_sum", None, _encode_reverse),
-    "one_hot_decode": MappingRule("group_sum", _decode_forward, None),
-    "standardize": IDENTITY,
-    "unstandardize": IDENTITY,
-    "statistical_bin": IDENTITY,
-    "semantic_bin": IDENTITY,
-    "render_statement": IDENTITY,
-    "unrender_statement": IDENTITY,
-    "hierarchy_rollup": IDENTITY,
-    "impute_flagged": MappingRule("absorb_flag", _flag_forward, _flag_reverse),
-    "aggregate_numeric": MappingRule("group_sum", _group_forward, None),
-    "abstract_concept": MappingRule("group_sum", _group_forward, None),
-    "pca_project": MappingRule("redistribute_by_squared_loadings", None, _pca_reverse),
-    "link_raw": MappingRule("identity", _pass, _pass),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +177,19 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
     try:
         for number, fstep in order:
             kind = fstep.step.kind
-            rule = MAPPING_RULES[kind]
+            kernel = kernel_for(kind)
             if forward:
-                rule_fn, near, far = rule.forward, fstep.input_schema, fstep.output_schema
+                rewrite = kernel.forward_rule(fstep, expose_flags)
+                near, far = fstep.input_schema, fstep.output_schema
             else:
-                rule_fn, near, far = rule.reverse, fstep.output_schema, fstep.input_schema
-            if rule_fn is None:
+                rewrite = kernel.reverse_rule(fstep, expose_flags)
+                near, far = fstep.output_schema, fstep.input_schema
+            if rewrite is None:
                 raise MappingError(
                     f"step ({kind}) has no contribution rule in the forward direction; "
                     "map against the pipeline that produced the model-ready schema instead"
                     if forward else
                     f"step ({kind}) has no contribution rule in the reverse direction")
-            rewrite = rule_fn(fstep, expose_flags)
             ops, counts = _compile_step(rewrite, near, far, f"step {number} ({kind})")
             steps.append(ops)
             if rewrite.note is not None:

@@ -8,7 +8,7 @@ lineage and fidelity notes, and inverts itself when every step is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -19,13 +19,7 @@ from .lineage import Lineage
 from .properties import PropertySet, implication_closure
 from .schema import SchemaManifest, load_manifest, manifest_from_data, manifest_to_data
 from .table import DataTable
-from .transforms import (
-    FitState,
-    Kernel,
-    RunContext,
-    TransformStep,
-    kernel_for,
-)
+from .transforms import Kernel, RunContext, TransformStep, kernel_for
 
 DIRECTIONS = ("to_model_ready", "to_interpretable")
 _FLIP = {"to_model_ready": "to_interpretable", "to_interpretable": "to_model_ready"}
@@ -34,11 +28,12 @@ _TARGET_SPACE = {"to_model_ready": "model_ready", "to_interpretable": "interpret
 
 @dataclass(frozen=True)
 class FittedStep:
-    """One step with its learned parameters, resolved input/output schemas,
-    and the names of the features it produces, in the kernel's order."""
+    """One step with its fit state (the kernel's learned parameters, by name),
+    resolved input/output schemas, and the names of the features it produces,
+    in the kernel's order."""
 
     step: TransformStep
-    fit_state: FitState | None
+    fit_state: Mapping[str, Any] | None
     input_schema: SchemaManifest
     output_schema: SchemaManifest
     produced: tuple[str, ...]
@@ -137,7 +132,7 @@ def _final_properties(delta: Mapping[str, bool], out_spec,
 
 
 def _plan_step(kernel: Kernel, step: TransformStep, schema: SchemaManifest,
-               fit_state: FitState | None, step_number: int,
+               fit_state: Mapping[str, Any] | None, step_number: int,
                final_space: str | None) -> tuple[SchemaManifest, tuple[str, ...]]:
     """Output schema of one step and the names it produces."""
     plan = kernel.plan(schema, step.config, fit_state)
@@ -174,7 +169,7 @@ def _plan_step(kernel: Kernel, step: TransformStep, schema: SchemaManifest,
 
 def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
            direction: str,
-           fit_states: Sequence[FitState | None] | None,
+           fit_states: Sequence[Any] | None,
            fit_table: DataTable | None = None,
            require_params: bool = False,
            series_store: Mapping[str, Sequence[float]] | None = None):
@@ -195,8 +190,8 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
         state = states[i]
         try:
             cfg = kernel.normalize(step.config, schema)
-            if state is not None and kernel.requires_fit(cfg):
-                kernel.check_learned(cfg, state, schema)
+            if state is not None:
+                state = kernel.check_learned(cfg, state, schema)
         except (ValidationError, TypeError, ValueError) as exc:
             raise ValidationError(f"step {number} ({step.kind}): {exc}") from None
         norm = TransformStep(step.kind, cfg, step.property_delta)
@@ -356,11 +351,15 @@ def _steps_from_data(data: Any) -> list[TransformStep]:
             raise ValidationError(f"pipeline document: steps[{i}] unknown keys {unknown}")
         if "kind" not in item:
             raise ValidationError(f"pipeline document: steps[{i}] missing kind")
-        steps.append(TransformStep(
-            kind=str(item["kind"]),
-            config=dict(item.get("config") or {}),
-            property_delta=dict(item.get("property_delta") or {}),
-        ))
+        config = item.get("config") or {}
+        if not isinstance(config, Mapping):
+            raise ValidationError(f"pipeline document: steps[{i}] config must be a mapping")
+        delta = item.get("property_delta") or {}
+        if not isinstance(delta, Mapping) or \
+                not all(isinstance(flags, Mapping) for flags in delta.values()):
+            raise ValidationError(f"pipeline document: steps[{i}] property_delta must map "
+                                  "feature names to mappings of property flags")
+        steps.append(TransformStep(str(item["kind"]), dict(config), dict(delta)))
     return steps
 
 
@@ -408,20 +407,6 @@ def _pipeline_from_text(text: str, path: Path) -> Pipeline:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-_FIT_STATE_KEYS = tuple(f.name for f in fields(FitState))
-
-
-def _fit_state_to_data(state: FitState | None) -> dict | None:
-    if state is None:
-        return None
-    out = {}
-    for key in _FIT_STATE_KEYS:
-        value = getattr(state, key)
-        if value is not None:
-            out[key] = _to_plain(value)
-    return out
-
-
 def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
     """Serialize with per-step numeric parameters at full precision."""
     doc = {
@@ -433,27 +418,13 @@ def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
                 "kind": fstep.step.kind,
                 "config": _to_plain(fstep.step.config),
                 "property_delta": _to_plain(fstep.step.property_delta),
-                "fit_state": _fit_state_to_data(fstep.fit_state),
+                "fit_state": _to_plain(fstep.fit_state),
             }
             for fstep in fitted.steps
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def _fit_state_from_data(data: Any, where: str) -> FitState | None:
-    if data is None:
-        return None
-    if not isinstance(data, Mapping):
-        raise ValidationError(f"{where}: fit_state must be a mapping")
-    unknown = sorted(set(data) - set(_FIT_STATE_KEYS))
-    if unknown:
-        raise ValidationError(f"{where}: fit_state has unknown keys {unknown}")
-    try:
-        return FitState(**data)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: malformed fit_state: {exc}") from None
 
 
 def load_fitted(path: str | Path) -> FittedPipeline:
@@ -499,7 +470,7 @@ def _fitted_from_doc(doc: Mapping, path: Path) -> FittedPipeline:
     for i, item in enumerate(raw_steps):
         if not isinstance(item, Mapping):
             raise ValidationError(f"{path}: steps[{i}] must be a mapping")
-        states.append(_fit_state_from_data(item.get("fit_state"), f"{path}: steps[{i}]"))
+        states.append(item.get("fit_state"))
     steps = _steps_from_data([
         {k: v for k, v in item.items() if k != "fit_state"} for item in raw_steps
     ])

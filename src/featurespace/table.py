@@ -329,10 +329,15 @@ def write_table_csv(table: DataTable, target: str | Path | IO[str],
             write_table_csv(table, handle, display_formats)
         return
     formats = display_formats or {}
+    rendered = []
+    for values, spec in zip(table.columns, table.schema.features):
+        try:
+            rendered.append(_render_column(values, spec, formats.get(spec.name)))
+        except ValueError as exc:  # a format spec that does not fit the cells
+            raise ValidationError(f"column {spec.name!r}: display format "
+                                  f"{formats[spec.name]!r}: {exc}") from None
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(table.schema.names)
-    rendered = [_render_column(values, spec, formats.get(spec.name))
-                for values, spec in zip(table.columns, table.schema.features)]
     if rendered:
         writer.writerows(zip(*rendered))
     else:

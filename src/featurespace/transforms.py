@@ -3,7 +3,8 @@
 Each transform kind is one ``Kernel`` subclass, and everything the package
 knows about the kind lives on it: the config it accepts, what it does to the
 properties of the features it produces, which parameters ``fit`` learns, the
-output-schema plan, the column computation and the inverse. A kernel computes
+output-schema plan, the column computation, the inverse, and how additive
+contributions cross a step of the kind. A kernel computes
 only the columns it produces; the pipeline carries every other column over by
 reference.
 """
@@ -14,7 +15,7 @@ import bisect
 import math
 from operator import mul
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .schema import (
 )
 from .table import MISSING, DataTable, check_cell
 
+if TYPE_CHECKING:
+    from .pipeline import FittedStep
+
 
 @dataclass(frozen=True)
 class TransformStep:
@@ -46,34 +50,6 @@ class TransformStep:
         object.__setattr__(self, "config", dict(self.config))
         object.__setattr__(self, "property_delta",
                            {str(k): dict(v) for k, v in dict(self.property_delta).items()})
-
-
-@dataclass(frozen=True)
-class FitState:
-    """Learned per-step parameters, populated by the fit phase."""
-
-    mean: float | None = None
-    scale: float | None = None
-    min: float | None = None
-    max: float | None = None
-    edges: tuple[float, ...] | None = None
-    means: tuple[float, ...] | None = None
-    loadings: tuple[tuple[float, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.scale is not None and self.scale <= 0:
-            raise ValidationError(f"fit state scale must be > 0, got {self.scale}")
-        if self.edges is not None:
-            object.__setattr__(self, "edges", tuple(float(e) for e in self.edges))
-            if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
-                raise ValidationError("fit state edges must be strictly increasing")
-        if self.means is not None:
-            object.__setattr__(self, "means", tuple(float(m) for m in self.means))
-        if self.loadings is not None:
-            rows = tuple(tuple(float(v) for v in row) for row in self.loadings)
-            object.__setattr__(self, "loadings", rows)
-            if rows and any(len(row) != len(rows[0]) for row in rows):
-                raise ValidationError("fit state loadings must be rectangular")
 
 
 @dataclass(frozen=True)
@@ -104,6 +80,48 @@ def _req(cfg: Mapping, key: str, kind: str):
     if key not in cfg or cfg[key] is None:
         raise ValidationError(f"{kind}: missing required config key {key!r}")
     return cfg[key]
+
+
+def _number(value, kind: str, key: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValidationError(f"{kind}: {key} must be a finite number, got {value!r}")
+    return number
+
+
+def _numbers(values, kind: str, key: str) -> tuple[float, ...]:
+    return tuple(_number(v, kind, key) for v in values)
+
+
+def _display_format(cfg: Mapping, kind: str) -> str | None:
+    """The configured numeric format spec, checked before any cell is written."""
+    spec = cfg.get("display_format")
+    if spec is None:
+        return None
+    if isinstance(spec, str):
+        for sample in (0, 0.0):
+            try:
+                format(sample, spec)
+                return spec
+            except ValueError:
+                pass
+    raise ValidationError(f"{kind}: display_format {spec!r} is not a numeric format spec")
+
+
+def _check_fit_state(kernel: Kernel, cfg: Mapping, fit_state: Any,
+                     keys: Sequence[str]) -> None:
+    if not isinstance(fit_state, Mapping):
+        raise ValidationError("fit_state must be a mapping")
+    unknown = sorted(set(fit_state) - set(keys))
+    if unknown:
+        raise ValidationError(f"fit_state has unknown keys {unknown}")
+    if not kernel.requires_fit(cfg):
+        raise ValidationError("fit_state must be null for a step that is not fitted")
+
+
+def _tuples(value):
+    """``value`` with its JSON lists read as tuples, as ``normalize`` returns them."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def _feature_of(schema: SchemaManifest, name: str, kind: str) -> FeatureSpec:
@@ -230,14 +248,17 @@ class Kernel:
 
     - ``delta``: the property flags set on every feature the step produces
       (``delta_for`` when they depend on the produced feature);
-    - ``learned``: the config keys ``fit`` fills in, read back from the
-      ``FitState`` fields of the same names;
+    - ``learned``: the config keys ``fit`` fills in, kept under the same
+      names in the step's fit state;
     - ``normalize``: the checked config, also applied to learned values;
-    - ``fit``: the learned parameters, from the data the step sees;
+    - ``fit``: the fit state (a dict of learned parameters) from the data the
+      step sees;
     - ``plan``: the output schema and the inputs of each produced feature;
     - ``apply``: the produced columns and their lineage;
     - ``inverse``: the step that undoes this one, when ``invertible`` is
-      ``exact``.
+      ``exact``;
+    - ``forward_rule`` / ``reverse_rule``: how additive contributions cross
+      the step toward the interpretable space.
     """
 
     kind: str = ""
@@ -254,34 +275,38 @@ class Kernel:
     def requires_fit(self, cfg: Mapping) -> bool:
         return bool(self.learned) and cfg[self.learned[0]] is None
 
-    def fit(self, table: DataTable, cfg: Mapping) -> FitState | None:
+    def fit(self, table: DataTable, cfg: Mapping) -> dict | None:
         return None
 
-    def resolved_config(self, cfg: Mapping, fit_state: FitState | None) -> dict:
+    def resolved_config(self, cfg: Mapping, fit_state: Mapping | None) -> dict:
         """The config with the learned values of ``fit_state`` filled in;
         used by ``apply``, serialization and step-identity comparisons."""
         if not self.learned or cfg[self.learned[0]] is not None:
             return dict(cfg)
-        if fit_state is None or getattr(fit_state, self.learned[0]) is None:
+        if fit_state is None or fit_state.get(self.learned[0]) is None:
             raise ValidationError(
                 f"{self.kind}: not fitted and no {'/'.join(self.learned)} configured")
-        return {**cfg, **{key: getattr(fit_state, key) for key in self.learned}}
+        return {**cfg, **{key: fit_state.get(key) for key in self.learned}}
 
-    def check_learned(self, cfg: Mapping, fit_state: FitState,
-                      schema: SchemaManifest) -> None:
-        """Reject learned values that would fail the checks of configured ones."""
+    def check_learned(self, cfg: Mapping, fit_state: Any,
+                      schema: SchemaManifest) -> dict:
+        """The fit state a step keeps for ``fit_state`` read from a document:
+        only the learned keys, each put through the checks of configured
+        values and required to be numbers already."""
+        _check_fit_state(self, cfg, fit_state, self.learned)
         resolved = self.resolved_config(cfg, fit_state)
         checked = self.normalize(resolved, schema)
         for key in self.learned:
-            if checked[key] != resolved[key]:
+            if checked[key] != _tuples(resolved[key]):
                 raise ValidationError(f"{self.kind}: fitted {key} is not a number: "
                                       f"{resolved[key]!r}")
+        return {key: checked[key] for key in self.learned}
 
     def plan(self, schema: SchemaManifest, cfg: Mapping,
-             fit_state: FitState | None) -> PlanResult:
+             fit_state: Mapping | None) -> PlanResult:
         raise NotImplementedError
 
-    def apply(self, table: DataTable, cfg: Mapping, fit_state: FitState | None,
+    def apply(self, table: DataTable, cfg: Mapping, fit_state: Mapping | None,
               ctx: RunContext) -> tuple[list[list], list[ColumnLineage]]:
         """Compute the produced columns from the table's columns.
 
@@ -292,9 +317,39 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def inverse(self, cfg: Mapping, fit_state: FitState | None,
+    def inverse(self, cfg: Mapping, fit_state: Mapping | None,
                 input_schema: SchemaManifest) -> TransformStep | None:
         return None
+
+    def forward_rule(self, fstep: FittedStep, expose_flags: bool) -> Rewrite | None:
+        """How contributions cross a to_interpretable step of this kind, from
+        its inputs to its outputs; ``None`` when no rule exists."""
+        return None
+
+    def reverse_rule(self, fstep: FittedStep, expose_flags: bool) -> Rewrite | None:
+        """How contributions cross back over a to_model_ready step of this
+        kind, from its outputs to its inputs; ``None`` when no rule exists."""
+        return None
+
+
+class _OneToOne(Kernel):
+    """A kind that derives one feature, ``target``, from one, ``feature``:
+    contributions follow the feature, unless the step keeps its original."""
+
+    def forward_rule(self, fstep, expose_flags):
+        cfg = fstep.step.config
+        source, target = cfg["feature"], cfg["target"]
+        if cfg.get("keep_original"):
+            return Rewrite({target: ZERO})  # derived display feature; source keeps its share
+        return Rewrite({target: ("copy", source)}, (source,))
+
+    def reverse_rule(self, fstep, expose_flags):
+        cfg = fstep.step.config
+        source, target = cfg["feature"], cfg["target"]
+        if cfg.get("keep_original"):
+            # The derived feature's share folds back into its source.
+            return Rewrite({source: ("add", source, target)}, (source, target))
+        return Rewrite({source: ("copy", target)}, (target,))
 
 
 def _non_missing(values) -> list:
@@ -366,6 +421,10 @@ class OneHotEncode(Kernel):
             "restore": structural_data(spec),
             "zero_hot": "error",
         })
+
+    def reverse_rule(self, fstep, expose_flags):
+        cfg = fstep.step.config
+        return Rewrite({cfg["feature"]: ("sum", tuple(cfg["names"]))}, tuple(cfg["names"]))
 
 
 class OneHotDecode(Kernel):
@@ -459,8 +518,12 @@ class OneHotDecode(Kernel):
             "names": cfg["group"],
         })
 
+    def forward_rule(self, fstep, expose_flags):
+        cfg = fstep.step.config
+        return Rewrite({cfg["target"]: ("sum", tuple(cfg["group"]))}, tuple(cfg["group"]))
 
-class Standardize(Kernel):
+
+class Standardize(_OneToOne):
     kind = "standardize"
     invertible = "exact"
     delta = {"model_ready": True, "understandable": False, "human_worded": False}
@@ -473,15 +536,17 @@ class Standardize(Kernel):
         mean, scale = cfg.get("mean"), cfg.get("scale")
         if (mean is None) != (scale is None):
             raise ValidationError(f"{self.kind}: configure mean and scale together or neither")
-        if scale is not None and float(scale) <= 0:
-            raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
+        if scale is not None:
+            mean, scale = _number(mean, self.kind, "mean"), _number(scale, self.kind, "scale")
+            if scale <= 0:
+                raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
         target, _ = _target(cfg, feature, schema, self.kind)
         return {
             "feature": feature,
-            "mean": None if mean is None else float(mean),
-            "scale": None if scale is None else float(scale),
+            "mean": mean,
+            "scale": scale,
             "target": target,
-            "display_format": cfg.get("display_format"),
+            "display_format": _display_format(cfg, self.kind),
         }
 
     def fit(self, table, cfg):
@@ -493,7 +558,7 @@ class Standardize(Kernel):
         scale = math.sqrt(variance)
         if scale <= 0:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} is constant (scale 0)")
-        return FitState(mean=mean, scale=scale)
+        return {"mean": mean, "scale": scale}
 
     def plan(self, schema, cfg, fit_state):
         feature = cfg["feature"]
@@ -527,7 +592,7 @@ class Standardize(Kernel):
         })
 
 
-class Unstandardize(Kernel):
+class Unstandardize(_OneToOne):
     kind = "unstandardize"
     invertible = "exact"
     delta = {"understandable": True, "model_ready": False}
@@ -537,8 +602,8 @@ class Unstandardize(Kernel):
                           "unit", "description", "display_format"}, self.kind)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
-        mean = float(_req(cfg, "mean", self.kind))
-        scale = float(_req(cfg, "scale", self.kind))
+        mean = _number(_req(cfg, "mean", self.kind), self.kind, "mean")
+        scale = _number(_req(cfg, "scale", self.kind), self.kind, "scale")
         if scale <= 0:
             raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
         if cfg.get("restore") is not None:
@@ -553,7 +618,7 @@ class Unstandardize(Kernel):
             raise ValidationError(f"{self.kind}: restored dtype must be numeric")
         target, _ = _target(cfg, feature, schema, self.kind)
         return {"feature": feature, "mean": mean, "scale": scale, "target": target,
-                "restore": restore, "display_format": cfg.get("display_format")}
+                "restore": restore, "display_format": _display_format(cfg, self.kind)}
 
     def plan(self, schema, cfg, fit_state):
         feature = cfg["feature"]
@@ -592,7 +657,7 @@ def _bin_labels(labels: Sequence[str], edges: Sequence[float], unit: str | None)
     )
 
 
-class StatisticalBin(Kernel):
+class StatisticalBin(_OneToOne):
     kind = "statistical_bin"
     invertible = "lossy"
     delta = {"model_ready": True, "understandable": False}
@@ -609,8 +674,10 @@ class StatisticalBin(Kernel):
         lo, hi = cfg.get("min"), cfg.get("max")
         if (lo is None) != (hi is None):
             raise ValidationError(f"{self.kind}: configure min and max together or neither")
-        if lo is not None and float(lo) >= float(hi):
-            raise ValidationError(f"{self.kind}: min must be < max")
+        if lo is not None:
+            lo, hi = _number(lo, self.kind, "min"), _number(hi, self.kind, "max")
+            if lo >= hi:
+                raise ValidationError(f"{self.kind}: min must be < max")
         labels = cfg.get("labels")
         if labels is None:
             labels = tuple(f"Bin {i + 1}" for i in range(bins))
@@ -620,9 +687,7 @@ class StatisticalBin(Kernel):
             raise ValidationError(f"{self.kind}: need exactly {bins} labels, got {len(labels)}")
         target, keep = _target(cfg, feature, schema, self.kind)
         return {
-            "feature": feature, "bins": bins,
-            "min": None if lo is None else float(lo),
-            "max": None if hi is None else float(hi),
+            "feature": feature, "bins": bins, "min": lo, "max": hi,
             "labels": labels, "target": target, "keep_original": keep,
             "wording": _wording_cfg(cfg, self.kind),
         }
@@ -634,12 +699,16 @@ class StatisticalBin(Kernel):
         lo, hi = float(min(values)), float(max(values))
         if lo >= hi:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} has a degenerate range")
-        return FitState(min=lo, max=hi, edges=self._edges({**cfg, "min": lo, "max": hi}))
+        return {"min": lo, "max": hi, "edges": self._edges({**cfg, "min": lo, "max": hi})}
 
     def check_learned(self, cfg, fit_state, schema):
-        super().check_learned(cfg, fit_state, schema)
-        if fit_state.edges != self._edges(self.resolved_config(cfg, fit_state)):
+        _check_fit_state(self, cfg, fit_state, (*self.learned, "edges"))
+        state = super().check_learned(
+            cfg, {k: v for k, v in fit_state.items() if k != "edges"}, schema)
+        edges = self._edges({**cfg, **state})
+        if _tuples(fit_state.get("edges")) != edges:
             raise ValidationError(f"{self.kind}: fitted edges do not match min, max and bins")
+        return {**state, "edges": edges}
 
     @staticmethod
     def _edges(cfg) -> tuple[float, ...]:
@@ -686,7 +755,7 @@ class StatisticalBin(Kernel):
         return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
 
 
-class SemanticBin(Kernel):
+class SemanticBin(_OneToOne):
     kind = "semantic_bin"
     invertible = "lossy"
     delta = {"understandable": True}
@@ -696,7 +765,7 @@ class SemanticBin(Kernel):
                           "keep_original", "wording"}, self.kind)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
-        boundaries = tuple(float(b) for b in _req(cfg, "boundaries", self.kind))
+        boundaries = _numbers(_req(cfg, "boundaries", self.kind), self.kind, "boundaries")
         if not boundaries:
             raise ValidationError(f"{self.kind}: boundaries must be non-empty")
         if any(a >= b for a, b in zip(boundaries, boundaries[1:])):
@@ -766,12 +835,14 @@ class ImputeFlagged(Kernel):
             raise KernelError(
                 f"{self.kind}: column {cfg['feature']!r} is entirely missing; "
                 "mean strategy has nothing to average")
-        return FitState(mean=sum(observed) / len(observed))
+        return {"mean": sum(observed) / len(observed)}
 
     def check_learned(self, cfg, fit_state, schema):
-        if fit_state.mean is None:
+        _check_fit_state(self, cfg, fit_state, ("mean",))
+        if fit_state.get("mean") is None:
             raise ValidationError(f"{self.kind}: mean strategy is not fitted")
-        check_cell(fit_state.mean, schema.feature(cfg["feature"]))
+        check_cell(fit_state["mean"], schema.feature(cfg["feature"]))
+        return {"mean": fit_state["mean"]}
 
     def plan(self, schema, cfg, fit_state):
         feature = cfg["feature"]
@@ -804,9 +875,9 @@ class ImputeFlagged(Kernel):
                 previous = value
         else:
             if strategy == "mean":
-                if fit_state is None or fit_state.mean is None:
+                if fit_state is None:
                     raise ValidationError(f"{self.kind}: mean strategy is not fitted")
-                fill_value = fit_state.mean
+                fill_value = fit_state["mean"]
             else:
                 fill_value = cfg["constant"]
             filled = [fill_value if v is MISSING else v for v in values]
@@ -816,6 +887,16 @@ class ImputeFlagged(Kernel):
             ColumnLineage(feature, None, imputed),
             ColumnLineage(cfg["flag_name"], Computed(self.kind, (feature,))),
         ]
+
+    def forward_rule(self, fstep, expose_flags):
+        return Rewrite({fstep.step.config["flag_name"]: ZERO})  # the flag is new; no share yet
+
+    def reverse_rule(self, fstep, expose_flags):
+        cfg = fstep.step.config
+        feature, flag = cfg["feature"], cfg["flag_name"]
+        if expose_flags:
+            return Rewrite({feature: ("copy", feature)}, (feature, flag), exposed=(flag,))
+        return Rewrite({feature: ("add", feature, flag)}, (feature, flag))
 
 
 def _formula_normalized(formula, inputs: tuple[str, ...], kind: str):
@@ -873,7 +954,7 @@ class AggregateNumeric(Kernel):
         _check_new_names([target], schema, set() if keep else set(inputs), self.kind)
         return {"inputs": inputs, "formula": formula, "target": target,
                 "keep_inputs": keep, "wording": _wording_cfg(cfg, self.kind),
-                "display_format": cfg.get("display_format"),
+                "display_format": _display_format(cfg, self.kind),
                 "unit": None if cfg.get("unit") is None else str(cfg["unit"]),
                 "description": str(cfg.get("description", ""))}
 
@@ -908,6 +989,12 @@ class AggregateNumeric(Kernel):
         origin = Computed(_formula_descriptor(cfg["formula"]), inputs)
         return [column], [ColumnLineage(cfg["target"], origin)]
 
+    def forward_rule(self, fstep, expose_flags):
+        cfg = fstep.step.config
+        if cfg["keep_inputs"]:
+            return Rewrite({cfg["target"]: ZERO})
+        return Rewrite({cfg["target"]: ("sum", tuple(cfg["inputs"]))}, tuple(cfg["inputs"]))
+
 
 class AbstractConcept(AggregateNumeric):
     kind = "abstract_concept"
@@ -922,7 +1009,8 @@ class AbstractConcept(AggregateNumeric):
         if labeling is not None:
             if not isinstance(labeling, Mapping) or set(labeling) - {"boundaries", "labels"}:
                 raise ValidationError(f"{self.kind}: labeling needs boundaries and labels only")
-            boundaries = tuple(float(b) for b in _req(labeling, "boundaries", self.kind))
+            boundaries = _numbers(_req(labeling, "boundaries", self.kind), self.kind,
+                                  "labeling boundaries")
             if any(a >= b for a, b in zip(boundaries, boundaries[1:])) or not boundaries:
                 raise ValidationError(f"{self.kind}: labeling boundaries must be strictly increasing")
             labels = tuple(str(x) for x in _req(labeling, "labels", self.kind))
@@ -955,7 +1043,7 @@ class AbstractConcept(AggregateNumeric):
         return [column], lineage
 
 
-class HierarchyRollup(Kernel):
+class HierarchyRollup(_OneToOne):
     kind = "hierarchy_rollup"
     invertible = "lossy"
     delta = {"understandable": True}
@@ -1017,7 +1105,7 @@ class HierarchyRollup(Kernel):
         return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
 
 
-class RenderStatement(Kernel):
+class RenderStatement(_OneToOne):
     kind = "render_statement"
     invertible = "exact"
     delta = {"human_worded": True}
@@ -1068,7 +1156,7 @@ class RenderStatement(Kernel):
         })
 
 
-class UnrenderStatement(Kernel):
+class UnrenderStatement(_OneToOne):
     kind = "unrender_statement"
     invertible = "exact"
     delta = {"human_worded": False}
@@ -1151,8 +1239,8 @@ class PcaProject(Kernel):
         if (means is None) != (loadings is None):
             raise ValidationError(f"{self.kind}: configure means and loadings together or neither")
         if loadings is not None:
-            loadings = tuple(tuple(float(v) for v in row) for row in loadings)
-            means = tuple(float(m) for m in means)
+            loadings = tuple(_numbers(row, self.kind, "loadings") for row in loadings)
+            means = _numbers(means, self.kind, "means")
             if len(means) != len(inputs) or len(loadings) != len(inputs) or \
                     any(len(row) != components for row in loadings):
                 raise ValidationError(
@@ -1164,7 +1252,7 @@ class PcaProject(Kernel):
         _check_new_names(names, schema, set(inputs), self.kind)
         return {"inputs": inputs, "components": components,
                 "means": means, "loadings": loadings,
-                "name_template": template, "display_format": cfg.get("display_format")}
+                "name_template": template, "display_format": _display_format(cfg, self.kind)}
 
     def fit(self, table, cfg):
         inputs = cfg["inputs"]
@@ -1194,8 +1282,8 @@ class PcaProject(Kernel):
             nonzero = np.nonzero(np.abs(vectors[:, k]) > 1e-12)[0]
             if nonzero.size and vectors[nonzero[0], k] < 0:
                 vectors[:, k] = -vectors[:, k]
-        return FitState(means=tuple(float(m) for m in means),
-                        loadings=tuple(tuple(float(v) for v in row) for row in vectors))
+        return {"means": tuple(float(m) for m in means),
+                "loadings": tuple(tuple(float(v) for v in row) for row in vectors)}
 
     def _names(self, cfg) -> tuple[str, ...]:
         return tuple(cfg["name_template"].format(i=i + 1) for i in range(cfg["components"]))
@@ -1236,6 +1324,14 @@ class PcaProject(Kernel):
         origin = Computed(self.kind, inputs)
         return projected, [ColumnLineage(name, origin) for name in self._names(cfg)]
 
+    def reverse_rule(self, fstep, expose_flags):
+        cfg = self.resolved_config(fstep.step.config, fstep.fit_state)
+        weights = pca_redistribution_weights(cfg["loadings"])
+        ops = {input_name: ("weighted", tuple((comp, weights[k][i])
+                                              for k, comp in enumerate(fstep.produced)))
+               for i, input_name in enumerate(cfg["inputs"])}
+        return Rewrite(ops, fstep.produced, note=PCA_NOTE)
+
 
 class LinkRaw(Kernel):
     kind = "link_raw"
@@ -1256,7 +1352,7 @@ class LinkRaw(Kernel):
             raise ValidationError(f"{self.kind}: window must satisfy 0 <= start < stop")
         series = cfg.get("series")
         if series is not None:
-            series = tuple(float(v) for v in series)
+            series = _numbers(series, self.kind, "series")
         return {"feature": feature, "series_id": series_id, "window": window,
                 "series": series}
 
@@ -1285,6 +1381,12 @@ class LinkRaw(Kernel):
     def inverse(self, cfg, fit_state, input_schema):
         # Identity on data; linking again in the other direction is harmless.
         return TransformStep(self.kind, dict(cfg))
+
+    def forward_rule(self, fstep, expose_flags):
+        return Rewrite({})
+
+    def reverse_rule(self, fstep, expose_flags):
+        return Rewrite({})
 
 
 KERNELS: dict[str, Kernel] = {k.kind: k for k in (
@@ -1356,7 +1458,27 @@ def unrender_value(spec: FeatureSpec, text: str):
 
 
 # ---------------------------------------------------------------------------
-# PCA helpers shared with contribution mapping and tests
+# contribution rules and the PCA helpers they share with tests
+
+@dataclass(frozen=True)
+class Rewrite:
+    """One rule application. ``ops`` gives the features the rule writes, each
+    as ``("copy", name)``, ``("sum", names)`` (added in order to 0.0),
+    ``("add", a, b)`` or ``("weighted", ((name, weight), ...))`` (products
+    added in order to 0.0); every other feature of the step's far side passes
+    through unchanged. ``consumed`` lists each near-side feature the rule uses
+    up, ``exposed`` the imputation flags it moves out of the vector."""
+
+    ops: Mapping[str, tuple]
+    consumed: tuple[str, ...] = ()
+    exposed: tuple[str, ...] = ()
+    note: str | None = None
+
+
+ZERO = ("sum", ())
+PCA_NOTE = ("pca_project: contributions redistributed to inputs by squared "
+            "loadings; this is an approximation and lowers explanation fidelity")
+
 
 def pca_redistribution_weights(loadings: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
     """Per-component convex weights over inputs, proportional to squared loadings.

@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from featurespace.cli import main
 from featurespace.pipeline import load_fitted
@@ -197,6 +198,71 @@ def test_malformed_fitted_document_exits_1(workspace, capsys, corrupt, field):
     assert "Traceback" not in err
 
 
+def _corrupted_document(workspace, document, corrupt):
+    """The workspace pipeline as a YAML pipeline or a fitted document, with
+    ``corrupt`` applied to its standardize step (steps[1])."""
+    if document == "fitted":
+        path = workspace / "fitted.json"
+        assert main(["fit", "--pipeline", str(workspace / "pipeline.yaml"),
+                     "--data", str(workspace / "data.csv"), "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+    else:
+        path = workspace / "corrupted.yaml"
+        doc = yaml.safe_load(ENCODE_PIPELINE)
+    corrupt(doc["steps"][1])
+    path.write_text(json.dumps(doc), encoding="utf-8")  # JSON is also YAML
+    return path
+
+
+def _transform_fails_cleanly(workspace, capsys, path, *messages):
+    capsys.readouterr()
+    code = main(["transform", "--pipeline", str(path),
+                 "--data", str(workspace / "data.csv"),
+                 "--out", str(workspace / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    for message in messages:
+        assert message in err
+    assert "Traceback" not in err
+
+
+def _config_not_a_mapping(step):
+    step["config"] = [1, 2]
+
+
+def _delta_not_a_mapping(step):
+    step["property_delta"] = ["Elevation"]
+
+
+def _delta_entry_not_a_mapping(step):
+    step["property_delta"] = {"Elevation": 5}
+
+
+@pytest.mark.parametrize("document", ["pipeline", "fitted"])
+@pytest.mark.parametrize("corrupt, field", [
+    (_config_not_a_mapping, "config"),
+    (_delta_not_a_mapping, "property_delta"),
+    (_delta_entry_not_a_mapping, "property_delta"),
+], ids=["config", "property_delta", "property_delta_entry"])
+def test_malformed_step_exits_1(workspace, capsys, document, corrupt, field):
+    path = _corrupted_document(workspace, document, corrupt)
+    _transform_fails_cleanly(workspace, capsys, path, "steps[1]", field)
+
+
+@pytest.mark.parametrize("document", ["pipeline", "fitted"])
+@pytest.mark.parametrize("spec, message", [
+    ("zz", "display_format 'zz'"),
+    (3, "display_format 3"),
+    ("d", "column 'Elevation'"),  # an int spec on a float column fails when written
+])
+def test_bad_display_format_exits_1(workspace, capsys, document, spec, message):
+    def corrupt(step):
+        step["config"]["display_format"] = spec
+
+    path = _corrupted_document(workspace, document, corrupt)
+    _transform_fails_cleanly(workspace, capsys, path, message)
+
+
 def test_invert_roundtrip_through_cli(workspace):
     encoded = workspace / "encoded.csv"
     assert main(["transform", "--pipeline", str(workspace / "pipeline.yaml"),
@@ -295,6 +361,29 @@ def test_demo_covertype_missing_data_exits_1(tmp_path):
                  "--out", str(tmp_path / "demo")]) == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"Slope,Elevation\n1,3000\n2,\n3,3100\n", None),
+    (b"\xff\xfeElevation\n", "cannot read data file"),
+    (b"Elevation\n3000\nabc\n", "cannot parse number from 'abc'"),
+    (b"Elevation\n3000\n3000\n", "constant"),
+    (b"Elevation\n\n", "no observed values"),
+], ids=["stats_differ", "not_utf8", "bad_cell", "constant", "empty"])
+def test_demo_covertype_data_exits_1(tmp_path, capsys, content, message):
+    data = tmp_path / "covtype.csv"
+    data.write_bytes(content)
+    assert main(["demo-covertype", "--data", str(data),
+                 "--out", str(tmp_path / "demo")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if message is None:
+        assert captured.out.count("PASS") == 6  # the golden rows
+        assert captured.out.count("FAIL") == 4
+        assert "elevation mean: 3050.00" in captured.out
+        assert "elevation scale: 50.00" in captured.out
+    else:
+        assert message in captured.err
+
+
 def _short_loadings(doc):
     step_of(doc, "pca_project")["fit_state"]["loadings"].pop()  # 4 rows, 5 inputs
 
@@ -312,12 +401,34 @@ def _mean_without_scale(doc):
     del step_of(doc, "standardize")["fit_state"]["scale"]
 
 
+def _stray_pca_mean(doc):
+    step_of(doc, "pca_project")["fit_state"]["mean"] = 0.0
+
+
+def _nan_in_pca_means(doc):
+    step_of(doc, "pca_project")["fit_state"]["means"][0] = float("nan")
+
+
+def _nan_configured_scale(doc):
+    step_of(doc, "standardize")["config"]["scale"] = float("nan")
+
+
+def _fit_state_on_configured_step(doc):
+    step_of(doc, "standardize")["fit_state"] = {"mean": 0.0, "scale": 1.0}
+
+
 @pytest.mark.parametrize("name, corrupt, message", [
     ("model_ready", _short_loadings, "step 4 (pca_project)"),
     ("learned", _short_edges, "step 2 (statistical_bin)"),
     ("learned", _min_above_max, "min must be < max"),
     ("learned", _mean_without_scale, "mean and scale together"),
-], ids=["pca_loadings", "bin_edges", "bin_min_max", "standardize_scale"])
+    ("learned", _stray_pca_mean, "unknown keys ['mean']"),
+    ("learned", _nan_in_pca_means, "means must be a finite number"),
+    ("model_ready", _nan_configured_scale, "scale must be a finite number"),
+    ("model_ready", _fit_state_on_configured_step, "fit_state must be null"),
+], ids=["pca_loadings", "bin_edges", "bin_min_max", "standardize_scale",
+        "pca_stray_key", "pca_nan_mean", "configured_nan_scale",
+        "configured_with_fit_state"])
 def test_malformed_learned_values_exit_1(tmp_path, capsys, name, corrupt, message):
     doc = fitted_document(name, tmp_path)
     good = tmp_path / "good.json"

@@ -9,7 +9,6 @@ import pytest
 
 from featurespace.errors import MappingError, ValidationError
 from featurespace.explain import (
-    MAPPING_RULES,
     ContributionVector,
     conservation_check,
     map_contributions,
@@ -19,7 +18,7 @@ from featurespace.explain import (
 from featurespace.pipeline import as_fitted, compose, fit, run
 from featurespace.schema import FeatureSpec, SchemaManifest
 from featurespace.table import DataTable
-from featurespace.transforms import TRANSFORM_KINDS, TransformStep
+from featurespace.transforms import KERNELS, Kernel, TransformStep
 
 from _generators import BASE_PROPS, random_table
 
@@ -46,8 +45,15 @@ def decode_pipeline():
     return as_fitted(compose([step], area_group_schema(), "to_interpretable"))
 
 
-def test_every_kind_has_exactly_one_rule():
-    assert set(MAPPING_RULES) == set(TRANSFORM_KINDS)
+def test_every_kernel_has_a_contribution_rule():
+    def lacking(direction):
+        return {kind for kind, kernel in KERNELS.items()
+                if getattr(type(kernel), direction) is getattr(Kernel, direction)}
+
+    no_forward, no_reverse = lacking("forward_rule"), lacking("reverse_rule")
+    assert not no_forward & no_reverse
+    assert no_forward == {"one_hot_encode", "pca_project"}
+    assert no_reverse == {"one_hot_decode", "aggregate_numeric", "abstract_concept"}
 
 
 def test_one_hot_group_contributions_sum():

@@ -94,7 +94,7 @@ def pca_pipeline(rng: random.Random):
 def test_pipelines_with_different_loadings_never_share_a_plan(seed):
     rng = random.Random(seed)
     first, second = pca_pipeline(rng), pca_pipeline(rng)
-    if first.steps[0].fit_state.loadings == second.steps[0].fit_state.loadings:
+    if first.steps[0].fit_state["loadings"] == second.steps[0].fit_state["loadings"]:
         reject()
     vector = vector_for(first.output_schema, [rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
     for fitted in (first, second, first, second):

@@ -1,20 +1,25 @@
-"""Fuzzed fitted documents fail cleanly: loading and running one either
-succeeds or raises ``ValidationError`` or ``KernelError``, never anything
-else."""
+"""Fuzzed documents fail cleanly: loading a fitted document, or composing
+and fitting a pipeline document, then running it and writing the result
+either succeeds or raises ``ValidationError`` or ``KernelError``, never
+anything else."""
 
 from __future__ import annotations
 
+import copy
+import io
 import json
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featurespace import demo
 from featurespace.errors import KernelError, ValidationError
-from featurespace.pipeline import load_fitted, run
-from featurespace.table import read_table_csv
+from featurespace.pipeline import fit, load_fitted, pipeline_from_doc, run
+from featurespace.table import read_table_csv, write_table_csv
 
-from _fitted_documents import NAMES, ROWS, fitted_document
+from _fitted_documents import DEMO, LEARNED_STEPS, NAMES, ROWS, fitted_document
 
 NUMBERS = st.one_of(st.integers(-10**6, 10**6), st.floats())
 VALUES = st.one_of(
@@ -69,5 +74,41 @@ def test_fuzzed_fitted_documents_fail_cleanly(documents, data):
     path.write_text(json.dumps(doc), encoding="utf-8")
     try:
         run(load_fitted(path), table)
+    except (ValidationError, KernelError):
+        pass
+
+
+FORMATS = st.one_of(st.sampled_from([".3g", ".2f", "d", "x", "%", ",", "zz", ""]),
+                    st.text(max_size=4), NUMBERS, st.none())
+
+
+@pytest.fixture(scope="module")
+def pipeline_documents():
+    docs = {name: yaml.safe_load((DEMO / f"pipeline_{name}.yaml").read_text(encoding="utf-8"))
+            for name in NAMES if name != "learned"}
+    docs["learned"] = yaml.safe_load(LEARNED_STEPS)
+    schema = demo.original_manifest()
+    return docs, schema, read_table_csv(ROWS, schema)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_pipeline_documents_fail_cleanly(pipeline_documents, data):
+    docs, schema, table = pipeline_documents
+    doc = copy.deepcopy(docs[data.draw(st.sampled_from(NAMES))])
+    step = data.draw(st.sampled_from(doc["steps"]))
+    target = data.draw(st.sampled_from(
+        ["config", "property_delta", "display_format", "config value"]))
+    if target == "display_format":
+        step["config"]["display_format"] = data.draw(FORMATS)
+    elif target == "config value":
+        key = data.draw(st.sampled_from(sorted(step["config"])))
+        step["config"][key] = _mutate(data, step["config"][key])
+    else:
+        step[target] = data.draw(VALUES)
+    try:
+        fitted = fit(pipeline_from_doc(doc, schema), table)
+        result = run(fitted, table)
+        write_table_csv(result.table, io.StringIO(), fitted.display_formats())
     except (ValidationError, KernelError):
         pass

@@ -86,8 +86,8 @@ def test_fit_standardize_matches_single_pass_oracle():
     mean = sum(values) / len(values)
     variance = sum((v - mean) ** 2 for v in values) / len(values)
     state = fitted.steps[0].fit_state
-    assert abs(state.mean - mean) <= 1e-9
-    assert abs(state.scale - variance ** 0.5) <= 1e-9
+    assert abs(state["mean"] - mean) <= 1e-9
+    assert abs(state["scale"] - variance ** 0.5) <= 1e-9
 
 
 def test_fit_without_fittable_steps_is_identity():

@@ -220,8 +220,8 @@ def test_standardize_fit_uses_population_std():
     mean = sum(values) / len(values)
     scale = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
     state = fitted.steps[0].fit_state
-    assert state.mean == pytest.approx(mean, abs=1e-9)
-    assert state.scale == pytest.approx(scale, abs=1e-9)
+    assert state["mean"] == pytest.approx(mean, abs=1e-9)
+    assert state["scale"] == pytest.approx(scale, abs=1e-9)
 
 
 def test_standardize_fit_fails_on_constant_or_empty_column():
@@ -268,9 +268,9 @@ def test_statistical_bin_fit_edges_closed_form():
                        table.schema, "to_interpretable")
     fitted = fit(pipeline, table)
     state = fitted.steps[0].fit_state
-    assert state.min == 10.0 and state.max == 40.0
+    assert state["min"] == 10.0 and state["max"] == 40.0
     expected = tuple(10.0 + i * (40.0 - 10.0) / 4 for i in range(5))
-    assert state.edges == expected
+    assert state["edges"] == expected
 
 
 def test_statistical_bin_monotone_in_label_order():
@@ -373,7 +373,7 @@ def test_impute_mean_is_fitted_not_recomputed_per_batch(tmp_path):
     fit_table = DataTable(schema, ((3000,), (MISSING,), (2000,), (2600,)))
     fitted = fit(compose([step], schema, "to_interpretable"), fit_table)
     mean = (3000 + 2000 + 2600) / 3
-    assert fitted.steps[0].fit_state.mean == mean
+    assert fitted.steps[0].fit_state["mean"] == mean
     path = tmp_path / "fitted.json"
     save_fitted(fitted, path)
     lone = DataTable(schema, ((MISSING,),))
@@ -645,7 +645,7 @@ def test_pca_full_rank_reconstruction():
     fitted = fit(pipeline, table)
     result = run(fitted, table)
     state = fitted.steps[0].fit_state
-    rebuilt = pca_reconstruct(result.table.rows, state.means, state.loadings)
+    rebuilt = pca_reconstruct(result.table.rows, state["means"], state["loadings"])
     for original, back in zip(rows, rebuilt):
         for a, b in zip(original, back):
             assert abs(a - b) <= 1e-9
