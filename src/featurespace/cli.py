@@ -24,6 +24,7 @@ from .lineage import lineage_to_data
 from .pipeline import (
     FittedPipeline,
     InversionRefusal,
+    Pipeline,
     as_fitted,
     fit,
     invert,
@@ -50,15 +51,12 @@ def _require_files(*paths) -> None:
             raise ValidationError(f"no such file: {path}")
 
 
-def _load_any_pipeline(path: str, data: str | None, do_fit: bool) -> FittedPipeline:
+def _load_any_pipeline(path: str, to_fit: bool = False) -> FittedPipeline | Pipeline:
+    """The document at ``path`` as a fitted pipeline; a pipeline document is
+    returned unfitted when ``to_fit`` is set, for the caller to fit."""
     pipeline = load_document(path)
-    if isinstance(pipeline, FittedPipeline):
+    if isinstance(pipeline, FittedPipeline) or to_fit:
         return pipeline
-    if do_fit:
-        if data is None:
-            raise ValidationError("--fit requires --data")
-        table = read_table_csv(data, pipeline.input_schema)
-        return fit(pipeline, table)
     return as_fitted(pipeline)
 
 
@@ -74,8 +72,9 @@ def cmd_fit(args) -> int:
 
 def cmd_transform(args) -> int:
     _require_files(args.pipeline, args.data)
-    fitted = _load_any_pipeline(args.pipeline, args.data, args.fit)
-    table = read_table_csv(args.data, fitted.input_schema)
+    pipeline = _load_any_pipeline(args.pipeline, args.fit)
+    table = read_table_csv(args.data, pipeline.input_schema)
+    fitted = pipeline if isinstance(pipeline, FittedPipeline) else fit(pipeline, table)
     result = run(fitted, table)
     write_table_csv(result.table, args.out, fitted.display_formats())
     print(f"transformed {result.table.num_rows} rows -> {args.out}")
@@ -93,7 +92,7 @@ def cmd_transform(args) -> int:
 
 def cmd_invert(args) -> int:
     _require_files(args.pipeline)
-    result = invert(_load_any_pipeline(args.pipeline, None, False))
+    result = invert(_load_any_pipeline(args.pipeline))
     if isinstance(result, InversionRefusal):
         print(result.message, file=sys.stderr)
         return EXIT_REFUSAL
@@ -104,7 +103,7 @@ def cmd_invert(args) -> int:
 
 def cmd_explain_map(args) -> int:
     _require_files(args.pipeline, args.contribs)
-    fitted = _load_any_pipeline(args.pipeline, None, False)
+    fitted = _load_any_pipeline(args.pipeline)
     model_side = (fitted.input_schema if fitted.direction == "to_interpretable"
                   else fitted.output_schema)
     vectors = read_contributions(args.contribs, model_side)
@@ -223,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "model-ready and interpretable feature spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="fit a pipeline's data-dependent parameters")
+    p = sub.add_parser("fit", help="fit a pipeline's data-dependent parameters; rows "
+                                   "flow only through the steps up to the last one "
+                                   "that learns")
     p.add_argument("--pipeline", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)

@@ -30,13 +30,39 @@ _TARGET_SPACE = {"to_model_ready": "model_ready", "to_interpretable": "interpret
 class FittedStep:
     """One step with its fit state (the kernel's learned parameters, by name),
     resolved input/output schemas, and the names of the features it produces,
-    in the kernel's order."""
+    in the kernel's order.
+
+    ``sources`` and ``unchecked`` are the step's column plan, fixed by the
+    schemas: output column ``i`` is entry ``sources[i]`` of the input columns
+    followed by the produced columns, and the output positions in
+    ``unchecked`` are validated: the produced columns, and the pass-through
+    columns whose dtype or categories change.
+    """
 
     step: TransformStep
     fit_state: Mapping[str, Any] | None
     input_schema: SchemaManifest
     output_schema: SchemaManifest
     produced: tuple[str, ...]
+    sources: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    unchecked: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        width = len(self.input_schema.features)
+        made = {name: width + k for k, name in enumerate(self.produced)}
+        sources, unchecked = [], []
+        for i, spec in enumerate(self.output_schema.features):
+            if spec.name in made:
+                sources.append(made[spec.name])
+                unchecked.append(i)
+                continue
+            j = self.input_schema.index(spec.name)
+            before = self.input_schema.features[j]
+            sources.append(j)
+            if before.dtype != spec.dtype or before.categories != spec.categories:
+                unchecked.append(i)
+        object.__setattr__(self, "sources", tuple(sources))
+        object.__setattr__(self, "unchecked", tuple(unchecked))
 
     def signature(self):
         """Step identity with fit parameters folded in.
@@ -173,13 +199,19 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
            fit_table: DataTable | None = None,
            require_params: bool = False,
            series_store: Mapping[str, Sequence[float]] | None = None):
-    """Shared schema-flow planner for compose / fit / as_fitted / load_fitted."""
+    """Shared schema-flow planner for compose / fit / as_fitted / load_fitted.
+
+    With a fit table, a step is applied to it only when a later step needs
+    fitting, just before that step's ``fit``; the steps after the last one
+    that learns never see the fit rows.
+    """
     if direction not in DIRECTIONS:
         raise ValidationError(f"unknown pipeline direction {direction!r}")
     normalized: list[TransformStep] = []
     fitted: list[FittedStep] = []
     schema = input_schema
     table = fit_table
+    pending: list[tuple[Kernel, FittedStep, int]] = []  # not yet applied to table
     states = list(fit_states) if fit_states is not None else [None] * len(steps)
     if len(states) != len(steps):
         raise ValidationError("fit state count does not match step count")
@@ -197,6 +229,9 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
         norm = TransformStep(step.kind, cfg, step.property_delta)
         if kernel.requires_fit(cfg) and state is None:
             if table is not None:
+                for args in pending:
+                    table, _ = _apply_step(*args, table, series_store)
+                pending.clear()
                 try:
                     state = kernel.fit(table, cfg)
                 except KernelError as exc:
@@ -209,7 +244,7 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
         out_schema, produced = _plan_step(kernel, norm, schema, state, number, final_space)
         fstep = FittedStep(norm, state, schema, out_schema, produced)
         if table is not None:
-            table, _ = _apply_step(kernel, fstep, table, number, series_store)
+            pending.append((kernel, fstep, number))
         fitted.append(fstep)
         normalized.append(norm)
         schema = out_schema
@@ -230,7 +265,13 @@ def compose(steps: Sequence[TransformStep], input_schema: SchemaManifest,
 
 def fit(pipeline: Pipeline, table: DataTable,
         series_store: Mapping[str, Sequence[float]] | None = None) -> FittedPipeline:
-    """Populate every data-dependent step by flowing the table through."""
+    """Populate every data-dependent step, fitting each on the table as the
+    steps before it transform it.
+
+    The table flows only as far as the last step that learns: the steps after
+    it are not applied, so rows that only they would reject pass ``fit`` and
+    are rejected by ``run``.
+    """
     _check_table_matches(table, pipeline.input_schema)
     _, fitted, output_schema = _build(pipeline.steps, pipeline.input_schema,
                                       pipeline.direction, None, fit_table=table,
@@ -270,18 +311,23 @@ def _check_table_matches(table: DataTable, schema: SchemaManifest) -> None:
                 f"column {want.name!r}: categories do not match the pipeline input schema")
 
 
-def _apply_step(kernel: Kernel, fstep: FittedStep, table: DataTable, number: int,
+def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable,
                 series_store: Mapping[str, Sequence[float]] | None):
     """Next table and the step's column lineage. Only the produced columns
-    are computed; every other column is carried over by reference."""
+    are computed; every other column is carried over by reference, and only
+    the columns in the step's ``unchecked`` plan are validated."""
     try:
         columns, lineage = kernel.apply(table, fstep.step.config, fstep.fit_state,
                                         RunContext(number, series_store))
     except KernelError as exc:
         raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
                           row_index=exc.row_index, step_number=number) from None
-    produced = dict(zip(fstep.produced, columns, strict=True))
-    return table.with_columns(fstep.output_schema, produced), lineage
+    if len(columns) != len(fstep.produced):
+        raise ValueError(f"step {number} ({fstep.step.kind}): kernel returned "
+                         f"{len(columns)} columns for {len(fstep.produced)} features")
+    pool = (*table.columns, *columns)
+    return DataTable.from_columns(fstep.output_schema, [pool[s] for s in fstep.sources],
+                                  table.num_rows, fstep.unchecked), lineage
 
 
 def run(fitted: FittedPipeline, table: DataTable,
@@ -293,7 +339,7 @@ def run(fitted: FittedPipeline, table: DataTable,
     current = table
     for number, fstep in enumerate(fitted.steps, 1):
         kernel = kernel_for(fstep.step.kind)
-        current, columns = _apply_step(kernel, fstep, current, number, series_store)
+        current, columns = _apply_step(kernel, fstep, number, current, series_store)
         lineage.append((table.num_rows, columns))
         if kernel.invertible in ("lossy", "none"):
             notes.append(f"step {number} ({fstep.step.kind}): lossy transform; "
@@ -355,10 +401,12 @@ def _steps_from_data(data: Any) -> list[TransformStep]:
         if not isinstance(config, Mapping):
             raise ValidationError(f"pipeline document: steps[{i}] config must be a mapping")
         delta = item.get("property_delta") or {}
-        if not isinstance(delta, Mapping) or \
-                not all(isinstance(flags, Mapping) for flags in delta.values()):
+        if not isinstance(delta, Mapping) or not all(
+                isinstance(flags, Mapping) and all(isinstance(v, bool) for v in flags.values())
+                for flags in delta.values()):
             raise ValidationError(f"pipeline document: steps[{i}] property_delta must map "
-                                  "feature names to mappings of property flags")
+                                  "feature names to mappings of property flags to "
+                                  "true or false")
         steps.append(TransformStep(str(item["kind"]), dict(config), dict(delta)))
     return steps
 

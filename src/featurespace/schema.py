@@ -339,7 +339,3 @@ def manifest_to_data(manifest: SchemaManifest) -> dict[str, Any]:
 def serialize_manifest(manifest: SchemaManifest) -> str:
     return yaml.safe_dump(manifest_to_data(manifest), sort_keys=False,
                           allow_unicode=True, default_flow_style=False)
-
-
-def save_manifest(manifest: SchemaManifest, path: str | Path) -> None:
-    Path(path).write_text(serialize_manifest(manifest), encoding="utf-8")

@@ -40,10 +40,6 @@ _NUMERIC_TYPES = frozenset({int, float, _MissingType})
 _BOOLEAN_TYPES = frozenset({bool, _MissingType})
 
 
-def is_missing(cell) -> bool:
-    return cell is MISSING
-
-
 def check_cell(cell, spec: FeatureSpec) -> None:
     """Raise unless the cell conforms to the feature's dtype (or is MISSING)."""
     if cell is MISSING:
@@ -90,10 +86,10 @@ class DataTable:
 
     Cells are stored as one list per feature, in schema order (``columns``).
     ``DataTable(schema, rows)`` builds from row sequences and validates every
-    cell; ``from_columns`` and ``with_columns`` build from column lists and
-    validate only the columns not already known to be valid. Column lists
-    may be shared between tables and must never be mutated. ``rows`` is
-    derived on first use.
+    cell; ``from_columns`` builds from column lists and validates only the
+    columns it is told are not already known to be valid. Column lists may be
+    shared between tables and must never be mutated. ``rows`` is derived on
+    first use.
     """
 
     def __init__(self, schema: SchemaManifest, rows: Iterable[Sequence]):
@@ -116,30 +112,6 @@ class DataTable:
         table._set(schema, columns, num_rows)
         table.__post_init__(range(len(columns)) if unchecked is None else unchecked)
         return table
-
-    def with_columns(self, schema: SchemaManifest,
-                     produced: Mapping[str, list]) -> DataTable:
-        """Table over ``schema`` taking each column from ``produced`` by name,
-        else from this table by reference.
-
-        A column is revalidated unless it is the very list this table holds
-        under the same name, with the same dtype and categories.
-        """
-        columns, unchecked = [], []
-        for i, spec in enumerate(schema.features):
-            column = produced.get(spec.name)
-            trusted = False
-            if spec.name in self.schema:
-                j = self.schema.index(spec.name)
-                before = self.schema.features[j]
-                if column is None:
-                    column = self.columns[j]
-                trusted = (column is self.columns[j] and before.dtype == spec.dtype
-                           and before.categories == spec.categories)
-            columns.append(column)
-            if not trusted:
-                unchecked.append(i)
-        return DataTable.from_columns(schema, columns, self.num_rows, unchecked)
 
     def _set(self, schema: SchemaManifest, columns: Sequence[list], num_rows: int) -> None:
         object.__setattr__(self, "schema", schema)
@@ -180,9 +152,6 @@ class DataTable:
             return NotImplemented
         return (self.schema == other.schema and self.num_rows == other.num_rows
                 and self.columns == other.columns)
-
-    def __hash__(self):
-        return hash((self.schema, self.rows))
 
     def __repr__(self):
         return f"DataTable({len(self.columns)} columns x {self.num_rows} rows)"

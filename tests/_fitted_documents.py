@@ -42,14 +42,19 @@ steps:
 """
 
 
+def pipeline_path(name: str, workdir: Path) -> Path:
+    """The pipeline document of ``name``; ``learned`` is written to ``workdir``."""
+    if name != "learned":
+        return DEMO / f"pipeline_{name}.yaml"
+    path = workdir / "learned.yaml"
+    manifest = json.dumps(str(DEMO / "covertype_original.yaml"))
+    path.write_text(f"input_manifest: {manifest}\n{LEARNED_STEPS}", encoding="utf-8")
+    return path
+
+
 def fitted_document(name: str, workdir: Path) -> dict:
     """Pipeline ``name`` fitted on the 300 rows, as ``featurespace fit`` writes it."""
-    path = DEMO / f"pipeline_{name}.yaml"
-    if name == "learned":
-        path = workdir / "learned.yaml"
-        manifest = json.dumps(str(DEMO / "covertype_original.yaml"))
-        path.write_text(f"input_manifest: {manifest}\n{LEARNED_STEPS}", encoding="utf-8")
-    pipeline = load_pipeline(path)
+    pipeline = load_pipeline(pipeline_path(name, workdir))
     out = workdir / f"{name}.fitted.json"
     save_fitted(fit(pipeline, read_table_csv(ROWS, pipeline.input_schema)), out)
     return json.loads(out.read_text(encoding="utf-8"))

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from featurespace import cli
 from featurespace.cli import main
 from featurespace.pipeline import load_fitted
+from featurespace.table import read_table_csv
 
 from _fitted_documents import ROWS, fitted_document, step_of
 
@@ -247,6 +249,59 @@ def _delta_entry_not_a_mapping(step):
 def test_malformed_step_exits_1(workspace, capsys, document, corrupt, field):
     path = _corrupted_document(workspace, document, corrupt)
     _transform_fails_cleanly(workspace, capsys, path, "steps[1]", field)
+
+
+@pytest.mark.parametrize("document", ["pipeline", "fitted"])
+@pytest.mark.parametrize("value", ["false", "no", 1, None])
+def test_non_boolean_property_flag_exits_1(workspace, capsys, document, value):
+    def corrupt(step):
+        step["property_delta"] = {"Elevation": {"meaningful": value}}
+
+    path = _corrupted_document(workspace, document, corrupt)
+    _transform_fails_cleanly(workspace, capsys, path, "steps[1]", "property_delta")
+
+
+LEARN_THEN_BIN = """
+input_manifest: original.yaml
+direction: to_model_ready
+steps:
+  - kind: statistical_bin
+    config: {feature: Elevation, bins: 2, target: Elevation Range, keep_original: true}
+  - kind: statistical_bin
+    config: {feature: Elevation, bins: 2, min: 2000, max: 3150, target: Elevation Band}
+"""
+
+
+def test_fit_stops_at_the_last_learning_step(workspace, capsys):
+    """Row 0 (Elevation 3179) is outside the configured bins of step 2, which
+    follows the last learning step: fit never applies step 2, run does."""
+    (workspace / "learn_then_bin.yaml").write_text(LEARN_THEN_BIN, encoding="utf-8")
+    fitted_path = workspace / "learn_then_bin.fitted.json"
+    assert main(["fit", "--pipeline", str(workspace / "learn_then_bin.yaml"),
+                 "--data", str(workspace / "data.csv"), "--out", str(fitted_path)]) == 0
+    capsys.readouterr()
+    code = main(["transform", "--pipeline", str(fitted_path),
+                 "--data", str(workspace / "data.csv"),
+                 "--out", str(workspace / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "step 2 (statistical_bin)" in err
+    assert "row 0" in err
+    assert "Traceback" not in err
+
+
+def test_transform_fit_reads_the_data_once(workspace, monkeypatch):
+    paths = []
+
+    def counting(source, schema):
+        paths.append(source)
+        return read_table_csv(source, schema)
+
+    monkeypatch.setattr(cli, "read_table_csv", counting)
+    assert main(["transform", "--fit", "--pipeline", str(workspace / "pipeline.yaml"),
+                 "--data", str(workspace / "data.csv"),
+                 "--out", str(workspace / "out.csv")]) == 0
+    assert paths == [str(workspace / "data.csv")]
 
 
 @pytest.mark.parametrize("document", ["pipeline", "fitted"])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from featurespace import demo
 from featurespace.errors import KernelError, ValidationError
 from featurespace.pipeline import fit, load_fitted, pipeline_from_doc, run
+from featurespace.properties import PROPERTY_NAMES
 from featurespace.table import read_table_csv, write_table_csv
 
 from _fitted_documents import DEMO, LEARNED_STEPS, NAMES, ROWS, fitted_document
@@ -88,18 +89,34 @@ def pipeline_documents():
             for name in NAMES if name != "learned"}
     docs["learned"] = yaml.safe_load(LEARNED_STEPS)
     schema = demo.original_manifest()
-    return docs, schema, read_table_csv(ROWS, schema)
+    table = read_table_csv(ROWS, schema)
+    produced = {name: [fstep.produced for fstep in
+                       fit(pipeline_from_doc(doc, schema), table).steps]
+                for name, doc in docs.items()}
+    return docs, produced, schema, table
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_fuzzed_pipeline_documents_fail_cleanly(pipeline_documents, data):
-    docs, schema, table = pipeline_documents
-    doc = copy.deepcopy(docs[data.draw(st.sampled_from(NAMES))])
-    step = data.draw(st.sampled_from(doc["steps"]))
+    """Also: a property flag set to anything but true or false is rejected
+    with the step named, never read as its truth value."""
+    docs, produced, schema, table = pipeline_documents
+    name = data.draw(st.sampled_from(NAMES))
+    doc = copy.deepcopy(docs[name])
+    i = data.draw(st.integers(0, len(doc["steps"]) - 1))
+    step = doc["steps"][i]
     target = data.draw(st.sampled_from(
-        ["config", "property_delta", "display_format", "config value"]))
-    if target == "display_format":
+        ["config", "property_delta", "display_format", "config value", "property flag"]))
+    if target == "property flag":
+        value = data.draw(st.one_of(st.booleans(), VALUES))
+        feature = data.draw(st.sampled_from(produced[name][i]))
+        step["property_delta"] = {feature: {data.draw(st.sampled_from(PROPERTY_NAMES)): value}}
+        if not isinstance(value, bool):
+            with pytest.raises(ValidationError, match=rf"steps\[{i}\] property_delta"):
+                pipeline_from_doc(doc, schema)
+            return
+    elif target == "display_format":
         step["config"]["display_format"] = data.draw(FORMATS)
     elif target == "config value":
         key = data.draw(st.sampled_from(sorted(step["config"])))

@@ -21,7 +21,7 @@ from featurespace.pipeline import (
 )
 from featurespace.schema import FeatureSpec, SchemaManifest, serialize_manifest
 from featurespace.table import MISSING, DataTable, tables_equal
-from featurespace.transforms import TransformStep
+from featurespace.transforms import Standardize, TransformStep
 
 from _generators import BASE_PROPS, random_exact_pipeline, random_schema, random_table
 
@@ -123,6 +123,24 @@ def test_run_wraps_kernel_errors_with_step_and_row():
     assert err.value.step_number == 1
     assert err.value.row_index == 1
     assert "step 1 (statistical_bin)" in str(err.value)
+
+
+def test_run_rejects_a_wrong_typed_produced_cell(monkeypatch):
+    schema = SchemaManifest(features=(
+        FeatureSpec("x", "numeric", properties=BASE_PROPS),))
+    step = TransformStep("standardize", {"feature": "x", "mean": 0.0, "scale": 1.0,
+                                         "target": "z"})
+    fitted = as_fitted(compose([step], schema, "to_model_ready"))
+    apply = Standardize.apply
+
+    def corrupt(self, table, cfg, fit_state, ctx):
+        columns, lineage = apply(self, table, cfg, fit_state, ctx)
+        return [[columns[0][0], "oops", *columns[0][2:]]], lineage
+
+    monkeypatch.setattr(Standardize, "apply", corrupt)
+    table = DataTable(schema, ((1.0,), (2.0,), (3.0,)))
+    with pytest.raises(ValidationError, match="row 1: feature 'z': expected number, got 'oops'"):
+        run(fitted, table)
 
 
 def test_invert_reverses_step_order():

@@ -16,6 +16,12 @@ that each row passes the relative 1e-9 conservation check. The
 sidecars were written by ``featurespace explain-map`` through each demo
 pipeline fitted on ``covertype_300.csv``, with the per-vector dict walk that
 preceded the compiled mapping plan.
+
+``covertype_300_{name}.fitted.json`` hold ``featurespace fit`` of both demo
+pipelines and of the ``learned`` pipeline in ``_fitted_documents.py`` on
+``covertype_300.csv``, written while ``fit`` still applied every step to the
+fit rows: stopping after the last step that learns must not change what is
+learned.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import pytest
 from featurespace import demo
 from featurespace.cli import main
 from featurespace.pipeline import load_pipeline
+
+from _fitted_documents import NAMES, ROWS, pipeline_path
 
 DATA = Path(__file__).parent / "data"
 DEMO = Path(demo.__file__).parent
@@ -49,6 +57,14 @@ def test_demo_transform_is_byte_identical(tmp_path, name):
     if name == "interpretable":
         expected = DATA / "covertype_300_interpretable_lineage.json"
         assert lineage.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fitted_document_is_byte_identical(tmp_path, name):
+    out = tmp_path / "fitted.json"
+    assert main(["fit", "--pipeline", str(pipeline_path(name, tmp_path)),
+                 "--data", str(ROWS), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"covertype_300_{name}.fitted.json").read_bytes()
 
 
 def contribution_csv(seed: int, names: tuple[str, ...], n_rows: int = 300) -> str:
