@@ -19,11 +19,16 @@ from .lineage import Lineage
 from .properties import PropertySet, implication_closure
 from .schema import SchemaManifest, load_manifest, manifest_from_data, manifest_to_data
 from .table import DataTable
-from .transforms import Kernel, RunContext, TransformStep, kernel_for
+from .transforms import Kernel, TransformStep, kernel_for
 
 DIRECTIONS = ("to_model_ready", "to_interpretable")
 _FLIP = {"to_model_ready": "to_interpretable", "to_interpretable": "to_model_ready"}
 _TARGET_SPACE = {"to_model_ready": "model_ready", "to_interpretable": "interpretable"}
+
+
+def _with_fit_state(config: Mapping[str, Any],
+                    fit_state: Mapping[str, Any] | None) -> dict[str, Any]:
+    return {**config, **fit_state} if fit_state else dict(config)
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,10 @@ class FittedStep:
     """One step with its fit state (the kernel's learned parameters, by name),
     resolved input/output schemas, and the names of the features it produces,
     in the kernel's order.
+
+    ``config`` is what the kernel reads: the step's normalized config with
+    the fit state's values filled in. ``save_fitted`` writes ``step.config``
+    and ``fit_state`` apart.
 
     ``sources`` and ``unchecked`` are the step's column plan, fixed by the
     schemas: output column ``i`` is entry ``sources[i]`` of the input columns
@@ -44,10 +53,12 @@ class FittedStep:
     input_schema: SchemaManifest
     output_schema: SchemaManifest
     produced: tuple[str, ...]
+    config: dict[str, Any] = field(init=False, repr=False, compare=False)
     sources: tuple[int, ...] = field(init=False, repr=False, compare=False)
     unchecked: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "config", _with_fit_state(self.step.config, self.fit_state))
         width = len(self.input_schema.features)
         made = {name: width + k for k, name in enumerate(self.produced)}
         sources, unchecked = [], []
@@ -70,8 +81,7 @@ class FittedStep:
         Presentation-only keys (display_format) are excluded so that inversion
         round-trips compare equal.
         """
-        cfg = kernel_for(self.step.kind).resolved_config(self.step.config, self.fit_state)
-        cfg = {k: v for k, v in cfg.items() if k != "display_format"}
+        cfg = {k: v for k, v in self.config.items() if k != "display_format"}
         return (self.step.kind, _to_plain(cfg), _to_plain(self.step.property_delta))
 
 
@@ -102,8 +112,7 @@ class FittedPipeline:
         for fstep in self.steps:
             surviving = set(fstep.output_schema.names)
             formats = {k: v for k, v in formats.items() if k in surviving}
-            cfg = fstep.step.config
-            fmt = cfg.get("display_format")
+            fmt = fstep.config.get("display_format")
             if fmt:
                 for name in fstep.produced:
                     formats[name] = fmt
@@ -143,13 +152,9 @@ def _final_properties(delta: Mapping[str, bool], out_spec,
                       extra_implications) -> PropertySet:
     flags = out_spec.properties.flags()
     flags.update(delta)
-    explicit = {str(k): bool(v) for k, v in overrides.items()}
-    bad = sorted(set(explicit) - set(flags))
-    if bad:
-        raise ValidationError(f"property_delta references unknown flags: {bad}")
-    flags.update(explicit)
+    flags.update(overrides)
     closed = implication_closure(PropertySet(**flags), extra_implications)
-    for name, value in explicit.items():
+    for name, value in overrides.items():
         if value is False and closed.has(name):
             raise ValidationError(
                 f"property override {name}=false on {out_spec.name!r} violates an "
@@ -157,20 +162,20 @@ def _final_properties(delta: Mapping[str, bool], out_spec,
     return closed
 
 
-def _plan_step(kernel: Kernel, step: TransformStep, schema: SchemaManifest,
-               fit_state: Mapping[str, Any] | None, step_number: int,
+def _plan_step(kernel: Kernel, step: TransformStep, cfg: Mapping[str, Any],
+               schema: SchemaManifest, step_number: int,
                final_space: str | None) -> tuple[SchemaManifest, tuple[str, ...]]:
     """Output schema of one step and the names it produces."""
-    plan = kernel.plan(schema, step.config, fit_state)
-    produced = tuple(plan.produced)
-    stray = sorted(set(step.property_delta) - set(plan.produced))
+    plan = kernel.plan(schema, cfg)
+    produced = plan.produced
+    stray = sorted(set(step.property_delta) - set(produced))
     if stray:
         raise ValidationError(
             f"step {step_number} ({step.kind}): property_delta names features "
             f"this step does not produce: {stray}")
     specs = []
     for spec in plan.features:
-        if spec.name in plan.produced:
+        if spec.name in produced:
             final = _final_properties(kernel.delta_for(spec), spec,
                                       step.property_delta.get(spec.name, {}),
                                       schema.extra_implications)
@@ -239,9 +244,10 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
                                       row_index=exc.row_index, step_number=number) from None
             elif require_params:
                 raise ValidationError(
-                    f"step {number} ({step.kind}): requires fitting; provide data")
+                    f"step {number} ({step.kind}): requires fitting; call fit() with data")
         final_space = _TARGET_SPACE[direction] if i == last else None
-        out_schema, produced = _plan_step(kernel, norm, schema, state, number, final_space)
+        out_schema, produced = _plan_step(kernel, norm, _with_fit_state(cfg, state), schema,
+                                          number, final_space)
         fstep = FittedStep(norm, state, schema, out_schema, produced)
         if table is not None:
             pending.append((kernel, fstep, number))
@@ -282,11 +288,6 @@ def fit(pipeline: Pipeline, table: DataTable,
 
 def as_fitted(pipeline: Pipeline) -> FittedPipeline:
     """Treat a parameter-complete pipeline as fitted without seeing data."""
-    for i, step in enumerate(pipeline.steps):
-        kernel = kernel_for(step.kind)
-        if kernel.requires_fit(step.config):
-            raise ValidationError(
-                f"step {i + 1} ({step.kind}) requires fitting; call fit() with data")
     _, fitted, output_schema = _build(pipeline.steps, pipeline.input_schema,
                                       pipeline.direction, None, require_params=True)
     return FittedPipeline(fitted, pipeline.input_schema, pipeline.direction,
@@ -317,8 +318,7 @@ def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable
     are computed; every other column is carried over by reference, and only
     the columns in the step's ``unchecked`` plan are validated."""
     try:
-        columns, lineage = kernel.apply(table, fstep.step.config, fstep.fit_state,
-                                        RunContext(number, series_store))
+        columns, lineage = kernel.apply(table, fstep.config, series_store)
     except KernelError as exc:
         raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
                           row_index=exc.row_index, step_number=number) from None
@@ -362,8 +362,7 @@ def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
     if non_exact:
         return InversionRefusal(non_invertible=non_exact)
     inverse_raw = [
-        kernel_for(fstep.step.kind).inverse(fstep.step.config, fstep.fit_state,
-                                            fstep.input_schema)
+        kernel_for(fstep.step.kind).inverse(fstep.config, fstep.input_schema)
         for fstep in reversed(fitted.steps)
     ]
     direction = _FLIP[fitted.direction]
@@ -400,14 +399,11 @@ def _steps_from_data(data: Any) -> list[TransformStep]:
         config = item.get("config") or {}
         if not isinstance(config, Mapping):
             raise ValidationError(f"pipeline document: steps[{i}] config must be a mapping")
-        delta = item.get("property_delta") or {}
-        if not isinstance(delta, Mapping) or not all(
-                isinstance(flags, Mapping) and all(isinstance(v, bool) for v in flags.values())
-                for flags in delta.values()):
-            raise ValidationError(f"pipeline document: steps[{i}] property_delta must map "
-                                  "feature names to mappings of property flags to "
-                                  "true or false")
-        steps.append(TransformStep(str(item["kind"]), dict(config), dict(delta)))
+        try:
+            steps.append(TransformStep(str(item["kind"]), config,
+                                       item.get("property_delta") or {}))
+        except ValidationError as exc:
+            raise ValidationError(f"pipeline document: steps[{i}] {exc}") from None
     return steps
 
 

@@ -11,7 +11,7 @@ import yaml
 
 from .errors import ValidationError
 from .properties import PROPERTY_NAMES, PropertySet, implication_closure
-from .schema import FeatureSpec, SchemaManifest
+from .schema import FeatureSpec, SchemaManifest, document_bool
 
 PERSONA_KINDS = ("developer", "theorist", "ethicist", "decision_maker", "impacted_user")
 
@@ -111,7 +111,7 @@ def load_persona(name_or_path: str | Path) -> Persona:
         str(doc["kind"]),
         required=doc.get("required"),
         avoid=doc.get("avoid"),
-        require_all=bool(doc.get("require_all", True)),
+        require_all=document_bool(doc.get("require_all", True), f"{path}: require_all"),
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -179,6 +180,40 @@ _RAW_SOURCE_KEYS = {"series_id", "window"}
 _DERIVED_KEYS = {"inputs", "formula"}
 
 
+def document_bool(value: Any, where: str) -> bool:
+    """A document's boolean, which must be ``true`` or ``false`` as written."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def document_int(value: Any, where: str) -> int:
+    """A document's integer; a float or a boolean is not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def document_number(value: Any, where: str) -> float:
+    """A document's finite number, as a float; a boolean or a string is not
+    coerced."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(f"{where} must be a finite number, got {value!r}")
+
+
+def document_window(value: Any, where: str) -> tuple[int, int]:
+    """A document's ``[start, stop]`` pair of integers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValidationError(f"{where} must be [start, stop], got {value!r}")
+    return document_int(value[0], where), document_int(value[1], where)
+
+
 def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], where: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
@@ -192,7 +227,7 @@ def _parse_properties(data: Any, where: str) -> PropertySet:
         return PropertySet.from_names(data)
     if isinstance(data, Mapping):
         _reject_unknown(data, set(PROPERTY_NAMES), where)
-        return PropertySet(**{k: bool(v) for k, v in data.items()})
+        return PropertySet(**{k: document_bool(v, f"{where}: {k}") for k, v in data.items()})
     raise ValidationError(f"{where}: properties must be a mapping or a list of flag names")
 
 
@@ -225,7 +260,8 @@ def _parse_feature(data: Any, position: int) -> FeatureSpec:
         _reject_unknown(rs, _RAW_SOURCE_KEYS, f"{where}.raw_source")
         if "series_id" not in rs or "window" not in rs:
             raise ValidationError(f"{where}: raw_source needs series_id and window")
-        raw_source = RawSource(series_id=str(rs["series_id"]), window=tuple(rs["window"]))
+        raw_source = RawSource(series_id=str(rs["series_id"]),
+                               window=document_window(rs["window"], f"{where}.raw_source: window"))
     derived = None
     if data.get("derived_from") is not None:
         df = data["derived_from"]
@@ -247,7 +283,7 @@ def _parse_feature(data: Any, position: int) -> FeatureSpec:
         properties=_parse_properties(data.get("properties"), f"{where}.properties"),
         raw_source=raw_source,
         derived_from=derived,
-        observed=bool(data.get("observed", False)),
+        observed=document_bool(data.get("observed", False), f"{where}: observed"),
     )
 
 

@@ -4,9 +4,13 @@ Each transform kind is one ``Kernel`` subclass, and everything the package
 knows about the kind lives on it: the config it accepts, what it does to the
 properties of the features it produces, which parameters ``fit`` learns, the
 output-schema plan, the column computation, the inverse, and how additive
-contributions cross a step of the kind. A kernel computes
-only the columns it produces; the pipeline carries every other column over by
-reference.
+contributions cross a step of the kind. ``plan``, ``apply``, ``inverse`` and
+the contribution rules read one config: a fitted step's ``config``, the
+configured values with the learned ones filled in. A kernel computes only the
+columns it produces; the pipeline carries every other column over by
+reference. The seven kinds that derive one feature from one share
+``_OneToOne``'s ``plan`` and ``apply``, and give only the produced spec's
+fields and cells.
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ import numpy as np
 from .errors import KernelError, ValidationError
 from .expressions import evaluate, expression_names, parse_expression
 from .lineage import ColumnLineage, Computed, Imputed, RawLinked
-from .properties import PropertySet
+from .properties import PROPERTY_NAMES, PropertySet
 from .schema import (
     DerivedFrom,
     FeatureSpec,
     SchemaManifest,
-    Wording,
+    document_bool,
+    document_int,
+    document_number,
+    document_window,
     parse_wording_data,
     wording_to_data,
 )
@@ -40,7 +47,8 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class TransformStep:
     """A configured transform: kind, kind-specific config, and optional
-    per-output-feature property overrides."""
+    per-output-feature property overrides, each a known flag set to a
+    boolean."""
 
     kind: str
     config: Mapping[str, Any] = field(default_factory=dict)
@@ -48,23 +56,29 @@ class TransformStep:
 
     def __post_init__(self):
         object.__setattr__(self, "config", dict(self.config))
+        delta = self.property_delta
+        if not isinstance(delta, Mapping) or \
+                not all(isinstance(flags, Mapping) for flags in delta.values()):
+            raise ValidationError("property_delta must map feature names to mappings of "
+                                  "property flags to true or false")
+        for feature, flags in delta.items():
+            unknown = sorted(set(flags) - set(PROPERTY_NAMES))
+            if unknown:
+                raise ValidationError(f"property_delta references unknown flags: {unknown}")
+            for flag, value in flags.items():
+                document_bool(value, f"property_delta {feature!r}: {flag}")
         object.__setattr__(self, "property_delta",
-                           {str(k): dict(v) for k, v in dict(self.property_delta).items()})
+                           {str(k): dict(v) for k, v in delta.items()})
 
 
 @dataclass(frozen=True)
 class PlanResult:
-    """Static output of a kernel: the full feature list after the step, plus
-    which input features each produced feature consumed."""
+    """Static output of a kernel: the full feature list after the step, and
+    the names of the features it produces, in the order ``apply`` returns
+    their columns. Each produced spec's ``derived_from`` names its inputs."""
 
     features: tuple[FeatureSpec, ...]
-    produced: dict[str, tuple[str, ...]]
-
-
-@dataclass(frozen=True)
-class RunContext:
-    step_number: int
-    series_store: Mapping[str, Sequence[float]] | None = None
+    produced: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +97,7 @@ def _req(cfg: Mapping, key: str, kind: str):
 
 
 def _number(value, kind: str, key: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValidationError(f"{kind}: {key} must be a finite number, got {value!r}")
-    return number
+    return document_number(value, f"{kind}: {key}")
 
 
 def _numbers(values, kind: str, key: str) -> tuple[float, ...]:
@@ -175,6 +186,8 @@ def _restore_from_data(data: Mapping[str, Any], kind: str) -> dict[str, Any]:
         raise ValidationError(f"{kind}: restore must be a mapping")
     _check_keys(data, _STRUCTURAL_KEYS, f"{kind}.restore")
     out = dict(data)
+    if "observed" in out:
+        document_bool(out["observed"], f"{kind}.restore: observed")
     if "categories" in out and out["categories"] is not None:
         out["categories"] = [str(c) for c in out["categories"]]
     if "wording" in out and out["wording"] is not None:
@@ -183,21 +196,24 @@ def _restore_from_data(data: Mapping[str, Any], kind: str) -> dict[str, Any]:
     return out
 
 
+def _structural_fields(restore: Mapping[str, Any]) -> dict[str, Any]:
+    """The ``FeatureSpec`` fields that ``restore`` (``structural_data``) holds."""
+    categories = restore.get("categories")
+    return {
+        "dtype": restore["dtype"],
+        "description": restore.get("description", ""),
+        "unit": restore.get("unit"),
+        "categories": None if categories is None else tuple(categories),
+        "wording": parse_wording_data(restore.get("wording")),
+        "observed": restore.get("observed", False),
+    }
+
+
 def spec_from_structural(name: str, data: Mapping[str, Any],
                          derived_from: DerivedFrom | None,
                          properties: PropertySet) -> FeatureSpec:
-    categories = data.get("categories")
-    return FeatureSpec(
-        name=name,
-        dtype=data["dtype"],
-        description=data.get("description", ""),
-        unit=data.get("unit"),
-        categories=None if categories is None else tuple(categories),
-        wording=parse_wording_data(data.get("wording")),
-        properties=properties,
-        derived_from=derived_from,
-        observed=bool(data.get("observed", False)),
-    )
+    return FeatureSpec(name=name, properties=properties, derived_from=derived_from,
+                       **_structural_fields(data))
 
 
 def _base_properties(schema: SchemaManifest, inputs: Sequence[str]) -> PropertySet:
@@ -223,7 +239,7 @@ def _replace_features(schema: SchemaManifest, remove: Sequence[str],
 def _target(cfg: Mapping, feature: str, schema: SchemaManifest, kind: str) -> tuple[str, bool]:
     """Output name and ``keep_original`` of a step that derives one feature
     from ``feature``."""
-    keep = bool(cfg.get("keep_original", False))
+    keep = document_bool(cfg.get("keep_original", False), f"{kind}: keep_original")
     target = str(cfg.get("target") or feature)
     if keep and target == feature:
         raise ValidationError(f"{kind}: keep_original requires a distinct target name")
@@ -253,12 +269,16 @@ class Kernel:
     - ``normalize``: the checked config, also applied to learned values;
     - ``fit``: the fit state (a dict of learned parameters) from the data the
       step sees;
-    - ``plan``: the output schema and the inputs of each produced feature;
+    - ``plan``: the output schema and the names of the produced features;
     - ``apply``: the produced columns and their lineage;
     - ``inverse``: the step that undoes this one, when ``invertible`` is
       ``exact``;
     - ``forward_rule`` / ``reverse_rule``: how additive contributions cross
       the step toward the interpretable space.
+
+    ``plan``, ``apply`` and ``inverse`` take one config, ``cfg``: the
+    normalized config with the fit state's values filled in, as a fitted
+    step's ``config`` holds it. The rules read that ``config`` from the step.
     """
 
     kind: str = ""
@@ -278,36 +298,29 @@ class Kernel:
     def fit(self, table: DataTable, cfg: Mapping) -> dict | None:
         return None
 
-    def resolved_config(self, cfg: Mapping, fit_state: Mapping | None) -> dict:
-        """The config with the learned values of ``fit_state`` filled in;
-        used by ``apply``, serialization and step-identity comparisons."""
-        if not self.learned or cfg[self.learned[0]] is not None:
-            return dict(cfg)
-        if fit_state is None or fit_state.get(self.learned[0]) is None:
-            raise ValidationError(
-                f"{self.kind}: not fitted and no {'/'.join(self.learned)} configured")
-        return {**cfg, **{key: fit_state.get(key) for key in self.learned}}
-
     def check_learned(self, cfg: Mapping, fit_state: Any,
                       schema: SchemaManifest) -> dict:
         """The fit state a step keeps for ``fit_state`` read from a document:
         only the learned keys, each put through the checks of configured
         values and required to be numbers already."""
         _check_fit_state(self, cfg, fit_state, self.learned)
-        resolved = self.resolved_config(cfg, fit_state)
-        checked = self.normalize(resolved, schema)
+        if fit_state.get(self.learned[0]) is None:
+            raise ValidationError(
+                f"{self.kind}: not fitted and no {'/'.join(self.learned)} configured")
+        merged = {**cfg, **{key: fit_state.get(key) for key in self.learned}}
+        checked = self.normalize(merged, schema)
         for key in self.learned:
-            if checked[key] != _tuples(resolved[key]):
+            if checked[key] != _tuples(merged[key]):
                 raise ValidationError(f"{self.kind}: fitted {key} is not a number: "
-                                      f"{resolved[key]!r}")
+                                      f"{merged[key]!r}")
         return {key: checked[key] for key in self.learned}
 
-    def plan(self, schema: SchemaManifest, cfg: Mapping,
-             fit_state: Mapping | None) -> PlanResult:
+    def plan(self, schema: SchemaManifest, cfg: Mapping) -> PlanResult:
         raise NotImplementedError
 
-    def apply(self, table: DataTable, cfg: Mapping, fit_state: Mapping | None,
-              ctx: RunContext) -> tuple[list[list], list[ColumnLineage]]:
+    def apply(self, table: DataTable, cfg: Mapping,
+              series_store: Mapping[str, Sequence[float]] | None
+              ) -> tuple[list[list], list[ColumnLineage]]:
         """Compute the produced columns from the table's columns.
 
         Returns one list of cells per produced feature, in ``plan(...).produced``
@@ -317,8 +330,7 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def inverse(self, cfg: Mapping, fit_state: Mapping | None,
-                input_schema: SchemaManifest) -> TransformStep | None:
+    def inverse(self, cfg: Mapping, input_schema: SchemaManifest) -> TransformStep | None:
         return None
 
     def forward_rule(self, fstep: FittedStep, expose_flags: bool) -> Rewrite | None:
@@ -333,18 +345,49 @@ class Kernel:
 
 
 class _OneToOne(Kernel):
-    """A kind that derives one feature, ``target``, from one, ``feature``:
-    contributions follow the feature, unless the step keeps its original."""
+    """A kind that derives one feature, ``target``, from one, ``feature``.
+
+    The produced spec takes the input's properties and place (or goes last
+    when the step has ``keep_original``), and its lineage names the kind. A
+    subclass gives only:
+
+    - ``_out_fields(spec, cfg)``: the produced spec's own fields, beside its
+      name, properties and ``derived_from``, from the input spec;
+    - ``_cells(values, spec, cfg)``: the produced column from the input
+      column and spec.
+
+    Contributions follow the feature, unless the step keeps its original.
+    """
+
+    def _out_fields(self, spec: FeatureSpec, cfg: Mapping) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def _cells(self, values: list, spec: FeatureSpec, cfg: Mapping) -> list:
+        raise NotImplementedError
+
+    def plan(self, schema, cfg):
+        feature, target = cfg["feature"], cfg["target"]
+        spec = schema.feature(feature)
+        out = FeatureSpec(name=target, properties=spec.properties,
+                          derived_from=DerivedFrom((feature,), self.kind),
+                          **self._out_fields(spec, cfg))
+        return PlanResult(_replace_features(schema, [feature], (out,),
+                                            cfg.get("keep_original", False)), (target,))
+
+    def apply(self, table, cfg, series_store):
+        feature = cfg["feature"]
+        column = self._cells(table.values(feature), table.schema.feature(feature), cfg)
+        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
 
     def forward_rule(self, fstep, expose_flags):
-        cfg = fstep.step.config
+        cfg = fstep.config
         source, target = cfg["feature"], cfg["target"]
         if cfg.get("keep_original"):
             return Rewrite({target: ZERO})  # derived display feature; source keeps its share
         return Rewrite({target: ("copy", source)}, (source,))
 
     def reverse_rule(self, fstep, expose_flags):
-        cfg = fstep.step.config
+        cfg = fstep.config
         source, target = cfg["feature"], cfg["target"]
         if cfg.get("keep_original"):
             # The derived feature's share folds back into its source.
@@ -388,7 +431,7 @@ class OneHotEncode(Kernel):
         _check_new_names(names, schema, {feature}, self.kind)
         return {"feature": feature, "names": names}
 
-    def plan(self, schema, cfg, fit_state):
+    def plan(self, schema, cfg):
         feature = cfg["feature"]
         spec = schema.feature(feature)
         base = spec.properties
@@ -402,10 +445,9 @@ class OneHotEncode(Kernel):
             )
             for name, category in zip(cfg["names"], spec.categories)
         )
-        features = _replace_features(schema, [feature], new_specs)
-        return PlanResult(features, {name: (feature,) for name in cfg["names"]})
+        return PlanResult(_replace_features(schema, [feature], new_specs), cfg["names"])
 
-    def apply(self, table, cfg, fit_state, ctx):
+    def apply(self, table, cfg, series_store):
         feature = cfg["feature"]
         values = table.values(feature)
         columns = [[MISSING if v is MISSING else v == c for v in values]
@@ -413,7 +455,7 @@ class OneHotEncode(Kernel):
         origin = Computed(self.kind, (feature,))
         return columns, [ColumnLineage(name, origin) for name in cfg["names"]]
 
-    def inverse(self, cfg, fit_state, input_schema):
+    def inverse(self, cfg, input_schema):
         spec = input_schema.feature(cfg["feature"])
         return TransformStep("one_hot_decode", {
             "group": cfg["names"],
@@ -423,7 +465,7 @@ class OneHotEncode(Kernel):
         })
 
     def reverse_rule(self, fstep, expose_flags):
-        cfg = fstep.step.config
+        cfg = fstep.config
         return Rewrite({cfg["feature"]: ("sum", tuple(cfg["names"]))}, tuple(cfg["names"]))
 
 
@@ -461,7 +503,7 @@ class OneHotDecode(Kernel):
             wording = _wording_cfg(cfg, self.kind)
             if wording is not None:
                 restore["wording"] = wording
-            if cfg.get("observed"):
+            if document_bool(cfg.get("observed", False), f"{self.kind}: observed"):
                 restore["observed"] = True
         if restore.get("dtype") != "categorical":
             raise ValidationError(f"{self.kind}: restored dtype must be categorical")
@@ -476,14 +518,14 @@ class OneHotDecode(Kernel):
         _check_new_names([target], schema, set(group), self.kind)
         return {"group": group, "target": target, "restore": restore, "zero_hot": zero_hot}
 
-    def plan(self, schema, cfg, fit_state):
+    def plan(self, schema, cfg):
         group = cfg["group"]
         base = _base_properties(schema, group)
         spec = spec_from_structural(cfg["target"], cfg["restore"],
                                     DerivedFrom(group, self.kind), base)
-        return PlanResult(_replace_features(schema, group, (spec,)), {cfg["target"]: group})
+        return PlanResult(_replace_features(schema, group, (spec,)), (cfg["target"],))
 
-    def apply(self, table, cfg, fit_state, ctx):
+    def apply(self, table, cfg, series_store):
         group = cfg["group"]
         categories = cfg["restore"]["categories"]
         decoded = []
@@ -512,14 +554,14 @@ class OneHotDecode(Kernel):
             decoded.append(value)
         return [decoded], [ColumnLineage(cfg["target"], Computed(self.kind, group))]
 
-    def inverse(self, cfg, fit_state, input_schema):
+    def inverse(self, cfg, input_schema):
         return TransformStep("one_hot_encode", {
             "feature": cfg["target"],
             "names": cfg["group"],
         })
 
     def forward_rule(self, fstep, expose_flags):
-        cfg = fstep.step.config
+        cfg = fstep.config
         return Rewrite({cfg["target"]: ("sum", tuple(cfg["group"]))}, tuple(cfg["group"]))
 
 
@@ -560,29 +602,15 @@ class Standardize(_OneToOne):
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} is constant (scale 0)")
         return {"mean": mean, "scale": scale}
 
-    def plan(self, schema, cfg, fit_state):
-        feature = cfg["feature"]
-        spec = schema.feature(feature)
-        out = FeatureSpec(
-            name=cfg["target"],
-            dtype="numeric",
-            description=spec.description and f"Standardized {spec.description}" or "",
-            properties=spec.properties,
-            derived_from=DerivedFrom((feature,), self.kind),
-        )
-        return PlanResult(_replace_features(schema, [feature], (out,)),
-                          {cfg["target"]: (feature,)})
+    def _out_fields(self, spec, cfg):
+        return {"dtype": "numeric",
+                "description": spec.description and f"Standardized {spec.description}" or ""}
 
-    def apply(self, table, cfg, fit_state, ctx):
-        cfg = self.resolved_config(cfg, fit_state)
+    def _cells(self, values, spec, cfg):
         mean, scale = cfg["mean"], cfg["scale"]
-        values = table.values(cfg["feature"])
-        column = [v if v is MISSING else (v - mean) / scale for v in values]
-        return [column], [ColumnLineage(cfg["target"],
-                                        Computed(self.kind, (cfg["feature"],)))]
+        return [v if v is MISSING else (v - mean) / scale for v in values]
 
-    def inverse(self, cfg, fit_state, input_schema):
-        cfg = self.resolved_config(cfg, fit_state)
+    def inverse(self, cfg, input_schema):
         return TransformStep("unstandardize", {
             "feature": cfg["target"],
             "mean": cfg["mean"],
@@ -620,22 +648,14 @@ class Unstandardize(_OneToOne):
         return {"feature": feature, "mean": mean, "scale": scale, "target": target,
                 "restore": restore, "display_format": _display_format(cfg, self.kind)}
 
-    def plan(self, schema, cfg, fit_state):
-        feature = cfg["feature"]
-        spec = spec_from_structural(cfg["target"], cfg["restore"],
-                                    DerivedFrom((feature,), self.kind),
-                                    schema.feature(feature).properties)
-        return PlanResult(_replace_features(schema, [feature], (spec,)),
-                          {cfg["target"]: (feature,)})
+    def _out_fields(self, spec, cfg):
+        return _structural_fields(cfg["restore"])
 
-    def apply(self, table, cfg, fit_state, ctx):
+    def _cells(self, values, spec, cfg):
         mean, scale = cfg["mean"], cfg["scale"]
-        values = table.values(cfg["feature"])
-        column = [v if v is MISSING else v * scale + mean for v in values]
-        return [column], [ColumnLineage(cfg["target"],
-                                        Computed(self.kind, (cfg["feature"],)))]
+        return [v if v is MISSING else v * scale + mean for v in values]
 
-    def inverse(self, cfg, fit_state, input_schema):
+    def inverse(self, cfg, input_schema):
         return TransformStep("standardize", {
             "feature": cfg["target"],
             "mean": cfg["mean"],
@@ -668,7 +688,7 @@ class StatisticalBin(_OneToOne):
                           "keep_original", "wording"}, self.kind)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
-        bins = int(_req(cfg, "bins", self.kind))
+        bins = document_int(_req(cfg, "bins", self.kind), f"{self.kind}: bins")
         if bins < 1:
             raise ValidationError(f"{self.kind}: bins must be >= 1")
         lo, hi = cfg.get("min"), cfg.get("max")
@@ -715,44 +735,27 @@ class StatisticalBin(_OneToOne):
         lo, hi, bins = cfg["min"], cfg["max"], cfg["bins"]
         return tuple(lo + i * (hi - lo) / bins for i in range(bins + 1))
 
-    def _categories(self, schema, cfg) -> tuple[str, ...]:
-        unit = schema.feature(cfg["feature"]).unit
-        return _bin_labels(cfg["labels"], self._edges(cfg), unit)
+    def _categories(self, spec, cfg) -> tuple[str, ...]:
+        return _bin_labels(cfg["labels"], self._edges(cfg), spec.unit)
 
-    def plan(self, schema, cfg, fit_state):
-        feature = cfg["feature"]
-        try:
-            categories = self._categories(schema, self.resolved_config(cfg, fit_state))
-        except ValidationError:
-            categories = cfg["labels"]  # provisional until fitted
-        out = FeatureSpec(
-            name=cfg["target"],
-            dtype="ordinal",
-            description=f"Uniform-width bins for {feature}",
-            categories=categories,
-            wording=parse_wording_data(cfg["wording"]),
-            properties=schema.feature(feature).properties,
-            derived_from=DerivedFrom((feature,), self.kind),
-        )
-        return PlanResult(_replace_features(schema, [feature], (out,), cfg["keep_original"]),
-                          {cfg["target"]: (feature,)})
+    def _out_fields(self, spec, cfg):
+        # The labels are provisional until min and max are learned.
+        categories = cfg["labels"] if cfg["min"] is None else self._categories(spec, cfg)
+        return {"dtype": "ordinal", "description": f"Uniform-width bins for {spec.name}",
+                "categories": categories, "wording": parse_wording_data(cfg["wording"])}
 
-    def apply(self, table, cfg, fit_state, ctx):
-        cfg = self.resolved_config(cfg, fit_state)
-        feature, lo, hi = cfg["feature"], cfg["min"], cfg["max"]
-        edges = self._edges(cfg)
-        categories = self._categories(table.schema, cfg)
-        values = table.values(feature)
+    def _cells(self, values, spec, cfg):
+        lo, hi = cfg["min"], cfg["max"]
         for r, value in enumerate(values):
             if value is not MISSING and (value < lo or value > hi):
                 raise KernelError(
-                    f"row {r}: value {value!r} of {feature!r} outside bin range "
+                    f"row {r}: value {value!r} of {spec.name!r} outside bin range "
                     f"[{lo}, {hi}]", row_index=r)
+        edges, categories = self._edges(cfg), self._categories(spec, cfg)
         top = cfg["bins"] - 1
-        column = [MISSING if v is MISSING
-                  else categories[min(max(bisect.bisect_right(edges, v) - 1, 0), top)]
-                  for v in values]
-        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
+        return [MISSING if v is MISSING
+                else categories[min(max(bisect.bisect_right(edges, v) - 1, 0), top)]
+                for v in values]
 
 
 class SemanticBin(_OneToOne):
@@ -779,25 +782,12 @@ class SemanticBin(_OneToOne):
                 "target": target, "keep_original": keep,
                 "wording": _wording_cfg(cfg, self.kind)}
 
-    def plan(self, schema, cfg, fit_state):
-        feature = cfg["feature"]
-        spec = schema.feature(feature)
-        out = FeatureSpec(
-            name=cfg["target"],
-            dtype="ordinal",
-            description=f"Semantic bins for {feature}",
-            categories=cfg["labels"],
-            wording=parse_wording_data(cfg["wording"]),
-            properties=spec.properties,
-            derived_from=DerivedFrom((feature,), self.kind),
-        )
-        return PlanResult(_replace_features(schema, [feature], (out,), cfg["keep_original"]),
-                          {cfg["target"]: (feature,)})
+    def _out_fields(self, spec, cfg):
+        return {"dtype": "ordinal", "description": f"Semantic bins for {spec.name}",
+                "categories": cfg["labels"], "wording": parse_wording_data(cfg["wording"])}
 
-    def apply(self, table, cfg, fit_state, ctx):
-        feature = cfg["feature"]
-        column = _label_bins(table.values(feature), cfg["boundaries"], cfg["labels"])
-        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
+    def _cells(self, values, spec, cfg):
+        return _label_bins(values, cfg["boundaries"], cfg["labels"])
 
 
 class ImputeFlagged(Kernel):
@@ -844,7 +834,7 @@ class ImputeFlagged(Kernel):
         check_cell(fit_state["mean"], schema.feature(cfg["feature"]))
         return {"mean": fit_state["mean"]}
 
-    def plan(self, schema, cfg, fit_state):
+    def plan(self, schema, cfg):
         feature = cfg["feature"]
         flag = FeatureSpec(
             name=cfg["flag_name"],
@@ -853,10 +843,9 @@ class ImputeFlagged(Kernel):
             properties=schema.feature(feature).properties,
             derived_from=DerivedFrom((feature,), self.kind),
         )
-        return PlanResult(schema.features + (flag,),
-                          {feature: (feature,), cfg["flag_name"]: (feature,)})
+        return PlanResult(schema.features + (flag,), (feature, cfg["flag_name"]))
 
-    def apply(self, table, cfg, fit_state, ctx):
+    def apply(self, table, cfg, series_store):
         feature = cfg["feature"]
         strategy = cfg["strategy"]
         values = table.values(feature)
@@ -875,9 +864,9 @@ class ImputeFlagged(Kernel):
                 previous = value
         else:
             if strategy == "mean":
-                if fit_state is None:
+                if cfg.get("mean") is None:
                     raise ValidationError(f"{self.kind}: mean strategy is not fitted")
-                fill_value = fit_state["mean"]
+                fill_value = cfg["mean"]
             else:
                 fill_value = cfg["constant"]
             filled = [fill_value if v is MISSING else v for v in values]
@@ -889,10 +878,10 @@ class ImputeFlagged(Kernel):
         ]
 
     def forward_rule(self, fstep, expose_flags):
-        return Rewrite({fstep.step.config["flag_name"]: ZERO})  # the flag is new; no share yet
+        return Rewrite({fstep.config["flag_name"]: ZERO})  # the flag is new; no share yet
 
     def reverse_rule(self, fstep, expose_flags):
-        cfg = fstep.step.config
+        cfg = fstep.config
         feature, flag = cfg["feature"], cfg["flag_name"]
         if expose_flags:
             return Rewrite({feature: ("copy", feature)}, (feature, flag), exposed=(flag,))
@@ -950,7 +939,7 @@ class AggregateNumeric(Kernel):
             _numeric_feature(schema, name, self.kind)
         formula = _formula_normalized(_req(cfg, "formula", self.kind), inputs, self.kind)
         target = str(_req(cfg, "target", self.kind))
-        keep = bool(cfg.get("keep_inputs", False))
+        keep = document_bool(cfg.get("keep_inputs", False), f"{self.kind}: keep_inputs")
         _check_new_names([target], schema, set() if keep else set(inputs), self.kind)
         return {"inputs": inputs, "formula": formula, "target": target,
                 "keep_inputs": keep, "wording": _wording_cfg(cfg, self.kind),
@@ -969,12 +958,12 @@ class AggregateNumeric(Kernel):
             derived_from=DerivedFrom(cfg["inputs"], _formula_descriptor(cfg["formula"])),
         )
 
-    def plan(self, schema, cfg, fit_state):
+    def plan(self, schema, cfg):
         features = _replace_features(schema, cfg["inputs"], (self._out_spec(schema, cfg),),
                                      cfg["keep_inputs"])
-        return PlanResult(features, {cfg["target"]: cfg["inputs"]})
+        return PlanResult(features, (cfg["target"],))
 
-    def apply(self, table, cfg, fit_state, ctx):
+    def apply(self, table, cfg, series_store):
         inputs = cfg["inputs"]
         formula = _formula_function(cfg["formula"], inputs)
         column = []
@@ -990,7 +979,7 @@ class AggregateNumeric(Kernel):
         return [column], [ColumnLineage(cfg["target"], origin)]
 
     def forward_rule(self, fstep, expose_flags):
-        cfg = fstep.step.config
+        cfg = fstep.config
         if cfg["keep_inputs"]:
             return Rewrite({cfg["target"]: ZERO})
         return Rewrite({cfg["target"]: ("sum", tuple(cfg["inputs"]))}, tuple(cfg["inputs"]))
@@ -1035,8 +1024,8 @@ class AbstractConcept(AggregateNumeric):
             derived_from=spec.derived_from,
         )
 
-    def apply(self, table, cfg, fit_state, ctx):
-        (column,), lineage = super().apply(table, cfg, fit_state, ctx)
+    def apply(self, table, cfg, series_store):
+        (column,), lineage = super().apply(table, cfg, series_store)
         labeling = cfg["labeling"]
         if labeling is not None:
             column = _label_bins(column, labeling["boundaries"], labeling["labels"])
@@ -1072,37 +1061,17 @@ class HierarchyRollup(_OneToOne):
                 "keep_original": keep, "wording": _wording_cfg(cfg, self.kind),
                 "description": str(cfg.get("description", ""))}
 
-    def _parents(self, schema, cfg) -> tuple[str, ...]:
-        seen: list[str] = []
-        for category in schema.feature(cfg["feature"]).categories:
-            parent = cfg["mapping"][category]
-            if parent not in seen:
-                seen.append(parent)
-        return tuple(seen)
+    def _out_fields(self, spec, cfg):
+        parents = tuple(dict.fromkeys(cfg["mapping"][c] for c in spec.categories))
+        return {"dtype": "categorical", "description": cfg["description"],
+                "categories": parents, "wording": parse_wording_data(cfg["wording"])}
 
-    def plan(self, schema, cfg, fit_state):
-        feature = cfg["feature"]
-        out = FeatureSpec(
-            name=cfg["target"],
-            dtype="categorical",
-            description=cfg["description"],
-            categories=self._parents(schema, cfg),
-            wording=parse_wording_data(cfg["wording"]),
-            properties=schema.feature(feature).properties,
-            derived_from=DerivedFrom((feature,), self.kind),
-        )
-        return PlanResult(_replace_features(schema, [feature], (out,), cfg["keep_original"]),
-                          {cfg["target"]: (feature,)})
-
-    def apply(self, table, cfg, fit_state, ctx):
-        feature = cfg["feature"]
+    def _cells(self, values, spec, cfg):
         mapping = cfg["mapping"]
-        values = table.values(feature)
         for r, value in enumerate(values):
             if value is not MISSING and value not in mapping:
                 raise KernelError(f"row {r}: unmapped category {value!r}", row_index=r)
-        column = [MISSING if v is MISSING else mapping[v] for v in values]
-        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
+        return [MISSING if v is MISSING else mapping[v] for v in values]
 
 
 class RenderStatement(_OneToOne):
@@ -1127,28 +1096,14 @@ class RenderStatement(_OneToOne):
         _check_new_names([target], schema, {feature}, self.kind)
         return {"feature": feature, "target": target}
 
-    def plan(self, schema, cfg, fit_state):
-        feature = cfg["feature"]
-        spec = schema.feature(feature)
-        out = FeatureSpec(
-            name=cfg["target"],
-            dtype="categorical",
-            description=spec.description,
-            categories=rendered_categories(spec),
-            properties=spec.properties,
-            derived_from=DerivedFrom((feature,), self.kind),
-        )
-        return PlanResult(_replace_features(schema, [feature], (out,)),
-                          {cfg["target"]: (feature,)})
+    def _out_fields(self, spec, cfg):
+        return {"dtype": "categorical", "description": spec.description,
+                "categories": rendered_categories(spec)}
 
-    def apply(self, table, cfg, fit_state, ctx):
-        feature = cfg["feature"]
-        spec = table.schema.feature(feature)
-        column = [MISSING if v is MISSING else render_value(spec, v)
-                  for v in table.values(feature)]
-        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
+    def _cells(self, values, spec, cfg):
+        return [MISSING if v is MISSING else render_value(spec, v) for v in values]
 
-    def inverse(self, cfg, fit_state, input_schema):
+    def inverse(self, cfg, input_schema):
         return TransformStep("unrender_statement", {
             "feature": cfg["target"],
             "target": cfg["feature"],
@@ -1176,40 +1131,20 @@ class UnrenderStatement(_OneToOne):
         _check_new_names([target], schema, {feature}, self.kind)
         return {"feature": feature, "target": target, "restore": restore}
 
-    def _restored_spec(self, cfg) -> FeatureSpec:
-        return spec_from_structural(cfg["target"], cfg["restore"], None, PropertySet())
+    def _out_fields(self, spec, cfg):
+        return _structural_fields(cfg["restore"])
 
-    def plan(self, schema, cfg, fit_state):
-        feature = cfg["feature"]
-        restored = self._restored_spec(cfg)
-        out = FeatureSpec(
-            name=cfg["target"],
-            dtype=restored.dtype,
-            description=restored.description,
-            unit=restored.unit,
-            categories=restored.categories,
-            wording=restored.wording,
-            properties=schema.feature(feature).properties,
-            derived_from=DerivedFrom((feature,), self.kind),
-            observed=restored.observed,
-        )
-        return PlanResult(_replace_features(schema, [feature], (out,)),
-                          {cfg["target"]: (feature,)})
-
-    def apply(self, table, cfg, fit_state, ctx):
-        feature = cfg["feature"]
-        restored = self._restored_spec(cfg)
+    def _cells(self, values, spec, cfg):
+        restored = spec_from_structural(cfg["target"], cfg["restore"], None, PropertySet())
         reverse = {render_value(restored, v): v for v in _domain_values(restored)}
-        values = table.values(feature)
         for r, value in enumerate(values):
             if value is not MISSING and value not in reverse:
                 raise KernelError(
                     f"row {r}: statement {value!r} does not match any template",
                     row_index=r)
-        column = [MISSING if v is MISSING else reverse[v] for v in values]
-        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
+        return [MISSING if v is MISSING else reverse[v] for v in values]
 
-    def inverse(self, cfg, fit_state, input_schema):
+    def inverse(self, cfg, input_schema):
         return TransformStep("render_statement", {
             "feature": cfg["target"],
             "target": cfg["feature"],
@@ -1231,7 +1166,8 @@ class PcaProject(Kernel):
             raise ValidationError(f"{self.kind}: inputs must be non-empty")
         for name in inputs:
             _numeric_feature(schema, name, self.kind)
-        components = int(_req(cfg, "components", self.kind))
+        components = document_int(_req(cfg, "components", self.kind),
+                                  f"{self.kind}: components")
         if components < 1 or components > len(inputs):
             raise ValidationError(
                 f"{self.kind}: components must be in [1, {len(inputs)}], got {components}")
@@ -1288,7 +1224,7 @@ class PcaProject(Kernel):
     def _names(self, cfg) -> tuple[str, ...]:
         return tuple(cfg["name_template"].format(i=i + 1) for i in range(cfg["components"]))
 
-    def plan(self, schema, cfg, fit_state):
+    def plan(self, schema, cfg):
         inputs = cfg["inputs"]
         base = _base_properties(schema, inputs)
         names = self._names(cfg)
@@ -1302,11 +1238,9 @@ class PcaProject(Kernel):
             )
             for i, name in enumerate(names)
         )
-        return PlanResult(_replace_features(schema, inputs, new_specs),
-                          {name: inputs for name in names})
+        return PlanResult(_replace_features(schema, inputs, new_specs), names)
 
-    def apply(self, table, cfg, fit_state, ctx):
-        cfg = self.resolved_config(cfg, fit_state)
+    def apply(self, table, cfg, series_store):
         inputs, means, loadings = cfg["inputs"], cfg["means"], cfg["loadings"]
         columns = [table.values(name) for name in inputs]
         first = [column.index(MISSING) for column in columns if MISSING in column]
@@ -1325,7 +1259,7 @@ class PcaProject(Kernel):
         return projected, [ColumnLineage(name, origin) for name in self._names(cfg)]
 
     def reverse_rule(self, fstep, expose_flags):
-        cfg = self.resolved_config(fstep.step.config, fstep.fit_state)
+        cfg = fstep.config
         weights = pca_redistribution_weights(cfg["loadings"])
         ops = {input_name: ("weighted", tuple((comp, weights[k][i])
                                               for k, comp in enumerate(fstep.produced)))
@@ -1346,8 +1280,8 @@ class LinkRaw(Kernel):
             raise ValidationError(
                 f"{self.kind}: feature {feature!r} does not declare a raw_source")
         series_id = str(cfg.get("series_id") or spec.raw_source.series_id)
-        window = cfg.get("window") or spec.raw_source.window
-        window = (int(window[0]), int(window[1]))
+        window = document_window(cfg.get("window") or spec.raw_source.window,
+                                 f"{self.kind}: window")
         if window[0] < 0 or window[1] <= window[0]:
             raise ValidationError(f"{self.kind}: window must satisfy 0 <= start < stop")
         series = cfg.get("series")
@@ -1356,19 +1290,19 @@ class LinkRaw(Kernel):
         return {"feature": feature, "series_id": series_id, "window": window,
                 "series": series}
 
-    def plan(self, schema, cfg, fit_state):
-        return PlanResult(schema.features, {cfg["feature"]: (cfg["feature"],)})
+    def plan(self, schema, cfg):
+        return PlanResult(schema.features, (cfg["feature"],))
 
-    def _resolve_series(self, cfg, ctx: RunContext):
+    def _resolve_series(self, cfg, series_store):
         if cfg["series"] is not None:
             return cfg["series"]
-        store = ctx.series_store or {}
+        store = series_store or {}
         if cfg["series_id"] not in store:
             raise KernelError(f"{self.kind}: unknown series {cfg['series_id']!r}")
         return store[cfg["series_id"]]
 
-    def apply(self, table, cfg, fit_state, ctx):
-        series = self._resolve_series(cfg, ctx)
+    def apply(self, table, cfg, series_store):
+        series = self._resolve_series(cfg, series_store)
         start, stop = cfg["window"]
         if stop > len(series):
             raise KernelError(
@@ -1378,7 +1312,7 @@ class LinkRaw(Kernel):
         return [table.values(feature)], [
             ColumnLineage(feature, RawLinked(cfg["series_id"], start, stop))]
 
-    def inverse(self, cfg, fit_state, input_schema):
+    def inverse(self, cfg, input_schema):
         # Identity on data; linking again in the other direction is harmless.
         return TransformStep(self.kind, dict(cfg))
 
@@ -1458,7 +1392,7 @@ def unrender_value(spec: FeatureSpec, text: str):
 
 
 # ---------------------------------------------------------------------------
-# contribution rules and the PCA helpers they share with tests
+# contribution rules and the PCA weights they share with tests
 
 @dataclass(frozen=True)
 class Rewrite:
@@ -1498,17 +1432,3 @@ def pca_redistribution_weights(loadings: Sequence[Sequence[float]]) -> tuple[tup
             raise ValidationError(f"PCA component {k + 1} has zero loadings")
         out.append(tuple(s / total for s in squares))
     return tuple(out)
-
-
-def pca_reconstruct(component_rows: Sequence[Sequence[float]],
-                    means: Sequence[float],
-                    loadings: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
-    """Map component values back to the input space (lossy unless full rank)."""
-    n_inputs = len(means)
-    out = []
-    for row in component_rows:
-        out.append(tuple(
-            means[i] + sum(row[k] * loadings[i][k] for k in range(len(row)))
-            for i in range(n_inputs)
-        ))
-    return out

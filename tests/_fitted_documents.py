@@ -4,7 +4,9 @@ that corrupt them.
 Besides the two demo pipelines, ``learned`` fits every kind of learned
 parameter: an ``impute_flagged`` mean (step 1), ``statistical_bin`` min, max
 and edges (step 2), ``standardize`` mean and scale (step 3) and
-``pca_project`` means and loadings (step 4).
+``pca_project`` means and loadings (step 4). ``exact`` learns nothing and
+inverts exactly: ``render_statement``, a configured ``standardize`` and
+``one_hot_encode``.
 """
 
 from __future__ import annotations
@@ -41,14 +43,27 @@ steps:
       components: 2
 """
 
+EXACT_STEPS = """
+direction: to_model_ready
+steps:
+  - kind: render_statement
+    config: {feature: Wilderness area}
+  - kind: standardize
+    config: {feature: Elevation, mean: 2750.0, scale: 250.0, display_format: ".4f"}
+  - kind: one_hot_encode
+    config: {feature: Soil Type}
+"""
+WRITTEN = {"learned": LEARNED_STEPS, "exact": EXACT_STEPS}
+
 
 def pipeline_path(name: str, workdir: Path) -> Path:
-    """The pipeline document of ``name``; ``learned`` is written to ``workdir``."""
-    if name != "learned":
+    """The pipeline document of ``name``; ``learned`` and ``exact`` are
+    written to ``workdir``."""
+    if name not in WRITTEN:
         return DEMO / f"pipeline_{name}.yaml"
-    path = workdir / "learned.yaml"
+    path = workdir / f"{name}.yaml"
     manifest = json.dumps(str(DEMO / "covertype_original.yaml"))
-    path.write_text(f"input_manifest: {manifest}\n{LEARNED_STEPS}", encoding="utf-8")
+    path.write_text(f"input_manifest: {manifest}\n{WRITTEN[name]}", encoding="utf-8")
     return path
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from featurespace.errors import MappingError
 from featurespace.explain import ContributionVector, MappedContributions
-from featurespace.transforms import kernel_for, pca_redistribution_weights
+from featurespace.transforms import pca_redistribution_weights
 
 IDENTITY_KINDS = ("standardize", "unstandardize", "statistical_bin", "semantic_bin",
                   "render_statement", "unrender_statement", "hierarchy_rollup")
@@ -75,7 +75,7 @@ def _reverse_step(fstep, values, expose_flags, notes, exposed):
         counts[feature] += 1
         counts[flag] += 1
     elif kind == "pca_project":
-        loadings = kernel_for(kind).resolved_config(cfg, fstep.fit_state)["loadings"]
+        loadings = (fstep.fit_state or cfg)["loadings"]
         weights = pca_redistribution_weights(loadings)
         names = [cfg["name_template"].format(i=i + 1) for i in range(cfg["components"])]
         shares = {name: 0.0 for name in cfg["inputs"]}

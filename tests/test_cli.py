@@ -535,3 +535,89 @@ def test_non_utf8_input_exits_1(workspace, capsys, command, options, bad):
     err = capsys.readouterr().err
     assert str(inputs[bad]) in err
     assert "Traceback" not in err
+
+
+def _one_step(workspace, kind, config, property_delta=None):
+    """``transform --fit`` argv for a one-step pipeline over ``original.yaml``."""
+    step = {"kind": kind, "config": config}
+    if property_delta is not None:
+        step["property_delta"] = property_delta
+    path = workspace / "step.yaml"
+    path.write_text(yaml.safe_dump({"input_manifest": "original.yaml",
+                                    "direction": "to_interpretable", "steps": [step]}),
+                    encoding="utf-8")
+    return ["transform", "--fit", "--pipeline", str(path),
+            "--data", str(workspace / "data.csv")]
+
+
+ZONES = {"feature": "Elevation", "boundaries": [3000], "labels": ["Low", "High"],
+         "target": "Zone"}
+
+
+def test_unknown_property_flag_names_the_step(workspace, capsys):
+    argv = _one_step(workspace, "semantic_bin", ZONES, {"Zone": {"bogus": True}})
+    assert main(argv + ["--out", str(workspace / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "steps[0] property_delta references unknown flags: ['bogus']" in err
+    assert "Traceback" not in err
+
+
+def _audit(workspace, manifest=ORIGINAL_MANIFEST, persona="kind: developer\n"):
+    (workspace / "audited.yaml").write_text(manifest, encoding="utf-8")
+    (workspace / "persona.yaml").write_text(persona, encoding="utf-8")
+    return ["audit", "--manifest", str(workspace / "audited.yaml"),
+            "--persona", str(workspace / "persona.yaml")]
+
+
+FIRST_FLAGS = "properties: [readable, understandable, meaningful, model_compatible]"
+
+
+def _fitted_mean_true(workspace):
+    doc = fitted_document("learned", workspace)
+    step_of(doc, "standardize")["fit_state"]["mean"] = True
+    path = workspace / "bad.fitted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["transform", "--pipeline", str(path), "--data", str(ROWS)]
+
+
+@pytest.mark.parametrize("argv_for, key", [
+    (lambda w: _one_step(w, "semantic_bin", {**ZONES, "keep_original": "false"}),
+     "semantic_bin: keep_original must be true or false, got 'false'"),
+    (lambda w: _one_step(w, "aggregate_numeric", {
+        "inputs": ["Elevation"], "formula": "sum", "target": "Height",
+        "keep_inputs": "false"}),
+     "aggregate_numeric: keep_inputs must be true or false, got 'false'"),
+    (lambda w: _one_step(w, "statistical_bin", {"feature": "Elevation", "bins": 2.5,
+                                                "target": "Band"}),
+     "statistical_bin: bins must be an integer, got 2.5"),
+    (lambda w: _one_step(w, "statistical_bin", {"feature": "Elevation", "bins": True,
+                                                "target": "Band"}),
+     "statistical_bin: bins must be an integer, got True"),
+    (lambda w: _one_step(w, "pca_project", {"inputs": ["Elevation"], "components": 1.9}),
+     "pca_project: components must be an integer, got 1.9"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        FIRST_FLAGS, "properties: {readable: true, meaningful: 'false'}", 1)),
+     "features[0].properties: meaningful must be true or false, got 'false'"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        FIRST_FLAGS, FIRST_FLAGS + "\n    observed: 'false'", 1)),
+     "features[0]: observed must be true or false, got 'false'"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        FIRST_FLAGS, FIRST_FLAGS + "\n    raw_source: {series_id: s, window: [0.9, 2.5]}", 1)),
+     "features[0].raw_source: window must be an integer, got 0.9"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        FIRST_FLAGS, FIRST_FLAGS + "\n    raw_source: {series_id: s, window: [1]}", 1)),
+     "features[0].raw_source: window must be [start, stop], got [1]"),
+    (lambda w: _audit(w, persona="kind: developer\nrequire_all: 'false'\n"),
+     "require_all must be true or false, got 'false'"),
+    (_fitted_mean_true, "standardize: mean must be a finite number, got True"),
+], ids=["keep_original", "keep_inputs", "bins_float", "bins_bool", "components_float",
+        "manifest_property", "manifest_observed", "window_float", "window_short",
+        "persona_require_all",
+        "fitted_mean_bool"])
+def test_document_scalars_are_checked_not_coerced(workspace, capsys, argv_for, key):
+    argv = argv_for(workspace)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(workspace / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err

@@ -133,8 +133,8 @@ def test_run_rejects_a_wrong_typed_produced_cell(monkeypatch):
     fitted = as_fitted(compose([step], schema, "to_model_ready"))
     apply = Standardize.apply
 
-    def corrupt(self, table, cfg, fit_state, ctx):
-        columns, lineage = apply(self, table, cfg, fit_state, ctx)
+    def corrupt(self, table, cfg, series_store):
+        columns, lineage = apply(self, table, cfg, series_store)
         return [[columns[0][0], "oops", *columns[0][2:]]], lineage
 
     monkeypatch.setattr(Standardize, "apply", corrupt)
@@ -284,6 +284,17 @@ def test_property_delta_must_name_produced_features():
     bad = TransformStep(step.kind, step.config, {"ghost": {"readable": True}})
     with pytest.raises(ValidationError, match="does not produce"):
         compose([bad], one_hot_area_schema(), "to_interpretable")
+
+
+@pytest.mark.parametrize("flags, message", [
+    ({"meaningful": "false"}, "meaningful must be true or false"),
+    ({"bogus": True}, r"unknown flags: \['bogus'\]"),
+], ids=["quoted_false", "unknown_flag"])
+def test_property_delta_flags_are_checked_on_the_step(flags, message):
+    """A step built in Python gets the checks a document's step gets."""
+    step = area_decode_step()
+    with pytest.raises(ValidationError, match=message):
+        TransformStep(step.kind, step.config, {"Wilderness area": flags})
 
 
 def test_fitted_document_round_trip(tmp_path):

@@ -22,6 +22,12 @@ pipelines and of the ``learned`` pipeline in ``_fitted_documents.py`` on
 ``covertype_300.csv``, written while ``fit`` still applied every step to the
 fit rows: stopping after the last step that learns must not change what is
 learned.
+
+``covertype_300_{name}.schema.yaml`` hold ``serialize_manifest`` of the
+output schema of each pipeline in ``_fitted_documents.py`` fitted on
+``covertype_300.csv``, and of the inverse of ``exact``, written before the
+kernels read one merged config: every field of every produced spec is pinned.
+Together they cover every transform kind except ``link_raw``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ import pytest
 
 from featurespace import demo
 from featurespace.cli import main
-from featurespace.pipeline import load_pipeline
+from featurespace.pipeline import fit, invert, load_pipeline
+from featurespace.schema import serialize_manifest
+from featurespace.table import read_table_csv
 
 from _fitted_documents import NAMES, ROWS, pipeline_path
 
@@ -65,6 +73,17 @@ def test_fitted_document_is_byte_identical(tmp_path, name):
     assert main(["fit", "--pipeline", str(pipeline_path(name, tmp_path)),
                  "--data", str(ROWS), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"covertype_300_{name}.fitted.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", [*NAMES, "exact", "exact_inverse"])
+def test_output_schema_is_byte_identical(tmp_path, name):
+    base = name.removesuffix("_inverse")
+    pipeline = load_pipeline(pipeline_path(base, tmp_path))
+    fitted = fit(pipeline, read_table_csv(ROWS, pipeline.input_schema))
+    if name != base:
+        fitted = invert(fitted)
+    expected = DATA / f"covertype_300_{name}.schema.yaml"
+    assert serialize_manifest(fitted.output_schema).encode("utf-8") == expected.read_bytes()
 
 
 def contribution_csv(seed: int, names: tuple[str, ...], n_rows: int = 300) -> str:

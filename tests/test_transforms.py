@@ -14,9 +14,7 @@ from featurespace.schema import FeatureSpec, RawSource, SchemaManifest, Wording
 from featurespace.table import MISSING, DataTable, tables_equal
 from featurespace.transforms import (
     KERNELS,
-    RunContext,
     TransformStep,
-    pca_reconstruct,
     pca_redistribution_weights,
     render_value,
     unrender_value,
@@ -388,7 +386,7 @@ def test_impute_mean_without_fit_state_is_a_validation_error():
     cfg = {"feature": "Elevation", "strategy": "mean", "constant": None,
            "flag_name": "Elevation Flag"}
     with pytest.raises(ValidationError, match="not fitted"):
-        KERNELS["impute_flagged"].apply(table, cfg, None, RunContext(1))
+        KERNELS["impute_flagged"].apply(table, cfg, None)
 
 
 def test_impute_mean_needs_observed_values():
@@ -633,6 +631,13 @@ def test_pca_two_point_hand_oracle():
     assert not result.output_schema.features[0].properties.readable
 
 
+def pca_reconstruct(component_rows, means, loadings):
+    """Map component values back to the input space (lossy unless full rank)."""
+    return [tuple(means[i] + sum(row[k] * loadings[i][k] for k in range(len(row)))
+                  for i in range(len(means)))
+            for row in component_rows]
+
+
 def test_pca_full_rank_reconstruction():
     rng = random.Random(9)
     schema = SchemaManifest(features=tuple(
@@ -717,6 +722,11 @@ def test_link_raw_errors():
     with pytest.raises(KernelError, match="outside series"):
         apply_step(TransformStep("link_raw", {"feature": "MEAN(pulse)"}), table,
                    series_store={"pulse-p7": (1.0, 2.0)})
+    for window, message in (([0, 2.5], "window must be an integer, got 2.5"),
+                            ([1], r"window must be \[start, stop\], got \[1\]")):
+        with pytest.raises(ValidationError, match=message):
+            compose([TransformStep("link_raw", {"feature": "MEAN(pulse)", "window": window})],
+                    pulse_schema(), "to_interpretable")
     no_source = SchemaManifest(features=(FeatureSpec("plain", "numeric"),))
     with pytest.raises(ValidationError, match="raw_source"):
         compose([TransformStep("link_raw", {"feature": "plain"})],
