@@ -17,7 +17,13 @@ import yaml
 from .errors import KernelError, ValidationError
 from .lineage import Lineage
 from .properties import PropertySet, implication_closure
-from .schema import SchemaManifest, load_manifest, manifest_from_data, manifest_to_data
+from .schema import (
+    SchemaManifest,
+    load_manifest,
+    load_yaml,
+    manifest_from_data,
+    manifest_to_data,
+)
 from .table import DataTable
 from .transforms import Kernel, TransformStep, kernel_for
 
@@ -434,7 +440,7 @@ def load_pipeline(path: str | Path) -> Pipeline:
 
 def _pipeline_from_text(text: str, path: Path) -> Pipeline:
     try:
-        doc = yaml.safe_load(text)
+        doc = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: pipeline parse error: {exc}") from exc
     if not isinstance(doc, Mapping):

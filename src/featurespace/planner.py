@@ -11,7 +11,7 @@ import yaml
 
 from .errors import ValidationError
 from .properties import PROPERTY_NAMES, PropertySet, implication_closure
-from .schema import FeatureSpec, SchemaManifest, document_bool
+from .schema import FeatureSpec, SchemaManifest, document_bool, load_yaml
 
 PERSONA_KINDS = ("developer", "theorist", "ethicist", "decision_maker", "impacted_user")
 
@@ -95,7 +95,7 @@ def load_persona(name_or_path: str | Path) -> Persona:
             f"persona {name!r} is neither a builtin kind {list(PERSONA_KINDS)} "
             "nor an existing config file")
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = load_yaml(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read persona {path}: {exc}") from exc
     except yaml.YAMLError as exc:

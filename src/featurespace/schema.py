@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
 from .errors import ValidationError
 from .properties import (
@@ -47,7 +51,7 @@ class RawSource:
     window: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(int(v) for v in self.window))
+        object.__setattr__(self, "window", document_window(self.window, "raw_source window"))
         start, stop = self.window
         if start < 0 or stop <= start:
             raise ValidationError(f"raw_source window must satisfy 0 <= start < stop, got {self.window}")
@@ -207,6 +211,16 @@ def document_number(value: Any, where: str) -> float:
     raise ValidationError(f"{where} must be a finite number, got {value!r}")
 
 
+def document_text(value: Any, where: str) -> str:
+    """A document's optional text, such as a description; null reads as
+    absent (``""``) and any other non-string is not coerced."""
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def document_window(value: Any, where: str) -> tuple[int, int]:
     """A document's ``[start, stop]`` pair of integers."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -276,7 +290,7 @@ def _parse_feature(data: Any, position: int) -> FeatureSpec:
     return FeatureSpec(
         name=str(data["name"]),
         dtype=str(data["dtype"]),
-        description=str(data.get("description", "")),
+        description=document_text(data.get("description"), f"{where}: description"),
         unit=None if data.get("unit") is None else str(data["unit"]),
         categories=None if categories is None else tuple(str(c) for c in categories),
         wording=parse_wording_data(data.get("wording"), f"{where}.wording"),
@@ -310,10 +324,64 @@ def manifest_from_data(data: Any) -> SchemaManifest:
                           extra_implications=tuple(extra))
 
 
+try:
+    from yaml.cyaml import CParser
+except ImportError:  # PyYAML built without libyaml
+    _LIBYAML_LOADER = None
+else:
+    class _LibyamlLoader(Composer, CParser, SafeConstructor, Resolver):
+        """``yaml.SafeLoader`` with libyaml's scanner and parser. Composing
+        stays PyYAML's Python code, so deep nesting raises ``RecursionError``
+        as it does with ``SafeLoader``: ``yaml.CSafeLoader`` composes in C
+        and overflows the C stack on 100,000 nested block sequences."""
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+    _LIBYAML_LOADER = _LibyamlLoader
+
+# The constructs load_yaml's docstring lists, where libyaml reads text differently.
+_PYYAML_ONLY = re.compile(r"[!\t]|.\ufeff|[|>][-+0-9]*#", re.DOTALL)
+
+
+def load_yaml(text: str) -> Any:
+    """``yaml.safe_load(text)``: the same data, or the same exception.
+
+    Scans and parses with libyaml, several times faster than PyYAML's
+    Python parser, except where the two are known to read text differently.
+    Text containing any of these goes to ``yaml.safe_load`` instead:
+
+    - ``!``: an empty node tagged ``!`` is None to PyYAML and ``''`` to
+      libyaml.
+    - A tab: PyYAML rejects one after a plain scalar (``a\\t``); libyaml
+      accepts it.
+    - U+FEFF after the first character: PyYAML keeps it; libyaml drops it.
+    - A block-scalar header followed directly by ``#`` (``|#``, ``>-#``):
+      PyYAML rejects it; libyaml accepts it.
+
+    Any exception from the libyaml path also re-parses with ``safe_load``,
+    so every error is PyYAML's own: libyaml's path raises ``IndexError`` on
+    ``!!int |#|}`` and ``UnicodeEncodeError`` on a lone surrogate, where
+    PyYAML raises ``yaml.YAMLError``. Without libyaml, ``safe_load`` does
+    everything. Both parsers raise ``RecursionError`` on nesting near
+    Python's recursion limit, about 490 levels from a shallow stack; the
+    libyaml path's limit is up to four levels deeper.
+    """
+    if _LIBYAML_LOADER is not None and not _PYYAML_ONLY.search(text):
+        try:
+            return yaml.load(text, Loader=_LIBYAML_LOADER)
+        except Exception:  # re-parsed below, so the error raised is PyYAML's
+            pass
+    return yaml.safe_load(text)
+
+
 def parse_manifest(text: str) -> SchemaManifest:
     """Parse a manifest document; raises ValidationError on malformed input."""
     try:
-        data = yaml.safe_load(text)
+        data = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"manifest parse error: {exc}") from exc
     return manifest_from_data(data)

@@ -34,6 +34,7 @@ from .schema import (
     document_bool,
     document_int,
     document_number,
+    document_text,
     document_window,
     parse_wording_data,
     wording_to_data,
@@ -188,6 +189,8 @@ def _restore_from_data(data: Mapping[str, Any], kind: str) -> dict[str, Any]:
     out = dict(data)
     if "observed" in out:
         document_bool(out["observed"], f"{kind}.restore: observed")
+    if "description" in out:
+        out["description"] = document_text(out["description"], f"{kind}.restore: description")
     if "categories" in out and out["categories"] is not None:
         out["categories"] = [str(c) for c in out["categories"]]
     if "wording" in out and out["wording"] is not None:
@@ -498,8 +501,9 @@ class OneHotDecode(Kernel):
             restore = {"dtype": "categorical", "categories": list(categories)}
             if cfg.get("unit") is not None:
                 restore["unit"] = str(cfg["unit"])
-            if cfg.get("description"):
-                restore["description"] = str(cfg["description"])
+            description = document_text(cfg.get("description"), f"{self.kind}: description")
+            if description:
+                restore["description"] = description
             wording = _wording_cfg(cfg, self.kind)
             if wording is not None:
                 restore["wording"] = wording
@@ -640,8 +644,9 @@ class Unstandardize(_OneToOne):
             restore = {"dtype": "numeric"}
             if cfg.get("unit") is not None:
                 restore["unit"] = str(cfg["unit"])
-            if cfg.get("description"):
-                restore["description"] = str(cfg["description"])
+            description = document_text(cfg.get("description"), f"{self.kind}: description")
+            if description:
+                restore["description"] = description
         if restore.get("dtype") != "numeric":
             raise ValidationError(f"{self.kind}: restored dtype must be numeric")
         target, _ = _target(cfg, feature, schema, self.kind)
@@ -945,7 +950,8 @@ class AggregateNumeric(Kernel):
                 "keep_inputs": keep, "wording": _wording_cfg(cfg, self.kind),
                 "display_format": _display_format(cfg, self.kind),
                 "unit": None if cfg.get("unit") is None else str(cfg["unit"]),
-                "description": str(cfg.get("description", ""))}
+                "description": document_text(cfg.get("description"),
+                                             f"{self.kind}: description")}
 
     def _out_spec(self, schema, cfg) -> FeatureSpec:
         return FeatureSpec(
@@ -1059,7 +1065,8 @@ class HierarchyRollup(_OneToOne):
         target, keep = _target(cfg, feature, schema, self.kind)
         return {"feature": feature, "mapping": mapping, "target": target,
                 "keep_original": keep, "wording": _wording_cfg(cfg, self.kind),
-                "description": str(cfg.get("description", ""))}
+                "description": document_text(cfg.get("description"),
+                                             f"{self.kind}: description")}
 
     def _out_fields(self, spec, cfg):
         parents = tuple(dict.fromkeys(cfg["mapping"][c] for c in spec.categories))

@@ -570,6 +570,10 @@ def _audit(workspace, manifest=ORIGINAL_MANIFEST, persona="kind: developer\n"):
 
 
 FIRST_FLAGS = "properties: [readable, understandable, meaningful, model_compatible]"
+HEIGHT = {"inputs": ["Elevation"], "formula": "sum", "target": "Height"}
+REGIONS = {"feature": "Wilderness area", "target": "Region",
+           "mapping": {"Rawah": "North", "Neota": "North", "Comache Peak": "South",
+                       "Cache la Poudre": "South"}}
 
 
 def _fitted_mean_true(workspace):
@@ -610,10 +614,18 @@ def _fitted_mean_true(workspace):
     (lambda w: _audit(w, persona="kind: developer\nrequire_all: 'false'\n"),
      "require_all must be true or false, got 'false'"),
     (_fitted_mean_true, "standardize: mean must be a finite number, got True"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        FIRST_FLAGS, FIRST_FLAGS + "\n    description: 5", 1)),
+     "features[0]: description must be a string, got 5"),
+    (lambda w: _one_step(w, "aggregate_numeric", {**HEIGHT, "description": ["tall"]}),
+     "aggregate_numeric: description must be a string, got ['tall']"),
+    (lambda w: _one_step(w, "hierarchy_rollup", {**REGIONS, "description": False}),
+     "hierarchy_rollup: description must be a string, got False"),
 ], ids=["keep_original", "keep_inputs", "bins_float", "bins_bool", "components_float",
         "manifest_property", "manifest_observed", "window_float", "window_short",
         "persona_require_all",
-        "fitted_mean_bool"])
+        "fitted_mean_bool", "manifest_description", "aggregate_description",
+        "rollup_description"])
 def test_document_scalars_are_checked_not_coerced(workspace, capsys, argv_for, key):
     argv = argv_for(workspace)
     capsys.readouterr()
@@ -621,3 +633,21 @@ def test_document_scalars_are_checked_not_coerced(workspace, capsys, argv_for, k
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, config, target", [
+    ("aggregate_numeric", HEIGHT, "Height"),
+    ("abstract_concept", HEIGHT, "Height"),
+    ("hierarchy_rollup", REGIONS, "Region"),
+])
+def test_null_description_reads_as_absent(workspace, kind, config, target):
+    (workspace / "original.yaml").write_text(
+        ORIGINAL_MANIFEST.replace("unit: m", "unit: m\n    description: null", 1),
+        encoding="utf-8")
+    argv = _one_step(workspace, kind, {**config, "description": None})
+    fitted_path = workspace / "fitted.json"
+    assert main(["fit"] + argv[2:] + ["--out", str(fitted_path)]) == 0
+    fitted = load_fitted(fitted_path)
+    assert fitted.input_schema.feature("Elevation").description == ""
+    assert fitted.output_schema.feature(target).description == ""
+    assert "None" not in fitted_path.read_text(encoding="utf-8")

@@ -16,12 +16,12 @@ from featurespace.table import (
     check_cell,
     parse_cell,
     read_table_csv,
-    tables_equal,
     write_table_csv,
 )
 from featurespace.transforms import TransformStep
 
 from _generators import random_exact_pipeline, random_schema, random_table
+from _tables import tables_equal
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)

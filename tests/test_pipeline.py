@@ -20,10 +20,11 @@ from featurespace.pipeline import (
     save_fitted,
 )
 from featurespace.schema import FeatureSpec, SchemaManifest, serialize_manifest
-from featurespace.table import MISSING, DataTable, tables_equal
+from featurespace.table import MISSING, DataTable
 from featurespace.transforms import Standardize, TransformStep
 
 from _generators import BASE_PROPS, random_exact_pipeline, random_schema, random_table
+from _tables import tables_equal
 
 
 def one_hot_area_schema():

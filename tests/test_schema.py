@@ -10,6 +10,7 @@ from featurespace.errors import ValidationError
 from featurespace.properties import PropertySet
 from featurespace.schema import (
     FeatureSpec,
+    RawSource,
     SchemaManifest,
     Wording,
     manifest_to_data,
@@ -110,6 +111,13 @@ def test_model_ready_tag_requires_model_compatible():
 def test_value_phrase_needs_placeholder():
     with pytest.raises(ValidationError, match="placeholder"):
         Wording(value_phrase="no placeholder here")
+
+
+@pytest.mark.parametrize("window", [(0.9, 2.5), (True, 2), ("0", 2), (1,)])
+def test_raw_source_window_is_checked_not_coerced(window):
+    with pytest.raises(ValidationError, match="raw_source window"):
+        RawSource("s", window)
+    assert RawSource("s", [0, 2]).window == (0, 2)
 
 
 def test_manifest_round_trip_random():

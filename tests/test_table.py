@@ -14,11 +14,11 @@ from featurespace.table import (
     DataTable,
     read_table_csv,
     render_cell,
-    tables_equal,
     write_table_csv,
 )
 
 from _generators import random_schema, random_table
+from _tables import tables_equal
 
 
 def simple_schema():

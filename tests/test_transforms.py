@@ -11,7 +11,7 @@ from featurespace.errors import KernelError, ValidationError
 from featurespace.pipeline import compose, fit, load_fitted, run, save_fitted
 from featurespace.properties import PropertySet
 from featurespace.schema import FeatureSpec, RawSource, SchemaManifest, Wording
-from featurespace.table import MISSING, DataTable, tables_equal
+from featurespace.table import MISSING, DataTable
 from featurespace.transforms import (
     KERNELS,
     TransformStep,
@@ -21,6 +21,7 @@ from featurespace.transforms import (
 )
 
 from _generators import BASE_PROPS, random_table
+from _tables import tables_equal
 
 
 def apply_step(step: TransformStep, table: DataTable, series_store=None):
