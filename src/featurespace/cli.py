@@ -36,7 +36,7 @@ from .pipeline import (
 from .planner import audit, load_persona
 from .schema import SchemaManifest, load_manifest
 from .table import MISSING, DataTable, parse_cell, read_table_csv, write_table_csv
-from .transforms import kernel_for
+from .transforms import kernel_for, sum_in_order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -113,7 +113,7 @@ def cmd_explain_map(args) -> int:
     notes: list[str] = []
     for r, vector in enumerate(vectors):
         result = map_contributions(fitted, vector, expose_flags=args.expose_flags)
-        extra = sum(result.exposed_flags.values())
+        extra = sum_in_order(result.exposed_flags.values())
         check = conservation_check(vector, result.vector, extra_after=extra)
         if not check.passed:
             print(f"conservation violated on row {r}: delta {check.delta:g} "

@@ -37,7 +37,7 @@ from typing import IO, Mapping, Sequence
 from .errors import MappingError, ValidationError
 from .pipeline import FittedPipeline
 from .schema import SchemaManifest
-from .transforms import Rewrite, kernel_for
+from .transforms import Rewrite, kernel_for, sum_in_order
 
 CONSERVATION_TOLERANCE = 1e-9
 
@@ -61,11 +61,14 @@ class ContributionVector:
             for name, value in zip(self.schema.names, values):
                 if not math.isfinite(value):
                     raise ValidationError(f"contribution for {name!r} is not finite: {value!r}")
-        if self.base_value is not None and not math.isfinite(self.base_value):
-            raise ValidationError(f"base value is not finite: {self.base_value!r}")
+        if self.base_value is not None:
+            base = float(self.base_value)
+            if not math.isfinite(base):
+                raise ValidationError(f"base value is not finite: {self.base_value!r}")
+            object.__setattr__(self, "base_value", base)
 
     def total(self) -> float:
-        return sum(self.values)
+        return sum_in_order(self.values)
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.schema.names, self.values))
@@ -256,6 +259,7 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
 # trailing __base__ column; one row per explained instance.
 
 BASE_COLUMN = "__base__"
+_CHUNK_VECTORS = 4096
 
 
 def read_contributions(source: str | Path | IO[str],
@@ -309,14 +313,21 @@ def write_contributions(vectors: Sequence[ContributionVector],
     if not vectors:
         raise ValidationError("no contribution vectors to write")
     schema = vectors[0].schema
+    names = schema.names
     has_base = any(v.base_value is not None for v in vectors)
     writer = csv.writer(target, lineterminator="\n")
-    header = list(schema.names) + ([BASE_COLUMN] if has_base else [])
-    writer.writerow(header)
-    for vector in vectors:
-        if vector.schema.names != schema.names:
-            raise ValidationError("contribution vectors disagree on their schema")
-        row = [repr(v) for v in vector.values]
-        if has_base:
-            row.append(repr(vector.base_value if vector.base_value is not None else 0.0))
-        writer.writerow(row)
+    writer.writerow(list(names) + ([BASE_COLUMN] if has_base else []))
+    # Values and base are finite floats (``__post_init__``), whose repr never
+    # needs quoting, so each row is its fields joined with commas, as
+    # csv.writer would write them.
+    for start in range(0, len(vectors), _CHUNK_VECTORS):
+        lines = []
+        for vector in vectors[start:start + _CHUNK_VECTORS]:
+            if vector.schema.names != names:
+                target.write("".join(lines))
+                raise ValidationError("contribution vectors disagree on their schema")
+            fields = vector.values
+            if has_base:
+                fields += (0.0 if vector.base_value is None else vector.base_value,)
+            lines.append(",".join(map(repr, fields)) + "\n")
+        target.write("".join(lines))

@@ -12,17 +12,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-import yaml
-
 from .errors import KernelError, ValidationError
 from .lineage import Lineage
 from .properties import PropertySet, implication_closure
 from .schema import (
     SchemaManifest,
     load_manifest,
-    load_yaml,
     manifest_from_data,
     manifest_to_data,
+    read_yaml,
 )
 from .table import DataTable
 from .transforms import Kernel, TransformStep, kernel_for
@@ -439,10 +437,7 @@ def load_pipeline(path: str | Path) -> Pipeline:
 
 
 def _pipeline_from_text(text: str, path: Path) -> Pipeline:
-    try:
-        doc = load_yaml(text)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{path}: pipeline parse error: {exc}") from exc
+    doc = read_yaml(text, f"{path}: pipeline")
     if not isinstance(doc, Mapping):
         raise ValidationError(f"{path}: pipeline document must be a mapping")
     if "input_manifest" not in doc:

@@ -7,11 +7,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
 from .errors import ValidationError
 from .properties import PROPERTY_NAMES, PropertySet, implication_closure
-from .schema import FeatureSpec, SchemaManifest, document_bool, load_yaml
+from .schema import FeatureSpec, SchemaManifest, document_bool, read_yaml
 
 PERSONA_KINDS = ("developer", "theorist", "ethicist", "decision_maker", "impacted_user")
 
@@ -95,11 +93,10 @@ def load_persona(name_or_path: str | Path) -> Persona:
             f"persona {name!r} is neither a builtin kind {list(PERSONA_KINDS)} "
             "nor an existing config file")
     try:
-        doc = load_yaml(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read persona {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{path}: persona parse error: {exc}") from exc
+    doc = read_yaml(text, f"{path}: persona")
     if not isinstance(doc, Mapping):
         raise ValidationError(f"{path}: persona config must be a mapping")
     unknown = sorted(set(doc) - _PERSONA_KEYS)

@@ -378,13 +378,30 @@ def load_yaml(text: str) -> Any:
     return yaml.safe_load(text)
 
 
+def read_yaml(text: str, what: str) -> Any:
+    """``load_yaml(text)`` for a document reader: every way the text can fail
+    to load is a ValidationError saying ``what`` failed to parse.
+
+    Besides ``yaml.YAMLError``, PyYAML's constructors raise ``ValueError``,
+    ``KeyError``, ``IndexError`` or ``AttributeError`` on a scalar they cannot
+    build (``!!int 0x``, ``!!timestamp abc``, ``!!bool ''``), and composing
+    raises ``RecursionError`` on deep nesting.
+    """
+    try:
+        return load_yaml(text)
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{what} parse error: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"{what} parse error: nested too deeply") from None
+    except (ValueError, LookupError, AttributeError) as exc:
+        raise ValidationError(
+            f"{what} parse error: cannot construct a value "
+            f"({type(exc).__name__}: {exc})") from exc
+
+
 def parse_manifest(text: str) -> SchemaManifest:
     """Parse a manifest document; raises ValidationError on malformed input."""
-    try:
-        data = load_yaml(text)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"manifest parse error: {exc}") from exc
-    return manifest_from_data(data)
+    return manifest_from_data(read_yaml(text, "manifest"))
 
 
 def load_manifest(path: str | Path) -> SchemaManifest:

@@ -7,8 +7,10 @@ imputation transforms can detect it unambiguously.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -36,6 +38,7 @@ MISSING = _MissingType()
 Cell = "int | float | str | bool | _MissingType"
 
 _INT_RE = re.compile(r"[+-]?\d+$")
+_INT_COLUMN_RE = re.compile(r"[0-9+-]*")
 _NUMERIC_TYPES = frozenset({int, float, _MissingType})
 _BOOLEAN_TYPES = frozenset({bool, _MissingType})
 
@@ -205,6 +208,13 @@ _BOOLEAN_TEXT = {"": MISSING, "TRUE": True, "FALSE": False}
 def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
     """``parse_cell`` over a whole column; raises on the first bad cell."""
     if spec.dtype == "numeric":
+        # A column of ASCII digits and signs where int() takes every cell is
+        # all ``[+-]?[0-9]+``, which parse_cell reads as int() too.
+        if _INT_COLUMN_RE.fullmatch("".join(texts)):
+            try:
+                return list(map(int, texts))
+            except ValueError:  # an empty cell, or a sign out of place
+                pass
         # isdecimal() accepts exactly the unsigned texts _INT_RE reads as ints.
         return [int(t) if t.isdecimal() else parse_cell(t, spec) for t in texts]
     if spec.dtype == "boolean":
@@ -238,6 +248,32 @@ def _render_column(values: list, spec: FeatureSpec, display_format: str | None) 
         return ["" if v is MISSING else repr(v) if isinstance(v, float) else str(v)
                 for v in values]
     return ["" if v is MISSING else str(v) for v in values]
+
+
+def _csv_line(fields: Sequence[str]) -> str:
+    """The line ``csv.writer`` writes for ``fields``, without its terminator."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()[:-1]
+
+
+# The ASCII characters for which csv.writer quotes a field. They are asked of
+# csv rather than listed, because they need not be the same on every Python:
+# 3.11, for one, leaves "\r" unquoted when the terminator is "\n". No other
+# character can be special to the excel dialect.
+_QUOTED_CHARS = "".join(c for c in map(chr, range(128)) if _csv_line([c]) != c)
+_QUOTED_RE = re.compile("[" + re.escape(_QUOTED_CHARS) + "]")
+_ONE_EMPTY_FIELD = _csv_line([""])  # a row of one empty field is written quoted
+_CHUNK_ROWS = 4096
+
+
+def _quote_column(cells: list) -> list:
+    """The column's cells as csv.writer writes them (QUOTE_MINIMAL, doubled
+    quote characters); the column is scanned once and is returned as it is
+    when no cell needs quoting."""
+    if not _QUOTED_RE.search("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _QUOTED_RE.search(c) else c for c in cells]
 
 
 def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> DataTable:
@@ -301,13 +337,19 @@ def write_table_csv(table: DataTable, target: str | Path | IO[str],
     rendered = []
     for values, spec in zip(table.columns, table.schema.features):
         try:
-            rendered.append(_render_column(values, spec, formats.get(spec.name)))
+            rendered.append(_quote_column(_render_column(values, spec, formats.get(spec.name))))
         except ValueError as exc:  # a format spec that does not fit the cells
             raise ValidationError(f"column {spec.name!r}: display format "
                                   f"{formats[spec.name]!r}: {exc}") from None
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(table.schema.names)
-    if rendered:
-        writer.writerows(zip(*rendered))
-    else:
+    if not rendered:
         writer.writerows([] for _ in range(table.num_rows))
+        return
+    if len(rendered) == 1:
+        lines = (cell or _ONE_EMPTY_FIELD for cell in rendered[0])
+    else:
+        lines = map(",".join, zip(*rendered))
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        chunk.append("")
+        target.write("\n".join(chunk))

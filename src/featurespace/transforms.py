@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from operator import mul
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -398,6 +399,14 @@ class _OneToOne(Kernel):
         return Rewrite({source: ("copy", target)}, (target,))
 
 
+def sum_in_order(values: Iterable):
+    """``values`` added left to right to 0, one rounding per addition;
+    integers add exactly. Every float accumulation in the package goes
+    through it, so its last bits do not depend on the Python version:
+    ``sum()`` compensates rounding from 3.12."""
+    return reduce(add, values, 0)
+
+
 def _non_missing(values) -> list:
     return [v for v in values if v is not MISSING]
 
@@ -599,8 +608,8 @@ class Standardize(_OneToOne):
         values = _non_missing(table.values(cfg["feature"]))
         if not values:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} has no observed values")
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
+        mean = sum_in_order(values) / len(values)
+        variance = sum_in_order((v - mean) ** 2 for v in values) / len(values)
         scale = math.sqrt(variance)
         if scale <= 0:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} is constant (scale 0)")
@@ -751,16 +760,17 @@ class StatisticalBin(_OneToOne):
 
     def _cells(self, values, spec, cfg):
         lo, hi = cfg["min"], cfg["max"]
-        for r, value in enumerate(values):
-            if value is not MISSING and (value < lo or value > hi):
-                raise KernelError(
-                    f"row {r}: value {value!r} of {spec.name!r} outside bin range "
-                    f"[{lo}, {hi}]", row_index=r)
-        edges, categories = self._edges(cfg), self._categories(spec, cfg)
-        top = cfg["bins"] - 1
-        return [MISSING if v is MISSING
-                else categories[min(max(bisect.bisect_right(edges, v) - 1, 0), top)]
-                for v in values]
+        present = _non_missing(values)
+        if present and (min(present) < lo or max(present) > hi):
+            for r, value in enumerate(values):  # the error names the first bad row
+                if value is not MISSING and (value < lo or value > hi):
+                    raise KernelError(
+                        f"row {r}: value {value!r} of {spec.name!r} outside bin range "
+                        f"[{lo}, {hi}]", row_index=r)
+        # In [lo, hi], the bin is the count of inner edges at or below the
+        # value: the first edge is lo, and a value at the last edge stays in
+        # the top bin.
+        return _label_bins(values, self._edges(cfg)[1:-1], self._categories(spec, cfg))
 
 
 class SemanticBin(_OneToOne):
@@ -830,7 +840,7 @@ class ImputeFlagged(Kernel):
             raise KernelError(
                 f"{self.kind}: column {cfg['feature']!r} is entirely missing; "
                 "mean strategy has nothing to average")
-        return {"mean": sum(observed) / len(observed)}
+        return {"mean": sum_in_order(observed) / len(observed)}
 
     def check_learned(self, cfg, fit_state, schema):
         _check_fit_state(self, cfg, fit_state, ("mean",))
@@ -918,11 +928,11 @@ def _formula_descriptor(formula) -> str:
 def _formula_function(formula, inputs: tuple[str, ...]):
     """The formula as a function of one row's input values."""
     if formula == "euclidean_floor":
-        return lambda values: math.floor(math.sqrt(sum(v * v for v in values)))
+        return lambda values: math.floor(math.sqrt(sum_in_order(v * v for v in values)))
     if formula == "sum":
-        return sum
+        return sum_in_order
     if formula == "mean":
-        return lambda values: sum(values) / len(values)
+        return lambda values: sum_in_order(values) / len(values)
     ast = parse_expression(formula["expr"])
     return lambda values: evaluate(ast, dict(zip(inputs, values)))
 
@@ -1255,15 +1265,17 @@ class PcaProject(Kernel):
             r = min(first)
             raise KernelError(f"row {r}: MISSING value in PCA inputs; impute first",
                               row_index=r)
-        centered = list(zip(*([v - m for v in column]
-                              for column, m in zip(columns, means))))
-        projected = []
-        for k in range(cfg["components"]):
-            weights = [row[k] for row in loadings]
-            # sum() in input order; a vectorized product would round differently.
-            projected.append([sum(map(mul, row, weights)) for row in centered])
+        # Each cell is 0.0 plus, input by input, (value - mean) * loading.
+        # Elementwise float64 subtract, multiply and add are the same single
+        # IEEE operations Python floats do, so accumulating whole columns in
+        # input order gives each cell the bits of a per-row loop. A reduction
+        # (``@``, ``np.sum``) may reassociate the sum and is not used.
+        weights = np.array(loadings, dtype=float)
+        acc = np.zeros((cfg["components"], table.num_rows))
+        for j, (column, m) in enumerate(zip(columns, means)):
+            acc = acc + weights[j][:, None] * (np.array(column, dtype=float) - m)
         origin = Computed(self.kind, inputs)
-        return projected, [ColumnLineage(name, origin) for name in self._names(cfg)]
+        return acc.tolist(), [ColumnLineage(name, origin) for name in self._names(cfg)]
 
     def reverse_rule(self, fstep, expose_flags):
         cfg = fstep.config
@@ -1432,9 +1444,7 @@ def pca_redistribution_weights(loadings: Sequence[Sequence[float]]) -> tuple[tup
     out = []
     for k in range(n_components):
         squares = [loadings[i][k] ** 2 for i in range(n_inputs)]
-        total = 0.0
-        for square in squares:  # in input order; sum() compensates from Python 3.12
-            total += square
+        total = sum_in_order(squares)
         if total <= 0:
             raise ValidationError(f"PCA component {k + 1} has zero loadings")
         out.append(tuple(s / total for s in squares))

@@ -651,3 +651,27 @@ def test_null_description_reads_as_absent(workspace, kind, config, target):
     assert fitted.input_schema.feature("Elevation").description == ""
     assert fitted.output_schema.feature(target).description == ""
     assert "None" not in fitted_path.read_text(encoding="utf-8")
+
+
+UNLOADABLE_YAML = {
+    "int_tag": ("features: !!int 0x\n", "cannot construct a value (ValueError"),
+    "timestamp_tag": ("steps: !!timestamp abc\n", "cannot construct a value (AttributeError"),
+    "deep_nesting": ("- " * 2000 + "a\n", "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLOADABLE_YAML))
+@pytest.mark.parametrize("reader", ["manifest", "pipeline", "persona"])
+def test_unloadable_yaml_exits_1(workspace, capsys, reader, case):
+    text, message = UNLOADABLE_YAML[case]
+    if reader == "pipeline":
+        bad = workspace / "pipeline.yaml"
+        bad.write_text(text, encoding="utf-8")
+        argv = ["transform", "--pipeline", str(bad), "--data", str(workspace / "data.csv")]
+    else:
+        argv = _audit(workspace, **{reader: text})
+        bad = workspace / ("audited.yaml" if reader == "manifest" else "persona.yaml")
+    assert main(argv + ["--out", str(workspace / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: {reader} parse error: {message}" in err
+    assert "Traceback" not in err
