@@ -11,7 +11,7 @@ from .explain import (
     read_contributions,
     write_contributions,
 )
-from .lineage import Computed, Imputed, LineageRecord, Observed, RawLinked
+from .lineage import Computed, Imputed, RawLinked
 from .pipeline import (
     FittedPipeline,
     InversionRefusal,
@@ -81,10 +81,8 @@ __all__ = [
     "Imputed",
     "InversionRefusal",
     "KernelError",
-    "LineageRecord",
     "MappedContributions",
     "MappingError",
-    "Observed",
     "Persona",
     "Pipeline",
     "PropertySet",

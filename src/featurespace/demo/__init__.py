@@ -7,10 +7,8 @@ import csv
 import io
 from importlib import resources
 
-import yaml
-
 from ..pipeline import Pipeline, pipeline_from_doc
-from ..schema import SchemaManifest, parse_manifest
+from ..schema import SchemaManifest, parse_manifest, read_yaml
 from ..table import DataTable, read_table_csv
 
 # Full-dataset Elevation statistics used by the bundled pipelines; the
@@ -38,14 +36,17 @@ def sample_table() -> DataTable:
                           original_manifest())
 
 
+def _pipeline(name: str) -> Pipeline:
+    return pipeline_from_doc(read_yaml(read_text(name), f"{name}: pipeline"),
+                             original_manifest())
+
+
 def model_ready_pipeline() -> Pipeline:
-    doc = yaml.safe_load(read_text("pipeline_model_ready.yaml"))
-    return pipeline_from_doc(doc, original_manifest())
+    return _pipeline("pipeline_model_ready.yaml")
 
 
 def interpretable_pipeline() -> Pipeline:
-    doc = yaml.safe_load(read_text("pipeline_interpretable.yaml"))
-    return pipeline_from_doc(doc, original_manifest())
+    return _pipeline("pipeline_interpretable.yaml")
 
 
 def golden_grid(name: str) -> tuple[list[str], list[list[str]]]:

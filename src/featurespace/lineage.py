@@ -1,16 +1,16 @@
-"""Lineage records: where each produced cell value came from."""
+"""Lineage: where each produced column's cells came from.
+
+A run records lineage once per produced column, as a ``ColumnLineage``:
+one origin for every row, plus the rows that carry their own.
+``lineage_to_data`` expands a run's ``Lineage`` into one JSON-ready entry per
+produced cell, the form ``transform --lineage`` writes.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Union
-
-
-@dataclass(frozen=True)
-class Observed:
-    """Value taken directly from collected data."""
 
 
 @dataclass(frozen=True)
@@ -34,21 +34,7 @@ class RawLinked:
     stop: int
 
 
-Origin = Union[Observed, Imputed, Computed, RawLinked]
-
-_ORIGIN_KINDS = {Observed: "observed", Imputed: "imputed",
-                 Computed: "computed", RawLinked: "raw_linked"}
-
-
-def origin_kind(origin: Origin) -> str:
-    return _ORIGIN_KINDS[type(origin)]
-
-
-@dataclass(frozen=True)
-class LineageRecord:
-    row_index: int
-    feature: str
-    origin: Origin
+Origin = Union[Imputed, Computed, RawLinked]
 
 
 @dataclass(frozen=True)
@@ -64,20 +50,17 @@ class ColumnLineage:
     exceptions: Mapping[int, Origin] = field(default_factory=dict)
 
 
-class Lineage(Sequence):
-    """Read-only sequence of the per-cell ``LineageRecord``s of a run.
-
-    It is backed by column records: for each step, the number of rows it ran
-    on and its ``ColumnLineage`` list. Records come in step order, then row
-    order, then the step's column order. Length is computed from the column
-    records; iteration and indexing build records on demand.
-    """
+class Lineage:
+    """The column lineage of a run: for each step, the number of rows it ran
+    on and its ``ColumnLineage`` list. Its length is the number of entries
+    ``lineage_to_data`` gives, counted from the column records."""
 
     def __init__(self, steps: Iterable[tuple[int, Sequence[ColumnLineage]]] = ()):
         self._steps = tuple((num_rows, tuple(columns)) for num_rows, columns in steps)
 
     def _cells(self) -> Iterator[tuple[int, str, Origin]]:
-        """(row, feature, origin) of every record, without building records."""
+        """(row, feature, origin) of every entry: step order, then row order,
+        then the step's column order."""
         for num_rows, columns in self._steps:
             for r in range(num_rows):
                 for column in columns:
@@ -85,50 +68,25 @@ class Lineage(Sequence):
                     if origin is not None:
                         yield r, column.feature, origin
 
-    def __iter__(self) -> Iterator[LineageRecord]:
-        return (LineageRecord(*cell) for cell in self._cells())
-
     def __len__(self) -> int:
         return sum(len(column.exceptions) if column.origin is None else num_rows
                    for num_rows, columns in self._steps for column in columns)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        size = len(self)
-        position = index + size if index < 0 else index
-        if not 0 <= position < size:
-            raise IndexError("lineage index out of range")
-        return next(islice(self, position, None))
-
-    def __eq__(self, other):
-        if not isinstance(other, (Lineage, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self):
-        return hash(tuple(self))
 
     def __repr__(self):
         return f"Lineage({len(self)} records)"
 
 
 def _entry(row: int, feature: str, origin: Origin) -> dict:
-    entry: dict = {"row": row, "feature": feature, "origin": origin_kind(origin)}
+    if isinstance(origin, Computed):
+        return {"row": row, "feature": feature, "origin": "computed",
+                "formula": origin.formula, "inputs": list(origin.inputs)}
     if isinstance(origin, Imputed):
-        entry["strategy"] = origin.strategy
-    elif isinstance(origin, Computed):
-        entry["formula"] = origin.formula
-        entry["inputs"] = list(origin.inputs)
-    elif isinstance(origin, RawLinked):
-        entry["series_id"] = origin.series_id
-        entry["window"] = [origin.start, origin.stop]
-    return entry
+        return {"row": row, "feature": feature, "origin": "imputed",
+                "strategy": origin.strategy}
+    return {"row": row, "feature": feature, "origin": "raw_linked",
+            "series_id": origin.series_id, "window": [origin.start, origin.stop]}
 
 
-def lineage_to_data(records: Iterable[LineageRecord]) -> list[dict]:
-    """One JSON-ready dict per record; a ``Lineage`` expands straight from
-    its column records."""
-    if isinstance(records, Lineage):
-        return [_entry(*cell) for cell in records._cells()]
-    return [_entry(rec.row_index, rec.feature, rec.origin) for rec in records]
+def lineage_to_data(lineage: Lineage) -> list[dict]:
+    """One JSON-ready dict per produced cell of a run."""
+    return [_entry(*cell) for cell in lineage._cells()]

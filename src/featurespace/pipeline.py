@@ -47,9 +47,9 @@ class FittedStep:
 
     ``sources`` and ``unchecked`` are the step's column plan, fixed by the
     schemas: output column ``i`` is entry ``sources[i]`` of the input columns
-    followed by the produced columns, and the output positions in
-    ``unchecked`` are validated: the produced columns, and the pass-through
-    columns whose dtype or categories change.
+    followed by the produced columns, and ``unchecked`` holds the output
+    positions of the produced columns, the only ones validated. Every other
+    output column keeps its input spec, so its cells are valid already.
     """
 
     step: TransformStep
@@ -65,19 +65,11 @@ class FittedStep:
         object.__setattr__(self, "config", _with_fit_state(self.step.config, self.fit_state))
         width = len(self.input_schema.features)
         made = {name: width + k for k, name in enumerate(self.produced)}
-        sources, unchecked = [], []
-        for i, spec in enumerate(self.output_schema.features):
-            if spec.name in made:
-                sources.append(made[spec.name])
-                unchecked.append(i)
-                continue
-            j = self.input_schema.index(spec.name)
-            before = self.input_schema.features[j]
-            sources.append(j)
-            if before.dtype != spec.dtype or before.categories != spec.categories:
-                unchecked.append(i)
-        object.__setattr__(self, "sources", tuple(sources))
-        object.__setattr__(self, "unchecked", tuple(unchecked))
+        names = self.output_schema.names
+        object.__setattr__(self, "sources", tuple(
+            made[name] if name in made else self.input_schema.index(name) for name in names))
+        object.__setattr__(self, "unchecked", tuple(
+            i for i, name in enumerate(names) if name in made))
 
     def signature(self):
         """Step identity with fit parameters folded in.
@@ -169,36 +161,31 @@ def _final_properties(delta: Mapping[str, bool], out_spec,
 def _plan_step(kernel: Kernel, step: TransformStep, cfg: Mapping[str, Any],
                schema: SchemaManifest, step_number: int,
                final_space: str | None) -> tuple[SchemaManifest, tuple[str, ...]]:
-    """Output schema of one step and the names it produces."""
-    plan = kernel.plan(schema, cfg)
-    produced = plan.produced
-    stray = sorted(set(step.property_delta) - set(produced))
-    if stray:
-        raise ValidationError(
-            f"step {step_number} ({step.kind}): property_delta names features "
-            f"this step does not produce: {stray}")
-    specs = []
-    for spec in plan.features:
-        if spec.name in produced:
-            final = _final_properties(kernel.delta_for(spec), spec,
-                                      step.property_delta.get(spec.name, {}),
-                                      schema.extra_implications)
-            spec = replace(spec, properties=final)
-        specs.append(spec)
-    def build(tag: str) -> SchemaManifest:
-        return SchemaManifest(features=tuple(specs), space_tag=tag,
-                              extra_implications=schema.extra_implications)
-
+    """Output schema of one step and the names it produces; errors name the
+    step."""
     try:
-        return build(final_space if final_space is not None else "original"), produced
+        plan = kernel.plan(schema, cfg)
+        produced = plan.produced
+        stray = sorted(set(step.property_delta) - set(produced))
+        if stray:
+            raise ValidationError(
+                f"property_delta names features this step does not produce: {stray}")
+        specs = tuple(
+            replace(spec, properties=_final_properties(
+                kernel.delta_for(spec), spec, step.property_delta.get(spec.name, {}),
+                schema.extra_implications))
+            if spec.name in produced else spec
+            for spec in plan.features)
+        try:
+            return SchemaManifest(specs, final_space or "original",
+                                  schema.extra_implications), produced
+        except ValidationError:
+            if final_space != "model_ready":
+                raise
+        # The flow did not reach model-ready space (some feature is not
+        # model-compatible); the output keeps the neutral tag.
+        return SchemaManifest(specs, "original", schema.extra_implications), produced
     except ValidationError as exc:
-        if final_space == "model_ready":
-            # The flow did not reach model-ready space (some feature is not
-            # model-compatible); the output keeps the neutral tag.
-            try:
-                return build("original"), produced
-            except ValidationError:
-                pass
         raise ValidationError(f"step {step_number} ({step.kind}): {exc}") from None
 
 
@@ -206,8 +193,7 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
            direction: str,
            fit_states: Sequence[Any] | None,
            fit_table: DataTable | None = None,
-           require_params: bool = False,
-           series_store: Mapping[str, Sequence[float]] | None = None):
+           require_params: bool = False):
     """Shared schema-flow planner for compose / fit / as_fitted / load_fitted.
 
     With a fit table, a step is applied to it only when a later step needs
@@ -239,7 +225,7 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
         if kernel.requires_fit(cfg) and state is None:
             if table is not None:
                 for args in pending:
-                    table, _ = _apply_step(*args, table, series_store)
+                    table, _ = _apply_step(*args, table)
                 pending.clear()
                 try:
                     state = kernel.fit(table, cfg)
@@ -273,8 +259,7 @@ def compose(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     return Pipeline(normalized, input_schema, direction, output_schema)
 
 
-def fit(pipeline: Pipeline, table: DataTable,
-        series_store: Mapping[str, Sequence[float]] | None = None) -> FittedPipeline:
+def fit(pipeline: Pipeline, table: DataTable) -> FittedPipeline:
     """Populate every data-dependent step, fitting each on the table as the
     steps before it transform it.
 
@@ -284,8 +269,7 @@ def fit(pipeline: Pipeline, table: DataTable,
     """
     _check_table_matches(table, pipeline.input_schema)
     _, fitted, output_schema = _build(pipeline.steps, pipeline.input_schema,
-                                      pipeline.direction, None, fit_table=table,
-                                      series_store=series_store)
+                                      pipeline.direction, None, fit_table=table)
     return FittedPipeline(fitted, pipeline.input_schema, pipeline.direction,
                           output_schema)
 
@@ -316,13 +300,12 @@ def _check_table_matches(table: DataTable, schema: SchemaManifest) -> None:
                 f"column {want.name!r}: categories do not match the pipeline input schema")
 
 
-def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable,
-                series_store: Mapping[str, Sequence[float]] | None):
+def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable):
     """Next table and the step's column lineage. Only the produced columns
     are computed; every other column is carried over by reference, and only
     the columns in the step's ``unchecked`` plan are validated."""
     try:
-        columns, lineage = kernel.apply(table, fstep.config, series_store)
+        columns, lineage = kernel.apply(table, fstep.config)
     except KernelError as exc:
         raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
                           row_index=exc.row_index, step_number=number) from None
@@ -334,8 +317,7 @@ def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable
                                   table.num_rows, fstep.unchecked), lineage
 
 
-def run(fitted: FittedPipeline, table: DataTable,
-        series_store: Mapping[str, Sequence[float]] | None = None) -> RunResult:
+def run(fitted: FittedPipeline, table: DataTable) -> RunResult:
     """Apply every fitted step; accumulate lineage and lossy-step warnings."""
     _check_table_matches(table, fitted.input_schema)
     lineage = []
@@ -343,7 +325,7 @@ def run(fitted: FittedPipeline, table: DataTable,
     current = table
     for number, fstep in enumerate(fitted.steps, 1):
         kernel = kernel_for(fstep.step.kind)
-        current, columns = _apply_step(kernel, fstep, number, current, series_store)
+        current, columns = _apply_step(kernel, fstep, number, current)
         lineage.append((table.num_rows, columns))
         if kernel.invertible in ("lossy", "none"):
             notes.append(f"step {number} ({fstep.step.kind}): lossy transform; "

@@ -234,6 +234,13 @@ def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], where: str) -
         raise ValidationError(f"{where}: unknown keys {unknown}")
 
 
+def _names(value: Any, where: str) -> tuple[str, ...]:
+    """A document's list of names, each read as text."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where} must be a list, got {value!r}")
+    return tuple(str(n) for n in value)
+
+
 def _parse_properties(data: Any, where: str) -> PropertySet:
     if data is None:
         return PropertySet()
@@ -251,6 +258,9 @@ def parse_wording_data(data: Any, where: str = "wording") -> Wording | None:
     if not isinstance(data, Mapping):
         raise ValidationError(f"{where}: wording must be a mapping")
     _reject_unknown(data, _WORDING_KEYS, where)
+    for key, template in data.items():
+        if template is not None and not isinstance(template, str):
+            raise ValidationError(f"{where}: {key} must be a string, got {template!r}")
     return Wording(
         positive_statement=data.get("positive"),
         negative_statement=data.get("negative"),
@@ -258,10 +268,11 @@ def parse_wording_data(data: Any, where: str = "wording") -> Wording | None:
     )
 
 
-def _parse_feature(data: Any, position: int) -> FeatureSpec:
-    where = f"features[{position}]"
+def feature_from_data(data: Any, where: str) -> FeatureSpec:
+    """A feature spec from its document entry, one item of a manifest's
+    ``features``; errors name the entry as ``where``."""
     if not isinstance(data, Mapping):
-        raise ValidationError(f"{where}: each feature must be a mapping")
+        raise ValidationError(f"{where} must be a mapping")
     _reject_unknown(data, _FEATURE_KEYS, where)
     for key in ("name", "dtype"):
         if key not in data:
@@ -284,7 +295,7 @@ def _parse_feature(data: Any, position: int) -> FeatureSpec:
         _reject_unknown(df, _DERIVED_KEYS, f"{where}.derived_from")
         if "inputs" not in df or "formula" not in df:
             raise ValidationError(f"{where}: derived_from needs inputs and formula")
-        derived = DerivedFrom(inputs=tuple(str(n) for n in df["inputs"]),
+        derived = DerivedFrom(inputs=_names(df["inputs"], f"{where}.derived_from: inputs"),
                               formula=str(df["formula"]))
     categories = data.get("categories")
     return FeatureSpec(
@@ -292,7 +303,7 @@ def _parse_feature(data: Any, position: int) -> FeatureSpec:
         dtype=str(data["dtype"]),
         description=document_text(data.get("description"), f"{where}: description"),
         unit=None if data.get("unit") is None else str(data["unit"]),
-        categories=None if categories is None else tuple(str(c) for c in categories),
+        categories=None if categories is None else _names(categories, f"{where}: categories"),
         wording=parse_wording_data(data.get("wording"), f"{where}.wording"),
         properties=_parse_properties(data.get("properties"), f"{where}.properties"),
         raw_source=raw_source,
@@ -311,7 +322,7 @@ def manifest_from_data(data: Any) -> SchemaManifest:
     features_data = data["features"]
     if not isinstance(features_data, list):
         raise ValidationError("manifest: features must be a list")
-    features = tuple(_parse_feature(f, i) for i, f in enumerate(features_data))
+    features = tuple(feature_from_data(f, f"features[{i}]") for i, f in enumerate(features_data))
     implications = data.get("implications") or []
     if not isinstance(implications, list):
         raise ValidationError("manifest: implications must be a list of [tail, head] pairs")
@@ -427,31 +438,35 @@ def wording_to_data(w: Wording) -> dict[str, str]:
     return out
 
 
+def feature_to_data(spec: FeatureSpec) -> dict[str, Any]:
+    """The document entry of one feature, as ``feature_from_data`` reads it;
+    unset fields are left out."""
+    item: dict[str, Any] = {"name": spec.name, "dtype": spec.dtype}
+    if spec.description:
+        item["description"] = spec.description
+    if spec.unit is not None:
+        item["unit"] = spec.unit
+    if spec.categories is not None:
+        item["categories"] = list(spec.categories)
+    if spec.wording is not None:
+        item["wording"] = wording_to_data(spec.wording)
+    true_flags = spec.properties.true_names()
+    if true_flags:
+        item["properties"] = list(true_flags)
+    if spec.raw_source is not None:
+        item["raw_source"] = {"series_id": spec.raw_source.series_id,
+                              "window": list(spec.raw_source.window)}
+    if spec.derived_from is not None:
+        item["derived_from"] = {"inputs": list(spec.derived_from.inputs),
+                                "formula": spec.derived_from.formula}
+    if spec.observed:
+        item["observed"] = True
+    return item
+
+
 def manifest_to_data(manifest: SchemaManifest) -> dict[str, Any]:
-    features = []
-    for spec in manifest.features:
-        item: dict[str, Any] = {"name": spec.name, "dtype": spec.dtype}
-        if spec.description:
-            item["description"] = spec.description
-        if spec.unit is not None:
-            item["unit"] = spec.unit
-        if spec.categories is not None:
-            item["categories"] = list(spec.categories)
-        if spec.wording is not None:
-            item["wording"] = wording_to_data(spec.wording)
-        true_flags = spec.properties.true_names()
-        if true_flags:
-            item["properties"] = list(true_flags)
-        if spec.raw_source is not None:
-            item["raw_source"] = {"series_id": spec.raw_source.series_id,
-                                  "window": list(spec.raw_source.window)}
-        if spec.derived_from is not None:
-            item["derived_from"] = {"inputs": list(spec.derived_from.inputs),
-                                    "formula": spec.derived_from.formula}
-        if spec.observed:
-            item["observed"] = True
-        features.append(item)
-    data: dict[str, Any] = {"space_tag": manifest.space_tag, "features": features}
+    data: dict[str, Any] = {"space_tag": manifest.space_tag,
+                            "features": [feature_to_data(f) for f in manifest.features]}
     if manifest.extra_implications:
         data["implications"] = [list(e) for e in manifest.extra_implications]
     return data

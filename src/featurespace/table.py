@@ -41,6 +41,7 @@ _INT_RE = re.compile(r"[+-]?\d+$")
 _INT_COLUMN_RE = re.compile(r"[0-9+-]*")
 _NUMERIC_TYPES = frozenset({int, float, _MissingType})
 _BOOLEAN_TYPES = frozenset({bool, _MissingType})
+_SHORT_NUMBER = 300  # characters; an integer literal this short is below 1e300
 
 
 def check_cell(cell, spec: FeatureSpec) -> None:
@@ -53,7 +54,11 @@ def check_cell(cell, spec: FeatureSpec) -> None:
     elif spec.dtype == "numeric":
         if isinstance(cell, bool) or not isinstance(cell, (int, float)):
             raise ValidationError(f"feature {spec.name!r}: expected number, got {cell!r}")
-        if not math.isfinite(cell):
+        try:
+            finite = math.isfinite(cell)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValidationError(f"feature {spec.name!r}: non-finite value {cell!r}")
     else:  # categorical / ordinal
         if not isinstance(cell, str):
@@ -70,10 +75,12 @@ def _column_passes(values: list, spec: FeatureSpec) -> bool:
         types = set(map(type, values))
         if not types <= _NUMERIC_TYPES:
             return False
-        if float not in types:
-            return True
-        floats = values if len(types) == 1 else [v for v in values if type(v) is float]
-        return all(map(math.isfinite, floats))
+        numbers = values if _MissingType not in types else \
+            [v for v in values if v is not MISSING]
+        try:
+            return all(map(math.isfinite, numbers))
+        except OverflowError:  # an integer beyond the float range
+            return False
     if spec.dtype == "boolean":
         return set(map(type, values)) <= _BOOLEAN_TYPES
     try:
@@ -189,8 +196,6 @@ def parse_cell(text: str, spec: FeatureSpec):
         raise ValidationError(
             f"feature {spec.name!r}: boolean cells must be TRUE or FALSE, got {text!r}")
     if spec.dtype == "numeric":
-        if _INT_RE.match(text):
-            return int(text)
         try:
             value = float(text)
         except ValueError:
@@ -198,7 +203,7 @@ def parse_cell(text: str, spec: FeatureSpec):
                 f"feature {spec.name!r}: cannot parse number from {text!r}") from None
         if not math.isfinite(value):
             raise ValidationError(f"feature {spec.name!r}: non-finite value {text!r}")
-        return value
+        return int(text) if _INT_RE.match(text) else value
     return text
 
 
@@ -206,8 +211,11 @@ _BOOLEAN_TEXT = {"": MISSING, "TRUE": True, "FALSE": False}
 
 
 def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
-    """``parse_cell`` over a whole column; raises on the first bad cell."""
+    """``parse_cell`` over a whole column; raises on the first bad cell.
+    Numeric and boolean columns come out valid: only labels need checking."""
     if spec.dtype == "numeric":
+        if max(map(len, texts), default=0) > _SHORT_NUMBER:  # may pass the float range
+            return [parse_cell(t, spec) for t in texts]
         # A column of ASCII digits and signs where int() takes every cell is
         # all ``[+-]?[0-9]+``, which parse_cell reads as int() too.
         if _INT_COLUMN_RE.fullmatch("".join(texts)):
@@ -318,7 +326,8 @@ def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> Data
     if ragged is not None:
         raise ValidationError(
             f"row {ragged}: expected {width} fields, got {len(raw[ragged])}")
-    return DataTable.from_columns(schema, columns, len(body))
+    labels = [i for i, spec in enumerate(schema.features) if spec.categories is not None]
+    return DataTable.from_columns(schema, columns, len(body), labels)
 
 
 def write_table_csv(table: DataTable, target: str | Path | IO[str],

@@ -37,6 +37,8 @@ from .schema import (
     document_number,
     document_text,
     document_window,
+    feature_from_data,
+    feature_to_data,
     parse_wording_data,
     wording_to_data,
 )
@@ -160,64 +162,42 @@ def _check_new_names(names: Sequence[str], schema: SchemaManifest,
         raise ValidationError(f"{kind}: duplicate output feature names {list(names)}")
 
 
+_STRUCTURAL_KEYS = ("dtype", "description", "unit", "categories", "wording", "observed")
+
+
 def structural_data(spec: FeatureSpec) -> dict[str, Any]:
-    """Presentation-level fields of a spec, used to restore it on inversion.
+    """The presentation part of a spec's document entry (``feature_to_data``):
+    what an exact inverse's ``restore`` holds to give a feature back its
+    dtype, categories, wording, unit and description.
 
-    Properties, derived_from, and raw_source are owned by propagation and are
-    deliberately excluded.
+    Properties, derived_from and raw_source are set by the step that
+    restores the feature, and are left out. Each key is also the name of the
+    ``FeatureSpec`` field it holds.
     """
-    data: dict[str, Any] = {"dtype": spec.dtype}
-    if spec.description:
-        data["description"] = spec.description
-    if spec.unit is not None:
-        data["unit"] = spec.unit
-    if spec.categories is not None:
-        data["categories"] = list(spec.categories)
-    if spec.wording is not None:
-        data["wording"] = wording_to_data(spec.wording)
-    if spec.observed:
-        data["observed"] = True
-    return data
+    return {k: v for k, v in feature_to_data(spec).items() if k in _STRUCTURAL_KEYS}
 
 
-_STRUCTURAL_KEYS = {"dtype", "description", "unit", "categories", "wording", "observed"}
-
-
-def _restore_from_data(data: Mapping[str, Any], kind: str) -> dict[str, Any]:
-    if not isinstance(data, Mapping):
+def _restore(cfg: Mapping, target: str, kind: str, dtypes: tuple[str, ...]) -> dict[str, Any]:
+    """The step's ``restore``, checked as the document entry of feature
+    ``target`` and normalized to ``structural_data``. A step without one
+    gives the restore keys of its own config, and the dtype ``dtypes[0]``."""
+    data = cfg.get("restore")
+    if data is None:
+        data = {"dtype": dtypes[0],
+                **{k: cfg[k] for k in _STRUCTURAL_KEYS if cfg.get(k) is not None}}
+    elif not isinstance(data, Mapping):
         raise ValidationError(f"{kind}: restore must be a mapping")
-    _check_keys(data, _STRUCTURAL_KEYS, f"{kind}.restore")
-    out = dict(data)
-    if "observed" in out:
-        document_bool(out["observed"], f"{kind}.restore: observed")
-    if "description" in out:
-        out["description"] = document_text(out["description"], f"{kind}.restore: description")
-    if "categories" in out and out["categories"] is not None:
-        out["categories"] = [str(c) for c in out["categories"]]
-    if "wording" in out and out["wording"] is not None:
-        parse_wording_data(out["wording"], f"{kind}.restore.wording")  # validate shape
-        out["wording"] = dict(out["wording"])
-    return out
+    _check_keys(data, set(_STRUCTURAL_KEYS), f"{kind}.restore")
+    restore = structural_data(feature_from_data({**data, "name": target}, f"{kind}.restore"))
+    if restore["dtype"] not in dtypes:
+        raise ValidationError(f"{kind}: restored dtype must be {' or '.join(dtypes)}")
+    return restore
 
 
-def _structural_fields(restore: Mapping[str, Any]) -> dict[str, Any]:
-    """The ``FeatureSpec`` fields that ``restore`` (``structural_data``) holds."""
-    categories = restore.get("categories")
-    return {
-        "dtype": restore["dtype"],
-        "description": restore.get("description", ""),
-        "unit": restore.get("unit"),
-        "categories": None if categories is None else tuple(categories),
-        "wording": parse_wording_data(restore.get("wording")),
-        "observed": restore.get("observed", False),
-    }
-
-
-def spec_from_structural(name: str, data: Mapping[str, Any],
-                         derived_from: DerivedFrom | None,
-                         properties: PropertySet) -> FeatureSpec:
-    return FeatureSpec(name=name, properties=properties, derived_from=derived_from,
-                       **_structural_fields(data))
+def _restored_fields(restore: Mapping[str, Any]) -> dict[str, Any]:
+    """The ``FeatureSpec`` fields a normalized ``restore`` holds."""
+    spec = feature_from_data({**restore, "name": "restore"}, "restore")
+    return {key: getattr(spec, key) for key in _STRUCTURAL_KEYS}
 
 
 def _base_properties(schema: SchemaManifest, inputs: Sequence[str]) -> PropertySet:
@@ -253,11 +233,8 @@ def _target(cfg: Mapping, feature: str, schema: SchemaManifest, kind: str) -> tu
 
 
 def _wording_cfg(cfg: Mapping, kind: str) -> dict | None:
-    wording = cfg.get("wording")
-    if wording is None:
-        return None
-    parse_wording_data(wording, f"{kind}.wording")
-    return dict(wording)
+    wording = parse_wording_data(cfg.get("wording"), f"{kind}.wording")
+    return None if wording is None else wording_to_data(wording)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +299,13 @@ class Kernel:
     def plan(self, schema: SchemaManifest, cfg: Mapping) -> PlanResult:
         raise NotImplementedError
 
-    def apply(self, table: DataTable, cfg: Mapping,
-              series_store: Mapping[str, Sequence[float]] | None
-              ) -> tuple[list[list], list[ColumnLineage]]:
-        """Compute the produced columns from the table's columns.
+    def apply(self, table: DataTable, cfg: Mapping) -> tuple[list[list], list[ColumnLineage]]:
+        """Compute the produced columns from the table's columns and the
+        step's config alone: everything a run needs is in the fitted step.
 
         Returns one list of cells per produced feature, in ``plan(...).produced``
         order, and the lineage of those columns: one ``ColumnLineage`` per
-        produced feature that has a record, in the order each row's records
+        produced feature that has a record, in the order each row's entries
         are listed. Input columns are read, never mutated.
         """
         raise NotImplementedError
@@ -378,7 +354,7 @@ class _OneToOne(Kernel):
         return PlanResult(_replace_features(schema, [feature], (out,),
                                             cfg.get("keep_original", False)), (target,))
 
-    def apply(self, table, cfg, series_store):
+    def apply(self, table, cfg):
         feature = cfg["feature"]
         column = self._cells(table.values(feature), table.schema.feature(feature), cfg)
         return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
@@ -459,7 +435,7 @@ class OneHotEncode(Kernel):
         )
         return PlanResult(_replace_features(schema, [feature], new_specs), cfg["names"])
 
-    def apply(self, table, cfg, series_store):
+    def apply(self, table, cfg):
         feature = cfg["feature"]
         values = table.values(feature)
         columns = [[MISSING if v is MISSING else v == c for v in values]
@@ -503,24 +479,8 @@ class OneHotDecode(Kernel):
                 raise ValidationError(
                     f"{self.kind}: group feature {name!r} must be boolean, is {spec.dtype}")
         target = str(_req(cfg, "target", self.kind))
-        if cfg.get("restore") is not None:
-            restore = _restore_from_data(cfg["restore"], self.kind)
-        else:
-            categories = tuple(str(c) for c in _req(cfg, "categories", self.kind))
-            restore = {"dtype": "categorical", "categories": list(categories)}
-            if cfg.get("unit") is not None:
-                restore["unit"] = str(cfg["unit"])
-            description = document_text(cfg.get("description"), f"{self.kind}: description")
-            if description:
-                restore["description"] = description
-            wording = _wording_cfg(cfg, self.kind)
-            if wording is not None:
-                restore["wording"] = wording
-            if document_bool(cfg.get("observed", False), f"{self.kind}: observed"):
-                restore["observed"] = True
-        if restore.get("dtype") != "categorical":
-            raise ValidationError(f"{self.kind}: restored dtype must be categorical")
-        categories = restore.get("categories") or []
+        restore = _restore(cfg, target, self.kind, ("categorical",))
+        categories = restore["categories"]
         if len(categories) != len(group):
             raise ValidationError(
                 f"{self.kind}: category count must equal group size "
@@ -534,11 +494,12 @@ class OneHotDecode(Kernel):
     def plan(self, schema, cfg):
         group = cfg["group"]
         base = _base_properties(schema, group)
-        spec = spec_from_structural(cfg["target"], cfg["restore"],
-                                    DerivedFrom(group, self.kind), base)
+        spec = FeatureSpec(name=cfg["target"], properties=base,
+                           derived_from=DerivedFrom(group, self.kind),
+                           **_restored_fields(cfg["restore"]))
         return PlanResult(_replace_features(schema, group, (spec,)), (cfg["target"],))
 
-    def apply(self, table, cfg, series_store):
+    def apply(self, table, cfg):
         group = cfg["group"]
         categories = cfg["restore"]["categories"]
         decoded = []
@@ -647,23 +608,13 @@ class Unstandardize(_OneToOne):
         scale = _number(_req(cfg, "scale", self.kind), self.kind, "scale")
         if scale <= 0:
             raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
-        if cfg.get("restore") is not None:
-            restore = _restore_from_data(cfg["restore"], self.kind)
-        else:
-            restore = {"dtype": "numeric"}
-            if cfg.get("unit") is not None:
-                restore["unit"] = str(cfg["unit"])
-            description = document_text(cfg.get("description"), f"{self.kind}: description")
-            if description:
-                restore["description"] = description
-        if restore.get("dtype") != "numeric":
-            raise ValidationError(f"{self.kind}: restored dtype must be numeric")
         target, _ = _target(cfg, feature, schema, self.kind)
         return {"feature": feature, "mean": mean, "scale": scale, "target": target,
-                "restore": restore, "display_format": _display_format(cfg, self.kind)}
+                "restore": _restore(cfg, target, self.kind, ("numeric",)),
+                "display_format": _display_format(cfg, self.kind)}
 
     def _out_fields(self, spec, cfg):
-        return _structural_fields(cfg["restore"])
+        return _restored_fields(cfg["restore"])
 
     def _cells(self, values, spec, cfg):
         mean, scale = cfg["mean"], cfg["scale"]
@@ -860,7 +811,7 @@ class ImputeFlagged(Kernel):
         )
         return PlanResult(schema.features + (flag,), (feature, cfg["flag_name"]))
 
-    def apply(self, table, cfg, series_store):
+    def apply(self, table, cfg):
         feature = cfg["feature"]
         strategy = cfg["strategy"]
         values = table.values(feature)
@@ -979,7 +930,7 @@ class AggregateNumeric(Kernel):
                                      cfg["keep_inputs"])
         return PlanResult(features, (cfg["target"],))
 
-    def apply(self, table, cfg, series_store):
+    def apply(self, table, cfg):
         inputs = cfg["inputs"]
         formula = _formula_function(cfg["formula"], inputs)
         column = []
@@ -989,7 +940,7 @@ class AggregateNumeric(Kernel):
                 continue
             try:
                 column.append(formula(values))
-            except KernelError as exc:
+            except (KernelError, OverflowError) as exc:  # floor() of an infinite result
                 raise KernelError(f"row {r}: {exc}", row_index=r) from None
         origin = Computed(_formula_descriptor(cfg["formula"]), inputs)
         return [column], [ColumnLineage(cfg["target"], origin)]
@@ -1040,8 +991,8 @@ class AbstractConcept(AggregateNumeric):
             derived_from=spec.derived_from,
         )
 
-    def apply(self, table, cfg, series_store):
-        (column,), lineage = super().apply(table, cfg, series_store)
+    def apply(self, table, cfg):
+        (column,), lineage = super().apply(table, cfg)
         labeling = cfg["labeling"]
         if labeling is not None:
             column = _label_bins(column, labeling["boundaries"], labeling["labels"])
@@ -1140,19 +1091,18 @@ class UnrenderStatement(_OneToOne):
         if spec.dtype not in ("categorical", "ordinal"):
             raise ValidationError(f"{self.kind}: feature {feature!r} must hold rendered statements")
         target = str(_req(cfg, "target", self.kind))
-        restore = _restore_from_data(_req(cfg, "restore", self.kind), self.kind)
-        if restore.get("dtype") not in ("boolean", "categorical", "ordinal"):
-            raise ValidationError(f"{self.kind}: restored dtype must be boolean or categorical")
-        if restore.get("wording") is None:
+        _req(cfg, "restore", self.kind)
+        restore = _restore(cfg, target, self.kind, ("boolean", "categorical", "ordinal"))
+        if "wording" not in restore:
             raise ValidationError(f"{self.kind}: restore must carry the wording templates")
         _check_new_names([target], schema, {feature}, self.kind)
         return {"feature": feature, "target": target, "restore": restore}
 
     def _out_fields(self, spec, cfg):
-        return _structural_fields(cfg["restore"])
+        return _restored_fields(cfg["restore"])
 
     def _cells(self, values, spec, cfg):
-        restored = spec_from_structural(cfg["target"], cfg["restore"], None, PropertySet())
+        restored = FeatureSpec(cfg["target"], **_restored_fields(cfg["restore"]))
         reverse = {render_value(restored, v): v for v in _domain_values(restored)}
         for r, value in enumerate(values):
             if value is not MISSING and value not in reverse:
@@ -1257,7 +1207,7 @@ class PcaProject(Kernel):
         )
         return PlanResult(_replace_features(schema, inputs, new_specs), names)
 
-    def apply(self, table, cfg, series_store):
+    def apply(self, table, cfg):
         inputs, means, loadings = cfg["inputs"], cfg["means"], cfg["loadings"]
         columns = [table.values(name) for name in inputs]
         first = [column.index(MISSING) for column in columns if MISSING in column]
@@ -1312,16 +1262,10 @@ class LinkRaw(Kernel):
     def plan(self, schema, cfg):
         return PlanResult(schema.features, (cfg["feature"],))
 
-    def _resolve_series(self, cfg, series_store):
-        if cfg["series"] is not None:
-            return cfg["series"]
-        store = series_store or {}
-        if cfg["series_id"] not in store:
+    def apply(self, table, cfg):
+        series = cfg["series"]
+        if series is None:
             raise KernelError(f"{self.kind}: unknown series {cfg['series_id']!r}")
-        return store[cfg["series_id"]]
-
-    def apply(self, table, cfg, series_store):
-        series = self._resolve_series(cfg, series_store)
         start, stop = cfg["window"]
         if stop > len(series):
             raise KernelError(

@@ -537,17 +537,22 @@ def test_non_utf8_input_exits_1(workspace, capsys, command, options, bad):
     assert "Traceback" not in err
 
 
+def _steps(workspace, *steps):
+    """``transform --fit`` argv for a pipeline of ``steps`` over ``original.yaml``."""
+    path = workspace / "step.yaml"
+    path.write_text(yaml.safe_dump({"input_manifest": "original.yaml",
+                                    "direction": "to_interpretable", "steps": list(steps)}),
+                    encoding="utf-8")
+    return ["transform", "--fit", "--pipeline", str(path),
+            "--data", str(workspace / "data.csv")]
+
+
 def _one_step(workspace, kind, config, property_delta=None):
     """``transform --fit`` argv for a one-step pipeline over ``original.yaml``."""
     step = {"kind": kind, "config": config}
     if property_delta is not None:
         step["property_delta"] = property_delta
-    path = workspace / "step.yaml"
-    path.write_text(yaml.safe_dump({"input_manifest": "original.yaml",
-                                    "direction": "to_interpretable", "steps": [step]}),
-                    encoding="utf-8")
-    return ["transform", "--fit", "--pipeline", str(path),
-            "--data", str(workspace / "data.csv")]
+    return _steps(workspace, step)
 
 
 ZONES = {"feature": "Elevation", "boundaries": [3000], "labels": ["Low", "High"],
@@ -621,11 +626,17 @@ def _fitted_mean_true(workspace):
      "aggregate_numeric: description must be a string, got ['tall']"),
     (lambda w: _one_step(w, "hierarchy_rollup", {**REGIONS, "description": False}),
      "hierarchy_rollup: description must be a string, got False"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        "categories: [Rawah, Neota, Comache Peak, Cache la Poudre]", "categories: 5", 1)),
+     "features[0]: categories must be a list, got 5"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        FIRST_FLAGS, FIRST_FLAGS + "\n    derived_from: {inputs: 5, formula: f}", 1)),
+     "features[0].derived_from: inputs must be a list, got 5"),
 ], ids=["keep_original", "keep_inputs", "bins_float", "bins_bool", "components_float",
         "manifest_property", "manifest_observed", "window_float", "window_short",
         "persona_require_all",
         "fitted_mean_bool", "manifest_description", "aggregate_description",
-        "rollup_description"])
+        "rollup_description", "manifest_categories", "manifest_derived_inputs"])
 def test_document_scalars_are_checked_not_coerced(workspace, capsys, argv_for, key):
     argv = argv_for(workspace)
     capsys.readouterr()
@@ -675,3 +686,111 @@ def test_unloadable_yaml_exits_1(workspace, capsys, reader, case):
     err = capsys.readouterr().err
     assert f"{bad}: {reader} parse error: {message}" in err
     assert "Traceback" not in err
+
+
+def _fails_cleanly(argv, capsys, code, *messages):
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message in err
+    assert "Traceback" not in err
+
+
+def test_aggregate_overflow_exits_2(workspace, capsys):
+    (workspace / "data.csv").write_text("Wilderness area,Elevation\nRawah,3000\nRawah,1e200\n",
+                                        encoding="utf-8")
+    argv = _one_step(workspace, "aggregate_numeric", {
+        "inputs": ["Elevation"], "formula": "euclidean_floor", "target": "Height"})
+    _fails_cleanly(argv + ["--out", str(workspace / "out.csv")], capsys, 2,
+                   "step 1 (aggregate_numeric): row 1:")
+
+
+def test_integer_beyond_the_float_range_exits_1(workspace, capsys):
+    huge = "1" + "0" * 400
+    (workspace / "data.csv").write_text(f"Wilderness area,Elevation\nRawah,3000\nRawah,{huge}\n",
+                                        encoding="utf-8")
+    argv = _one_step(workspace, "standardize", {"feature": "Elevation", "target": "z"})
+    _fails_cleanly(argv + ["--out", str(workspace / "out.csv")], capsys, 1,
+                   "row 1: feature 'Elevation': non-finite value")
+
+
+@pytest.mark.parametrize("wording, key", [
+    ("{value: 5}", "value must be a string, got 5"),
+    ("{positive: 5}", "positive must be a string, got 5"),
+])
+def test_non_text_wording_exits_1(workspace, capsys, wording, key):
+    manifest = ORIGINAL_MANIFEST.replace(FIRST_FLAGS, FIRST_FLAGS + f"\n    wording: {wording}", 1)
+    _fails_cleanly(_audit(workspace, manifest) + ["--out", str(workspace / "out.json")],
+                   capsys, 1, f"features[0].wording: {key}")
+
+
+@pytest.mark.parametrize("kind, config, message", [
+    ("hierarchy_rollup", {**REGIONS, "mapping": {**REGIONS["mapping"], "Rawah": ""}},
+     "step 1 (hierarchy_rollup): feature 'Region': categories must be non-empty strings"),
+    ("semantic_bin", {**ZONES, "labels": ["a", "a"]},
+     "step 1 (semantic_bin): feature 'Zone': duplicate category labels"),
+])
+def test_plan_errors_name_the_step(workspace, capsys, kind, config, message):
+    _fails_cleanly(_one_step(workspace, kind, config) + ["--out", str(workspace / "o.csv")],
+                   capsys, 1, message)
+
+
+AREAS = ["Rawah", "Neota", "Comache Peak", "Cache la Poudre"]
+
+
+@pytest.mark.parametrize("restore, message", [
+    ({"dtype": "categorical", "categories": AREAS, "bogus": 1},
+     "one_hot_decode.restore: unknown config keys ['bogus']"),
+    ({"dtype": "categorical", "categories": ["a", "a"]},
+     "feature 'g': duplicate category labels"),
+    ({"dtype": "categorical", "categories": AREAS, "observed": "yes"},
+     "one_hot_decode.restore: observed must be true or false, got 'yes'"),
+], ids=["unknown_key", "duplicate_categories", "observed_text"])
+def test_malformed_restore_names_the_step(workspace, capsys, restore, message):
+    argv = _steps(workspace,
+                  {"kind": "one_hot_encode", "config": {"feature": "Wilderness area",
+                                                        "name_template": "A {category}"}},
+                  {"kind": "one_hot_decode", "config": {
+                      "group": [f"A {area}" for area in AREAS], "target": "g",
+                      "restore": restore}})
+    _fails_cleanly(argv + ["--out", str(workspace / "o.csv")], capsys, 1,
+                   f"step 2 (one_hot_decode): {message}")
+
+
+def _explain_map_argv(workspace, out):
+    contribs = workspace / "contribs.csv"
+    contribs.write_text("Area Rawah,Area Neota,Area Comache Peak,Area Cache la Poudre,"
+                        "Elevation\n0.1,0,0,0,0.4\n", encoding="utf-8")
+    return ["explain-map", "--pipeline", str(workspace / "pipeline.yaml"),
+            "--contribs", str(contribs), "--out", str(out)]
+
+
+def _sidecar_is_a_directory(workspace):
+    (workspace / "mapped.csv.fidelity.txt").mkdir()
+    return _explain_map_argv(workspace, workspace / "mapped.csv"), "mapped.csv.fidelity.txt"
+
+
+def _transform_argv(workspace, *extra):
+    return ["transform", "--pipeline", str(workspace / "pipeline.yaml"),
+            "--data", str(workspace / "data.csv"), *extra]
+
+
+@pytest.mark.parametrize("argv_for", [
+    lambda w: (_transform_argv(w, "--out", str(w / "gone" / "o.csv")), "gone"),
+    lambda w: (_transform_argv(w, "--out", str(w / "o.csv"),
+                               "--lineage", str(w / "gone" / "l.json")), "gone"),
+    lambda w: (["fit", "--pipeline", str(w / "pipeline.yaml"), "--data", str(w / "data.csv"),
+                "--out", str(w / "gone" / "f.json")], "gone"),
+    lambda w: (["audit", "--manifest", str(w / "original.yaml"), "--persona", "developer",
+                "--out", str(w / "gone" / "a.json")], "gone"),
+    lambda w: (["invert", "--pipeline", str(w / "pipeline.yaml"),
+                "--out", str(w / "gone" / "i.json")], "gone"),
+    lambda w: (["demo-covertype", "--out", str(w / "data.csv" / "demo")], "data.csv/demo"),
+    lambda w: (_explain_map_argv(w, w / "gone" / "m.csv"), "gone"),
+    _sidecar_is_a_directory,
+], ids=["transform_out", "transform_lineage", "fit_out", "audit_out", "invert_out",
+        "demo_out", "explain_map_out", "explain_map_sidecar"])
+def test_unwritable_output_exits_1(workspace, capsys, argv_for):
+    argv, path = argv_for(workspace)
+    _fails_cleanly(argv, capsys, 1, str(workspace / path))

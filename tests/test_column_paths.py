@@ -294,7 +294,7 @@ def test_pca_apply_matches_left_to_right_loop(case):
     kernel = KERNELS["pca_project"]
     cfg = kernel.normalize({"inputs": list(names), "components": components,
                             "means": means, "loadings": loadings}, schema)
-    projected, _ = kernel.apply(table, cfg, None)
+    projected, _ = kernel.apply(table, cfg)
     expected = reference_projection(columns, cfg["means"], cfg["loadings"], components)
     assert [type(v) for c in projected for v in c] == [float] * (components * table.num_rows)
     assert list(map(_bits, projected)) == list(map(_bits, expected))
@@ -307,7 +307,7 @@ def test_pca_apply_names_the_first_missing_row():
     cfg = kernel.normalize({"inputs": ["a", "b"], "components": 1, "means": [0, 0],
                             "loadings": [[1], [0]]}, schema)
     with pytest.raises(KernelError, match="row 1: MISSING value in PCA inputs") as info:
-        kernel.apply(table, cfg, None)
+        kernel.apply(table, cfg)
     assert info.value.row_index == 1
 
 
@@ -358,10 +358,10 @@ def test_statistical_bin_matches_row_scan(case):
     expected = reference_bins(values, cfg, categories)
     if isinstance(expected, int):
         with pytest.raises(KernelError, match=f"^row {expected}: value ") as info:
-            kernel.apply(table, cfg, None)
+            kernel.apply(table, cfg)
         assert info.value.row_index == expected
         return
-    columns, _ = kernel.apply(table, cfg, None)
+    columns, _ = kernel.apply(table, cfg)
     assert columns == [expected]
 
 
@@ -402,5 +402,5 @@ def test_float_accumulations_add_left_to_right():
     for formula in ("sum", "mean"):
         cfg = aggregate.normalize({"inputs": list(names), "formula": formula,
                                    "target": "t"}, schema)
-        assert aggregate.apply(row, cfg, None)[0] == [[0.0]]
+        assert aggregate.apply(row, cfg)[0] == [[0.0]]
     assert ContributionVector(schema, tuple(CANCELLING)).total() == 0.0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from featurespace.errors import ValidationError
 from featurespace.lineage import lineage_to_data
-from featurespace.pipeline import compose, fit, run
+from featurespace.pipeline import as_fitted, compose, fit, run
 from featurespace.table import (
     DataTable,
     check_cell,
@@ -73,13 +73,37 @@ def test_lineage_length_matches_its_expansions(seed):
         steps.insert(0, TransformStep("impute_flagged", {
             "feature": rng.choice(numerics), "strategy": "constant", "constant": 0}))
     result = run(fit(compose(steps, schema, "to_interpretable"), table), table)
-    records = list(result.lineage)
-    assert len(result.lineage) == len(records) == len(lineage_to_data(result.lineage))
-    assert result.lineage == tuple(records)
-    assert lineage_to_data(result.lineage) == lineage_to_data(records)
-    if records:
-        assert result.lineage[-1] == records[-1]
-        assert result.lineage[0] == records[0]
+    entries = lineage_to_data(result.lineage)
+    assert len(result.lineage) == len(entries)
+    assert all(0 <= e["row"] < table.num_rows for e in entries)
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_steps_carry_what_they_do_not_produce_unchanged(seed):
+    """Why a step validates only its produced columns: every other output
+    spec is the input spec of the same name."""
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    pipeline = random_exact_pipeline(rng, schema)
+    steps = list(pipeline.steps)
+    numerics = [f.name for f in pipeline.output_schema.features if f.dtype == "numeric"]
+    if numerics:  # lossy kinds too: one keeps its input and one replaces it
+        feature = rng.choice(numerics)
+        steps += [
+            TransformStep("impute_flagged", {"feature": feature, "strategy": "constant",
+                                             "constant": 0}),
+            TransformStep("semantic_bin", {"feature": feature, "boundaries": [0.0],
+                                           "labels": ["low", "high"], "target": "binned",
+                                           "keep_original": rng.random() < 0.5}),
+        ]
+    for fstep in as_fitted(compose(steps, schema, "to_interpretable")).steps:
+        names = fstep.output_schema.names
+        for spec in fstep.output_schema.features:
+            if spec.name not in fstep.produced:
+                assert spec == fstep.input_schema.feature(spec.name)
+        assert fstep.unchecked == tuple(
+            i for i, name in enumerate(names) if name in fstep.produced)
 
 
 def _two_positions(rng: random.Random, table: DataTable):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from featurespace.errors import KernelError, ValidationError
-from featurespace.lineage import Computed, Imputed
+from featurespace.lineage import lineage_to_data
 from featurespace.pipeline import (
     InversionRefusal,
     as_fitted,
@@ -63,7 +63,8 @@ def test_compose_empty_is_identity():
     result = run(fitted, table)
     assert result.table.rows == table.rows
     assert result.fidelity_notes == ()
-    assert result.lineage == ()
+    assert len(result.lineage) == 0
+    assert lineage_to_data(result.lineage) == []
 
 
 def test_compose_dangling_reference_names_the_step():
@@ -134,8 +135,8 @@ def test_run_rejects_a_wrong_typed_produced_cell(monkeypatch):
     fitted = as_fitted(compose([step], schema, "to_model_ready"))
     apply = Standardize.apply
 
-    def corrupt(self, table, cfg, series_store):
-        columns, lineage = apply(self, table, cfg, series_store)
+    def corrupt(self, table, cfg):
+        columns, lineage = apply(self, table, cfg)
         return [[columns[0][0], "oops", *columns[0][2:]]], lineage
 
     monkeypatch.setattr(Standardize, "apply", corrupt)
@@ -235,8 +236,8 @@ def test_lineage_covers_every_changed_cell():
              TransformStep("standardize", {"feature": "y", "mean": 0.0,
                                            "scale": 2.0})]
     result = run(fit(compose(steps, schema, "to_model_ready"), table), table)
-    covered = {(r.row_index, r.feature) for r in result.lineage
-               if isinstance(r.origin, (Imputed, Computed))}
+    covered = {(e["row"], e["feature"]) for e in lineage_to_data(result.lineage)
+               if e["origin"] in ("imputed", "computed")}
     out = result.table
     for r, row in enumerate(out.rows):
         for name in out.schema.names:

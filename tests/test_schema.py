@@ -5,14 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featurespace.errors import ValidationError
-from featurespace.properties import PropertySet
+from featurespace.properties import PROPERTY_NAMES, PropertySet, implication_closure
 from featurespace.schema import (
+    DerivedFrom,
     FeatureSpec,
     RawSource,
     SchemaManifest,
     Wording,
+    feature_from_data,
+    feature_to_data,
     manifest_to_data,
     parse_manifest,
     serialize_manifest,
@@ -146,3 +151,40 @@ features:
         parse_manifest(doc)
     ok = parse_manifest(doc.replace("[understandable]", "[understandable, readable]"))
     assert ok.extra_implications == (("understandable", "readable"),)
+
+
+TEXT = st.text(max_size=8)
+NAMES = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def feature_specs(draw):
+    """Valid specs of every dtype, with every optional field drawn."""
+    dtype = draw(st.sampled_from(["numeric", "categorical", "boolean", "ordinal"]))
+    categories = None
+    if dtype in ("categorical", "ordinal"):
+        categories = tuple(draw(st.lists(NAMES, min_size=1, max_size=4, unique=True)))
+    wording = draw(st.none() | st.builds(
+        Wording, st.none() | TEXT, st.none() | TEXT,
+        st.none() | TEXT.map(lambda t: t + "{value}")))
+    flags = draw(st.lists(st.sampled_from(PROPERTY_NAMES), unique=True))
+    raw_source = None
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 10))
+        raw_source = RawSource(draw(NAMES), (start, start + draw(st.integers(1, 10))))
+    derived = draw(st.none() | st.builds(DerivedFrom, st.lists(NAMES, min_size=1, max_size=3),
+                                         TEXT))
+    observed = draw(st.booleans())
+    properties = implication_closure(PropertySet.from_names(flags))
+    if properties.simulatable and not (raw_source or derived or observed):
+        observed = True
+    return FeatureSpec(draw(NAMES), dtype, description=draw(TEXT),
+                       unit=draw(st.none() | TEXT), categories=categories,
+                       wording=wording, properties=properties, raw_source=raw_source,
+                       derived_from=derived, observed=observed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feature_specs())
+def test_feature_data_round_trips(spec):
+    assert feature_from_data(feature_to_data(spec), "feature") == spec

@@ -12,6 +12,7 @@ from featurespace.schema import FeatureSpec, SchemaManifest
 from featurespace.table import (
     MISSING,
     DataTable,
+    check_cell,
     read_table_csv,
     render_cell,
     write_table_csv,
@@ -108,3 +109,17 @@ def test_column_accessor():
     assert table.column("n") == (1, 2)
     with pytest.raises(ValidationError):
         table.column("nope")
+
+
+def test_an_integer_beyond_the_float_range_is_not_a_number():
+    spec = FeatureSpec("x", "numeric")
+    schema = SchemaManifest((spec,))
+    with pytest.raises(ValidationError, match="feature 'x': non-finite value"):
+        check_cell(10**400, spec)
+    with pytest.raises(ValidationError, match="row 1: feature 'x': non-finite value"):
+        DataTable(schema, ((1,), (10**400,)))
+    for text in ("1" + "0" * 400, "-" + "9" * 5000):
+        with pytest.raises(ValidationError, match="row 1: feature 'x': non-finite value"):
+            read_table_csv(io.StringIO(f"x\n2\n{text}\n"), schema)
+    long_seven = "0" * 400 + "7"  # long, but finite: still an integer
+    assert read_table_csv(io.StringIO(f"x\n{long_seven}\n"), schema).values("x") == [7]

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from featurespace.errors import KernelError, ValidationError
+from featurespace.lineage import lineage_to_data
 from featurespace.pipeline import compose, fit, load_fitted, run, save_fitted
 from featurespace.properties import PropertySet
 from featurespace.schema import FeatureSpec, RawSource, SchemaManifest, Wording
@@ -24,10 +25,9 @@ from _generators import BASE_PROPS, random_table
 from _tables import tables_equal
 
 
-def apply_step(step: TransformStep, table: DataTable, series_store=None):
+def apply_step(step: TransformStep, table: DataTable):
     pipeline = compose([step], table.schema, "to_interpretable")
-    fitted = fit(pipeline, table, series_store=series_store)
-    return run(fitted, table, series_store=series_store)
+    return run(fit(pipeline, table), table)
 
 
 def area_schema():
@@ -159,6 +159,23 @@ def test_one_hot_round_trip_random_tables():
         assert tables_equal(decoded.table, table)
 
 
+@pytest.mark.parametrize("own", [
+    {},
+    {"unit": 5, "description": "Area", "wording": {"value": "in {value}"},
+     "observed": True},
+])
+def test_one_hot_decode_own_keys_normalize_as_their_restore(own):
+    kernel = KERNELS["one_hot_decode"]
+    schema = boolean_group_schema()
+    config = decode_step(**own).config
+    restore = {"dtype": "categorical",
+               **{k: config.pop(k) for k in ("categories", *own)}}
+    by_keys = kernel.normalize(decode_step(**own).config, schema)
+    assert by_keys == kernel.normalize({**config, "restore": restore}, schema)
+    if own:
+        assert by_keys["restore"]["unit"] == "5"  # as a manifest reads it
+
+
 # -- standardize / unstandardize ---------------------------------------------
 
 def elevation_table(*values):
@@ -201,6 +218,20 @@ def test_standardize_round_trip_within_1e9():
         back = apply_step(TransformStep("unstandardize", {
             "feature": "Elevation", "mean": mean, "scale": scale}), fwd.table)
         assert back.table.rows[0][0] == pytest.approx(x, abs=1e-9)
+
+
+@pytest.mark.parametrize("own", [{}, {"unit": 5, "description": "Height"}])
+def test_unstandardize_own_keys_normalize_as_their_restore(own):
+    kernel = KERNELS["unstandardize"]
+    schema = elevation_table(1.0).schema
+    config = {"feature": "Elevation", "mean": 1.0, "scale": 2.0}
+    by_keys = kernel.normalize({**config, **own}, schema)
+    by_restore = kernel.normalize({**config, "restore": {"dtype": "numeric", **own}},
+                                  schema)
+    assert by_keys == by_restore
+    if own:
+        assert by_keys["restore"] == {"dtype": "numeric", "description": "Height",
+                                      "unit": "5"}
 
 
 def test_standardize_rejects_bad_scale():
@@ -361,8 +392,8 @@ def test_impute_flag_count_matches_missing_count():
         flags = [row[1] for row in result.table.rows]
         assert sum(flags) == missing
         assert not any(row[0] is MISSING for row in result.table.rows)
-        imputed = [r for r in result.lineage
-                   if r.feature == "Elevation" and type(r.origin).__name__ == "Imputed"]
+        imputed = [e for e in lineage_to_data(result.lineage)
+                   if e["feature"] == "Elevation" and e["origin"] == "imputed"]
         assert len(imputed) == missing
 
 
@@ -387,7 +418,7 @@ def test_impute_mean_without_fit_state_is_a_validation_error():
     cfg = {"feature": "Elevation", "strategy": "mean", "constant": None,
            "flag_name": "Elevation Flag"}
     with pytest.raises(ValidationError, match="not fitted"):
-        KERNELS["impute_flagged"].apply(table, cfg, None)
+        KERNELS["impute_flagged"].apply(table, cfg)
 
 
 def test_impute_mean_needs_observed_values():
@@ -691,38 +722,37 @@ def pulse_schema():
 
 
 def test_link_raw_emits_lineage_and_keeps_values():
-    series = {"pulse-p7": tuple(float(60 + i) for i in range(12))}
-    window_mean = sum(series["pulse-p7"][0:10]) / 10
+    series = [float(60 + i) for i in range(12)]
+    window_mean = sum(series[0:10]) / 10
     table = DataTable(pulse_schema(), ((window_mean,), (window_mean,)))
-    result = apply_step(TransformStep("link_raw", {"feature": "MEAN(pulse)"}),
-                        table, series_store=series)
+    result = apply_step(TransformStep("link_raw", {"feature": "MEAN(pulse)",
+                                                   "series": series}), table)
     assert result.table.rows == table.rows
-    linked = [r for r in result.lineage if type(r.origin).__name__ == "RawLinked"]
+    linked = [e for e in lineage_to_data(result.lineage) if e["origin"] == "raw_linked"]
     assert len(linked) == 2
-    assert linked[0].origin.series_id == "pulse-p7"
-    assert (linked[0].origin.start, linked[0].origin.stop) == (0, 10)
+    assert linked[0]["series_id"] == "pulse-p7"
+    assert linked[0]["window"] == [0, 10]
     # simulatability: recomputing over the linked slice recovers the feature
     for row in table.rows:
-        slice_mean = sum(series["pulse-p7"][0:10]) / 10
+        slice_mean = sum(series[0:10]) / 10
         assert abs(row[0] - slice_mean) <= 1e-9
 
 
 def test_link_raw_full_window():
-    series = {"pulse-p7": (1.0, 2.0, 3.0)}
     table = DataTable(pulse_schema(), ((2.0,),))
-    step = TransformStep("link_raw", {"feature": "MEAN(pulse)", "window": [0, 3]})
-    result = apply_step(step, table, series_store=series)
-    assert result.lineage[-1].origin.stop == 3
+    step = TransformStep("link_raw", {"feature": "MEAN(pulse)", "window": [0, 3],
+                                      "series": [1.0, 2.0, 3.0]})
+    result = apply_step(step, table)
+    assert lineage_to_data(result.lineage)[-1]["window"] == [0, 3]
 
 
 def test_link_raw_errors():
     table = DataTable(pulse_schema(), ((1.0,),))
     with pytest.raises(KernelError, match="unknown series"):
-        apply_step(TransformStep("link_raw", {"feature": "MEAN(pulse)"}), table,
-                   series_store={})
+        apply_step(TransformStep("link_raw", {"feature": "MEAN(pulse)"}), table)
     with pytest.raises(KernelError, match="outside series"):
-        apply_step(TransformStep("link_raw", {"feature": "MEAN(pulse)"}), table,
-                   series_store={"pulse-p7": (1.0, 2.0)})
+        apply_step(TransformStep("link_raw", {"feature": "MEAN(pulse)",
+                                              "series": [1.0, 2.0]}), table)
     for window, message in (([0, 2.5], "window must be an integer, got 2.5"),
                             ([1], r"window must be \[start, stop\], got \[1\]")):
         with pytest.raises(ValidationError, match=message):
