@@ -13,16 +13,19 @@ from 0.0 of near-side features (PCA's weights are its redistribution weights).
 Nothing about a mapping depends on the vector's values except the arithmetic,
 so each ``(FittedPipeline, expose_flags)`` pair is compiled once, on first
 use, into a ``MappingPlan`` stored on the fitted pipeline. The plan caches the
-expected and final schemas, each step's rewrite as index operations over
-slots, which slots feed exposed imputation flags, the static partition audit
-and fidelity notes, and the error of a pipeline that cannot be mapped. Per
-vector, mapping is the alignment check and list arithmetic over those
-operations.
+expected and final schemas, the static partition audit and fidelity notes,
+the error of a pipeline that cannot be mapped, and one generated Python
+function that carries a vector's values across every step. Per vector,
+mapping is the alignment check, one call and a finiteness check.
 
-The operations keep each step's own summation order instead of folding the
-pipeline into one contribution matrix: a fused ``C @ M`` would reassociate
-the sums, so mapped values, and the conservation deltas computed from them,
-would change in their last bits.
+The function is straight-line code that keeps each step's own summation
+order: a copy is a local passed on, and a sum starts from 0.0 and adds one
+term per statement. Folding the pipeline into one contribution matrix would
+do less work, but a fused ``C @ M`` would reassociate the sums, so mapped
+values, and the conservation deltas computed from them, would change in their
+last bits. A sum written as one chained expression would keep the order too,
+but the compiler recurses once per ``+``, so a chain over a few thousand terms
+raises ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 from .errors import MappingError, ValidationError
 from .pipeline import FittedPipeline
@@ -42,7 +46,7 @@ from .transforms import Rewrite, kernel_for, sum_in_order
 CONSERVATION_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContributionVector:
     """Per-feature additive explanation for one row, aligned to a schema."""
 
@@ -74,7 +78,29 @@ class ContributionVector:
         return dict(zip(self.schema.names, self.values))
 
 
-@dataclass(frozen=True)
+_SET_FIELDS = tuple(getattr(ContributionVector, name).__set__
+                    for name in ("schema", "values", "base_value"))
+
+
+def _checked_vector(schema: SchemaManifest, values: tuple[float, ...],
+                    base: float | None) -> ContributionVector:
+    """``ContributionVector(schema, values, base)`` for ``values`` a tuple of
+    floats of the schema's width and ``base`` a float or None. When every
+    number is finite, which a finite sum of the values proves (an infinity or
+    a NaN among the terms makes the sum one too), the constructor's float
+    pass is skipped. Otherwise the constructor runs: it raises its own error,
+    or builds the vector when only the sum overflowed."""
+    if not (math.isfinite(sum(values)) and (base is None or math.isfinite(base))):
+        return ContributionVector(schema, values, base)
+    vector = object.__new__(ContributionVector)
+    set_schema, set_values, set_base = _SET_FIELDS
+    set_schema(vector, schema)
+    set_values(vector, values)
+    set_base(vector, base)
+    return vector
+
+
+@dataclass(frozen=True, slots=True)
 class MappedContributions:
     vector: ContributionVector
     fidelity_notes: tuple[str, ...]
@@ -82,7 +108,7 @@ class MappedContributions:
     partition_audit: tuple[tuple[int, Mapping[str, int]], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConservationResult:
     passed: bool
     delta: float
@@ -108,43 +134,76 @@ def conservation_check(before: ContributionVector,
 # compiled plans
 
 @dataclass(frozen=True)
-class StepOps:
-    """One step over slot indices: ``copy_from`` gives each output slot's
-    source slot (a placeholder where a later operation writes the slot);
-    ``sums``, ``adds`` and ``weighted`` write ``(slot, ...)``; ``exposed``
-    reads ``(flag, slot)`` before the step."""
-
-    copy_from: tuple[int, ...]
-    sums: tuple[tuple[int, tuple[int, ...]], ...]
-    adds: tuple[tuple[int, int, int], ...]
-    weighted: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
-    exposed: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
 class MappingPlan:
     """Everything about mapping through one fitted pipeline that does not
     depend on a vector's values. ``error`` is set when the pipeline cannot be
-    mapped; it is raised afresh on every call."""
+    mapped; it is raised afresh on every call.
+
+    ``function(values, exposed)`` takes a tuple of model-ready values, adds
+    each exposed flag's contribution to the ``exposed`` dict and returns the
+    tuple of final values. ``source`` is its text: unrolled statements, one
+    per term of each sum, over locals that hold the slots' values. Flag names
+    and weights are bound in the function's namespace under generated names,
+    so the text holds no feature name or number from the pipeline."""
 
     expected: SchemaManifest
     final: SchemaManifest
-    steps: tuple[StepOps, ...]
-    fidelity_notes: tuple[str, ...]
-    partition_audit: tuple[tuple[int, Mapping[str, int]], ...]
+    function: Callable[[tuple, dict], tuple] | None
+    source: str = field(repr=False)
+    fidelity_notes: tuple[str, ...] = ()
+    partition_audit: tuple[tuple[int, Mapping[str, int]], ...] = ()
     error: ValidationError | None = None
 
 
+class _Source:
+    """The text of a generated mapping function and the namespace it runs in.
+    Locals ``a0, a1, ...`` each hold one value; ``inputs`` are the ones that
+    hold the input vector's."""
+
+    def __init__(self, width: int):
+        self.inputs = [f"a{i}" for i in range(width)]
+        self.numbers = count(width)
+        self.lines = ["def _map(v, x):"]
+        if width:
+            self.statement("".join(f"{name}, " for name in self.inputs) + "= v")
+        self.namespace: dict = {"__builtins__": {}}
+
+    def statement(self, text: str) -> None:
+        self.lines.append("    " + text)
+
+    def local(self, expression: str) -> str:
+        name = f"a{next(self.numbers)}"
+        self.statement(f"{name} = {expression}")
+        return name
+
+    def bind(self, prefix: str, value) -> str:
+        name = f"_{prefix}{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def function(self, final: Sequence[str]) -> tuple[Callable, str]:
+        self.statement("return (" + "".join(f"{name}, " for name in final) + ")")
+        source = "\n".join(self.lines) + "\n"
+        # The text holds only generated identifiers and the constant 0.0.
+        exec(compile(source, "<mapping plan>", "exec"), self.namespace)
+        return self.namespace["_map"], source
+
+
 def _compile_step(rewrite: Rewrite, near: SchemaManifest, far: SchemaManifest,
-                  label: str) -> tuple[StepOps, dict[str, int]]:
-    """Slot operations from ``near`` (the vector before the step) to ``far``,
-    and each near-side feature's consumption count."""
+                  label: str, held: list[str], code: _Source) -> tuple[list[str], dict[str, int]]:
+    """Writes to ``code`` the statements that carry a vector from ``near``
+    (the vector before the step, whose values are in the locals ``held``) to
+    ``far``; returns the locals that hold the far-side values and each
+    near-side feature's consumption count."""
     slot = {name: i for i, name in enumerate(near.names)}
     counts = dict.fromkeys(near.names, 0)
     for name in rewrite.consumed:
         counts[name] += 1
-    copy_from, sums, adds, weighted = [], [], [], []
-    for out, name in enumerate(far.names):
+    for flag in rewrite.exposed:
+        key = code.bind("f", flag)
+        code.statement(f"x[{key}] = x.get({key}, 0.0) + {held[slot[flag]]}")
+    out = []
+    for name in far.names:
         op = rewrite.ops.get(name)
         if op is None:
             if name not in slot:
@@ -152,20 +211,24 @@ def _compile_step(rewrite: Rewrite, near: SchemaManifest, far: SchemaManifest,
             counts[name] += 1
             op = ("copy", name)
         tag = op[0]
-        copy_from.append(slot[op[1]] if tag == "copy" else 0)
-        if tag == "sum":
-            sums.append((out, tuple(slot[n] for n in op[1])))
+        if tag == "copy":
+            out.append(held[slot[op[1]]])
         elif tag == "add":
-            adds.append((out, slot[op[1]], slot[op[2]]))
-        elif tag == "weighted":
-            weighted.append((out, tuple((slot[n], w) for n, w in op[1])))
+            out.append(code.local(f"{held[slot[op[1]]]} + {held[slot[op[2]]]}"))
+        else:
+            total = code.local("0.0")
+            if tag == "sum":
+                for n in op[1]:
+                    code.statement(f"{total} += {held[slot[n]]}")
+            else:
+                for n, weight in op[1]:
+                    code.statement(f"{total} += {held[slot[n]]} * {code.bind('w', weight)}")
+            out.append(total)
     bad = {name: c for name, c in counts.items() if c != 1}
     if bad:
         raise MappingError(f"{label}: contribution partition violated "
                            f"(consumption counts {bad})")
-    ops = StepOps(tuple(copy_from), tuple(sums), tuple(adds), tuple(weighted),
-                  tuple((flag, slot[flag]) for flag in rewrite.exposed))
-    return ops, counts
+    return out, counts
 
 
 def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
@@ -176,7 +239,9 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
     else:
         expected, final = fitted.output_schema, fitted.input_schema
         order = tuple(reversed(numbered))
-    steps, notes, audit = [], [], []
+    code = _Source(len(expected.names))
+    held = code.inputs
+    notes, audit = [], []
     try:
         for number, fstep in order:
             kind = fstep.step.kind
@@ -193,14 +258,15 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
                     "map against the pipeline that produced the model-ready schema instead"
                     if forward else
                     f"step ({kind}) has no contribution rule in the reverse direction")
-            ops, counts = _compile_step(rewrite, near, far, f"step {number} ({kind})")
-            steps.append(ops)
+            held, counts = _compile_step(rewrite, near, far, f"step {number} ({kind})",
+                                         held, code)
             if rewrite.note is not None:
                 notes.append(rewrite.note)
             audit.append((number, MappingProxyType(counts)))
     except ValidationError as exc:
-        return MappingPlan(expected, final, (), (), (), error=exc.with_traceback(None))
-    return MappingPlan(expected, final, tuple(steps), tuple(notes), tuple(audit))
+        return MappingPlan(expected, final, None, "", error=exc.with_traceback(None))
+    function, source = code.function(held)
+    return MappingPlan(expected, final, function, source, tuple(notes), tuple(audit))
 
 
 def mapping_plan(fitted: FittedPipeline, expose_flags: bool = False) -> MappingPlan:
@@ -222,36 +288,18 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
     passes through unchanged.
     """
     plan = mapping_plan(fitted, expose_flags)
-    expected = plan.expected.names
-    if contrib.schema.names != expected:
+    names, expected = contrib.schema.names, plan.expected.names
+    if names is not expected and names != expected:
         raise MappingError(
             "contribution vector does not align with the pipeline's model-ready "
-            f"schema: got {list(contrib.schema.names)}, expected {list(expected)}")
+            f"schema: got {list(names)}, expected {list(expected)}")
     if plan.error is not None:
         raise type(plan.error)(*plan.error.args)
-    values = contrib.values
     exposed: dict[str, float] = {}
-    for step in plan.steps:
-        for flag, i in step.exposed:
-            exposed[flag] = exposed.get(flag, 0.0) + values[i]
-        out = [values[i] for i in step.copy_from]
-        for slot, indices in step.sums:
-            total = 0.0
-            for i in indices:
-                total += values[i]
-            out[slot] = total
-        for slot, i, j in step.adds:
-            out[slot] = values[i] + values[j]
-        for slot, terms in step.weighted:
-            total = 0.0
-            for i, weight in terms:
-                total += values[i] * weight
-            out[slot] = total
-        values = out
-    vector = ContributionVector(plan.final, tuple(values), contrib.base_value)
-    return MappedContributions(vector=vector, fidelity_notes=plan.fidelity_notes,
-                               exposed_flags=exposed,
-                               partition_audit=plan.partition_audit)
+    values = plan.function(contrib.values, exposed)
+    # The values are floats of the final schema's width; a sum can overflow.
+    vector = _checked_vector(plan.final, values, contrib.base_value)
+    return MappedContributions(vector, plan.fidelity_notes, exposed, plan.partition_audit)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +335,17 @@ def read_contributions(source: str | Path | IO[str],
             f"contribution header {list(names)} does not match schema features "
             f"{list(schema.names)}")
     vectors = []
+    expected = len(names) + (1 if has_base else 0)
     for r, raw in enumerate(reader):
-        expected = len(names) + (1 if has_base else 0)
         if len(raw) != expected:
             raise ValidationError(f"contribution row {r}: expected {expected} fields")
         try:
-            numbers = [float(x) for x in raw]
+            numbers = tuple(map(float, raw))
         except ValueError as exc:
             raise ValidationError(f"contribution row {r}: {exc}") from None
-        base = numbers.pop() if has_base else None
+        values, base = (numbers[:-1], numbers[-1]) if has_base else (numbers, None)
         try:
-            vectors.append(ContributionVector(schema=schema, values=tuple(numbers),
-                                              base_value=base))
+            vectors.append(_checked_vector(schema, values, base))
         except ValidationError as exc:
             raise ValidationError(f"contribution row {r}: {exc}") from None
     return vectors

@@ -313,8 +313,13 @@ def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable
         raise ValueError(f"step {number} ({fstep.step.kind}): kernel returned "
                          f"{len(columns)} columns for {len(fstep.produced)} features")
     pool = (*table.columns, *columns)
-    return DataTable.from_columns(fstep.output_schema, [pool[s] for s in fstep.sources],
-                                  table.num_rows, fstep.unchecked), lineage
+    try:
+        out = DataTable.from_columns(fstep.output_schema, [pool[s] for s in fstep.sources],
+                                     table.num_rows, fstep.unchecked)
+    except ValidationError as exc:  # e.g. arithmetic that overflowed to infinity
+        raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
+                          step_number=number) from None
+    return out, lineage
 
 
 def run(fitted: FittedPipeline, table: DataTable) -> RunResult:

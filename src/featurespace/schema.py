@@ -198,9 +198,15 @@ def document_int(value: Any, where: str) -> int:
     return value
 
 
+# A number in exponent form: YAML 1.1 reads it as a float only with a dot in
+# the mantissa and a sign in the exponent, as in ``1.0e-3``; ``1e-3`` is text.
+_EXPONENT_RE = re.compile(r"([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))([eE])([-+]?)([0-9]+)")
+
+
 def document_number(value: Any, where: str) -> float:
     """A document's finite number, as a float; a boolean or a string is not
-    coerced."""
+    coerced. A string that YAML 1.1 took for text but that reads as a finite
+    number gets the spelling that YAML reads as a float in the message."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
             number = float(value)
@@ -208,7 +214,15 @@ def document_number(value: Any, where: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ValidationError(f"{where} must be a finite number, got {value!r}")
+    hint = ""
+    match = _EXPONENT_RE.fullmatch(value) if isinstance(value, str) else None
+    if match and math.isfinite(float(value)):
+        mantissa, e, sign, digits = match.groups()
+        spelled = (mantissa + ("" if "." in mantissa else ".0")
+                   + e + (sign or "+") + digits)
+        if spelled != value:
+            hint = f" (YAML 1.1 reads {value} as text; write {spelled})"
+    raise ValidationError(f"{where} must be a finite number, got {value!r}{hint}")
 
 
 def document_text(value: Any, where: str) -> str:

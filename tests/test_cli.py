@@ -706,6 +706,43 @@ def test_aggregate_overflow_exits_2(workspace, capsys):
                    "step 1 (aggregate_numeric): row 1:")
 
 
+TWO_NUMBERS_MANIFEST = """
+space_tag: original
+features:
+  - name: a
+    dtype: numeric
+    properties: [readable, understandable, meaningful, model_compatible]
+  - name: b
+    dtype: numeric
+    properties: [readable, understandable, meaningful, model_compatible]
+"""
+
+
+@pytest.mark.parametrize("formula", ["sum", {"expr": "a * b"}], ids=["sum", "expr"])
+def test_overflow_to_infinity_exits_2(workspace, capsys, formula):
+    (workspace / "original.yaml").write_text(TWO_NUMBERS_MANIFEST, encoding="utf-8")
+    (workspace / "data.csv").write_text("a,b\n1.0,2.0\n1e308,1e308\n", encoding="utf-8")
+    argv = _one_step(workspace, "aggregate_numeric", {
+        "inputs": ["a", "b"], "formula": formula, "target": "t"})
+    _fails_cleanly(argv + ["--out", str(workspace / "out.csv")], capsys, 2,
+                   "kernel error: step 1 (aggregate_numeric): row 1: "
+                   "feature 't': non-finite value inf")
+    assert not (workspace / "out.csv").exists()
+
+
+def test_exponent_without_a_dot_names_the_yaml_spelling(workspace, capsys):
+    pipeline = workspace / "pipeline.yaml"
+    argv = ["transform", "--pipeline", str(pipeline), "--data", str(workspace / "data.csv"),
+            "--out", str(workspace / "out.csv")]
+    pipeline.write_text(ENCODE_PIPELINE.replace("scale: 279.98", "scale: 1e-3"),
+                        encoding="utf-8")
+    _fails_cleanly(argv, capsys, 1, "scale must be a finite number, got '1e-3' "
+                                    "(YAML 1.1 reads 1e-3 as text; write 1.0e-3)")
+    pipeline.write_text(ENCODE_PIPELINE.replace("scale: 279.98", "scale: 1.0e-3"),
+                        encoding="utf-8")
+    assert main(argv) == 0
+
+
 def test_integer_beyond_the_float_range_exits_1(workspace, capsys):
     huge = "1" + "0" * 400
     (workspace / "data.csv").write_text(f"Wilderness area,Elevation\nRawah,3000\nRawah,{huge}\n",

@@ -194,6 +194,29 @@ def test_contribution_csv_round_trip():
         read_contributions(io.StringIO("x,y\n1,2\n"), schema)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("inf,1.0,0.5", "contribution row 1: contribution for 'a' is not finite: inf"),
+    ("1.0,nan,inf", "contribution row 1: contribution for 'b' is not finite: nan"),
+    ("1.0,2.0,-inf", "contribution row 1: base value is not finite: -inf"),
+    ("1.0,x,0.5", "contribution row 1: could not convert string to float: 'x'"),
+])
+def test_contribution_csv_rejects_a_non_finite_or_non_numeric_row(row, message):
+    schema = SchemaManifest(features=(
+        FeatureSpec("a", "numeric"), FeatureSpec("b", "numeric")))
+    text = f"a,b,__base__\n1.0,2.0,0.5\n{row}\n"
+    with pytest.raises(ValidationError) as info:
+        read_contributions(io.StringIO(text), schema)
+    assert str(info.value) == message
+
+
+def test_contribution_csv_reads_finite_values_whose_sum_overflows():
+    schema = SchemaManifest(features=(
+        FeatureSpec("a", "numeric"), FeatureSpec("b", "numeric")))
+    text = "a,b,__base__\n1.7e308,1.7e308,1.7e308\n"
+    assert read_contributions(io.StringIO(text), schema) == \
+        [vector_for(schema, [1.7e308, 1.7e308], base=1.7e308)]
+
+
 # -- randomized conservation over mixed pipelines ------------------------------
 
 def random_model_ready_case(rng: random.Random):

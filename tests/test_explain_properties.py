@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, reject, settings
@@ -25,14 +26,15 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 def case(seed: int, large: bool = True):
     """A fitted pipeline and vectors on its model-ready side, from a seed. With
-    ``large``, values include signed zeros and cancelling +-1e12 terms."""
+    ``large``, values include signed zeros, cancelling +-1e12 terms and
+    +-1.7e308 terms whose sums can overflow."""
     rng = random.Random(seed)
     build = random_model_ready_case if seed % 2 == 0 else random_interpretable_case
     try:
         fitted, contrib = build(rng)
     except KernelError:
         reject()
-    choices = (0.0, -0.0, 1e12, -1e12) if large else (0.0, -0.0)
+    choices = (0.0, -0.0, 1e12, -1e12, 1.7e308, -1.7e308) if large else (0.0, -0.0)
     vectors = [contrib]
     for _ in range(3):
         values = [rng.choice(choices) if rng.random() < 0.3 else rng.gauss(0.0, 1.0)
@@ -47,6 +49,7 @@ def outcome(map_fn, fitted, vector, expose_flags):
         result = map_fn(fitted, vector, expose_flags)
     except ValidationError as exc:
         return f"{type(exc).__name__}: {exc}"
+    assert {type(v) for v in result.vector.values} <= {float}
     return repr((result.vector.schema.names, result.vector.values,
                  result.vector.base_value, result.fidelity_notes,
                  dict(result.exposed_flags),
@@ -59,7 +62,7 @@ def test_used_pipeline_maps_like_a_fresh_one_and_the_reference(seed):
     used, vectors = case(seed)
     for vector in vectors:
         for flags in (False, True):
-            map_contributions(used, vector, flags)
+            outcome(map_contributions, used, vector, flags)
     for vector in vectors:
         for flags in (True, False):
             fresh, _ = case(seed)
@@ -155,3 +158,101 @@ def test_conservation_and_all_ones_partition_audit(seed):
             assert result.partition_audit
             for _, counts in result.partition_audit:
                 assert set(counts.values()) == {1}
+
+
+def test_overflow_maps_like_the_reference():
+    """A sum that overflows fails as the reference fails; finite values whose
+    total overflows still map."""
+    schema = SchemaManifest(features=(
+        FeatureSpec("g a", "boolean", properties=BASE_PROPS),
+        FeatureSpec("g b", "boolean", properties=BASE_PROPS),
+        FeatureSpec("h", "numeric", properties=BASE_PROPS)))
+    step = TransformStep("one_hot_decode", {"group": ["g a", "g b"], "target": "g",
+                                            "categories": ["a", "b"]})
+    fitted = as_fitted(compose([step], schema, "to_interpretable"))
+    for values, error in (((1.7e308, 1.7e308, 0.0), True),
+                          ((-1.7e308, -1.7e308, 0.0), True),
+                          ((1.7e308, 0.0, 1.7e308), False)):
+        vector = vector_for(schema, values)
+        expected = outcome(reference_map, fitted, vector, False)
+        assert expected.startswith("ValidationError: contribution for 'g' is not finite") \
+            is error
+        assert outcome(map_contributions, fitted, vector, False) == expected
+
+
+def wide_encode(rng: random.Random):
+    categories = tuple(f"k{i}" for i in range(5_000))
+    schema = SchemaManifest(features=(FeatureSpec("c", "categorical", categories=categories,
+                                                  properties=BASE_PROPS),))
+    return as_fitted(compose([TransformStep("one_hot_encode", {"feature": "c"})],
+                             schema, "to_model_ready"))
+
+
+def wide_pca(rng: random.Random):
+    inputs = [f"n{i}" for i in range(240)]
+    schema = SchemaManifest(features=tuple(
+        FeatureSpec(name, "numeric", properties=BASE_PROPS) for name in inputs))
+    components = 25
+    step = TransformStep("pca_project", {
+        "inputs": inputs, "components": components, "means": [0.0] * len(inputs),
+        "loadings": [[rng.gauss(0.0, 1.0) for _ in range(components)] for _ in inputs]})
+    return as_fitted(compose([step], schema, "to_model_ready"))
+
+
+@pytest.mark.parametrize("build", [wide_encode, wide_pca])
+def test_wide_plans_map_like_the_reference(build):
+    """Thousands of terms in one sum, or thousands of statements in all."""
+    rng = random.Random(11)
+    fitted = build(rng)
+    side = fitted.output_schema
+    for choices in ((0.0, -0.0, 1e12, -1e12), (1.7e308,)):
+        values = [rng.choice(choices) if rng.random() < 0.3 else rng.gauss(0.0, 1.0)
+                  for _ in side.names]
+        vector = vector_for(side, values, 0.5)
+        assert outcome(map_contributions, fitted, vector, False) == \
+            outcome(reference_map, fitted, vector, False)
+
+
+HOSTILE = ('x") or __import__("os").getcwd() or ("', "it's \"quoted\"", "new\nline",
+           "__import__", "back\\slash", "1e308", "_f1")
+
+
+def hostile_pipeline():
+    """Every name the plan sees comes from ``HOSTILE``: features, categories,
+    an imputation flag and PCA components."""
+    category, number, flag, first, second = (HOSTILE[0], HOSTILE[1], HOSTILE[2],
+                                              HOSTILE[3], HOSTILE[4])
+    schema = SchemaManifest(features=(
+        FeatureSpec(category, "categorical", categories=(HOSTILE[5], HOSTILE[6]),
+                    properties=BASE_PROPS),
+        FeatureSpec(number, "numeric", properties=BASE_PROPS),
+        FeatureSpec(first, "numeric", properties=BASE_PROPS),
+        FeatureSpec(second, "numeric", properties=BASE_PROPS),
+    ))
+    steps = [
+        TransformStep("one_hot_encode", {"feature": category}),
+        TransformStep("impute_flagged", {"feature": number, "strategy": "constant",
+                                         "constant": 0, "flag_name": flag}),
+        TransformStep("pca_project", {"inputs": [first, second], "components": 2,
+                                      "means": [0.0, 0.0],
+                                      "loadings": [[0.6, -0.8], [0.8, 0.6]],
+                                      "name_template": '") # {i}'}),
+    ]
+    return as_fitted(compose(steps, schema, "to_model_ready"))
+
+
+def test_hostile_names_map_like_the_reference_and_stay_out_of_the_source():
+    fitted = hostile_pipeline()
+    rng = random.Random(5)
+    side = fitted.output_schema
+    vector = vector_for(side, [rng.gauss(0.0, 1.0) for _ in side.names], -0.0)
+    names = {*fitted.input_schema.names, *side.names}
+    assert HOSTILE[2] in side.names
+    for flags in (False, True):
+        assert outcome(map_contributions, fitted, vector, flags) == \
+            outcome(reference_map, fitted, vector, flags)
+        source = mapping_plan(fitted, flags).source
+        assert re.fullmatch(r"[\w\s.,:=+*()\[\]]*", source)
+        for name in names:
+            assert name not in source
+    assert set(map_contributions(fitted, vector, True).exposed_flags) == {HOSTILE[2]}

@@ -141,8 +141,10 @@ def test_run_rejects_a_wrong_typed_produced_cell(monkeypatch):
 
     monkeypatch.setattr(Standardize, "apply", corrupt)
     table = DataTable(schema, ((1.0,), (2.0,), (3.0,)))
-    with pytest.raises(ValidationError, match="row 1: feature 'z': expected number, got 'oops'"):
+    with pytest.raises(KernelError, match="^step 1 \\(standardize\\): row 1: feature 'z': "
+                                          "expected number, got 'oops'$") as err:
         run(fitted, table)
+    assert err.value.step_number == 1
 
 
 def test_invert_reverses_step_order():

@@ -15,7 +15,13 @@ that each row passes the relative 1e-9 conservation check. The
 ``covertype_300_explain_{name}.csv`` files and their ``.fidelity.txt``
 sidecars were written by ``featurespace explain-map`` through each demo
 pipeline fitted on ``covertype_300.csv``, with the per-vector dict walk that
-preceded the compiled mapping plan.
+preceded the compiled mapping plan. ``covertype_300_contribs_learned.csv`` holds
+300 such vectors on the model-ready side of the fitted ``learned`` document, and
+``covertype_300_explain_learned_flags.csv`` and its sidecar were written by
+``featurespace explain-map --expose-flags`` through that document, with the
+per-step slot loop that preceded the generated mapping functions: the
+``impute_flagged`` reverse rule moves the flag's contribution out of the vector
+into one sidecar note per row.
 
 ``covertype_300_{name}.fitted.json`` hold ``featurespace fit`` of both demo
 pipelines and of the ``learned`` pipeline in ``_fitted_documents.py`` on
@@ -41,7 +47,7 @@ import pytest
 
 from featurespace import demo
 from featurespace.cli import main
-from featurespace.pipeline import fit, invert, load_pipeline
+from featurespace.pipeline import fit, invert, load_fitted, load_pipeline
 from featurespace.schema import serialize_manifest
 from featurespace.table import read_table_csv
 
@@ -121,6 +127,12 @@ def test_contribution_fixture_regenerates(seed, name):
     assert contribution_csv(seed, model_side_names(name)) == expected
 
 
+def test_learned_contribution_fixture_regenerates():
+    names = load_fitted(DATA / "covertype_300_learned.fitted.json").output_schema.names
+    expected = (DATA / "covertype_300_contribs_learned.csv").read_text(encoding="utf-8")
+    assert contribution_csv(302, names) == expected
+
+
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_explain_map_is_byte_identical(tmp_path, name):
     fitted = tmp_path / "fitted.json"
@@ -135,3 +147,17 @@ def test_demo_explain_map_is_byte_identical(tmp_path, name):
     assert out.read_bytes() == expected.read_bytes()
     sidecar = Path(str(out) + ".fidelity.txt")
     assert sidecar.read_bytes() == Path(str(expected) + ".fidelity.txt").read_bytes()
+
+
+def test_learned_explain_map_with_exposed_flags_is_byte_identical(tmp_path):
+    out = tmp_path / "mapped.csv"
+    assert main(["explain-map", "--expose-flags",
+                 "--pipeline", str(DATA / "covertype_300_learned.fitted.json"),
+                 "--contribs", str(DATA / "covertype_300_contribs_learned.csv"),
+                 "--out", str(out)]) == 0
+    expected = DATA / "covertype_300_explain_learned_flags.csv"
+    assert out.read_bytes() == expected.read_bytes()
+    sidecar = Path(str(expected) + ".fidelity.txt")
+    assert Path(str(out) + ".fidelity.txt").read_bytes() == sidecar.read_bytes()
+    assert "row 299: exposed flag contribution Elevation Flag = " in \
+        sidecar.read_text(encoding="utf-8")
