@@ -34,7 +34,7 @@ from .pipeline import (
     save_fitted,
 )
 from .planner import audit, load_persona
-from .schema import SchemaManifest, load_manifest
+from .schema import SchemaManifest, load_manifest, open_input
 from .table import MISSING, DataTable, parse_cell, read_table_csv, write_table_csv
 from .transforms import kernel_for, sum_in_order
 
@@ -148,16 +148,13 @@ def cmd_audit(args) -> int:
 
 def _demo_elevation_stats(path: str) -> int:
     spec = demo.original_manifest().feature("Elevation")
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or "Elevation" not in header:
-                raise ValidationError(f"{path}: expected a CSV with an Elevation column")
-            idx = header.index("Elevation")
-            column = [parse_cell(row[idx], spec) for row in reader if idx < len(row)]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read data file {path}: {exc}") from exc
+    with open_input(path, "data file") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or "Elevation" not in header:
+            raise ValidationError(f"{path}: expected a CSV with an Elevation column")
+        idx = header.index("Elevation")
+        column = [parse_cell(row[idx], spec) for row in reader if idx < len(row)]
     table = DataTable.from_columns(SchemaManifest((spec,)), [column], len(column))
     try:
         stats = kernel_for("standardize").fit(table, {"feature": "Elevation"})
@@ -195,7 +192,7 @@ def cmd_demo_covertype(args) -> int:
         result = run(fitted, table)
         write_table_csv(result.table, out_path, fitted.display_formats())
         golden_header, golden_rows = demo.golden_grid(golden_name)
-        with out_path.open(newline="", encoding="utf-8") as handle:
+        with open_input(out_path, "demo output") as handle:
             produced = list(csv.reader(handle))
         produced_header, produced_rows = produced[0], produced[1:]
         column_of = {name: i for i, name in enumerate(produced_header)}

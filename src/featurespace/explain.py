@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
@@ -40,7 +41,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 from .errors import MappingError, ValidationError
 from .pipeline import FittedPipeline
-from .schema import SchemaManifest
+from .schema import SchemaManifest, open_input
 from .transforms import Rewrite, kernel_for, sum_in_order
 
 CONSERVATION_TOLERANCE = 1e-9
@@ -312,69 +313,62 @@ _CHUNK_VECTORS = 4096
 
 def read_contributions(source: str | Path | IO[str],
                        schema: SchemaManifest) -> list[ContributionVector]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
+    """The vectors in a contribution CSV file or handle. With one column or
+    more, an empty last line (a blank line before the end of the file) is not
+    a row."""
+    with open_input(source, "contributions") as handle:
+        reader = csv.reader(handle)
         try:
-            handle = path.open(newline="", encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot read contributions {path}: {exc}") from exc
-        with handle:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError("contribution file is empty (missing header)") from None
+        has_base = bool(header) and header[-1] == BASE_COLUMN
+        names = tuple(header[:-1] if has_base else header)
+        if names != schema.names:
+            raise MappingError(
+                f"contribution header {list(names)} does not match schema features "
+                f"{list(schema.names)}")
+        vectors = []
+        expected = len(names) + (1 if has_base else 0)
+        for r, raw in enumerate(reader):
+            if len(raw) != expected:
+                if not raw and next(reader, None) is None:
+                    break
+                raise ValidationError(f"contribution row {r}: expected {expected} fields")
             try:
-                return read_contributions(handle, schema)
-            except UnicodeDecodeError as exc:
-                raise ValidationError(f"cannot read contributions {path}: {exc}") from exc
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("contribution file is empty (missing header)") from None
-    has_base = bool(header) and header[-1] == BASE_COLUMN
-    names = tuple(header[:-1] if has_base else header)
-    if names != schema.names:
-        raise MappingError(
-            f"contribution header {list(names)} does not match schema features "
-            f"{list(schema.names)}")
-    vectors = []
-    expected = len(names) + (1 if has_base else 0)
-    for r, raw in enumerate(reader):
-        if len(raw) != expected:
-            raise ValidationError(f"contribution row {r}: expected {expected} fields")
-        try:
-            numbers = tuple(map(float, raw))
-        except ValueError as exc:
-            raise ValidationError(f"contribution row {r}: {exc}") from None
-        values, base = (numbers[:-1], numbers[-1]) if has_base else (numbers, None)
-        try:
-            vectors.append(_checked_vector(schema, values, base))
-        except ValidationError as exc:
-            raise ValidationError(f"contribution row {r}: {exc}") from None
+                numbers = tuple(map(float, raw))
+            except ValueError as exc:
+                raise ValidationError(f"contribution row {r}: {exc}") from None
+            values, base = (numbers[:-1], numbers[-1]) if has_base else (numbers, None)
+            try:
+                vectors.append(_checked_vector(schema, values, base))
+            except ValidationError as exc:
+                raise ValidationError(f"contribution row {r}: {exc}") from None
     return vectors
 
 
 def write_contributions(vectors: Sequence[ContributionVector],
                         target: str | Path | IO[str]) -> None:
-    if isinstance(target, (str, Path)):
-        with Path(target).open("w", newline="", encoding="utf-8") as handle:
-            write_contributions(vectors, handle)
-        return
+    """Write the vectors as a contribution CSV. They are checked to be there
+    and to share one schema before anything is written or a path opened."""
     if not vectors:
         raise ValidationError("no contribution vectors to write")
-    schema = vectors[0].schema
-    names = schema.names
+    names = vectors[0].schema.names
+    if any(vector.schema.names != names for vector in vectors):
+        raise ValidationError("contribution vectors disagree on their schema")
     has_base = any(v.base_value is not None for v in vectors)
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(list(names) + ([BASE_COLUMN] if has_base else []))
-    # Values and base are finite floats (``__post_init__``), whose repr never
-    # needs quoting, so each row is its fields joined with commas, as
-    # csv.writer would write them.
-    for start in range(0, len(vectors), _CHUNK_VECTORS):
-        lines = []
-        for vector in vectors[start:start + _CHUNK_VECTORS]:
-            if vector.schema.names != names:
-                target.write("".join(lines))
-                raise ValidationError("contribution vectors disagree on their schema")
-            fields = vector.values
-            if has_base:
-                fields += (0.0 if vector.base_value is None else vector.base_value,)
-            lines.append(",".join(map(repr, fields)) + "\n")
-        target.write("".join(lines))
+    with (open(target, "w", newline="", encoding="utf-8") if isinstance(target, (str, Path))
+          else nullcontext(target)) as handle:
+        csv.writer(handle, lineterminator="\n").writerow(
+            list(names) + ([BASE_COLUMN] if has_base else []))
+        # Values and base are finite floats (``__post_init__``), whose repr
+        # never needs quoting, so each row is its fields joined with commas, as
+        # csv.writer would write them.
+        for start in range(0, len(vectors), _CHUNK_VECTORS):
+            lines = []
+            for vector in vectors[start:start + _CHUNK_VECTORS]:
+                fields = vector.values
+                if has_base:
+                    fields += (0.0 if vector.base_value is None else vector.base_value,)
+                lines.append(",".join(map(repr, fields)) + "\n")
+            handle.write("".join(lines))

@@ -17,9 +17,11 @@ from .lineage import Lineage
 from .properties import PropertySet, implication_closure
 from .schema import (
     SchemaManifest,
+    document_mapping,
     load_manifest,
     manifest_from_data,
     manifest_to_data,
+    open_input,
     read_yaml,
 )
 from .table import DataTable
@@ -166,10 +168,9 @@ def _plan_step(kernel: Kernel, step: TransformStep, cfg: Mapping[str, Any],
     try:
         plan = kernel.plan(schema, cfg)
         produced = plan.produced
-        stray = sorted(set(step.property_delta) - set(produced))
-        if stray:
-            raise ValidationError(
-                f"property_delta names features this step does not produce: {stray}")
+        document_mapping(step.property_delta, "property_delta", produced,
+                         unknown="property_delta names features this step does not "
+                                 "produce: {names}")
         specs = tuple(
             replace(spec, properties=_final_properties(
                 kernel.delta_for(spec), spec, step.property_delta.get(spec.name, {}),
@@ -372,49 +373,40 @@ def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
 
 _PIPELINE_KEYS = {"input_manifest", "direction", "steps"}
 _STEP_KEYS = {"kind", "config", "property_delta"}
+_FITTED_KEYS = {"document", "direction", "input_manifest", "steps"}
 FITTED_DOCUMENT = "fitted_pipeline"
 
 
-def _steps_from_data(data: Any) -> list[TransformStep]:
+def _steps_from_data(data: Any, where: str,
+                     keys=_STEP_KEYS) -> tuple[list[TransformStep], list[Any]]:
+    """The steps of a document's ``steps`` list (null reads as empty) and
+    each step's ``fit_state``; errors name the step as ``where: steps[i]``."""
+    if data is None:
+        data = []
     if not isinstance(data, list):
-        raise ValidationError("pipeline document: steps must be a list")
-    steps = []
+        raise ValidationError(f"{where}: steps must be a list")
+    steps, states = [], []
     for i, item in enumerate(data):
-        if not isinstance(item, Mapping):
-            raise ValidationError(f"pipeline document: steps[{i}] must be a mapping")
-        unknown = sorted(set(item) - _STEP_KEYS)
-        if unknown:
-            raise ValidationError(f"pipeline document: steps[{i}] unknown keys {unknown}")
-        if "kind" not in item:
-            raise ValidationError(f"pipeline document: steps[{i}] missing kind")
-        config = item.get("config") or {}
-        if not isinstance(config, Mapping):
-            raise ValidationError(f"pipeline document: steps[{i}] config must be a mapping")
+        at = f"{where}: steps[{i}]"
+        item = document_mapping(item, at, keys, required=("kind",))
         try:
-            steps.append(TransformStep(str(item["kind"]), config,
-                                       item.get("property_delta") or {}))
+            steps.append(TransformStep(str(item["kind"]), item.get("config"),
+                                       item.get("property_delta")))
         except ValidationError as exc:
-            raise ValidationError(f"pipeline document: steps[{i}] {exc}") from None
-    return steps
+            raise ValidationError(f"{at} {exc}") from None
+        states.append(item.get("fit_state"))
+    return steps, states
 
 
 def pipeline_from_doc(doc: Any, input_schema: SchemaManifest) -> Pipeline:
-    if not isinstance(doc, Mapping):
-        raise ValidationError("pipeline document must be a mapping")
-    unknown = sorted(set(doc) - _PIPELINE_KEYS)
-    if unknown:
-        raise ValidationError(f"pipeline document: unknown keys {unknown}")
-    if "direction" not in doc:
-        raise ValidationError("pipeline document: missing direction")
-    return compose(_steps_from_data(doc.get("steps") or []), input_schema,
-                   str(doc["direction"]))
+    doc = document_mapping(doc, "pipeline document", _PIPELINE_KEYS, required=("direction",))
+    steps, _ = _steps_from_data(doc.get("steps"), "pipeline document")
+    return compose(steps, input_schema, str(doc["direction"]))
 
 
 def _read_document(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read pipeline {path}: {exc}") from exc
+    with open_input(path, "pipeline") as handle:
+        return handle.read()
 
 
 def load_pipeline(path: str | Path) -> Pipeline:
@@ -424,15 +416,15 @@ def load_pipeline(path: str | Path) -> Pipeline:
 
 
 def _pipeline_from_text(text: str, path: Path) -> Pipeline:
-    doc = read_yaml(text, f"{path}: pipeline")
-    if not isinstance(doc, Mapping):
-        raise ValidationError(f"{path}: pipeline document must be a mapping")
-    if "input_manifest" not in doc:
-        raise ValidationError(f"{path}: pipeline document needs input_manifest")
-    manifest_path = Path(str(doc["input_manifest"]))
-    if not manifest_path.is_absolute():
-        manifest_path = path.parent / manifest_path
-    schema = load_manifest(manifest_path)
+    doc = document_mapping(read_yaml(text, f"{path}: pipeline"), f"{path}: pipeline document",
+                           None, required=("input_manifest",))
+    manifest = doc["input_manifest"]
+    if not isinstance(manifest, str):
+        # A fitted document holds the manifest itself, as a mapping.
+        hint = (" (fit takes a pipeline document, not a fitted one)"
+                if _is_fitted_document(doc) else "")
+        raise ValidationError(f"{path}: input_manifest must be the path of a manifest file{hint}")
+    schema = load_manifest(path.parent / manifest)
     try:
         return pipeline_from_doc(doc, schema)
     except ValidationError as exc:
@@ -489,25 +481,14 @@ def _is_fitted_document(doc: Any) -> bool:
 
 
 def _fitted_from_doc(doc: Mapping, path: Path) -> FittedPipeline:
-    if "input_manifest" not in doc:
-        raise ValidationError(f"{path}: fitted pipeline document needs input_manifest")
+    where = f"{path}: fitted pipeline document"
+    doc = document_mapping(doc, where, _FITTED_KEYS, required=("input_manifest",))
     try:
         schema = manifest_from_data(doc["input_manifest"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: input_manifest: {exc}") from None
-    raw_steps = doc.get("steps") or []
-    if not isinstance(raw_steps, list):
-        raise ValidationError(f"{path}: steps must be a list")
-    states = []
-    for i, item in enumerate(raw_steps):
-        if not isinstance(item, Mapping):
-            raise ValidationError(f"{path}: steps[{i}] must be a mapping")
-        states.append(item.get("fit_state"))
-    steps = _steps_from_data([
-        {k: v for k, v in item.items() if k != "fit_state"} for item in raw_steps
-    ])
+    steps, states = _steps_from_data(doc.get("steps"), where, _STEP_KEYS | {"fit_state"})
     direction = str(doc.get("direction"))
     _, fitted_steps, output_schema = _build(steps, schema, direction, states,
                                             require_params=True)
     return FittedPipeline(fitted_steps, schema, direction, output_schema)
-

@@ -5,11 +5,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ValidationError
 from .properties import PROPERTY_NAMES, PropertySet, implication_closure
-from .schema import FeatureSpec, SchemaManifest, document_bool, read_yaml
+from .schema import (
+    FeatureSpec,
+    SchemaManifest,
+    document_bool,
+    document_mapping,
+    open_input,
+    read_yaml,
+)
 
 PERSONA_KINDS = ("developer", "theorist", "ethicist", "decision_maker", "impacted_user")
 
@@ -92,18 +99,10 @@ def load_persona(name_or_path: str | Path) -> Persona:
         raise ValidationError(
             f"persona {name!r} is neither a builtin kind {list(PERSONA_KINDS)} "
             "nor an existing config file")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read persona {path}: {exc}") from exc
-    doc = read_yaml(text, f"{path}: persona")
-    if not isinstance(doc, Mapping):
-        raise ValidationError(f"{path}: persona config must be a mapping")
-    unknown = sorted(set(doc) - _PERSONA_KEYS)
-    if unknown:
-        raise ValidationError(f"{path}: unknown persona keys {unknown}")
-    if "kind" not in doc:
-        raise ValidationError(f"{path}: persona config needs a kind")
+    with open_input(path, "persona") as handle:
+        text = handle.read()
+    doc = document_mapping(read_yaml(text, f"{path}: persona"), f"{path}: persona config",
+                           _PERSONA_KEYS, required=("kind",))
     return make_persona(
         str(doc["kind"]),
         required=doc.get("required"),

@@ -53,7 +53,7 @@ class PropertySet:
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "PropertySet":
         names = list(names)
-        unknown = sorted(set(names) - set(PROPERTY_NAMES))
+        unknown = sorted(set(names) - set(PROPERTY_NAMES), key=str)
         if unknown:
             raise ValidationError(f"unknown property flags: {unknown}")
         return cls(**{name: True for name in names})

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 import yaml
 from yaml.composer import Composer
@@ -242,10 +243,46 @@ def document_window(value: Any, where: str) -> tuple[int, int]:
     return document_int(value[0], where), document_int(value[1], where)
 
 
-def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {unknown}")
+def document_mapping(value: Any, where: str, keys: Iterable[str] | None,
+                     required: Iterable[str] = (),
+                     unknown: str = "{where}: unknown keys {names}") -> Mapping[str, Any]:
+    """A document's mapping, such as a section or one entry of a list; null
+    reads as empty. Keys outside ``keys`` are rejected unless ``keys`` is
+    None, and each ``required`` key must be present.
+
+    Unknown keys are listed sorted by their text, so keys of several types
+    (YAML reads ``1:`` as an integer) never fail to compare. ``unknown`` is
+    the error's text, formatted with ``where`` and the list as ``names``.
+    """
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{where} must be a mapping")
+    if keys is not None:
+        names = sorted(set(value).difference(keys), key=str)
+        if names:
+            raise ValidationError(unknown.format(where=where, names=names))
+    for key in required:
+        if key not in value:
+            raise ValidationError(f"{where}: missing required key {key!r}")
+    return value
+
+
+@contextmanager
+def open_input(source: str | Path | IO[str], what: str) -> Iterator[IO[str]]:
+    """``source`` open for reading: an open handle passes through unchanged,
+    and a path is opened as UTF-8 with or without a byte-order mark, its line
+    ends left as written (``csv`` needs them so; YAML and JSON read
+    ``\\r\\n`` as a line break). An ``OSError`` or ``UnicodeDecodeError`` while
+    opening or reading a path is a ValidationError naming ``what``."""
+    if not isinstance(source, (str, Path)):
+        yield source
+        return
+    try:
+        with open(source, encoding="utf-8-sig", newline="") as handle:
+            yield handle
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {source}: {exc}") from exc
 
 
 def _names(value: Any, where: str) -> tuple[str, ...]:
@@ -256,22 +293,16 @@ def _names(value: Any, where: str) -> tuple[str, ...]:
 
 
 def _parse_properties(data: Any, where: str) -> PropertySet:
-    if data is None:
-        return PropertySet()
     if isinstance(data, list):
-        return PropertySet.from_names(data)
-    if isinstance(data, Mapping):
-        _reject_unknown(data, set(PROPERTY_NAMES), where)
-        return PropertySet(**{k: document_bool(v, f"{where}: {k}") for k, v in data.items()})
-    raise ValidationError(f"{where}: properties must be a mapping or a list of flag names")
+        return PropertySet.from_names(_names(data, where))
+    flags = document_mapping(data, where, PROPERTY_NAMES)
+    return PropertySet(**{k: document_bool(v, f"{where}: {k}") for k, v in flags.items()})
 
 
 def parse_wording_data(data: Any, where: str = "wording") -> Wording | None:
     if data is None:
         return None
-    if not isinstance(data, Mapping):
-        raise ValidationError(f"{where}: wording must be a mapping")
-    _reject_unknown(data, _WORDING_KEYS, where)
+    data = document_mapping(data, where, _WORDING_KEYS)
     for key, template in data.items():
         if template is not None and not isinstance(template, str):
             raise ValidationError(f"{where}: {key} must be a string, got {template!r}")
@@ -285,30 +316,17 @@ def parse_wording_data(data: Any, where: str = "wording") -> Wording | None:
 def feature_from_data(data: Any, where: str) -> FeatureSpec:
     """A feature spec from its document entry, one item of a manifest's
     ``features``; errors name the entry as ``where``."""
-    if not isinstance(data, Mapping):
-        raise ValidationError(f"{where} must be a mapping")
-    _reject_unknown(data, _FEATURE_KEYS, where)
-    for key in ("name", "dtype"):
-        if key not in data:
-            raise ValidationError(f"{where}: missing required key {key!r}")
+    data = document_mapping(data, where, _FEATURE_KEYS, required=("name", "dtype"))
     raw_source = None
     if data.get("raw_source") is not None:
-        rs = data["raw_source"]
-        if not isinstance(rs, Mapping):
-            raise ValidationError(f"{where}: raw_source must be a mapping")
-        _reject_unknown(rs, _RAW_SOURCE_KEYS, f"{where}.raw_source")
-        if "series_id" not in rs or "window" not in rs:
-            raise ValidationError(f"{where}: raw_source needs series_id and window")
+        rs = document_mapping(data["raw_source"], f"{where}.raw_source", _RAW_SOURCE_KEYS,
+                              required=("series_id", "window"))
         raw_source = RawSource(series_id=str(rs["series_id"]),
                                window=document_window(rs["window"], f"{where}.raw_source: window"))
     derived = None
     if data.get("derived_from") is not None:
-        df = data["derived_from"]
-        if not isinstance(df, Mapping):
-            raise ValidationError(f"{where}: derived_from must be a mapping")
-        _reject_unknown(df, _DERIVED_KEYS, f"{where}.derived_from")
-        if "inputs" not in df or "formula" not in df:
-            raise ValidationError(f"{where}: derived_from needs inputs and formula")
+        df = document_mapping(data["derived_from"], f"{where}.derived_from", _DERIVED_KEYS,
+                              required=("inputs", "formula"))
         derived = DerivedFrom(inputs=_names(df["inputs"], f"{where}.derived_from: inputs"),
                               formula=str(df["formula"]))
     categories = data.get("categories")
@@ -328,17 +346,15 @@ def feature_from_data(data: Any, where: str) -> FeatureSpec:
 
 def manifest_from_data(data: Any) -> SchemaManifest:
     """Build a manifest from an already-parsed document structure."""
-    if not isinstance(data, Mapping):
-        raise ValidationError("manifest document must be a mapping")
-    _reject_unknown(data, _TOP_KEYS, "manifest")
-    if "space_tag" not in data or "features" not in data:
-        raise ValidationError("manifest needs top-level space_tag and features")
+    data = document_mapping(data, "manifest", _TOP_KEYS, required=("space_tag", "features"))
     features_data = data["features"]
     if not isinstance(features_data, list):
         raise ValidationError("manifest: features must be a list")
     features = tuple(feature_from_data(f, f"features[{i}]") for i, f in enumerate(features_data))
-    implications = data.get("implications") or []
-    if not isinstance(implications, list):
+    implications = data.get("implications")
+    if implications is None:
+        implications = []
+    elif not isinstance(implications, list):
         raise ValidationError("manifest: implications must be a list of [tail, head] pairs")
     extra = []
     for pair in implications:
@@ -430,11 +446,8 @@ def parse_manifest(text: str) -> SchemaManifest:
 
 
 def load_manifest(path: str | Path) -> SchemaManifest:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read manifest {path}: {exc}") from exc
+    with open_input(path, "manifest") as handle:
+        text = handle.read()
     try:
         return parse_manifest(text)
     except ValidationError as exc:

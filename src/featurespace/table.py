@@ -10,12 +10,13 @@ import csv
 import io
 import math
 import re
-from itertools import islice
+from contextlib import nullcontext
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .schema import FeatureSpec, SchemaManifest
+from .schema import FeatureSpec, SchemaManifest, open_input
 
 
 class _MissingType:
@@ -285,31 +286,26 @@ def _quote_column(cells: list) -> list:
 
 
 def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> DataTable:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
+    """The table in a CSV file or handle. With one column or more, an empty
+    last line (a blank line before the end of the file) is not a row; with
+    none, every row is an empty line."""
+    with open_input(source, "data file") as handle:
+        reader = csv.reader(handle)
         try:
-            handle = path.open(newline="", encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot read data file {path}: {exc}") from exc
-        with handle:
-            try:
-                return read_table_csv(handle, schema)
-            except UnicodeDecodeError as exc:
-                raise ValidationError(f"cannot read data file {path}: {exc}") from exc
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("data file is empty (missing header row)") from None
-    if tuple(header) != schema.names:
-        missing = [n for n in schema.names if n not in header]
-        if missing:
-            raise ValidationError(f"data header is missing manifest columns: {missing}")
-        raise ValidationError(
-            f"data header must match manifest feature names exactly and in order; "
-            f"got {header}, expected {list(schema.names)}")
-    raw = list(reader)
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError("data file is empty (missing header row)") from None
+        if tuple(header) != schema.names:
+            missing = [n for n in schema.names if n not in header]
+            if missing:
+                raise ValidationError(f"data header is missing manifest columns: {missing}")
+            raise ValidationError(
+                f"data header must match manifest feature names exactly and in order; "
+                f"got {header}, expected {list(schema.names)}")
+        raw = list(reader)
     width = len(schema.names)
+    if width and raw and not raw[-1]:
+        del raw[-1]
     ragged = next((r for r, fields in enumerate(raw) if len(fields) != width), None)
     body = raw if ragged is None else raw[:ragged]
     texts = list(zip(*body)) if body else [()] * width
@@ -338,10 +334,6 @@ def write_table_csv(table: DataTable, target: str | Path | IO[str],
     for golden-matched numeric columns; everything else uses shortest
     round-trip rendering.
     """
-    if isinstance(target, (str, Path)):
-        with Path(target).open("w", newline="", encoding="utf-8") as handle:
-            write_table_csv(table, handle, display_formats)
-        return
     formats = display_formats or {}
     rendered = []
     for values, spec in zip(table.columns, table.schema.features):
@@ -350,15 +342,16 @@ def write_table_csv(table: DataTable, target: str | Path | IO[str],
         except ValueError as exc:  # a format spec that does not fit the cells
             raise ValidationError(f"column {spec.name!r}: display format "
                                   f"{formats[spec.name]!r}: {exc}") from None
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(table.schema.names)
-    if not rendered:
-        writer.writerows([] for _ in range(table.num_rows))
-        return
-    if len(rendered) == 1:
+    if not rendered:  # each row is an empty line
+        lines = repeat("", table.num_rows)
+    elif len(rendered) == 1:
         lines = (cell or _ONE_EMPTY_FIELD for cell in rendered[0])
     else:
         lines = map(",".join, zip(*rendered))
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
-        chunk.append("")
-        target.write("\n".join(chunk))
+    # Every cell is rendered before a path is opened, so a failed render leaves no file.
+    with (open(target, "w", newline="", encoding="utf-8") if isinstance(target, (str, Path))
+          else nullcontext(target)) as handle:
+        csv.writer(handle, lineterminator="\n").writerow(table.schema.names)
+        while chunk := list(islice(lines, _CHUNK_ROWS)):
+            chunk.append("")
+            handle.write("\n".join(chunk))

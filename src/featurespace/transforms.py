@@ -34,6 +34,7 @@ from .schema import (
     SchemaManifest,
     document_bool,
     document_int,
+    document_mapping,
     document_number,
     document_text,
     document_window,
@@ -59,20 +60,16 @@ class TransformStep:
     property_delta: Mapping[str, Mapping[str, bool]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "config", dict(self.config))
-        delta = self.property_delta
-        if not isinstance(delta, Mapping) or \
-                not all(isinstance(flags, Mapping) for flags in delta.values()):
-            raise ValidationError("property_delta must map feature names to mappings of "
-                                  "property flags to true or false")
-        for feature, flags in delta.items():
-            unknown = sorted(set(flags) - set(PROPERTY_NAMES))
-            if unknown:
-                raise ValidationError(f"property_delta references unknown flags: {unknown}")
+        object.__setattr__(self, "config", dict(document_mapping(self.config, "config", None)))
+        delta = {}
+        for feature, flags in document_mapping(self.property_delta, "property_delta",
+                                               None).items():
+            flags = document_mapping(flags, f"property_delta {feature!r}", PROPERTY_NAMES,
+                                     unknown="property_delta references unknown flags: {names}")
             for flag, value in flags.items():
                 document_bool(value, f"property_delta {feature!r}: {flag}")
-        object.__setattr__(self, "property_delta",
-                           {str(k): dict(v) for k, v in delta.items()})
+            delta[str(feature)] = dict(flags)
+        object.__setattr__(self, "property_delta", delta)
 
 
 @dataclass(frozen=True)
@@ -88,10 +85,7 @@ class PlanResult:
 # ---------------------------------------------------------------------------
 # config helpers
 
-def _check_keys(cfg: Mapping, allowed: set[str], kind: str) -> None:
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ValidationError(f"{kind}: unknown config keys {unknown}")
+_UNKNOWN_CONFIG = "{where}: unknown config keys {names}"
 
 
 def _req(cfg: Mapping, key: str, kind: str):
@@ -125,11 +119,7 @@ def _display_format(cfg: Mapping, kind: str) -> str | None:
 
 def _check_fit_state(kernel: Kernel, cfg: Mapping, fit_state: Any,
                      keys: Sequence[str]) -> None:
-    if not isinstance(fit_state, Mapping):
-        raise ValidationError("fit_state must be a mapping")
-    unknown = sorted(set(fit_state) - set(keys))
-    if unknown:
-        raise ValidationError(f"fit_state has unknown keys {unknown}")
+    document_mapping(fit_state, "fit_state", keys)
     if not kernel.requires_fit(cfg):
         raise ValidationError("fit_state must be null for a step that is not fitted")
 
@@ -185,9 +175,7 @@ def _restore(cfg: Mapping, target: str, kind: str, dtypes: tuple[str, ...]) -> d
     if data is None:
         data = {"dtype": dtypes[0],
                 **{k: cfg[k] for k in _STRUCTURAL_KEYS if cfg.get(k) is not None}}
-    elif not isinstance(data, Mapping):
-        raise ValidationError(f"{kind}: restore must be a mapping")
-    _check_keys(data, set(_STRUCTURAL_KEYS), f"{kind}.restore")
+    data = document_mapping(data, f"{kind}.restore", _STRUCTURAL_KEYS, unknown=_UNKNOWN_CONFIG)
     restore = structural_data(feature_from_data({**data, "name": target}, f"{kind}.restore"))
     if restore["dtype"] not in dtypes:
         raise ValidationError(f"{kind}: restored dtype must be {' or '.join(dtypes)}")
@@ -398,7 +386,8 @@ class OneHotEncode(Kernel):
     delta = {"model_compatible": True, "model_ready": True, "human_worded": False}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "name_template", "names"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "name_template", "names"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         if spec.dtype != "categorical":
@@ -468,8 +457,9 @@ class OneHotDecode(Kernel):
         return self.delta
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"group", "target", "categories", "wording", "unit",
-                          "description", "observed", "restore", "zero_hot"}, self.kind)
+        document_mapping(cfg, self.kind, {"group", "target", "categories", "wording", "unit",
+                                          "description", "observed", "restore", "zero_hot"},
+                         unknown=_UNKNOWN_CONFIG)
         group = tuple(str(n) for n in _req(cfg, "group", self.kind))
         if not group:
             raise ValidationError(f"{self.kind}: group must be non-empty")
@@ -546,7 +536,8 @@ class Standardize(_OneToOne):
     learned = ("mean", "scale")
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "mean", "scale", "target", "display_format"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "mean", "scale", "target", "display_format"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
         mean, scale = cfg.get("mean"), cfg.get("scale")
@@ -600,8 +591,9 @@ class Unstandardize(_OneToOne):
     delta = {"understandable": True, "model_ready": False}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "mean", "scale", "target", "restore",
-                          "unit", "description", "display_format"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "mean", "scale", "target", "restore", "unit",
+                                          "description", "display_format"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
         mean = _number(_req(cfg, "mean", self.kind), self.kind, "mean")
@@ -649,8 +641,9 @@ class StatisticalBin(_OneToOne):
     learned = ("min", "max")
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "bins", "min", "max", "labels", "target",
-                          "keep_original", "wording"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "bins", "min", "max", "labels", "target",
+                                          "keep_original", "wording"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
         bins = document_int(_req(cfg, "bins", self.kind), f"{self.kind}: bins")
@@ -730,8 +723,9 @@ class SemanticBin(_OneToOne):
     delta = {"understandable": True}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "boundaries", "labels", "target",
-                          "keep_original", "wording"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "boundaries", "labels", "target",
+                                          "keep_original", "wording"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
         boundaries = _numbers(_req(cfg, "boundaries", self.kind), self.kind, "boundaries")
@@ -762,7 +756,8 @@ class ImputeFlagged(Kernel):
     delta = {"trackable": True}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "strategy", "constant", "flag_name"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "strategy", "constant", "flag_name"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         strategy = str(_req(cfg, "strategy", self.kind))
@@ -897,7 +892,7 @@ class AggregateNumeric(Kernel):
              "display_format", "unit", "description"}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, self._KEYS, self.kind)
+        document_mapping(cfg, self.kind, self._KEYS, unknown=_UNKNOWN_CONFIG)
         inputs = tuple(str(n) for n in _req(cfg, "inputs", self.kind))
         if not inputs:
             raise ValidationError(f"{self.kind}: inputs must be non-empty")
@@ -963,8 +958,8 @@ class AbstractConcept(AggregateNumeric):
         labeling = cfg.get("labeling")
         base = super().normalize({k: v for k, v in cfg.items() if k != "labeling"}, schema)
         if labeling is not None:
-            if not isinstance(labeling, Mapping) or set(labeling) - {"boundaries", "labels"}:
-                raise ValidationError(f"{self.kind}: labeling needs boundaries and labels only")
+            labeling = document_mapping(labeling, f"{self.kind}: labeling",
+                                        ("boundaries", "labels"), unknown=_UNKNOWN_CONFIG)
             boundaries = _numbers(_req(labeling, "boundaries", self.kind), self.kind,
                                   "labeling boundaries")
             if any(a >= b for a, b in zip(boundaries, boundaries[1:])) or not boundaries:
@@ -1005,24 +1000,23 @@ class HierarchyRollup(_OneToOne):
     delta = {"understandable": True}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "mapping", "target", "keep_original",
-                          "wording", "description"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "mapping", "target", "keep_original",
+                                          "wording", "description"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         if spec.dtype not in ("categorical", "ordinal"):
             raise ValidationError(
                 f"{self.kind}: feature {feature!r} must be categorical, is {spec.dtype}")
-        mapping_cfg = _req(cfg, "mapping", self.kind)
-        if not isinstance(mapping_cfg, Mapping):
-            raise ValidationError(f"{self.kind}: mapping must be a child-to-parent mapping")
-        mapping = {str(k): str(v) for k, v in mapping_cfg.items()}
+        where = f"{self.kind}: mapping"
+        mapping = {str(k): str(v) for k, v in
+                   document_mapping(_req(cfg, "mapping", self.kind), where, None).items()}
         declared = set(spec.categories or ())
         unmapped = sorted(declared - set(mapping))
         if unmapped:
             raise ValidationError(f"{self.kind}: categories missing from mapping: {unmapped}")
-        stray = sorted(set(mapping) - declared)
-        if stray:
-            raise ValidationError(f"{self.kind}: mapping keys not in declared categories: {stray}")
+        document_mapping(mapping, where, declared,
+                         unknown="{where} keys not in declared categories: {names}")
         target, keep = _target(cfg, feature, schema, self.kind)
         return {"feature": feature, "mapping": mapping, "target": target,
                 "keep_original": keep, "wording": _wording_cfg(cfg, self.kind),
@@ -1048,7 +1042,8 @@ class RenderStatement(_OneToOne):
     delta = {"human_worded": True}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "target"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "target"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         if spec.dtype not in ("boolean", "categorical", "ordinal"):
@@ -1085,7 +1080,8 @@ class UnrenderStatement(_OneToOne):
     delta = {"human_worded": False}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "target", "restore"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "target", "restore"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         if spec.dtype not in ("categorical", "ordinal"):
@@ -1126,8 +1122,9 @@ class PcaProject(Kernel):
     learned = ("means", "loadings")
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"inputs", "components", "means", "loadings",
-                          "name_template", "display_format"}, self.kind)
+        document_mapping(cfg, self.kind, {"inputs", "components", "means", "loadings",
+                                          "name_template", "display_format"},
+                         unknown=_UNKNOWN_CONFIG)
         inputs = tuple(str(n) for n in _req(cfg, "inputs", self.kind))
         if not inputs:
             raise ValidationError(f"{self.kind}: inputs must be non-empty")
@@ -1242,7 +1239,8 @@ class LinkRaw(Kernel):
     delta = {"trackable": True}
 
     def normalize(self, cfg, schema):
-        _check_keys(cfg, {"feature", "series_id", "window", "series"}, self.kind)
+        document_mapping(cfg, self.kind, {"feature", "series_id", "window", "series"},
+                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         if spec.raw_source is None:

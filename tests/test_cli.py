@@ -14,7 +14,7 @@ from featurespace.cli import main
 from featurespace.pipeline import load_fitted
 from featurespace.table import read_table_csv
 
-from _fitted_documents import ROWS, fitted_document, step_of
+from _fitted_documents import DATA, ROWS, fitted_document, step_of
 
 ORIGINAL_MANIFEST = """
 space_tag: original
@@ -831,3 +831,108 @@ def _transform_argv(workspace, *extra):
 def test_unwritable_output_exits_1(workspace, capsys, argv_for):
     argv, path = argv_for(workspace)
     _fails_cleanly(argv, capsys, 1, str(workspace / path))
+
+
+BOM = b"\xef\xbb\xbf"
+
+# How a spreadsheet or an editor may save a file; each reads as the original.
+SAVED_AS = {
+    "bom": lambda raw: BOM + raw,
+    "trailing_blank_line": lambda raw: raw + b"\n",
+    "bom_crlf_blank_line": lambda raw: BOM + raw.replace(b"\n", b"\r\n") + b"\r\n",
+}
+
+
+@pytest.mark.parametrize("saved_as", sorted(SAVED_AS))
+def test_saved_data_file_transforms_like_the_original(tmp_path, saved_as):
+    data = tmp_path / "rows.csv"
+    data.write_bytes(SAVED_AS[saved_as](ROWS.read_bytes()))
+    out = tmp_path / "out.csv"
+    assert main(["transform", "--pipeline", str(DATA / "covertype_300_model_ready.fitted.json"),
+                 "--data", str(data), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "covertype_300_model_ready.csv").read_bytes()
+
+
+@pytest.mark.parametrize("saved_as", sorted(SAVED_AS))
+def test_saved_contribution_file_maps_like_the_original(tmp_path, saved_as):
+    contribs = tmp_path / "contribs.csv"
+    contribs.write_bytes(
+        SAVED_AS[saved_as]((DATA / "covertype_300_contribs_learned.csv").read_bytes()))
+    out = tmp_path / "mapped.csv"
+    assert main(["explain-map", "--expose-flags",
+                 "--pipeline", str(DATA / "covertype_300_learned.fitted.json"),
+                 "--contribs", str(contribs), "--out", str(out)]) == 0
+    expected = DATA / "covertype_300_explain_learned_flags.csv"
+    for produced, pinned in ((out, expected), (f"{out}.fidelity.txt", f"{expected}.fidelity.txt")):
+        assert Path(produced).read_bytes() == Path(pinned).read_bytes()
+
+
+def test_fitted_document_with_a_bom_loads(tmp_path):
+    doc = tmp_path / "bom.fitted.json"
+    doc.write_bytes(BOM + (DATA / "covertype_300_model_ready.fitted.json").read_bytes())
+    out = tmp_path / "out.csv"
+    assert main(["transform", "--pipeline", str(doc), "--data", str(ROWS),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "covertype_300_model_ready.csv").read_bytes()
+
+
+# Each of these was once a TypeError traceback, or read as empty, instead of exit 1.
+@pytest.mark.parametrize("argv_for, message", [
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        FIRST_FLAGS, FIRST_FLAGS + "\n    1: x\n    b: y", 1)),
+     "features[0]: unknown keys [1, 'b']"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
+        FIRST_FLAGS, FIRST_FLAGS + "\n    wording: {1: x, zz: y}", 1)),
+     "features[0].wording: unknown keys [1, 'zz']"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(FIRST_FLAGS, "properties: [1, zz]", 1)),
+     "unknown property flags: ['1', 'zz']"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(FIRST_FLAGS, "properties: [[a]]", 1)),
+     "unknown property flags: [\"['a']\"]"),
+    (lambda w: _audit(w, persona="kind: developer\n1: x\nz: y\n"),
+     "persona config: unknown keys [1, 'z']"),
+    (lambda w: _audit(w, persona="kind: developer\nrequired: [1, zz]\n"),
+     "unknown property flags: [1, 'zz']"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST + "implications: 0\n"),
+     "implications must be a list"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST + "1: x\nzz: y\n"), "manifest: unknown keys [1, 'zz']"),
+    (lambda w: _one_step(w, "standardize", {"feature": "Elevation", 1: "x", "zz": "y"}),
+     "standardize: unknown config keys [1, 'zz']"),
+    (lambda w: _one_step(w, "standardize", {"feature": "Elevation"},
+                         {"Elevation": {1: True, "zz": True}}),
+     "steps[0] property_delta references unknown flags: [1, 'zz']"),
+    (lambda w: _one_step(w, "standardize", 0), "steps[0] config must be a mapping"),
+    (lambda w: _one_step(w, "standardize", {"feature": "Elevation"}, 0),
+     "steps[0] property_delta must be a mapping"),
+], ids=["feature_key", "wording_key", "property_list", "property_nested_list", "persona_key",
+        "persona_required", "implications_0", "manifest_key", "config_key",
+        "property_delta_flag", "config_0", "property_delta_0"])
+def test_malformed_document_value_exits_1(workspace, capsys, argv_for, message):
+    _fails_cleanly(argv_for(workspace) + ["--out", str(workspace / "out")], capsys, 1, message)
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("steps: 0\n", "pipeline document: steps must be a list"),
+    ("steps: []\n1: x\nzz: y\n", "pipeline document: unknown keys [1, 'zz']"),
+], ids=["steps_0", "top_level_keys"])
+def test_malformed_pipeline_top_level_exits_1(workspace, capsys, tail, message):
+    (workspace / "pipeline.yaml").write_text(
+        ENCODE_PIPELINE[:ENCODE_PIPELINE.index("steps:")] + tail, encoding="utf-8")
+    _fails_cleanly(_transform_argv(workspace, "--out", str(workspace / "o.csv")), capsys, 1,
+                   message)
+
+
+def test_fit_on_a_fitted_document_says_so(tmp_path, capsys):
+    _fails_cleanly(["fit", "--pipeline", str(DATA / "covertype_300_model_ready.fitted.json"),
+                    "--data", str(ROWS), "--out", str(tmp_path / "f.json")], capsys, 1,
+                   "input_manifest must be the path of a manifest file (fit takes a "
+                   "pipeline document, not a fitted one)")
+
+
+def test_failed_write_leaves_no_file(workspace, capsys):
+    argv = _one_step(workspace, "standardize", {"feature": "Elevation",
+                                                "target": "Elevation Standardized",
+                                                "display_format": "d"})
+    out = workspace / "out.csv"
+    _fails_cleanly(argv + ["--out", str(out)], capsys, 1,
+                   "column 'Elevation Standardized': display format 'd'")
+    assert not out.exists()

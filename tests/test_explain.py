@@ -194,6 +194,15 @@ def test_contribution_csv_round_trip():
         read_contributions(io.StringIO("x,y\n1,2\n"), schema)
 
 
+def test_contribution_csv_blank_last_line_is_not_a_row():
+    schema = SchemaManifest(features=(FeatureSpec("a", "numeric"),))
+    assert read_contributions(io.StringIO("a\n1.0\n\n"), schema) == \
+        [vector_for(schema, [1.0])]
+    for text in ("a\n1.0\n\n2.0\n", "a\n1.0\n\n\n"):
+        with pytest.raises(ValidationError, match="^contribution row 1: expected 1 fields$"):
+            read_contributions(io.StringIO(text), schema)
+
+
 @pytest.mark.parametrize("row, message", [
     ("inf,1.0,0.5", "contribution row 1: contribution for 'a' is not finite: inf"),
     ("1.0,nan,inf", "contribution row 1: contribution for 'b' is not finite: nan"),

@@ -83,6 +83,22 @@ def test_csv_header_must_match_exactly():
         read_table_csv(io.StringIO("c,n,f\na,1,TRUE\n"), schema)
 
 
+def test_csv_blank_last_line_is_not_a_row():
+    schema = simple_schema()
+    assert read_table_csv(io.StringIO("n,c,f\n1,a,TRUE\n\n"), schema).num_rows == 1
+    for text in ("n,c,f\n1,a,TRUE\n\n2,b,FALSE\n", "n,c,f\n1,a,TRUE\n\n\n"):
+        with pytest.raises(ValidationError, match="^row 1: expected 3 fields, got 0$"):
+            read_table_csv(io.StringIO(text), schema)
+
+
+def test_csv_without_columns_has_a_blank_line_per_row():
+    table = read_table_csv(io.StringIO("\n\n\n\n"), SchemaManifest(()))
+    assert table.num_rows == 3
+    buf = io.StringIO()
+    write_table_csv(table, buf)
+    assert buf.getvalue() == "\n\n\n\n"
+
+
 def test_csv_strict_boolean_tokens():
     schema = SchemaManifest(features=(FeatureSpec("f", "boolean"),))
     with pytest.raises(ValidationError, match="TRUE or FALSE"):
