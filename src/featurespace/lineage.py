@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Union
 
 
@@ -36,6 +37,8 @@ class RawLinked:
 
 Origin = Union[Imputed, Computed, RawLinked]
 
+_NO_EXCEPTIONS: Mapping[int, Origin] = MappingProxyType({})
+
 
 @dataclass(frozen=True)
 class ColumnLineage:
@@ -43,11 +46,13 @@ class ColumnLineage:
 
     Every row has ``origin``, except the rows in ``exceptions``, which carry
     their own. With ``origin`` None only the exception rows have a record.
+    A record without exceptions, as a fitted step prepares it for all of its
+    runs, has a read-only empty ``exceptions``.
     """
 
     feature: str
     origin: Origin | None
-    exceptions: Mapping[int, Origin] = field(default_factory=dict)
+    exceptions: Mapping[int, Origin] = field(default_factory=lambda: _NO_EXCEPTIONS)
 
 
 class Lineage:

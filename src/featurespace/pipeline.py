@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 from .errors import KernelError, ValidationError
@@ -52,6 +53,12 @@ class FittedStep:
     followed by the produced columns, and ``unchecked`` holds the output
     positions of the produced columns, the only ones validated. Every other
     output column keeps its input spec, so its cells are valid already.
+
+    ``prepared`` is the kernel's ``prepare`` of the step: everything a run of
+    the step reads besides the rows, computed here once and shared, never
+    mutated, by every run. A run passes it to the kernel's ``apply``, which
+    stays the step's one call per run. A step that still needs fitting is
+    never run and has nothing prepared (None).
     """
 
     step: TransformStep
@@ -62,6 +69,7 @@ class FittedStep:
     config: dict[str, Any] = field(init=False, repr=False, compare=False)
     sources: tuple[int, ...] = field(init=False, repr=False, compare=False)
     unchecked: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    prepared: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "config", _with_fit_state(self.step.config, self.fit_state))
@@ -72,6 +80,14 @@ class FittedStep:
             made[name] if name in made else self.input_schema.index(name) for name in names))
         object.__setattr__(self, "unchecked", tuple(
             i for i, name in enumerate(names) if name in made))
+        kernel = kernel_for(self.step.kind)
+        unfitted = self.fit_state is None and kernel.requires_fit(self.step.config)
+        object.__setattr__(self, "prepared", None if unfitted else kernel.prepare(self))
+
+    def __reduce__(self):
+        # ``prepared`` holds functions: a copy or an unpickled step prepares anew.
+        return FittedStep, (self.step, self.fit_state, self.input_schema,
+                            self.output_schema, self.produced)
 
     def signature(self):
         """Step identity with fit parameters folded in.
@@ -95,6 +111,10 @@ class Pipeline:
 
 @dataclass(frozen=True)
 class FittedPipeline:
+    """A pipeline whose every step is fitted. ``fidelity_notes`` (one per
+    lossy step) and the display formats are the same for every run, and are
+    worked out here once."""
+
     steps: tuple[FittedStep, ...]
     input_schema: SchemaManifest
     direction: str
@@ -103,9 +123,14 @@ class FittedPipeline:
     # ``explain.mapping_plan`` and keyed by ``expose_flags``.
     mapping_plans: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+    fidelity_notes: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _display_formats: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
-    def display_formats(self) -> dict[str, str]:
-        """Per-feature numeric display formats declared by the steps."""
+    def __post_init__(self):
+        object.__setattr__(self, "fidelity_notes", tuple(
+            f"step {number} ({fstep.step.kind}): lossy transform; inverse not offered"
+            for number, fstep in enumerate(self.steps, 1)
+            if kernel_for(fstep.step.kind).invertible in ("lossy", "none")))
         formats: dict[str, str] = {}
         for fstep in self.steps:
             surviving = set(fstep.output_schema.names)
@@ -114,7 +139,17 @@ class FittedPipeline:
             if fmt:
                 for name in fstep.produced:
                     formats[name] = fmt
-        return formats
+        object.__setattr__(self, "_display_formats", MappingProxyType(formats))
+
+    def __reduce__(self):
+        # What a run reads is worked out anew, and mapping plans on first use.
+        return FittedPipeline, (self.steps, self.input_schema, self.direction,
+                                self.output_schema)
+
+    def display_formats(self) -> Mapping[str, str]:
+        """Per-feature numeric display formats declared by the steps, as a
+        read-only mapping that every call returns."""
+        return self._display_formats
 
 
 @dataclass(frozen=True)
@@ -239,7 +274,10 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
         final_space = _TARGET_SPACE[direction] if i == last else None
         out_schema, produced = _plan_step(kernel, norm, _with_fit_state(cfg, state), schema,
                                           number, final_space)
-        fstep = FittedStep(norm, state, schema, out_schema, produced)
+        try:
+            fstep = FittedStep(norm, state, schema, out_schema, produced)
+        except ValidationError as exc:
+            raise ValidationError(f"step {number} ({step.kind}): {exc}") from None
         if table is not None:
             pending.append((kernel, fstep, number))
         fitted.append(fstep)
@@ -284,6 +322,8 @@ def as_fitted(pipeline: Pipeline) -> FittedPipeline:
 
 
 def _check_table_matches(table: DataTable, schema: SchemaManifest) -> None:
+    if table.schema is schema:  # as read_table_csv builds it for this schema
+        return
     if table.schema.names != schema.names:
         missing = [n for n in schema.names if n not in set(table.schema.names)]
         if missing:
@@ -306,7 +346,7 @@ def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable
     are computed; every other column is carried over by reference, and only
     the columns in the step's ``unchecked`` plan are validated."""
     try:
-        columns, lineage = kernel.apply(table, fstep.config)
+        columns, lineage = kernel.apply(table, fstep.prepared)
     except KernelError as exc:
         raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
                           row_index=exc.row_index, step_number=number) from None
@@ -324,20 +364,16 @@ def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable
 
 
 def run(fitted: FittedPipeline, table: DataTable) -> RunResult:
-    """Apply every fitted step; accumulate lineage and lossy-step warnings."""
+    """Apply every fitted step; accumulate lineage. The lossy-step warnings
+    are the pipeline's ``fidelity_notes``."""
     _check_table_matches(table, fitted.input_schema)
     lineage = []
-    notes: list[str] = []
     current = table
     for number, fstep in enumerate(fitted.steps, 1):
-        kernel = kernel_for(fstep.step.kind)
-        current, columns = _apply_step(kernel, fstep, number, current)
+        current, columns = _apply_step(kernel_for(fstep.step.kind), fstep, number, current)
         lineage.append((table.num_rows, columns))
-        if kernel.invertible in ("lossy", "none"):
-            notes.append(f"step {number} ({fstep.step.kind}): lossy transform; "
-                         "inverse not offered")
     return RunResult(table=current, output_schema=fitted.output_schema,
-                     lineage=Lineage(lineage), fidelity_notes=tuple(notes))
+                     lineage=Lineage(lineage), fidelity_notes=fitted.fidelity_notes)
 
 
 def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:

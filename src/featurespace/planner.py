@@ -13,6 +13,7 @@ from .schema import (
     FeatureSpec,
     SchemaManifest,
     document_bool,
+    document_list,
     document_mapping,
     open_input,
     read_yaml,
@@ -103,10 +104,12 @@ def load_persona(name_or_path: str | Path) -> Persona:
         text = handle.read()
     doc = document_mapping(read_yaml(text, f"{path}: persona"), f"{path}: persona config",
                            _PERSONA_KEYS, required=("kind",))
+    # An absent or null list keeps the kind's default.
+    required, avoid = doc.get("required"), doc.get("avoid")
     return make_persona(
         str(doc["kind"]),
-        required=doc.get("required"),
-        avoid=doc.get("avoid"),
+        required=None if required is None else document_list(required, f"{path}: required"),
+        avoid=None if avoid is None else document_list(avoid, f"{path}: avoid"),
         require_all=document_bool(doc.get("require_all", True), f"{path}: require_all"),
     )
 

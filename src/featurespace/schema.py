@@ -1,14 +1,21 @@
-"""Feature specifications, schema manifests, and the manifest document format."""
+"""Feature specifications, schema manifests, and the manifest document format.
+
+A spec and a manifest also keep, computed once, what every table of theirs
+shares: the CSV text of the header and of each category, and which columns
+hold labels."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 from yaml.composer import Composer
@@ -75,6 +82,13 @@ def _needs_categories(dtype: str) -> bool:
     return dtype in ("categorical", "ordinal")
 
 
+def csv_line(values: Sequence[str]) -> str:
+    """The line ``csv.writer`` writes for ``values``, without its terminator."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(values)
+    return buffer.getvalue()[:-1]
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Everything declared about one feature: identity, domain, wording,
@@ -118,6 +132,22 @@ class FeatureSpec:
                 f"feature {self.name!r}: simulatable requires derived_from, raw_source, "
                 "or the observed flag")
 
+    def __getstate__(self):
+        # A copy or a pickle keeps the fields; the cached properties below
+        # are derived again when used.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def category_set(self) -> frozenset[str]:
+        """The declared categories, as a set (empty without categories)."""
+        return frozenset(self.categories or ())
+
+    @cached_property
+    def csv_labels(self) -> Mapping[str, str]:
+        """Each declared category as a CSV field, quoted as ``csv.writer``
+        quotes it; read-only."""
+        return MappingProxyType({c: csv_line([c]) for c in self.categories or ()})
+
 
 @dataclass(frozen=True)
 class SchemaManifest:
@@ -159,6 +189,17 @@ class SchemaManifest:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {f.name: i for i, f in enumerate(self.features)}
+
+    @cached_property
+    def label_positions(self) -> tuple[int, ...]:
+        """Positions of the features with categories: the columns whose
+        parsed CSV text still needs validating."""
+        return tuple(i for i, f in enumerate(self.features) if f.categories is not None)
+
+    @cached_property
+    def csv_header(self) -> str:
+        """The CSV header line of a table of this schema, without its terminator."""
+        return csv_line(self.names)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -268,6 +309,17 @@ def document_mapping(value: Any, where: str, keys: Iterable[str] | None,
     return value
 
 
+def document_list(value: Any, where: str) -> tuple[str, ...]:
+    """A document's list of names, such as categories or property flags,
+    each item read as text; null reads as empty. Any other value that is not
+    a list is rejected."""
+    if value is None:
+        return ()
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where} must be a list, got {value!r}")
+    return tuple(str(n) for n in value)
+
+
 @contextmanager
 def open_input(source: str | Path | IO[str], what: str) -> Iterator[IO[str]]:
     """``source`` open for reading: an open handle passes through unchanged,
@@ -285,16 +337,9 @@ def open_input(source: str | Path | IO[str], what: str) -> Iterator[IO[str]]:
         raise ValidationError(f"cannot read {what} {source}: {exc}") from exc
 
 
-def _names(value: Any, where: str) -> tuple[str, ...]:
-    """A document's list of names, each read as text."""
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{where} must be a list, got {value!r}")
-    return tuple(str(n) for n in value)
-
-
 def _parse_properties(data: Any, where: str) -> PropertySet:
     if isinstance(data, list):
-        return PropertySet.from_names(_names(data, where))
+        return PropertySet.from_names(document_list(data, where))
     flags = document_mapping(data, where, PROPERTY_NAMES)
     return PropertySet(**{k: document_bool(v, f"{where}: {k}") for k, v in flags.items()})
 
@@ -327,7 +372,7 @@ def feature_from_data(data: Any, where: str) -> FeatureSpec:
     if data.get("derived_from") is not None:
         df = document_mapping(data["derived_from"], f"{where}.derived_from", _DERIVED_KEYS,
                               required=("inputs", "formula"))
-        derived = DerivedFrom(inputs=_names(df["inputs"], f"{where}.derived_from: inputs"),
+        derived = DerivedFrom(inputs=document_list(df["inputs"], f"{where}.derived_from: inputs"),
                               formula=str(df["formula"]))
     categories = data.get("categories")
     return FeatureSpec(
@@ -335,7 +380,8 @@ def feature_from_data(data: Any, where: str) -> FeatureSpec:
         dtype=str(data["dtype"]),
         description=document_text(data.get("description"), f"{where}: description"),
         unit=None if data.get("unit") is None else str(data["unit"]),
-        categories=None if categories is None else _names(categories, f"{where}: categories"),
+        categories=None if categories is None else document_list(categories,
+                                                                 f"{where}: categories"),
         wording=parse_wording_data(data.get("wording"), f"{where}.wording"),
         properties=_parse_properties(data.get("properties"), f"{where}.properties"),
         raw_source=raw_source,

@@ -7,7 +7,6 @@ imputation transforms can detect it unambiguously.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from contextlib import nullcontext
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .schema import FeatureSpec, SchemaManifest, open_input
+from .schema import FeatureSpec, SchemaManifest, csv_line, open_input
 
 
 class _MissingType:
@@ -89,7 +88,7 @@ def _column_passes(values: list, spec: FeatureSpec) -> bool:
     except TypeError:  # an unhashable cell
         return False
     labels.discard(MISSING)
-    return labels <= set(spec.categories)
+    return labels <= spec.category_set
 
 
 class DataTable:
@@ -246,33 +245,13 @@ def render_cell(cell, display_format: str | None = None) -> str:
     return str(cell)
 
 
-def _render_column(values: list, spec: FeatureSpec, display_format: str | None) -> list:
-    """``render_cell`` over a validated column, dispatching once on the dtype
-    instead of once per cell."""
-    if spec.dtype == "boolean":
-        return ["" if v is MISSING else "TRUE" if v else "FALSE" for v in values]
-    if spec.dtype == "numeric":
-        if display_format:
-            return ["" if v is MISSING else format(v, display_format) for v in values]
-        return ["" if v is MISSING else repr(v) if isinstance(v, float) else str(v)
-                for v in values]
-    return ["" if v is MISSING else str(v) for v in values]
-
-
-def _csv_line(fields: Sequence[str]) -> str:
-    """The line ``csv.writer`` writes for ``fields``, without its terminator."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(fields)
-    return buffer.getvalue()[:-1]
-
-
 # The ASCII characters for which csv.writer quotes a field. They are asked of
 # csv rather than listed, because they need not be the same on every Python:
 # 3.11, for one, leaves "\r" unquoted when the terminator is "\n". No other
 # character can be special to the excel dialect.
-_QUOTED_CHARS = "".join(c for c in map(chr, range(128)) if _csv_line([c]) != c)
+_QUOTED_CHARS = "".join(c for c in map(chr, range(128)) if csv_line([c]) != c)
 _QUOTED_RE = re.compile("[" + re.escape(_QUOTED_CHARS) + "]")
-_ONE_EMPTY_FIELD = _csv_line([""])  # a row of one empty field is written quoted
+_ONE_EMPTY_FIELD = csv_line([""])  # a row of one empty field is written quoted
 _CHUNK_ROWS = 4096
 
 
@@ -283,6 +262,22 @@ def _quote_column(cells: list) -> list:
     if not _QUOTED_RE.search("".join(cells)):
         return cells
     return ['"' + c.replace('"', '""') + '"' if _QUOTED_RE.search(c) else c for c in cells]
+
+
+def _written_column(values: list, spec: FeatureSpec, display_format: str | None) -> list:
+    """``render_cell`` over a validated column, as csv.writer writes the
+    cells: the quoting rule of ``write_table_csv``, dispatched once on the
+    dtype instead of once per cell."""
+    if spec.dtype == "boolean":
+        return ["" if v is MISSING else "TRUE" if v else "FALSE" for v in values]
+    if spec.dtype == "numeric":
+        if display_format:
+            return _quote_column(["" if v is MISSING else format(v, display_format)
+                                  for v in values])
+        return ["" if v is MISSING else repr(v) if isinstance(v, float) else str(v)
+                for v in values]
+    labels = spec.csv_labels
+    return ["" if v is MISSING else labels[v] for v in values]
 
 
 def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> DataTable:
@@ -322,23 +317,31 @@ def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> Data
     if ragged is not None:
         raise ValidationError(
             f"row {ragged}: expected {width} fields, got {len(raw[ragged])}")
-    labels = [i for i, spec in enumerate(schema.features) if spec.categories is not None]
-    return DataTable.from_columns(schema, columns, len(body), labels)
+    return DataTable.from_columns(schema, columns, len(body), schema.label_positions)
 
 
 def write_table_csv(table: DataTable, target: str | Path | IO[str],
                     display_formats: Mapping[str, str] | None = None) -> None:
-    """Write CSV with stable byte-for-byte output.
+    """Write CSV with stable byte-for-byte output, the bytes ``csv.writer``
+    writes (minimal quoting, ``\\n`` line ends).
 
     ``display_formats`` maps feature names to Python format specs (e.g. ".3g")
     for golden-matched numeric columns; everything else uses shortest
     round-trip rendering.
+
+    Quoting is decided per column from its dtype. A numeric column without a
+    display format and a boolean column are never quoted: ``repr``/``str`` of
+    a finite number, ``TRUE``/``FALSE`` and the empty field hold no character
+    csv quotes. A label column writes each cell as its category's fixed CSV
+    text (``FeatureSpec.csv_labels``), and MISSING as the empty field. Only a
+    formatted numeric column is scanned for characters to quote, since a
+    format spec's fill character can be any.
     """
     formats = display_formats or {}
     rendered = []
     for values, spec in zip(table.columns, table.schema.features):
         try:
-            rendered.append(_quote_column(_render_column(values, spec, formats.get(spec.name))))
+            rendered.append(_written_column(values, spec, formats.get(spec.name)))
         except ValueError as exc:  # a format spec that does not fit the cells
             raise ValidationError(f"column {spec.name!r}: display format "
                                   f"{formats[spec.name]!r}: {exc}") from None
@@ -351,7 +354,7 @@ def write_table_csv(table: DataTable, target: str | Path | IO[str],
     # Every cell is rendered before a path is opened, so a failed render leaves no file.
     with (open(target, "w", newline="", encoding="utf-8") if isinstance(target, (str, Path))
           else nullcontext(target)) as handle:
-        csv.writer(handle, lineterminator="\n").writerow(table.schema.names)
+        handle.write(table.schema.csv_header + "\n")
         while chunk := list(islice(lines, _CHUNK_ROWS)):
             chunk.append("")
             handle.write("\n".join(chunk))

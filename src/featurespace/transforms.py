@@ -4,13 +4,14 @@ Each transform kind is one ``Kernel`` subclass, and everything the package
 knows about the kind lives on it: the config it accepts, what it does to the
 properties of the features it produces, which parameters ``fit`` learns, the
 output-schema plan, the column computation, the inverse, and how additive
-contributions cross a step of the kind. ``plan``, ``apply``, ``inverse`` and
+contributions cross a step of the kind. ``plan``, ``prepare``, ``inverse`` and
 the contribution rules read one config: a fitted step's ``config``, the
-configured values with the learned ones filled in. A kernel computes only the
-columns it produces; the pipeline carries every other column over by
-reference. The seven kinds that derive one feature from one share
-``_OneToOne``'s ``plan`` and ``apply``, and give only the produced spec's
-fields and cells.
+configured values with the learned ones filled in. ``prepare`` turns a fitted
+step into what ``apply`` needs besides the rows, once per step, so a run does
+only per-row work. A kernel computes only the columns it produces; the
+pipeline carries every other column over by reference. The seven kinds that
+derive one feature from one share ``_OneToOne``'s ``plan``, ``prepare`` and
+``apply``, and give only the produced spec's fields and column function.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -239,15 +240,26 @@ class Kernel:
     - ``fit``: the fit state (a dict of learned parameters) from the data the
       step sees;
     - ``plan``: the output schema and the names of the produced features;
+    - ``prepare``: what ``apply`` reads besides the table, from a fitted step;
     - ``apply``: the produced columns and their lineage;
     - ``inverse``: the step that undoes this one, when ``invertible`` is
       ``exact``;
     - ``forward_rule`` / ``reverse_rule``: how additive contributions cross
       the step toward the interpretable space.
 
-    ``plan``, ``apply`` and ``inverse`` take one config, ``cfg``: the
-    normalized config with the fit state's values filled in, as a fitted
-    step's ``config`` holds it. The rules read that ``config`` from the step.
+    ``plan`` and ``inverse`` take one config, ``cfg``: the normalized config
+    with the fit state's values filled in, as a fitted step's ``config``
+    holds it. ``prepare`` and the rules read that ``config`` from the step.
+
+    ``prepare`` runs once per fitted step, when the step is built, and the
+    step keeps its result as ``prepared``. It holds everything a run needs
+    that the rows do not change: the kind's constants (bin edges and labels,
+    PCA weights, a parsed formula, lookup maps) and the lineage records of
+    columns whose every row has one origin. Values ``plan`` already decided,
+    such as bin labels, produced names and ``derived_from``, are read from
+    the step's output schema. ``apply`` stays the one per-step call of a run,
+    the call a tracer wraps, and does only per-row work; the prepared state is
+    shared by every run of the step and is never mutated.
     """
 
     kind: str = ""
@@ -287,9 +299,17 @@ class Kernel:
     def plan(self, schema: SchemaManifest, cfg: Mapping) -> PlanResult:
         raise NotImplementedError
 
-    def apply(self, table: DataTable, cfg: Mapping) -> tuple[list[list], list[ColumnLineage]]:
+    def prepare(self, fstep: FittedStep) -> Any:
+        """What ``apply`` reads besides the table, for a fitted step: its
+        row-independent state, computed once. Immutable, as every run of the
+        step shares it."""
+        raise NotImplementedError
+
+    def apply(self, table: DataTable,
+              prepared: Any) -> tuple[list[list], Sequence[ColumnLineage]]:
         """Compute the produced columns from the table's columns and the
-        step's config alone: everything a run needs is in the fitted step.
+        step's ``prepared`` state alone: everything a run needs is in the
+        fitted step.
 
         Returns one list of cells per produced feature, in ``plan(...).produced``
         order, and the lineage of those columns: one ``ColumnLineage`` per
@@ -321,8 +341,8 @@ class _OneToOne(Kernel):
 
     - ``_out_fields(spec, cfg)``: the produced spec's own fields, beside its
       name, properties and ``derived_from``, from the input spec;
-    - ``_cells(values, spec, cfg)``: the produced column from the input
-      column and spec.
+    - ``_column(fstep)``: the function from the input column to the produced
+      column, with the step's constants bound.
 
     Contributions follow the feature, unless the step keeps its original.
     """
@@ -330,7 +350,7 @@ class _OneToOne(Kernel):
     def _out_fields(self, spec: FeatureSpec, cfg: Mapping) -> dict[str, Any]:
         raise NotImplementedError
 
-    def _cells(self, values: list, spec: FeatureSpec, cfg: Mapping) -> list:
+    def _column(self, fstep: FittedStep) -> Callable[[list], list]:
         raise NotImplementedError
 
     def plan(self, schema, cfg):
@@ -342,10 +362,12 @@ class _OneToOne(Kernel):
         return PlanResult(_replace_features(schema, [feature], (out,),
                                             cfg.get("keep_original", False)), (target,))
 
-    def apply(self, table, cfg):
-        feature = cfg["feature"]
-        column = self._cells(table.values(feature), table.schema.feature(feature), cfg)
-        return [column], [ColumnLineage(cfg["target"], Computed(self.kind, (feature,)))]
+    def prepare(self, fstep):
+        return fstep.config["feature"], self._column(fstep), _computed(fstep)
+
+    def apply(self, table, prepared):
+        feature, column, lineage = prepared
+        return [column(table.values(feature))], lineage
 
     def forward_rule(self, fstep, expose_flags):
         cfg = fstep.config
@@ -378,6 +400,31 @@ def _non_missing(values) -> list:
 def _label_bins(values: list, boundaries: Sequence[float], labels: Sequence[str]) -> list:
     return [MISSING if v is MISSING else labels[bisect.bisect_right(boundaries, v)]
             for v in values]
+
+
+def _lookup(mapping: Mapping, unknown: str) -> Callable[[list], list]:
+    """The column function that maps each present cell through ``mapping``;
+    the first cell it lacks raises ``unknown``, formatted with the cell as
+    ``value``."""
+    def column(values):
+        for r, value in enumerate(values):
+            if value is not MISSING and value not in mapping:
+                raise KernelError(f"row {r}: " + unknown.format(value=value), row_index=r)
+        return [MISSING if v is MISSING else mapping[v] for v in values]
+
+    return column
+
+
+def _computed(fstep: FittedStep, names: Sequence[str] | None = None
+              ) -> tuple[ColumnLineage, ...]:
+    """The lineage of produced columns whose every row is computed, one
+    record per name (every produced feature by default): the origin is what
+    ``plan`` put in the feature's ``derived_from``."""
+    records = []
+    for name in fstep.produced if names is None else names:
+        derived = fstep.output_schema.feature(name).derived_from
+        records.append(ColumnLineage(name, Computed(derived.formula, derived.inputs)))
+    return tuple(records)
 
 
 class OneHotEncode(Kernel):
@@ -424,13 +471,15 @@ class OneHotEncode(Kernel):
         )
         return PlanResult(_replace_features(schema, [feature], new_specs), cfg["names"])
 
-    def apply(self, table, cfg):
-        feature = cfg["feature"]
+    def prepare(self, fstep):
+        feature = fstep.config["feature"]
+        return feature, fstep.input_schema.feature(feature).categories, _computed(fstep)
+
+    def apply(self, table, prepared):
+        feature, categories, lineage = prepared
         values = table.values(feature)
-        columns = [[MISSING if v is MISSING else v == c for v in values]
-                   for c in table.schema.feature(feature).categories]
-        origin = Computed(self.kind, (feature,))
-        return columns, [ColumnLineage(name, origin) for name in cfg["names"]]
+        return [[MISSING if v is MISSING else v == c for v in values]
+                for c in categories], lineage
 
     def inverse(self, cfg, input_schema):
         spec = input_schema.feature(cfg["feature"])
@@ -489,9 +538,12 @@ class OneHotDecode(Kernel):
                            **_restored_fields(cfg["restore"]))
         return PlanResult(_replace_features(schema, group, (spec,)), (cfg["target"],))
 
-    def apply(self, table, cfg):
-        group = cfg["group"]
-        categories = cfg["restore"]["categories"]
+    def prepare(self, fstep):
+        cfg = fstep.config
+        return cfg["group"], cfg["restore"]["categories"], cfg["zero_hot"], _computed(fstep)
+
+    def apply(self, table, prepared):
+        group, categories, zero_hot, lineage = prepared
         decoded = []
         for r, cells in enumerate(zip(*(table.values(n) for n in group))):
             missing = [c is MISSING for c in cells]
@@ -509,14 +561,14 @@ class OneHotDecode(Kernel):
                     raise KernelError(
                         f"row {r}: ill-formed one-hot ({len(trues)} indicators TRUE)",
                         row_index=r)
-                elif cfg["zero_hot"] == "missing":
+                elif zero_hot == "missing":
                     value = MISSING
                 else:
                     raise KernelError(
                         f"row {r}: zero indicators TRUE in one-hot group {list(group)}",
                         row_index=r)
             decoded.append(value)
-        return [decoded], [ColumnLineage(cfg["target"], Computed(self.kind, group))]
+        return [decoded], lineage
 
     def inverse(self, cfg, input_schema):
         return TransformStep("one_hot_encode", {
@@ -571,9 +623,9 @@ class Standardize(_OneToOne):
         return {"dtype": "numeric",
                 "description": spec.description and f"Standardized {spec.description}" or ""}
 
-    def _cells(self, values, spec, cfg):
-        mean, scale = cfg["mean"], cfg["scale"]
-        return [v if v is MISSING else (v - mean) / scale for v in values]
+    def _column(self, fstep):
+        mean, scale = fstep.config["mean"], fstep.config["scale"]
+        return lambda values: [v if v is MISSING else (v - mean) / scale for v in values]
 
     def inverse(self, cfg, input_schema):
         return TransformStep("unstandardize", {
@@ -608,9 +660,9 @@ class Unstandardize(_OneToOne):
     def _out_fields(self, spec, cfg):
         return _restored_fields(cfg["restore"])
 
-    def _cells(self, values, spec, cfg):
-        mean, scale = cfg["mean"], cfg["scale"]
-        return [v if v is MISSING else v * scale + mean for v in values]
+    def _column(self, fstep):
+        mean, scale = fstep.config["mean"], fstep.config["scale"]
+        return lambda values: [v if v is MISSING else v * scale + mean for v in values]
 
     def inverse(self, cfg, input_schema):
         return TransformStep("standardize", {
@@ -693,28 +745,33 @@ class StatisticalBin(_OneToOne):
         lo, hi, bins = cfg["min"], cfg["max"], cfg["bins"]
         return tuple(lo + i * (hi - lo) / bins for i in range(bins + 1))
 
-    def _categories(self, spec, cfg) -> tuple[str, ...]:
-        return _bin_labels(cfg["labels"], self._edges(cfg), spec.unit)
-
     def _out_fields(self, spec, cfg):
         # The labels are provisional until min and max are learned.
-        categories = cfg["labels"] if cfg["min"] is None else self._categories(spec, cfg)
+        categories = cfg["labels"] if cfg["min"] is None else \
+            _bin_labels(cfg["labels"], self._edges(cfg), spec.unit)
         return {"dtype": "ordinal", "description": f"Uniform-width bins for {spec.name}",
                 "categories": categories, "wording": parse_wording_data(cfg["wording"])}
 
-    def _cells(self, values, spec, cfg):
-        lo, hi = cfg["min"], cfg["max"]
-        present = _non_missing(values)
-        if present and (min(present) < lo or max(present) > hi):
-            for r, value in enumerate(values):  # the error names the first bad row
-                if value is not MISSING and (value < lo or value > hi):
-                    raise KernelError(
-                        f"row {r}: value {value!r} of {spec.name!r} outside bin range "
-                        f"[{lo}, {hi}]", row_index=r)
+    def _column(self, fstep):
+        cfg = fstep.config
+        feature, lo, hi = cfg["feature"], cfg["min"], cfg["max"]
         # In [lo, hi], the bin is the count of inner edges at or below the
         # value: the first edge is lo, and a value at the last edge stays in
         # the top bin.
-        return _label_bins(values, self._edges(cfg)[1:-1], self._categories(spec, cfg))
+        inner = self._edges(cfg)[1:-1]
+        labels = fstep.output_schema.feature(cfg["target"]).categories
+
+        def column(values):
+            present = _non_missing(values)
+            if present and (min(present) < lo or max(present) > hi):
+                for r, value in enumerate(values):  # the error names the first bad row
+                    if value is not MISSING and (value < lo or value > hi):
+                        raise KernelError(
+                            f"row {r}: value {value!r} of {feature!r} outside bin range "
+                            f"[{lo}, {hi}]", row_index=r)
+            return _label_bins(values, inner, labels)
+
+        return column
 
 
 class SemanticBin(_OneToOne):
@@ -746,8 +803,9 @@ class SemanticBin(_OneToOne):
         return {"dtype": "ordinal", "description": f"Semantic bins for {spec.name}",
                 "categories": cfg["labels"], "wording": parse_wording_data(cfg["wording"])}
 
-    def _cells(self, values, spec, cfg):
-        return _label_bins(values, cfg["boundaries"], cfg["labels"])
+    def _column(self, fstep):
+        boundaries, labels = fstep.config["boundaries"], fstep.config["labels"]
+        return lambda values: _label_bins(values, boundaries, labels)
 
 
 class ImputeFlagged(Kernel):
@@ -806,9 +864,17 @@ class ImputeFlagged(Kernel):
         )
         return PlanResult(schema.features + (flag,), (feature, cfg["flag_name"]))
 
-    def apply(self, table, cfg):
-        feature = cfg["feature"]
+    def prepare(self, fstep):
+        cfg = fstep.config
         strategy = cfg["strategy"]
+        if strategy == "mean" and cfg.get("mean") is None:
+            raise ValidationError(f"{self.kind}: mean strategy is not fitted")
+        fill_value = cfg["mean"] if strategy == "mean" else cfg["constant"]
+        return (cfg["feature"], strategy, fill_value, Imputed(strategy),
+                _computed(fstep, (cfg["flag_name"],)))
+
+    def apply(self, table, prepared):
+        feature, strategy, fill_value, origin, flag_lineage = prepared
         values = table.values(feature)
         flags = [v is MISSING for v in values]
         if strategy == "forward_fill":
@@ -824,19 +890,9 @@ class ImputeFlagged(Kernel):
                 filled.append(value)
                 previous = value
         else:
-            if strategy == "mean":
-                if cfg.get("mean") is None:
-                    raise ValidationError(f"{self.kind}: mean strategy is not fitted")
-                fill_value = cfg["mean"]
-            else:
-                fill_value = cfg["constant"]
             filled = [fill_value if v is MISSING else v for v in values]
-        imputed = dict.fromkeys((r for r, flag in enumerate(flags) if flag),
-                                Imputed(strategy))
-        return [filled, flags], [
-            ColumnLineage(feature, None, imputed),
-            ColumnLineage(cfg["flag_name"], Computed(self.kind, (feature,))),
-        ]
+        imputed = dict.fromkeys((r for r, flag in enumerate(flags) if flag), origin)
+        return [filled, flags], (ColumnLineage(feature, None, imputed), *flag_lineage)
 
     def forward_rule(self, fstep, expose_flags):
         return Rewrite({fstep.config["flag_name"]: ZERO})  # the flag is new; no share yet
@@ -925,9 +981,15 @@ class AggregateNumeric(Kernel):
                                      cfg["keep_inputs"])
         return PlanResult(features, (cfg["target"],))
 
-    def apply(self, table, cfg):
-        inputs = cfg["inputs"]
-        formula = _formula_function(cfg["formula"], inputs)
+    def _row_function(self, cfg):
+        """The produced cell as a function of one row's input values."""
+        return _formula_function(cfg["formula"], cfg["inputs"])
+
+    def prepare(self, fstep):
+        return fstep.config["inputs"], self._row_function(fstep.config), _computed(fstep)
+
+    def apply(self, table, prepared):
+        inputs, formula, lineage = prepared
         column = []
         for r, values in enumerate(zip(*(table.values(n) for n in inputs))):
             if MISSING in values:
@@ -937,8 +999,7 @@ class AggregateNumeric(Kernel):
                 column.append(formula(values))
             except (KernelError, OverflowError) as exc:  # floor() of an infinite result
                 raise KernelError(f"row {r}: {exc}", row_index=r) from None
-        origin = Computed(_formula_descriptor(cfg["formula"]), inputs)
-        return [column], [ColumnLineage(cfg["target"], origin)]
+        return [column], lineage
 
     def forward_rule(self, fstep, expose_flags):
         cfg = fstep.config
@@ -986,12 +1047,12 @@ class AbstractConcept(AggregateNumeric):
             derived_from=spec.derived_from,
         )
 
-    def apply(self, table, cfg):
-        (column,), lineage = super().apply(table, cfg)
-        labeling = cfg["labeling"]
-        if labeling is not None:
-            column = _label_bins(column, labeling["boundaries"], labeling["labels"])
-        return [column], lineage
+    def _row_function(self, cfg):
+        formula = super()._row_function(cfg)
+        if cfg["labeling"] is None:
+            return formula
+        boundaries, labels = cfg["labeling"]["boundaries"], cfg["labeling"]["labels"]
+        return lambda values: labels[bisect.bisect_right(boundaries, formula(values))]
 
 
 class HierarchyRollup(_OneToOne):
@@ -1028,12 +1089,8 @@ class HierarchyRollup(_OneToOne):
         return {"dtype": "categorical", "description": cfg["description"],
                 "categories": parents, "wording": parse_wording_data(cfg["wording"])}
 
-    def _cells(self, values, spec, cfg):
-        mapping = cfg["mapping"]
-        for r, value in enumerate(values):
-            if value is not MISSING and value not in mapping:
-                raise KernelError(f"row {r}: unmapped category {value!r}", row_index=r)
-        return [MISSING if v is MISSING else mapping[v] for v in values]
+    def _column(self, fstep):
+        return _lookup(fstep.config["mapping"], "unmapped category {value!r}")
 
 
 class RenderStatement(_OneToOne):
@@ -1063,8 +1120,12 @@ class RenderStatement(_OneToOne):
         return {"dtype": "categorical", "description": spec.description,
                 "categories": rendered_categories(spec)}
 
-    def _cells(self, values, spec, cfg):
-        return [MISSING if v is MISSING else render_value(spec, v) for v in values]
+    def _column(self, fstep):
+        cfg = fstep.config
+        spec = fstep.input_schema.feature(cfg["feature"])
+        statements = dict(zip(_domain_values(spec),
+                              fstep.output_schema.feature(cfg["target"]).categories))
+        return lambda values: [MISSING if v is MISSING else statements[v] for v in values]
 
     def inverse(self, cfg, input_schema):
         return TransformStep("unrender_statement", {
@@ -1097,15 +1158,10 @@ class UnrenderStatement(_OneToOne):
     def _out_fields(self, spec, cfg):
         return _restored_fields(cfg["restore"])
 
-    def _cells(self, values, spec, cfg):
-        restored = FeatureSpec(cfg["target"], **_restored_fields(cfg["restore"]))
-        reverse = {render_value(restored, v): v for v in _domain_values(restored)}
-        for r, value in enumerate(values):
-            if value is not MISSING and value not in reverse:
-                raise KernelError(
-                    f"row {r}: statement {value!r} does not match any template",
-                    row_index=r)
-        return [MISSING if v is MISSING else reverse[v] for v in values]
+    def _column(self, fstep):
+        restored = fstep.output_schema.feature(fstep.config["target"])
+        reverse = dict(zip(rendered_categories(restored), _domain_values(restored)))
+        return _lookup(reverse, "statement {value!r} does not match any template")
 
     def inverse(self, cfg, input_schema):
         return TransformStep("render_statement", {
@@ -1204,25 +1260,30 @@ class PcaProject(Kernel):
         )
         return PlanResult(_replace_features(schema, inputs, new_specs), names)
 
-    def apply(self, table, cfg):
-        inputs, means, loadings = cfg["inputs"], cfg["means"], cfg["loadings"]
+    def prepare(self, fstep):
+        cfg = fstep.config
+        # Means as a column (input, 1) and loadings as (input, component, 1),
+        # to broadcast against the (input, row) array of the input columns.
+        means = np.array(cfg["means"], dtype=float)[:, None]
+        weights = np.array(cfg["loadings"], dtype=float)[:, :, None]
+        means.flags.writeable = weights.flags.writeable = False
+        return cfg["inputs"], means, weights, _computed(fstep)
+
+    def apply(self, table, prepared):
+        inputs, means, weights, lineage = prepared
         columns = [table.values(name) for name in inputs]
         first = [column.index(MISSING) for column in columns if MISSING in column]
         if first:
             r = min(first)
             raise KernelError(f"row {r}: MISSING value in PCA inputs; impute first",
                               row_index=r)
-        # Each cell is 0.0 plus, input by input, (value - mean) * loading.
+        # Each cell is 0, plus, input by input, (value - mean) * loading.
         # Elementwise float64 subtract, multiply and add are the same single
-        # IEEE operations Python floats do, so accumulating whole columns in
-        # input order gives each cell the bits of a per-row loop. A reduction
-        # (``@``, ``np.sum``) may reassociate the sum and is not used.
-        weights = np.array(loadings, dtype=float)
-        acc = np.zeros((cfg["components"], table.num_rows))
-        for j, (column, m) in enumerate(zip(columns, means)):
-            acc = acc + weights[j][:, None] * (np.array(column, dtype=float) - m)
-        origin = Computed(self.kind, inputs)
-        return acc.tolist(), [ColumnLineage(name, origin) for name in self._names(cfg)]
+        # IEEE operations Python floats do, so adding the inputs' product
+        # arrays in input order gives each cell the bits of a per-row loop. A
+        # reduction (``@``, ``np.sum``) may reassociate the sum and is not used.
+        centered = np.array(columns, dtype=float) - means
+        return sum_in_order(weights * centered[:, None, :]).tolist(), lineage
 
     def reverse_rule(self, fstep, expose_flags):
         cfg = fstep.config
@@ -1260,18 +1321,25 @@ class LinkRaw(Kernel):
     def plan(self, schema, cfg):
         return PlanResult(schema.features, (cfg["feature"],))
 
-    def apply(self, table, cfg):
-        series = cfg["series"]
-        if series is None:
-            raise KernelError(f"{self.kind}: unknown series {cfg['series_id']!r}")
+    def prepare(self, fstep):
+        """The feature, the error every run of the step raises (None when
+        the window lies in the series) and the feature's lineage."""
+        cfg = fstep.config
+        series, series_id, feature = cfg["series"], cfg["series_id"], cfg["feature"]
         start, stop = cfg["window"]
-        if stop > len(series):
-            raise KernelError(
-                f"{self.kind}: window [{start}, {stop}) outside series "
-                f"{cfg['series_id']!r} of length {len(series)}")
-        feature = cfg["feature"]
-        return [table.values(feature)], [
-            ColumnLineage(feature, RawLinked(cfg["series_id"], start, stop))]
+        error = None
+        if series is None:
+            error = f"{self.kind}: unknown series {series_id!r}"
+        elif stop > len(series):
+            error = (f"{self.kind}: window [{start}, {stop}) outside series "
+                     f"{series_id!r} of length {len(series)}")
+        return feature, error, (ColumnLineage(feature, RawLinked(series_id, start, stop)),)
+
+    def apply(self, table, prepared):
+        feature, error, lineage = prepared
+        if error is not None:
+            raise KernelError(error)
+        return [table.values(feature)], lineage
 
     def inverse(self, cfg, input_schema):
         # Identity on data; linking again in the other direction is harmless.

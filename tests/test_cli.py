@@ -891,7 +891,13 @@ def test_fitted_document_with_a_bom_loads(tmp_path):
     (lambda w: _audit(w, persona="kind: developer\n1: x\nz: y\n"),
      "persona config: unknown keys [1, 'z']"),
     (lambda w: _audit(w, persona="kind: developer\nrequired: [1, zz]\n"),
-     "unknown property flags: [1, 'zz']"),
+     "unknown property flags: ['1', 'zz']"),
+    (lambda w: _audit(w, persona="kind: developer\nrequired: 5\n"),
+     "persona.yaml: required must be a list, got 5"),
+    (lambda w: _audit(w, persona="kind: developer\navoid: 5\n"),
+     "persona.yaml: avoid must be a list, got 5"),
+    (lambda w: _audit(w, persona="kind: developer\nrequired: [[a]]\n"),
+     "unknown property flags: [\"['a']\"]"),
     (lambda w: _audit(w, ORIGINAL_MANIFEST + "implications: 0\n"),
      "implications must be a list"),
     (lambda w: _audit(w, ORIGINAL_MANIFEST + "1: x\nzz: y\n"), "manifest: unknown keys [1, 'zz']"),
@@ -904,7 +910,8 @@ def test_fitted_document_with_a_bom_loads(tmp_path):
     (lambda w: _one_step(w, "standardize", {"feature": "Elevation"}, 0),
      "steps[0] property_delta must be a mapping"),
 ], ids=["feature_key", "wording_key", "property_list", "property_nested_list", "persona_key",
-        "persona_required", "implications_0", "manifest_key", "config_key",
+        "persona_required", "persona_required_5", "persona_avoid_5", "persona_required_nested",
+        "implications_0", "manifest_key", "config_key",
         "property_delta_flag", "config_0", "property_delta_0"])
 def test_malformed_document_value_exits_1(workspace, capsys, argv_for, message):
     _fails_cleanly(argv_for(workspace) + ["--out", str(workspace / "out")], capsys, 1, message)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from featurespace.errors import KernelError, ValidationError
 from featurespace.explain import ContributionVector, write_contributions
+from featurespace.pipeline import FittedStep, as_fitted, compose
 from featurespace.properties import PropertySet
 from featurespace.schema import FeatureSpec, SchemaManifest
 from featurespace.table import (
@@ -29,7 +30,7 @@ from featurespace.table import (
     render_cell,
     write_table_csv,
 )
-from featurespace.transforms import KERNELS, sum_in_order
+from featurespace.transforms import KERNELS, TransformStep, sum_in_order
 
 PROPS = PropertySet(readable=True, model_compatible=True, meaningful=True)
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -41,6 +42,12 @@ def _schema(*specs: FeatureSpec) -> SchemaManifest:
 
 def _numeric(name: str) -> FeatureSpec:
     return FeatureSpec(name, "numeric", properties=PROPS, observed=True)
+
+
+def _fitted_step(kind: str, config: dict, schema: SchemaManifest) -> FittedStep:
+    """The one step of a parameter-complete pipeline over ``schema``; its
+    ``prepared`` is what the kernel's ``apply`` reads."""
+    return as_fitted(compose([TransformStep(kind, config)], schema, "to_model_ready")).steps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +69,9 @@ SPECIAL = st.text(alphabet=["a", ",", '"', "\n", "\r", " ", "\t", "é", "'"],
                   min_size=1, max_size=4)
 NUMBERS = st.one_of(st.integers(min_value=-10**20, max_value=10**20),
                     st.floats(allow_nan=False, allow_infinity=False))
-FORMATS = st.sampled_from([None, ",", ".3f", ",.2f", "+.3g"])
+# Formatted numeric columns are the only ones the writer scans for characters
+# to quote: a fill character can be any, as in the last three.
+FORMATS = st.sampled_from([None, ",", ".3f", ",.2f", "+.3g", '"<8', ",>9.2f", "\n^7"])
 
 
 @st.composite
@@ -291,10 +300,10 @@ def test_pca_apply_matches_left_to_right_loop(case):
     names = tuple(f"x{i}" for i in range(len(columns)))
     schema = _schema(*map(_numeric, names))
     table = DataTable.from_columns(schema, columns, len(columns[0]))
-    kernel = KERNELS["pca_project"]
-    cfg = kernel.normalize({"inputs": list(names), "components": components,
-                            "means": means, "loadings": loadings}, schema)
-    projected, _ = kernel.apply(table, cfg)
+    fstep = _fitted_step("pca_project", {"inputs": list(names), "components": components,
+                                         "means": means, "loadings": loadings}, schema)
+    cfg = fstep.config
+    projected, _ = KERNELS["pca_project"].apply(table, fstep.prepared)
     expected = reference_projection(columns, cfg["means"], cfg["loadings"], components)
     assert [type(v) for c in projected for v in c] == [float] * (components * table.num_rows)
     assert list(map(_bits, projected)) == list(map(_bits, expected))
@@ -303,11 +312,10 @@ def test_pca_apply_matches_left_to_right_loop(case):
 def test_pca_apply_names_the_first_missing_row():
     schema = _schema(_numeric("a"), _numeric("b"))
     table = DataTable.from_columns(schema, [[1, 2, MISSING], [1, MISSING, 3]], 3)
-    kernel = KERNELS["pca_project"]
-    cfg = kernel.normalize({"inputs": ["a", "b"], "components": 1, "means": [0, 0],
-                            "loadings": [[1], [0]]}, schema)
+    fstep = _fitted_step("pca_project", {"inputs": ["a", "b"], "components": 1,
+                                         "means": [0, 0], "loadings": [[1], [0]]}, schema)
     with pytest.raises(KernelError, match="row 1: MISSING value in PCA inputs") as info:
-        kernel.apply(table, cfg)
+        KERNELS["pca_project"].apply(table, fstep.prepared)
     assert info.value.row_index == 1
 
 
@@ -353,15 +361,17 @@ def test_statistical_bin_matches_row_scan(case):
     schema = _schema(_numeric("v"))
     table = DataTable.from_columns(schema, [values], len(values))
     kernel = KERNELS["statistical_bin"]
-    cfg = kernel.normalize({"feature": "v", "bins": bins, "min": lo, "max": hi}, schema)
-    categories = kernel._categories(schema.feature("v"), cfg)
+    fstep = _fitted_step("statistical_bin", {"feature": "v", "bins": bins, "min": lo, "max": hi},
+                         schema)
+    cfg = fstep.config
+    categories = fstep.output_schema.feature("v").categories
     expected = reference_bins(values, cfg, categories)
     if isinstance(expected, int):
         with pytest.raises(KernelError, match=f"^row {expected}: value ") as info:
-            kernel.apply(table, cfg)
+            kernel.apply(table, fstep.prepared)
         assert info.value.row_index == expected
         return
-    columns, _ = kernel.apply(table, cfg)
+    columns, _ = kernel.apply(table, fstep.prepared)
     assert columns == [expected]
 
 
@@ -398,9 +408,8 @@ def test_float_accumulations_add_left_to_right():
                    "scale": math.sqrt(_left_to_right(v * v for v in CANCELLING) / 3)}
     assert KERNELS["impute_flagged"].fit(column, {"feature": "v"}) == {"mean": 0.0}
     row = DataTable.from_columns(schema, [[v] for v in CANCELLING], 1)
-    aggregate = KERNELS["aggregate_numeric"]
     for formula in ("sum", "mean"):
-        cfg = aggregate.normalize({"inputs": list(names), "formula": formula,
-                                   "target": "t"}, schema)
-        assert aggregate.apply(row, cfg)[0] == [[0.0]]
+        fstep = _fitted_step("aggregate_numeric", {"inputs": list(names), "formula": formula,
+                                                   "target": "t"}, schema)
+        assert KERNELS["aggregate_numeric"].apply(row, fstep.prepared)[0] == [[0.0]]
     assert ContributionVector(schema, tuple(CANCELLING)).total() == 0.0

@@ -9,7 +9,7 @@ import pytest
 
 from featurespace.errors import KernelError, ValidationError
 from featurespace.lineage import lineage_to_data
-from featurespace.pipeline import compose, fit, load_fitted, run, save_fitted
+from featurespace.pipeline import FittedStep, compose, fit, load_fitted, run, save_fitted
 from featurespace.properties import PropertySet
 from featurespace.schema import FeatureSpec, RawSource, SchemaManifest, Wording
 from featurespace.table import MISSING, DataTable
@@ -414,11 +414,14 @@ def test_impute_mean_is_fitted_not_recomputed_per_batch(tmp_path):
 
 
 def test_impute_mean_without_fit_state_is_a_validation_error():
-    table = elevation_table(1.0)
-    cfg = {"feature": "Elevation", "strategy": "mean", "constant": None,
-           "flag_name": "Elevation Flag"}
+    schema = elevation_table(1.0).schema
+    step = TransformStep("impute_flagged", {"feature": "Elevation", "strategy": "mean",
+                                            "constant": None, "flag_name": "Elevation Flag"})
+    output = compose([step], schema, "to_interpretable").output_schema
+    unfitted = FittedStep(step, None, schema, output, ("Elevation", "Elevation Flag"))
+    assert unfitted.prepared is None  # a step that still needs fitting is never run
     with pytest.raises(ValidationError, match="not fitted"):
-        KERNELS["impute_flagged"].apply(table, cfg)
+        KERNELS["impute_flagged"].prepare(unfitted)
 
 
 def test_impute_mean_needs_observed_values():
