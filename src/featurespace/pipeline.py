@@ -51,7 +51,8 @@ class FittedStep:
     ``sources`` and ``unchecked`` are the step's column plan, fixed by the
     schemas: output column ``i`` is entry ``sources[i]`` of the input columns
     followed by the produced columns, and ``unchecked`` holds the output
-    positions of the produced columns, the only ones validated. Every other
+    positions of the produced columns that are not valid by construction
+    (``Kernel.valid_by_construction``), the only ones validated. Every other
     output column keeps its input spec, so its cells are valid already.
 
     ``prepared`` is the kernel's ``prepare`` of the step: everything a run of
@@ -73,14 +74,15 @@ class FittedStep:
 
     def __post_init__(self):
         object.__setattr__(self, "config", _with_fit_state(self.step.config, self.fit_state))
+        kernel = kernel_for(self.step.kind)
         width = len(self.input_schema.features)
         made = {name: width + k for k, name in enumerate(self.produced)}
         names = self.output_schema.names
         object.__setattr__(self, "sources", tuple(
             made[name] if name in made else self.input_schema.index(name) for name in names))
+        valid = set(kernel.valid_by_construction(self.config))
         object.__setattr__(self, "unchecked", tuple(
-            i for i, name in enumerate(names) if name in made))
-        kernel = kernel_for(self.step.kind)
+            i for i, name in enumerate(names) if name in made and name not in valid))
         unfitted = self.fit_state is None and kernel.requires_fit(self.step.config)
         object.__setattr__(self, "prepared", None if unfitted else kernel.prepare(self))
 

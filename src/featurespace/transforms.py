@@ -19,8 +19,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -242,6 +243,8 @@ class Kernel:
     - ``plan``: the output schema and the names of the produced features;
     - ``prepare``: what ``apply`` reads besides the table, from a fitted step;
     - ``apply``: the produced columns and their lineage;
+    - ``valid_by_construction``: the produced features whose columns need
+      no validation;
     - ``inverse``: the step that undoes this one, when ``invertible`` is
       ``exact``;
     - ``forward_rule`` / ``reverse_rule``: how additive contributions cross
@@ -318,6 +321,13 @@ class Kernel:
         """
         raise NotImplementedError
 
+    def valid_by_construction(self, cfg: Mapping) -> tuple[str, ...]:
+        """The produced features whose every cell ``apply`` takes from a
+        set the output spec accepts: booleans and MISSING, or MISSING and the
+        spec's own category labels. The pipeline does not validate their
+        columns; it validates every other produced column."""
+        return ()
+
     def inverse(self, cfg: Mapping, input_schema: SchemaManifest) -> TransformStep | None:
         return None
 
@@ -387,9 +397,11 @@ class _OneToOne(Kernel):
 
 def sum_in_order(values: Iterable):
     """``values`` added left to right to 0, one rounding per addition;
-    integers add exactly. Every float accumulation in the package goes
-    through it, so its last bits do not depend on the Python version:
-    ``sum()`` compensates rounding from 3.12."""
+    integers add exactly. Every float accumulation in the package makes
+    these additions in this order, so its last bits do not depend on the
+    Python version: ``sum()`` compensates rounding from 3.12. Most go through
+    this function; the column path of the built-in formulas
+    (``_formula_columns``) makes the same additions a column at a time."""
     return reduce(add, values, 0)
 
 
@@ -480,6 +492,9 @@ class OneHotEncode(Kernel):
         values = table.values(feature)
         return [[MISSING if v is MISSING else v == c for v in values]
                 for c in categories], lineage
+
+    def valid_by_construction(self, cfg):
+        return cfg["names"]
 
     def inverse(self, cfg, input_schema):
         spec = input_schema.feature(cfg["feature"])
@@ -773,6 +788,9 @@ class StatisticalBin(_OneToOne):
 
         return column
 
+    def valid_by_construction(self, cfg):
+        return (cfg["target"],)
+
 
 class SemanticBin(_OneToOne):
     kind = "semantic_bin"
@@ -804,8 +822,12 @@ class SemanticBin(_OneToOne):
                 "categories": cfg["labels"], "wording": parse_wording_data(cfg["wording"])}
 
     def _column(self, fstep):
-        boundaries, labels = fstep.config["boundaries"], fstep.config["labels"]
+        boundaries = fstep.config["boundaries"]
+        labels = fstep.output_schema.feature(fstep.config["target"]).categories
         return lambda values: _label_bins(values, boundaries, labels)
+
+    def valid_by_construction(self, cfg):
+        return (cfg["target"],)
 
 
 class ImputeFlagged(Kernel):
@@ -894,6 +916,9 @@ class ImputeFlagged(Kernel):
         imputed = dict.fromkeys((r for r, flag in enumerate(flags) if flag), origin)
         return [filled, flags], (ColumnLineage(feature, None, imputed), *flag_lineage)
 
+    def valid_by_construction(self, cfg):
+        return (cfg["flag_name"],)
+
     def forward_rule(self, fstep, expose_flags):
         return Rewrite({fstep.config["flag_name"]: ZERO})  # the flag is new; no share yet
 
@@ -939,6 +964,46 @@ def _formula_function(formula, inputs: tuple[str, ...]):
     return lambda values: evaluate(ast, dict(zip(inputs, values)))
 
 
+def _column_sum(columns: Iterable[Iterable]) -> list:
+    """Each row's cells of one or more columns added left to right to 0:
+    the additions ``sum_in_order`` makes on the row, in the same order."""
+    total = repeat(0)
+    for column in columns:
+        total = list(map(add, total, column))
+    return total
+
+
+def _formula_rows(on_row: Callable, columns: list[list]) -> list:
+    """``on_row`` over each row of the input columns: MISSING where the row
+    has a MISSING input, and a ``KernelError`` naming the first row whose
+    result overflows."""
+    column = []
+    for r, values in enumerate(zip(*columns)):
+        if MISSING in values:
+            column.append(MISSING)
+            continue
+        try:
+            column.append(on_row(values))
+        except (KernelError, OverflowError) as exc:  # floor() of an infinite result
+            raise KernelError(f"row {r}: {exc}", row_index=r) from None
+    return column
+
+
+def _formula_columns(formula, on_row: Callable) -> Callable[[list[list]], list]:
+    """The formula over whole input columns. A built-in formula gives each
+    cell the same operations, in the same order, as its row function
+    ``on_row``; a MISSING cell raises ``TypeError``, and a result beyond the
+    float range ``OverflowError``. An expression is evaluated row by row."""
+    if formula == "euclidean_floor":
+        return lambda columns: list(map(math.floor, map(math.sqrt, _column_sum(
+            [map(mul, column, column) for column in columns]))))
+    if formula == "sum":
+        return _column_sum
+    if formula == "mean":
+        return lambda columns: list(map(truediv, _column_sum(columns), repeat(len(columns))))
+    return partial(_formula_rows, on_row)
+
+
 class AggregateNumeric(Kernel):
     kind = "aggregate_numeric"
     invertible = "lossy"
@@ -981,24 +1046,25 @@ class AggregateNumeric(Kernel):
                                      cfg["keep_inputs"])
         return PlanResult(features, (cfg["target"],))
 
-    def _row_function(self, cfg):
-        """The produced cell as a function of one row's input values."""
-        return _formula_function(cfg["formula"], cfg["inputs"])
+    def _labeling(self, fstep: FittedStep) -> tuple[tuple[float, ...], tuple[str, ...]] | None:
+        """The boundaries and labels that name each result; None keeps the number."""
+        return None
 
     def prepare(self, fstep):
-        return fstep.config["inputs"], self._row_function(fstep.config), _computed(fstep)
+        cfg = fstep.config
+        on_row = _formula_function(cfg["formula"], cfg["inputs"])
+        return (cfg["inputs"], _formula_columns(cfg["formula"], on_row), on_row,
+                self._labeling(fstep), _computed(fstep))
 
     def apply(self, table, prepared):
-        inputs, formula, lineage = prepared
-        column = []
-        for r, values in enumerate(zip(*(table.values(n) for n in inputs))):
-            if MISSING in values:
-                column.append(MISSING)
-                continue
-            try:
-                column.append(formula(values))
-            except (KernelError, OverflowError) as exc:  # floor() of an infinite result
-                raise KernelError(f"row {r}: {exc}", row_index=r) from None
+        inputs, on_columns, on_row, labeling, lineage = prepared
+        columns = [table.values(n) for n in inputs]
+        try:
+            column = on_columns(columns)
+        except (TypeError, OverflowError):  # a MISSING cell, or an overflow to name by row
+            column = _formula_rows(on_row, columns)
+        if labeling is not None:
+            column = _label_bins(column, *labeling)
         return [column], lineage
 
     def forward_rule(self, fstep, expose_flags):
@@ -1047,12 +1113,15 @@ class AbstractConcept(AggregateNumeric):
             derived_from=spec.derived_from,
         )
 
-    def _row_function(self, cfg):
-        formula = super()._row_function(cfg)
+    def _labeling(self, fstep):
+        cfg = fstep.config
         if cfg["labeling"] is None:
-            return formula
-        boundaries, labels = cfg["labeling"]["boundaries"], cfg["labeling"]["labels"]
-        return lambda values: labels[bisect.bisect_right(boundaries, formula(values))]
+            return None
+        return (cfg["labeling"]["boundaries"],
+                fstep.output_schema.feature(cfg["target"]).categories)
+
+    def valid_by_construction(self, cfg):
+        return () if cfg["labeling"] is None else (cfg["target"],)
 
 
 class HierarchyRollup(_OneToOne):

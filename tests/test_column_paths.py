@@ -1,8 +1,10 @@
 """Column-at-a-time paths against cell-at-a-time references kept here: the
 table and contribution CSV writers against ``csv.writer``, the numeric column parse against
 ``parse_cell``, PCA projection against a left-to-right Python loop (bit for
-bit), statistical binning against a row scan, and the left-to-right float sum
-against a Python loop."""
+bit), statistical binning against a row scan, the built-in formulas of
+``aggregate_numeric`` and ``abstract_concept`` against their row function
+(bit for bit, error for error), and the left-to-right float sum against a
+Python loop."""
 
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from featurespace.table import (
     render_cell,
     write_table_csv,
 )
-from featurespace.transforms import KERNELS, TransformStep, sum_in_order
+from featurespace.transforms import KERNELS, TransformStep, _formula_function, sum_in_order
 
 PROPS = PropertySet(readable=True, model_compatible=True, meaningful=True)
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -373,6 +375,91 @@ def test_statistical_bin_matches_row_scan(case):
         return
     columns, _ = kernel.apply(table, fstep.prepared)
     assert columns == [expected]
+
+
+# ---------------------------------------------------------------------------
+# built-in formulas of aggregate_numeric and abstract_concept
+
+def reference_formula(formula, inputs, columns, labeling=None):
+    """The row loop over ``_formula_function``: MISSING where a row has a
+    MISSING input, each other row's result (named by ``labeling``, when
+    given), and the first row whose result overflows named in the error."""
+    on_row = _formula_function(formula, inputs)
+    column = []
+    for r, values in enumerate(zip(*columns)):
+        if MISSING in values:
+            column.append(MISSING)
+            continue
+        try:
+            value = on_row(values)
+        except OverflowError as exc:
+            raise KernelError(f"row {r}: {exc}", row_index=r) from None
+        if labeling is not None:
+            value = labeling["labels"][bisect.bisect_right(labeling["boundaries"], value)]
+        column.append(value)
+    return column
+
+
+def _exact(column) -> list[str]:
+    """Each cell's type and exact value: ``float.hex`` keeps the sign of a zero."""
+    return [f"{type(v).__name__} {v.hex() if isinstance(v, float) else repr(v)}"
+            for v in column]
+
+
+def _outcome(compute):
+    try:
+        return _exact(compute())
+    except KernelError as exc:
+        return str(exc), exc.row_index
+
+
+# Integers past 2**53 add exactly; their squares, and float squares past
+# 1e154, leave the float range, so euclidean_floor overflows. Sums of the
+# sampled floats depend on the order of the additions.
+FORMULA_CELLS = st.one_of(st.integers(min_value=-2**1023, max_value=2**1023),
+                          st.integers(min_value=-10, max_value=10),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([1e16, -1e16, 1.0, 0.1, -0.0]))
+LABELING = {"boundaries": [-1.0, 0.0, 1e6], "labels": ["a", "b", "c", "d"]}
+
+
+@st.composite
+def formula_cases(draw):
+    kind = draw(st.sampled_from(["aggregate_numeric", "abstract_concept"]))
+    formula = draw(st.sampled_from(["sum", "mean", "euclidean_floor"]))
+    labeled = kind == "abstract_concept" and draw(st.booleans())
+    n_inputs, n_rows = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    cells = FORMULA_CELLS | st.just(MISSING) if draw(st.booleans()) else FORMULA_CELLS
+    columns = [draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+               for _ in range(n_inputs)]
+    return kind, formula, labeled, columns
+
+
+@PROPERTY_SETTINGS
+@given(formula_cases())
+@example(("aggregate_numeric", "sum", False, [[-0.0, 0.0], [-0.0, -0.0]]))
+@example(("aggregate_numeric", "mean", False, [[-0.0], [-0.0]]))
+@example(("aggregate_numeric", "sum", False, [[2**53, 2**60 + 1], [1, 0.5]]))
+@example(("aggregate_numeric", "sum", False, [[1e16], [-1e16], [1.0]]))  # 1.0 in this order
+@example(("aggregate_numeric", "sum", False, [[1e308], [1e308]]))  # inf, no error here
+@example(("aggregate_numeric", "euclidean_floor", False, [[3, 1e200], [4, 0]]))
+@example(("abstract_concept", "euclidean_floor", True, [[MISSING, 1e200], [1, 2]]))
+@example(("abstract_concept", "euclidean_floor", False, [[1e200, MISSING], [1, 2]]))
+@example(("aggregate_numeric", "euclidean_floor", False, [[2**600]]))  # int beyond floats
+@example(("abstract_concept", "mean", True, [[1, MISSING, -7.5], [2, 3, 1e7]]))
+def test_formula_columns_match_the_row_function(case):
+    kind, formula, labeled, columns = case
+    names = [f"x{i}" for i in range(len(columns))]
+    schema = _schema(*map(_numeric, names))
+    table = DataTable.from_columns(schema, columns, len(columns[0]))
+    config = {"inputs": names, "formula": formula, "target": "t"}
+    if labeled:
+        config["labeling"] = LABELING
+    fstep = _fitted_step(kind, config, schema)
+    got = _outcome(lambda: KERNELS[kind].apply(table, fstep.prepared)[0][0])
+    expected = _outcome(lambda: reference_formula(formula, tuple(names), columns,
+                                                  LABELING if labeled else None))
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 
 from featurespace.errors import ValidationError
 from featurespace.lineage import lineage_to_data
-from featurespace.pipeline import as_fitted, compose, fit, run
+from featurespace.pipeline import _apply_step, as_fitted, compose, fit, run
 from featurespace.table import (
+    MISSING,
     DataTable,
+    _column_passes,
     check_cell,
     parse_cell,
     read_table_csv,
     write_table_csv,
 )
-from featurespace.transforms import TransformStep
+from featurespace.transforms import KERNELS, TransformStep
 
 from _generators import random_exact_pipeline, random_schema, random_table
 from _tables import tables_equal
@@ -82,7 +84,9 @@ def test_lineage_length_matches_its_expansions(seed):
 @given(SEEDS)
 def test_steps_carry_what_they_do_not_produce_unchanged(seed):
     """Why a step validates only its produced columns: every other output
-    spec is the input spec of the same name."""
+    spec is the input spec of the same name. Of the produced columns, it
+    validates those its kernel does not declare valid by construction, and
+    every numeric one."""
     rng = random.Random(seed)
     schema = random_schema(rng)
     pipeline = random_exact_pipeline(rng, schema)
@@ -102,8 +106,66 @@ def test_steps_carry_what_they_do_not_produce_unchanged(seed):
         for spec in fstep.output_schema.features:
             if spec.name not in fstep.produced:
                 assert spec == fstep.input_schema.feature(spec.name)
-        assert fstep.unchecked == tuple(
-            i for i, name in enumerate(names) if name in fstep.produced)
+        valid = set(KERNELS[fstep.step.kind].valid_by_construction(fstep.config))
+        checked = {names[i] for i in fstep.unchecked}
+        assert list(fstep.unchecked) == sorted(fstep.unchecked)
+        assert checked | valid == set(fstep.produced) and not checked & valid
+        assert all(fstep.output_schema.feature(name).dtype != "numeric" for name in valid)
+
+
+def _constructed_steps(rng: random.Random, numerics: list[str],
+                       feature: str) -> list[TransformStep]:
+    """Steps over numeric features of each kind that declares columns valid
+    by construction, beside the one-hot steps of ``random_exact_pipeline``:
+    imputation flags, both binnings (``feature`` has a range to fit) and a
+    labeled concept of each built-in formula."""
+    return [
+        TransformStep("impute_flagged", {"feature": feature, "strategy": "constant",
+                                         "constant": 0, "flag_name": "imputed"}),
+        TransformStep("statistical_bin", {"feature": feature, "bins": rng.randint(1, 4),
+                                          "target": "stat", "keep_original": True}),
+        TransformStep("semantic_bin", {"feature": rng.choice(numerics),
+                                       "boundaries": sorted(rng.sample(range(-500, 500), 2)),
+                                       "labels": ["low", "mid", "high"], "target": "sem",
+                                       "keep_original": True}),
+        TransformStep("abstract_concept", {
+            "inputs": rng.sample(numerics, rng.randint(1, len(numerics))),
+            "formula": rng.choice(["sum", "mean", "euclidean_floor"]),
+            "labeling": {"boundaries": [0.0, 300.0], "labels": ["L", "M", "H"]},
+            "target": "concept", "keep_inputs": True}),
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_columns_valid_by_construction_pass_validation(seed):
+    """Every produced column a step leaves out of validation passes the
+    whole-column check, over random fitted pipelines and random input
+    tables with MISSING cells."""
+    rng = random.Random(seed)
+    schema = random_schema(rng, 4, ["numeric", "numeric", "categorical",
+                                    rng.choice(["numeric", "categorical", "boolean"])])
+    table = random_table(rng, schema, missing_rate=0.3)
+    # Exact steps keep the numeric features' names and their MISSING cells.
+    numerics = [f.name for f in schema.features if f.dtype == "numeric"]
+    ranged = [n for n in numerics if len(set(table.values(n)) - {MISSING}) >= 2]
+    if not ranged:
+        return  # no feature has a bin range to fit
+    steps = list(random_exact_pipeline(rng, schema).steps)
+    steps += _constructed_steps(rng, numerics, rng.choice(ranged))
+    fitted = fit(compose(steps, schema, "to_interpretable"), table)
+    current, skipped = table, 0
+    for number, fstep in enumerate(fitted.steps, 1):
+        kernel = KERNELS[fstep.step.kind]
+        columns, _ = kernel.apply(current, fstep.prepared)
+        valid = kernel.valid_by_construction(fstep.config)
+        for name, column in zip(fstep.produced, columns):
+            if name in valid:
+                assert len(column) == current.num_rows
+                assert _column_passes(column, fstep.output_schema.feature(name))
+                skipped += 1
+        current, _ = _apply_step(kernel, fstep, number, current)
+    assert skipped >= 4
 
 
 def _two_positions(rng: random.Random, table: DataTable):

@@ -734,7 +734,7 @@ def test_link_raw_emits_lineage_and_keeps_values():
     linked = [e for e in lineage_to_data(result.lineage) if e["origin"] == "raw_linked"]
     assert len(linked) == 2
     assert linked[0]["series_id"] == "pulse-p7"
-    assert linked[0]["window"] == [0, 10]
+    assert linked[0]["window"] == (0, 10)
     # simulatability: recomputing over the linked slice recovers the feature
     for row in table.rows:
         slice_mean = sum(series[0:10]) / 10
@@ -746,7 +746,7 @@ def test_link_raw_full_window():
     step = TransformStep("link_raw", {"feature": "MEAN(pulse)", "window": [0, 3],
                                       "series": [1.0, 2.0, 3.0]})
     result = apply_step(step, table)
-    assert lineage_to_data(result.lineage)[-1]["window"] == [0, 3]
+    assert lineage_to_data(result.lineage)[-1]["window"] == (0, 3)
 
 
 def test_link_raw_errors():
