@@ -723,6 +723,8 @@ class StatisticalBin(_OneToOne):
             lo, hi = _number(lo, self.kind, "min"), _number(hi, self.kind, "max")
             if lo >= hi:
                 raise ValidationError(f"{self.kind}: min must be < max")
+            if not self._finite_edges({"min": lo, "max": hi, "bins": bins}):
+                raise ValidationError(f"{self.kind}: bin edges of [{lo}, {hi}] overflow")
         labels = cfg.get("labels")
         if labels is None:
             labels = tuple(f"Bin {i + 1}" for i in range(bins))
@@ -744,6 +746,8 @@ class StatisticalBin(_OneToOne):
         lo, hi = float(min(values)), float(max(values))
         if lo >= hi:
             raise KernelError(f"{self.kind}: column {cfg['feature']!r} has a degenerate range")
+        if not self._finite_edges({**cfg, "min": lo, "max": hi}):
+            raise KernelError(f"{self.kind}: bin edges of column {cfg['feature']!r} overflow")
         return {"min": lo, "max": hi, "edges": self._edges({**cfg, "min": lo, "max": hi})}
 
     def check_learned(self, cfg, fit_state, schema):
@@ -759,6 +763,12 @@ class StatisticalBin(_OneToOne):
     def _edges(cfg) -> tuple[float, ...]:
         lo, hi, bins = cfg["min"], cfg["max"], cfg["bins"]
         return tuple(lo + i * (hi - lo) / bins for i in range(bins + 1))
+
+    @classmethod
+    def _finite_edges(cls, cfg) -> bool:
+        """Whether every edge is finite: a range near the float limits
+        overflows ``i * (max - min)``."""
+        return all(map(math.isfinite, cls._edges(cfg)))
 
     def _out_fields(self, spec, cfg):
         # The labels are provisional until min and max are learned.

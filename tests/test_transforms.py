@@ -290,6 +290,16 @@ def test_statistical_bin_out_of_range():
         apply_step(bin_step(), elevation_table(1858))
 
 
+def test_statistical_bin_overflowing_edges_rejected():
+    table = elevation_table(2000)
+    with pytest.raises(ValidationError, match="overflow"):
+        compose([bin_step(min=-6e307, max=1000)], table.schema, "to_interpretable")
+    huge = elevation_table(-6e307, 1000)
+    pipeline = compose([bin_step(min=None, max=None)], huge.schema, "to_interpretable")
+    with pytest.raises(KernelError, match="overflow"):
+        fit(pipeline, huge)
+
+
 def test_statistical_bin_fit_edges_closed_form():
     values = [10.0, 30.0, 20.0, 40.0]
     table = elevation_table(*values)
