@@ -79,9 +79,9 @@ def cmd_transform(args) -> int:
     write_table_csv(result.table, args.out, fitted.display_formats())
     print(f"transformed {result.table.num_rows} rows -> {args.out}")
     if args.lineage:
-        Path(args.lineage).write_text(
-            json.dumps(lineage_to_data(result.lineage), indent=2) + "\n",
-            encoding="utf-8")
+        with open(args.lineage, "w", encoding="utf-8") as handle:
+            json.dump(lineage_to_data(result.lineage), handle, indent=2)
+            handle.write("\n")
         print(f"lineage written to {args.lineage}")
     if args.report:
         lines = list(result.fidelity_notes) or ["no fidelity loss: every step is exact"]

@@ -51,9 +51,11 @@ class FittedStep:
     ``sources`` and ``unchecked`` are the step's column plan, fixed by the
     schemas: output column ``i`` is entry ``sources[i]`` of the input columns
     followed by the produced columns, and ``unchecked`` holds the output
-    positions of the produced columns that are not valid by construction
-    (``Kernel.valid_by_construction``), the only ones validated. Every other
-    output column keeps its input spec, so its cells are valid already.
+    positions of the produced columns whose spec is numeric, the only ones
+    validated: arithmetic can overflow to ``inf``, but a kernel takes every
+    label and boolean it produces from its output spec or from validated
+    inputs. Every other output column keeps its input spec, so its cells are
+    valid already.
 
     ``prepared`` is the kernel's ``prepare`` of the step: everything a run of
     the step reads besides the rows, computed here once and shared, never
@@ -77,12 +79,12 @@ class FittedStep:
         kernel = kernel_for(self.step.kind)
         width = len(self.input_schema.features)
         made = {name: width + k for k, name in enumerate(self.produced)}
-        names = self.output_schema.names
         object.__setattr__(self, "sources", tuple(
-            made[name] if name in made else self.input_schema.index(name) for name in names))
-        valid = set(kernel.valid_by_construction(self.config))
+            made[name] if name in made else self.input_schema.index(name)
+            for name in self.output_schema.names))
         object.__setattr__(self, "unchecked", tuple(
-            i for i, name in enumerate(names) if name in made and name not in valid))
+            i for i, spec in enumerate(self.output_schema.features)
+            if spec.name in made and spec.dtype == "numeric"))
         unfitted = self.fit_state is None and kernel.requires_fit(self.step.config)
         object.__setattr__(self, "prepared", None if unfitted else kernel.prepare(self))
 
@@ -132,7 +134,7 @@ class FittedPipeline:
         object.__setattr__(self, "fidelity_notes", tuple(
             f"step {number} ({fstep.step.kind}): lossy transform; inverse not offered"
             for number, fstep in enumerate(self.steps, 1)
-            if kernel_for(fstep.step.kind).invertible in ("lossy", "none")))
+            if kernel_for(fstep.step.kind).inverse is None))
         formats: dict[str, str] = {}
         for fstep in self.steps:
             surviving = set(fstep.output_schema.names)
@@ -266,10 +268,15 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
                     table, _ = _apply_step(*args, table)
                 pending.clear()
                 try:
-                    state = kernel.fit(table, cfg)
-                except KernelError as exc:
+                    # A learned state is checked like one read from a document.
+                    state = kernel.check_learned(cfg, kernel.fit(table, cfg), schema)
+                except (KernelError, ValidationError) as exc:
                     raise KernelError(f"step {number} ({step.kind}): {exc}",
-                                      row_index=exc.row_index, step_number=number) from None
+                                      row_index=getattr(exc, "row_index", None),
+                                      step_number=number) from None
+                except OverflowError:  # e.g. a squared deviation beyond the float range
+                    raise KernelError(f"step {number} ({step.kind}): fitting overflows "
+                                      "the float range", step_number=number) from None
             elif require_params:
                 raise ValidationError(
                     f"step {number} ({step.kind}): requires fitting; call fit() with data")
@@ -387,7 +394,7 @@ def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
     non_exact = tuple(
         (i + 1, fstep.step.kind)
         for i, fstep in enumerate(fitted.steps)
-        if kernel_for(fstep.step.kind).invertible != "exact"
+        if kernel_for(fstep.step.kind).inverse is None
     )
     if non_exact:
         return InversionRefusal(non_invertible=non_exact)

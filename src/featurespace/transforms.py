@@ -3,15 +3,18 @@
 Each transform kind is one ``Kernel`` subclass, and everything the package
 knows about the kind lives on it: the config it accepts, what it does to the
 properties of the features it produces, which parameters ``fit`` learns, the
-output-schema plan, the column computation, the inverse, and how additive
-contributions cross a step of the kind. ``plan``, ``prepare``, ``inverse`` and
-the contribution rules read one config: a fitted step's ``config``, the
-configured values with the learned ones filled in. ``prepare`` turns a fitted
-step into what ``apply`` needs besides the rows, once per step, so a run does
-only per-row work. A kernel computes only the columns it produces; the
-pipeline carries every other column over by reference. The seven kinds that
-derive one feature from one share ``_OneToOne``'s ``plan``, ``prepare`` and
-``apply``, and give only the produced spec's fields and column function.
+output-schema plan, the column computation, the inverse (only an exact kind
+has one), and how additive contributions cross a step of the kind. ``plan``,
+``prepare``, ``inverse`` and the contribution rules read one config: a fitted
+step's ``config``, the configured values with the learned ones filled in.
+``prepare`` turns a fitted step into what ``apply`` needs besides the rows,
+once per step, so a run does only per-row work. A kernel computes only the
+columns it produces; the pipeline carries every other column over by
+reference, and validates only the produced numeric columns, because labels
+and booleans come from the output spec or from validated inputs. The seven
+kinds that derive one feature from one share ``_OneToOne``'s ``plan``,
+``prepare`` and ``apply``, and give only the produced spec's fields and
+column function.
 """
 
 from __future__ import annotations
@@ -243,10 +246,8 @@ class Kernel:
     - ``plan``: the output schema and the names of the produced features;
     - ``prepare``: what ``apply`` reads besides the table, from a fitted step;
     - ``apply``: the produced columns and their lineage;
-    - ``valid_by_construction``: the produced features whose columns need
-      no validation;
-    - ``inverse``: the step that undoes this one, when ``invertible`` is
-      ``exact``;
+    - ``inverse``: the step that undoes this one, defined only by an exact
+      kind; a kind whose ``inverse`` is None is lossy;
     - ``forward_rule`` / ``reverse_rule``: how additive contributions cross
       the step toward the interpretable space.
 
@@ -263,12 +264,17 @@ class Kernel:
     the step's output schema. ``apply`` stays the one per-step call of a run,
     the call a tracer wraps, and does only per-row work; the prepared state is
     shared by every run of the step and is never mutated.
+
+    Every label and boolean ``apply`` produces comes from the output spec or
+    from validated input cells, so only arithmetic can leave a produced
+    column's domain (an overflow to ``inf``). The pipeline validates the
+    produced columns whose output spec is numeric, and no others.
     """
 
     kind: str = ""
-    invertible: str = "lossy"  # exact | lossy | none
     delta: Mapping[str, bool] = {}
     learned: tuple[str, ...] = ()
+    inverse: Callable[[Mapping, SchemaManifest], TransformStep] | None = None
 
     def normalize(self, cfg: Mapping, schema: SchemaManifest) -> dict:
         raise NotImplementedError
@@ -320,16 +326,6 @@ class Kernel:
         are listed. Input columns are read, never mutated.
         """
         raise NotImplementedError
-
-    def valid_by_construction(self, cfg: Mapping) -> tuple[str, ...]:
-        """The produced features whose every cell ``apply`` takes from a
-        set the output spec accepts: booleans and MISSING, or MISSING and the
-        spec's own category labels. The pipeline does not validate their
-        columns; it validates every other produced column."""
-        return ()
-
-    def inverse(self, cfg: Mapping, input_schema: SchemaManifest) -> TransformStep | None:
-        return None
 
     def forward_rule(self, fstep: FittedStep, expose_flags: bool) -> Rewrite | None:
         """How contributions cross a to_interpretable step of this kind, from
@@ -441,7 +437,6 @@ def _computed(fstep: FittedStep, names: Sequence[str] | None = None
 
 class OneHotEncode(Kernel):
     kind = "one_hot_encode"
-    invertible = "exact"
     delta = {"model_compatible": True, "model_ready": True, "human_worded": False}
 
     def normalize(self, cfg, schema):
@@ -493,9 +488,6 @@ class OneHotEncode(Kernel):
         return [[MISSING if v is MISSING else v == c for v in values]
                 for c in categories], lineage
 
-    def valid_by_construction(self, cfg):
-        return cfg["names"]
-
     def inverse(self, cfg, input_schema):
         spec = input_schema.feature(cfg["feature"])
         return TransformStep("one_hot_decode", {
@@ -512,7 +504,6 @@ class OneHotEncode(Kernel):
 
 class OneHotDecode(Kernel):
     kind = "one_hot_decode"
-    invertible = "exact"
     delta = {"model_ready": False}
 
     def delta_for(self, out_spec):
@@ -598,7 +589,6 @@ class OneHotDecode(Kernel):
 
 class Standardize(_OneToOne):
     kind = "standardize"
-    invertible = "exact"
     delta = {"model_ready": True, "understandable": False, "human_worded": False}
     learned = ("mean", "scale")
 
@@ -654,7 +644,6 @@ class Standardize(_OneToOne):
 
 class Unstandardize(_OneToOne):
     kind = "unstandardize"
-    invertible = "exact"
     delta = {"understandable": True, "model_ready": False}
 
     def normalize(self, cfg, schema):
@@ -703,7 +692,6 @@ def _bin_labels(labels: Sequence[str], edges: Sequence[float], unit: str | None)
 
 class StatisticalBin(_OneToOne):
     kind = "statistical_bin"
-    invertible = "lossy"
     delta = {"model_ready": True, "understandable": False}
     learned = ("min", "max")
 
@@ -798,13 +786,9 @@ class StatisticalBin(_OneToOne):
 
         return column
 
-    def valid_by_construction(self, cfg):
-        return (cfg["target"],)
-
 
 class SemanticBin(_OneToOne):
     kind = "semantic_bin"
-    invertible = "lossy"
     delta = {"understandable": True}
 
     def normalize(self, cfg, schema):
@@ -836,13 +820,9 @@ class SemanticBin(_OneToOne):
         labels = fstep.output_schema.feature(fstep.config["target"]).categories
         return lambda values: _label_bins(values, boundaries, labels)
 
-    def valid_by_construction(self, cfg):
-        return (cfg["target"],)
-
 
 class ImputeFlagged(Kernel):
     kind = "impute_flagged"
-    invertible = "lossy"
     delta = {"trackable": True}
 
     def normalize(self, cfg, schema):
@@ -925,9 +905,6 @@ class ImputeFlagged(Kernel):
             filled = [fill_value if v is MISSING else v for v in values]
         imputed = dict.fromkeys((r for r, flag in enumerate(flags) if flag), origin)
         return [filled, flags], (ColumnLineage(feature, None, imputed), *flag_lineage)
-
-    def valid_by_construction(self, cfg):
-        return (cfg["flag_name"],)
 
     def forward_rule(self, fstep, expose_flags):
         return Rewrite({fstep.config["flag_name"]: ZERO})  # the flag is new; no share yet
@@ -1016,7 +993,6 @@ def _formula_columns(formula, on_row: Callable) -> Callable[[list[list]], list]:
 
 class AggregateNumeric(Kernel):
     kind = "aggregate_numeric"
-    invertible = "lossy"
     delta = {"understandable": True, "trackable": True}
 
     _KEYS = {"inputs", "formula", "target", "keep_inputs", "wording",
@@ -1086,7 +1062,6 @@ class AggregateNumeric(Kernel):
 
 class AbstractConcept(AggregateNumeric):
     kind = "abstract_concept"
-    invertible = "lossy"
     delta = {"abstract_concept": True, "trackable": True}
 
     _KEYS = AggregateNumeric._KEYS | {"labeling"}
@@ -1130,13 +1105,9 @@ class AbstractConcept(AggregateNumeric):
         return (cfg["labeling"]["boundaries"],
                 fstep.output_schema.feature(cfg["target"]).categories)
 
-    def valid_by_construction(self, cfg):
-        return () if cfg["labeling"] is None else (cfg["target"],)
-
 
 class HierarchyRollup(_OneToOne):
     kind = "hierarchy_rollup"
-    invertible = "lossy"
     delta = {"understandable": True}
 
     def normalize(self, cfg, schema):
@@ -1174,7 +1145,6 @@ class HierarchyRollup(_OneToOne):
 
 class RenderStatement(_OneToOne):
     kind = "render_statement"
-    invertible = "exact"
     delta = {"human_worded": True}
 
     def normalize(self, cfg, schema):
@@ -1216,7 +1186,6 @@ class RenderStatement(_OneToOne):
 
 class UnrenderStatement(_OneToOne):
     kind = "unrender_statement"
-    invertible = "exact"
     delta = {"human_worded": False}
 
     def normalize(self, cfg, schema):
@@ -1251,7 +1220,6 @@ class UnrenderStatement(_OneToOne):
 
 class PcaProject(Kernel):
     kind = "pca_project"
-    invertible = "lossy"
     delta = {"readable": False, "human_worded": False, "understandable": False,
              "model_ready": True}
     learned = ("means", "loadings")
@@ -1375,7 +1343,6 @@ class PcaProject(Kernel):
 
 class LinkRaw(Kernel):
     kind = "link_raw"
-    invertible = "exact"
     delta = {"trackable": True}
 
     def normalize(self, cfg, schema):
@@ -1439,7 +1406,7 @@ KERNELS: dict[str, Kernel] = {k.kind: k for k in (
 )}
 
 TRANSFORM_KINDS = tuple(KERNELS)
-EXACT_KINDS = tuple(k for k, v in KERNELS.items() if v.invertible == "exact")
+EXACT_KINDS = tuple(k for k, v in KERNELS.items() if v.inverse is not None)
 
 
 def kernel_for(kind: str) -> Kernel:
@@ -1532,9 +1499,14 @@ def pca_redistribution_weights(loadings: Sequence[Sequence[float]]) -> tuple[tup
     n_components = len(loadings[0]) if n_inputs else 0
     out = []
     for k in range(n_components):
-        squares = [loadings[i][k] ** 2 for i in range(n_inputs)]
-        total = sum_in_order(squares)
+        try:
+            squares = [loadings[i][k] ** 2 for i in range(n_inputs)]
+            total = sum_in_order(squares)
+        except OverflowError:
+            total = math.inf
         if total <= 0:
             raise ValidationError(f"PCA component {k + 1} has zero loadings")
+        if total == math.inf:
+            raise ValidationError(f"PCA component {k + 1}: squared loadings overflow")
         out.append(tuple(s / total for s in squares))
     return tuple(out)

@@ -730,6 +730,39 @@ def test_overflow_to_infinity_exits_2(workspace, capsys, formula):
     assert not (workspace / "out.csv").exists()
 
 
+@pytest.mark.parametrize("kind, config, column, message", [
+    ("standardize", {"feature": "a"}, ["1.5e308", "1.4e308"],
+     "step 1 (standardize): standardize: mean must be a finite number, got inf"),
+    ("impute_flagged", {"feature": "a", "strategy": "mean"}, ["1.5e308", "1.4e308", ""],
+     "step 1 (impute_flagged): feature 'a': non-finite value inf"),
+    ("standardize", {"feature": "a"}, ["1e200", "-1e200"],
+     "step 1 (standardize): fitting overflows the float range"),
+], ids=["infinite_state", "infinite_mean", "overflow"])
+def test_fit_beyond_the_float_range_exits_2(workspace, capsys, kind, config, column, message):
+    (workspace / "original.yaml").write_text(TWO_NUMBERS_MANIFEST, encoding="utf-8")
+    rows = [f"{value},1.0" for value in column]
+    (workspace / "data.csv").write_text("\n".join(["a,b", *rows]) + "\n", encoding="utf-8")
+    out = workspace / "fitted.json"
+    # ``fit`` with the --pipeline and --data options of the ``transform --fit`` argv.
+    argv = ["fit", *_one_step(workspace, kind, config)[2:], "--out", str(out)]
+    _fails_cleanly(argv, capsys, 2, "kernel error: " + message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loadings", [{0: 1e200}, {0: 1e154, 1: 1e154}],
+                         ids=["square", "sum_of_squares"])
+def test_pca_loadings_whose_squares_overflow_exit_1(tmp_path, capsys, loadings):
+    doc = json.loads((DATA / "covertype_300_model_ready.fitted.json").read_text("utf-8"))
+    for row, value in loadings.items():
+        step_of(doc, "pca_project")["fit_state"]["loadings"][row][0] = value
+    path = tmp_path / "fitted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _fails_cleanly(["explain-map", "--pipeline", str(path),
+                    "--contribs", str(DATA / "covertype_300_contribs_model_ready.csv"),
+                    "--out", str(tmp_path / "out.csv")],
+                   capsys, 1, "error: PCA component 1: squared loadings overflow")
+
+
 def test_exponent_without_a_dot_names_the_yaml_spelling(workspace, capsys):
     pipeline = workspace / "pipeline.yaml"
     argv = ["transform", "--pipeline", str(pipeline), "--data", str(workspace / "data.csv"),

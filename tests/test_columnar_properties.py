@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from featurespace.errors import ValidationError
 from featurespace.lineage import lineage_to_data
-from featurespace.pipeline import _apply_step, as_fitted, compose, fit, run
+from featurespace.pipeline import _apply_step, as_fitted, compose, fit, invert, run
 from featurespace.table import (
     MISSING,
     DataTable,
@@ -85,8 +85,7 @@ def test_lineage_length_matches_its_expansions(seed):
 def test_steps_carry_what_they_do_not_produce_unchanged(seed):
     """Why a step validates only its produced columns: every other output
     spec is the input spec of the same name. Of the produced columns, it
-    validates those its kernel does not declare valid by construction, and
-    every numeric one."""
+    validates exactly the numeric ones."""
     rng = random.Random(seed)
     schema = random_schema(rng)
     pipeline = random_exact_pipeline(rng, schema)
@@ -106,66 +105,105 @@ def test_steps_carry_what_they_do_not_produce_unchanged(seed):
         for spec in fstep.output_schema.features:
             if spec.name not in fstep.produced:
                 assert spec == fstep.input_schema.feature(spec.name)
-        valid = set(KERNELS[fstep.step.kind].valid_by_construction(fstep.config))
-        checked = {names[i] for i in fstep.unchecked}
-        assert list(fstep.unchecked) == sorted(fstep.unchecked)
-        assert checked | valid == set(fstep.produced) and not checked & valid
-        assert all(fstep.output_schema.feature(name).dtype != "numeric" for name in valid)
+        numeric = [name for name in names if name in fstep.produced
+                   and fstep.output_schema.feature(name).dtype == "numeric"]
+        assert [names[i] for i in fstep.unchecked] == numeric
 
 
-def _constructed_steps(rng: random.Random, numerics: list[str],
-                       feature: str) -> list[TransformStep]:
-    """Steps over numeric features of each kind that declares columns valid
-    by construction, beside the one-hot steps of ``random_exact_pipeline``:
-    imputation flags, both binnings (``feature`` has a range to fit) and a
-    labeled concept of each built-in formula."""
+def _unvalidated_columns_pass(fitted, table: DataTable) -> tuple[set[str], DataTable]:
+    """Run ``fitted`` over ``table`` step by step, requiring every produced
+    column a step leaves out of validation (each non-numeric one) to pass the
+    whole-column check. Returns the kinds that produced such a column, and
+    the output table."""
+    kinds, current = set(), table
+    for number, fstep in enumerate(fitted.steps, 1):
+        kernel = KERNELS[fstep.step.kind]
+        columns, _ = kernel.apply(current, fstep.prepared)
+        for name, column in zip(fstep.produced, columns):
+            spec = fstep.output_schema.feature(name)
+            if spec.dtype != "numeric":
+                assert len(column) == current.num_rows
+                assert _column_passes(column, spec), (fstep.step.kind, name)
+                kinds.add(fstep.step.kind)
+        current, _ = _apply_step(kernel, fstep, number, current)
+    return kinds, current
+
+
+def _label_steps(rng: random.Random, table: DataTable, ranged: str) -> list[TransformStep]:
+    """Steps of every lossy kind and both one-hot kinds that produce labels or
+    booleans, over features ``col0``-``col5`` of dtypes numeric, numeric,
+    categorical and three booleans (``ranged`` is a numeric one with a range
+    to fit). Imputation by constant and by forward fill each run on a
+    categorical and a boolean feature."""
+    categories = table.schema.feature("col2").categories
+    mapping = {c: rng.choice(["P", "Q"]) for c in categories}
+    parents = list(dict.fromkeys(mapping[c] for c in categories))
+    fill = rng.sample(["constant", "forward_fill"], 2)
+
+    def impute(feature, strategy, constant):
+        return TransformStep("impute_flagged", {
+            "feature": feature, "strategy": strategy, "flag_name": f"{feature} imputed",
+            "constant": constant if strategy == "constant" else None})
+
     return [
-        TransformStep("impute_flagged", {"feature": feature, "strategy": "constant",
-                                         "constant": 0, "flag_name": "imputed"}),
-        TransformStep("statistical_bin", {"feature": feature, "bins": rng.randint(1, 4),
+        TransformStep("statistical_bin", {"feature": ranged, "bins": rng.randint(1, 4),
                                           "target": "stat", "keep_original": True}),
-        TransformStep("semantic_bin", {"feature": rng.choice(numerics),
+        TransformStep("semantic_bin", {"feature": rng.choice(["col0", "col1"]),
                                        "boundaries": sorted(rng.sample(range(-500, 500), 2)),
                                        "labels": ["low", "mid", "high"], "target": "sem",
                                        "keep_original": True}),
         TransformStep("abstract_concept", {
-            "inputs": rng.sample(numerics, rng.randint(1, len(numerics))),
+            "inputs": rng.sample(["col0", "col1"], rng.randint(1, 2)),
             "formula": rng.choice(["sum", "mean", "euclidean_floor"]),
             "labeling": {"boundaries": [0.0, 300.0], "labels": ["L", "M", "H"]},
             "target": "concept", "keep_inputs": True}),
+        TransformStep("hierarchy_rollup", {"feature": "col2", "mapping": mapping,
+                                           "target": "rolled", "keep_original": True}),
+        TransformStep("one_hot_encode", {"feature": "col2"}),
+        TransformStep("one_hot_decode", {
+            "group": [f"col2 {c}" for c in categories], "target": "decoded",
+            "categories": list(categories), "zero_hot": "missing"}),
+        TransformStep("render_statement", {"feature": "col4"}),
+        impute("rolled", fill[0], rng.choice(parents)),
+        impute("decoded", fill[1], rng.choice(categories)),
+        impute("col3", fill[0], rng.random() < 0.5),
+        impute("col5", fill[1], rng.random() < 0.5),
     ]
 
 
 @PROPERTY_SETTINGS
 @given(SEEDS)
-def test_columns_valid_by_construction_pass_validation(seed):
-    """Every produced column a step leaves out of validation passes the
-    whole-column check, over random fitted pipelines and random input
-    tables with MISSING cells."""
+def test_unvalidated_produced_columns_pass_validation(seed):
+    """Every label and boolean column a step produces, which the pipeline
+    does not validate, passes the whole-column check: over random fitted
+    pipelines of every kind that produces one, and random input tables with
+    MISSING cells."""
     rng = random.Random(seed)
-    schema = random_schema(rng, 4, ["numeric", "numeric", "categorical",
-                                    rng.choice(["numeric", "categorical", "boolean"])])
-    table = random_table(rng, schema, missing_rate=0.3)
-    # Exact steps keep the numeric features' names and their MISSING cells.
-    numerics = [f.name for f in schema.features if f.dtype == "numeric"]
-    ranged = [n for n in numerics if len(set(table.values(n)) - {MISSING}) >= 2]
+    schema = random_schema(rng, 6, ["numeric", "numeric", "categorical",
+                                    "boolean", "boolean", "boolean"])
+    # A first row with no MISSING cell gives forward fill a value to carry.
+    rows = random_table(rng, schema, n_rows=1, missing_rate=0).rows
+    table = DataTable(schema, rows + random_table(rng, schema, missing_rate=0.3).rows)
+    ranged = [n for n in ("col0", "col1") if len(set(table.values(n)) - {MISSING}) >= 2]
     if not ranged:
         return  # no feature has a bin range to fit
-    steps = list(random_exact_pipeline(rng, schema).steps)
-    steps += _constructed_steps(rng, numerics, rng.choice(ranged))
-    fitted = fit(compose(steps, schema, "to_interpretable"), table)
-    current, skipped = table, 0
-    for number, fstep in enumerate(fitted.steps, 1):
-        kernel = KERNELS[fstep.step.kind]
-        columns, _ = kernel.apply(current, fstep.prepared)
-        valid = kernel.valid_by_construction(fstep.config)
-        for name, column in zip(fstep.produced, columns):
-            if name in valid:
-                assert len(column) == current.num_rows
-                assert _column_passes(column, fstep.output_schema.feature(name))
-                skipped += 1
-        current, _ = _apply_step(kernel, fstep, number, current)
-    assert skipped >= 4
+    steps = _label_steps(rng, table, rng.choice(ranged))
+    planned = compose(steps, schema, "to_interpretable").output_schema
+    steps += random_exact_pipeline(rng, planned).steps
+    kinds, _ = _unvalidated_columns_pass(fit(compose(steps, schema, "to_interpretable"),
+                                             table), table)
+    assert kinds >= {"statistical_bin", "semantic_bin", "abstract_concept",
+                     "hierarchy_rollup", "one_hot_encode", "one_hot_decode",
+                     "render_statement", "impute_flagged"}
+    # Statements are read back by the inverse of an exact pipeline.
+    exact = [TransformStep("render_statement", {"feature": name})
+             for name in ("col2", "col3")]
+    planned = compose(exact, schema, "to_interpretable").output_schema
+    exact += random_exact_pipeline(rng, planned).steps
+    fitted = as_fitted(compose(exact, schema, "to_interpretable"))
+    _, out = _unvalidated_columns_pass(fitted, table)
+    kinds, _ = _unvalidated_columns_pass(invert(fitted), out)
+    assert "unrender_statement" in kinds
 
 
 def _two_positions(rng: random.Random, table: DataTable):

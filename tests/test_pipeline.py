@@ -21,7 +21,7 @@ from featurespace.pipeline import (
 )
 from featurespace.schema import FeatureSpec, SchemaManifest, serialize_manifest
 from featurespace.table import MISSING, DataTable
-from featurespace.transforms import Standardize, TransformStep
+from featurespace.transforms import EXACT_KINDS, KERNELS, Standardize, TransformStep
 
 from _generators import BASE_PROPS, random_exact_pipeline, random_schema, random_table
 from _tables import tables_equal
@@ -173,6 +173,14 @@ def test_invert_refuses_lossy_pipelines():
     assert isinstance(refusal, InversionRefusal)
     assert refusal.non_invertible == ((1, "semantic_bin"),)
     assert "semantic_bin" in refusal.message
+
+
+def test_a_kind_is_exact_iff_its_kernel_has_an_inverse():
+    assert EXACT_KINDS == ("one_hot_encode", "one_hot_decode", "standardize",
+                           "unstandardize", "render_statement", "unrender_statement",
+                           "link_raw")
+    for kind, kernel in KERNELS.items():
+        assert (kind in EXACT_KINDS) == callable(kernel.inverse), kind
 
 
 def test_fidelity_notes_empty_iff_invertible():

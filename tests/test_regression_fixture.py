@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 from pathlib import Path
 
@@ -47,11 +48,12 @@ import pytest
 
 from featurespace import demo
 from featurespace.cli import main
-from featurespace.pipeline import fit, invert, load_fitted, load_pipeline
+from featurespace.pipeline import fit, invert, load_fitted, load_pipeline, run
 from featurespace.schema import serialize_manifest
 from featurespace.table import read_table_csv
 
 from _fitted_documents import NAMES, ROWS, pipeline_path
+from _reference_lineage import reference_entries
 
 DATA = Path(__file__).parent / "data"
 DEMO = Path(demo.__file__).parent
@@ -71,6 +73,11 @@ def test_demo_transform_is_byte_identical(tmp_path, name):
     if name == "interpretable":
         expected = DATA / "covertype_300_interpretable_lineage.json"
         assert lineage.read_bytes() == expected.read_bytes()
+    else:
+        pipeline = load_pipeline(DEMO / f"pipeline_{name}.yaml")
+        table = read_table_csv(DATA / "covertype_300.csv", pipeline.input_schema)
+        entries = reference_entries(run(fit(pipeline, table), table).lineage)
+        assert lineage.read_text("utf-8") == json.dumps(entries, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", NAMES)
