@@ -16,7 +16,11 @@ use, into a ``MappingPlan`` stored on the fitted pipeline. The plan caches the
 expected and final schemas, the static partition audit and fidelity notes,
 the error of a pipeline that cannot be mapped, and one generated Python
 function that carries a vector's values across every step. Per vector,
-mapping is the alignment check, one call and a finiteness check.
+mapping is the alignment check, one call of that function, and one
+``sum_in_order`` of its result, which proves the values finite and is kept
+as the mapped vector's total for ``conservation_check``. The result is built
+straight into its slots, and a plan that exposes no imputation flag passes
+one shared read-only empty mapping instead of a new dict.
 
 The function is straight-line code that keeps each step's own summation
 order: a copy is a local passed on, and a sum starts from 0.0 and adds one
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import count
 from pathlib import Path
 from types import MappingProxyType
@@ -46,13 +50,37 @@ from .transforms import Rewrite, kernel_for, sum_in_order
 CONSERVATION_TOLERANCE = 1e-9
 
 
+def _builder(cls) -> Callable:
+    """A function that takes the values of ``cls``'s fields in order and
+    returns the instance, without ``__init__`` or ``__post_init__``: one slot
+    setter call per field, in generated straight-line code. The caller
+    vouches for the values."""
+    names = [f.name for f in fields(cls)]
+    args = [f"a{i}" for i in range(len(names))]
+    namespace = {"new": object.__new__, "cls": cls}
+    lines = [f"def build({', '.join(args)}):", "    self = new(cls)"]
+    for i, (name, arg) in enumerate(zip(names, args)):
+        namespace[f"set{i}"] = getattr(cls, name).__set__
+        lines.append(f"    set{i}(self, {arg})")
+    lines.append("    return self\n")
+    exec(compile("\n".join(lines), f"<build {cls.__name__}>", "exec"), namespace)
+    return namespace["build"]
+
+
 @dataclass(frozen=True, slots=True)
 class ContributionVector:
-    """Per-feature additive explanation for one row, aligned to a schema."""
+    """Per-feature additive explanation for one row, aligned to a schema.
+
+    The values are finite floats, and so is the base value if given.
+    ``total()`` is ``sum_in_order(values)``: it is computed once, by the pass
+    that proves the values finite, and kept in ``_total``, a field that is no
+    ``__init__`` argument and that ``==``, ``hash`` and ``repr`` ignore. The
+    values may be finite while their total is not."""
 
     schema: SchemaManifest
     values: tuple[float, ...]
     base_value: float | None = None
+    _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(map(float, self.values))
@@ -61,10 +89,12 @@ class ContributionVector:
             raise ValidationError(
                 f"contribution vector has {len(values)} values for "
                 f"{len(self.schema.features)} features")
-        if not all(map(math.isfinite, values)):
+        total = sum_in_order(values)
+        if not math.isfinite(total):
             for name, value in zip(self.schema.names, values):
                 if not math.isfinite(value):
                     raise ValidationError(f"contribution for {name!r} is not finite: {value!r}")
+        object.__setattr__(self, "_total", total)
         if self.base_value is not None:
             base = float(self.base_value)
             if not math.isfinite(base):
@@ -72,40 +102,48 @@ class ContributionVector:
             object.__setattr__(self, "base_value", base)
 
     def total(self) -> float:
-        return sum_in_order(self.values)
+        return self._total
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.schema.names, self.values))
 
 
-_SET_FIELDS = tuple(getattr(ContributionVector, name).__set__
-                    for name in ("schema", "values", "base_value"))
+_new_vector = _builder(ContributionVector)
 
 
 def _checked_vector(schema: SchemaManifest, values: tuple[float, ...],
                     base: float | None) -> ContributionVector:
     """``ContributionVector(schema, values, base)`` for ``values`` a tuple of
     floats of the schema's width and ``base`` a float or None. When every
-    number is finite, which a finite sum of the values proves (an infinity or
-    a NaN among the terms makes the sum one too), the constructor's float
-    pass is skipped. Otherwise the constructor runs: it raises its own error,
-    or builds the vector when only the sum overflowed."""
-    if not (math.isfinite(sum(values)) and (base is None or math.isfinite(base))):
+    number is finite, which a finite total of the values proves (an infinity
+    or a NaN among the terms makes the total one too), the constructor's
+    float pass is skipped and the total is kept. Otherwise the constructor
+    runs: it raises its own error, or builds the vector when only the total
+    overflowed."""
+    total = sum_in_order(values)
+    if not (math.isfinite(total) and (base is None or math.isfinite(base))):
         return ContributionVector(schema, values, base)
-    vector = object.__new__(ContributionVector)
-    set_schema, set_values, set_base = _SET_FIELDS
-    set_schema(vector, schema)
-    set_values(vector, values)
-    set_base(vector, base)
-    return vector
+    return _new_vector(schema, values, base, total)
+
+
+# The ``exposed_flags`` of every mapping whose plan exposes no flag.
+_NO_FLAGS: Mapping[str, float] = MappingProxyType({})
 
 
 @dataclass(frozen=True, slots=True)
 class MappedContributions:
+    """A mapped vector, with the plan's fidelity notes and partition audit.
+    ``exposed_flags`` holds each exposed imputation flag's contribution,
+    which the vector does not carry; it is a new dict on each call whose plan
+    exposes a flag, and otherwise one shared read-only empty mapping."""
+
     vector: ContributionVector
     fidelity_notes: tuple[str, ...]
     exposed_flags: Mapping[str, float] = field(default_factory=dict)
     partition_audit: tuple[tuple[int, Mapping[str, int]], ...] = ()
+
+
+_new_mapped = _builder(MappedContributions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,19 +153,23 @@ class ConservationResult:
     tolerance: float
 
 
+_new_result = _builder(ConservationResult)
+
+
 def conservation_check(before: ContributionVector,
                        after: ContributionVector,
                        extra_after: float = 0.0) -> ConservationResult:
     """Pass iff the total contribution is preserved within a relative 1e-9.
 
     ``extra_after`` accounts for contributions carried outside the vector
-    (exposed imputation flags).
+    (exposed imputation flags). The totals are the ones each vector keeps
+    (``ContributionVector.total``); when one is not finite, the delta or the
+    tolerance is not finite either, and the check does not pass.
     """
-    total_before = before.total()
-    delta = abs(total_before - (after.total() + extra_after))
+    total_before = before._total
+    delta = abs(total_before - (after._total + extra_after))
     tolerance = CONSERVATION_TOLERANCE * max(1.0, abs(total_before))
-    return ConservationResult(passed=delta <= tolerance, delta=delta,
-                              tolerance=tolerance)
+    return _new_result(delta <= tolerance < math.inf, delta, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +183,8 @@ class MappingPlan:
 
     ``function(values, exposed)`` takes a tuple of model-ready values, adds
     each exposed flag's contribution to the ``exposed`` dict and returns the
-    tuple of final values. ``source`` is its text: unrolled statements, one
+    tuple of final values; ``exposes_flags`` is whether it writes to
+    ``exposed`` at all. ``source`` is its text: unrolled statements, one
     per term of each sum, over locals that hold the slots' values. Flag names
     and weights are bound in the function's namespace under generated names,
     so the text holds no feature name or number from the pipeline."""
@@ -152,6 +195,7 @@ class MappingPlan:
     source: str = field(repr=False)
     fidelity_notes: tuple[str, ...] = ()
     partition_audit: tuple[tuple[int, Mapping[str, int]], ...] = ()
+    exposes_flags: bool = False
     error: ValidationError | None = None
 
 
@@ -241,7 +285,7 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
         order = tuple(reversed(numbered))
     code = _Source(len(expected.names))
     held = code.inputs
-    notes, audit = [], []
+    notes, audit, exposes_flags = [], [], False
     try:
         for number, fstep in order:
             kind = fstep.step.kind
@@ -260,13 +304,15 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
                     f"step ({kind}) has no contribution rule in the reverse direction")
             held, counts = _compile_step(rewrite, near, far, f"step {number} ({kind})",
                                          held, code)
+            exposes_flags = exposes_flags or bool(rewrite.exposed)
             if rewrite.note is not None:
                 notes.append(rewrite.note)
             audit.append((number, MappingProxyType(counts)))
     except ValidationError as exc:
         return MappingPlan(expected, final, None, "", error=exc.with_traceback(None))
     function, source = code.function(held)
-    return MappingPlan(expected, final, function, source, tuple(notes), tuple(audit))
+    return MappingPlan(expected, final, function, source, tuple(notes), tuple(audit),
+                       exposes_flags)
 
 
 def mapping_plan(fitted: FittedPipeline, expose_flags: bool = False) -> MappingPlan:
@@ -287,7 +333,7 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
     dropped or double-counted features raise MappingError. The base value
     passes through unchanged.
     """
-    plan = mapping_plan(fitted, expose_flags)
+    plan = fitted.mapping_plans.get(expose_flags) or mapping_plan(fitted, expose_flags)
     names, expected = contrib.schema.names, plan.expected.names
     if names is not expected and names != expected:
         raise MappingError(
@@ -295,11 +341,11 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
             f"schema: got {list(names)}, expected {list(expected)}")
     if plan.error is not None:
         raise type(plan.error)(*plan.error.args)
-    exposed: dict[str, float] = {}
+    exposed = {} if plan.exposes_flags else _NO_FLAGS
     values = plan.function(contrib.values, exposed)
     # The values are floats of the final schema's width; a sum can overflow.
     vector = _checked_vector(plan.final, values, contrib.base_value)
-    return MappedContributions(vector, plan.fidelity_notes, exposed, plan.partition_audit)
+    return _new_mapped(vector, plan.fidelity_notes, exposed, plan.partition_audit)
 
 
 # ---------------------------------------------------------------------------

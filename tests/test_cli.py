@@ -395,6 +395,30 @@ def test_explain_map_rejects_non_finite(workspace, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("large, before, after", [
+    ({0: 1.7e308, 1: 1.7e308}, "inf", "inf"),
+    ({0: 1.7e308, 3: 1.7e308, 4: -1.7e308}, "inf", "1.7e+308"),
+], ids=["both_totals", "source_total"])
+def test_explain_map_total_beyond_the_float_range_exits_4(tmp_path, capsys, large,
+                                                           before, after):
+    """Finite contributions whose total overflows are read and mapped, but
+    their conservation cannot be checked: exit 4, saying so."""
+    with open(DATA / "covertype_300_contribs_model_ready.csv", encoding="utf-8") as handle:
+        header = next(csv.reader(handle))
+    row = [repr(large.get(i, 0.0)) for i in range(len(header) - 1)] + ["0.5"]
+    contribs = tmp_path / "contribs.csv"
+    with open(contribs, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, row])
+    out = tmp_path / "mapped.csv"
+    stdout = _fails_cleanly(["explain-map", "--pipeline",
+                             str(DATA / "covertype_300_model_ready.fitted.json"),
+                             "--contribs", str(contribs), "--out", str(out)],
+                            capsys, 4,
+                            "conservation cannot be checked on row 0: a contribution "
+                            f"total is not finite (before {before}, after {after})")
+    assert not out.exists() and "mapped" not in stdout
+
+
 def test_audit_command(workspace, capsys):
     out = workspace / "report.json"
     code = main(["audit", "--manifest", str(workspace / "original.yaml"),

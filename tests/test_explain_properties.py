@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import math
 import random
 import re
 
@@ -10,12 +13,19 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from featurespace.errors import KernelError, ValidationError
-from featurespace.explain import conservation_check, map_contributions, mapping_plan
-from featurespace.pipeline import as_fitted, compose, fit
+from featurespace.explain import (
+    conservation_check,
+    map_contributions,
+    mapping_plan,
+    read_contributions,
+    write_contributions,
+)
+from featurespace.pipeline import as_fitted, compose, fit, load_fitted
 from featurespace.schema import FeatureSpec, SchemaManifest
 from featurespace.table import DataTable
-from featurespace.transforms import TransformStep
+from featurespace.transforms import TransformStep, sum_in_order
 
+from _fitted_documents import DATA
 from _generators import BASE_PROPS
 from _reference_mapping import reference_map
 from test_explain import random_interpretable_case, random_model_ready_case, vector_for
@@ -256,3 +266,91 @@ def test_hostile_names_map_like_the_reference_and_stay_out_of_the_source():
         for name in names:
             assert name not in source
     assert set(map_contributions(fitted, vector, True).exposed_flags) == {HOSTILE[2]}
+
+
+def same_float(a, b) -> bool:
+    """``a`` and ``b`` are the same number of the same type, down to the
+    sign of a zero or an infinity, and NaN is the same as NaN."""
+    return (type(a) is type(b) and repr(a) == repr(b)
+            and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def built_vectors(fitted, vectors):
+    """``vectors``, and vectors built from them every other way: read back
+    from their CSV, mapped (with and without exposed flags) and through
+    ``dataclasses.replace`` with reversed values or a new base value."""
+    built = list(vectors)
+    text = io.StringIO()
+    write_contributions(vectors, text)
+    built += read_contributions(io.StringIO(text.getvalue()), vectors[0].schema)
+    for vector in vectors:
+        for flags in (False, True):
+            try:
+                built.append(map_contributions(fitted, vector, flags).vector)
+            except ValidationError:
+                pass  # a mapped value overflowed
+        built.append(dataclasses.replace(vector, values=vector.values[::-1]))
+        built.append(dataclasses.replace(vector, base_value=-0.0))
+    return built
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_cached_total_is_the_sum_in_order_and_is_no_part_of_equality(seed):
+    fitted, vectors = case(seed)
+    for vector in built_vectors(fitted, vectors):
+        assert same_float(vector.total(), sum_in_order(vector.values))
+        twin = dataclasses.replace(vector)
+        object.__setattr__(twin, "_total", math.nan)
+        assert twin == vector and hash(twin) == hash(vector) and repr(twin) == repr(vector)
+        assert "_total" not in repr(vector)
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_conservation_check_reads_totals_like_the_reference(seed):
+    """The check's result is the one recomputed from the reference mapping's
+    values: it passes iff both totals are finite and within tolerance."""
+    fitted, vectors = case(seed)
+    for vector in vectors:
+        for flags in (False, True):
+            try:
+                expected = reference_map(fitted, vector, flags)
+            except ValidationError:
+                continue
+            before = sum_in_order(vector.values)
+            after = (sum_in_order(expected.vector.values)
+                     + sum_in_order(expected.exposed_flags.values()))
+            delta = abs(before - after)
+            tolerance = 1e-9 * max(1.0, abs(before))
+            passed = math.isfinite(before) and math.isfinite(after) and delta <= tolerance
+            result = map_contributions(fitted, vector, flags)
+            check = conservation_check(vector, result.vector,
+                                       sum_in_order(result.exposed_flags.values()))
+            assert check.passed is passed
+            assert same_float(check.delta, delta)
+            assert same_float(check.tolerance, tolerance)
+
+
+def test_exposed_flags_are_shared_only_when_empty():
+    """A plan that exposes no flag returns one read-only empty mapping; one
+    that does returns a new dict on every call."""
+    for name, flags in (("model_ready", False), ("model_ready", True), ("learned", False)):
+        fitted = load_fitted(DATA / f"covertype_300_{name}.fitted.json")
+        vector = read_contributions(DATA / f"covertype_300_contribs_{name}.csv",
+                                    fitted.output_schema)[0]
+        exposed = map_contributions(fitted, vector, flags).exposed_flags
+        assert not exposed
+        with pytest.raises(TypeError):
+            exposed["Elevation Imputed"] = 1.0
+    fitted = load_fitted(DATA / "covertype_300_learned.fitted.json")
+    vectors = read_contributions(DATA / "covertype_300_contribs_learned.csv",
+                                 fitted.output_schema)[:3]
+    first = map_contributions(fitted, vectors[0], True).exposed_flags
+    expected = [dict(map_contributions(fitted, vector, True).exposed_flags)
+                for vector in vectors]
+    assert first and set(first) == set(expected[0])
+    first.clear()
+    first["stray"] = 1.0
+    for vector, flags in zip(vectors, expected):
+        assert map_contributions(fitted, vector, True).exposed_flags == flags
