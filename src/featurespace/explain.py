@@ -19,8 +19,7 @@ function that carries a vector's values across every step. Per vector,
 mapping is the alignment check, one call of that function, and one
 ``sum_in_order`` of its result, which proves the values finite and is kept
 as the mapped vector's total for ``conservation_check``. The result is built
-straight into its slots, and a plan that exposes no imputation flag passes
-one shared read-only empty mapping instead of a new dict.
+straight into its slots.
 
 The function is straight-line code that keeps each step's own summation
 order: a copy is a local passed on, and a sum starts from 0.0 and adds one
@@ -126,16 +125,11 @@ def _checked_vector(schema: SchemaManifest, values: tuple[float, ...],
     return _new_vector(schema, values, base, total)
 
 
-# The ``exposed_flags`` of every mapping whose plan exposes no flag.
-_NO_FLAGS: Mapping[str, float] = MappingProxyType({})
-
-
 @dataclass(frozen=True, slots=True)
 class MappedContributions:
     """A mapped vector, with the plan's fidelity notes and partition audit.
     ``exposed_flags`` holds each exposed imputation flag's contribution,
-    which the vector does not carry; it is a new dict on each call whose plan
-    exposes a flag, and otherwise one shared read-only empty mapping."""
+    which the vector does not carry; it is a new dict on each call."""
 
     vector: ContributionVector
     fidelity_notes: tuple[str, ...]
@@ -148,9 +142,13 @@ _new_mapped = _builder(MappedContributions)
 
 @dataclass(frozen=True, slots=True)
 class ConservationResult:
+    """``checkable`` is False when a total is not finite: the delta and
+    tolerance then say nothing, and the check does not pass."""
+
     passed: bool
     delta: float
     tolerance: float
+    checkable: bool = True
 
 
 _new_result = _builder(ConservationResult)
@@ -163,13 +161,15 @@ def conservation_check(before: ContributionVector,
 
     ``extra_after`` accounts for contributions carried outside the vector
     (exposed imputation flags). The totals are the ones each vector keeps
-    (``ContributionVector.total``); when one is not finite, the delta or the
-    tolerance is not finite either, and the check does not pass.
+    (``ContributionVector.total``); when the total before or after mapping
+    is not finite, the check is not ``checkable`` and does not pass.
     """
     total_before = before._total
-    delta = abs(total_before - (after._total + extra_after))
+    total_after = after._total + extra_after
+    delta = abs(total_before - total_after)
     tolerance = CONSERVATION_TOLERANCE * max(1.0, abs(total_before))
-    return _new_result(delta <= tolerance < math.inf, delta, tolerance)
+    checkable = math.isfinite(total_before) and math.isfinite(total_after)
+    return _new_result(checkable and delta <= tolerance, delta, tolerance, checkable)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,7 @@ class MappingPlan:
 
     ``function(values, exposed)`` takes a tuple of model-ready values, adds
     each exposed flag's contribution to the ``exposed`` dict and returns the
-    tuple of final values; ``exposes_flags`` is whether it writes to
-    ``exposed`` at all. ``source`` is its text: unrolled statements, one
+    tuple of final values. ``source`` is its text: unrolled statements, one
     per term of each sum, over locals that hold the slots' values. Flag names
     and weights are bound in the function's namespace under generated names,
     so the text holds no feature name or number from the pipeline."""
@@ -195,7 +194,6 @@ class MappingPlan:
     source: str = field(repr=False)
     fidelity_notes: tuple[str, ...] = ()
     partition_audit: tuple[tuple[int, Mapping[str, int]], ...] = ()
-    exposes_flags: bool = False
     error: ValidationError | None = None
 
 
@@ -285,7 +283,7 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
         order = tuple(reversed(numbered))
     code = _Source(len(expected.names))
     held = code.inputs
-    notes, audit, exposes_flags = [], [], False
+    notes, audit = [], []
     try:
         for number, fstep in order:
             kind = fstep.step.kind
@@ -304,15 +302,13 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
                     f"step ({kind}) has no contribution rule in the reverse direction")
             held, counts = _compile_step(rewrite, near, far, f"step {number} ({kind})",
                                          held, code)
-            exposes_flags = exposes_flags or bool(rewrite.exposed)
             if rewrite.note is not None:
                 notes.append(rewrite.note)
             audit.append((number, MappingProxyType(counts)))
     except ValidationError as exc:
         return MappingPlan(expected, final, None, "", error=exc.with_traceback(None))
     function, source = code.function(held)
-    return MappingPlan(expected, final, function, source, tuple(notes), tuple(audit),
-                       exposes_flags)
+    return MappingPlan(expected, final, function, source, tuple(notes), tuple(audit))
 
 
 def mapping_plan(fitted: FittedPipeline, expose_flags: bool = False) -> MappingPlan:
@@ -333,7 +329,7 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
     dropped or double-counted features raise MappingError. The base value
     passes through unchanged.
     """
-    plan = fitted.mapping_plans.get(expose_flags) or mapping_plan(fitted, expose_flags)
+    plan = mapping_plan(fitted, expose_flags)
     names, expected = contrib.schema.names, plan.expected.names
     if names is not expected and names != expected:
         raise MappingError(
@@ -341,7 +337,7 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
             f"schema: got {list(names)}, expected {list(expected)}")
     if plan.error is not None:
         raise type(plan.error)(*plan.error.args)
-    exposed = {} if plan.exposes_flags else _NO_FLAGS
+    exposed: dict[str, float] = {}
     values = plan.function(contrib.values, exposed)
     # The values are floats of the final schema's width; a sum can overflow.
     vector = _checked_vector(plan.final, values, contrib.base_value)

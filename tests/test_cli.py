@@ -395,12 +395,12 @@ def test_explain_map_rejects_non_finite(workspace, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("large, before, after", [
-    ({0: 1.7e308, 1: 1.7e308}, "inf", "inf"),
-    ({0: 1.7e308, 3: 1.7e308, 4: -1.7e308}, "inf", "1.7e+308"),
-], ids=["both_totals", "source_total"])
-def test_explain_map_total_beyond_the_float_range_exits_4(tmp_path, capsys, large,
-                                                           before, after):
+@pytest.mark.parametrize("large", [
+    {0: 1.7e308, 1: 1.7e308},
+    {0: 1.7e308, 3: 1.7e308, 4: -1.7e308},
+    {3: 1.7e308, 7: -1.7e308, 11: 1.7e308},
+], ids=["both_totals", "source_total", "mapped_total"])
+def test_explain_map_total_beyond_the_float_range_exits_4(tmp_path, capsys, large):
     """Finite contributions whose total overflows are read and mapped, but
     their conservation cannot be checked: exit 4, saying so."""
     with open(DATA / "covertype_300_contribs_model_ready.csv", encoding="utf-8") as handle:
@@ -415,7 +415,7 @@ def test_explain_map_total_beyond_the_float_range_exits_4(tmp_path, capsys, larg
                              "--contribs", str(contribs), "--out", str(out)],
                             capsys, 4,
                             "conservation cannot be checked on row 0: a contribution "
-                            f"total is not finite (before {before}, after {after})")
+                            "total is not finite")
     assert not out.exists() and "mapped" not in stdout
 
 
