@@ -22,6 +22,7 @@ from .errors import KernelError, ValidationError
 from .explain import (
     conservation_check,
     map_contributions,
+    mapping_plan,
     read_contributions,
     write_contributions,
 )
@@ -112,8 +113,7 @@ def cmd_invert(args) -> int:
 def cmd_explain_map(args) -> int:
     _require_files(args.pipeline, args.contribs)
     fitted = _load_any_pipeline(args.pipeline)
-    model_side = (fitted.input_schema if fitted.direction == "to_interpretable"
-                  else fitted.output_schema)
+    model_side = mapping_plan(fitted, args.expose_flags).expected
     vectors = read_contributions(args.contribs, model_side)
     if not vectors:
         raise ValidationError(f"{args.contribs}: no contribution rows")

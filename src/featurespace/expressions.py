@@ -3,6 +3,10 @@
 Supported: identifiers (backtick-quoted when they contain spaces or
 punctuation), numeric literals, + - * /, unary minus, sqrt(), floor(), and
 parentheses. No other functions.
+
+A value outside a function's domain is a ``KernelError`` of the row being
+evaluated, as division by zero is: ``sqrt`` of a negative value, and
+``floor`` of a non-finite one (an infinity or a NaN has no integer floor).
 """
 
 from __future__ import annotations
@@ -147,6 +151,8 @@ def evaluate(node, env: Mapping[str, float]):
         value = evaluate(node[2], env)
         if node[1] == "sqrt" and value < 0:
             raise KernelError(f"sqrt of negative value {value!r}")
+        if node[1] == "floor" and not math.isfinite(value):
+            raise KernelError(f"floor of non-finite value {value!r}")
         return FUNCTIONS[node[1]](value)
     op, left, right = node[1], evaluate(node[2], env), evaluate(node[3], env)
     if op == "+":

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from types import MappingProxyType
-from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 from yaml.composer import Composer
@@ -311,15 +311,15 @@ def document_mapping(value: Any, where: str, keys: Iterable[str] | None,
     return value
 
 
-def document_list(value: Any, where: str) -> tuple[str, ...]:
-    """A document's list of names, such as categories or property flags,
-    each item read as text; null reads as empty. Any other value that is not
-    a list is rejected."""
+def document_list(value: Any, where: str, item: Callable[[Any], Any] = str) -> tuple:
+    """A document's list, such as categories or property flags, each item
+    read by ``item`` (as text by default); null reads as empty. Any other
+    value that is not a list, a string included, is rejected."""
     if value is None:
         return ()
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{where} must be a list, got {value!r}")
-    return tuple(str(n) for n in value)
+    return tuple(map(item, value))
 
 
 @contextmanager

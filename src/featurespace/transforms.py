@@ -39,6 +39,7 @@ from .schema import (
     SchemaManifest,
     document_bool,
     document_int,
+    document_list,
     document_mapping,
     document_number,
     document_text,
@@ -104,7 +105,7 @@ def _number(value, kind: str, key: str) -> float:
 
 
 def _numbers(values, kind: str, key: str) -> tuple[float, ...]:
-    return tuple(_number(v, kind, key) for v in values)
+    return document_list(values, f"{kind}: {key}", lambda v: _number(v, kind, key))
 
 
 def _display_format(cfg: Mapping, kind: str) -> str | None:
@@ -449,7 +450,7 @@ class OneHotEncode(Kernel):
                 f"{self.kind}: feature {feature!r} must be categorical, is {spec.dtype}")
         categories = spec.categories or ()
         if cfg.get("names") is not None:
-            names = tuple(str(n) for n in cfg["names"])
+            names = document_list(cfg["names"], f"{self.kind}: names")
             if len(names) != len(categories):
                 raise ValidationError(
                     f"{self.kind}: names must match category count "
@@ -515,7 +516,7 @@ class OneHotDecode(Kernel):
         document_mapping(cfg, self.kind, {"group", "target", "categories", "wording", "unit",
                                           "description", "observed", "restore", "zero_hot"},
                          unknown=_UNKNOWN_CONFIG)
-        group = tuple(str(n) for n in _req(cfg, "group", self.kind))
+        group = document_list(_req(cfg, "group", self.kind), f"{self.kind}: group")
         if not group:
             raise ValidationError(f"{self.kind}: group must be non-empty")
         for name in group:
@@ -717,7 +718,7 @@ class StatisticalBin(_OneToOne):
         if labels is None:
             labels = tuple(f"Bin {i + 1}" for i in range(bins))
         else:
-            labels = tuple(str(x) for x in labels)
+            labels = document_list(labels, f"{self.kind}: labels")
         if len(labels) != bins:
             raise ValidationError(f"{self.kind}: need exactly {bins} labels, got {len(labels)}")
         target, keep = _target(cfg, feature, schema, self.kind)
@@ -802,7 +803,7 @@ class SemanticBin(_OneToOne):
             raise ValidationError(f"{self.kind}: boundaries must be non-empty")
         if any(a >= b for a, b in zip(boundaries, boundaries[1:])):
             raise ValidationError(f"{self.kind}: boundaries must be strictly increasing")
-        labels = tuple(str(x) for x in _req(cfg, "labels", self.kind))
+        labels = document_list(_req(cfg, "labels", self.kind), f"{self.kind}: labels")
         if len(labels) != len(boundaries) + 1:
             raise ValidationError(
                 f"{self.kind}: need {len(boundaries) + 1} labels, got {len(labels)}")
@@ -971,7 +972,7 @@ def _formula_rows(on_row: Callable, columns: list[list]) -> list:
             continue
         try:
             column.append(on_row(values))
-        except (KernelError, OverflowError) as exc:  # floor() of an infinite result
+        except (KernelError, OverflowError) as exc:  # e.g. euclidean_floor of an infinite sum
             raise KernelError(f"row {r}: {exc}", row_index=r) from None
     return column
 
@@ -1000,7 +1001,7 @@ class AggregateNumeric(Kernel):
 
     def normalize(self, cfg, schema):
         document_mapping(cfg, self.kind, self._KEYS, unknown=_UNKNOWN_CONFIG)
-        inputs = tuple(str(n) for n in _req(cfg, "inputs", self.kind))
+        inputs = document_list(_req(cfg, "inputs", self.kind), f"{self.kind}: inputs")
         if not inputs:
             raise ValidationError(f"{self.kind}: inputs must be non-empty")
         for name in inputs:
@@ -1076,7 +1077,8 @@ class AbstractConcept(AggregateNumeric):
                                   "labeling boundaries")
             if any(a >= b for a, b in zip(boundaries, boundaries[1:])) or not boundaries:
                 raise ValidationError(f"{self.kind}: labeling boundaries must be strictly increasing")
-            labels = tuple(str(x) for x in _req(labeling, "labels", self.kind))
+            labels = document_list(_req(labeling, "labels", self.kind),
+                                   f"{self.kind}: labeling labels")
             if len(labels) != len(boundaries) + 1:
                 raise ValidationError(
                     f"{self.kind}: labeling needs {len(boundaries) + 1} labels, got {len(labels)}")
@@ -1193,7 +1195,9 @@ class UnrenderStatement(_OneToOne):
                          unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
-        if spec.dtype not in ("categorical", "ordinal"):
+        # A feature with a wording template holds the values it renders; a
+        # statement feature, as render_statement makes one, has none.
+        if spec.dtype not in ("categorical", "ordinal") or spec.wording is not None:
             raise ValidationError(f"{self.kind}: feature {feature!r} must hold rendered statements")
         target = str(_req(cfg, "target", self.kind))
         _req(cfg, "restore", self.kind)
@@ -1228,7 +1232,7 @@ class PcaProject(Kernel):
         document_mapping(cfg, self.kind, {"inputs", "components", "means", "loadings",
                                           "name_template", "display_format"},
                          unknown=_UNKNOWN_CONFIG)
-        inputs = tuple(str(n) for n in _req(cfg, "inputs", self.kind))
+        inputs = document_list(_req(cfg, "inputs", self.kind), f"{self.kind}: inputs")
         if not inputs:
             raise ValidationError(f"{self.kind}: inputs must be non-empty")
         for name in inputs:
@@ -1242,7 +1246,8 @@ class PcaProject(Kernel):
         if (means is None) != (loadings is None):
             raise ValidationError(f"{self.kind}: configure means and loadings together or neither")
         if loadings is not None:
-            loadings = tuple(_numbers(row, self.kind, "loadings") for row in loadings)
+            loadings = document_list(loadings, f"{self.kind}: loadings",
+                                     lambda row: _numbers(row, self.kind, "loadings"))
             means = _numbers(means, self.kind, "means")
             if len(means) != len(inputs) or len(loadings) != len(inputs) or \
                     any(len(row) != components for row in loadings):
@@ -1349,13 +1354,14 @@ class LinkRaw(Kernel):
         document_mapping(cfg, self.kind, {"feature", "series_id", "window", "series"},
                          unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
-        spec = _feature_of(schema, feature, self.kind)
-        if spec.raw_source is None:
+        source = _feature_of(schema, feature, self.kind).raw_source
+        # A step that names its series and window needs no raw_source: the
+        # inverse of a link whose feature a later step replaced reads neither.
+        if source is None and not (cfg.get("series_id") and cfg.get("window")):
             raise ValidationError(
                 f"{self.kind}: feature {feature!r} does not declare a raw_source")
-        series_id = str(cfg.get("series_id") or spec.raw_source.series_id)
-        window = document_window(cfg.get("window") or spec.raw_source.window,
-                                 f"{self.kind}: window")
+        series_id = str(cfg.get("series_id") or source.series_id)
+        window = document_window(cfg.get("window") or source.window, f"{self.kind}: window")
         if window[0] < 0 or window[1] <= window[0]:
             raise ValidationError(f"{self.kind}: window must satisfy 0 <= start < stop")
         series = cfg.get("series")

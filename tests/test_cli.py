@@ -43,13 +43,6 @@ steps:
     config: {feature: Elevation, mean: 2959.36, scale: 279.98}
 """
 
-DATA_CSV = """Elevation,Wilderness area
-3179,Comache Peak
-3123,Comache Peak
-2157,Rawah
-"""
-
-
 @pytest.fixture()
 def workspace(tmp_path):
     (tmp_path / "original.yaml").write_text(ORIGINAL_MANIFEST, encoding="utf-8")
@@ -745,15 +738,19 @@ features:
 """
 
 
-@pytest.mark.parametrize("formula", ["sum", {"expr": "a * b"}], ids=["sum", "expr"])
-def test_overflow_to_infinity_exits_2(workspace, capsys, formula):
+@pytest.mark.parametrize("formula, message", [
+    ("sum", "feature 't': non-finite value inf"),
+    ({"expr": "a * b"}, "feature 't': non-finite value inf"),
+    ({"expr": "floor(a * b - a * b)"}, "floor of non-finite value nan"),
+    ({"expr": "floor(a * b)"}, "floor of non-finite value inf"),
+], ids=["sum", "expr", "floor_nan", "floor_inf"])
+def test_overflow_to_infinity_exits_2(workspace, capsys, formula, message):
     (workspace / "original.yaml").write_text(TWO_NUMBERS_MANIFEST, encoding="utf-8")
     (workspace / "data.csv").write_text("a,b\n1.0,2.0\n1e308,1e308\n", encoding="utf-8")
     argv = _one_step(workspace, "aggregate_numeric", {
         "inputs": ["a", "b"], "formula": formula, "target": "t"})
     _fails_cleanly(argv + ["--out", str(workspace / "out.csv")], capsys, 2,
-                   "kernel error: step 1 (aggregate_numeric): row 1: "
-                   "feature 't': non-finite value inf")
+                   "kernel error: step 1 (aggregate_numeric): row 1: " + message)
     assert not (workspace / "out.csv").exists()
 
 

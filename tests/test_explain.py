@@ -6,43 +6,33 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featurespace.errors import MappingError, ValidationError
 from featurespace.explain import (
     ContributionVector,
     conservation_check,
     map_contributions,
+    mapping_plan,
     read_contributions,
     write_contributions,
 )
-from featurespace.pipeline import as_fitted, compose, fit, run
+from featurespace.pipeline import as_fitted, compose, fit
 from featurespace.schema import FeatureSpec, SchemaManifest
 from featurespace.table import DataTable
 from featurespace.transforms import KERNELS, Kernel, TransformStep
 
-from _generators import BASE_PROPS, random_table
+from strategies import BASE_PROPS, contributions, fitted_pipelines
+from test_transforms import boolean_group_schema, decode_step
 
 
 def vector_for(schema, values, base=None):
     return ContributionVector(schema=schema, values=tuple(values), base_value=base)
 
 
-def area_group_schema():
-    return SchemaManifest(features=tuple(
-        FeatureSpec(name, "boolean", properties=BASE_PROPS)
-        for name in ("Area Rawah", "Area Neota", "Area Comache Peak",
-                     "Area Cache la Poudre")
-    ))
-
-
 def decode_pipeline():
-    step = TransformStep("one_hot_decode", {
-        "group": ["Area Rawah", "Area Neota", "Area Comache Peak",
-                  "Area Cache la Poudre"],
-        "target": "Wilderness area",
-        "categories": ["Rawah", "Neota", "Comache Peak", "Cache la Poudre"],
-    })
-    return as_fitted(compose([step], area_group_schema(), "to_interpretable"))
+    return as_fitted(compose([decode_step()], boolean_group_schema(), "to_interpretable"))
 
 
 def test_every_kernel_has_a_contribution_rule():
@@ -228,79 +218,12 @@ def test_contribution_csv_reads_finite_values_whose_sum_overflows():
 
 # -- randomized conservation over mixed pipelines ------------------------------
 
-def random_model_ready_case(rng: random.Random):
-    """(fitted to_model_ready pipeline, vector on its output schema)."""
-    n_num = rng.randint(2, 4)
-    features = [FeatureSpec("cat", "categorical",
-                            categories=("a", "b", "c"), properties=BASE_PROPS)]
-    features += [FeatureSpec(f"n{i}", "numeric", properties=BASE_PROPS)
-                 for i in range(n_num)]
-    schema = SchemaManifest(features=tuple(features))
-    table = random_table(rng, schema, n_rows=rng.randint(6, 15),
-                         missing_rate=0.2)
-    steps = [TransformStep("one_hot_encode", {"feature": "cat"})]
-    for i in range(n_num):
-        steps.append(TransformStep("impute_flagged",
-                                   {"feature": f"n{i}", "strategy": "constant",
-                                    "constant": 0}))
-    if rng.random() < 0.7:
-        steps.append(TransformStep("pca_project", {
-            "inputs": [f"n{i}" for i in range(min(2, n_num))] if n_num == 2
-            else [f"n{i}" for i in range(n_num)],
-            "components": 2}))
-    if rng.random() < 0.5:
-        steps.append(TransformStep("statistical_bin", {
-            "feature": "PCA 1" if any(s.kind == "pca_project" for s in steps)
-            else f"n{n_num - 1}",
-            "bins": 3, "labels": ["lo", "mid", "hi"]}))
-    fitted = fit(compose(steps, schema, "to_model_ready"), table)
-    values = [rng.uniform(-1, 1) for _ in fitted.output_schema.names]
-    return fitted, vector_for(fitted.output_schema, values)
-
-
-def random_interpretable_case(rng: random.Random):
-    """(fitted to_interpretable pipeline, vector on its input schema)."""
-    features = [
-        FeatureSpec("g a", "boolean", properties=BASE_PROPS),
-        FeatureSpec("g b", "boolean", properties=BASE_PROPS),
-        FeatureSpec("h", "numeric", properties=BASE_PROPS),
-        FeatureSpec("v", "numeric", properties=BASE_PROPS),
-        FeatureSpec("z", "numeric", properties=BASE_PROPS),
-    ]
-    schema = SchemaManifest(features=tuple(features))
-    rows = []
-    for _ in range(rng.randint(5, 12)):
-        first = rng.random() < 0.5
-        rows.append((first, not first, rng.uniform(-9, 9), rng.uniform(-9, 9),
-                     rng.uniform(-9, 9)))
-    table = DataTable(schema, tuple(rows))
-    steps = [TransformStep("one_hot_decode", {
-        "group": ["g a", "g b"], "target": "g", "categories": ["a", "b"]})]
-    if rng.random() < 0.6:
-        steps.append(TransformStep("aggregate_numeric", {
-            "inputs": ["h", "v"], "formula": rng.choice(["sum", "mean"]),
-            "target": "combined"}))
-    if rng.random() < 0.6:
-        steps.append(TransformStep("abstract_concept", {
-            "inputs": ["z"], "formula": "sum",
-            "labeling": {"boundaries": [0], "labels": ["neg", "pos"]},
-            "target": "sign of z"}))
-    else:
-        steps.append(TransformStep("semantic_bin", {
-            "feature": "z", "boundaries": [0], "labels": ["neg", "pos"]}))
-    fitted = fit(compose(steps, schema, "to_interpretable"), table)
-    values = [rng.uniform(-1, 1) for _ in schema.names]
-    return fitted, vector_for(schema, values)
-
-
-def test_randomized_conservation_and_partition():
-    rng = random.Random(321)
-    for trial in range(120):
-        if trial % 2 == 0:
-            fitted, contrib = random_model_ready_case(rng)
-        else:
-            fitted, contrib = random_interpretable_case(rng)
-        result = map_contributions(fitted, contrib)
-        assert conservation_check(contrib, result.vector).passed
-        for _, counts in result.partition_audit:
-            assert set(counts.values()) <= {1}
+@settings(max_examples=120, deadline=None)
+@given(fitted_pipelines(mappable=True), st.data())
+def test_randomized_conservation_and_partition(pair, data):
+    fitted = pair[0]
+    contrib = data.draw(contributions(mapping_plan(fitted).expected))
+    result = map_contributions(fitted, contrib)
+    assert conservation_check(contrib, result.vector).passed
+    for _, counts in result.partition_audit:
+        assert set(counts.values()) <= {1}

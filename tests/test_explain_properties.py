@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import io
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from featurespace.errors import KernelError, ValidationError
+from featurespace.errors import ValidationError
 from featurespace.explain import (
     conservation_check,
     map_contributions,
@@ -26,31 +27,25 @@ from featurespace.table import DataTable
 from featurespace.transforms import TransformStep, sum_in_order
 
 from _fitted_documents import DATA
-from _generators import BASE_PROPS
 from _reference_mapping import reference_map
-from test_explain import random_interpretable_case, random_model_ready_case, vector_for
+from strategies import BASE_PROPS, contributions, fitted_pipelines
+from test_explain import vector_for
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
-def case(seed: int, large: bool = True):
-    """A fitted pipeline and vectors on its model-ready side, from a seed. With
-    ``large``, values include signed zeros, cancelling +-1e12 terms and
-    +-1.7e308 terms whose sums can overflow."""
-    rng = random.Random(seed)
-    build = random_model_ready_case if seed % 2 == 0 else random_interpretable_case
-    try:
-        fitted, contrib = build(rng)
-    except KernelError:
-        reject()
-    choices = (0.0, -0.0, 1e12, -1e12, 1.7e308, -1.7e308) if large else (0.0, -0.0)
-    vectors = [contrib]
-    for _ in range(3):
-        values = [rng.choice(choices) if rng.random() < 0.3 else rng.gauss(0.0, 1.0)
-                  for _ in contrib.values]
-        vectors.append(vector_for(contrib.schema, values, rng.choice((None, -0.0, 0.5))))
-    return fitted, vectors
+@st.composite
+def cases(draw, large: bool = True):
+    """A fitted pipeline and vectors on its model-ready side: one of values in
+    [-1, 1], and three with a base value. With ``large``, their values include
+    signed zeros, cancelling +-1e12 terms and +-1.7e308 terms whose sums can
+    overflow."""
+    fitted, _ = draw(fitted_pipelines(mappable=True))
+    side = mapping_plan(copy.copy(fitted)).expected  # a copy: the drawn one has no plan
+    special = (0.0, -0.0, 1e12, -1e12, 1.7e308, -1.7e308) if large else (0.0, -0.0)
+    return fitted, [draw(contributions(side))] + [
+        draw(contributions(side, 3.0, special, (None, -0.0, 0.5))) for _ in range(3)]
 
 
 def outcome(map_fn, fitted, vector, expose_flags):
@@ -67,15 +62,15 @@ def outcome(map_fn, fitted, vector, expose_flags):
 
 
 @PROPERTY_SETTINGS
-@given(SEEDS)
-def test_used_pipeline_maps_like_a_fresh_one_and_the_reference(seed):
-    used, vectors = case(seed)
+@given(cases())
+def test_used_pipeline_maps_like_a_fresh_one_and_the_reference(case):
+    used, vectors = case
     for vector in vectors:
         for flags in (False, True):
             outcome(map_contributions, used, vector, flags)
     for vector in vectors:
         for flags in (True, False):
-            fresh, _ = case(seed)
+            fresh = copy.copy(used)  # the same steps, with no plan compiled
             assert fresh.mapping_plans == {}
             expected = outcome(reference_map, fresh, vector, flags)
             assert outcome(map_contributions, fresh, vector, flags) == expected
@@ -83,9 +78,9 @@ def test_used_pipeline_maps_like_a_fresh_one_and_the_reference(seed):
 
 
 @PROPERTY_SETTINGS
-@given(SEEDS)
-def test_alternating_expose_flags_keep_separate_plans(seed):
-    fitted, vectors = case(seed)
+@given(cases())
+def test_alternating_expose_flags_keep_separate_plans(case):
+    fitted, vectors = case
     for i, vector in enumerate(vectors * 2):
         flags = i % 2 == 0
         assert outcome(map_contributions, fitted, vector, flags) == \
@@ -156,9 +151,9 @@ def test_unmappable_pipeline_raises_on_every_call(build, message):
 
 
 @PROPERTY_SETTINGS
-@given(SEEDS)
-def test_conservation_and_all_ones_partition_audit(seed):
-    fitted, vectors = case(seed, large=False)
+@given(cases(large=False))
+def test_conservation_and_all_ones_partition_audit(case):
+    fitted, vectors = case
     for vector in vectors:
         for flags in (False, True):
             result = map_contributions(fitted, vector, flags)
@@ -295,9 +290,9 @@ def built_vectors(fitted, vectors):
 
 
 @PROPERTY_SETTINGS
-@given(SEEDS)
-def test_cached_total_is_the_sum_in_order_and_is_no_part_of_equality(seed):
-    fitted, vectors = case(seed)
+@given(cases())
+def test_cached_total_is_the_sum_in_order_and_is_no_part_of_equality(case):
+    fitted, vectors = case
     for vector in built_vectors(fitted, vectors):
         assert same_float(vector.total(), sum_in_order(vector.values))
         twin = dataclasses.replace(vector)
@@ -307,11 +302,11 @@ def test_cached_total_is_the_sum_in_order_and_is_no_part_of_equality(seed):
 
 
 @PROPERTY_SETTINGS
-@given(SEEDS)
-def test_conservation_check_reads_totals_like_the_reference(seed):
+@given(cases())
+def test_conservation_check_reads_totals_like_the_reference(case):
     """The check's result is the one recomputed from the reference mapping's
     values: it passes iff both totals are finite and within tolerance."""
-    fitted, vectors = case(seed)
+    fitted, vectors = case
     for vector in vectors:
         for flags in (False, True):
             try:

@@ -6,7 +6,6 @@ column record points to."""
 from __future__ import annotations
 
 import json
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,16 +18,15 @@ from featurespace.lineage import (
     RawLinked,
     lineage_to_data,
 )
-from featurespace.pipeline import compose, fit, run
+from featurespace.pipeline import run
 from featurespace.schema import FeatureSpec, RawSource, SchemaManifest
-from featurespace.table import MISSING, DataTable
-from featurespace.transforms import TransformStep
+from featurespace.table import DataTable
+from featurespace.transforms import EXACT_KINDS
 
-from _generators import BASE_PROPS, random_exact_pipeline, random_schema, random_table
 from _reference_lineage import reference_entries
+from strategies import BASE_PROPS, fitted_pipelines, schemas
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
-SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 FEATURES = st.sampled_from(["a", "b", 'q"uote', "new\nline", "é"])
 ORIGINS = st.one_of(
@@ -86,33 +84,16 @@ PULSE = FeatureSpec("pulse", "numeric", raw_source=RawSource("pulse-p7", (0, 10)
 
 
 @PROPERTY_SETTINGS
-@given(SEEDS)
-def test_pipeline_lineage_matches_the_per_cell_reference(seed):
-    """Random pipelines: a ``link_raw`` step, exact steps (one-hot gives
-    several columns per step) and an ``impute_flagged`` step of each
-    strategy (exception rows, and a record whose origin is None), run on
-    tables with MISSING cells and on a table of no rows."""
-    rng = random.Random(seed)
-    base = random_schema(rng)
-    schema = SchemaManifest((PULSE, *base.features), space_tag="original")
-    table = random_table(rng, schema, missing_rate=0.3)
-    steps = [TransformStep("link_raw", {"feature": "pulse",
-                                        "series": [float(i) for i in range(12)]})]
-    steps += random_exact_pipeline(rng, schema).steps
-    numerics = [f for f in compose(steps, schema, "to_interpretable").output_schema.features
-                if f.dtype == "numeric"]
-    feature = rng.choice(numerics).name
-    strategy = rng.choice(["mean", "constant", "forward_fill"])
-    cells = table.values(feature)  # no step before moves a numeric column's MISSING cells
-    if strategy == "mean" and all(v is MISSING for v in cells) or \
-            strategy == "forward_fill" and cells[0] is MISSING:
-        strategy = "constant"
-    config = {"feature": feature, "strategy": strategy}
-    if strategy == "constant":
-        config["constant"] = rng.choice([0, -1.5])
-    steps.append(TransformStep("impute_flagged", config))
-    fitted = fit(compose(steps, schema, "to_interpretable"), table)
+@given(fitted_pipelines(schemas().map(lambda base: SchemaManifest((PULSE, *base.features))),
+                        missing=0.3, direction="to_interpretable", kinds=EXACT_KINDS,
+                        first=("link_raw", "impute_flagged")))
+def test_pipeline_lineage_matches_the_per_cell_reference(pair):
+    """Random pipelines: a ``link_raw`` step, an ``impute_flagged`` step of
+    any strategy (exception rows, and a record whose origin is None) and
+    exact steps (one-hot gives several columns per step), run on tables with
+    MISSING cells and on a table of no rows."""
+    fitted, table = pair
     entries = _assert_matches_reference(run(fitted, table).lineage)
     assert any(e["origin"] == "raw_linked" for e in entries) == (table.num_rows > 0)
-    empty = run(fitted, DataTable(schema, ()))
+    empty = run(fitted, DataTable(fitted.input_schema, ()))
     assert _assert_matches_reference(empty.lineage) == []

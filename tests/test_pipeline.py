@@ -1,14 +1,19 @@
-"""Pipeline composition, fitting, running, inversion, and propagation."""
+"""Pipeline composition, fitting, running, inversion, and propagation, over
+hand-built pipelines and pipelines drawn from all 14 kinds."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, Phase, find, given, settings
+from hypothesis import strategies as st
 
-from featurespace.errors import KernelError, ValidationError
+from featurespace.errors import FeatureSpaceError, KernelError, ValidationError
+from featurespace.explain import conservation_check, map_contributions, mapping_plan
 from featurespace.lineage import lineage_to_data
 from featurespace.pipeline import (
+    DIRECTIONS,
     InversionRefusal,
     as_fitted,
     compose,
@@ -21,41 +26,36 @@ from featurespace.pipeline import (
 )
 from featurespace.schema import FeatureSpec, SchemaManifest, serialize_manifest
 from featurespace.table import MISSING, DataTable
-from featurespace.transforms import EXACT_KINDS, KERNELS, Standardize, TransformStep
+from featurespace.transforms import EXACT_KINDS, KERNELS, Standardize, TransformStep, sum_in_order
 
-from _generators import BASE_PROPS, random_exact_pipeline, random_schema, random_table
 from _tables import tables_equal
+from strategies import (
+    BASE_PROPS,
+    MAPPABLE,
+    contributions,
+    fitted_pipelines,
+    pipelines,
+    schemas,
+    tables,
+)
+from test_transforms import boolean_group_schema, decode_step
 
-
-def one_hot_area_schema():
-    return SchemaManifest(features=tuple(
-        FeatureSpec(name, "boolean", properties=BASE_PROPS)
-        for name in ("Area Rawah", "Area Neota", "Area Comache Peak",
-                     "Area Cache la Poudre")
-    ))
+EXACT_PIPELINES = fitted_pipelines(direction="to_interpretable", kinds=EXACT_KINDS)
 
 
 def area_decode_step(**overrides):
-    cfg = {
-        "group": ["Area Rawah", "Area Neota", "Area Comache Peak",
-                  "Area Cache la Poudre"],
-        "target": "Wilderness area",
-        "categories": ["Rawah", "Neota", "Comache Peak", "Cache la Poudre"],
-        "wording": {"value": "wilderness area is {value}"},
-    }
-    cfg.update(overrides)
-    return TransformStep("one_hot_decode", cfg)
+    return decode_step(wording={"value": "wilderness area is {value}"}, **overrides)
 
 
 def test_compose_decode_produces_categorical_output():
-    pipeline = compose([area_decode_step()], one_hot_area_schema(),
+    pipeline = compose([area_decode_step()], boolean_group_schema(),
                        "to_interpretable")
     assert "Wilderness area" in pipeline.output_schema
     assert pipeline.output_schema.space_tag == "interpretable"
 
 
 def test_compose_empty_is_identity():
-    schema = one_hot_area_schema()
+    schema = boolean_group_schema()
     pipeline = compose([], schema, "to_interpretable")
     assert pipeline.output_schema == schema
     fitted = as_fitted(pipeline)
@@ -93,7 +93,7 @@ def test_fit_standardize_matches_single_pass_oracle():
 
 
 def test_fit_without_fittable_steps_is_identity():
-    schema = one_hot_area_schema()
+    schema = boolean_group_schema()
     table = DataTable(schema, ((False, True, False, False),))
     pipeline = compose([area_decode_step()], schema, "to_interpretable")
     fitted = fit(pipeline, table)
@@ -183,57 +183,33 @@ def test_a_kind_is_exact_iff_its_kernel_has_an_inverse():
         assert (kind in EXACT_KINDS) == callable(kernel.inverse), kind
 
 
-def test_fidelity_notes_empty_iff_invertible():
-    rng = random.Random(19)
-    for _ in range(20):
-        schema = random_schema(rng)
-        pipeline = random_exact_pipeline(rng, schema)
-        table = random_table(rng, schema, missing_rate=0.1)
-        fitted = fit(pipeline, table)
-        result = run(fitted, table)
-        inverted = invert(fitted)
-        if result.fidelity_notes:
-            assert isinstance(inverted, InversionRefusal)
-        else:
-            assert not isinstance(inverted, InversionRefusal)
+@settings(max_examples=50, deadline=None)
+@given(EXACT_PIPELINES)
+def test_round_trip_identity_on_exact_pipelines(pair):
+    fitted, table = pair
+    forward = run(fitted, table)
+    inverse = invert(fitted)
+    assert not isinstance(inverse, InversionRefusal)
+    back = run(inverse, forward.table)
+    assert tables_equal(back.table, table, numeric_tol=1e-9)
 
 
-def test_round_trip_identity_on_random_exact_pipelines():
-    rng = random.Random(101)
-    for _ in range(50):
-        schema = random_schema(rng)
-        pipeline = random_exact_pipeline(rng, schema)
-        table = random_table(rng, schema, missing_rate=0.1)
-        fitted = fit(pipeline, table)
-        forward = run(fitted, table)
-        inverse = invert(fitted)
-        assert not isinstance(inverse, InversionRefusal)
-        back = run(inverse, forward.table)
-        assert tables_equal(back.table, table, numeric_tol=1e-9)
+@settings(max_examples=25, deadline=None)
+@given(EXACT_PIPELINES)
+def test_double_inversion_restores_step_signatures(pair):
+    fitted, _ = pair
+    twice = invert(invert(fitted))
+    assert [fs.signature() for fs in twice.steps] == \
+           [fs.signature() for fs in fitted.steps]
 
 
-def test_double_inversion_restores_step_signatures():
-    rng = random.Random(202)
-    for _ in range(25):
-        schema = random_schema(rng)
-        pipeline = random_exact_pipeline(rng, schema)
-        table = random_table(rng, schema, missing_rate=0.05)
-        fitted = fit(pipeline, table)
-        twice = invert(invert(fitted))
-        assert [fs.signature() for fs in twice.steps] == \
-               [fs.signature() for fs in fitted.steps]
-
-
-def test_static_output_schema_matches_run_output():
-    rng = random.Random(303)
-    for _ in range(25):
-        schema = random_schema(rng)
-        pipeline = random_exact_pipeline(rng, schema)
-        table = random_table(rng, schema, missing_rate=0.1)
-        fitted = fit(pipeline, table)
-        result = run(fitted, table)
-        assert result.output_schema == fitted.output_schema
-        assert result.table.schema == fitted.output_schema
+@settings(max_examples=25, deadline=None)
+@given(EXACT_PIPELINES)
+def test_static_output_schema_matches_run_output(pair):
+    fitted, table = pair
+    result = run(fitted, table)
+    assert result.output_schema == fitted.output_schema
+    assert result.table.schema == fitted.output_schema
 
 
 def test_lineage_covers_every_changed_cell():
@@ -262,7 +238,7 @@ def test_lineage_covers_every_changed_cell():
 
 
 def test_propagate_decode_sets_human_worded_and_readable():
-    fitted = as_fitted(compose([area_decode_step()], one_hot_area_schema(),
+    fitted = as_fitted(compose([area_decode_step()], boolean_group_schema(),
                                "to_interpretable"))
     manifest = fitted.output_schema
     spec = manifest.feature("Wilderness area")
@@ -282,7 +258,7 @@ def test_propagate_standardize_sets_model_ready_and_compatible():
 
 
 def test_propagate_rejects_contradictory_overrides():
-    schema = one_hot_area_schema()
+    schema = boolean_group_schema()
     step = area_decode_step()
     bad = TransformStep(step.kind, step.config,
                         {"Wilderness area": {"human_worded": True,
@@ -295,7 +271,7 @@ def test_property_delta_must_name_produced_features():
     step = area_decode_step()
     bad = TransformStep(step.kind, step.config, {"ghost": {"readable": True}})
     with pytest.raises(ValidationError, match="does not produce"):
-        compose([bad], one_hot_area_schema(), "to_interpretable")
+        compose([bad], boolean_group_schema(), "to_interpretable")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -309,13 +285,13 @@ def test_property_delta_flags_are_checked_on_the_step(flags, message):
         TransformStep(step.kind, step.config, {"Wilderness area": flags})
 
 
-def test_fitted_document_round_trip(tmp_path):
-    rng = random.Random(404)
-    schema = random_schema(rng, dtypes=["numeric", "categorical", "boolean"])
-    table = random_table(rng, schema, missing_rate=0.0)
-    steps = [TransformStep("standardize", {"feature": "col0"}),
-             TransformStep("one_hot_encode", {"feature": "col1"})]
-    fitted = fit(compose(steps, schema, "to_model_ready"), table)
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # one file, rewritten
+@given(fitted_pipelines(schemas(["numeric", "categorical", "boolean"]), missing=0.0,
+                        direction="to_model_ready", min_steps=0, max_steps=0,
+                        first=("standardize", "one_hot_encode")))
+def test_fitted_document_round_trip(tmp_path, pair):
+    fitted, table = pair
     path = tmp_path / "pipeline.fitted.json"
     save_fitted(fitted, path)
     loaded = load_fitted(path)
@@ -358,3 +334,49 @@ def test_run_requires_matching_table():
     fitted = as_fitted(compose([], schema, "to_interpretable"))
     with pytest.raises(ValidationError, match="missing pipeline input columns"):
         run(fitted, DataTable(other, ((1.0,),)))
+
+
+# -- pipelines drawn from all 14 kinds --------------------------------------------
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_each_kind_is_drawn_in_each_direction_it_maps(direction):
+    """Between them, the drawn mappable pipelines in a direction have a step
+    of every kind with a contribution rule in it; every kind has one in some
+    direction (``test_every_kernel_has_a_contribution_rule``)."""
+    seen = set()
+
+    def all_seen(pipeline) -> bool:
+        seen.update(step.kind for step in pipeline.steps)
+        return seen >= set(MAPPABLE[direction])
+
+    drawn = schemas().flatmap(lambda schema: pipelines(schema, direction=direction,
+                                                       mappable=True))
+    find(drawn, all_seen, settings=settings(max_examples=2000, database=None,
+                                            phases=[Phase.generate]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_call_succeeds_or_fails_cleanly(data):
+    """Fitted on one table and run on another, a pipeline succeeds or raises
+    a ``FeatureSpaceError``; it has fidelity notes iff it does not invert, and
+    an exact one gives its table back within 1e-9; a mapped vector with finite
+    totals keeps its total within the tolerance."""
+    fitted, table = data.draw(fitted_pipelines(mappable=data.draw(st.booleans())))
+    try:
+        run(fitted, data.draw(tables(fitted.input_schema)))
+    except FeatureSpaceError:
+        pass
+    inverse, result = invert(fitted), run(fitted, table)
+    assert bool(result.fidelity_notes) is isinstance(inverse, InversionRefusal)
+    if not isinstance(inverse, InversionRefusal):
+        back = run(inverse, result.table)
+        assert tables_equal(back.table, table, numeric_tol=1e-9)
+    flags = data.draw(st.booleans())
+    vector = data.draw(contributions(mapping_plan(fitted, flags).expected, 1e3))
+    try:
+        result = map_contributions(fitted, vector, flags)
+    except FeatureSpaceError:
+        return
+    check = conservation_check(vector, result.vector, sum_in_order(result.exposed_flags.values()))
+    assert check.passed or not check.checkable

@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import io
 import pickle
-import random
 from pathlib import Path
 
 import pytest
@@ -19,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featurespace.lineage import Imputed, lineage_to_data
-from featurespace.pipeline import FittedPipeline, as_fitted, load_fitted, run
+from featurespace.pipeline import FittedPipeline, load_fitted, run
 from featurespace.table import read_table_csv, write_table_csv
-from featurespace.transforms import KERNELS
+from featurespace.transforms import EXACT_KINDS, KERNELS
 
-from _generators import random_exact_pipeline, random_schema, random_table
+from strategies import fitted_pipelines
 
 DATA = Path(__file__).parent / "data"
 ROWS = DATA / "covertype_300.csv"
@@ -79,12 +78,9 @@ def documents() -> list[_Case]:
     return cases
 
 
-def _generated(seed: int) -> _Case:
-    """An exact pipeline of ``tests/_generators.py`` over a seeded random table."""
-    rng = random.Random(seed)
-    schema = random_schema(rng)
-    table = random_table(rng, schema, n_rows=rng.randint(0, 30), missing_rate=0.1)
-    fitted = as_fitted(random_exact_pipeline(rng, schema))
+def _generated(pair) -> _Case:
+    """An exact pipeline of ``tests/strategies.py`` over a drawn table."""
+    fitted, table = pair
     out = io.StringIO()
     write_table_csv(table, out)
     return _Case(fitted, out.getvalue())
@@ -115,7 +111,9 @@ def _check_pieces(case: _Case, pieces: list[tuple[int, int]], outputs: list) -> 
 def test_batches_give_the_whole_table_run(documents, data):
     """Two pipelines run their pieces interleaved in one process; each
     pipeline's pieces give the bytes and lineage of its whole-table run."""
-    pool = documents + [_generated(data.draw(st.integers(0, 2**32 - 1), label="seed"))]
+    generated = fitted_pipelines(min_rows=0, max_rows=30, direction="to_interpretable",
+                                 kinds=EXACT_KINDS)
+    pool = documents + [_generated(data.draw(generated, label="generated"))]
     first, second = data.draw(st.permutations(pool))[:2]
     runs = [(case, data.draw(cuts(len(case.lines)))) for case in (first, second)]
     outputs = {id(case): [] for case, _ in runs}

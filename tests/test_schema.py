@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +21,7 @@ from featurespace.schema import (
     serialize_manifest,
 )
 
-from _generators import random_schema
+from strategies import schemas
 
 ELEVATION_DOC = """
 space_tag: original
@@ -125,11 +123,10 @@ def test_raw_source_window_is_checked_not_coerced(window):
     assert RawSource("s", [0, 2]).window == (0, 2)
 
 
-def test_manifest_round_trip_random():
-    rng = random.Random(7)
-    for _ in range(25):
-        manifest = random_schema(rng)
-        assert parse_manifest(serialize_manifest(manifest)) == manifest
+@settings(max_examples=25, deadline=None)
+@given(schemas())
+def test_manifest_round_trip_random(manifest):
+    assert parse_manifest(serialize_manifest(manifest)) == manifest
 
 
 def test_manifest_round_trip_covertype_demo():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import random
 
 import pytest
 
@@ -17,9 +16,6 @@ from featurespace.table import (
     render_cell,
     write_table_csv,
 )
-
-from _generators import random_schema, random_table
-from _tables import tables_equal
 
 
 def simple_schema():
@@ -56,16 +52,6 @@ def test_non_finite_numbers_rejected():
 def test_row_width_checked():
     with pytest.raises(ValidationError, match="expected 3 cells"):
         DataTable(simple_schema(), ((1.0, "a"),))
-
-
-def test_csv_round_trip_preserves_cells():
-    rng = random.Random(11)
-    for _ in range(20):
-        table = random_table(rng)
-        buf = io.StringIO()
-        write_table_csv(table, buf)
-        back = read_table_csv(io.StringIO(buf.getvalue()), table.schema)
-        assert tables_equal(table, back)
 
 
 def test_csv_booleans_and_missing_rendering():

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from featurespace.errors import KernelError, ValidationError
 from featurespace.lineage import lineage_to_data
@@ -21,8 +22,8 @@ from featurespace.transforms import (
     unrender_value,
 )
 
-from _generators import BASE_PROPS, random_table
 from _tables import tables_equal
+from strategies import BASE_PROPS, schemas, tables
 
 
 def apply_step(step: TransformStep, table: DataTable):
@@ -59,12 +60,11 @@ def test_one_hot_encode_single_category():
     assert result.table.rows[1] == (MISSING,)
 
 
-def test_one_hot_exactly_one_true_for_non_missing():
-    rng = random.Random(5)
-    schema = SchemaManifest(features=(
-        FeatureSpec("c", "categorical", categories=("x", "y", "z"),
-                    properties=BASE_PROPS),))
-    table = random_table(rng, schema, n_rows=40, missing_rate=0.2)
+@settings(max_examples=1, deadline=None)
+@given(tables(SchemaManifest(features=(FeatureSpec("c", "categorical", categories=("x", "y", "z"),
+                                                   properties=BASE_PROPS),)),
+              missing=0.2, min_rows=40, max_rows=40))
+def test_one_hot_exactly_one_true_for_non_missing(table):
     result = apply_step(TransformStep("one_hot_encode", {"feature": "c"}), table)
     for before, after in zip(table.rows, result.table.rows):
         if before[0] is MISSING:
@@ -140,23 +140,18 @@ def test_one_hot_decode_all_missing_row_stays_missing():
     assert apply_step(decode_step(), table).table.rows[0] == (MISSING,)
 
 
-def test_one_hot_round_trip_random_tables():
-    rng = random.Random(23)
-    for _ in range(30):
-        k = rng.randint(2, 5)
-        schema = SchemaManifest(features=(
-            FeatureSpec("c", "categorical",
-                        categories=tuple(f"v{i}" for i in range(k)),
-                        properties=BASE_PROPS),))
-        table = random_table(rng, schema, missing_rate=0.15)
-        encoded = apply_step(TransformStep("one_hot_encode", {"feature": "c"}), table)
-        step = TransformStep("one_hot_decode", {
-            "group": list(encoded.output_schema.names),
-            "target": "c",
-            "categories": [f"v{i}" for i in range(k)],
-        })
-        decoded = apply_step(step, encoded.table)
-        assert tables_equal(decoded.table, table)
+@settings(max_examples=30, deadline=None)
+@given(schemas(["categorical"]).flatmap(lambda schema: tables(schema, missing=0.15)))
+def test_one_hot_round_trip_random_tables(table):
+    spec = table.schema.features[0]
+    encoded = apply_step(TransformStep("one_hot_encode", {"feature": spec.name}), table)
+    step = TransformStep("one_hot_decode", {
+        "group": list(encoded.output_schema.names),
+        "target": spec.name,
+        "categories": list(spec.categories),
+    })
+    decoded = apply_step(step, encoded.table)
+    assert tables_equal(decoded.table, table)
 
 
 @pytest.mark.parametrize("own", [
@@ -389,22 +384,19 @@ def test_impute_constant_zero():
     assert result.table.rows[0] == (0, True)
 
 
-def test_impute_flag_count_matches_missing_count():
-    rng = random.Random(13)
-    for _ in range(25):
-        table = random_table(rng, elevation_table(1.0).schema,
-                             n_rows=rng.randint(2, 40), missing_rate=0.3)
-        if all(row[0] is MISSING for row in table.rows):
-            continue
-        missing = sum(1 for row in table.rows if row[0] is MISSING)
-        result = apply_step(TransformStep("impute_flagged", {
-            "feature": "Elevation", "strategy": "mean"}), table)
-        flags = [row[1] for row in result.table.rows]
-        assert sum(flags) == missing
-        assert not any(row[0] is MISSING for row in result.table.rows)
-        imputed = [e for e in lineage_to_data(result.lineage)
-                   if e["feature"] == "Elevation" and e["origin"] == "imputed"]
-        assert len(imputed) == missing
+@settings(max_examples=25, deadline=None)
+@given(tables(elevation_table(1.0).schema, missing=0.3, min_rows=2, max_rows=40))
+def test_impute_flag_count_matches_missing_count(table):
+    assume(not all(row[0] is MISSING for row in table.rows))
+    missing = sum(1 for row in table.rows if row[0] is MISSING)
+    result = apply_step(TransformStep("impute_flagged", {
+        "feature": "Elevation", "strategy": "mean"}), table)
+    flags = [row[1] for row in result.table.rows]
+    assert sum(flags) == missing
+    assert not any(row[0] is MISSING for row in result.table.rows)
+    imputed = [e for e in lineage_to_data(result.lineage)
+               if e["feature"] == "Elevation" and e["origin"] == "imputed"]
+    assert len(imputed) == missing
 
 
 def test_impute_mean_is_fitted_not_recomputed_per_batch(tmp_path):
@@ -649,6 +641,16 @@ def test_render_statement_requires_templates():
                 schema, "to_interpretable")
 
 
+def test_unrender_statement_requires_a_feature_without_wording():
+    """A worded feature holds values, which the inverse could not word again."""
+    spec = FeatureSpec("s", "categorical", categories=("on", "off"),
+                       wording=Wording(value_phrase="{value}"))
+    step = TransformStep("unrender_statement", {"feature": "s", "target": "t", "restore": {
+        "dtype": "categorical", "categories": ["on", "off"], "wording": {"value": "{value}"}}})
+    with pytest.raises(ValidationError, match="feature 's' must hold rendered statements$"):
+        compose([step], SchemaManifest(features=(spec,)), "to_interpretable")
+
+
 def test_render_statement_requires_distinct_statements():
     spec = FeatureSpec("b", "boolean",
                        wording=Wording(positive_statement="same",
@@ -775,6 +777,10 @@ def test_link_raw_errors():
     with pytest.raises(ValidationError, match="raw_source"):
         compose([TransformStep("link_raw", {"feature": "plain"})],
                 no_source, "to_interpretable")
+    # A step that names its series and window, as the inverse of a link does,
+    # needs none: a later step may have replaced the feature that had one.
+    compose([TransformStep("link_raw", {"feature": "plain", "series_id": "s", "window": [0, 1]})],
+            no_source, "to_interpretable")
 
 
 def test_kernels_are_pure():
@@ -785,3 +791,36 @@ def test_kernels_are_pure():
     first = apply_step(agg_step(), table)
     second = apply_step(agg_step(), table)
     assert first.table.rows == second.table.rows
+
+
+# -- lists in a config --------------------------------------------------------------
+
+LISTS_SCHEMA = SchemaManifest(features=(
+    FeatureSpec("x", "numeric", raw_source=RawSource("s", (0, 2))),
+    FeatureSpec("y", "numeric"),
+    FeatureSpec("c", "categorical", categories=("p", "q")),
+    FeatureSpec("b", "boolean")))
+SUM = {"inputs": ["x"], "formula": "sum", "target": "t"}
+PCA = {"inputs": ["x", "y"], "components": 1, "means": [0, 0], "loadings": [[1.0], [0.0]]}
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("statistical_bin", {"feature": "x", "bins": 2, "labels": "LH"}),
+    ("semantic_bin", {"feature": "x", "boundaries": [0, 1.5], "labels": "LMH"}),
+    ("semantic_bin", {"feature": "x", "boundaries": 5, "labels": ["a", "b"]}),
+    ("one_hot_encode", {"feature": "c", "names": "PQ"}),
+    ("one_hot_decode", {"group": "b", "target": "t", "categories": ["on"]}),
+    ("aggregate_numeric", {**SUM, "inputs": "x"}),
+    ("abstract_concept", {**SUM, "inputs": "x"}),
+    ("abstract_concept", {**SUM, "labeling": {"boundaries": [0], "labels": "LH"}}),
+    ("abstract_concept", {**SUM, "labeling": {"boundaries": 0, "labels": ["L", "H"]}}),
+    ("pca_project", {**PCA, "inputs": "x"}),
+    ("pca_project", {**PCA, "means": 0}),
+    ("pca_project", {**PCA, "loadings": "ab"}),
+    ("pca_project", {**PCA, "loadings": [1.0, 0.0]}),
+    ("link_raw", {"feature": "x", "series": "12"}),
+])
+def test_a_config_list_given_as_a_scalar_is_rejected(kind, config):
+    with pytest.raises(ValidationError, match=rf"^step 1 \({kind}\): {kind}: [a-z ]+ must be a "
+                                              "list, got "):
+        compose([TransformStep(kind, config)], LISTS_SCHEMA, "to_interpretable")
