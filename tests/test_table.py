@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings
 
 from featurespace.errors import ValidationError
 from featurespace.schema import FeatureSpec, SchemaManifest
@@ -16,6 +17,9 @@ from featurespace.table import (
     render_cell,
     write_table_csv,
 )
+
+from _tables import tables_equal
+from strategies import schemas, tables
 
 
 def simple_schema():
@@ -52,6 +56,15 @@ def test_non_finite_numbers_rejected():
 def test_row_width_checked():
     with pytest.raises(ValidationError, match="expected 3 cells"):
         DataTable(simple_schema(), ((1.0, "a"),))
+
+
+@settings(max_examples=20, deadline=None)
+@given(schemas().flatmap(tables))
+def test_csv_round_trip_preserves_cells(table):
+    buf = io.StringIO()
+    write_table_csv(table, buf)
+    back = read_table_csv(io.StringIO(buf.getvalue()), table.schema)
+    assert tables_equal(table, back)
 
 
 def test_csv_booleans_and_missing_rendering():
