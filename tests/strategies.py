@@ -83,7 +83,7 @@ def schemas(draw, dtypes=None):
     features = []
     for i, (dtype, option) in enumerate(zip(dtypes, data[len(data) // 2:])):
         name, spec = f"col{i}", {"properties": BASE_PROPS, "observed": True}
-        labels = tuple(f"k{j}" for j in range(2 + option % 3))
+        labels = tuple(f"k{j}" for j in range(2 + option % 4))
         if dtype == "numeric":
             source = RawSource(name, (0, option % 7)) if option % 7 else None
             features.append(FeatureSpec(name, dtype, unit="m" if option & 8 else None,
@@ -111,7 +111,8 @@ def _groups(schema: SchemaManifest) -> dict[DerivedFrom, list[str]]:
     return groups
 
 
-def _tables(draw, schema, missing=0.1, min_rows=5, max_rows=25):  # drawn as ``tables``
+@st.composite
+def tables(draw, schema, missing=0.1, min_rows=5, max_rows=25):
     """Two bytes a cell: its value, to which the row number is added, and in
     the second byte whether it is MISSING."""
     n, width = draw(st.integers(min_rows, max_rows)), len(schema.features)
@@ -140,9 +141,6 @@ def _tables(draw, schema, missing=0.1, min_rows=5, max_rows=25):  # drawn as ``t
                 row.append(labels[(value + r) % len(labels)])
         rows.append(tuple(row))
     return DataTable(schema, tuple(rows))
-
-
-tables = st.composite(_tables)
 
 
 @st.composite
@@ -227,8 +225,9 @@ def _config(pick, kind: str, options: list, fresh) -> dict:
     return config
 
 
-def _pipelines(draw, schema, kinds=TRANSFORM_KINDS, direction=None,  # as ``pipelines``
-               mappable=False, min_steps=1, max_steps=5, first=()):
+@st.composite
+def pipelines(draw, schema, kinds=TRANSFORM_KINDS, direction=None, mappable=False,
+              min_steps=1, max_steps=5, first=()):
     # A byte for the direction, one for the number of steps, then 16 a step.
     data = draw(st.binary(min_size=2 + 16 * (len(first) + max_steps),
                           max_size=2 + 16 * (len(first) + max_steps)))
@@ -259,14 +258,11 @@ def _pipelines(draw, schema, kinds=TRANSFORM_KINDS, direction=None,  # as ``pipe
     return Pipeline(tuple(steps), schema, direction, current)
 
 
-pipelines = st.composite(_pipelines)
-
-
 @st.composite
 def fitted_pipelines(draw, schema=None, missing=0.1, min_rows=5, max_rows=25, **options):
     schema = draw(schemas() if schema is None else schema)
-    table = _tables(draw, schema, missing, min_rows, max_rows)
-    pipeline = _pipelines(draw, schema, **options)
+    table = draw(tables(schema, missing, min_rows, max_rows))
+    pipeline = draw(pipelines(schema, **options))
     call = "fit"
     try:
         fitted = fit(pipeline, table)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from featurespace.errors import ValidationError
@@ -117,7 +117,7 @@ LABEL_SCHEMAS = schemas(["numeric"] * 4 + ["categorical", "boolean"])
 
 @PROPERTY_SETTINGS
 @given(fitted_pipelines(LABEL_SCHEMAS, missing=0.3, direction="to_interpretable",
-                        kinds=EXACT_KINDS, first=LABEL_KINDS),
+                        kinds=EXACT_KINDS, first=LABEL_KINDS + ("impute_flagged",)),
        fitted_pipelines(LABEL_SCHEMAS, missing=0.3, direction="to_interpretable",
                         kinds=EXACT_KINDS, first=("render_statement", "render_statement")))
 def test_unvalidated_produced_columns_pass_validation(labelled, rendered):
@@ -125,6 +125,9 @@ def test_unvalidated_produced_columns_pass_validation(labelled, rendered):
     does not validate, passes the whole-column check: over random fitted
     pipelines of every kind that produces one, and random input tables with
     MISSING cells."""
+    imputed = [fstep.input_schema.feature(fstep.step.config["feature"])
+               for fstep in labelled[0].steps if fstep.step.kind == "impute_flagged"]
+    assume(any(spec.categories and spec.derived_from for spec in imputed))  # a produced label
     kinds, _ = _unvalidated_columns_pass(*labelled)
     assert kinds >= set(LABEL_KINDS)
     # Statements are read back by the inverse of an exact pipeline.

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from featurespace.errors import ValidationError
+from featurespace.errors import KernelError, ValidationError
 from featurespace.explain import (
     conservation_check,
     map_contributions,
@@ -23,15 +23,13 @@ from featurespace.explain import (
 )
 from featurespace.pipeline import as_fitted, compose, fit, load_fitted
 from featurespace.schema import FeatureSpec, SchemaManifest
-from featurespace.table import DataTable
 from featurespace.transforms import TransformStep, sum_in_order
 
 from _fitted_documents import DATA
 from _reference_mapping import reference_map
-from strategies import BASE_PROPS, contributions, fitted_pipelines
+from strategies import BASE_PROPS, contributions, fitted_pipelines, pipelines, schemas, tables
 from test_explain import vector_for
 
-SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -88,30 +86,35 @@ def test_alternating_expose_flags_keep_separate_plans(case):
     assert mapping_plan(fitted, True) is not mapping_plan(fitted, False)
 
 
-def pca_pipeline(rng: random.Random):
-    schema = SchemaManifest(features=tuple(
-        FeatureSpec(f"n{i}", "numeric", properties=BASE_PROPS) for i in range(3)))
-    table = DataTable(schema, tuple(
-        tuple(rng.uniform(-5, 5) for _ in range(3)) for _ in range(8)))
-    step = TransformStep("pca_project", {"inputs": ["n0", "n1", "n2"], "components": 2})
-    return fit(compose([step], schema, "to_model_ready"), table)
+# A PCA step of two or three inputs whose loadings ``fit`` learns.
+PCA_PIPELINES = schemas(["numeric"] * 3).flatmap(lambda schema: pipelines(
+    schema, direction="to_model_ready", min_steps=0, max_steps=0, first=("pca_project",)
+)).filter(lambda pipeline: pipeline.steps[0].config["loadings"] is None
+          and len(pipeline.steps[0].config["inputs"]) > 1)
 
 
 @PROPERTY_SETTINGS
-@given(SEEDS)
-def test_pipelines_with_different_loadings_never_share_a_plan(seed):
-    rng = random.Random(seed)
-    first, second = pca_pipeline(rng), pca_pipeline(rng)
-    if first.steps[0].fit_state["loadings"] == second.steps[0].fit_state["loadings"]:
+@given(PCA_PIPELINES, st.data())
+def test_pipelines_with_different_loadings_never_share_a_plan(pipeline, data):
+    def pca_pipeline(table):  # the drawn step, fitted on ``table``
+        try:
+            return fit(pipeline, table)
+        except KernelError:  # a table of lower rank than the components
+            reject()
+
+    drawn = [data.draw(tables(pipeline.input_schema, missing=0.0)) for _ in range(6)]
+    first, second = pca_pipeline(drawn[0]), pca_pipeline(drawn[1])
+    if first.steps[0].config["loadings"] == second.steps[0].config["loadings"]:
         reject()
-    vector = vector_for(first.output_schema, [rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
+    vector = data.draw(contributions(first.output_schema))
     for fitted in (first, second, first, second):
         assert outcome(map_contributions, fitted, vector, False) == \
             outcome(reference_map, fitted, vector, False)
     assert mapping_plan(first) is not mapping_plan(second)
-    for _ in range(4):
-        # Each pipeline is dropped before the next is built, so object ids recur.
-        fitted = pca_pipeline(rng)
+    for table in drawn[2:]:
+        # The tables are drawn first and each pipeline is dropped before the
+        # next is fitted, so object ids recur.
+        fitted = pca_pipeline(table)
         assert outcome(map_contributions, fitted, vector, False) == \
             outcome(reference_map, fitted, vector, False)
         del fitted

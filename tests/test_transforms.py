@@ -60,11 +60,12 @@ def test_one_hot_encode_single_category():
     assert result.table.rows[1] == (MISSING,)
 
 
-@settings(max_examples=1, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(tables(SchemaManifest(features=(FeatureSpec("c", "categorical", categories=("x", "y", "z"),
                                                    properties=BASE_PROPS),)),
               missing=0.2, min_rows=40, max_rows=40))
 def test_one_hot_exactly_one_true_for_non_missing(table):
+    assume({row[0] is MISSING for row in table.rows} == {False, True})
     result = apply_step(TransformStep("one_hot_encode", {"feature": "c"}), table)
     for before, after in zip(table.rows, result.table.rows):
         if before[0] is MISSING:
