@@ -113,12 +113,12 @@ def cmd_invert(args) -> int:
 def cmd_explain_map(args) -> int:
     _require_files(args.pipeline, args.contribs)
     fitted = _load_any_pipeline(args.pipeline)
-    model_side = mapping_plan(fitted, args.expose_flags).expected
-    vectors = read_contributions(args.contribs, model_side)
+    plan = mapping_plan(fitted, args.expose_flags)
+    vectors = read_contributions(args.contribs, plan.expected)
     if not vectors:
         raise ValidationError(f"{args.contribs}: no contribution rows")
     mapped = []
-    notes: list[str] = []
+    notes = list(dict.fromkeys(plan.fidelity_notes))
     for r, vector in enumerate(vectors):
         result = map_contributions(fitted, vector, expose_flags=args.expose_flags)
         extra = sum_in_order(result.exposed_flags.values())
@@ -132,9 +132,6 @@ def cmd_explain_map(args) -> int:
                       "a contribution total is not finite", file=sys.stderr)
             return EXIT_CONSERVATION
         mapped.append(result.vector)
-        for note in result.fidelity_notes:
-            if note not in notes:
-                notes.append(note)
         for flag, value in result.exposed_flags.items():
             notes.append(f"row {r}: exposed flag contribution {flag} = {value!r}")
     sidecar = Path(str(args.out) + ".fidelity.txt")

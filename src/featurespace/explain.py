@@ -43,7 +43,8 @@ from typing import IO, Callable, Mapping, Sequence
 
 from .errors import MappingError, ValidationError
 from .pipeline import FittedPipeline
-from .schema import SchemaManifest, open_input, open_outputs
+from .schema import FeatureSpec, SchemaManifest, open_input
+from .table import DataTable, write_table_csv
 from .transforms import Rewrite, kernel_for, sum_in_order
 
 CONSERVATION_TOLERANCE = 1e-9
@@ -346,10 +347,10 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
 
 # ---------------------------------------------------------------------------
 # contribution CSV: header is the schema's feature names, plus an optional
-# trailing __base__ column; one row per explained instance.
+# trailing __base__ column; one row per explained instance. Values are written
+# as a numeric table (``repr`` of each float), so there is one CSV writer.
 
 BASE_COLUMN = "__base__"
-_CHUNK_VECTORS = 4096
 
 
 def read_contributions(source: str | Path | IO[str],
@@ -390,26 +391,17 @@ def read_contributions(source: str | Path | IO[str],
 
 def write_contributions(vectors: Sequence[ContributionVector],
                         target: str | Path | IO[str]) -> None:
-    """Write the vectors as a contribution CSV. They must be there and share
-    one schema; a path is replaced only once the whole CSV is written
-    (``schema.open_outputs``)."""
+    """Write the vectors as a contribution CSV with ``write_table_csv``. They
+    must be there and share one schema, with no ``__base__`` feature when a
+    vector has a base; a path is replaced only once the whole CSV is written."""
     if not vectors:
         raise ValidationError("no contribution vectors to write")
     names = vectors[0].schema.names
     if any(vector.schema.names != names for vector in vectors):
         raise ValidationError("contribution vectors disagree on their schema")
-    has_base = any(v.base_value is not None for v in vectors)
-    with open_outputs(target) as (handle,):
-        csv.writer(handle, lineterminator="\n").writerow(
-            list(names) + ([BASE_COLUMN] if has_base else []))
-        # Values and base are finite floats (``__post_init__``), whose repr
-        # never needs quoting, so each row is its fields joined with commas, as
-        # csv.writer would write them.
-        for start in range(0, len(vectors), _CHUNK_VECTORS):
-            lines = []
-            for vector in vectors[start:start + _CHUNK_VECTORS]:
-                fields = vector.values
-                if has_base:
-                    fields += (0.0 if vector.base_value is None else vector.base_value,)
-                lines.append(",".join(map(repr, fields)) + "\n")
-            handle.write("".join(lines))
+    columns = [list(column) for column in zip(*(vector.values for vector in vectors))]
+    if any(vector.base_value is not None for vector in vectors):
+        names += (BASE_COLUMN,)
+        columns.append([0.0 if v.base_value is None else v.base_value for v in vectors])
+    schema = SchemaManifest(tuple(FeatureSpec(name, "numeric") for name in names))
+    write_table_csv(DataTable.from_columns(schema, columns, len(vectors), ()), target)

@@ -135,7 +135,7 @@ class FittedPipeline:
         object.__setattr__(self, "fidelity_notes", tuple(
             f"step {number} ({fstep.step.kind}): lossy transform; inverse not offered"
             for number, fstep in enumerate(self.steps, 1)
-            if kernel_for(fstep.step.kind).inverse is None))
+            if not kernel_for(fstep.step.kind).exact(fstep.config)))
         formats: dict[str, str] = {}
         for fstep in self.steps:
             surviving = set(fstep.output_schema.names)
@@ -395,7 +395,7 @@ def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
     non_exact = tuple(
         (i + 1, fstep.step.kind)
         for i, fstep in enumerate(fitted.steps)
-        if kernel_for(fstep.step.kind).inverse is None
+        if not kernel_for(fstep.step.kind).exact(fstep.config)
     )
     if non_exact:
         return InversionRefusal(non_invertible=non_exact)

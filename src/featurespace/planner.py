@@ -3,7 +3,7 @@ missing for a given audience, and which transforms would close the gaps."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 

@@ -327,15 +327,17 @@ def open_input(source: str | Path | IO[str], what: str) -> Iterator[IO[str]]:
     """``source`` open for reading: an open handle passes through unchanged,
     and a path is opened as UTF-8 with or without a byte-order mark, its line
     ends left as written (``csv`` needs them so; YAML and JSON read
-    ``\\r\\n`` as a line break). An ``OSError`` or ``UnicodeDecodeError`` while
-    opening or reading a path is a ValidationError naming ``what``."""
+    ``\\r\\n`` as a line break). An ``OSError``, a ``UnicodeDecodeError`` or a
+    ``csv.Error`` (a field longer than ``csv.field_size_limit()``) while
+    opening or reading a path is a ValidationError naming ``what`` and the
+    path."""
     if not isinstance(source, (str, Path)):
         yield source
         return
     try:
         with open(source, encoding="utf-8-sig", newline="") as handle:
             yield handle
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read {what} {source}: {exc}") from exc
 
 

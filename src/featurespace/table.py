@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -251,7 +250,7 @@ def render_cell(cell, display_format: str | None = None) -> str:
 _QUOTED_CHARS = "".join(c for c in map(chr, range(128)) if csv_line([c]) != c)
 _QUOTED_RE = re.compile("[" + re.escape(_QUOTED_CHARS) + "]")
 _ONE_EMPTY_FIELD = csv_line([""])  # a row of one empty field is written quoted
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024  # rows rendered and written at a time
 
 
 def _quote_column(cells: list) -> list:
@@ -336,23 +335,30 @@ def write_table_csv(table: DataTable, target: str | Path | IO[str],
     text (``FeatureSpec.csv_labels``), and MISSING as the empty field. Only a
     formatted numeric column is scanned for characters to quote, since a
     format spec's fill character can be any.
+
+    Rows are rendered and written ``_CHUNK_ROWS`` at a time, the header with
+    the first: a display format that fails on a later chunk leaves the
+    earlier chunks written to a handle.
     """
     formats = display_formats or {}
-    rendered = []
-    for values, spec in zip(table.columns, table.schema.features):
-        try:
-            rendered.append(_written_column(values, spec, formats.get(spec.name)))
-        except ValueError as exc:  # a format spec that does not fit the cells
-            raise ValidationError(f"column {spec.name!r}: display format "
-                                  f"{formats[spec.name]!r}: {exc}") from None
-    if not rendered:  # each row is an empty line
-        lines = repeat("", table.num_rows)
-    elif len(rendered) == 1:
-        lines = (cell or _ONE_EMPTY_FIELD for cell in rendered[0])
-    else:
-        lines = map(",".join, zip(*rendered))
+    lines = [table.schema.csv_header]
     with open_outputs(target) as (handle,):
-        handle.write(table.schema.csv_header + "\n")
-        while chunk := list(islice(lines, _CHUNK_ROWS)):
-            chunk.append("")
-            handle.write("\n".join(chunk))
+        for start in range(0, max(table.num_rows, 1), _CHUNK_ROWS):  # one at least, for the header
+            stop = start + _CHUNK_ROWS
+            rendered = []
+            for values, spec in zip(table.columns, table.schema.features):
+                try:
+                    rendered.append(_written_column(values[start:stop], spec,
+                                                    formats.get(spec.name)))
+                except ValueError as exc:  # a format spec that does not fit the cells
+                    raise ValidationError(f"column {spec.name!r}: display format "
+                                          f"{formats[spec.name]!r}: {exc}") from None
+            if not rendered:  # each row is an empty line
+                lines += [""] * (min(stop, table.num_rows) - start)
+            elif len(rendered) == 1:
+                lines += [cell or _ONE_EMPTY_FIELD for cell in rendered[0]]
+            else:
+                lines += map(",".join, zip(*rendered))
+            lines.append("")
+            handle.write("\n".join(lines))
+            lines = []

@@ -247,14 +247,16 @@ class Kernel:
     - ``plan``: the output schema and the names of the produced features;
     - ``prepare``: what ``apply`` reads besides the table, from a fitted step;
     - ``apply``: the produced columns and their lineage;
-    - ``inverse``: the step that undoes this one, defined only by an exact
-      kind; a kind whose ``inverse`` is None is lossy;
+    - ``inverse``: the step that undoes this one, defined only by a kind
+      that can be exact; ``exact``: whether a step with a given config is,
+      which is never so for a kind whose ``inverse`` is None;
     - ``forward_rule`` / ``reverse_rule``: how additive contributions cross
       the step toward the interpretable space.
 
-    ``plan`` and ``inverse`` take one config, ``cfg``: the normalized config
-    with the fit state's values filled in, as a fitted step's ``config``
-    holds it. ``prepare`` and the rules read that ``config`` from the step.
+    ``plan``, ``inverse`` and ``exact`` take one config, ``cfg``: the
+    normalized config with the fit state's values filled in, as a fitted
+    step's ``config`` holds it. ``prepare`` and the rules read that
+    ``config`` from the step.
 
     ``prepare`` runs once per fitted step, when the step is built, and the
     step keeps its result as ``prepared``. It holds everything a run needs
@@ -282,6 +284,9 @@ class Kernel:
 
     def delta_for(self, out_spec: FeatureSpec) -> Mapping[str, bool]:
         return self.delta
+
+    def exact(self, cfg: Mapping) -> bool:
+        return self.inverse is not None
 
     def requires_fit(self, cfg: Mapping) -> bool:
         return bool(self.learned) and cfg[self.learned[0]] is None
@@ -576,6 +581,9 @@ class OneHotDecode(Kernel):
                         row_index=r)
             decoded.append(value)
         return [decoded], lineage
+
+    def exact(self, cfg):  # a zero-hot row decodes to MISSING, which encodes as all MISSING
+        return cfg["zero_hot"] == "error"
 
     def inverse(self, cfg, input_schema):
         return TransformStep("one_hot_encode", {
@@ -1412,7 +1420,7 @@ KERNELS: dict[str, Kernel] = {k.kind: k for k in (
 )}
 
 TRANSFORM_KINDS = tuple(KERNELS)
-EXACT_KINDS = tuple(k for k, v in KERNELS.items() if v.inverse is not None)
+EXACT_KINDS = tuple(k for k, v in KERNELS.items() if v.inverse is not None)  # can be exact
 
 
 def kernel_for(kind: str) -> Kernel:

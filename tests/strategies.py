@@ -12,7 +12,9 @@ bytes shrink toward 0: a numeric feature, a present cell, the first kind.
   of each kind of ``first``, then 1-5 steps, each of a kind of ``kinds``
   whose inputs the schema before it offers and, with ``mappable``, that has
   a contribution rule in the direction. A kind that learns comes unfitted or
-  fitted, its parameters configured as a fitted document holds them.
+  fitted, its parameters configured as a fitted document holds them. When
+  every kind of ``kinds`` can be exact (``EXACT_KINDS``), every step drawn
+  is: a ``one_hot_decode`` then keeps ``zero_hot: error``.
 - ``fitted_pipelines(schema=None, missing=0.1, ...)``: a pipeline fitted on
   a drawn table and run on it once, with the table. A draw that ``fit`` or
   the run rejects with a ``KernelError`` (a constant column to standardize,
@@ -34,7 +36,7 @@ from featurespace.pipeline import DIRECTIONS, Pipeline, compose, fit, run
 from featurespace.properties import PropertySet
 from featurespace.schema import DerivedFrom, FeatureSpec, RawSource, SchemaManifest, Wording
 from featurespace.table import MISSING, DataTable
-from featurespace.transforms import KERNELS, TRANSFORM_KINDS, Kernel, TransformStep
+from featurespace.transforms import EXACT_KINDS, KERNELS, TRANSFORM_KINDS, Kernel, TransformStep
 
 BASE_PROPS = PropertySet(readable=True, model_compatible=True, meaningful=True)
 DTYPES = ("numeric", "categorical", "boolean", "numeric", "ordinal", "one_hot")
@@ -166,13 +168,15 @@ def _inputs(schema: SchemaManifest, provisional: set) -> dict[str, list]:
             list(filter(_READS.get(kind, _numeric), readable)) for kind in TRANSFORM_KINDS}
 
 
-def _config(pick, kind: str, options: list, fresh) -> dict:
+def _config(pick, kind: str, options: list, fresh, exact: bool) -> dict:
     """The config of a step of ``kind`` that reads one of ``options``, with
-    its choices made by ``pick``; ``fresh()`` gives a name no feature has."""
-    if kind == "one_hot_decode":  # zero_hot: missing would not be exact
+    its choices made by ``pick``; ``fresh()`` gives a name no feature has.
+    With ``exact``, a kind that can be exact is."""
+    if kind == "one_hot_decode":
         group, target = pick(options), fresh()
         return {"group": group, "target": target, "wording": {"value": f"{target} is {{value}}"},
-                "categories": [f"{target} {k}" for k in range(len(group))]}
+                "categories": [f"{target} {k}" for k in range(len(group))],
+                "zero_hot": "error" if exact else pick(("error", "missing"))}
     if kind in ("aggregate_numeric", "abstract_concept", "pca_project"):
         names = _some(pick, [spec.name for spec in options])
         if kind == "pca_project":
@@ -232,6 +236,7 @@ def pipelines(draw, schema, kinds=TRANSFORM_KINDS, direction=None, mappable=Fals
     data = draw(st.binary(min_size=2 + 16 * (len(first) + max_steps),
                           max_size=2 + 16 * (len(first) + max_steps)))
     direction = direction or DIRECTIONS[data[0] % 2]
+    exact = set(kinds) <= set(EXACT_KINDS)
     if mappable:
         kinds = tuple(kind for kind in kinds if kind in MAPPABLE[direction])
     unused = (name for name in map("t{}".format, count()) if name not in schema)
@@ -245,7 +250,7 @@ def pipelines(draw, schema, kinds=TRANSFORM_KINDS, direction=None, mappable=Fals
             break
         pick = _chooser(data[2 + 16 * i:2 + 16 * (i + 1)])
         kind = pick(tuple(offered))
-        config = _config(pick, kind, offered[kind], fresh)
+        config = _config(pick, kind, offered[kind], fresh, exact)
         if kind == "statistical_bin" and "min" not in config:
             provisional.add(config["target"])
         # Composed on the schema before it, a step plans as in the whole

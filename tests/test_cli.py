@@ -537,6 +537,27 @@ NOT_UTF8 = b"\xff\xfe" + "Elevation\n".encode("utf-16-le")
     ("audit", ("--manifest", "--persona"), "--persona"),
 ])
 def test_non_utf8_input_exits_1(workspace, capsys, command, options, bad):
+    _bad_input_exits_1(workspace, capsys, command, options, bad, NOT_UTF8)
+
+
+# A field beyond csv's default limit of 131,072 characters.
+LONG_FIELD = b"1" * 200_001 + b"\n"
+
+
+@pytest.mark.parametrize("command, options, bad", [
+    ("fit", ("--pipeline", "--data"), "--data"),
+    ("transform", ("--pipeline", "--data"), "--data"),
+    ("explain-map", ("--pipeline", "--contribs"), "--contribs"),
+    ("demo-covertype", ("--data",), "--data"),
+])
+def test_a_field_beyond_the_csv_limit_exits_1(workspace, capsys, command, options, bad):
+    err = _bad_input_exits_1(workspace, capsys, command, options, bad, LONG_FIELD)
+    assert "field larger than field limit" in err
+
+
+def _bad_input_exits_1(workspace, capsys, command, options, bad, content: bytes) -> str:
+    """``command`` with valid inputs for ``options`` but ``bad``, a file of
+    ``content``, exits 1 naming that file, with no traceback; returns stderr."""
     inputs = {"--pipeline": workspace / "pipeline.yaml", "--data": workspace / "data.csv",
               "--contribs": workspace / "contribs.csv",
               "--manifest": workspace / "original.yaml",
@@ -546,7 +567,7 @@ def test_non_utf8_input_exits_1(workspace, capsys, command, options, bad):
         "0.1,0.0,0.0,0.0,0.2\n", encoding="utf-8")
     inputs["--persona"].write_text("kind: developer\n", encoding="utf-8")
     inputs[bad] = workspace / "bad.txt"
-    inputs[bad].write_bytes(NOT_UTF8)
+    inputs[bad].write_bytes(content)
     argv = [command, "--out", str(workspace / "out")]
     for option in options:
         argv += [option, str(inputs[option])]
@@ -554,6 +575,7 @@ def test_non_utf8_input_exits_1(workspace, capsys, command, options, bad):
     err = capsys.readouterr().err
     assert str(inputs[bad]) in err
     assert "Traceback" not in err
+    return err
 
 
 def _steps(workspace, *steps):
@@ -850,6 +872,25 @@ def test_malformed_restore_names_the_step(workspace, capsys, restore, message):
                       "restore": restore}})
     _fails_cleanly(argv + ["--out", str(workspace / "o.csv")], capsys, 1,
                    f"step 2 (one_hot_decode): {message}")
+
+
+def test_zero_hot_missing_decode_is_lossy(workspace, capsys):
+    """A zero-hot row decodes to MISSING, which encodes back as all MISSING:
+    such a step gets a lossy note, and ``invert`` refuses it."""
+    argv = _steps(workspace,
+                  {"kind": "one_hot_encode", "config": {"feature": "Wilderness area",
+                                                        "name_template": "A {category}"}},
+                  {"kind": "one_hot_decode", "config": {
+                      "group": [f"A {area}" for area in AREAS], "target": "g",
+                      "categories": AREAS, "zero_hot": "missing"}})
+    report = workspace / "report.txt"
+    assert main(argv + ["--out", str(workspace / "o.csv"), "--report", str(report)]) == 0
+    note = "step 2 (one_hot_decode): lossy transform; inverse not offered"
+    assert report.read_text(encoding="utf-8") == note + "\n"
+    _fails_cleanly(["invert", "--pipeline", str(workspace / "step.yaml"),
+                    "--out", str(workspace / "inverse.json")], capsys, 3,
+                   "non-exact steps: step 2 (one_hot_decode)")
+    assert not (workspace / "inverse.json").exists()
 
 
 def _explain_map_argv(workspace, out):

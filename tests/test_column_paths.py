@@ -25,6 +25,7 @@ from featurespace.pipeline import FittedStep, as_fitted, compose
 from featurespace.properties import PropertySet
 from featurespace.schema import FeatureSpec, SchemaManifest
 from featurespace.table import (
+    _CHUNK_ROWS,
     MISSING,
     DataTable,
     parse_cell,
@@ -139,6 +140,23 @@ def test_chunked_csv_matches_csv_writer():
     assert out.getvalue() == reference_csv(table)
 
 
+def test_a_display_format_that_fails_on_a_later_chunk(tmp_path):
+    """Rows are written a chunk at a time: a format that fails on the first
+    chunk writes nothing, one that fails later leaves the earlier chunks in a
+    handle, and a path is not created either way."""
+    rows = 2 * _CHUNK_ROWS + 5
+    two_chunks = "n\n" + "".join(f"{r}\n" for r in range(2 * _CHUNK_ROWS))
+    for bad_row, written in ((0, ""), (rows - 1, two_chunks)):
+        cells = [1.5 if r == bad_row else r for r in range(rows)]
+        table = DataTable.from_columns(_schema(_numeric("n")), [cells], rows)
+        out, path = io.StringIO(), tmp_path / "out.csv"
+        for target in (out, path):
+            with pytest.raises(ValidationError, match="column 'n': display format 'd'"):
+                write_table_csv(table, target, {"n": "d"})
+        assert out.getvalue() == written
+        assert not path.exists()
+
+
 def reference_contributions_csv(vectors) -> str:
     """Each vector's values, and its base value if any vector has one, as a
     list of reprs through ``csv.writer``."""
@@ -196,6 +214,17 @@ def test_write_contributions_rejects_a_vector_of_another_schema():
     with pytest.raises(ValidationError, match="disagree on their schema"):
         write_contributions(vectors, out)
     assert out.getvalue() == ""  # checked before anything is written
+
+
+def test_write_contributions_rejects_a_base_feature_beside_a_base_value():
+    schema = _schema(_numeric("a"), _numeric("__base__"))
+    out = io.StringIO()
+    write_contributions([ContributionVector(schema, (1.0, 2.0))], out)
+    assert out.getvalue() == "a,__base__\n1.0,2.0\n"
+    out = io.StringIO()
+    with pytest.raises(ValidationError, match="duplicate feature name '__base__'"):
+        write_contributions([ContributionVector(schema, (1.0, 2.0), 0.5)], out)
+    assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from featurespace.errors import ValidationError
 from featurespace.lineage import lineage_to_data
 from featurespace.pipeline import _apply_step, invert, run
 from featurespace.table import (
-    MISSING,
     DataTable,
     _column_passes,
     check_cell,

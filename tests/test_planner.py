@@ -14,7 +14,7 @@ from featurespace.planner import (
     suggest_transforms,
 )
 from featurespace.properties import PropertySet, implication_closure
-from featurespace.schema import DerivedFrom, FeatureSpec, RawSource, SchemaManifest
+from featurespace.schema import DerivedFrom, FeatureSpec, SchemaManifest
 
 
 def test_decision_maker_profile():
