@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -212,11 +213,12 @@ def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
     """``parse_cell`` over a whole column; raises on the first bad cell.
     Numeric and boolean columns come out valid: only labels need checking."""
     if spec.dtype == "numeric":
-        if max(map(len, texts), default=0) > _SHORT_NUMBER:  # may pass the float range
-            return [parse_cell(t, spec) for t in texts]
+        joined = "".join(texts)  # a cell is no longer than the column's text
+        if len(joined) > _SHORT_NUMBER and max(map(len, texts)) > _SHORT_NUMBER:
+            return [parse_cell(t, spec) for t in texts]  # may pass the float range
         # A column of ASCII digits and signs where int() takes every cell is
         # all ``[+-]?[0-9]+``, which parse_cell reads as int() too.
-        if _INT_COLUMN_RE.fullmatch("".join(texts)):
+        if _INT_COLUMN_RE.fullmatch(joined):
             try:
                 return list(map(int, texts))
             except ValueError:  # an empty cell, or a sign out of place
@@ -250,7 +252,7 @@ def render_cell(cell, display_format: str | None = None) -> str:
 _QUOTED_CHARS = "".join(c for c in map(chr, range(128)) if csv_line([c]) != c)
 _QUOTED_RE = re.compile("[" + re.escape(_QUOTED_CHARS) + "]")
 _ONE_EMPTY_FIELD = csv_line([""])  # a row of one empty field is written quoted
-_CHUNK_ROWS = 1024  # rows rendered and written at a time
+_CHUNK_ROWS = 1024  # rows read, rendered and written at a time
 
 
 def _quote_column(cells: list) -> list:
@@ -281,7 +283,18 @@ def _written_column(values: list, spec: FeatureSpec, display_format: str | None)
 def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> DataTable:
     """The table in a CSV file or handle. With one column or more, an empty
     last line (a blank line before the end of the file) is not a row; with
-    none, every row is an empty line."""
+    none, every row is an empty line.
+
+    Rows are read and parsed ``_CHUNK_ROWS`` at a time, so a read holds the
+    text fields of one chunk, not of the whole file. Nothing after the chunk
+    that holds the first unparsable cell or ragged row is read: an error of
+    the file itself (a byte that is not UTF-8, a field over
+    ``csv.field_size_limit()``) is reported only when no such row comes in
+    an earlier chunk. Labels are checked last, over the whole table.
+    """
+    width = len(schema.names)
+    columns = [[] for _ in range(width)]
+    num_rows = 0
     with open_input(source, "data file") as handle:
         reader = csv.reader(handle)
         try:
@@ -295,27 +308,34 @@ def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> Data
             raise ValidationError(
                 f"data header must match manifest feature names exactly and in order; "
                 f"got {header}, expected {list(schema.names)}")
-        raw = list(reader)
-    width = len(schema.names)
-    if width and raw and not raw[-1]:
-        del raw[-1]
-    ragged = next((r for r, fields in enumerate(raw) if len(fields) != width), None)
-    body = raw if ragged is None else raw[:ragged]
-    texts = list(zip(*body)) if body else [()] * width
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            ragged = next((r for r, fields in enumerate(chunk) if len(fields) != width), None)
+            body = chunk if ragged is None else chunk[:ragged]
+            _parse_rows(body, schema, num_rows, columns)
+            if ragged is not None and not (  # an empty last line is not a row
+                    ragged == len(chunk) - 1 and not chunk[ragged] and next(reader, None) is None):
+                raise ValidationError(f"row {num_rows + ragged}: "
+                                      f"expected {width} fields, got {len(chunk[ragged])}")
+            num_rows += len(body)
+            del chunk, body  # before the next chunk is read
+    return DataTable.from_columns(schema, columns, num_rows, schema.label_positions)
+
+
+def _parse_rows(body: list, schema: SchemaManifest, first_row: int, columns: list) -> None:
+    """Parse rows of one field per feature, numbered from ``first_row``, onto
+    the end of ``columns``; an error names the row-major first bad cell."""
     try:
-        columns = [_parse_column(t, spec) for t, spec in zip(texts, schema.features)]
+        parsed = [_parse_column(t, spec) for t, spec in zip(zip(*body), schema.features)]
     except ValidationError:
-        for r, fields in enumerate(body):  # find the row-major first parse error
+        for r, fields in enumerate(body, first_row):  # find the row-major first parse error
             try:
                 for text, spec in zip(fields, schema.features):
                     parse_cell(text, spec)
             except ValidationError as exc:
                 raise ValidationError(f"row {r}: {exc}") from None
         raise
-    if ragged is not None:
-        raise ValidationError(
-            f"row {ragged}: expected {width} fields, got {len(raw[ragged])}")
-    return DataTable.from_columns(schema, columns, len(body), schema.label_positions)
+    for column, values in zip(columns, parsed):
+        column.extend(values)
 
 
 def write_table_csv(table: DataTable, target: str | Path | IO[str],

@@ -555,6 +555,20 @@ def test_a_field_beyond_the_csv_limit_exits_1(workspace, capsys, command, option
     assert "field larger than field limit" in err
 
 
+@pytest.mark.parametrize("fault", [b"\xff", b"1" * 200_001], ids=["not_utf8", "long_field"])
+def test_a_bad_cell_is_reported_before_a_fault_of_a_later_chunk(workspace, capsys, fault):
+    """The data is read a chunk of rows at a time, and nothing after the
+    chunk of the first bad row: a fault of the file itself thousands of rows
+    further down is never reached."""
+    data = workspace / "data.csv"
+    data.write_bytes(b"Wilderness area,Elevation\nRawah,x\n" + b"Rawah,2157\n" * 3000
+                     + b"Rawah," + fault + b"\n")
+    assert main(["transform", "--pipeline", str(workspace / "pipeline.yaml"),
+                 "--data", str(data), "--out", str(workspace / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: row 0: feature 'Elevation': cannot parse number from 'x'\n"
+
+
 def _bad_input_exits_1(workspace, capsys, command, options, bad, content: bytes) -> str:
     """``command`` with valid inputs for ``options`` but ``bad``, a file of
     ``content``, exits 1 naming that file, with no traceback; returns stderr."""

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import io
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from featurespace import table as table_module
 from featurespace.errors import ValidationError
 from featurespace.schema import FeatureSpec, SchemaManifest
 from featurespace.table import (
@@ -18,6 +22,7 @@ from featurespace.table import (
     write_table_csv,
 )
 
+from _reference_table import reference_read_table_csv
 from _tables import tables_equal
 from strategies import schemas, tables
 
@@ -138,3 +143,68 @@ def test_an_integer_beyond_the_float_range_is_not_a_number():
             read_table_csv(io.StringIO(f"x\n2\n{text}\n"), schema)
     long_seven = "0" * 400 + "7"  # long, but finite: still an integer
     assert read_table_csv(io.StringIO(f"x\n{long_seven}\n"), schema).values("x") == [7]
+
+
+# A cell that no parser of its dtype accepts.
+_BAD_CELL = {"numeric": "x", "boolean": "yes", "categorical": "zz", "ordinal": "zz"}
+
+
+def _read(read, text: str, schema: SchemaManifest):
+    """The table ``read`` returns, or the text of the ValidationError it raises."""
+    try:
+        return read(io.StringIO(text), schema)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chunked_read_matches_the_whole_file_reader(data):
+    """Tables of 0-4 chunks, the last one full or not, with any of a bad
+    cell, a ragged row, an inner blank line and a blank last line: the
+    chunked reader returns the reference reader's table, or its error."""
+    schema = data.draw(schemas())
+    chunk = data.draw(st.integers(1, 4), label="chunk rows")
+    full_chunks = data.draw(st.integers(0, 3))
+    num_rows = full_chunks * chunk + data.draw(st.just(0) | st.integers(0, chunk - 1))
+    table = data.draw(tables(schema, min_rows=num_rows, max_rows=num_rows))
+    buf = io.StringIO()
+    write_table_csv(table, buf)
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    position = st.integers(0, max(len(rows) - 1, 0))
+    if rows and data.draw(st.booleans(), label="bad cell"):
+        r, c = data.draw(position), data.draw(st.integers(0, len(header) - 1))
+        rows[r][c] = _BAD_CELL[schema.features[c].dtype]
+    if rows and data.draw(st.booleans(), label="ragged row"):
+        r = data.draw(position)
+        rows[r] = rows[r][:-1] if data.draw(st.booleans()) else rows[r] + ["1"]
+    if rows and data.draw(st.booleans(), label="inner blank line"):
+        rows.insert(data.draw(position), [])
+    if data.draw(st.booleans(), label="blank last line"):
+        rows.append([])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    want = _read(reference_read_table_csv, buf.getvalue(), schema)
+    with patch.object(table_module, "_CHUNK_ROWS", chunk):
+        got = _read(read_table_csv, buf.getvalue(), schema)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, DataTable), got
+        assert got == want
+        assert [list(map(type, c)) for c in got.columns] == \
+            [list(map(type, c)) for c in want.columns]
+
+
+@pytest.mark.parametrize("full_chunks", [1, 2])
+def test_full_chunks_then_a_blank_last_line(full_chunks):
+    num_rows = full_chunks * table_module._CHUNK_ROWS  # 1,024 or 2,048
+    text = "n,c,f\n" + "1,a,TRUE\n" * num_rows + "\n"
+    assert read_table_csv(io.StringIO(text), simple_schema()).num_rows == num_rows
+
+
+def test_a_ragged_row_in_the_second_chunk_is_numbered_from_the_first():
+    first = table_module._CHUNK_ROWS  # 1,024
+    text = "n,c,f\n" + "1,a,TRUE\n" * first + "1,a\n" + "1,a,TRUE\n" * 5
+    with pytest.raises(ValidationError, match=f"^row {first}: expected 3 fields, got 2$"):
+        read_table_csv(io.StringIO(text), simple_schema())
