@@ -53,7 +53,7 @@ from .schema import (
     parse_manifest,
     serialize_manifest,
 )
-from .table import MISSING, DataTable, read_table_csv, write_table_csv
+from .table import MISSING, DataTable, read_table_chunks, read_table_csv, write_table_csv
 from .transforms import (
     EXACT_KINDS,
     TRANSFORM_KINDS,
@@ -109,6 +109,7 @@ __all__ = [
     "map_contributions",
     "parse_manifest",
     "read_contributions",
+    "read_table_chunks",
     "read_table_csv",
     "render_value",
     "required_properties",

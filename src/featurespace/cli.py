@@ -164,7 +164,16 @@ def _demo_elevation_stats(path: str) -> int:
         if header is None or "Elevation" not in header:
             raise ValidationError(f"{path}: expected a CSV with an Elevation column")
         idx = header.index("Elevation")
-        column = [parse_cell(row[idx], spec) for row in reader if idx < len(row)]
+        column = []
+        for r, row in enumerate(reader):
+            if not row:  # a blank line
+                continue
+            try:
+                if idx >= len(row):
+                    raise ValidationError(f"expected {idx + 1} fields or more, got {len(row)}")
+                column.append(parse_cell(row[idx], spec))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: row {r}: {exc}") from None
     table = DataTable.from_columns(SchemaManifest((spec,)), [column], len(column))
     try:
         stats = kernel_for("standardize").fit(table, {"feature": "Elevation"})

@@ -1,8 +1,8 @@
 """Feature specifications, schema manifests, and the manifest document format.
 
 A spec and a manifest also keep, computed once, what every table of theirs
-shares: the CSV text of the header and of each category, and which columns
-hold labels."""
+shares: the CSV text of the header and of each category, and the set of
+categories that a label is checked against."""
 
 from __future__ import annotations
 
@@ -193,12 +193,6 @@ class SchemaManifest:
         return {f.name: i for i, f in enumerate(self.features)}
 
     @cached_property
-    def label_positions(self) -> tuple[int, ...]:
-        """Positions of the features with categories: the columns whose
-        parsed CSV text still needs validating."""
-        return tuple(i for i, f in enumerate(self.features) if f.categories is not None)
-
-    @cached_property
     def csv_header(self) -> str:
         """The CSV header line of a table of this schema, without its terminator."""
         return csv_line(self.names)
@@ -347,26 +341,38 @@ def open_outputs(*targets: str | Path | IO[str] | None) -> Iterator[tuple[IO[str
     path is written as UTF-8 (``newline=""``) to a new temporary file beside
     the file it names, moved onto it only when the block exits cleanly. A
     replaced file keeps its mode; an existing target that is not a regular
-    file (``/dev/null``) is opened in place. An error names the target."""
+    file (``/dev/null``) is opened in place. An error names the target.
+    Two targets that resolve to one file written through a temporary file
+    are refused before any target is opened: the second move would replace
+    the first."""
     handles: list[IO[str] | None] = list(targets)
     opened: list[IO[str]] = []
     moves: dict[str, tuple[str, str | Path]] = {}  # temporary file -> (resolved path, target)
     try:
+        paths = {}  # position -> (mode or None, resolved path or None to open in place)
         for i, target in enumerate(targets):
-            if not isinstance(target, (str, Path)):
-                continue
-            mode = os.stat(target).st_mode if os.path.exists(target) else None
-            if (mode is not None and not S_ISREG(mode)) or not os.path.basename(target):
+            if isinstance(target, (str, Path)):
+                mode = os.stat(target).st_mode if os.path.exists(target) else None
                 # a device or a directory, or a name with no file part: as open() does
-                opened.append(open(target, "w", encoding="utf-8", newline=""))
+                in_place = (mode is not None and not S_ISREG(mode)) or not os.path.basename(target)
+                paths[i] = mode, None if in_place else os.path.realpath(target)
+        seen: dict[str, int] = {}  # resolved path -> position
+        for i, (_, final) in paths.items():
+            if final in seen:
+                raise ValidationError(
+                    f"outputs {targets[seen[final]]} and {targets[i]} are the same file")
+            if final is not None:
+                seen[final] = i
+        for i, (mode, final) in paths.items():
+            if final is None:
+                opened.append(open(targets[i], "w", encoding="utf-8", newline=""))
             else:
-                final = os.path.realpath(target)
                 head, tail = os.path.split(final)
                 temporary = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
-                moves[temporary] = (final, target)
+                moves[temporary] = (final, targets[i])
                 opened.append(open(temporary, "x", encoding="utf-8", newline=""))
                 if mode is not None:  # fail where writing in place would, and keep the mode
-                    os.close(os.open(target, os.O_WRONLY))
+                    os.close(os.open(targets[i], os.O_WRONLY))
                     os.chmod(temporary, S_IMODE(mode))
             handles[i] = opened[-1]
         yield tuple(handles)

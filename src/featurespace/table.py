@@ -1,7 +1,10 @@
 """Typed tabular data aligned to a schema manifest, with CSV serialization.
 
 MISSING is an explicit cell state, never a sentinel number or empty label, so
-imputation transforms can detect it unambiguously.
+imputation transforms can detect it unambiguously. A CSV file is read and
+written ``_CHUNK_ROWS`` rows at a time, and each cell is checked where it is
+parsed: ``read_table_chunks`` yields valid tables of one chunk each, and
+``read_table_csv`` joins them.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 import re
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 from .schema import FeatureSpec, SchemaManifest, csv_line, open_input, open_outputs
@@ -96,7 +99,8 @@ class DataTable:
     Cells are stored as one list per feature, in schema order (``columns``).
     ``DataTable(schema, rows)`` builds from row sequences and validates every
     cell; ``from_columns`` builds from column lists and validates only the
-    columns it is told are not already known to be valid. Column lists may be
+    columns it is told are not already known to be valid, none for the CSV
+    reader, which checks each cell as it parses it. Column lists may be
     shared between tables and must never be mutated. ``rows`` is derived on
     first use.
     """
@@ -210,8 +214,8 @@ _BOOLEAN_TEXT = {"": MISSING, "TRUE": True, "FALSE": False}
 
 
 def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
-    """``parse_cell`` over a whole column; raises on the first bad cell.
-    Numeric and boolean columns come out valid: only labels need checking."""
+    """``parse_cell`` over a whole column, every cell of it checked; raises
+    if a cell is bad (``_parse_rows`` finds which)."""
     if spec.dtype == "numeric":
         joined = "".join(texts)  # a cell is no longer than the column's text
         if len(joined) > _SHORT_NUMBER and max(map(len, texts)) > _SHORT_NUMBER:
@@ -230,6 +234,8 @@ def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
             return [_BOOLEAN_TEXT[t] for t in texts]
         except KeyError:
             return [parse_cell(t, spec) for t in texts]
+    if not set(texts) - {""} <= spec.category_set:  # "" is MISSING
+        raise ValidationError(f"feature {spec.name!r}: a label not in declared categories")
     return [t if t != "" else MISSING for t in texts]
 
 
@@ -281,20 +287,34 @@ def _written_column(values: list, spec: FeatureSpec, display_format: str | None)
 
 
 def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> DataTable:
-    """The table in a CSV file or handle. With one column or more, an empty
-    last line (a blank line before the end of the file) is not a row; with
-    none, every row is an empty line.
+    """The table in a CSV file or handle: the tables ``read_table_chunks``
+    yields, joined as they arrive, so a read holds the text of one chunk."""
+    columns = [[] for _ in schema.names]
+    num_rows = 0
+    for _, chunk in read_table_chunks(source, schema):
+        for column, values in zip(columns, chunk.columns):
+            column.extend(values)
+        num_rows += chunk.num_rows
+        del chunk  # its column lists, before the next chunk is parsed
+    return DataTable.from_columns(schema, columns, num_rows, unchecked=())
 
-    Rows are read and parsed ``_CHUNK_ROWS`` at a time, so a read holds the
-    text fields of one chunk, not of the whole file. Nothing after the chunk
-    that holds the first unparsable cell or ragged row is read: an error of
-    the file itself (a byte that is not UTF-8, a field over
-    ``csv.field_size_limit()``) is reported only when no such row comes in
-    an earlier chunk. Labels are checked last, over the whole table.
+
+def read_table_chunks(source: str | Path | IO[str],
+                      schema: SchemaManifest) -> Iterator[tuple[int, DataTable]]:
+    """The rows of a CSV file or handle as ``(first_row, table)`` pairs of at
+    most ``_CHUNK_ROWS`` rows, each table valid on its own: every cell is
+    checked as it is parsed. With one column or more, an empty last line (a
+    blank line before the end of the file) is not a row; with none, every row
+    is an empty line.
+
+    A chunk is read only once the one before it is taken. An error names the
+    first bad cell or ragged row in file order; one of the file itself (a
+    byte that is not UTF-8, a field over ``csv.field_size_limit()``) is
+    raised when its chunk is read. Closing the generator closes a file it
+    opened.
     """
     width = len(schema.names)
-    columns = [[] for _ in range(width)]
-    num_rows = 0
+    first_row = 0
     with open_input(source, "data file") as handle:
         reader = csv.reader(handle)
         try:
@@ -311,31 +331,30 @@ def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> Data
         while chunk := list(islice(reader, _CHUNK_ROWS)):
             ragged = next((r for r, fields in enumerate(chunk) if len(fields) != width), None)
             body = chunk if ragged is None else chunk[:ragged]
-            _parse_rows(body, schema, num_rows, columns)
+            columns = _parse_rows(body, schema, first_row)
             if ragged is not None and not (  # an empty last line is not a row
                     ragged == len(chunk) - 1 and not chunk[ragged] and next(reader, None) is None):
-                raise ValidationError(f"row {num_rows + ragged}: "
+                raise ValidationError(f"row {first_row + ragged}: "
                                       f"expected {width} fields, got {len(chunk[ragged])}")
-            num_rows += len(body)
-            del chunk, body  # before the next chunk is read
-    return DataTable.from_columns(schema, columns, num_rows, schema.label_positions)
+            if body:
+                yield first_row, DataTable.from_columns(schema, columns, len(body), unchecked=())
+            first_row += len(body)
+            del chunk, body, columns  # before the next chunk is read
 
 
-def _parse_rows(body: list, schema: SchemaManifest, first_row: int, columns: list) -> None:
-    """Parse rows of one field per feature, numbered from ``first_row``, onto
-    the end of ``columns``; an error names the row-major first bad cell."""
+def _parse_rows(body: list, schema: SchemaManifest, first_row: int) -> list[list]:
+    """The checked columns of rows of one field per feature, numbered from
+    ``first_row``; an error names the row-major first bad cell."""
     try:
-        parsed = [_parse_column(t, spec) for t, spec in zip(zip(*body), schema.features)]
+        return [_parse_column(t, spec) for t, spec in zip(zip(*body), schema.features)]
     except ValidationError:
-        for r, fields in enumerate(body, first_row):  # find the row-major first parse error
+        for r, fields in enumerate(body, first_row):  # find the row-major first bad cell
             try:
                 for text, spec in zip(fields, schema.features):
-                    parse_cell(text, spec)
+                    check_cell(parse_cell(text, spec), spec)
             except ValidationError as exc:
                 raise ValidationError(f"row {r}: {exc}") from None
         raise
-    for column, values in zip(columns, parsed):
-        column.extend(values)
 
 
 def write_table_csv(table: DataTable, target: str | Path | IO[str],

@@ -1,7 +1,9 @@
 """Reference CSV reader: the whole file is read before any of it is parsed,
-and cells are parsed one by one in row order. ``read_table_csv`` reads and
-parses a chunk of rows at a time; tests require it to return the table this
-reader returns, or to raise a ValidationError with the same text."""
+and cells are parsed and checked one by one in row order, so the first bad
+cell in the file is reported, whatever its kind. ``read_table_csv`` and the
+join of ``read_table_chunks`` read, parse and check a chunk of rows at a
+time; tests require them to return the table this reader returns, or to
+raise a ValidationError with the same text."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import csv
 
 from featurespace.errors import ValidationError
 from featurespace.schema import open_input
-from featurespace.table import DataTable, parse_cell
+from featurespace.table import DataTable, check_cell, parse_cell
 
 
 def reference_read_table_csv(source, schema) -> DataTable:
@@ -33,9 +35,11 @@ def reference_read_table_csv(source, schema) -> DataTable:
     for r, fields in enumerate(raw):
         if len(fields) != width:
             raise ValidationError(f"row {r}: expected {width} fields, got {len(fields)}")
+        rows.append([])
         try:
-            rows.append([parse_cell(text, spec) for text, spec in zip(fields, schema.features)])
+            for text, spec in zip(fields, schema.features):
+                rows[-1].append(parse_cell(text, spec))
+                check_cell(rows[-1][-1], spec)
         except ValidationError as exc:
             raise ValidationError(f"row {r}: {exc}") from None
-    columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
-    return DataTable.from_columns(schema, columns, len(rows), schema.label_positions)
+    return DataTable(schema, rows)

@@ -436,12 +436,15 @@ def test_demo_covertype_missing_data_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("content, message", [
-    (b"Slope,Elevation\n1,3000\n2,\n3,3100\n", None),
+    (b"Slope,Elevation\n1,3000\n\n2,\n3,3100\n", None),  # a blank line is skipped
     (b"\xff\xfeElevation\n", "cannot read data file"),
-    (b"Elevation\n3000\nabc\n", "cannot parse number from 'abc'"),
+    (b"Elevation\n3000\nabc\n",
+     "error: {data}: row 1: feature 'Elevation': cannot parse number from 'abc'\n"),
+    (b"Aspect,Elevation\n1,2000\n2\n3,2200\n",
+     "error: {data}: row 1: expected 2 fields or more, got 1\n"),
     (b"Elevation\n3000\n3000\n", "constant"),
     (b"Elevation\n\n", "no observed values"),
-], ids=["stats_differ", "not_utf8", "bad_cell", "constant", "empty"])
+], ids=["stats_differ", "not_utf8", "bad_cell", "short_row", "constant", "empty"])
 def test_demo_covertype_data_exits_1(tmp_path, capsys, content, message):
     data = tmp_path / "covtype.csv"
     data.write_bytes(content)
@@ -455,7 +458,7 @@ def test_demo_covertype_data_exits_1(tmp_path, capsys, content, message):
         assert "elevation mean: 3050.00" in captured.out
         assert "elevation scale: 50.00" in captured.out
     else:
-        assert message in captured.err
+        assert message.format(data=data) in captured.err
 
 
 def _short_loadings(doc):
@@ -555,18 +558,25 @@ def test_a_field_beyond_the_csv_limit_exits_1(workspace, capsys, command, option
     assert "field larger than field limit" in err
 
 
-@pytest.mark.parametrize("fault", [b"\xff", b"1" * 200_001], ids=["not_utf8", "long_field"])
-def test_a_bad_cell_is_reported_before_a_fault_of_a_later_chunk(workspace, capsys, fault):
-    """The data is read a chunk of rows at a time, and nothing after the
-    chunk of the first bad row: a fault of the file itself thousands of rows
-    further down is never reached."""
+@pytest.mark.parametrize("first, fault, message", [
+    (b"Rawah,x", b"\xff", "feature 'Elevation': cannot parse number from 'x'"),
+    (b"Rawah,x", b"1" * 200_001, "feature 'Elevation': cannot parse number from 'x'"),
+    (b"Nowhere,2157", b"\xff",
+     "feature 'Wilderness area': label 'Nowhere' not in declared categories"),
+], ids=["not_utf8", "long_field", "bad_label_not_utf8"])
+def test_a_bad_cell_is_reported_before_a_fault_of_a_later_chunk(workspace, capsys, first,
+                                                                 fault, message):
+    """The data is read a chunk of rows at a time, each cell checked as it is
+    parsed, and nothing after the chunk of the first bad row: a fault of the
+    file itself thousands of rows further down is never reached, whether the
+    bad cell fails to parse or holds an undeclared label."""
     data = workspace / "data.csv"
-    data.write_bytes(b"Wilderness area,Elevation\nRawah,x\n" + b"Rawah,2157\n" * 3000
+    data.write_bytes(b"Wilderness area,Elevation\n" + first + b"\n" + b"Rawah,2157\n" * 3000
                      + b"Rawah," + fault + b"\n")
     assert main(["transform", "--pipeline", str(workspace / "pipeline.yaml"),
                  "--data", str(data), "--out", str(workspace / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert err == "error: row 0: feature 'Elevation': cannot parse number from 'x'\n"
+    assert err == f"error: row 0: {message}\n"
 
 
 def _bad_input_exits_1(workspace, capsys, command, options, bad, content: bytes) -> str:
@@ -985,12 +995,6 @@ def _transformed(workspace):
     return reference.read_bytes()
 
 
-def _same_output_twice(workspace):
-    both = workspace / "x"
-    assert main(_transform_argv(workspace, "--out", str(both), "--lineage", str(both))) == 0
-    assert isinstance(json.loads(both.read_text(encoding="utf-8")), list)  # the later one wins
-
-
 def _out_is_a_device(workspace):
     report = workspace / "r.txt"
     replace = os.replace
@@ -1003,7 +1007,7 @@ def _out_is_a_device(workspace):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "replace", replace_but_not_the_device)
-        assert main(_transform_argv(workspace, "--out", os.devnull,
+        assert main(_transform_argv(workspace, "--out", os.devnull, "--lineage", os.devnull,
                                     "--report", str(report))) == 0
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
     assert report.read_text(encoding="utf-8") == "no fidelity loss: every step is exact\n"
@@ -1041,11 +1045,34 @@ def _out_is_the_data(workspace):
 
 
 @pytest.mark.parametrize("case", [
-    _same_output_twice, _out_is_a_device, _out_is_a_symlink, _new_output_mode,
-    _existing_output_mode, _out_is_the_data,
-], ids=["out_is_lineage", "dev_null", "symlink", "new_mode", "existing_mode", "out_is_data"])
+    _out_is_a_device, _out_is_a_symlink, _new_output_mode, _existing_output_mode,
+    _out_is_the_data,
+], ids=["dev_null", "symlink", "new_mode", "existing_mode", "out_is_data"])
 def test_output_written_where_open_would_write_it(workspace, case):
     case(workspace)
+
+
+def _report_links_to_out(workspace):
+    out, report = _old(workspace / "x"), workspace / "r.txt"
+    report.symlink_to(out)
+    return "--out", out, "--lineage", workspace / "l.json", "--report", report
+
+
+@pytest.mark.parametrize("outputs", [
+    lambda w: ("--out", w / "x", "--lineage", w / "x"),
+    lambda w: ("--out", w / "x", "--report", f"{w}/./x"),
+    _report_links_to_out,
+], ids=["out_is_lineage", "out_is_report", "report_links_to_out"])
+def test_two_outputs_that_name_one_file_exit_1(workspace, capsys, outputs):
+    """Each output file is moved into place once written, so a second output
+    of the same file would replace the first: the command is refused before
+    any output is opened, and nothing is written."""
+    outputs = [str(o) for o in outputs(workspace)]
+    before = {path: path.read_bytes() for path in workspace.iterdir() if path.is_file()}
+    out = _fails_cleanly(_transform_argv(workspace, *outputs), capsys, 1,
+                         f"error: outputs {outputs[1]} and {outputs[-1]} are the same file\n")
+    assert {path: path.read_bytes() for path in workspace.iterdir() if path.is_file()} == before
+    assert "written to" not in out and "transformed" not in out
 
 
 BOM = b"\xef\xbb\xbf"

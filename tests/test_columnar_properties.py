@@ -158,7 +158,7 @@ def test_first_bad_cell_is_reported_row_major(table, data):
 
 @PROPERTY_SETTINGS
 @given(SMALL_TABLES, st.data())
-def test_csv_reports_the_first_bad_cell_with_parse_errors_first(table, data):
+def test_csv_reports_the_first_bad_cell_in_file_order(table, data):
     features = table.schema.features
     lines = _csv_text(table).splitlines()
     grid = [line.split(",") for line in lines[1:]]  # generated labels hold no commas
@@ -166,13 +166,9 @@ def test_csv_reports_the_first_bad_cell_with_parse_errors_first(table, data):
     for r, c in positions:
         grid[r][c] = BAD_TEXT[features[c].dtype]
     text = "\n".join([lines[0], *(",".join(fields) for fields in grid)]) + "\n"
-    # Every cell is parsed before any is validated, so a parse error anywhere
-    # wins over a validation error; within each class the first row-major wins.
-    parse_errors = [(r, c) for r, c in positions if features[c].categories is None]
-    r, c = (parse_errors or positions)[0]
-    if parse_errors:
-        message = _error(lambda: parse_cell(grid[r][c], features[c]))
-    else:
-        message = _error(lambda: check_cell(grid[r][c], features[c]))
+    # Each cell is checked where it is parsed, so the first bad cell in
+    # row-major order wins, whether it fails to parse or is an undeclared label.
+    r, c = positions[0]
+    message = _error(lambda: check_cell(parse_cell(grid[r][c], features[c]), features[c]))
     got = _error(lambda: read_table_csv(io.StringIO(text), table.schema))
     assert got == f"row {r}: {message}"

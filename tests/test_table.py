@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import pytest
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 
 from featurespace import table as table_module
 from featurespace.errors import ValidationError
-from featurespace.schema import FeatureSpec, SchemaManifest
+from featurespace.schema import FeatureSpec, SchemaManifest, open_input
 from featurespace.table import (
     MISSING,
     DataTable,
     check_cell,
+    read_table_chunks,
     read_table_csv,
     render_cell,
     write_table_csv,
@@ -162,7 +164,9 @@ def _read(read, text: str, schema: SchemaManifest):
 def test_chunked_read_matches_the_whole_file_reader(data):
     """Tables of 0-4 chunks, the last one full or not, with any of a bad
     cell, a ragged row, an inner blank line and a blank last line: the
-    chunked reader returns the reference reader's table, or its error."""
+    chunked reader returns the reference reader's table, or its error. The
+    chunks it joins start at rows 0, k, 2k, ..., hold 1 to k rows of the
+    reference table each and share the schema that was read with."""
     schema = data.draw(schemas())
     chunk = data.draw(st.integers(1, 4), label="chunk rows")
     full_chunks = data.draw(st.integers(0, 3))
@@ -185,8 +189,15 @@ def test_chunked_read_matches_the_whole_file_reader(data):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     want = _read(reference_read_table_csv, buf.getvalue(), schema)
+    pairs = []
     with patch.object(table_module, "_CHUNK_ROWS", chunk):
         got = _read(read_table_csv, buf.getvalue(), schema)
+        try:
+            pairs.extend(read_table_chunks(io.StringIO(buf.getvalue()), schema))
+        except ValidationError:  # the chunks above the error are yielded
+            pass
+    assert [first for first, _ in pairs] == list(range(0, chunk * len(pairs), chunk))
+    assert all(0 < part.num_rows <= chunk and part.schema is schema for _, part in pairs)
     if isinstance(want, str):
         assert got == want
     else:
@@ -194,6 +205,9 @@ def test_chunked_read_matches_the_whole_file_reader(data):
         assert got == want
         assert [list(map(type, c)) for c in got.columns] == \
             [list(map(type, c)) for c in want.columns]
+        assert sum(part.num_rows for _, part in pairs) == want.num_rows
+        for first, part in pairs:
+            assert part.columns == tuple(c[first:first + part.num_rows] for c in want.columns)
 
 
 @pytest.mark.parametrize("full_chunks", [1, 2])
@@ -208,3 +222,29 @@ def test_a_ragged_row_in_the_second_chunk_is_numbered_from_the_first():
     text = "n,c,f\n" + "1,a,TRUE\n" * first + "1,a\n" + "1,a,TRUE\n" * 5
     with pytest.raises(ValidationError, match=f"^row {first}: expected 3 fields, got 2$"):
         read_table_csv(io.StringIO(text), simple_schema())
+
+
+def test_a_chunk_is_read_only_when_it_is_taken(tmp_path, monkeypatch):
+    """The first chunk of a file whose later bytes are not UTF-8 is read
+    whole; the fault is reached only by taking the chunks after it, and
+    closing the generator early closes the file."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"n,c,f\n" + b"1,a,TRUE\n" * 3000 + b"\xff\n")
+    handles = []
+
+    @contextmanager
+    def recording_open_input(source, what):
+        with open_input(source, what) as handle:
+            handles.append(handle)
+            yield handle
+
+    monkeypatch.setattr(table_module, "open_input", recording_open_input)
+    chunks = read_table_chunks(path, simple_schema())
+    assert handles == []  # nothing is opened before the first chunk is asked for
+    first, table = next(chunks)
+    assert (first, table.num_rows) == (0, table_module._CHUNK_ROWS)
+    chunks.close()
+    assert handles[0].closed
+    with pytest.raises(ValidationError, match="cannot read data file .*'utf-8' codec"):
+        list(read_table_chunks(path, simple_schema()))
+    assert handles[1].closed
