@@ -501,7 +501,7 @@ def load_fitted(path: str | Path) -> FittedPipeline:
     path = Path(path)
     try:
         doc = json.loads(_read_document(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ValidationError(f"{path}: fitted pipeline parse error: {exc}") from exc
     if not _is_fitted_document(doc):
         raise ValidationError(f"{path}: not a fitted pipeline document")
@@ -515,7 +515,7 @@ def load_document(path: str | Path) -> Pipeline | FittedPipeline:
     text = _read_document(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # a JSONDecodeError, or an integer of too many digits
         doc = None
     if _is_fitted_document(doc):
         return _fitted_from_doc(doc, path)

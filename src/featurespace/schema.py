@@ -1,8 +1,8 @@
 """Feature specifications, schema manifests, and the manifest document format.
 
 A spec and a manifest also keep, computed once, what every table of theirs
-shares: the CSV text of the header and of each category, and the set of
-categories that a label is checked against."""
+shares: the CSV text of the header and of each category, and the map from
+each category's text to the one object that every label cell of it holds."""
 
 from __future__ import annotations
 
@@ -94,7 +94,8 @@ def csv_line(values: Sequence[str]) -> str:
 @dataclass(frozen=True)
 class FeatureSpec:
     """Everything declared about one feature: identity, domain, wording,
-    interpretability flags, and lineage hooks."""
+    interpretability flags, and lineage hooks. A label cell that the CSV
+    reader or ``run`` makes is one of the ``categories`` objects itself."""
 
     name: str
     dtype: str
@@ -140,9 +141,10 @@ class FeatureSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
-    def category_set(self) -> frozenset[str]:
-        """The declared categories, as a set (empty without categories)."""
-        return frozenset(self.categories or ())
+    def category_objects(self) -> Mapping[str, str]:
+        """Each category's text to the category, the one object that every
+        label cell of it holds; read-only (empty without categories)."""
+        return MappingProxyType({c: c for c in self.categories or ()})
 
     @cached_property
     def csv_labels(self) -> Mapping[str, str]:
@@ -292,7 +294,7 @@ def document_mapping(value: Any, where: str, keys: Iterable[str] | None,
     the error's text, formatted with ``where`` and the list as ``names``.
     """
     if value is None:
-        return {}
+        value = {}
     if not isinstance(value, Mapping):
         raise ValidationError(f"{where} must be a mapping")
     if keys is not None:

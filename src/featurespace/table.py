@@ -4,7 +4,8 @@ MISSING is an explicit cell state, never a sentinel number or empty label, so
 imputation transforms can detect it unambiguously. A CSV file is read and
 written ``_CHUNK_ROWS`` rows at a time, and each cell is checked where it is
 parsed: ``read_table_chunks`` yields valid tables of one chunk each, and
-``read_table_csv`` joins them.
+``read_table_csv`` joins them. A label cell read is one of its feature's
+category objects, so a column holds one string per category, not per row.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _column_passes(values: list, spec: FeatureSpec) -> bool:
     except TypeError:  # an unhashable cell
         return False
     labels.discard(MISSING)
-    return labels <= spec.category_set
+    return labels <= spec.category_objects.keys()
 
 
 class DataTable:
@@ -102,7 +103,8 @@ class DataTable:
     columns it is told are not already known to be valid, none for the CSV
     reader, which checks each cell as it parses it. Column lists may be
     shared between tables and must never be mutated. ``rows`` is derived on
-    first use.
+    first use. In a table read from CSV or produced by ``run``, each present
+    label cell is one of its spec's ``categories`` objects.
     """
 
     def __init__(self, schema: SchemaManifest, rows: Iterable[Sequence]):
@@ -206,7 +208,11 @@ def parse_cell(text: str, spec: FeatureSpec):
                 f"feature {spec.name!r}: cannot parse number from {text!r}") from None
         if not math.isfinite(value):
             raise ValidationError(f"feature {spec.name!r}: non-finite value {text!r}")
-        return int(text) if _INT_RE.match(text) else value
+        try:
+            return int(text) if _INT_RE.match(text) else value
+        except ValueError:  # more digits than int() converts, as leading zeros can give
+            raise ValidationError(f"feature {spec.name!r}: integer of {len(text)} "
+                                  "characters has too many digits to read") from None
     return text
 
 
@@ -215,7 +221,8 @@ _BOOLEAN_TEXT = {"": MISSING, "TRUE": True, "FALSE": False}
 
 def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
     """``parse_cell`` over a whole column, every cell of it checked; raises
-    if a cell is bad (``_parse_rows`` finds which)."""
+    if a cell is bad (``_parse_rows`` finds which). A label is its category's
+    own object (``FeatureSpec.category_objects``), not the text csv made."""
     if spec.dtype == "numeric":
         joined = "".join(texts)  # a cell is no longer than the column's text
         if len(joined) > _SHORT_NUMBER and max(map(len, texts)) > _SHORT_NUMBER:
@@ -234,9 +241,12 @@ def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
             return [_BOOLEAN_TEXT[t] for t in texts]
         except KeyError:
             return [parse_cell(t, spec) for t in texts]
-    if not set(texts) - {""} <= spec.category_set:  # "" is MISSING
-        raise ValidationError(f"feature {spec.name!r}: a label not in declared categories")
-    return [t if t != "" else MISSING for t in texts]
+    labels = spec.category_objects
+    try:
+        return [labels[t] if t else MISSING for t in texts]  # "" is MISSING
+    except KeyError:
+        raise ValidationError(
+            f"feature {spec.name!r}: a label not in declared categories") from None
 
 
 def render_cell(cell, display_format: str | None = None) -> str:

@@ -891,7 +891,8 @@ class ImputeFlagged(Kernel):
         if strategy == "mean" and cfg.get("mean") is None:
             raise ValidationError(f"{self.kind}: mean strategy is not fitted")
         fill_value = cfg["mean"] if strategy == "mean" else cfg["constant"]
-        return (cfg["feature"], strategy, fill_value, Imputed(strategy),
+        labels = fstep.input_schema.feature(cfg["feature"]).category_objects
+        return (cfg["feature"], strategy, labels.get(fill_value, fill_value), Imputed(strategy),
                 _computed(fstep, (cfg["flag_name"],)))
 
     def apply(self, table, prepared):
@@ -1150,7 +1151,9 @@ class HierarchyRollup(_OneToOne):
                 "categories": parents, "wording": parse_wording_data(cfg["wording"])}
 
     def _column(self, fstep):
-        return _lookup(fstep.config["mapping"], "unmapped category {value!r}")
+        parents = fstep.output_schema.feature(fstep.config["target"]).category_objects
+        mapping = {child: parents[parent] for child, parent in fstep.config["mapping"].items()}
+        return _lookup(mapping, "unmapped category {value!r}")
 
 
 class RenderStatement(_OneToOne):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import yaml
 
 from featurespace import cli
 from featurespace.cli import main
+from featurespace.errors import ValidationError
 from featurespace.pipeline import load_fitted
 from featurespace.table import read_table_csv
 
@@ -444,7 +446,11 @@ def test_demo_covertype_missing_data_exits_1(tmp_path):
      "error: {data}: row 1: expected 2 fields or more, got 1\n"),
     (b"Elevation\n3000\n3000\n", "constant"),
     (b"Elevation\n\n", "no observed values"),
-], ids=["stats_differ", "not_utf8", "bad_cell", "short_row", "constant", "empty"])
+    (b"Elevation\n3000\n" + b"0" * 5000 + b"2724\n",  # more digits than int() reads
+     "error: {data}: row 1: feature 'Elevation': integer of 5004 characters "
+     "has too many digits to read\n"),
+], ids=["stats_differ", "not_utf8", "bad_cell", "short_row", "constant", "empty",
+        "long_integer"])
 def test_demo_covertype_data_exits_1(tmp_path, capsys, content, message):
     data = tmp_path / "covtype.csv"
     data.write_bytes(content)
@@ -751,6 +757,44 @@ def test_unloadable_yaml_exits_1(workspace, capsys, reader, case):
     err = capsys.readouterr().err
     assert f"{bad}: {reader} parse error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_a_data_integer_of_too_many_digits_exits_1(workspace, capsys):
+    """5,000 leading zeros make a finite number that int() refuses to read."""
+    (workspace / "data.csv").write_text(
+        "Wilderness area,Elevation\nRawah,2157\nRawah," + "0" * 5000 + "2724\n",
+        encoding="utf-8")
+    argv = ["transform", "--pipeline", str(workspace / "pipeline.yaml"), "--fit",
+            "--data", str(workspace / "data.csv"), "--out", str(workspace / "out.csv")]
+    _fails_cleanly(argv, capsys, 1, "error: row 1: feature 'Elevation': integer of 5004 "
+                   "characters has too many digits to read")
+    assert not (workspace / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "invert", "explain-map"])
+def test_a_document_integer_of_too_many_digits_exits_1(tmp_path, capsys, command):
+    doc = json.loads((DATA / "covertype_300_model_ready.fitted.json").read_text("utf-8"))
+    step_of(doc, "statistical_bin")["config"]["bins"] = "BINS"  # json writes no such int
+    path = tmp_path / "fitted.json"
+    path.write_text(json.dumps(doc).replace('"BINS"', "1" * 5001), encoding="utf-8")
+    inputs = {"transform": ["--data", str(ROWS)], "invert": [],
+              "explain-map": ["--contribs", str(DATA / "covertype_300_contribs_model_ready.csv")]}
+    argv = [command, "--pipeline", str(path), *inputs[command], "--out", str(tmp_path / "out")]
+    _fails_cleanly(argv, capsys, 1, f"error: {path}: pipeline parse error: cannot construct "
+                   "a value (ValueError: Exceeds the limit")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: fitted pipeline "
+                       "parse error: Exceeds the limit"):
+        load_fitted(path)
+
+
+@pytest.mark.parametrize("text", ["", "null\n", "# nothing\n"], ids=["empty", "null", "comment"])
+def test_an_empty_pipeline_document_exits_1(workspace, capsys, text):
+    (workspace / "pipeline.yaml").write_text(text, encoding="utf-8")
+    argv = ["transform", "--pipeline", str(workspace / "pipeline.yaml"),
+            "--data", str(workspace / "data.csv"), "--out", str(workspace / "out.csv")]
+    _fails_cleanly(argv, capsys, 1, f"error: {workspace / 'pipeline.yaml'}: pipeline document: "
+                   "missing required key 'input_manifest'")
+    _fails_cleanly(["fit", *argv[1:]], capsys, 1, "missing required key 'input_manifest'")
 
 
 def _fails_cleanly(argv, capsys, code, *messages):
