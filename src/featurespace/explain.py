@@ -104,9 +104,6 @@ class ContributionVector:
     def total(self) -> float:
         return self._total
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.schema.names, self.values))
-
 
 _new_vector = _builder(ContributionVector)
 

@@ -27,7 +27,7 @@ from .schema import (
     read_yaml,
 )
 from .table import DataTable
-from .transforms import Kernel, TransformStep, kernel_for
+from .transforms import UNKNOWN_CONFIG, Kernel, TransformStep, kernel_for
 
 DIRECTIONS = ("to_model_ready", "to_interpretable")
 _FLIP = {"to_model_ready": "to_interpretable", "to_interpretable": "to_model_ready"}
@@ -93,15 +93,6 @@ class FittedStep:
         # ``prepared`` holds functions: a copy or an unpickled step prepares anew.
         return FittedStep, (self.step, self.fit_state, self.input_schema,
                             self.output_schema, self.produced)
-
-    def signature(self):
-        """Step identity with fit parameters folded in.
-
-        Presentation-only keys (display_format) are excluded so that inversion
-        round-trips compare equal.
-        """
-        cfg = {k: v for k, v in self.config.items() if k != "display_format"}
-        return (self.step.kind, _to_plain(cfg), _to_plain(self.step.property_delta))
 
 
 @dataclass(frozen=True)
@@ -257,6 +248,7 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
         kernel = kernel_for(step.kind)
         state = states[i]
         try:
+            document_mapping(step.config, step.kind, kernel.keys, unknown=UNKNOWN_CONFIG)
             cfg = kernel.normalize(step.config, schema)
             if state is not None:
                 state = kernel.check_learned(cfg, state, schema)
@@ -497,11 +489,24 @@ def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
         handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _json_document(text: str, path: Path) -> Any:
+    """``text`` read as JSON. Text that is not JSON raises ``JSONDecodeError``;
+    JSON with an integer of more digits than ``int()`` reads is a fitted
+    document that cannot be read, never a pipeline document for YAML."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ValidationError(f"{path}: fitted pipeline document: an integer has too many "
+                              "digits to read") from None
+
+
 def load_fitted(path: str | Path) -> FittedPipeline:
     path = Path(path)
     try:
-        doc = json.loads(_read_document(path))
-    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+        doc = _json_document(_read_document(path), path)
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: fitted pipeline parse error: {exc}") from exc
     if not _is_fitted_document(doc):
         raise ValidationError(f"{path}: not a fitted pipeline document")
@@ -514,8 +519,8 @@ def load_document(path: str | Path) -> Pipeline | FittedPipeline:
     path = Path(path)
     text = _read_document(path)
     try:
-        doc = json.loads(text)
-    except ValueError:  # a JSONDecodeError, or an integer of too many digits
+        doc = _json_document(text, path)
+    except json.JSONDecodeError:
         doc = None
     if _is_fitted_document(doc):
         return _fitted_from_doc(doc, path)

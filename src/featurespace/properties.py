@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
@@ -68,15 +68,6 @@ class PropertySet:
         if name not in PROPERTY_NAMES:
             raise ValidationError(f"unknown property flag: {name!r}")
         return getattr(self, name)
-
-    def with_flags(self, **updates: bool) -> "PropertySet":
-        unknown = sorted(set(updates) - set(PROPERTY_NAMES))
-        if unknown:
-            raise ValidationError(f"unknown property flags: {unknown}")
-        return replace(self, **updates)
-
-    def issubset(self, other: "PropertySet") -> bool:
-        return all(other.has(name) for name in self.true_names())
 
     def intersect(self, other: "PropertySet") -> "PropertySet":
         return PropertySet(**{

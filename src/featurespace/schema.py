@@ -173,12 +173,15 @@ class SchemaManifest:
             if name in seen:
                 raise ValidationError(f"duplicate feature name {name!r}")
             seen.add(name)
-        for spec in self.features:
-            violated = validate_property_set(spec.properties, self.extra_implications)
-            if violated:
-                edges = ", ".join(format_edge(e) for e in violated)
-                raise ValidationError(
-                    f"feature {spec.name!r}: property implications violated: {edges}")
+        # A spec met the base implications when it was built: only the
+        # schema's own edges can fail it.
+        if self.extra_implications:
+            for spec in self.features:
+                violated = validate_property_set(spec.properties, self.extra_implications)
+                if violated:
+                    edges = ", ".join(format_edge(e) for e in violated)
+                    raise ValidationError(
+                        f"feature {spec.name!r}: property implications violated: {edges}")
         if self.space_tag == "model_ready":
             bad = [f.name for f in self.features if not f.properties.model_compatible]
             if bad:

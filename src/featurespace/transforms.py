@@ -91,7 +91,8 @@ class PlanResult:
 # ---------------------------------------------------------------------------
 # config helpers
 
-_UNKNOWN_CONFIG = "{where}: unknown config keys {names}"
+# ``document_mapping``'s error for a config key the kind does not take.
+UNKNOWN_CONFIG = "{where}: unknown config keys {names}"
 
 
 def _req(cfg: Mapping, key: str, kind: str):
@@ -181,7 +182,7 @@ def _restore(cfg: Mapping, target: str, kind: str, dtypes: tuple[str, ...]) -> d
     if data is None:
         data = {"dtype": dtypes[0],
                 **{k: cfg[k] for k in _STRUCTURAL_KEYS if cfg.get(k) is not None}}
-    data = document_mapping(data, f"{kind}.restore", _STRUCTURAL_KEYS, unknown=_UNKNOWN_CONFIG)
+    data = document_mapping(data, f"{kind}.restore", _STRUCTURAL_KEYS, unknown=UNKNOWN_CONFIG)
     restore = structural_data(feature_from_data({**data, "name": target}, f"{kind}.restore"))
     if restore["dtype"] not in dtypes:
         raise ValidationError(f"{kind}: restored dtype must be {' or '.join(dtypes)}")
@@ -237,6 +238,9 @@ def _wording_cfg(cfg: Mapping, kind: str) -> dict | None:
 class Kernel:
     """One transform kind. A kernel declares:
 
+    - ``keys``: the top-level config keys the kind accepts, which the
+      pipeline checks before ``normalize`` (a nested mapping, such as a
+      ``restore``, is checked by the kind);
     - ``delta``: the property flags set on every feature the step produces
       (``delta_for`` when they depend on the produced feature);
     - ``learned``: the config keys ``fit`` fills in, kept under the same
@@ -275,6 +279,7 @@ class Kernel:
     """
 
     kind: str = ""
+    keys: tuple[str, ...] = ()
     delta: Mapping[str, bool] = {}
     learned: tuple[str, ...] = ()
     inverse: Callable[[Mapping, SchemaManifest], TransformStep] | None = None
@@ -444,10 +449,9 @@ def _computed(fstep: FittedStep, names: Sequence[str] | None = None
 class OneHotEncode(Kernel):
     kind = "one_hot_encode"
     delta = {"model_compatible": True, "model_ready": True, "human_worded": False}
+    keys = ("feature", "name_template", "names")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "name_template", "names"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         if spec.dtype != "categorical":
@@ -511,6 +515,8 @@ class OneHotEncode(Kernel):
 class OneHotDecode(Kernel):
     kind = "one_hot_decode"
     delta = {"model_ready": False}
+    keys = ("group", "target", "categories", "wording", "unit", "description", "observed",
+            "restore", "zero_hot")
 
     def delta_for(self, out_spec):
         if out_spec.wording is not None and out_spec.wording.value_phrase is not None:
@@ -518,9 +524,6 @@ class OneHotDecode(Kernel):
         return self.delta
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"group", "target", "categories", "wording", "unit",
-                                          "description", "observed", "restore", "zero_hot"},
-                         unknown=_UNKNOWN_CONFIG)
         group = document_list(_req(cfg, "group", self.kind), f"{self.kind}: group")
         if not group:
             raise ValidationError(f"{self.kind}: group must be non-empty")
@@ -600,10 +603,9 @@ class Standardize(_OneToOne):
     kind = "standardize"
     delta = {"model_ready": True, "understandable": False, "human_worded": False}
     learned = ("mean", "scale")
+    keys = ("feature", "mean", "scale", "target", "display_format")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "mean", "scale", "target", "display_format"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
         mean, scale = cfg.get("mean"), cfg.get("scale")
@@ -654,11 +656,10 @@ class Standardize(_OneToOne):
 class Unstandardize(_OneToOne):
     kind = "unstandardize"
     delta = {"understandable": True, "model_ready": False}
+    keys = ("feature", "mean", "scale", "target", "restore", "unit", "description",
+            "display_format")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "mean", "scale", "target", "restore", "unit",
-                                          "description", "display_format"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
         mean = _number(_req(cfg, "mean", self.kind), self.kind, "mean")
@@ -687,6 +688,9 @@ class Unstandardize(_OneToOne):
         })
 
 
+MAX_BINS = 10_000
+
+
 def _round_edge(value: float) -> int:
     return int(round(value))
 
@@ -703,16 +707,16 @@ class StatisticalBin(_OneToOne):
     kind = "statistical_bin"
     delta = {"model_ready": True, "understandable": False}
     learned = ("min", "max")
+    keys = ("feature", "bins", "min", "max", "labels", "target", "keep_original", "wording")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "bins", "min", "max", "labels", "target",
-                                          "keep_original", "wording"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
         bins = document_int(_req(cfg, "bins", self.kind), f"{self.kind}: bins")
         if bins < 1:
             raise ValidationError(f"{self.kind}: bins must be >= 1")
+        if bins > MAX_BINS:  # every bin gets an edge and a label
+            raise ValidationError(f"{self.kind}: bins must be <= {MAX_BINS}")
         lo, hi = cfg.get("min"), cfg.get("max")
         if (lo is None) != (hi is None):
             raise ValidationError(f"{self.kind}: configure min and max together or neither")
@@ -799,11 +803,9 @@ class StatisticalBin(_OneToOne):
 class SemanticBin(_OneToOne):
     kind = "semantic_bin"
     delta = {"understandable": True}
+    keys = ("feature", "boundaries", "labels", "target", "keep_original", "wording")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "boundaries", "labels", "target",
-                                          "keep_original", "wording"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
         boundaries = _numbers(_req(cfg, "boundaries", self.kind), self.kind, "boundaries")
@@ -833,10 +835,9 @@ class SemanticBin(_OneToOne):
 class ImputeFlagged(Kernel):
     kind = "impute_flagged"
     delta = {"trackable": True}
+    keys = ("feature", "strategy", "constant", "flag_name")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "strategy", "constant", "flag_name"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         strategy = str(_req(cfg, "strategy", self.kind))
@@ -1005,11 +1006,10 @@ class AggregateNumeric(Kernel):
     kind = "aggregate_numeric"
     delta = {"understandable": True, "trackable": True}
 
-    _KEYS = {"inputs", "formula", "target", "keep_inputs", "wording",
-             "display_format", "unit", "description"}
+    keys = ("inputs", "formula", "target", "keep_inputs", "wording", "display_format", "unit",
+            "description")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, self._KEYS, unknown=_UNKNOWN_CONFIG)
         inputs = document_list(_req(cfg, "inputs", self.kind), f"{self.kind}: inputs")
         if not inputs:
             raise ValidationError(f"{self.kind}: inputs must be non-empty")
@@ -1074,14 +1074,14 @@ class AbstractConcept(AggregateNumeric):
     kind = "abstract_concept"
     delta = {"abstract_concept": True, "trackable": True}
 
-    _KEYS = AggregateNumeric._KEYS | {"labeling"}
+    keys = (*AggregateNumeric.keys, "labeling")
 
     def normalize(self, cfg, schema):
         labeling = cfg.get("labeling")
-        base = super().normalize({k: v for k, v in cfg.items() if k != "labeling"}, schema)
+        base = super().normalize(cfg, schema)
         if labeling is not None:
             labeling = document_mapping(labeling, f"{self.kind}: labeling",
-                                        ("boundaries", "labels"), unknown=_UNKNOWN_CONFIG)
+                                        ("boundaries", "labels"), unknown=UNKNOWN_CONFIG)
             boundaries = _numbers(_req(labeling, "boundaries", self.kind), self.kind,
                                   "labeling boundaries")
             if any(a >= b for a, b in zip(boundaries, boundaries[1:])) or not boundaries:
@@ -1120,11 +1120,9 @@ class AbstractConcept(AggregateNumeric):
 class HierarchyRollup(_OneToOne):
     kind = "hierarchy_rollup"
     delta = {"understandable": True}
+    keys = ("feature", "mapping", "target", "keep_original", "wording", "description")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "mapping", "target", "keep_original",
-                                          "wording", "description"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         if spec.dtype not in ("categorical", "ordinal"):
@@ -1159,10 +1157,9 @@ class HierarchyRollup(_OneToOne):
 class RenderStatement(_OneToOne):
     kind = "render_statement"
     delta = {"human_worded": True}
+    keys = ("feature", "target")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "target"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         if spec.dtype not in ("boolean", "categorical", "ordinal"):
@@ -1200,10 +1197,9 @@ class RenderStatement(_OneToOne):
 class UnrenderStatement(_OneToOne):
     kind = "unrender_statement"
     delta = {"human_worded": False}
+    keys = ("feature", "target", "restore")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "target", "restore"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         spec = _feature_of(schema, feature, self.kind)
         # A feature with a wording template holds the values it renders; a
@@ -1238,11 +1234,9 @@ class PcaProject(Kernel):
     delta = {"readable": False, "human_worded": False, "understandable": False,
              "model_ready": True}
     learned = ("means", "loadings")
+    keys = ("inputs", "components", "means", "loadings", "name_template", "display_format")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"inputs", "components", "means", "loadings",
-                                          "name_template", "display_format"},
-                         unknown=_UNKNOWN_CONFIG)
         inputs = document_list(_req(cfg, "inputs", self.kind), f"{self.kind}: inputs")
         if not inputs:
             raise ValidationError(f"{self.kind}: inputs must be non-empty")
@@ -1360,10 +1354,9 @@ class PcaProject(Kernel):
 class LinkRaw(Kernel):
     kind = "link_raw"
     delta = {"trackable": True}
+    keys = ("feature", "series_id", "window", "series")
 
     def normalize(self, cfg, schema):
-        document_mapping(cfg, self.kind, {"feature", "series_id", "window", "series"},
-                         unknown=_UNKNOWN_CONFIG)
         feature = str(_req(cfg, "feature", self.kind))
         source = _feature_of(schema, feature, self.kind).raw_source
         # A step that names its series and window needs no raw_source: the

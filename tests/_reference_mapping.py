@@ -113,7 +113,7 @@ def reference_map(fitted, contrib: ContributionVector,
         raise MappingError(
             "contribution vector does not align with the pipeline's model-ready "
             f"schema: got {list(contrib.schema.names)}, expected {list(expected.names)}")
-    values = contrib.as_dict()
+    values = dict(zip(contrib.schema.names, contrib.values))
     notes, exposed, audit = [], {}, []
     for number, fstep in steps:
         values, counts = mapper(fstep, values, expose_flags, notes, exposed)

@@ -17,6 +17,7 @@ from featurespace.cli import main
 from featurespace.errors import ValidationError
 from featurespace.pipeline import load_fitted
 from featurespace.table import read_table_csv
+from featurespace.transforms import MAX_BINS
 
 from _fitted_documents import DATA, ROWS, fitted_document, step_of
 
@@ -780,11 +781,44 @@ def test_a_document_integer_of_too_many_digits_exits_1(tmp_path, capsys, command
     inputs = {"transform": ["--data", str(ROWS)], "invert": [],
               "explain-map": ["--contribs", str(DATA / "covertype_300_contribs_model_ready.csv")]}
     argv = [command, "--pipeline", str(path), *inputs[command], "--out", str(tmp_path / "out")]
-    _fails_cleanly(argv, capsys, 1, f"error: {path}: pipeline parse error: cannot construct "
-                   "a value (ValueError: Exceeds the limit")
-    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: fitted pipeline "
-                       "parse error: Exceeds the limit"):
+    message = f"{path}: fitted pipeline document: an integer has too many digits to read"
+    err = _fails_cleanly(argv, capsys, 1, f"error: {message}\n")
+    assert "sys.set_int_max_str_digits" not in err
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         load_fitted(path)
+
+
+def _too_many_bins_fitted(workspace):
+    """``transform`` argv for the learned fitted document with one bin over
+    ``MAX_BINS``, its edges those of the new count."""
+    doc = fitted_document("learned", workspace)
+    step = step_of(doc, "statistical_bin")
+    bins = step["config"]["bins"] = MAX_BINS + 1
+    step["config"]["labels"] = None
+    lo, hi = step["fit_state"]["min"], step["fit_state"]["max"]
+    step["fit_state"]["edges"] = [lo + i * (hi - lo) / bins for i in range(bins + 1)]
+    path = workspace / "bins.fitted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["transform", "--pipeline", str(path), "--data", str(ROWS)], "step 2"
+
+
+def _too_many_bins_pipeline(workspace):
+    """``fit`` argv for a one-step pipeline of ``MAX_BINS + 1`` bins."""
+    argv = _one_step(workspace, "statistical_bin",
+                     {"feature": "Elevation", "bins": MAX_BINS + 1, "target": "Range"})
+    return ["fit", *argv[2:]], "step 1"
+
+
+@pytest.mark.parametrize("argv_for", [_too_many_bins_pipeline, _too_many_bins_fitted],
+                         ids=["fit", "transform_fitted"])
+def test_more_bins_than_the_cap_exits_1(workspace, capsys, argv_for):
+    """Every bin gets an edge and a label before any other check, so
+    ``bins`` is capped where it is read."""
+    argv, step = argv_for(workspace)
+    _fails_cleanly(argv + ["--out", str(workspace / "out")], capsys, 1,
+                   f"{step} (statistical_bin): statistical_bin: bins must be <= "
+                   f"{MAX_BINS}\n")
+    assert not (workspace / "out").exists()
 
 
 @pytest.mark.parametrize("text", ["", "null\n", "# nothing\n"], ids=["empty", "null", "comment"])

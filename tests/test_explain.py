@@ -31,6 +31,10 @@ def vector_for(schema, values, base=None):
     return ContributionVector(schema=schema, values=tuple(values), base_value=base)
 
 
+def by_name(vector):
+    return dict(zip(vector.schema.names, vector.values))
+
+
 def decode_pipeline():
     return as_fitted(compose([decode_step()], boolean_group_schema(), "to_interpretable"))
 
@@ -63,7 +67,7 @@ def test_identity_rename_preserves_value():
         "target": "Elevation"})
     fitted = as_fitted(compose([step], schema, "to_interpretable"))
     result = map_contributions(fitted, vector_for(schema, [0.42]))
-    assert result.vector.as_dict() == {"Elevation": 0.42}
+    assert by_name(result.vector) == {"Elevation": 0.42}
 
 
 def test_composite_contributions_sum_and_conserve():
@@ -77,7 +81,7 @@ def test_composite_contributions_sum_and_conserve():
     fitted = as_fitted(compose([step], schema, "to_interpretable"))
     contrib = vector_for(schema, [0.3, -0.1])
     result = map_contributions(fitted, contrib)
-    assert result.vector.as_dict()["Distance from Hydrology"] == pytest.approx(0.2)
+    assert by_name(result.vector)["Distance from Hydrology"] == pytest.approx(0.2)
     assert conservation_check(contrib, result.vector).passed
 
 
@@ -101,11 +105,11 @@ def test_reverse_mapping_over_encode_and_flag():
     assert model_schema.names == ("c a", "c b", "x", "x Flag")
     contrib = vector_for(model_schema, [0.1, 0.2, 0.3, 0.05])
     result = map_contributions(fitted, contrib)
-    assert result.vector.as_dict() == pytest.approx({"c": 0.3, "x": 0.35})
+    assert by_name(result.vector) == pytest.approx({"c": 0.3, "x": 0.35})
     assert conservation_check(contrib, result.vector).passed
 
     exposed = map_contributions(fitted, contrib, expose_flags=True)
-    assert exposed.vector.as_dict() == pytest.approx({"c": 0.3, "x": 0.3})
+    assert by_name(exposed.vector) == pytest.approx({"c": 0.3, "x": 0.3})
     assert exposed.exposed_flags == {"x Flag": 0.05}
     check = conservation_check(contrib, exposed.vector,
                                extra_after=sum(exposed.exposed_flags.values()))
@@ -125,7 +129,7 @@ def test_pca_redistribution_conserves_and_notes():
     result = map_contributions(fitted, contrib)
     assert conservation_check(contrib, result.vector).passed
     assert any("squared" in note for note in result.fidelity_notes)
-    assert set(result.vector.as_dict()) == {"n0", "n1", "n2"}
+    assert set(by_name(result.vector)) == {"n0", "n1", "n2"}
 
 
 def test_partition_audit_counts_every_feature_once():

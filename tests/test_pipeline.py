@@ -3,7 +3,10 @@ hand-built pipelines and pipelines drawn from all 14 kinds."""
 
 from __future__ import annotations
 
+import json
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, Phase, find, given, settings
@@ -26,7 +29,15 @@ from featurespace.pipeline import (
 )
 from featurespace.schema import FeatureSpec, SchemaManifest, serialize_manifest
 from featurespace.table import MISSING, DataTable
-from featurespace.transforms import EXACT_KINDS, KERNELS, Standardize, TransformStep, sum_in_order
+from featurespace.transforms import (
+    EXACT_KINDS,
+    KERNELS,
+    TRANSFORM_KINDS,
+    Standardize,
+    TransformStep,
+    kernel_for,
+    sum_in_order,
+)
 
 from _tables import tables_equal
 from strategies import (
@@ -41,6 +52,14 @@ from strategies import (
 from test_transforms import boolean_group_schema, decode_step
 
 EXACT_PIPELINES = fitted_pipelines(direction="to_interpretable", kinds=EXACT_KINDS)
+
+
+def signature(fstep):
+    """A step's kind, config with its fit state but no display format (a
+    presentation key an inverse drops), and property delta, as plain JSON
+    values."""
+    config = {k: v for k, v in fstep.config.items() if k != "display_format"}
+    return json.loads(json.dumps([fstep.step.kind, config, fstep.step.property_delta]))
 
 
 def area_decode_step(**overrides):
@@ -74,6 +93,25 @@ def test_compose_dangling_reference_names_the_step():
                                          "mean": 0.0, "scale": 1.0})
     with pytest.raises(ValidationError, match=r"step 1 \(standardize\).*Elevatoin"):
         compose([step], schema, "to_interpretable")
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_the_pipeline_checks_the_config_keys_each_kernel_declares(kind, data):
+    """A step of ``kind`` with a key its kernel does not declare fails to
+    compose, and every normalized config holds declared keys only: the
+    pipeline, not the kernel, checks them."""
+    first = ("render_statement", kind) if kind == "unrender_statement" else (kind,)
+    fitted, _ = data.draw(fitted_pipelines(schemas(["numeric", "categorical", "boolean",
+                                                    "one_hot"]), missing=0.0, first=first))
+    for fstep in fitted.steps:
+        assert set(fstep.step.config) <= set(kernel_for(fstep.step.kind).keys)
+    fstep = fitted.steps[len(first) - 1]
+    step = TransformStep(kind, {**fstep.step.config, "zz": 1})
+    message = f"step 1 ({kind}): {kind}: unknown config keys ['zz']"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        compose([step], fstep.input_schema, fitted.direction)
 
 
 def test_fit_standardize_matches_single_pass_oracle():
@@ -199,8 +237,7 @@ def test_round_trip_identity_on_exact_pipelines(pair):
 def test_double_inversion_restores_step_signatures(pair):
     fitted, _ = pair
     twice = invert(invert(fitted))
-    assert [fs.signature() for fs in twice.steps] == \
-           [fs.signature() for fs in fitted.steps]
+    assert list(map(signature, twice.steps)) == list(map(signature, fitted.steps))
 
 
 @settings(max_examples=25, deadline=None)
@@ -249,7 +286,7 @@ def test_propagate_decode_sets_human_worded_and_readable():
 def test_propagate_standardize_sets_model_ready_and_compatible():
     schema = SchemaManifest(features=(
         FeatureSpec("x", "numeric",
-                    properties=BASE_PROPS.with_flags(model_compatible=False)),))
+                    properties=replace(BASE_PROPS, model_compatible=False)),))
     step = TransformStep("standardize", {"feature": "x", "mean": 0.0, "scale": 1.0})
     fitted = as_fitted(compose([step], schema, "to_model_ready"))
     spec = fitted.output_schema.feature("x")
@@ -295,8 +332,7 @@ def test_fitted_document_round_trip(tmp_path, pair):
     path = tmp_path / "pipeline.fitted.json"
     save_fitted(fitted, path)
     loaded = load_fitted(path)
-    assert [fs.signature() for fs in loaded.steps] == \
-           [fs.signature() for fs in fitted.steps]
+    assert list(map(signature, loaded.steps)) == list(map(signature, fitted.steps))
     assert loaded.output_schema == fitted.output_schema
     result_a = run(fitted, table)
     result_b = run(loaded, table)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from featurespace import demo
@@ -31,7 +33,7 @@ def test_developer_profile_closure_adds_nothing_new():
 
 def test_ethicist_mirrors_decision_maker_plus_trackable():
     assert required_properties("ethicist") == \
-        required_properties("decision_maker").with_flags(trackable=True)
+        replace(required_properties("decision_maker"), trackable=True)
     assert required_properties("impacted_user") == required_properties("ethicist")
 
 

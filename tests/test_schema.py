@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featurespace.errors import ValidationError
-from featurespace.properties import PROPERTY_NAMES, PropertySet, implication_closure
+from featurespace.properties import IMPLICATIONS, PROPERTY_NAMES, PropertySet, implication_closure
 from featurespace.schema import (
     DerivedFrom,
     FeatureSpec,
@@ -185,3 +185,32 @@ def feature_specs(draw):
 @given(feature_specs())
 def test_feature_data_round_trips(spec):
     assert feature_from_data(feature_to_data(spec), "feature") == spec
+
+
+def implication_oracle(features, extra) -> str | None:
+    """The error of checking every spec against the base and the extra
+    edges, at the first spec that violates one; None when none does."""
+    edges = IMPLICATIONS + tuple(extra)
+    for spec in features:
+        flags = spec.properties.flags()
+        violated = [f"{tail}=>{head}" for tail, head in edges if flags[tail] and not flags[head]]
+        if violated:
+            return f"feature {spec.name!r}: property implications violated: {', '.join(violated)}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(feature_specs(), max_size=4, unique_by=lambda spec: spec.name),
+       st.lists(st.tuples(st.sampled_from(PROPERTY_NAMES), st.sampled_from(PROPERTY_NAMES)),
+                max_size=3))
+def test_a_manifest_accepts_what_the_implication_oracle_accepts(features, extra):
+    """A manifest checks its specs against its own edges only, as each spec
+    met the base edges when it was built; it accepts and rejects as checking
+    every edge would, with the same message."""
+    expected = implication_oracle(features, extra)
+    if expected is None:
+        SchemaManifest(tuple(features), extra_implications=tuple(extra))
+    else:
+        with pytest.raises(ValidationError) as info:
+            SchemaManifest(tuple(features), extra_implications=tuple(extra))
+        assert str(info.value) == expected
