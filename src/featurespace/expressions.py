@@ -51,116 +51,118 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
+# How tightly each operator binds its operands. A unary minus binds tighter
+# than any binary operator, and a binary operator binds its left operand
+# before a later one of equal strength: ``a - b - c`` is ``(a - b) - c``.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
+_NEG = 3
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+# The deepest an expression may nest. Each parenthesized group, function
+# call, unary minus and binary operation is one level, so a chain such as
+# ``a + b + c`` is two levels deep. Parsing and evaluating use no recursion.
+MAX_DEPTH = 1_000
 
-    def take(self):
-        token = self.peek()
-        self.pos += 1
-        return token
 
-    def expect_op(self, op: str):
-        kind, value = self.take()
-        if kind != "op" or value != op:
-            raise ValidationError(f"expression: expected {op!r}, got {value!r}")
+def _postfix(tokens: list[tuple[str, str]]) -> tuple[tuple, ...]:
+    """The expression's instructions in evaluation order: ``("num", value)``,
+    ``("name", name)``, ``("neg",)``, ``("call", function)`` and
+    ``("bin", op)``. An operator or group waits, as ``(binding, instruction,
+    operand count)``, until its operands are done; ``depths`` holds the depth
+    of each operand done so far."""
+    program, depths, waiting = [], [], []
 
-    def parse(self):
-        node = self.sum()
-        if self.pos != len(self.tokens):
-            raise ValidationError(f"expression: trailing input at {self.peek()[1]!r}")
-        return node
+    def finish():
+        _, instruction, count = waiting.pop()
+        depth = max(depths.pop() for _ in range(count)) + 1
+        if depth > MAX_DEPTH:
+            raise ValidationError("expression: nested too deeply")
+        if instruction is not None:  # a parenthesized group has none
+            program.append(instruction)
+        depths.append(depth)
 
-    def sum(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            node = ("bin", op, node, self.term())
-        return node
+    def close(binding):
+        while waiting and waiting[-1][0] >= binding:
+            finish()
 
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            node = ("bin", op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, value = self.take()
-        if kind == "number":
-            return ("num", float(value))
-        if kind == "name":
-            if self.peek() == ("op", "("):
+    pos, want_operand = 0, True
+    while True:
+        kind, value = tokens[pos] if pos < len(tokens) else (None, None)
+        pos += 1
+        if want_operand:
+            if (kind, value) == ("op", "-"):
+                waiting.append((_NEG, ("neg",), 1))
+            elif (kind, value) == ("op", "("):
+                waiting.append((0, None, 1))
+            elif kind == "name" and tokens[pos:pos + 1] == [("op", "(")]:
                 if value not in FUNCTIONS:
                     raise ValidationError(
                         f"expression: unknown function {value!r} (only sqrt and floor)")
-                self.take()
-                arg = self.sum()
-                self.expect_op(")")
-                return ("call", value, arg)
-            return ("name", value)
-        if (kind, value) == ("op", "("):
-            node = self.sum()
-            self.expect_op(")")
-            return node
-        raise ValidationError(f"expression: unexpected token {value!r}")
+                waiting.append((0, ("call", value), 1))
+                pos += 1
+            elif kind in ("number", "name"):
+                program.append(("num", float(value)) if kind == "number" else ("name", value))
+                depths.append(0)
+                want_operand = False
+            else:
+                raise ValidationError(f"expression: unexpected token {value!r}")
+        elif kind == "op" and value in _BINDING:
+            close(_BINDING[value])
+            waiting.append((_BINDING[value], ("bin", value), 2))
+            want_operand = True
+        else:
+            close(1)  # every operator down to the innermost open group
+            if not waiting:
+                if kind is None:
+                    return tuple(program)
+                raise ValidationError(f"expression: trailing input at {value!r}")
+            if (kind, value) != ("op", ")"):
+                raise ValidationError(f"expression: expected ')', got {value!r}")
+            finish()
 
 
-def parse_expression(text: str):
-    """Parse to an AST; raises ValidationError on malformed input."""
+def parse_expression(text: str) -> tuple[tuple, ...]:
+    """Parse to the instructions ``evaluate`` runs; raises ValidationError on
+    malformed input."""
     if not isinstance(text, str) or not text.strip():
         raise ValidationError("expression must be a non-empty string")
     tokens = _tokenize(text)
     if not tokens:
         raise ValidationError("expression must be a non-empty string")
-    return _Parser(tokens).parse()
+    return _postfix(tokens)
 
 
-def expression_names(node) -> set[str]:
-    kind = node[0]
-    if kind == "name":
-        return {node[1]}
-    if kind == "num":
-        return set()
-    if kind == "neg":
-        return expression_names(node[1])
-    if kind == "call":
-        return expression_names(node[2])
-    return expression_names(node[2]) | expression_names(node[3])
+def expression_names(program) -> set[str]:
+    return {instruction[1] for instruction in program if instruction[0] == "name"}
 
 
-def evaluate(node, env: Mapping[str, float]):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "name":
-        return env[node[1]]
-    if kind == "neg":
-        return -evaluate(node[1], env)
-    if kind == "call":
-        value = evaluate(node[2], env)
-        if node[1] == "sqrt" and value < 0:
-            raise KernelError(f"sqrt of negative value {value!r}")
-        if node[1] == "floor" and not math.isfinite(value):
-            raise KernelError(f"floor of non-finite value {value!r}")
-        return FUNCTIONS[node[1]](value)
-    op, left, right = node[1], evaluate(node[2], env), evaluate(node[3], env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if right == 0:
-        raise KernelError("division by zero in expression")
-    return left / right
+def evaluate(program, env: Mapping[str, float]):
+    stack = []
+    for instruction in program:
+        kind = instruction[0]
+        if kind == "num":
+            stack.append(instruction[1])
+        elif kind == "name":
+            stack.append(env[instruction[1]])
+        elif kind == "neg":
+            stack.append(-stack.pop())
+        elif kind == "call":
+            value = stack.pop()
+            if instruction[1] == "sqrt" and value < 0:
+                raise KernelError(f"sqrt of negative value {value!r}")
+            if instruction[1] == "floor" and not math.isfinite(value):
+                raise KernelError(f"floor of non-finite value {value!r}")
+            stack.append(FUNCTIONS[instruction[1]](value))
+        else:
+            right, left = stack.pop(), stack.pop()
+            op = instruction[1]
+            if op == "+":
+                stack.append(left + right)
+            elif op == "-":
+                stack.append(left - right)
+            elif op == "*":
+                stack.append(left * right)
+            elif right == 0:
+                raise KernelError("division by zero in expression")
+            else:
+                stack.append(left / right)
+    return stack.pop()

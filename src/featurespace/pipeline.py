@@ -107,9 +107,9 @@ class Pipeline:
 
 @dataclass(frozen=True)
 class FittedPipeline:
-    """A pipeline whose every step is fitted. ``fidelity_notes`` (one per
-    lossy step) and the display formats are the same for every run, and are
-    worked out here once."""
+    """A pipeline whose every step is fitted. The lossy steps (``lossy``, each
+    as its number and kind), their ``fidelity_notes`` and the display formats
+    are the same for every run, and are worked out here once."""
 
     steps: tuple[FittedStep, ...]
     input_schema: SchemaManifest
@@ -119,14 +119,17 @@ class FittedPipeline:
     # ``explain.mapping_plan`` and keyed by ``expose_flags``.
     mapping_plans: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+    lossy: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
     fidelity_notes: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _display_formats: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "fidelity_notes", tuple(
-            f"step {number} ({fstep.step.kind}): lossy transform; inverse not offered"
-            for number, fstep in enumerate(self.steps, 1)
+        object.__setattr__(self, "lossy", tuple(
+            (number, fstep.step.kind) for number, fstep in enumerate(self.steps, 1)
             if not kernel_for(fstep.step.kind).exact(fstep.config)))
+        object.__setattr__(self, "fidelity_notes", tuple(
+            f"step {number} ({kind}): lossy transform; inverse not offered"
+            for number, kind in self.lossy))
         formats: dict[str, str] = {}
         for fstep in self.steps:
             surviving = set(fstep.output_schema.names)
@@ -168,14 +171,6 @@ class InversionRefusal:
         return f"pipeline is not invertible; non-exact steps: {steps}"
 
 
-def _to_plain(value):
-    if isinstance(value, Mapping):
-        return {str(k): _to_plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_plain(v) for v in value]
-    return value
-
-
 def _final_properties(delta: Mapping[str, bool], out_spec,
                       overrides: Mapping[str, bool],
                       extra_implications) -> PropertySet:
@@ -191,13 +186,14 @@ def _final_properties(delta: Mapping[str, bool], out_spec,
     return closed
 
 
-def _plan_step(kernel: Kernel, step: TransformStep, cfg: Mapping[str, Any],
+def _plan_step(kernel: Kernel, step: TransformStep, state: Mapping[str, Any] | None,
                schema: SchemaManifest, step_number: int,
-               final_space: str | None) -> tuple[SchemaManifest, tuple[str, ...]]:
-    """Output schema of one step and the names it produces; errors name the
-    step."""
+               final_space: str | None) -> FittedStep:
+    """The fitted step of normalized ``step`` with fit state ``state`` over
+    ``schema``; its output schema is the one check of the names and features
+    the step produces. Errors name the step."""
     try:
-        plan = kernel.plan(schema, cfg)
+        plan = kernel.plan(schema, _with_fit_state(step.config, state))
         produced = plan.produced
         document_mapping(step.property_delta, "property_delta", produced,
                          unknown="property_delta names features this step does not "
@@ -208,15 +204,11 @@ def _plan_step(kernel: Kernel, step: TransformStep, cfg: Mapping[str, Any],
                 schema.extra_implications))
             if spec.name in produced else spec
             for spec in plan.features)
-        try:
-            return SchemaManifest(specs, final_space or "original",
-                                  schema.extra_implications), produced
-        except ValidationError:
-            if final_space != "model_ready":
-                raise
-        # The flow did not reach model-ready space (some feature is not
-        # model-compatible); the output keeps the neutral tag.
-        return SchemaManifest(specs, "original", schema.extra_implications), produced
+        space = final_space or "original"
+        if space == "model_ready" and not all(s.properties.model_compatible for s in specs):
+            space = "original"  # the flow did not reach model-ready space
+        out_schema = SchemaManifest(specs, space, schema.extra_implications)
+        return FittedStep(step, state, schema, out_schema, produced)
     except ValidationError as exc:
         raise ValidationError(f"step {step_number} ({step.kind}): {exc}") from None
 
@@ -234,7 +226,6 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     """
     if direction not in DIRECTIONS:
         raise ValidationError(f"unknown pipeline direction {direction!r}")
-    normalized: list[TransformStep] = []
     fitted: list[FittedStep] = []
     schema = input_schema
     table = fit_table
@@ -242,11 +233,8 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     states = list(fit_states) if fit_states is not None else [None] * len(steps)
     if len(states) != len(steps):
         raise ValidationError("fit state count does not match step count")
-    last = len(steps) - 1
-    for i, step in enumerate(steps):
-        number = i + 1
+    for number, (step, state) in enumerate(zip(steps, states), 1):
         kernel = kernel_for(step.kind)
-        state = states[i]
         try:
             document_mapping(step.config, step.kind, kernel.keys, unknown=UNKNOWN_CONFIG)
             cfg = kernel.normalize(step.config, schema)
@@ -254,7 +242,6 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
                 state = kernel.check_learned(cfg, state, schema)
         except (ValidationError, TypeError, ValueError) as exc:
             raise ValidationError(f"step {number} ({step.kind}): {exc}") from None
-        norm = TransformStep(step.kind, cfg, step.property_delta)
         if kernel.requires_fit(cfg) and state is None:
             if table is not None:
                 for args in pending:
@@ -273,19 +260,14 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
             elif require_params:
                 raise ValidationError(
                     f"step {number} ({step.kind}): requires fitting; call fit() with data")
-        final_space = _TARGET_SPACE[direction] if i == last else None
-        out_schema, produced = _plan_step(kernel, norm, _with_fit_state(cfg, state), schema,
-                                          number, final_space)
-        try:
-            fstep = FittedStep(norm, state, schema, out_schema, produced)
-        except ValidationError as exc:
-            raise ValidationError(f"step {number} ({step.kind}): {exc}") from None
+        final_space = _TARGET_SPACE[direction] if number == len(steps) else None
+        fstep = _plan_step(kernel, TransformStep(step.kind, cfg, step.property_delta), state,
+                           schema, number, final_space)
         if table is not None:
             pending.append((kernel, fstep, number))
         fitted.append(fstep)
-        normalized.append(norm)
-        schema = out_schema
-    return tuple(normalized), tuple(fitted), schema
+        schema = fstep.output_schema
+    return tuple(fitted), schema
 
 
 def compose(steps: Sequence[TransformStep], input_schema: SchemaManifest,
@@ -296,8 +278,9 @@ def compose(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     collisions, invalid configs, or property overrides that violate the
     taxonomy implications.
     """
-    normalized, _, output_schema = _build(steps, input_schema, direction, None)
-    return Pipeline(normalized, input_schema, direction, output_schema)
+    fitted, output_schema = _build(steps, input_schema, direction, None)
+    return Pipeline(tuple(fstep.step for fstep in fitted), input_schema, direction,
+                    output_schema)
 
 
 def fit(pipeline: Pipeline, table: DataTable) -> FittedPipeline:
@@ -309,16 +292,16 @@ def fit(pipeline: Pipeline, table: DataTable) -> FittedPipeline:
     are rejected by ``run``.
     """
     _check_table_matches(table, pipeline.input_schema)
-    _, fitted, output_schema = _build(pipeline.steps, pipeline.input_schema,
-                                      pipeline.direction, None, fit_table=table)
+    fitted, output_schema = _build(pipeline.steps, pipeline.input_schema,
+                                   pipeline.direction, None, fit_table=table)
     return FittedPipeline(fitted, pipeline.input_schema, pipeline.direction,
                           output_schema)
 
 
 def as_fitted(pipeline: Pipeline) -> FittedPipeline:
     """Treat a parameter-complete pipeline as fitted without seeing data."""
-    _, fitted, output_schema = _build(pipeline.steps, pipeline.input_schema,
-                                      pipeline.direction, None, require_params=True)
+    fitted, output_schema = _build(pipeline.steps, pipeline.input_schema,
+                                   pipeline.direction, None, require_params=True)
     return FittedPipeline(fitted, pipeline.input_schema, pipeline.direction,
                           output_schema)
 
@@ -384,20 +367,15 @@ def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
     Lossy pipelines are runnable but never invertible; no partial inverse is
     offered because silently dropping steps would bias downstream explanations.
     """
-    non_exact = tuple(
-        (i + 1, fstep.step.kind)
-        for i, fstep in enumerate(fitted.steps)
-        if not kernel_for(fstep.step.kind).exact(fstep.config)
-    )
-    if non_exact:
-        return InversionRefusal(non_invertible=non_exact)
+    if fitted.lossy:
+        return InversionRefusal(non_invertible=fitted.lossy)
     inverse_raw = [
         kernel_for(fstep.step.kind).inverse(fstep.config, fstep.input_schema)
         for fstep in reversed(fitted.steps)
     ]
     direction = _FLIP[fitted.direction]
-    _, inverse_steps, output_schema = _build(inverse_raw, fitted.output_schema,
-                                             direction, None, require_params=True)
+    inverse_steps, output_schema = _build(inverse_raw, fitted.output_schema,
+                                          direction, None, require_params=True)
     return FittedPipeline(
         steps=inverse_steps,
         input_schema=fitted.output_schema,
@@ -470,7 +448,8 @@ def _pipeline_from_text(text: str, path: Path) -> Pipeline:
 
 
 def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
-    """Serialize with per-step numeric parameters at full precision."""
+    """Serialize with per-step numeric parameters at full precision; a step's
+    config, property delta and fit state are JSON data as they are."""
     doc = {
         "document": FITTED_DOCUMENT,
         "direction": fitted.direction,
@@ -478,9 +457,9 @@ def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
         "steps": [
             {
                 "kind": fstep.step.kind,
-                "config": _to_plain(fstep.step.config),
-                "property_delta": _to_plain(fstep.step.property_delta),
-                "fit_state": _to_plain(fstep.fit_state),
+                "config": fstep.step.config,
+                "property_delta": fstep.step.property_delta,
+                "fit_state": fstep.fit_state,
             }
             for fstep in fitted.steps
         ],
@@ -491,8 +470,9 @@ def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
 
 def _json_document(text: str, path: Path) -> Any:
     """``text`` read as JSON. Text that is not JSON raises ``JSONDecodeError``;
-    JSON with an integer of more digits than ``int()`` reads is a fitted
-    document that cannot be read, never a pipeline document for YAML."""
+    JSON with an integer of more digits than ``int()`` reads, or nested past
+    the parser's recursion limit, is a fitted document that cannot be read,
+    never a pipeline document for YAML."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -500,6 +480,8 @@ def _json_document(text: str, path: Path) -> Any:
     except ValueError:
         raise ValidationError(f"{path}: fitted pipeline document: an integer has too many "
                               "digits to read") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: fitted pipeline document: nested too deeply") from None
 
 
 def load_fitted(path: str | Path) -> FittedPipeline:
@@ -540,6 +522,6 @@ def _fitted_from_doc(doc: Mapping, path: Path) -> FittedPipeline:
         raise ValidationError(f"{path}: input_manifest: {exc}") from None
     steps, states = _steps_from_data(doc.get("steps"), where, _STEP_KEYS | {"fit_state"})
     direction = str(doc.get("direction"))
-    _, fitted_steps, output_schema = _build(steps, schema, direction, states,
-                                            require_params=True)
+    fitted_steps, output_schema = _build(steps, schema, direction, states,
+                                         require_params=True)
     return FittedPipeline(fitted_steps, schema, direction, output_schema)

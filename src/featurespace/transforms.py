@@ -124,6 +124,17 @@ def _display_format(cfg: Mapping, kind: str) -> str | None:
     raise ValidationError(f"{kind}: display_format {spec!r} is not a numeric format spec")
 
 
+def _format_template(template: str, where: str, **fields) -> str:
+    """``template`` with ``fields`` put in. A template that names another
+    field, or a field that fails to format, is an error naming ``where`` and
+    the template."""
+    try:
+        return template.format(**fields)
+    except (LookupError, AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where} {template!r} cannot be formatted "
+                              f"({type(exc).__name__}: {exc})") from None
+
+
 def _check_fit_state(kernel: Kernel, cfg: Mapping, fit_state: Any,
                      keys: Sequence[str]) -> None:
     document_mapping(fit_state, "fit_state", keys)
@@ -136,27 +147,11 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _feature_of(schema: SchemaManifest, name: str, kind: str) -> FeatureSpec:
-    if name not in schema:
-        raise ValidationError(f"{kind}: unknown feature {name!r}")
-    return schema.feature(name)
-
-
 def _numeric_feature(schema: SchemaManifest, name: str, kind: str) -> FeatureSpec:
-    spec = _feature_of(schema, name, kind)
+    spec = schema.feature(name)
     if spec.dtype != "numeric":
         raise ValidationError(f"{kind}: feature {name!r} must be numeric, is {spec.dtype}")
     return spec
-
-
-def _check_new_names(names: Sequence[str], schema: SchemaManifest,
-                     removed: set[str], kind: str) -> None:
-    surviving = set(schema.names) - removed
-    for name in names:
-        if name in surviving:
-            raise ValidationError(f"{kind}: output feature {name!r} collides with an existing feature")
-    if len(set(names)) != len(names):
-        raise ValidationError(f"{kind}: duplicate output feature names {list(names)}")
 
 
 _STRUCTURAL_KEYS = ("dtype", "description", "unit", "categories", "wording", "observed")
@@ -215,15 +210,13 @@ def _replace_features(schema: SchemaManifest, remove: Sequence[str],
     return kept[:at] + tuple(new_specs) + kept[at:]
 
 
-def _target(cfg: Mapping, feature: str, schema: SchemaManifest, kind: str) -> tuple[str, bool]:
+def _target(cfg: Mapping, feature: str, kind: str) -> tuple[str, bool]:
     """Output name and ``keep_original`` of a step that derives one feature
     from ``feature``."""
     keep = document_bool(cfg.get("keep_original", False), f"{kind}: keep_original")
     target = str(cfg.get("target") or feature)
     if keep and target == feature:
         raise ValidationError(f"{kind}: keep_original requires a distinct target name")
-    if target != feature:
-        _check_new_names([target], schema, set() if keep else {feature}, kind)
     return target, keep
 
 
@@ -245,10 +238,12 @@ class Kernel:
       (``delta_for`` when they depend on the produced feature);
     - ``learned``: the config keys ``fit`` fills in, kept under the same
       names in the step's fit state;
-    - ``normalize``: the checked config, also applied to learned values;
+    - ``normalize``: the checked config, as JSON data (tuples for lists),
+      also applied to learned values;
     - ``fit``: the fit state (a dict of learned parameters) from the data the
       step sees;
     - ``plan``: the output schema and the names of the produced features;
+      building that schema is the pipeline's one check that no name collides;
     - ``prepare``: what ``apply`` reads besides the table, from a fitted step;
     - ``apply``: the produced columns and their lineage;
     - ``inverse``: the step that undoes this one, defined only by a kind
@@ -453,7 +448,7 @@ class OneHotEncode(Kernel):
 
     def normalize(self, cfg, schema):
         feature = str(_req(cfg, "feature", self.kind))
-        spec = _feature_of(schema, feature, self.kind)
+        spec = schema.feature(feature)
         if spec.dtype != "categorical":
             raise ValidationError(
                 f"{self.kind}: feature {feature!r} must be categorical, is {spec.dtype}")
@@ -468,8 +463,8 @@ class OneHotEncode(Kernel):
             template = str(cfg.get("name_template") or "{feature} {category}")
             if "{category}" not in template:
                 raise ValidationError(f"{self.kind}: name_template needs a {{category}} placeholder")
-            names = tuple(template.format(feature=feature, category=c) for c in categories)
-        _check_new_names(names, schema, {feature}, self.kind)
+            names = tuple(_format_template(template, f"{self.kind}: name_template",
+                                           feature=feature, category=c) for c in categories)
         return {"feature": feature, "names": names}
 
     def plan(self, schema, cfg):
@@ -528,7 +523,7 @@ class OneHotDecode(Kernel):
         if not group:
             raise ValidationError(f"{self.kind}: group must be non-empty")
         for name in group:
-            spec = _feature_of(schema, name, self.kind)
+            spec = schema.feature(name)
             if spec.dtype != "boolean":
                 raise ValidationError(
                     f"{self.kind}: group feature {name!r} must be boolean, is {spec.dtype}")
@@ -542,7 +537,6 @@ class OneHotDecode(Kernel):
         zero_hot = str(cfg.get("zero_hot") or "error")
         if zero_hot not in ("error", "missing"):
             raise ValidationError(f"{self.kind}: zero_hot must be 'error' or 'missing'")
-        _check_new_names([target], schema, set(group), self.kind)
         return {"group": group, "target": target, "restore": restore, "zero_hot": zero_hot}
 
     def plan(self, schema, cfg):
@@ -615,7 +609,7 @@ class Standardize(_OneToOne):
             mean, scale = _number(mean, self.kind, "mean"), _number(scale, self.kind, "scale")
             if scale <= 0:
                 raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
-        target, _ = _target(cfg, feature, schema, self.kind)
+        target, _ = _target(cfg, feature, self.kind)
         return {
             "feature": feature,
             "mean": mean,
@@ -666,7 +660,7 @@ class Unstandardize(_OneToOne):
         scale = _number(_req(cfg, "scale", self.kind), self.kind, "scale")
         if scale <= 0:
             raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
-        target, _ = _target(cfg, feature, schema, self.kind)
+        target, _ = _target(cfg, feature, self.kind)
         return {"feature": feature, "mean": mean, "scale": scale, "target": target,
                 "restore": _restore(cfg, target, self.kind, ("numeric",)),
                 "display_format": _display_format(cfg, self.kind)}
@@ -689,6 +683,21 @@ class Unstandardize(_OneToOne):
 
 
 MAX_BINS = 10_000
+
+
+def _boundaries_and_labels(cfg: Mapping, kind: str,
+                           prefix: str = "") -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """A binning's ``boundaries``, non-empty and strictly increasing, and its
+    ``labels``, one per bin; errors call them ``{prefix}boundaries``/``labels``."""
+    boundaries = _numbers(_req(cfg, "boundaries", kind), kind, f"{prefix}boundaries")
+    if not boundaries or any(a >= b for a, b in zip(boundaries, boundaries[1:])):
+        raise ValidationError(
+            f"{kind}: {prefix}boundaries must be non-empty and strictly increasing")
+    labels = document_list(_req(cfg, "labels", kind), f"{kind}: {prefix}labels")
+    if len(labels) != len(boundaries) + 1:
+        raise ValidationError(
+            f"{kind}: need {len(boundaries) + 1} {prefix}labels, got {len(labels)}")
+    return boundaries, labels
 
 
 def _round_edge(value: float) -> int:
@@ -733,7 +742,7 @@ class StatisticalBin(_OneToOne):
             labels = document_list(labels, f"{self.kind}: labels")
         if len(labels) != bins:
             raise ValidationError(f"{self.kind}: need exactly {bins} labels, got {len(labels)}")
-        target, keep = _target(cfg, feature, schema, self.kind)
+        target, keep = _target(cfg, feature, self.kind)
         return {
             "feature": feature, "bins": bins, "min": lo, "max": hi,
             "labels": labels, "target": target, "keep_original": keep,
@@ -808,16 +817,8 @@ class SemanticBin(_OneToOne):
     def normalize(self, cfg, schema):
         feature = str(_req(cfg, "feature", self.kind))
         _numeric_feature(schema, feature, self.kind)
-        boundaries = _numbers(_req(cfg, "boundaries", self.kind), self.kind, "boundaries")
-        if not boundaries:
-            raise ValidationError(f"{self.kind}: boundaries must be non-empty")
-        if any(a >= b for a, b in zip(boundaries, boundaries[1:])):
-            raise ValidationError(f"{self.kind}: boundaries must be strictly increasing")
-        labels = document_list(_req(cfg, "labels", self.kind), f"{self.kind}: labels")
-        if len(labels) != len(boundaries) + 1:
-            raise ValidationError(
-                f"{self.kind}: need {len(boundaries) + 1} labels, got {len(labels)}")
-        target, keep = _target(cfg, feature, schema, self.kind)
+        boundaries, labels = _boundaries_and_labels(cfg, self.kind)
+        target, keep = _target(cfg, feature, self.kind)
         return {"feature": feature, "boundaries": boundaries, "labels": labels,
                 "target": target, "keep_original": keep,
                 "wording": _wording_cfg(cfg, self.kind)}
@@ -839,7 +840,7 @@ class ImputeFlagged(Kernel):
 
     def normalize(self, cfg, schema):
         feature = str(_req(cfg, "feature", self.kind))
-        spec = _feature_of(schema, feature, self.kind)
+        spec = schema.feature(feature)
         strategy = str(_req(cfg, "strategy", self.kind))
         if strategy not in ("mean", "constant", "forward_fill"):
             raise ValidationError(f"{self.kind}: unknown strategy {strategy!r}")
@@ -853,7 +854,6 @@ class ImputeFlagged(Kernel):
                 raise ValidationError(f"{self.kind}: constant strategy needs a constant value")
             check_cell(constant, spec)
         flag_name = str(cfg.get("flag_name") or f"{feature} Flag")
-        _check_new_names([flag_name], schema, set(), self.kind)
         return {"feature": feature, "strategy": strategy, "constant": constant,
                 "flag_name": flag_name}
 
@@ -937,8 +937,7 @@ def _formula_normalized(formula, inputs: tuple[str, ...], kind: str):
             "or {'expr': ...}")
     if isinstance(formula, Mapping) and set(formula) == {"expr"}:
         expr = str(formula["expr"])
-        ast = parse_expression(expr)
-        unknown = sorted(expression_names(ast) - set(inputs))
+        unknown = sorted(expression_names(parse_expression(expr)) - set(inputs))
         if unknown:
             raise ValidationError(
                 f"{kind}: expression references unknown feature {unknown[0]!r}")
@@ -958,8 +957,8 @@ def _formula_function(formula, inputs: tuple[str, ...]):
         return sum_in_order
     if formula == "mean":
         return lambda values: sum_in_order(values) / len(values)
-    ast = parse_expression(formula["expr"])
-    return lambda values: evaluate(ast, dict(zip(inputs, values)))
+    program = parse_expression(formula["expr"])
+    return lambda values: evaluate(program, dict(zip(inputs, values)))
 
 
 def _column_sum(columns: Iterable[Iterable]) -> list:
@@ -1018,7 +1017,6 @@ class AggregateNumeric(Kernel):
         formula = _formula_normalized(_req(cfg, "formula", self.kind), inputs, self.kind)
         target = str(_req(cfg, "target", self.kind))
         keep = document_bool(cfg.get("keep_inputs", False), f"{self.kind}: keep_inputs")
-        _check_new_names([target], schema, set() if keep else set(inputs), self.kind)
         return {"inputs": inputs, "formula": formula, "target": target,
                 "keep_inputs": keep, "wording": _wording_cfg(cfg, self.kind),
                 "display_format": _display_format(cfg, self.kind),
@@ -1082,15 +1080,7 @@ class AbstractConcept(AggregateNumeric):
         if labeling is not None:
             labeling = document_mapping(labeling, f"{self.kind}: labeling",
                                         ("boundaries", "labels"), unknown=UNKNOWN_CONFIG)
-            boundaries = _numbers(_req(labeling, "boundaries", self.kind), self.kind,
-                                  "labeling boundaries")
-            if any(a >= b for a, b in zip(boundaries, boundaries[1:])) or not boundaries:
-                raise ValidationError(f"{self.kind}: labeling boundaries must be strictly increasing")
-            labels = document_list(_req(labeling, "labels", self.kind),
-                                   f"{self.kind}: labeling labels")
-            if len(labels) != len(boundaries) + 1:
-                raise ValidationError(
-                    f"{self.kind}: labeling needs {len(boundaries) + 1} labels, got {len(labels)}")
+            boundaries, labels = _boundaries_and_labels(labeling, self.kind, "labeling ")
             labeling = {"boundaries": boundaries, "labels": labels}
         base["labeling"] = labeling
         return base
@@ -1124,7 +1114,7 @@ class HierarchyRollup(_OneToOne):
 
     def normalize(self, cfg, schema):
         feature = str(_req(cfg, "feature", self.kind))
-        spec = _feature_of(schema, feature, self.kind)
+        spec = schema.feature(feature)
         if spec.dtype not in ("categorical", "ordinal"):
             raise ValidationError(
                 f"{self.kind}: feature {feature!r} must be categorical, is {spec.dtype}")
@@ -1137,7 +1127,7 @@ class HierarchyRollup(_OneToOne):
             raise ValidationError(f"{self.kind}: categories missing from mapping: {unmapped}")
         document_mapping(mapping, where, declared,
                          unknown="{where} keys not in declared categories: {names}")
-        target, keep = _target(cfg, feature, schema, self.kind)
+        target, keep = _target(cfg, feature, self.kind)
         return {"feature": feature, "mapping": mapping, "target": target,
                 "keep_original": keep, "wording": _wording_cfg(cfg, self.kind),
                 "description": document_text(cfg.get("description"),
@@ -1161,7 +1151,7 @@ class RenderStatement(_OneToOne):
 
     def normalize(self, cfg, schema):
         feature = str(_req(cfg, "feature", self.kind))
-        spec = _feature_of(schema, feature, self.kind)
+        spec = schema.feature(feature)
         if spec.dtype not in ("boolean", "categorical", "ordinal"):
             raise ValidationError(
                 f"{self.kind}: only boolean and categorical features can be rendered "
@@ -1172,7 +1162,6 @@ class RenderStatement(_OneToOne):
                 f"{self.kind}: wording templates for {feature!r} do not produce "
                 "distinct statements; rendering would not be invertible")
         target = str(cfg.get("target") or f"{feature} Statement")
-        _check_new_names([target], schema, {feature}, self.kind)
         return {"feature": feature, "target": target}
 
     def _out_fields(self, spec, cfg):
@@ -1201,7 +1190,7 @@ class UnrenderStatement(_OneToOne):
 
     def normalize(self, cfg, schema):
         feature = str(_req(cfg, "feature", self.kind))
-        spec = _feature_of(schema, feature, self.kind)
+        spec = schema.feature(feature)
         # A feature with a wording template holds the values it renders; a
         # statement feature, as render_statement makes one, has none.
         if spec.dtype not in ("categorical", "ordinal") or spec.wording is not None:
@@ -1211,7 +1200,6 @@ class UnrenderStatement(_OneToOne):
         restore = _restore(cfg, target, self.kind, ("boolean", "categorical", "ordinal"))
         if "wording" not in restore:
             raise ValidationError(f"{self.kind}: restore must carry the wording templates")
-        _check_new_names([target], schema, {feature}, self.kind)
         return {"feature": feature, "target": target, "restore": restore}
 
     def _out_fields(self, spec, cfg):
@@ -1261,8 +1249,6 @@ class PcaProject(Kernel):
         template = str(cfg.get("name_template") or "PCA {i}")
         if "{i}" not in template:
             raise ValidationError(f"{self.kind}: name_template needs an {{i}} placeholder")
-        names = tuple(template.format(i=i + 1) for i in range(components))
-        _check_new_names(names, schema, set(inputs), self.kind)
         return {"inputs": inputs, "components": components,
                 "means": means, "loadings": loadings,
                 "name_template": template, "display_format": _display_format(cfg, self.kind)}
@@ -1299,7 +1285,8 @@ class PcaProject(Kernel):
                 "loadings": tuple(tuple(float(v) for v in row) for row in vectors)}
 
     def _names(self, cfg) -> tuple[str, ...]:
-        return tuple(cfg["name_template"].format(i=i + 1) for i in range(cfg["components"]))
+        return tuple(_format_template(cfg["name_template"], f"{self.kind}: name_template", i=i + 1)
+                     for i in range(cfg["components"]))
 
     def plan(self, schema, cfg):
         inputs = cfg["inputs"]
@@ -1358,7 +1345,7 @@ class LinkRaw(Kernel):
 
     def normalize(self, cfg, schema):
         feature = str(_req(cfg, "feature", self.kind))
-        source = _feature_of(schema, feature, self.kind).raw_source
+        source = schema.feature(feature).raw_source
         # A step that names its series and window needs no raw_source: the
         # inverse of a link whose feature a later step replaced reads neither.
         if source is None and not (cfg.get("series_id") and cfg.get("window")):
@@ -1462,7 +1449,8 @@ def render_value(spec: FeatureSpec, value) -> str:
         if spec.wording is None or spec.wording.value_phrase is None:
             raise ValidationError(
                 f"feature {spec.name!r}: categorical rendering needs a value phrase template")
-        return spec.wording.value_phrase.format(value=value)
+        return _format_template(spec.wording.value_phrase, f"feature {spec.name!r}: wording value",
+                                value=value)
     text = render_cell(value)
     return f"{spec.name}: {text} {spec.unit}" if spec.unit else f"{spec.name}: {text}"
 

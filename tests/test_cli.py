@@ -7,6 +7,8 @@ import json
 import os
 import re
 import stat
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import yaml
 from featurespace import cli
 from featurespace.cli import main
 from featurespace.errors import ValidationError
+from featurespace.expressions import MAX_DEPTH
 from featurespace.pipeline import load_fitted
 from featurespace.table import read_table_csv
 from featurespace.transforms import MAX_BINS
@@ -786,6 +789,100 @@ def test_a_document_integer_of_too_many_digits_exits_1(tmp_path, capsys, command
     assert "sys.set_int_max_str_digits" not in err
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         load_fitted(path)
+
+
+@pytest.mark.parametrize("command", ["transform", "invert", "explain-map"])
+def test_a_deeply_nested_document_exits_1(tmp_path, capsys, command):
+    """JSON nested past the parser's recursion limit is a fitted document
+    that cannot be read, as YAML nested so deep is a pipeline one."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    inputs = {"transform": ["--data", str(ROWS)], "invert": [],
+              "explain-map": ["--contribs", str(DATA / "covertype_300_contribs_model_ready.csv")]}
+    argv = [command, "--pipeline", str(path), *inputs[command], "--out", str(tmp_path / "out")]
+    _fails_cleanly(argv, capsys, 1,
+                   f"error: {path}: fitted pipeline document: nested too deeply\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _expression_argv(workspace, expr):
+    """``transform --fit`` argv for ``expr`` as an ``aggregate_numeric`` formula over
+    ``a`` and ``b``, on three rows whose sums round."""
+    (workspace / "original.yaml").write_text(TWO_NUMBERS_MANIFEST, encoding="utf-8")
+    (workspace / "data.csv").write_text("a,b\n0.1,0.7\n1e16,1.0\n-0.3,3.3\n", encoding="utf-8")
+    return _one_step(workspace, "aggregate_numeric",
+                     {"inputs": ["a", "b"], "formula": {"expr": expr}, "target": "t"})
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 3_000 + "a" + ")" * 3_000,
+    "-" * 5_000 + "a",
+    " + ".join(["a"] * 20_000),
+    "sqrt(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1),
+], ids=["parentheses", "unary_minus", "chain", "calls"])
+def test_an_expression_nested_too_deeply_exits_1(workspace, capsys, expr):
+    argv = _expression_argv(workspace, expr) + ["--out", str(workspace / "out.csv")]
+    _fails_cleanly(argv, capsys, 1,
+                   f"{workspace / 'step.yaml'}: step 1 (aggregate_numeric): expression: "
+                   "nested too deeply\n")
+    assert not (workspace / "out.csv").exists()
+
+
+@pytest.mark.parametrize("terms", [970, MAX_DEPTH + 1])
+def test_a_long_expression_chain_runs_left_to_right(workspace, terms):
+    """A chain of ``terms`` terms is ``terms - 1`` levels deep; each row's
+    result has the bits of the additions made in order."""
+    expr = " + ".join(["a", *["b"] * (terms - 1)])
+    out = workspace / "out.csv"
+    assert main(_expression_argv(workspace, expr) + ["--out", str(out)]) == 0
+    expected = [reduce(add, [b] * (terms - 1), a)
+                for a, b in ((0.1, 0.7), (1e16, 1.0), (-0.3, 3.3))]
+    assert [float(row[-1]) for row in read_rows(out)[1:]] == expected
+
+
+AREA_PHRASE = ORIGINAL_MANIFEST.replace(
+    FIRST_FLAGS, FIRST_FLAGS + "\n    wording: {value: 'area {value} {x}'}", 1)
+
+
+def _template_argv(workspace, kind, config, manifest):
+    """``fit`` argv for a step of ``kind`` after one that adds the areas' regions."""
+    (workspace / "original.yaml").write_text(manifest, encoding="utf-8")
+    argv = _steps(workspace, {"kind": "hierarchy_rollup", "config": {
+        **REGIONS, "keep_original": True, "wording": {"value": "region {value} {0}"}}},
+                  {"kind": kind, "config": config})
+    return ["fit", *argv[2:]]
+
+
+@pytest.mark.parametrize("kind, config, manifest, message", [
+    ("one_hot_encode", {"feature": "Wilderness area", "name_template": "{category} {0}"},
+     ORIGINAL_MANIFEST, "one_hot_encode: name_template '{category} {0}' cannot be formatted "
+                        "(IndexError: "),
+    ("one_hot_encode", {"feature": "Wilderness area", "name_template": "{category}{bogus}"},
+     ORIGINAL_MANIFEST, "one_hot_encode: name_template '{category}{bogus}' cannot be formatted "
+                        "(KeyError: 'bogus')"),
+    ("one_hot_encode", {"feature": "Wilderness area",
+                        "name_template": "{category} {category.bogus}"},
+     ORIGINAL_MANIFEST, "one_hot_encode: name_template '{category} {category.bogus}' cannot be "
+                        "formatted (AttributeError: 'str' object has no attribute 'bogus')"),
+    ("pca_project", {"inputs": ["Elevation"], "components": 1, "name_template": "{i} {x}"},
+     ORIGINAL_MANIFEST, "pca_project: name_template '{i} {x}' cannot be formatted "
+                        "(KeyError: 'x')"),
+    ("pca_project", {"inputs": ["Elevation"], "components": 1, "name_template": "{i.bogus}{i}"},
+     ORIGINAL_MANIFEST, "pca_project: name_template '{i.bogus}{i}' cannot be formatted "
+                        "(AttributeError: 'int' object has no attribute 'bogus')"),
+    ("render_statement", {"feature": "Region"}, ORIGINAL_MANIFEST,
+     "feature 'Region': wording value 'region {value} {0}' cannot be formatted (IndexError: "),
+    ("render_statement", {"feature": "Wilderness area"}, AREA_PHRASE,
+     "feature 'Wilderness area': wording value 'area {value} {x}' cannot be formatted "
+     "(KeyError: 'x')"),
+], ids=["encode_index", "encode_key", "encode_attribute", "pca_key", "pca_attribute",
+        "step_value_phrase", "manifest_value_phrase"])
+def test_a_template_that_cannot_be_formatted_exits_1(workspace, capsys, kind, config,
+                                                      manifest, message):
+    out = workspace / "fitted.json"
+    _fails_cleanly(_template_argv(workspace, kind, config, manifest) + ["--out", str(out)],
+                   capsys, 1, f"{workspace / 'step.yaml'}: step 2 ({kind}): {message}")
+    assert not out.exists()
 
 
 def _too_many_bins_fitted(workspace):

@@ -27,7 +27,7 @@ from featurespace.pipeline import (
     run,
     save_fitted,
 )
-from featurespace.schema import FeatureSpec, SchemaManifest, serialize_manifest
+from featurespace.schema import FeatureSpec, SchemaManifest, Wording, serialize_manifest
 from featurespace.table import MISSING, DataTable
 from featurespace.transforms import (
     EXACT_KINDS,
@@ -93,6 +93,46 @@ def test_compose_dangling_reference_names_the_step():
                                          "mean": 0.0, "scale": 1.0})
     with pytest.raises(ValidationError, match=r"step 1 \(standardize\).*Elevatoin"):
         compose([step], schema, "to_interpretable")
+
+
+COLLISION_SCHEMA = SchemaManifest(features=(
+    FeatureSpec("n", "numeric", properties=BASE_PROPS),
+    FeatureSpec("m", "numeric", properties=BASE_PROPS),
+    FeatureSpec("PCA 1", "numeric", properties=BASE_PROPS),
+    FeatureSpec("c", "categorical", categories=("x", "y"), properties=BASE_PROPS,
+                wording=Wording(value_phrase="c is {value}")),
+    FeatureSpec("s", "categorical", categories=("c is x", "c is y"), properties=BASE_PROPS),
+    FeatureSpec("g1", "boolean", properties=BASE_PROPS),
+    FeatureSpec("g2", "boolean", properties=BASE_PROPS),
+))
+STATEMENTS = {"dtype": "categorical", "categories": ["x", "y"],
+              "wording": {"value": "c is {value}"}}
+SCALED = {"feature": "n", "mean": 0.0, "scale": 1.0}
+
+
+@pytest.mark.parametrize("kind, config, name", [
+    ("one_hot_encode", {"feature": "c", "names": ["n", "z"]}, "n"),
+    ("one_hot_decode", {"group": ["g1", "g2"], "target": "n", "categories": ["x", "y"]}, "n"),
+    ("impute_flagged", {"feature": "n", "strategy": "constant", "constant": 0.0,
+                        "flag_name": "m"}, "m"),
+    ("aggregate_numeric", {"inputs": ["n"], "formula": "sum", "target": "m"}, "m"),
+    ("abstract_concept", {"inputs": ["n"], "formula": "sum", "target": "m"}, "m"),
+    ("render_statement", {"feature": "c", "target": "n"}, "n"),
+    ("unrender_statement", {"feature": "s", "target": "n", "restore": STATEMENTS}, "n"),
+    ("pca_project", {"inputs": ["n", "m"], "components": 1}, "PCA 1"),
+    ("standardize", {**SCALED, "target": "m"}, "m"),
+    ("unstandardize", {**SCALED, "target": "m"}, "m"),
+    ("statistical_bin", {"feature": "n", "bins": 2, "min": 0.0, "max": 1.0,
+                         "target": "m"}, "m"),
+    ("semantic_bin", {"feature": "n", "boundaries": [0.0], "labels": ["lo", "hi"],
+                      "target": "m"}, "m"),
+    ("hierarchy_rollup", {"feature": "c", "mapping": {"x": "p", "y": "p"}, "target": "n"}, "n"),
+])
+def test_an_output_named_like_a_kept_feature_fails_to_compose(kind, config, name):
+    """The step's output schema is the one check of the names it produces."""
+    message = f"step 1 ({kind}): duplicate feature name {name!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        compose([TransformStep(kind, config)], COLLISION_SCHEMA, "to_interpretable")
 
 
 @pytest.mark.parametrize("kind", TRANSFORM_KINDS)

@@ -27,7 +27,9 @@ into one sidecar note per row.
 pipelines and of the ``learned`` pipeline in ``_fitted_documents.py`` on
 ``covertype_300.csv``, written while ``fit`` still applied every step to the
 fit rows: stopping after the last step that learns must not change what is
-learned.
+learned. ``covertype_300_exact_inverse.fitted.json`` holds ``featurespace
+invert`` of the ``exact`` pipeline so fitted, written while the fitted-document
+writer still copied every config into plain dicts and lists first.
 
 ``covertype_300_{name}.schema.yaml`` hold ``serialize_manifest`` of the
 output schema of each pipeline in ``_fitted_documents.py`` fitted on
@@ -86,6 +88,15 @@ def test_fitted_document_is_byte_identical(tmp_path, name):
     assert main(["fit", "--pipeline", str(pipeline_path(name, tmp_path)),
                  "--data", str(ROWS), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"covertype_300_{name}.fitted.json").read_bytes()
+
+
+def test_inverse_document_is_byte_identical(tmp_path):
+    fitted, inverse = tmp_path / "fitted.json", tmp_path / "inverse.json"
+    assert main(["fit", "--pipeline", str(pipeline_path("exact", tmp_path)),
+                 "--data", str(ROWS), "--out", str(fitted)]) == 0
+    assert main(["invert", "--pipeline", str(fitted), "--out", str(inverse)]) == 0
+    expected = DATA / "covertype_300_exact_inverse.fitted.json"
+    assert inverse.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("name", [*NAMES, "exact", "exact_inverse"])
