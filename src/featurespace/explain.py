@@ -15,10 +15,11 @@ so each ``(FittedPipeline, expose_flags)`` pair is compiled once, on first
 use, into a ``MappingPlan`` stored on the fitted pipeline. The plan caches the
 expected and final schemas, the static partition audit and fidelity notes,
 the error of a pipeline that cannot be mapped, and one generated Python
-function that carries a vector's values across every step. Per vector,
-mapping is the alignment check, one call of that function, and one
-``sum_in_order`` of its result, which proves the values finite and is kept
-as the mapped vector's total for ``conservation_check``. The result is built
+function that does the whole mapping of one vector. Per vector, mapping is
+the plan lookup, the alignment check and one call of that function. The
+function carries the values across every step, adds the final values in
+``sum_in_order``'s order (a finite total proves them finite and is kept as
+the mapped vector's total for ``conservation_check``) and builds the result
 straight into its slots.
 
 The function is straight-line code that keeps each step's own summation
@@ -34,9 +35,9 @@ raises ``RecursionError``.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, fields
 from itertools import count
+from math import isfinite
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Callable, Mapping, Sequence
@@ -90,14 +91,14 @@ class ContributionVector:
                 f"contribution vector has {len(values)} values for "
                 f"{len(self.schema.features)} features")
         total = sum_in_order(values)
-        if not math.isfinite(total):
+        if not isfinite(total):
             for name, value in zip(self.schema.names, values):
-                if not math.isfinite(value):
+                if not isfinite(value):
                     raise ValidationError(f"contribution for {name!r} is not finite: {value!r}")
         object.__setattr__(self, "_total", total)
         if self.base_value is not None:
             base = float(self.base_value)
-            if not math.isfinite(base):
+            if not isfinite(base):
                 raise ValidationError(f"base value is not finite: {self.base_value!r}")
             object.__setattr__(self, "base_value", base)
 
@@ -118,7 +119,7 @@ def _checked_vector(schema: SchemaManifest, values: tuple[float, ...],
     runs: it raises its own error, or builds the vector when only the total
     overflowed."""
     total = sum_in_order(values)
-    if not (math.isfinite(total) and (base is None or math.isfinite(base))):
+    if not (isfinite(total) and (base is None or isfinite(base))):
         return ContributionVector(schema, values, base)
     return _new_vector(schema, values, base, total)
 
@@ -165,8 +166,9 @@ def conservation_check(before: ContributionVector,
     total_before = before._total
     total_after = after._total + extra_after
     delta = abs(total_before - total_after)
-    tolerance = CONSERVATION_TOLERANCE * max(1.0, abs(total_before))
-    checkable = math.isfinite(total_before) and math.isfinite(total_after)
+    scale = abs(total_before)  # max(1.0, scale), NaN included
+    tolerance = CONSERVATION_TOLERANCE * (scale if scale > 1.0 else 1.0)
+    checkable = isfinite(total_before) and isfinite(total_after)
     return _new_result(checkable and delta <= tolerance, delta, tolerance, checkable)
 
 
@@ -179,16 +181,20 @@ class MappingPlan:
     depend on a vector's values. ``error`` is set when the pipeline cannot be
     mapped; it is raised afresh on every call.
 
-    ``function(values, exposed)`` takes a tuple of model-ready values, adds
-    each exposed flag's contribution to the ``exposed`` dict and returns the
-    tuple of final values. ``source`` is its text: unrolled statements, one
-    per term of each sum, over locals that hold the slots' values. Flag names
-    and weights are bound in the function's namespace under generated names,
-    so the text holds no feature name or number from the pipeline."""
+    ``function(vector)`` takes a ``ContributionVector`` aligned to
+    ``expected`` and returns its ``MappedContributions``: the final vector
+    with the input's base value, the plan's notes and audit, and a new dict
+    of each exposed flag's contribution. It raises ``ValidationError`` when a
+    mapped value is not finite. ``source`` is its text: unrolled statements,
+    one per term of each sum, over locals that hold the slots' values, then
+    one addition per final value for the total and the calls that build the
+    result. Flag names, weights, the final schema, the notes, the audit and
+    the builders are bound in the function's namespace, so the text holds no
+    feature name or number from the pipeline."""
 
     expected: SchemaManifest
     final: SchemaManifest
-    function: Callable[[tuple, dict], tuple] | None
+    function: Callable[[ContributionVector], MappedContributions] | None
     source: str = field(repr=False)
     fidelity_notes: tuple[str, ...] = ()
     partition_audit: tuple[tuple[int, Mapping[str, int]], ...] = ()
@@ -203,10 +209,13 @@ class _Source:
     def __init__(self, width: int):
         self.inputs = [f"a{i}" for i in range(width)]
         self.numbers = count(width)
-        self.lines = ["def _map(v, x):"]
+        self.lines = ["def _map(v):"]
         if width:
-            self.statement("".join(f"{name}, " for name in self.inputs) + "= v")
-        self.namespace: dict = {"__builtins__": {}}
+            self.statement("".join(f"{name}, " for name in self.inputs) + "= v.values")
+        self.statement("x = new_dict()")
+        self.namespace: dict = {"__builtins__": {}, "new_dict": dict, "isfinite": isfinite,
+                                "new_vector": _new_vector, "checked": ContributionVector,
+                                "new_mapped": _new_mapped}
 
     def statement(self, text: str) -> None:
         self.lines.append("    " + text)
@@ -221,10 +230,21 @@ class _Source:
         self.namespace[name] = value
         return name
 
-    def function(self, final: Sequence[str]) -> tuple[Callable, str]:
-        self.statement("return (" + "".join(f"{name}, " for name in final) + ")")
+    def function(self, held: Sequence[str], final: SchemaManifest,
+                 notes: tuple[str, ...], audit: tuple) -> tuple[Callable, str]:
+        # The total makes sum_in_order's additions, so it keeps their bits.
+        self.statement("c = (" + "".join(f"{name}, " for name in held) + ")")
+        self.statement("t = 0")
+        for name in held:
+            self.statement(f"t += {name}")
+        self.statement("b = v.base_value")
+        self.namespace.update(final=final, notes=notes, audit=audit)
+        # A finite total proves every value finite (see _checked_vector).
+        self.statement("if isfinite(t) and (b is None or isfinite(b)):")
+        self.statement("    return new_mapped(new_vector(final, c, b, t), notes, x, audit)")
+        self.statement("return new_mapped(checked(final, c, b), notes, x, audit)")
         source = "\n".join(self.lines) + "\n"
-        # The text holds only generated identifiers and the constant 0.0.
+        # The text holds only generated identifiers and the constants 0 and 0.0.
         exec(compile(source, "<mapping plan>", "exec"), self.namespace)
         return self.namespace["_map"], source
 
@@ -305,8 +325,9 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
             audit.append((number, MappingProxyType(counts)))
     except ValidationError as exc:
         return MappingPlan(expected, final, None, "", error=exc.with_traceback(None))
-    function, source = code.function(held)
-    return MappingPlan(expected, final, function, source, tuple(notes), tuple(audit))
+    notes, audit = tuple(notes), tuple(audit)
+    function, source = code.function(held, final, notes, audit)
+    return MappingPlan(expected, final, function, source, notes, audit)
 
 
 def mapping_plan(fitted: FittedPipeline, expose_flags: bool = False) -> MappingPlan:
@@ -325,9 +346,12 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
 
     Every source feature must be consumed by exactly one rule application;
     dropped or double-counted features raise MappingError. The base value
-    passes through unchanged.
+    passes through unchanged. After the plan lookup and the alignment check,
+    the plan's ``function`` does all the work, in one call.
     """
-    plan = mapping_plan(fitted, expose_flags)
+    # mapping_plan's cache read inline, as this runs once per vector
+    plan = (fitted.mapping_plans.get(True if expose_flags else False)
+            or mapping_plan(fitted, expose_flags))
     names, expected = contrib.schema.names, plan.expected.names
     if names is not expected and names != expected:
         raise MappingError(
@@ -335,11 +359,7 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
             f"schema: got {list(names)}, expected {list(expected)}")
     if plan.error is not None:
         raise type(plan.error)(*plan.error.args)
-    exposed: dict[str, float] = {}
-    values = plan.function(contrib.values, exposed)
-    # The values are floats of the final schema's width; a sum can overflow.
-    vector = _checked_vector(plan.final, values, contrib.base_value)
-    return _new_mapped(vector, plan.fidelity_notes, exposed, plan.partition_audit)
+    return plan.function(contrib)
 
 
 # ---------------------------------------------------------------------------

@@ -227,17 +227,74 @@ _RAW_SOURCE_KEYS = {"series_id", "window"}
 _DERIVED_KEYS = {"inputs", "formula"}
 
 
+SHOWN_CHARS = 200  # the most of a document value that an error message shows
+
+
+class _Piece(str):
+    """Literal text of a container's ``repr``, such as ``[`` or ``, ``."""
+
+
+def _pieces(container: list | tuple | dict) -> Iterator:
+    """The literal pieces and the items of ``repr(container)``, in order."""
+    pairs = type(container) is dict
+    yield _Piece("{" if pairs else "[" if type(container) is list else "(")
+    for i, item in enumerate(container.items() if pairs else container):
+        if i:
+            yield _Piece(", ")
+        if pairs:
+            yield item[0]
+            yield _Piece(": ")
+            item = item[1]
+        yield item
+    yield _Piece("}" if pairs else "]" if type(container) is list
+                 else ",)" if len(container) == 1 else ")")
+
+
+def shown(value: Any) -> str:
+    """``repr(value)`` for an error message: at most ``SHOWN_CHARS``
+    characters of it, then ``...`` if it is longer. Lists, tuples and dicts
+    are written item by item, with no recursion, and a long string is cut
+    before its ``repr``, so a large value costs only the part shown (YAML
+    aliases make millions of items from a few hundred bytes). A value whose
+    ``repr`` fits is shown exactly as ``repr`` writes it, including ``[...]``
+    where a list holds itself."""
+    parts, size = [], 0
+    stack, open_ = [iter((value,))], [None]  # one iterator per container being written
+    while stack and size <= SHOWN_CHARS:
+        item = next(stack[-1], stack)  # the stack itself: that container is done
+        if item is stack:
+            stack.pop()
+            open_.pop()
+            continue
+        kind = type(item)
+        if kind is _Piece:
+            part = item
+        elif kind in (list, tuple, dict) and item:
+            if any(item is container for container in open_):
+                part = "{...}" if kind is dict else "[...]"
+            else:
+                stack.append(_pieces(item))
+                open_.append(item)
+                continue
+        else:
+            part = repr(item[:SHOWN_CHARS + 1] if kind in (str, bytes) else item)
+        parts.append(part)
+        size += len(part)
+    text = "".join(parts)
+    return text if size <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
+
+
 def document_bool(value: Any, where: str) -> bool:
     """A document's boolean, which must be ``true`` or ``false`` as written."""
     if not isinstance(value, bool):
-        raise ValidationError(f"{where} must be true or false, got {value!r}")
+        raise ValidationError(f"{where} must be true or false, got {shown(value)}")
     return value
 
 
 def document_int(value: Any, where: str) -> int:
     """A document's integer; a float or a boolean is not coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
+        raise ValidationError(f"{where} must be an integer, got {shown(value)}")
     return value
 
 
@@ -265,7 +322,7 @@ def document_number(value: Any, where: str) -> float:
                    + e + (sign or "+") + digits)
         if spelled != value:
             hint = f" (YAML 1.1 reads {value} as text; write {spelled})"
-    raise ValidationError(f"{where} must be a finite number, got {value!r}{hint}")
+    raise ValidationError(f"{where} must be a finite number, got {shown(value)}{hint}")
 
 
 def document_text(value: Any, where: str) -> str:
@@ -274,14 +331,14 @@ def document_text(value: Any, where: str) -> str:
     if value is None:
         return ""
     if not isinstance(value, str):
-        raise ValidationError(f"{where} must be a string, got {value!r}")
+        raise ValidationError(f"{where} must be a string, got {shown(value)}")
     return value
 
 
 def document_window(value: Any, where: str) -> tuple[int, int]:
     """A document's ``[start, stop]`` pair of integers."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValidationError(f"{where} must be [start, stop], got {value!r}")
+        raise ValidationError(f"{where} must be [start, stop], got {shown(value)}")
     return document_int(value[0], where), document_int(value[1], where)
 
 
@@ -317,7 +374,7 @@ def document_list(value: Any, where: str, item: Callable[[Any], Any] = str) -> t
     if value is None:
         return ()
     if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{where} must be a list, got {value!r}")
+        raise ValidationError(f"{where} must be a list, got {shown(value)}")
     return tuple(map(item, value))
 
 
@@ -410,7 +467,7 @@ def parse_wording_data(data: Any, where: str = "wording") -> Wording | None:
     data = document_mapping(data, where, _WORDING_KEYS)
     for key, template in data.items():
         if template is not None and not isinstance(template, str):
-            raise ValidationError(f"{where}: {key} must be a string, got {template!r}")
+            raise ValidationError(f"{where}: {key} must be a string, got {shown(template)}")
     return Wording(
         positive_statement=data.get("positive"),
         negative_statement=data.get("negative"),

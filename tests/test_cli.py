@@ -402,6 +402,22 @@ def test_explain_map_rejects_non_finite(workspace, capsys):
 def test_explain_map_total_beyond_the_float_range_exits_4(tmp_path, capsys, large):
     """Finite contributions whose total overflows are read and mapped, but
     their conservation cannot be checked: exit 4, saying so."""
+    _explain_map_one_row_fails(tmp_path, capsys, large, 4,
+                               "conservation cannot be checked on row 0: a contribution "
+                               "total is not finite")
+
+
+def test_explain_map_mapped_value_beyond_the_float_range_exits_1(tmp_path, capsys):
+    """Two finite soil indicators whose mapped sum overflows: the mapped
+    vector cannot be built, exit 1 naming the interpretable feature."""
+    _explain_map_one_row_fails(tmp_path, capsys, {7: 1.7e308, 8: 1.7e308}, 1,
+                               "error: contribution for 'Soil Type' is not finite: inf")
+
+
+def _explain_map_one_row_fails(tmp_path, capsys, large, code, message):
+    """One model-ready contribution row, 0.0 but for the ``large`` values by
+    position, through the model-ready fixture: exit ``code`` with ``message``,
+    and no output."""
     with open(DATA / "covertype_300_contribs_model_ready.csv", encoding="utf-8") as handle:
         header = next(csv.reader(handle))
     row = [repr(large.get(i, 0.0)) for i in range(len(header) - 1)] + ["0.5"]
@@ -412,10 +428,9 @@ def test_explain_map_total_beyond_the_float_range_exits_4(tmp_path, capsys, larg
     stdout = _fails_cleanly(["explain-map", "--pipeline",
                              str(DATA / "covertype_300_model_ready.fitted.json"),
                              "--contribs", str(contribs), "--out", str(out)],
-                            capsys, 4,
-                            "conservation cannot be checked on row 0: a contribution "
-                            "total is not finite")
-    assert not out.exists() and "mapped" not in stdout
+                            capsys, code, message)
+    assert "mapped" not in stdout
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["contribs.csv"]
 
 
 def test_audit_command(workspace, capsys):
@@ -427,6 +442,25 @@ def test_audit_command(workspace, capsys):
     assert data["persona"] == "decision_maker"
     assert main(["audit", "--manifest", str(workspace / "original.yaml"),
                  "--persona", "not-a-persona", "--out", str(out)]) == 1
+
+
+def test_audit_error_shows_a_bounded_part_of_a_large_value(workspace, capsys):
+    """A description that YAML aliases expand to 6**7 strings (seven levels,
+    each listing the one below six times) is a clean exit 1 whose message
+    shows only the start of the value."""
+    inner = "[ab, ab, ab, ab, ab, ab]"
+    for name in "abcdef":
+        inner = f"[&{name} {inner}" + f", *{name}" * 5 + "]"
+    manifest = workspace / "aliases.yaml"
+    manifest.write_text("space_tag: original\nfeatures:\n  - name: A\n    dtype: numeric\n"
+                        f"    description: {inner}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["audit", "--manifest", str(manifest), "--persona", "decision_maker",
+                 "--out", str(workspace / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert "description must be a string, got [[[[[[['ab', 'ab'" in err
+    assert len(err.encode()) < 1000 and "Traceback" not in err
+    assert not (workspace / "report.json").exists()
 
 
 def test_demo_covertype_passes(tmp_path, capsys):

@@ -19,6 +19,7 @@ from featurespace.schema import (
     manifest_to_data,
     parse_manifest,
     serialize_manifest,
+    shown,
 )
 
 from strategies import schemas
@@ -214,3 +215,30 @@ def test_a_manifest_accepts_what_the_implication_oracle_accepts(features, extra)
         with pytest.raises(ValidationError) as info:
             SchemaManifest(tuple(features), extra_implications=tuple(extra))
         assert str(info.value) == expected
+
+
+# What YAML and JSON documents hold. Text leaves out quotes and backslashes,
+# so that a long text cut before its ``repr`` starts as the whole one does.
+document_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_characters="'\"\\"), max_size=250),
+    lambda inner: st.lists(inner, max_size=8) | st.tuples(inner) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document_values)
+def test_shown_is_repr_cut_to_its_first_200_characters(value):
+    expected = repr(value)
+    assert shown(value) == (expected if len(expected) <= 200 else expected[:200] + "...")
+
+
+def test_shown_writes_a_value_that_holds_itself_as_repr_does():
+    items: list = [1]
+    items.append(items)
+    mapping: dict = {"a": items}
+    mapping["b"] = mapping
+    assert shown(items) == repr(items) == "[1, [...]]"
+    assert shown(mapping) == repr(mapping)
+    assert shown((items,)) == repr((items,))
