@@ -70,7 +70,7 @@ class Lineage:
     ``lineage_to_data`` gives, counted from the column records."""
 
     def __init__(self, steps: Iterable[tuple[int, Sequence[ColumnLineage]]] = ()):
-        self._steps = tuple((num_rows, tuple(columns)) for num_rows, columns in steps)
+        self._steps = tuple([(num_rows, tuple(columns)) for num_rows, columns in steps])
 
     def __len__(self) -> int:
         return sum(len(column.exceptions) if column.origin is None else num_rows

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import KernelError, ValidationError
 from .lineage import Lineage
@@ -49,15 +50,19 @@ class FittedStep:
     the fit state's values filled in. ``save_fitted`` writes ``step.config``
     and ``fit_state`` apart.
 
-    ``sources`` and ``unchecked`` are the step's column plan, fixed by the
-    schemas: output column ``i`` is entry ``sources[i]`` of the input columns
-    followed by the produced columns, and ``unchecked`` holds the output
+    ``pick`` and ``unchecked`` are the step's column plan, fixed by the
+    schemas: ``pick`` takes the tuple of the input columns followed by the
+    produced columns to the tuple of the output columns (an ``itemgetter``
+    of their positions in it), and ``unchecked`` holds the output
     positions of the produced columns whose spec is numeric, the only ones
     validated: arithmetic can overflow to ``inf``, but a kernel takes every
     label and boolean it produces from its output spec or from validated
     inputs. Every other output column keeps its input spec, so its cells are
     valid already.
 
+    ``kernel`` is the step kind's kernel object, kept so that a run needs no
+    lookup by kind; its ``apply`` is looked up on it at each call, so a
+    wrapper put on the kernel after the step was built is called.
     ``prepared`` is the kernel's ``prepare`` of the step: everything a run of
     the step reads besides the rows, computed here once and shared, never
     mutated, by every run. A run passes it to the kernel's ``apply``, which
@@ -71,18 +76,22 @@ class FittedStep:
     output_schema: SchemaManifest
     produced: tuple[str, ...]
     config: dict[str, Any] = field(init=False, repr=False, compare=False)
-    sources: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pick: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
     unchecked: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    kernel: Kernel = field(init=False, repr=False, compare=False)
     prepared: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "config", _with_fit_state(self.step.config, self.fit_state))
         kernel = kernel_for(self.step.kind)
+        object.__setattr__(self, "kernel", kernel)
         width = len(self.input_schema.features)
         made = {name: width + k for k, name in enumerate(self.produced)}
-        object.__setattr__(self, "sources", tuple(
-            made[name] if name in made else self.input_schema.index(name)
-            for name in self.output_schema.names))
+        sources = [made[name] if name in made else self.input_schema.index(name)
+                   for name in self.output_schema.names]
+        # An itemgetter of one position returns that item, not a tuple of it.
+        object.__setattr__(self, "pick", itemgetter(*sources) if len(sources) > 1 else
+                           lambda pool: tuple(pool[s] for s in sources))
         object.__setattr__(self, "unchecked", tuple(
             i for i, spec in enumerate(self.output_schema.features)
             if spec.name in made and spec.dtype == "numeric"))
@@ -126,7 +135,7 @@ class FittedPipeline:
     def __post_init__(self):
         object.__setattr__(self, "lossy", tuple(
             (number, fstep.step.kind) for number, fstep in enumerate(self.steps, 1)
-            if not kernel_for(fstep.step.kind).exact(fstep.config)))
+            if not fstep.kernel.exact(fstep.config)))
         object.__setattr__(self, "fidelity_notes", tuple(
             f"step {number} ({kind}): lossy transform; inverse not offered"
             for number, kind in self.lossy))
@@ -229,7 +238,7 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     fitted: list[FittedStep] = []
     schema = input_schema
     table = fit_table
-    pending: list[tuple[Kernel, FittedStep, int]] = []  # not yet applied to table
+    pending: list[tuple[FittedStep, int]] = []  # not yet applied to table
     states = list(fit_states) if fit_states is not None else [None] * len(steps)
     if len(states) != len(steps):
         raise ValidationError("fit state count does not match step count")
@@ -264,7 +273,7 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
         fstep = _plan_step(kernel, TransformStep(step.kind, cfg, step.property_delta), state,
                            schema, number, final_space)
         if table is not None:
-            pending.append((kernel, fstep, number))
+            pending.append((fstep, number))
         fitted.append(fstep)
         schema = fstep.output_schema
     return tuple(fitted), schema
@@ -326,12 +335,12 @@ def _check_table_matches(table: DataTable, schema: SchemaManifest) -> None:
                 f"column {want.name!r}: categories do not match the pipeline input schema")
 
 
-def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable):
+def _apply_step(fstep: FittedStep, number: int, table: DataTable):
     """Next table and the step's column lineage. Only the produced columns
     are computed; every other column is carried over by reference, and only
     the columns in the step's ``unchecked`` plan are validated."""
     try:
-        columns, lineage = kernel.apply(table, fstep.prepared)
+        columns, lineage = fstep.kernel.apply(table, fstep.prepared)
     except KernelError as exc:
         raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
                           row_index=exc.row_index, step_number=number) from None
@@ -340,8 +349,8 @@ def _apply_step(kernel: Kernel, fstep: FittedStep, number: int, table: DataTable
                          f"{len(columns)} columns for {len(fstep.produced)} features")
     pool = (*table.columns, *columns)
     try:
-        out = DataTable.from_columns(fstep.output_schema, [pool[s] for s in fstep.sources],
-                                     table.num_rows, fstep.unchecked)
+        out = DataTable.from_columns(fstep.output_schema, fstep.pick(pool), table.num_rows,
+                                     fstep.unchecked)
     except ValidationError as exc:  # e.g. arithmetic that overflowed to infinity
         raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
                           step_number=number) from None
@@ -352,13 +361,12 @@ def run(fitted: FittedPipeline, table: DataTable) -> RunResult:
     """Apply every fitted step; accumulate lineage. The lossy-step warnings
     are the pipeline's ``fidelity_notes``."""
     _check_table_matches(table, fitted.input_schema)
+    num_rows = table.num_rows
     lineage = []
-    current = table
     for number, fstep in enumerate(fitted.steps, 1):
-        current, columns = _apply_step(kernel_for(fstep.step.kind), fstep, number, current)
-        lineage.append((table.num_rows, columns))
-    return RunResult(table=current, output_schema=fitted.output_schema,
-                     lineage=Lineage(lineage), fidelity_notes=fitted.fidelity_notes)
+        table, columns = _apply_step(fstep, number, table)
+        lineage.append((num_rows, columns))
+    return RunResult(table, fitted.output_schema, Lineage(lineage), fitted.fidelity_notes)
 
 
 def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
@@ -370,7 +378,7 @@ def invert(fitted: FittedPipeline) -> FittedPipeline | InversionRefusal:
     if fitted.lossy:
         return InversionRefusal(non_invertible=fitted.lossy)
     inverse_raw = [
-        kernel_for(fstep.step.kind).inverse(fstep.config, fstep.input_schema)
+        fstep.kernel.inverse(fstep.config, fstep.input_schema)
         for fstep in reversed(fitted.steps)
     ]
     direction = _FLIP[fitted.direction]

@@ -11,13 +11,13 @@ import io
 import math
 import os
 import re
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from types import MappingProxyType
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, ContextManager, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 from yaml.composer import Composer
@@ -378,35 +378,51 @@ def document_list(value: Any, where: str, item: Callable[[Any], Any] = str) -> t
     return tuple(map(item, value))
 
 
-@contextmanager
-def open_input(source: str | Path | IO[str], what: str) -> Iterator[IO[str]]:
-    """``source`` open for reading: an open handle passes through unchanged,
-    and a path is opened as UTF-8 with or without a byte-order mark, its line
-    ends left as written (``csv`` needs them so; YAML and JSON read
-    ``\\r\\n`` as a line break). An ``OSError``, a ``UnicodeDecodeError`` or a
+def open_input(source: str | Path | IO[str], what: str) -> ContextManager[IO[str]]:
+    """``source`` open for reading, as a context manager. An open handle
+    passes through as it is (``nullcontext``): it is not closed on exit, and
+    an error raised in the block propagates unchanged. A path is opened as UTF-8
+    with or without a byte-order mark, its line ends left as written (``csv``
+    needs them so; YAML and JSON read ``\\r\\n`` as a line break), and is
+    closed on exit. An ``OSError``, a ``UnicodeDecodeError`` or a
     ``csv.Error`` (a field longer than ``csv.field_size_limit()``) while
     opening or reading a path is a ValidationError naming ``what`` and the
     path."""
-    if not isinstance(source, (str, Path)):
-        yield source
-        return
-    try:
-        with open(source, encoding="utf-8-sig", newline="") as handle:
-            yield handle
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"cannot read {what} {source}: {exc}") from exc
+    if isinstance(source, (str, Path)):
+        return _open_path(source, what)
+    return nullcontext(source)
 
 
 @contextmanager
-def open_outputs(*targets: str | Path | IO[str] | None) -> Iterator[tuple[IO[str] | None, ...]]:
-    """One handle per target: an open handle or None passes through, and a
-    path is written as UTF-8 (``newline=""``) to a new temporary file beside
-    the file it names, moved onto it only when the block exits cleanly. A
-    replaced file keeps its mode; an existing target that is not a regular
-    file (``/dev/null``) is opened in place. An error names the target.
-    Two targets that resolve to one file written through a temporary file
-    are refused before any target is opened: the second move would replace
-    the first."""
+def _open_path(path: str | Path, what: str) -> Iterator[IO[str]]:
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            yield handle
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def open_outputs(*targets: str | Path | IO[str] | None
+                 ) -> ContextManager[tuple[IO[str] | None, ...]]:
+    """One handle per target, as a context manager: an open handle or None
+    passes through as it is, and a path is written as UTF-8 (``newline=""``)
+    to a new temporary file beside the file it names, moved onto it only when
+    the block exits cleanly. With no path among the targets, the targets
+    themselves are the handles (``nullcontext``): none is closed on exit, and
+    an error raised in the block propagates unchanged. A replaced file keeps
+    its mode; an existing target that is not a regular file (``/dev/null``)
+    is opened in place. An error names the target. Two targets that resolve
+    to one file written through a temporary file are refused before any
+    target is opened: the second move would replace the first."""
+    for target in targets:
+        if isinstance(target, (str, Path)):
+            return _open_paths(targets)
+    return nullcontext(targets)
+
+
+@contextmanager
+def _open_paths(targets: tuple[str | Path | IO[str] | None, ...]
+                ) -> Iterator[tuple[IO[str] | None, ...]]:
     handles: list[IO[str] | None] = list(targets)
     opened: list[IO[str]] = []
     moves: dict[str, tuple[str, str | Path]] = {}  # temporary file -> (resolved path, target)

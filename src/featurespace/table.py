@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -129,10 +129,8 @@ class DataTable:
         return table
 
     def _set(self, schema: SchemaManifest, columns: Sequence[list], num_rows: int) -> None:
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "columns", tuple(columns))
-        object.__setattr__(self, "num_rows", num_rows)
-        object.__setattr__(self, "_rows", None)
+        self.__dict__.update({"schema": schema, "columns": tuple(columns),
+                              "num_rows": num_rows, "_rows": None})
 
     def __post_init__(self, unchecked: Iterable[int]) -> None:
         """Validate the columns at the positions in ``unchecked``.
@@ -227,9 +225,10 @@ def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
         joined = "".join(texts)  # a cell is no longer than the column's text
         if len(joined) > _SHORT_NUMBER and max(map(len, texts)) > _SHORT_NUMBER:
             return [parse_cell(t, spec) for t in texts]  # may pass the float range
-        # A column of ASCII digits and signs where int() takes every cell is
-        # all ``[+-]?[0-9]+``, which parse_cell reads as int() too.
-        if _INT_COLUMN_RE.fullmatch(joined):
+        # A column of decimal digits and minus signs, or of ASCII digits and
+        # signs, where int() takes every cell is all ``[+-]?\d+``, which
+        # parse_cell reads as int() too.
+        if joined.replace("-", "").isdecimal() or _INT_COLUMN_RE.fullmatch(joined):
             try:
                 return list(map(int, texts))
             except ValueError:  # an empty cell, or a sign out of place
@@ -280,16 +279,21 @@ def _quote_column(cells: list) -> list:
     return ['"' + c.replace('"', '""') + '"' if _QUOTED_RE.search(c) else c for c in cells]
 
 
-def _written_column(values: list, spec: FeatureSpec, display_format: str | None) -> list:
-    """``render_cell`` over a validated column, as csv.writer writes the
-    cells: the quoting rule of ``write_table_csv``, dispatched once on the
-    dtype instead of once per cell."""
+def _written_column(values: list, spec: FeatureSpec, formats: Mapping[str, str]) -> list:
+    """``render_cell`` over a validated column, with the display format that
+    ``formats`` gives its feature, as csv.writer writes the cells: the
+    quoting rule of ``write_table_csv``, dispatched once on the dtype instead
+    of once per cell."""
     if spec.dtype == "boolean":
         return ["" if v is MISSING else "TRUE" if v else "FALSE" for v in values]
     if spec.dtype == "numeric":
+        display_format = formats.get(spec.name)
         if display_format:
-            return _quote_column(["" if v is MISSING else format(v, display_format)
-                                  for v in values])
+            try:
+                cells = list(map(format, values, repeat(display_format)))
+            except TypeError:  # a MISSING cell, which takes no format spec
+                cells = ["" if v is MISSING else format(v, display_format) for v in values]
+            return _quote_column(cells)
         return ["" if v is MISSING else repr(v) if isinstance(v, float) else str(v)
                 for v in values]
     labels = spec.csv_labels
@@ -297,16 +301,25 @@ def _written_column(values: list, spec: FeatureSpec, display_format: str | None)
 
 
 def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> DataTable:
-    """The table in a CSV file or handle: the tables ``read_table_chunks``
-    yields, joined as they arrive, so a read holds the text of one chunk."""
-    columns = [[] for _ in schema.names]
+    """The table in a CSV file or handle, from the tables ``read_table_chunks``
+    yields as they arrive, so a read holds the text of one chunk. An input of
+    one chunk is that chunk's table. Otherwise each later chunk's columns
+    extend the first chunk's lists, and one table is built over them."""
+    first = None
     num_rows = 0
     for _, chunk in read_table_chunks(source, schema):
-        for column, values in zip(columns, chunk.columns):
-            column.extend(values)
+        if first is None:
+            first = chunk
+        else:  # the first chunk's lists grow, so its table is not returned
+            for column, values in zip(first.columns, chunk.columns):
+                column.extend(values)
         num_rows += chunk.num_rows
         del chunk  # its column lists, before the next chunk is parsed
-    return DataTable.from_columns(schema, columns, num_rows, unchecked=())
+    if first is None:  # a header and no rows
+        return DataTable.from_columns(schema, [[] for _ in schema.names], 0, unchecked=())
+    if num_rows == first.num_rows:
+        return first
+    return DataTable.from_columns(schema, first.columns, num_rows, unchecked=())
 
 
 def read_table_chunks(source: str | Path | IO[str],
@@ -339,7 +352,8 @@ def read_table_chunks(source: str | Path | IO[str],
                 f"data header must match manifest feature names exactly and in order; "
                 f"got {header}, expected {list(schema.names)}")
         while chunk := list(islice(reader, _CHUNK_ROWS)):
-            ragged = next((r for r, fields in enumerate(chunk) if len(fields) != width), None)
+            ragged = None if set(map(len, chunk)) == {width} else \
+                next(r for r, fields in enumerate(chunk) if len(fields) != width)
             body = chunk if ragged is None else chunk[:ragged]
             columns = _parse_rows(body, schema, first_row)
             if ragged is not None and not (  # an empty last line is not a row
@@ -397,8 +411,7 @@ def write_table_csv(table: DataTable, target: str | Path | IO[str],
             rendered = []
             for values, spec in zip(table.columns, table.schema.features):
                 try:
-                    rendered.append(_written_column(values[start:stop], spec,
-                                                    formats.get(spec.name)))
+                    rendered.append(_written_column(values[start:stop], spec, formats))
                 except ValueError as exc:  # a format spec that does not fit the cells
                     raise ValidationError(f"column {spec.name!r}: display format "
                                           f"{formats[spec.name]!r}: {exc}") from None

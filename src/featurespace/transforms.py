@@ -403,7 +403,8 @@ def sum_in_order(values: Iterable):
     these additions in this order, so its last bits do not depend on the
     Python version: ``sum()`` compensates rounding from 3.12. Most go through
     this function; the column path of the built-in formulas
-    (``_formula_columns``) makes the same additions a column at a time."""
+    (``_formula_columns``) and ``pca_project``'s apply make the same
+    additions a column at a time."""
     return reduce(add, values, 0)
 
 
@@ -1256,11 +1257,12 @@ class PcaProject(Kernel):
     def fit(self, table, cfg):
         inputs = cfg["inputs"]
         columns = [table.values(name) for name in inputs]
-        for name, column in zip(inputs, columns):
-            if MISSING in column:
-                raise KernelError(
-                    f"{self.kind}: column {name!r} contains MISSING values; impute first")
-        data = np.array(columns, dtype=float).T
+        try:
+            data = np.array(columns, dtype=float).T
+        except TypeError:  # a MISSING cell, the only cell float() refuses
+            name = next(name for name, column in zip(inputs, columns) if MISSING in column)
+            raise KernelError(f"{self.kind}: column {name!r} contains MISSING values; "
+                              "impute first") from None
         if data.shape[0] < 2:
             raise KernelError(f"{self.kind}: need at least 2 rows to fit")
         means = data.mean(axis=0)
@@ -1306,28 +1308,39 @@ class PcaProject(Kernel):
 
     def prepare(self, fstep):
         cfg = fstep.config
-        # Means as a column (input, 1) and loadings as (input, component, 1),
-        # to broadcast against the (input, row) array of the input columns.
+        # The inputs' positions in a table of the step's input schema; means
+        # as a column (input, 1) and loadings as (input, component, 1), to
+        # broadcast against the (input, row) array of the input columns.
+        positions = tuple(map(fstep.input_schema.index, cfg["inputs"]))
         means = np.array(cfg["means"], dtype=float)[:, None]
         weights = np.array(cfg["loadings"], dtype=float)[:, :, None]
         means.flags.writeable = weights.flags.writeable = False
-        return cfg["inputs"], means, weights, _computed(fstep)
+        return positions, means, weights, _computed(fstep)
 
     def apply(self, table, prepared):
-        inputs, means, weights, lineage = prepared
-        columns = [table.values(name) for name in inputs]
-        first = [column.index(MISSING) for column in columns if MISSING in column]
-        if first:
-            r = min(first)
+        positions, means, weights, lineage = prepared
+        columns = [table.columns[i] for i in positions]
+        try:
+            centered = np.array(columns, dtype=float)
+        except TypeError:  # a MISSING cell, the only cell float() refuses
+            r = min(column.index(MISSING) for column in columns if MISSING in column)
             raise KernelError(f"row {r}: MISSING value in PCA inputs; impute first",
-                              row_index=r)
+                              row_index=r) from None
         # Each cell is 0, plus, input by input, (value - mean) * loading.
         # Elementwise float64 subtract, multiply and add are the same single
         # IEEE operations Python floats do, so adding the inputs' product
-        # arrays in input order gives each cell the bits of a per-row loop. A
-        # reduction (``@``, ``np.sum``) may reassociate the sum and is not used.
-        centered = np.array(columns, dtype=float) - means
-        return sum_in_order(weights * centered[:, None, :]).tolist(), lineage
+        # arrays in place, in input order, to 0 + the first makes the
+        # additions of ``sum_in_order`` and gives each cell the bits of a
+        # per-row loop. A reduction (``@``, ``np.sum``) may reassociate the
+        # sum and is not used.
+        centered -= means
+        products = weights * centered[:, None, :]
+        del centered  # each array is freed once read, before the cells' floats are made
+        total = 0 + products[0]
+        for k in range(1, len(products)):
+            total += products[k]
+        del products
+        return total.tolist(), lineage
 
     def reverse_rule(self, fstep, expose_flags):
         cfg = fstep.config

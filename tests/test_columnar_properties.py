@@ -104,7 +104,7 @@ def _unvalidated_columns_pass(fitted, table: DataTable) -> tuple[set[str], DataT
                 assert len(column) == current.num_rows
                 assert _column_passes(column, spec), (fstep.step.kind, name)
                 kinds.add(fstep.step.kind)
-        current, _ = _apply_step(kernel, fstep, number, current)
+        current, _ = _apply_step(fstep, number, current)
     return kinds, current
 
 

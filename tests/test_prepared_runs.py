@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from featurespace.lineage import Imputed, lineage_to_data
 from featurespace.pipeline import FittedPipeline, load_fitted, run
-from featurespace.table import read_table_csv, write_table_csv
+from featurespace.table import DataTable, read_table_csv, write_table_csv
 from featurespace.transforms import EXACT_KINDS, KERNELS
 
 from strategies import fitted_pipelines
@@ -176,3 +176,45 @@ def test_copies_and_pickles_run_like_the_original(name):
     for again in (copy.deepcopy(fitted), pickle.loads(pickle.dumps(fitted))):
         assert again == fitted
         assert _transform(again, text) == before
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_wrappers_put_on_after_loading_are_called(name, monkeypatch):
+    """A profiler wraps each ``KERNELS[kind].apply`` and
+    ``DataTable.__post_init__`` once the fitted pipeline is loaded, as
+    ``perfbench``'s tracer does. A read and a run look both up at each call:
+    every step's apply goes through its wrapper, once per run, and every
+    read builds a table through the wrapped ``__post_init__``. The outputs
+    are those of the unwrapped calls."""
+    fitted = load_fitted(DATA / f"covertype_300_{name}.fitted.json")
+    text = ROWS.read_text(encoding="utf-8")
+    header, lines = _lines(text)
+    batches = (header + "".join(lines[:8]), text)
+    expected = [_transform(fitted, batch) for batch in batches]
+    applies, validations = [], []
+    post_init = DataTable.__post_init__
+
+    def validating(table, unchecked):
+        validations.append(table)
+        post_init(table, unchecked)
+
+    monkeypatch.setattr(DataTable, "__post_init__", validating)
+    kinds = {fstep.step.kind for fstep in fitted.steps}
+    try:
+        for kind in kinds:  # an instance attribute over the class's method, removed below
+            def applying(table, prepared, kind=kind, apply=KERNELS[kind].apply):
+                applies.append(kind)
+                return apply(table, prepared)
+
+            KERNELS[kind].apply = applying
+        for batch, want in zip(batches, expected):
+            validations.clear()
+            table = read_table_csv(io.StringIO(batch), fitted.input_schema)
+            assert any(built is table for built in validations)
+            applies.clear()
+            assert _transform(fitted, batch) == want
+            assert applies == [fstep.step.kind for fstep in fitted.steps]
+    finally:
+        for kind in kinds:
+            vars(KERNELS[kind]).pop("apply", None)
+    assert all("apply" not in vars(kernel) for kernel in KERNELS.values())

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,8 @@ from featurespace.schema import (
     feature_from_data,
     feature_to_data,
     manifest_to_data,
+    open_input,
+    open_outputs,
     parse_manifest,
     serialize_manifest,
     shown,
@@ -242,3 +247,45 @@ def test_shown_writes_a_value_that_holds_itself_as_repr_does():
     assert shown(items) == repr(items) == "[1, [...]]"
     assert shown(mapping) == repr(mapping)
     assert shown((items,)) == repr((items,))
+
+
+# -- open handles pass through --------------------------------------------------
+# A path is opened, wrapped and replaced (tests/test_cli.py); an open handle is
+# the caller's: these pin that the helpers neither close it nor change an error.
+
+PASS_THROUGH = {
+    "open_input": lambda handle: open_input(handle, "data file"),
+    "open_outputs": lambda handle: open_outputs(handle),
+    "open_outputs with None": lambda handle: open_outputs(None, handle, None),
+}
+ERRORS = {
+    "OSError": lambda: OSError(2, "No such file"),
+    "UnicodeDecodeError": lambda: UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"),
+    "csv.Error": lambda: csv.Error("field larger than field limit"),
+    "ValidationError": lambda: ValidationError("row 0: bad"),
+    "KeyboardInterrupt": KeyboardInterrupt,
+}
+
+
+def test_an_open_handle_is_yielded_itself_and_left_open():
+    handle = io.StringIO("a,b\n")
+    with open_input(handle, "data file") as opened:
+        assert opened is handle
+    with open_outputs(handle) as (opened,):
+        assert opened is handle
+    with open_outputs(None, handle, None) as (before, opened, after):
+        assert before is None and opened is handle and after is None
+    assert not handle.closed
+    assert handle.getvalue() == "a,b\n"
+
+
+@pytest.mark.parametrize("error", ERRORS)
+@pytest.mark.parametrize("name", PASS_THROUGH)
+def test_an_error_in_the_block_of_an_open_handle_propagates_unchanged(name, error):
+    handle, raising = io.StringIO(), ERRORS[error]()
+    with pytest.raises(type(raising)) as raised:
+        with PASS_THROUGH[name](handle):
+            raise raising
+    assert raised.value is raising
+    assert raised.value.__cause__ is None and raised.value.__context__ is None
+    assert not handle.closed

@@ -718,6 +718,20 @@ def test_pca_rejects_missing_and_degenerate_rank():
         fit(compose([step], schema, "to_interpretable"), rank_one)
 
 
+def test_pca_fit_names_the_first_input_holding_a_missing_cell():
+    """In ``inputs`` order, not schema or row order: z is listed first and
+    its MISSING cell is in the last row."""
+    schema = SchemaManifest(features=tuple(
+        FeatureSpec(name, "numeric", properties=BASE_PROPS) for name in ("x", "y", "z")))
+    step = TransformStep("pca_project", {"inputs": ["z", "y", "x"], "components": 1})
+    table = DataTable(schema, ((1.0, MISSING, 3.0), (MISSING, 0.0, 1.0), (2.0, 1.0, MISSING)))
+    with pytest.raises(KernelError) as raised:
+        fit(compose([step], schema, "to_interpretable"), table)
+    assert str(raised.value) == ("step 1 (pca_project): pca_project: column 'z' contains "
+                                 "MISSING values; impute first")
+    assert raised.value.step_number == 1
+
+
 def test_pca_redistribution_weights_sum_to_one():
     rng = random.Random(77)
     loadings = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(5)]
