@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -180,10 +181,10 @@ class InversionRefusal:
         return f"pipeline is not invertible; non-exact steps: {steps}"
 
 
-def _final_properties(delta: Mapping[str, bool], out_spec,
+def _final_properties(base: PropertySet, delta: Mapping[str, bool], out_spec,
                       overrides: Mapping[str, bool],
                       extra_implications) -> PropertySet:
-    flags = out_spec.properties.flags()
+    flags = base.flags()
     flags.update(delta)
     flags.update(overrides)
     closed = implication_closure(PropertySet(**flags), extra_implications)
@@ -199,20 +200,31 @@ def _plan_step(kernel: Kernel, step: TransformStep, state: Mapping[str, Any] | N
                schema: SchemaManifest, step_number: int,
                final_space: str | None) -> FittedStep:
     """The fitted step of normalized ``step`` with fit state ``state`` over
-    ``schema``; its output schema is the one check of the names and features
-    the step produces. Errors name the step."""
+    ``schema``; errors name the step. The one place that lays out a step's
+    output schema and sets its produced flags: the built features take the
+    place of the first feature they consume, or go last, and a feature's
+    flags start from those its ``derived_from`` inputs share (a rewritten
+    feature's from its own), then take the kernel's delta, the step's
+    overrides and the closure. The output schema is the one check of the
+    names and features the step produces."""
     try:
         plan = kernel.plan(schema, _with_fit_state(step.config, state))
-        produced = plan.produced
+        produced = (*plan.rewritten, *(spec.name for spec in plan.built))
         document_mapping(step.property_delta, "property_delta", produced,
                          unknown="property_delta names features this step does not "
                                  "produce: {names}")
+        kept = [(spec, spec.properties) for spec in schema.features
+                if spec.name not in plan.consumed]
+        at = min(map(schema.index, plan.consumed), default=len(kept))
+        built = [(spec, reduce(PropertySet.intersect, [
+            schema.feature(name).properties for name in spec.derived_from.inputs]))
+            for spec in plan.built]
         specs = tuple(
             replace(spec, properties=_final_properties(
-                kernel.delta_for(spec), spec, step.property_delta.get(spec.name, {}),
+                base, kernel.delta_for(spec), spec, step.property_delta.get(spec.name, {}),
                 schema.extra_implications))
             if spec.name in produced else spec
-            for spec in plan.features)
+            for spec, base in (*kept[:at], *built, *kept[at:]))
         space = final_space or "original"
         if space == "model_ready" and not all(s.properties.model_compatible for s in specs):
             space = "original"  # the flow did not reach model-ready space

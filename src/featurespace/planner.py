@@ -260,8 +260,9 @@ def audit(manifest: SchemaManifest, persona: Persona) -> AuditReport:
     seen: set[tuple[str, str | None]] = set()
     warnings: list[str] = []
     for spec in manifest.features:
-        closed = implication_closure(spec.properties, manifest.extra_implications)
-        missing = tuple(p for p in required if not closed.has(p))
+        # A manifest holds only specs that meet its implications: each spec's
+        # flags are their own closure.
+        missing = tuple(p for p in required if not getattr(spec.properties, p))
         if missing and not persona.require_all and len(missing) < len(required):
             missing = ()  # any-one-of mode: a single present property suffices
         if missing:

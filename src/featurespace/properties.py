@@ -70,8 +70,9 @@ class PropertySet:
         return getattr(self, name)
 
     def intersect(self, other: "PropertySet") -> "PropertySet":
+        """The flags both sets hold."""
         return PropertySet(**{
-            name: self.has(name) and other.has(name) for name in PROPERTY_NAMES
+            name: getattr(self, name) and getattr(other, name) for name in PROPERTY_NAMES
         })
 
 

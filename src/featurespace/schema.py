@@ -12,7 +12,7 @@ import math
 import os
 import re
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
@@ -103,7 +103,7 @@ class FeatureSpec:
     unit: str | None = None
     categories: tuple[str, ...] | None = None
     wording: Wording | None = None
-    properties: PropertySet = field(default_factory=PropertySet)
+    properties: PropertySet = PropertySet()  # immutable, so one instance serves every spec
     raw_source: RawSource | None = None
     derived_from: DerivedFrom | None = None
     observed: bool = False

@@ -38,10 +38,7 @@ class _MissingType:
 
 MISSING = _MissingType()
 
-Cell = "int | float | str | bool | _MissingType"
-
 _INT_RE = re.compile(r"[+-]?\d+$")
-_INT_COLUMN_RE = re.compile(r"[0-9+-]*")
 _NUMERIC_TYPES = frozenset({int, float, _MissingType})
 _BOOLEAN_TYPES = frozenset({bool, _MissingType})
 _SHORT_NUMBER = 300  # characters; an integer literal this short is below 1e300
@@ -225,10 +222,9 @@ def _parse_column(texts: Sequence[str], spec: FeatureSpec) -> list:
         joined = "".join(texts)  # a cell is no longer than the column's text
         if len(joined) > _SHORT_NUMBER and max(map(len, texts)) > _SHORT_NUMBER:
             return [parse_cell(t, spec) for t in texts]  # may pass the float range
-        # A column of decimal digits and minus signs, or of ASCII digits and
-        # signs, where int() takes every cell is all ``[+-]?\d+``, which
-        # parse_cell reads as int() too.
-        if joined.replace("-", "").isdecimal() or _INT_COLUMN_RE.fullmatch(joined):
+        # A column of decimal digits and signs where int() takes every cell
+        # is all ``[+-]?\d+``, which parse_cell reads as int() too.
+        if joined.replace("-", "").replace("+", "").isdecimal():
             try:
                 return list(map(int, texts))
             except ValueError:  # an empty cell, or a sign out of place

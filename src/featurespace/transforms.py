@@ -3,7 +3,7 @@
 Each transform kind is one ``Kernel`` subclass, and everything the package
 knows about the kind lives on it: the config it accepts, what it does to the
 properties of the features it produces, which parameters ``fit`` learns, the
-output-schema plan, the column computation, the inverse (only an exact kind
+features it builds, the column computation, the inverse (only an exact kind
 has one), and how additive contributions cross a step of the kind. ``plan``,
 ``prepare``, ``inverse`` and the contribution rules read one config: a fitted
 step's ``config``, the configured values with the learned ones filled in.
@@ -14,7 +14,8 @@ reference, and validates only the produced numeric columns, because labels
 and booleans come from the output spec or from validated inputs. The seven
 kinds that derive one feature from one share ``_OneToOne``'s ``plan``,
 ``prepare`` and ``apply``, and give only the produced spec's fields and
-column function.
+column function. The pipeline places each produced spec in the output
+schema and gives it its flags.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import KernelError, ValidationError
 from .expressions import evaluate, expression_names, parse_expression
 from .lineage import ColumnLineage, Computed, Imputed, RawLinked
-from .properties import PROPERTY_NAMES, PropertySet
+from .properties import PROPERTY_NAMES
 from .schema import (
     DerivedFrom,
     FeatureSpec,
@@ -80,12 +81,21 @@ class TransformStep:
 
 @dataclass(frozen=True)
 class PlanResult:
-    """Static output of a kernel: the full feature list after the step, and
-    the names of the features it produces, in the order ``apply`` returns
-    their columns. Each produced spec's ``derived_from`` names its inputs."""
+    """What a step builds, as its kernel plans it:
 
-    features: tuple[FeatureSpec, ...]
-    produced: tuple[str, ...]
+    - ``built``: the specs of the new features, each without flags and with
+      a ``derived_from`` that names its inputs;
+    - ``consumed``: the input features whose place they take; empty when
+      the step keeps its inputs, and the new features then go last;
+    - ``rewritten``: the input features whose columns the step recomputes
+      in place.
+
+    ``apply`` returns the rewritten columns, then the built ones. The
+    pipeline lays out the output schema and sets the produced flags."""
+
+    built: tuple[FeatureSpec, ...]
+    consumed: tuple[str, ...] = ()
+    rewritten: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +200,6 @@ def _restored_fields(restore: Mapping[str, Any]) -> dict[str, Any]:
     return {key: getattr(spec, key) for key in _STRUCTURAL_KEYS}
 
 
-def _base_properties(schema: SchemaManifest, inputs: Sequence[str]) -> PropertySet:
-    props = schema.feature(inputs[0]).properties
-    for name in inputs[1:]:
-        props = props.intersect(schema.feature(name).properties)
-    return props
-
-
-def _replace_features(schema: SchemaManifest, remove: Sequence[str],
-                      new_specs: Sequence[FeatureSpec],
-                      keep: bool = False) -> tuple[FeatureSpec, ...]:
-    """The features after a step: ``new_specs`` take the place of the first
-    removed feature, or go last when the step keeps its inputs."""
-    if keep:
-        return schema.features + tuple(new_specs)
-    at = min(schema.index(name) for name in remove)
-    removed = set(remove)
-    kept = tuple(spec for spec in schema.features if spec.name not in removed)
-    return kept[:at] + tuple(new_specs) + kept[at:]
-
-
 def _target(cfg: Mapping, feature: str, kind: str) -> tuple[str, bool]:
     """Output name and ``keep_original`` of a step that derives one feature
     from ``feature``."""
@@ -242,8 +232,9 @@ class Kernel:
       also applied to learned values;
     - ``fit``: the fit state (a dict of learned parameters) from the data the
       step sees;
-    - ``plan``: the output schema and the names of the produced features;
-      building that schema is the pipeline's one check that no name collides;
+    - ``plan``: what the step builds (``PlanResult``); the pipeline places
+      the produced specs, gives them their flags, and builds the output
+      schema, its one check that no name collides;
     - ``prepare``: what ``apply`` reads besides the table, from a fitted step;
     - ``apply``: the produced columns and their lineage;
     - ``inverse``: the step that undoes this one, defined only by a kind
@@ -347,12 +338,12 @@ class Kernel:
 class _OneToOne(Kernel):
     """A kind that derives one feature, ``target``, from one, ``feature``.
 
-    The produced spec takes the input's properties and place (or goes last
-    when the step has ``keep_original``), and its lineage names the kind. A
-    subclass gives only:
+    The produced spec consumes its input unless the step has
+    ``keep_original``, and its lineage names the kind; the pipeline places
+    it and gives it its flags. A subclass gives only:
 
     - ``_out_fields(spec, cfg)``: the produced spec's own fields, beside its
-      name, properties and ``derived_from``, from the input spec;
+      name and ``derived_from``, from the input spec;
     - ``_column(fstep)``: the function from the input column to the produced
       column, with the step's constants bound.
 
@@ -366,13 +357,10 @@ class _OneToOne(Kernel):
         raise NotImplementedError
 
     def plan(self, schema, cfg):
-        feature, target = cfg["feature"], cfg["target"]
-        spec = schema.feature(feature)
-        out = FeatureSpec(name=target, properties=spec.properties,
-                          derived_from=DerivedFrom((feature,), self.kind),
-                          **self._out_fields(spec, cfg))
-        return PlanResult(_replace_features(schema, [feature], (out,),
-                                            cfg.get("keep_original", False)), (target,))
+        feature = cfg["feature"]
+        out = FeatureSpec(name=cfg["target"], derived_from=DerivedFrom((feature,), self.kind),
+                          **self._out_fields(schema.feature(feature), cfg))
+        return PlanResult((out,), () if cfg.get("keep_original") else (feature,))
 
     def prepare(self, fstep):
         return fstep.config["feature"], self._column(fstep), _computed(fstep)
@@ -470,19 +458,11 @@ class OneHotEncode(Kernel):
 
     def plan(self, schema, cfg):
         feature = cfg["feature"]
-        spec = schema.feature(feature)
-        base = spec.properties
-        new_specs = tuple(
-            FeatureSpec(
-                name=name,
-                dtype="boolean",
-                description=f"{feature} is {category}",
-                properties=base,
-                derived_from=DerivedFrom((feature,), self.kind),
-            )
-            for name, category in zip(cfg["names"], spec.categories)
-        )
-        return PlanResult(_replace_features(schema, [feature], new_specs), cfg["names"])
+        return PlanResult(tuple(
+            FeatureSpec(name=name, dtype="boolean", description=f"{feature} is {category}",
+                        derived_from=DerivedFrom((feature,), self.kind))
+            for name, category in zip(cfg["names"], schema.feature(feature).categories)
+        ), (feature,))
 
     def prepare(self, fstep):
         feature = fstep.config["feature"]
@@ -542,11 +522,9 @@ class OneHotDecode(Kernel):
 
     def plan(self, schema, cfg):
         group = cfg["group"]
-        base = _base_properties(schema, group)
-        spec = FeatureSpec(name=cfg["target"], properties=base,
-                           derived_from=DerivedFrom(group, self.kind),
-                           **_restored_fields(cfg["restore"]))
-        return PlanResult(_replace_features(schema, group, (spec,)), (cfg["target"],))
+        out = FeatureSpec(name=cfg["target"], derived_from=DerivedFrom(group, self.kind),
+                          **_restored_fields(cfg["restore"]))
+        return PlanResult((out,), group)
 
     def prepare(self, fstep):
         cfg = fstep.config
@@ -878,14 +856,10 @@ class ImputeFlagged(Kernel):
 
     def plan(self, schema, cfg):
         feature = cfg["feature"]
-        flag = FeatureSpec(
-            name=cfg["flag_name"],
-            dtype="boolean",
-            description=f"TRUE where {feature} was imputed",
-            properties=schema.feature(feature).properties,
-            derived_from=DerivedFrom((feature,), self.kind),
-        )
-        return PlanResult(schema.features + (flag,), (feature, cfg["flag_name"]))
+        flag = FeatureSpec(name=cfg["flag_name"], dtype="boolean",
+                           description=f"TRUE where {feature} was imputed",
+                           derived_from=DerivedFrom((feature,), self.kind))
+        return PlanResult((flag,), rewritten=(feature,))
 
     def prepare(self, fstep):
         cfg = fstep.config
@@ -1025,21 +999,17 @@ class AggregateNumeric(Kernel):
                 "description": document_text(cfg.get("description"),
                                              f"{self.kind}: description")}
 
-    def _out_spec(self, schema, cfg) -> FeatureSpec:
-        return FeatureSpec(
-            name=cfg["target"],
-            dtype="numeric",
-            description=cfg["description"],
-            unit=cfg["unit"],
-            wording=parse_wording_data(cfg["wording"]),
-            properties=_base_properties(schema, cfg["inputs"]),
-            derived_from=DerivedFrom(cfg["inputs"], _formula_descriptor(cfg["formula"])),
-        )
+    def _value_fields(self, cfg) -> dict[str, Any]:
+        """The produced spec's dtype and the fields that go with it."""
+        return {"dtype": "numeric", "unit": cfg["unit"]}
 
     def plan(self, schema, cfg):
-        features = _replace_features(schema, cfg["inputs"], (self._out_spec(schema, cfg),),
-                                     cfg["keep_inputs"])
-        return PlanResult(features, (cfg["target"],))
+        out = FeatureSpec(name=cfg["target"], description=cfg["description"],
+                          wording=parse_wording_data(cfg["wording"]),
+                          derived_from=DerivedFrom(cfg["inputs"],
+                                                   _formula_descriptor(cfg["formula"])),
+                          **self._value_fields(cfg))
+        return PlanResult((out,), () if cfg["keep_inputs"] else cfg["inputs"])
 
     def _labeling(self, fstep: FittedStep) -> tuple[tuple[float, ...], tuple[str, ...]] | None:
         """The boundaries and labels that name each result; None keeps the number."""
@@ -1086,19 +1056,10 @@ class AbstractConcept(AggregateNumeric):
         base["labeling"] = labeling
         return base
 
-    def _out_spec(self, schema, cfg) -> FeatureSpec:
-        spec = super()._out_spec(schema, cfg)
+    def _value_fields(self, cfg):
         if cfg["labeling"] is None:
-            return spec
-        return FeatureSpec(
-            name=spec.name,
-            dtype="ordinal",
-            description=spec.description,
-            categories=cfg["labeling"]["labels"],
-            wording=spec.wording,
-            properties=spec.properties,
-            derived_from=spec.derived_from,
-        )
+            return super()._value_fields(cfg)
+        return {"dtype": "ordinal", "categories": cfg["labeling"]["labels"]}
 
     def _labeling(self, fstep):
         cfg = fstep.config
@@ -1292,19 +1253,11 @@ class PcaProject(Kernel):
 
     def plan(self, schema, cfg):
         inputs = cfg["inputs"]
-        base = _base_properties(schema, inputs)
-        names = self._names(cfg)
-        new_specs = tuple(
-            FeatureSpec(
-                name=name,
-                dtype="numeric",
-                description=f"Feature {i + 1} from PCA",
-                properties=base,
-                derived_from=DerivedFrom(inputs, self.kind),
-            )
-            for i, name in enumerate(names)
-        )
-        return PlanResult(_replace_features(schema, inputs, new_specs), names)
+        return PlanResult(tuple(
+            FeatureSpec(name=name, dtype="numeric", description=f"Feature {i + 1} from PCA",
+                        derived_from=DerivedFrom(inputs, self.kind))
+            for i, name in enumerate(self._names(cfg))
+        ), inputs)
 
     def prepare(self, fstep):
         cfg = fstep.config
@@ -1375,7 +1328,7 @@ class LinkRaw(Kernel):
                 "series": series}
 
     def plan(self, schema, cfg):
-        return PlanResult(schema.features, (cfg["feature"],))
+        return PlanResult((), rewritten=(cfg["feature"],))
 
     def prepare(self, fstep):
         """The feature, the error every run of the step raises (None when

@@ -258,6 +258,7 @@ def _per_cell(texts: list[str], spec: FeatureSpec):
 @example(["1", "1_0"])                       # int() takes it; parse_cell reads 10.0
 @example(["٣", "2"])                    # a non-ASCII decimal digit
 @example(["5", "+"])                         # digits and signs that are not ints
+@example(["+5", "+٣", "-7"])                 # plus signs and a non-ASCII digit
 def test_numeric_column_parse_matches_parse_cell(texts):
     spec = _numeric("n")
     schema = _schema(spec, FeatureSpec("k", "categorical", categories=("x",),
@@ -326,6 +327,7 @@ def pca_cases(draw):
 @example(([[0.0, 1.0]], [0.0], [[-1.0]], 1))            # 0.0 * -1.0 is -0.0
 @example(([[0, 0], [0, 0]], [0.0, 0.0], [[-0.0], [-0.0]], 1))
 @example(([[2**53 + 1], [1e12]], [1.0, -1e12], [[1.0], [1.0]], 1))
+@example(([[0.0], [0.0], [0.0]], [0.0] * 3, [[-1.0]] * 3, 1))  # every product is -0.0
 def test_pca_apply_matches_left_to_right_loop(case):
     columns, means, loadings, components = case
     names = tuple(f"x{i}" for i in range(len(columns)))

@@ -1,6 +1,8 @@
 """Every private name that ``src/featurespace/`` defines at module level, and
 every private method of its classes, is read somewhere in ``src/``: code
-that only tests reach is dead code."""
+that only tests reach is dead code. Every public module-level name is read
+somewhere in ``src/``, ``tests/`` or ``perfbench/``, or is exported by
+``featurespace.__all__``."""
 
 from __future__ import annotations
 
@@ -8,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import featurespace
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -19,10 +23,9 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """The private names the module binds at its top level (functions,
-    classes, assigned names) and the private methods of its classes, with
-    their line numbers."""
+def module_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names the module binds at its top level (functions, classes,
+    assigned names), with their line numbers."""
     found = []
     for node in tree.body:
         if isinstance(node, _DEFINITIONS):
@@ -31,9 +34,15 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(name.id, node.lineno) for target in targets
                       for name in ast.walk(target) if isinstance(name, ast.Name)]
-        if isinstance(node, ast.ClassDef):
-            found += [(method.name, method.lineno) for method in node.body
-                      if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return found
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The private names the module binds at its top level and the private
+    methods of its classes, with their line numbers."""
+    found = module_definitions(tree) + [
+        (method.name, method.lineno) for node in tree.body if isinstance(node, ast.ClassDef)
+        for method in node.body if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return [(name, line) for name, line in found if _private(name)]
 
 
@@ -56,6 +65,9 @@ def _parse(path: Path) -> ast.Module:
 
 
 READ_IN_SRC = set().union(*(names_read(_parse(path)) for path in SOURCES))
+READ_ANYWHERE = READ_IN_SRC.union(*(
+    names_read(_parse(path)) for folder in ("tests", "perfbench")
+    for path in sorted((ROOT / folder).rglob("*.py"))))
 
 
 def test_an_unread_private_name_is_found():
@@ -66,10 +78,20 @@ def test_an_unread_private_name_is_found():
         ("_A", 1), ("_B", 2), ("_C", 4), ("_f", 3), ("_m", 5), ("_n", 6)]
     assert {"_A", "_m", "_g"} <= names_read(tree)
     assert not {"_B", "_C", "_f", "_n"} & names_read(tree)
+    assert sorted(module_definitions(ast.parse("A = 1\nclass B:\n    def m(self): pass\n"))) \
+        == [("A", 1), ("B", 2)]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unread_private_name(path):
     unread = [f"line {line}: {name}" for name, line in private_definitions(_parse(path))
               if name not in READ_IN_SRC]
+    assert unread == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_unread_public_name(path):
+    unread = [f"line {line}: {name}" for name, line in module_definitions(_parse(path))
+              if not name.startswith("_") and name not in READ_ANYWHERE
+              and name not in featurespace.__all__]
     assert unread == []

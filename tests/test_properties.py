@@ -6,6 +6,8 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featurespace.errors import ValidationError
 from featurespace.properties import (
@@ -16,6 +18,7 @@ from featurespace.properties import (
     implication_closure,
     validate_property_set,
 )
+from featurespace.schema import FeatureSpec, SchemaManifest
 
 
 def closure_oracle(p: PropertySet, edges=IMPLICATIONS) -> PropertySet:
@@ -104,3 +107,28 @@ def test_unknown_flag_rejected():
 
 def test_format_edge():
     assert format_edge(("human_worded", "readable")) == "human_worded=>readable"
+
+
+FLAG_NAMES = st.lists(st.sampled_from(PROPERTY_NAMES), max_size=5)
+EDGES = st.lists(st.tuples(st.sampled_from(PROPERTY_NAMES), st.sampled_from(PROPERTY_NAMES)),
+                 max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGES, st.lists(st.tuples(FLAG_NAMES, st.booleans()), min_size=1, max_size=4))
+def test_every_spec_of_a_manifest_is_its_own_closure(extra, drawn):
+    """A manifest holds a spec only if the spec's flags are their own closure
+    over the manifest's implications, so ``audit`` reads them as they are.
+    Each drawn flag set is closed first or not, as its boolean says."""
+    flag_sets = [implication_closure(PropertySet.from_names(names), extra) if closed
+                 else PropertySet.from_names(names) for names, closed in drawn]
+    try:
+        manifest = SchemaManifest(tuple(
+            FeatureSpec(f"f{i}", "numeric", properties=flags, observed=True)
+            for i, flags in enumerate(flag_sets)), extra_implications=tuple(extra))
+    except ValidationError:
+        assert any(implication_closure(flags, extra) != flags for flags in flag_sets)
+        return
+    for spec in manifest.features:
+        assert implication_closure(spec.properties, manifest.extra_implications) \
+            == spec.properties
