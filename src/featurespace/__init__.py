@@ -11,7 +11,7 @@ from .explain import (
     read_contributions,
     write_contributions,
 )
-from .lineage import Computed, Imputed, RawLinked
+from .lineage import Imputed
 from .pipeline import (
     FittedPipeline,
     InversionRefusal,
@@ -71,7 +71,6 @@ __all__ = [
     "PROPERTY_NAMES",
     "TRANSFORM_KINDS",
     "AuditReport",
-    "Computed",
     "ContributionVector",
     "DataTable",
     "DerivedFrom",
@@ -86,7 +85,6 @@ __all__ = [
     "Persona",
     "Pipeline",
     "PropertySet",
-    "RawLinked",
     "RawSource",
     "RunResult",
     "SchemaManifest",

@@ -46,7 +46,7 @@ from .errors import MappingError, ValidationError
 from .pipeline import FittedPipeline
 from .schema import FeatureSpec, SchemaManifest, open_input
 from .table import DataTable, write_table_csv
-from .transforms import Rewrite, kernel_for, sum_in_order
+from .transforms import Rewrite, sum_in_order
 
 CONSERVATION_TOLERANCE = 1e-9
 
@@ -305,7 +305,7 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
     try:
         for number, fstep in order:
             kind = fstep.step.kind
-            kernel = kernel_for(kind)
+            kernel = fstep.kernel
             if forward:
                 rewrite = kernel.forward_rule(fstep, expose_flags)
                 near, far = fstep.input_schema, fstep.output_schema

@@ -1,7 +1,8 @@
 """Lineage: where each produced column's cells came from.
 
 A run records lineage once per produced column, as a ``ColumnLineage``:
-one origin for every row, plus the rows that carry their own.
+one origin for every row, plus the rows that carry their own. An origin is
+the schema's own record, a ``DerivedFrom`` or a ``RawSource``, or ``Imputed``.
 ``lineage_to_data`` expands a run's ``Lineage`` into one JSON-ready entry per
 produced cell, the form ``transform --lineage`` writes. It renders each
 column record's entry once and copies it for every row the record covers;
@@ -15,36 +16,15 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Union
 
+from .schema import DerivedFrom, RawSource
+
 
 @dataclass(frozen=True)
 class Imputed:
     strategy: str
 
 
-@dataclass(frozen=True)
-class Computed:
-    formula: str
-    inputs: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-
-
-@dataclass(frozen=True)
-class RawLinked:
-    """A cell linked to the slice ``[start, stop)`` of a raw series;
-    ``window`` is that pair as a tuple."""
-
-    series_id: str
-    start: int
-    stop: int
-    window: tuple[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "window", (self.start, self.stop))
-
-
-Origin = Union[Imputed, Computed, RawLinked]
+Origin = Union[DerivedFrom, Imputed, RawSource]
 
 _NO_EXCEPTIONS: Mapping[int, Origin] = MappingProxyType({})
 
@@ -53,10 +33,11 @@ _NO_EXCEPTIONS: Mapping[int, Origin] = MappingProxyType({})
 class ColumnLineage:
     """Where one produced column's cells came from, recorded once per column.
 
-    Every row has ``origin``, except the rows in ``exceptions``, which carry
-    their own. With ``origin`` None only the exception rows have a record.
-    A record without exceptions, as a fitted step prepares it for all of its
-    runs, has a read-only empty ``exceptions``.
+    Every row has ``origin`` (the produced spec's own ``derived_from``, a
+    ``RawSource`` or an ``Imputed``), except the rows in ``exceptions``,
+    which carry their own. With ``origin`` None only the exception rows
+    have a record. A record without exceptions, as a fitted step prepares
+    it for all of its runs, has a read-only empty ``exceptions``.
     """
 
     feature: str
@@ -84,7 +65,7 @@ def _fields(feature: str, origin: Origin) -> dict:
     """The entry of a cell of ``feature`` with ``origin``, at row 0. ``row``
     is its first key, so ``dict(entry, row=r)`` is row ``r``'s entry with the
     keys in the same order."""
-    if isinstance(origin, Computed):
+    if isinstance(origin, DerivedFrom):
         return {"row": 0, "feature": feature, "origin": "computed",
                 "formula": origin.formula, "inputs": origin.inputs}
     if isinstance(origin, Imputed):

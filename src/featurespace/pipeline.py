@@ -51,10 +51,10 @@ class FittedStep:
     the fit state's values filled in. ``save_fitted`` writes ``step.config``
     and ``fit_state`` apart.
 
-    ``pick`` and ``unchecked`` are the step's column plan, fixed by the
+    ``pick`` and ``validated`` are the step's column plan, fixed by the
     schemas: ``pick`` takes the tuple of the input columns followed by the
     produced columns to the tuple of the output columns (an ``itemgetter``
-    of their positions in it), and ``unchecked`` holds the output
+    of their positions in it), and ``validated`` holds the output
     positions of the produced columns whose spec is numeric, the only ones
     validated: arithmetic can overflow to ``inf``, but a kernel takes every
     label and boolean it produces from its output spec or from validated
@@ -78,7 +78,7 @@ class FittedStep:
     produced: tuple[str, ...]
     config: dict[str, Any] = field(init=False, repr=False, compare=False)
     pick: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
-    unchecked: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    validated: tuple[int, ...] = field(init=False, repr=False, compare=False)
     kernel: Kernel = field(init=False, repr=False, compare=False)
     prepared: Any = field(init=False, repr=False, compare=False)
 
@@ -93,7 +93,7 @@ class FittedStep:
         # An itemgetter of one position returns that item, not a tuple of it.
         object.__setattr__(self, "pick", itemgetter(*sources) if len(sources) > 1 else
                            lambda pool: tuple(pool[s] for s in sources))
-        object.__setattr__(self, "unchecked", tuple(
+        object.__setattr__(self, "validated", tuple(
             i for i, spec in enumerate(self.output_schema.features)
             if spec.name in made and spec.dtype == "numeric"))
         unfitted = self.fit_state is None and kernel.requires_fit(self.step.config)
@@ -350,7 +350,7 @@ def _check_table_matches(table: DataTable, schema: SchemaManifest) -> None:
 def _apply_step(fstep: FittedStep, number: int, table: DataTable):
     """Next table and the step's column lineage. Only the produced columns
     are computed; every other column is carried over by reference, and only
-    the columns in the step's ``unchecked`` plan are validated."""
+    the columns at the step's ``validated`` positions are validated."""
     try:
         columns, lineage = fstep.kernel.apply(table, fstep.prepared)
     except KernelError as exc:
@@ -362,7 +362,7 @@ def _apply_step(fstep: FittedStep, number: int, table: DataTable):
     pool = (*table.columns, *columns)
     try:
         out = DataTable.from_columns(fstep.output_schema, fstep.pick(pool), table.num_rows,
-                                     fstep.unchecked)
+                                     fstep.validated)
     except ValidationError as exc:  # e.g. arithmetic that overflowed to infinity
         raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
                           step_number=number) from None

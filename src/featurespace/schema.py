@@ -29,6 +29,7 @@ from .properties import (
     PROPERTY_NAMES,
     Edge,
     PropertySet,
+    checked_edges,
     format_edge,
     validate_property_set,
 )
@@ -174,10 +175,12 @@ class SchemaManifest:
                 raise ValidationError(f"duplicate feature name {name!r}")
             seen.add(name)
         # A spec met the base implications when it was built: only the
-        # schema's own edges can fail it.
+        # schema's own edges, whose names are checked once, can fail it.
         if self.extra_implications:
+            checked = checked_edges(self.extra_implications)
             for spec in self.features:
-                violated = validate_property_set(spec.properties, self.extra_implications)
+                flags = spec.properties
+                violated = [e for e in checked if flags.has(e[0]) and not flags.has(e[1])]
                 if violated:
                     edges = ", ".join(format_edge(e) for e in violated)
                     raise ValidationError(

@@ -117,20 +117,20 @@ class DataTable:
 
     @classmethod
     def from_columns(cls, schema: SchemaManifest, columns: Sequence[list],
-                     num_rows: int, unchecked: Iterable[int] | None = None) -> DataTable:
+                     num_rows: int, validate: Iterable[int] | None = None) -> DataTable:
         """Table over the given column lists, validating the columns at the
-        positions in ``unchecked`` (every column by default)."""
+        positions in ``validate`` (every column by default)."""
         table = cls.__new__(cls)
         table._set(schema, columns, num_rows)
-        table.__post_init__(range(len(columns)) if unchecked is None else unchecked)
+        table.__post_init__(range(len(columns)) if validate is None else validate)
         return table
 
     def _set(self, schema: SchemaManifest, columns: Sequence[list], num_rows: int) -> None:
         self.__dict__.update({"schema": schema, "columns": tuple(columns),
                               "num_rows": num_rows, "_rows": None})
 
-    def __post_init__(self, unchecked: Iterable[int]) -> None:
-        """Validate the columns at the positions in ``unchecked``.
+    def __post_init__(self, validate: Iterable[int]) -> None:
+        """Validate the columns at the positions in ``validate``.
 
         Each column gets a whole-column check; only columns that fail it are
         rescanned cell by cell, row-major, so the error names the same first
@@ -138,7 +138,7 @@ class DataTable:
         """
         features = self.schema.features
         suspect = []
-        for i in unchecked:
+        for i in validate:
             column, spec = self.columns[i], features[i]
             if len(column) != self.num_rows:
                 raise ValidationError(
@@ -312,10 +312,10 @@ def read_table_csv(source: str | Path | IO[str], schema: SchemaManifest) -> Data
         num_rows += chunk.num_rows
         del chunk  # its column lists, before the next chunk is parsed
     if first is None:  # a header and no rows
-        return DataTable.from_columns(schema, [[] for _ in schema.names], 0, unchecked=())
+        return DataTable.from_columns(schema, [[] for _ in schema.names], 0, validate=())
     if num_rows == first.num_rows:
         return first
-    return DataTable.from_columns(schema, first.columns, num_rows, unchecked=())
+    return DataTable.from_columns(schema, first.columns, num_rows, validate=())
 
 
 def read_table_chunks(source: str | Path | IO[str],
@@ -357,7 +357,7 @@ def read_table_chunks(source: str | Path | IO[str],
                 raise ValidationError(f"row {first_row + ragged}: "
                                       f"expected {width} fields, got {len(chunk[ragged])}")
             if body:
-                yield first_row, DataTable.from_columns(schema, columns, len(body), unchecked=())
+                yield first_row, DataTable.from_columns(schema, columns, len(body), validate=())
             first_row += len(body)
             del chunk, body, columns  # before the next chunk is read
 

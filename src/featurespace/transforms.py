@@ -32,11 +32,12 @@ import numpy as np
 
 from .errors import KernelError, ValidationError
 from .expressions import evaluate, expression_names, parse_expression
-from .lineage import ColumnLineage, Computed, Imputed, RawLinked
+from .lineage import ColumnLineage, Imputed
 from .properties import PROPERTY_NAMES
 from .schema import (
     DerivedFrom,
     FeatureSpec,
+    RawSource,
     SchemaManifest,
     document_bool,
     document_int,
@@ -50,7 +51,7 @@ from .schema import (
     parse_wording_data,
     wording_to_data,
 )
-from .table import MISSING, DataTable, check_cell
+from .table import MISSING, DataTable, check_cell, render_cell
 
 if TYPE_CHECKING:
     from .pipeline import FittedStep
@@ -317,10 +318,11 @@ class Kernel:
         step's ``prepared`` state alone: everything a run needs is in the
         fitted step.
 
-        Returns one list of cells per produced feature, in ``plan(...).produced``
-        order, and the lineage of those columns: one ``ColumnLineage`` per
-        produced feature that has a record, in the order each row's entries
-        are listed. Input columns are read, never mutated.
+        Returns one list of cells per produced feature, in the step's
+        ``produced`` order (rewritten, then built), and the lineage of those
+        columns: one ``ColumnLineage`` per produced feature that has a
+        record, in the order each row's entries are listed. Input columns
+        are read, never mutated.
         """
         raise NotImplementedError
 
@@ -421,13 +423,11 @@ def _lookup(mapping: Mapping, unknown: str) -> Callable[[list], list]:
 def _computed(fstep: FittedStep, names: Sequence[str] | None = None
               ) -> tuple[ColumnLineage, ...]:
     """The lineage of produced columns whose every row is computed, one
-    record per name (every produced feature by default): the origin is what
-    ``plan`` put in the feature's ``derived_from``."""
-    records = []
-    for name in fstep.produced if names is None else names:
-        derived = fstep.output_schema.feature(name).derived_from
-        records.append(ColumnLineage(name, Computed(derived.formula, derived.inputs)))
-    return tuple(records)
+    record per name (every produced feature by default): the origin is the
+    feature's own ``derived_from``, which ``plan`` set."""
+    schema = fstep.output_schema
+    return tuple(ColumnLineage(name, schema.feature(name).derived_from)
+                 for name in (fstep.produced if names is None else names))
 
 
 class OneHotEncode(Kernel):
@@ -864,8 +864,6 @@ class ImputeFlagged(Kernel):
     def prepare(self, fstep):
         cfg = fstep.config
         strategy = cfg["strategy"]
-        if strategy == "mean" and cfg.get("mean") is None:
-            raise ValidationError(f"{self.kind}: mean strategy is not fitted")
         fill_value = cfg["mean"] if strategy == "mean" else cfg["constant"]
         labels = fstep.input_schema.feature(cfg["feature"]).category_objects
         return (cfg["feature"], strategy, labels.get(fill_value, fill_value), Imputed(strategy),
@@ -1342,7 +1340,7 @@ class LinkRaw(Kernel):
         elif stop > len(series):
             error = (f"{self.kind}: window [{start}, {stop}) outside series "
                      f"{series_id!r} of length {len(series)}")
-        return feature, error, (ColumnLineage(feature, RawLinked(series_id, start, stop)),)
+        return feature, error, (ColumnLineage(feature, RawSource(series_id, (start, stop))),)
 
     def apply(self, table, prepared):
         feature, error, lineage = prepared
@@ -1397,8 +1395,6 @@ def render_value(spec: FeatureSpec, value) -> str:
     Booleans map to the positive/negative statements, categories substitute
     into the value phrase, and numerics render as "<name>: <value> <unit>".
     """
-    from .table import render_cell
-
     if value is MISSING:
         raise ValidationError(f"feature {spec.name!r}: cannot render a MISSING value")
     if spec.dtype == "boolean":

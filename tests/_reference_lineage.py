@@ -5,7 +5,8 @@ in this order, and the same JSON text."""
 
 from __future__ import annotations
 
-from featurespace.lineage import Computed, Imputed, Lineage
+from featurespace.lineage import Imputed, Lineage
+from featurespace.schema import DerivedFrom
 
 
 def _cells(lineage: Lineage):
@@ -20,14 +21,14 @@ def _cells(lineage: Lineage):
 
 
 def _entry(row, feature, origin) -> dict:
-    if isinstance(origin, Computed):
+    if isinstance(origin, DerivedFrom):
         return {"row": row, "feature": feature, "origin": "computed",
                 "formula": origin.formula, "inputs": tuple(origin.inputs)}
     if isinstance(origin, Imputed):
         return {"row": row, "feature": feature, "origin": "imputed",
                 "strategy": origin.strategy}
     return {"row": row, "feature": feature, "origin": "raw_linked",
-            "series_id": origin.series_id, "window": (origin.start, origin.stop)}
+            "series_id": origin.series_id, "window": tuple(origin.window)}
 
 
 def reference_entries(lineage: Lineage) -> list[dict]:

@@ -538,6 +538,10 @@ def _fit_state_on_configured_step(doc):
     step_of(doc, "standardize")["fit_state"] = {"mean": 0.0, "scale": 1.0}
 
 
+def _unfitted_impute_mean(doc):
+    step_of(doc, "impute_flagged")["fit_state"] = {}
+
+
 @pytest.mark.parametrize("name, corrupt, message", [
     ("model_ready", _short_loadings, "step 4 (pca_project)"),
     ("learned", _short_edges, "step 2 (statistical_bin)"),
@@ -547,9 +551,11 @@ def _fit_state_on_configured_step(doc):
     ("learned", _nan_in_pca_means, "means must be a finite number"),
     ("model_ready", _nan_configured_scale, "scale must be a finite number"),
     ("model_ready", _fit_state_on_configured_step, "fit_state must be null"),
+    ("learned", _unfitted_impute_mean,
+     "step 1 (impute_flagged): impute_flagged: mean strategy is not fitted"),
 ], ids=["pca_loadings", "bin_edges", "bin_min_max", "standardize_scale",
         "pca_stray_key", "pca_nan_mean", "configured_nan_scale",
-        "configured_with_fit_state"])
+        "configured_with_fit_state", "impute_mean_unfitted"])
 def test_malformed_learned_values_exit_1(tmp_path, capsys, name, corrupt, message):
     doc = fitted_document(name, tmp_path)
     good = tmp_path / "good.json"
@@ -1351,6 +1357,11 @@ def test_fitted_document_with_a_bom_loads(tmp_path):
      "unknown property flags: [\"['a']\"]"),
     (lambda w: _audit(w, ORIGINAL_MANIFEST + "implications: 0\n"),
      "implications must be a list"),
+    (lambda w: _audit(w, ORIGINAL_MANIFEST + "implications: [[bogus, readable]]\n"),
+     "implication references unknown property: bogus=>readable"),
+    (lambda w: _audit(w, "space_tag: original\nfeatures: []\n"
+                         "implications: [[bogus, readable]]\n"),
+     "implication references unknown property: bogus=>readable"),
     (lambda w: _audit(w, ORIGINAL_MANIFEST + "1: x\nzz: y\n"), "manifest: unknown keys [1, 'zz']"),
     (lambda w: _one_step(w, "standardize", {"feature": "Elevation", 1: "x", "zz": "y"}),
      "standardize: unknown config keys [1, 'zz']"),
@@ -1362,7 +1373,8 @@ def test_fitted_document_with_a_bom_loads(tmp_path):
      "steps[0] property_delta must be a mapping"),
 ], ids=["feature_key", "wording_key", "property_list", "property_nested_list", "persona_key",
         "persona_required", "persona_required_5", "persona_avoid_5", "persona_required_nested",
-        "implications_0", "manifest_key", "config_key",
+        "implications_0", "implication_flag", "implication_flag_no_features",
+        "manifest_key", "config_key",
         "property_delta_flag", "config_0", "property_delta_0"])
 def test_malformed_document_value_exits_1(workspace, capsys, argv_for, message):
     _fails_cleanly(argv_for(workspace) + ["--out", str(workspace / "out")], capsys, 1, message)

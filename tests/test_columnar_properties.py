@@ -86,7 +86,7 @@ def test_steps_carry_what_they_do_not_produce_unchanged(pair):
                 assert spec == fstep.input_schema.feature(spec.name)
         numeric = [name for name in names if name in fstep.produced
                    and fstep.output_schema.feature(name).dtype == "numeric"]
-        assert [names[i] for i in fstep.unchecked] == numeric
+        assert [names[i] for i in fstep.validated] == numeric
 
 
 def _unvalidated_columns_pass(fitted, table: DataTable) -> tuple[set[str], DataTable]:

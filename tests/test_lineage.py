@@ -10,16 +10,9 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featurespace.lineage import (
-    ColumnLineage,
-    Computed,
-    Imputed,
-    Lineage,
-    RawLinked,
-    lineage_to_data,
-)
+from featurespace.lineage import ColumnLineage, Imputed, Lineage, lineage_to_data
 from featurespace.pipeline import run
-from featurespace.schema import FeatureSpec, RawSource, SchemaManifest
+from featurespace.schema import DerivedFrom, FeatureSpec, RawSource, SchemaManifest
 from featurespace.table import DataTable
 from featurespace.transforms import EXACT_KINDS
 
@@ -30,11 +23,11 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
 FEATURES = st.sampled_from(["a", "b", 'q"uote', "new\nline", "é"])
 ORIGINS = st.one_of(
-    st.builds(Computed, st.sampled_from(["sum", "one_hot_encode", "a + b"]),
-              st.lists(FEATURES, max_size=3)),
+    st.builds(DerivedFrom, st.lists(FEATURES, min_size=1, max_size=3),
+              st.sampled_from(["sum", "one_hot_encode", "a + b"])),
     st.builds(Imputed, st.sampled_from(["mean", "constant", "forward_fill"])),
-    st.builds(RawLinked, st.sampled_from(["pulse-p7", "s"]), st.integers(0, 5),
-              st.integers(6, 20)),
+    st.builds(RawSource, st.sampled_from(["pulse-p7", "s"]),
+              st.tuples(st.integers(0, 5), st.integers(6, 20))),
 )
 
 
@@ -64,8 +57,8 @@ def _assert_matches_reference(lineage: Lineage) -> list[dict]:
     assert len(lineage) == len(entries)
     origins = [origin for _, columns in lineage._steps for column in columns
                for origin in (column.origin, *column.exceptions.values())]
-    shared = {id(o.inputs) for o in origins if isinstance(o, Computed)} | \
-        {id(o.window) for o in origins if isinstance(o, RawLinked)}
+    shared = {id(o.inputs) for o in origins if isinstance(o, DerivedFrom)} | \
+        {id(o.window) for o in origins if isinstance(o, RawSource)}
     for entry in entries:
         for key in ("inputs", "window"):
             if key in entry:
@@ -97,3 +90,26 @@ def test_pipeline_lineage_matches_the_per_cell_reference(pair):
     assert any(e["origin"] == "raw_linked" for e in entries) == (table.num_rows > 0)
     empty = run(fitted, DataTable(fitted.input_schema, ()))
     assert _assert_matches_reference(empty.lineage) == []
+
+
+@PROPERTY_SETTINGS
+@given(fitted_pipelines(schemas().map(lambda base: SchemaManifest((PULSE, *base.features))),
+                        missing=0.3, first=("link_raw",)))
+def test_run_origins_are_the_schema_records(pair):
+    """Random pipelines of every kind that start with a ``link_raw`` step: the
+    one record of each feature a step builds has no exceptions, and its origin
+    is the output spec's own ``derived_from``, the same object; a ``link_raw``
+    record is the ``RawSource`` of the step's series and window."""
+    fitted, table = pair
+    steps = run(fitted, table).lineage._steps
+    assert len(steps) == len(fitted.steps)
+    for fstep, (_, columns) in zip(fitted.steps, steps):
+        records = {column.feature: column for column in columns}
+        for spec in fstep.kernel.plan(fstep.input_schema, fstep.config).built:
+            record = records[spec.name]
+            assert record.origin is fstep.output_schema.feature(spec.name).derived_from
+            assert not record.exceptions
+        if fstep.step.kind == "link_raw":
+            cfg = fstep.config
+            assert [column.origin for column in columns] == \
+                [RawSource(cfg["series_id"], cfg["window"])]

@@ -194,9 +194,9 @@ def test_wrappers_put_on_after_loading_are_called(name, monkeypatch):
     applies, validations = [], []
     post_init = DataTable.__post_init__
 
-    def validating(table, unchecked):
+    def validating(table, validate):
         validations.append(table)
-        post_init(table, unchecked)
+        post_init(table, validate)
 
     monkeypatch.setattr(DataTable, "__post_init__", validating)
     kinds = {fstep.step.kind for fstep in fitted.steps}

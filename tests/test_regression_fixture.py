@@ -36,6 +36,16 @@ output schema of each pipeline in ``_fitted_documents.py`` fitted on
 ``covertype_300.csv``, and of the inverse of ``exact``, written before the
 kernels read one merged config: every field of every produced spec is pinned.
 Together they cover every transform kind except ``link_raw``.
+
+``pulse_12.csv`` holds 12 rows over ``pulse_12_original.yaml``, whose
+``Pulse`` feature declares a ``raw_source``; three of its ``Pulse`` cells
+and two of its ``Ward`` cells are MISSING.
+``pulse_12_interpretable.csv`` and ``pulse_12_interpretable_lineage.json``
+were written by ``featurespace transform --fit --lineage`` through
+``pulse_12_interpretable.yaml`` (an ``impute_flagged`` mean, a ``link_raw``
+with its series, and a ``semantic_bin`` that builds ``Pulse Band``) while
+run lineage still had record types of its own: the lineage pins the bytes of
+every kind of origin, ``imputed``, ``raw_linked`` and ``computed``.
 """
 
 from __future__ import annotations
@@ -80,6 +90,18 @@ def test_demo_transform_is_byte_identical(tmp_path, name):
         table = read_table_csv(DATA / "covertype_300.csv", pipeline.input_schema)
         entries = reference_entries(run(fit(pipeline, table), table).lineage)
         assert lineage.read_text("utf-8") == json.dumps(entries, indent=2) + "\n"
+
+
+def test_link_raw_transform_is_byte_identical(tmp_path):
+    out, lineage = tmp_path / "out.csv", tmp_path / "lineage.json"
+    assert main(["transform", "--fit", "--pipeline", str(DATA / "pulse_12_interpretable.yaml"),
+                 "--data", str(DATA / "pulse_12.csv"),
+                 "--out", str(out), "--lineage", str(lineage)]) == 0
+    assert out.read_bytes() == (DATA / "pulse_12_interpretable.csv").read_bytes()
+    expected = (DATA / "pulse_12_interpretable_lineage.json").read_bytes()
+    assert lineage.read_bytes() == expected
+    origins = {entry["origin"] for entry in json.loads(expected)}
+    assert origins == {"imputed", "raw_linked", "computed"}
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -423,8 +423,8 @@ def test_impute_mean_without_fit_state_is_a_validation_error():
     output = compose([step], schema, "to_interpretable").output_schema
     unfitted = FittedStep(step, None, schema, output, ("Elevation", "Elevation Flag"))
     assert unfitted.prepared is None  # a step that still needs fitting is never run
-    with pytest.raises(ValidationError, match="not fitted"):
-        KERNELS["impute_flagged"].prepare(unfitted)
+    with pytest.raises(ValidationError, match="mean strategy is not fitted"):
+        KERNELS["impute_flagged"].check_learned(step.config, {}, schema)
 
 
 def test_impute_mean_needs_observed_values():
