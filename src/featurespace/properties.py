@@ -80,8 +80,7 @@ def format_edge(edge: Edge) -> str:
     return f"{edge[0]}=>{edge[1]}"
 
 
-def checked_edges(extra: Iterable[Edge]) -> tuple[Edge, ...]:
-    """The base implication edges followed by ``extra``, every name checked."""
+def _checked_edges(extra: Iterable[Edge]) -> tuple[Edge, ...]:
     edges = IMPLICATIONS + tuple((str(t), str(h)) for t, h in extra)
     for tail, head in edges:
         if tail not in PROPERTY_NAMES or head not in PROPERTY_NAMES:
@@ -95,7 +94,7 @@ def validate_property_set(p: PropertySet,
 
     Violations are data, not faults: callers decide whether to raise.
     """
-    edges = checked_edges(extra_implications)
+    edges = _checked_edges(extra_implications)
     return tuple(e for e in edges if p.has(e[0]) and not p.has(e[1]))
 
 
@@ -105,7 +104,7 @@ def implication_closure(p: PropertySet,
 
     Extensive, monotone, and idempotent over the fixed edge set.
     """
-    edges = checked_edges(extra_implications)
+    edges = _checked_edges(extra_implications)
     flags = p.flags()
     changed = True
     while changed:

@@ -29,7 +29,6 @@ from .properties import (
     PROPERTY_NAMES,
     Edge,
     PropertySet,
-    checked_edges,
     format_edge,
     validate_property_set,
 )
@@ -175,12 +174,12 @@ class SchemaManifest:
                 raise ValidationError(f"duplicate feature name {name!r}")
             seen.add(name)
         # A spec met the base implications when it was built: only the
-        # schema's own edges, whose names are checked once, can fail it.
+        # schema's own edges can fail it. The empty set checks their names
+        # when there are no features.
         if self.extra_implications:
-            checked = checked_edges(self.extra_implications)
+            validate_property_set(PropertySet(), self.extra_implications)
             for spec in self.features:
-                flags = spec.properties
-                violated = [e for e in checked if flags.has(e[0]) and not flags.has(e[1])]
+                violated = validate_property_set(spec.properties, self.extra_implications)
                 if violated:
                     edges = ", ".join(format_edge(e) for e in violated)
                     raise ValidationError(
