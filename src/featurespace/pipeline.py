@@ -29,11 +29,16 @@ from .schema import (
     read_yaml,
 )
 from .table import DataTable
-from .transforms import UNKNOWN_CONFIG, Kernel, TransformStep, kernel_for
+from .transforms import Kernel, TransformStep, kernel_for
 
 DIRECTIONS = ("to_model_ready", "to_interpretable")
 _FLIP = {"to_model_ready": "to_interpretable", "to_interpretable": "to_model_ready"}
 _TARGET_SPACE = {"to_model_ready": "model_ready", "to_interpretable": "interpretable"}
+
+
+def _in_step(number: int, kind: str, message: Any) -> str:
+    """``message`` said of step ``number`` (``kind``): the one naming of a step in errors."""
+    return f"step {number} ({kind}): {message}"
 
 
 def _with_fit_state(config: Mapping[str, Any],
@@ -138,7 +143,7 @@ class FittedPipeline:
             (number, fstep.step.kind) for number, fstep in enumerate(self.steps, 1)
             if not fstep.kernel.exact(fstep.config)))
         object.__setattr__(self, "fidelity_notes", tuple(
-            f"step {number} ({kind}): lossy transform; inverse not offered"
+            _in_step(number, kind, "lossy transform; inverse not offered")
             for number, kind in self.lossy))
         formats: dict[str, str] = {}
         for fstep in self.steps:
@@ -184,10 +189,7 @@ class InversionRefusal:
 def _final_properties(base: PropertySet, delta: Mapping[str, bool], out_spec,
                       overrides: Mapping[str, bool],
                       extra_implications) -> PropertySet:
-    flags = base.flags()
-    flags.update(delta)
-    flags.update(overrides)
-    closed = implication_closure(PropertySet(**flags), extra_implications)
+    closed = implication_closure(replace(base, **{**delta, **overrides}), extra_implications)
     for name, value in overrides.items():
         if value is False and closed.has(name):
             raise ValidationError(
@@ -200,13 +202,13 @@ def _plan_step(kernel: Kernel, step: TransformStep, state: Mapping[str, Any] | N
                schema: SchemaManifest, step_number: int,
                final_space: str | None) -> FittedStep:
     """The fitted step of normalized ``step`` with fit state ``state`` over
-    ``schema``; errors name the step. The one place that lays out a step's
-    output schema and sets its produced flags: the built features take the
-    place of the first feature they consume, or go last, and a feature's
-    flags start from those its ``derived_from`` inputs share (a rewritten
-    feature's from its own), then take the kernel's delta, the step's
-    overrides and the closure. The output schema is the one check of the
-    names and features the step produces."""
+    ``schema``; errors name the step and its kind, as only the pipeline does
+    (``_in_step``). The one place that lays out a step's output schema and
+    sets its produced flags: the built features take the place of the first
+    feature they consume, or go last, and a feature's flags start from those
+    its ``derived_from`` inputs share (a rewritten feature's from its own),
+    then take the kernel's delta, the step's overrides and the closure. The
+    output schema is the one check of the names and features the step produces."""
     try:
         plan = kernel.plan(schema, _with_fit_state(step.config, state))
         produced = (*plan.rewritten, *(spec.name for spec in plan.built))
@@ -231,7 +233,7 @@ def _plan_step(kernel: Kernel, step: TransformStep, state: Mapping[str, Any] | N
         out_schema = SchemaManifest(specs, space, schema.extra_implications)
         return FittedStep(step, state, schema, out_schema, produced)
     except ValidationError as exc:
-        raise ValidationError(f"step {step_number} ({step.kind}): {exc}") from None
+        raise ValidationError(_in_step(step_number, step.kind, exc)) from None
 
 
 def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
@@ -257,12 +259,12 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     for number, (step, state) in enumerate(zip(steps, states), 1):
         kernel = kernel_for(step.kind)
         try:
-            document_mapping(step.config, step.kind, kernel.keys, unknown=UNKNOWN_CONFIG)
+            document_mapping(step.config, "config", kernel.keys)
             cfg = kernel.normalize(step.config, schema)
             if state is not None:
                 state = kernel.check_learned(cfg, state, schema)
         except (ValidationError, TypeError, ValueError) as exc:
-            raise ValidationError(f"step {number} ({step.kind}): {exc}") from None
+            raise ValidationError(_in_step(number, step.kind, exc)) from None
         if kernel.requires_fit(cfg) and state is None:
             if table is not None:
                 for args in pending:
@@ -272,15 +274,15 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
                     # A learned state is checked like one read from a document.
                     state = kernel.check_learned(cfg, kernel.fit(table, cfg), schema)
                 except (KernelError, ValidationError) as exc:
-                    raise KernelError(f"step {number} ({step.kind}): {exc}",
+                    raise KernelError(_in_step(number, step.kind, exc),
                                       row_index=getattr(exc, "row_index", None),
                                       step_number=number) from None
                 except OverflowError:  # e.g. a squared deviation beyond the float range
-                    raise KernelError(f"step {number} ({step.kind}): fitting overflows "
-                                      "the float range", step_number=number) from None
+                    raise KernelError(_in_step(number, step.kind, "fitting overflows "
+                                               "the float range"), step_number=number) from None
             elif require_params:
                 raise ValidationError(
-                    f"step {number} ({step.kind}): requires fitting; call fit() with data")
+                    _in_step(number, step.kind, "requires fitting; call fit() with data"))
         final_space = _TARGET_SPACE[direction] if number == len(steps) else None
         fstep = _plan_step(kernel, TransformStep(step.kind, cfg, step.property_delta), state,
                            schema, number, final_space)
@@ -354,17 +356,17 @@ def _apply_step(fstep: FittedStep, number: int, table: DataTable):
     try:
         columns, lineage = fstep.kernel.apply(table, fstep.prepared)
     except KernelError as exc:
-        raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
+        raise KernelError(_in_step(number, fstep.step.kind, exc),
                           row_index=exc.row_index, step_number=number) from None
     if len(columns) != len(fstep.produced):
-        raise ValueError(f"step {number} ({fstep.step.kind}): kernel returned "
-                         f"{len(columns)} columns for {len(fstep.produced)} features")
+        raise ValueError(_in_step(number, fstep.step.kind, f"kernel returned {len(columns)} "
+                                  f"columns for {len(fstep.produced)} features"))
     pool = (*table.columns, *columns)
     try:
         out = DataTable.from_columns(fstep.output_schema, fstep.pick(pool), table.num_rows,
                                      fstep.validated)
     except ValidationError as exc:  # e.g. arithmetic that overflowed to infinity
-        raise KernelError(f"step {number} ({fstep.step.kind}): {exc}",
+        raise KernelError(_in_step(number, fstep.step.kind, exc),
                           step_number=number) from None
     return out, lineage
 

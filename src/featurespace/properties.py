@@ -22,13 +22,22 @@ PROPERTY_NAMES: tuple[str, ...] = (
 
 Edge = tuple[str, str]
 
+
+def _checked_edges(extra: Iterable[Edge]) -> tuple[Edge, ...]:
+    edges = tuple((str(t), str(h)) for t, h in extra)
+    for tail, head in edges:
+        if tail not in PROPERTY_NAMES or head not in PROPERTY_NAMES:
+            raise ValidationError(f"implication references unknown property: {tail}=>{head}")
+    return edges
+
+
 # Implication edges (tail, head): a feature carrying the tail property must
-# also carry the head property.
-IMPLICATIONS: tuple[Edge, ...] = (
+# also carry the head property. Their names are checked once, here.
+IMPLICATIONS: tuple[Edge, ...] = _checked_edges((
     ("human_worded", "readable"),
     ("simulatable", "trackable"),
     ("model_ready", "model_compatible"),
-)
+))
 
 
 @dataclass(frozen=True)
@@ -80,37 +89,31 @@ def format_edge(edge: Edge) -> str:
     return f"{edge[0]}=>{edge[1]}"
 
 
-def _checked_edges(extra: Iterable[Edge]) -> tuple[Edge, ...]:
-    edges = IMPLICATIONS + tuple((str(t), str(h)) for t, h in extra)
-    for tail, head in edges:
-        if tail not in PROPERTY_NAMES or head not in PROPERTY_NAMES:
-            raise ValidationError(f"implication references unknown property: {tail}=>{head}")
-    return edges
-
-
 def validate_property_set(p: PropertySet,
                           extra_implications: Iterable[Edge] = ()) -> tuple[Edge, ...]:
     """Return the violated implication edges; an empty tuple means coherent.
 
     Violations are data, not faults: callers decide whether to raise.
     """
-    edges = _checked_edges(extra_implications)
+    edges = IMPLICATIONS + _checked_edges(extra_implications)
     return tuple(e for e in edges if p.has(e[0]) and not p.has(e[1]))
 
 
 def implication_closure(p: PropertySet,
                         extra_implications: Iterable[Edge] = ()) -> PropertySet:
-    """Smallest superset of ``p`` that satisfies every implication edge.
+    """Smallest superset of ``p`` that satisfies every implication edge:
+    ``p`` itself when no edge fires.
 
     Extensive, monotone, and idempotent over the fixed edge set.
     """
-    edges = _checked_edges(extra_implications)
+    edges = IMPLICATIONS + _checked_edges(extra_implications)
     flags = p.flags()
+    fired = False
     changed = True
     while changed:
         changed = False
         for tail, head in edges:
             if flags[tail] and not flags[head]:
                 flags[head] = True
-                changed = True
-    return PropertySet(**flags)
+                changed = fired = True
+    return PropertySet(**flags) if fired else p

@@ -102,25 +102,17 @@ class PlanResult:
 # ---------------------------------------------------------------------------
 # config helpers
 
-# ``document_mapping``'s error for a config key the kind does not take.
-UNKNOWN_CONFIG = "{where}: unknown config keys {names}"
-
-
-def _req(cfg: Mapping, key: str, kind: str):
+def _req(cfg: Mapping, key: str):
     if key not in cfg or cfg[key] is None:
-        raise ValidationError(f"{kind}: missing required config key {key!r}")
+        raise ValidationError(f"missing required config key {key!r}")
     return cfg[key]
 
 
-def _number(value, kind: str, key: str) -> float:
-    return document_number(value, f"{kind}: {key}")
+def _numbers(values, key: str) -> tuple[float, ...]:
+    return document_list(values, key, lambda v: document_number(v, key))
 
 
-def _numbers(values, kind: str, key: str) -> tuple[float, ...]:
-    return document_list(values, f"{kind}: {key}", lambda v: _number(v, kind, key))
-
-
-def _display_format(cfg: Mapping, kind: str) -> str | None:
+def _display_format(cfg: Mapping) -> str | None:
     """The configured numeric format spec, checked before any cell is written."""
     spec = cfg.get("display_format")
     if spec is None:
@@ -132,7 +124,7 @@ def _display_format(cfg: Mapping, kind: str) -> str | None:
                 return spec
             except ValueError:
                 pass
-    raise ValidationError(f"{kind}: display_format {spec!r} is not a numeric format spec")
+    raise ValidationError(f"display_format {spec!r} is not a numeric format spec")
 
 
 def _format_template(template: str, where: str, **fields) -> str:
@@ -158,10 +150,10 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _numeric_feature(schema: SchemaManifest, name: str, kind: str) -> FeatureSpec:
+def _numeric_feature(schema: SchemaManifest, name: str) -> FeatureSpec:
     spec = schema.feature(name)
     if spec.dtype != "numeric":
-        raise ValidationError(f"{kind}: feature {name!r} must be numeric, is {spec.dtype}")
+        raise ValidationError(f"feature {name!r} must be numeric, is {spec.dtype}")
     return spec
 
 
@@ -180,7 +172,7 @@ def structural_data(spec: FeatureSpec) -> dict[str, Any]:
     return {k: v for k, v in feature_to_data(spec).items() if k in _STRUCTURAL_KEYS}
 
 
-def _restore(cfg: Mapping, target: str, kind: str, dtypes: tuple[str, ...]) -> dict[str, Any]:
+def _restore(cfg: Mapping, target: str, dtypes: tuple[str, ...]) -> dict[str, Any]:
     """The step's ``restore``, checked as the document entry of feature
     ``target`` and normalized to ``structural_data``. A step without one
     gives the restore keys of its own config, and the dtype ``dtypes[0]``."""
@@ -188,10 +180,10 @@ def _restore(cfg: Mapping, target: str, kind: str, dtypes: tuple[str, ...]) -> d
     if data is None:
         data = {"dtype": dtypes[0],
                 **{k: cfg[k] for k in _STRUCTURAL_KEYS if cfg.get(k) is not None}}
-    data = document_mapping(data, f"{kind}.restore", _STRUCTURAL_KEYS, unknown=UNKNOWN_CONFIG)
-    restore = structural_data(feature_from_data({**data, "name": target}, f"{kind}.restore"))
+    data = document_mapping(data, "restore", _STRUCTURAL_KEYS)
+    restore = structural_data(feature_from_data({**data, "name": target}, "restore"))
     if restore["dtype"] not in dtypes:
-        raise ValidationError(f"{kind}: restored dtype must be {' or '.join(dtypes)}")
+        raise ValidationError(f"restored dtype must be {' or '.join(dtypes)}")
     return restore
 
 
@@ -201,18 +193,18 @@ def _restored_fields(restore: Mapping[str, Any]) -> dict[str, Any]:
     return {key: getattr(spec, key) for key in _STRUCTURAL_KEYS}
 
 
-def _target(cfg: Mapping, feature: str, kind: str) -> tuple[str, bool]:
+def _target(cfg: Mapping, feature: str) -> tuple[str, bool]:
     """Output name and ``keep_original`` of a step that derives one feature
     from ``feature``."""
-    keep = document_bool(cfg.get("keep_original", False), f"{kind}: keep_original")
+    keep = document_bool(cfg.get("keep_original", False), "keep_original")
     target = str(cfg.get("target") or feature)
     if keep and target == feature:
-        raise ValidationError(f"{kind}: keep_original requires a distinct target name")
+        raise ValidationError("keep_original requires a distinct target name")
     return target, keep
 
 
-def _wording_cfg(cfg: Mapping, kind: str) -> dict | None:
-    wording = parse_wording_data(cfg.get("wording"), f"{kind}.wording")
+def _wording_cfg(cfg: Mapping) -> dict | None:
+    wording = parse_wording_data(cfg.get("wording"))
     return None if wording is None else wording_to_data(wording)
 
 
@@ -263,6 +255,9 @@ class Kernel:
     from validated input cells, so only arithmetic can leave a produced
     column's domain (an overflow to ``inf``). The pipeline validates the
     produced columns whose output spec is numeric, and no others.
+
+    A kernel's messages name neither the step nor its kind, and a nested
+    value by its own key (``restore``); the pipeline prefixes ``step N (kind): ``.
     """
 
     kind: str = ""
@@ -294,12 +289,12 @@ class Kernel:
         _check_fit_state(self, cfg, fit_state, self.learned)
         if fit_state.get(self.learned[0]) is None:
             raise ValidationError(
-                f"{self.kind}: not fitted and no {'/'.join(self.learned)} configured")
+                f"not fitted and no {'/'.join(self.learned)} configured")
         merged = {**cfg, **{key: fit_state.get(key) for key in self.learned}}
         checked = self.normalize(merged, schema)
         for key in self.learned:
             if checked[key] != _tuples(merged[key]):
-                raise ValidationError(f"{self.kind}: fitted {key} is not a number: "
+                raise ValidationError(f"fitted {key} is not a number: "
                                       f"{merged[key]!r}")
         return {key: checked[key] for key in self.learned}
 
@@ -436,23 +431,23 @@ class OneHotEncode(Kernel):
     keys = ("feature", "name_template", "names")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
+        feature = str(_req(cfg, "feature"))
         spec = schema.feature(feature)
         if spec.dtype != "categorical":
             raise ValidationError(
-                f"{self.kind}: feature {feature!r} must be categorical, is {spec.dtype}")
+                f"feature {feature!r} must be categorical, is {spec.dtype}")
         categories = spec.categories or ()
         if cfg.get("names") is not None:
-            names = document_list(cfg["names"], f"{self.kind}: names")
+            names = document_list(cfg["names"], "names")
             if len(names) != len(categories):
                 raise ValidationError(
-                    f"{self.kind}: names must match category count "
+                    "names must match category count "
                     f"({len(names)} != {len(categories)})")
         else:
             template = str(cfg.get("name_template") or "{feature} {category}")
             if "{category}" not in template:
-                raise ValidationError(f"{self.kind}: name_template needs a {{category}} placeholder")
-            names = tuple(_format_template(template, f"{self.kind}: name_template",
+                raise ValidationError(f"name_template needs a {{category}} placeholder")
+            names = tuple(_format_template(template, "name_template",
                                            feature=feature, category=c) for c in categories)
         return {"feature": feature, "names": names}
 
@@ -500,24 +495,24 @@ class OneHotDecode(Kernel):
         return self.delta
 
     def normalize(self, cfg, schema):
-        group = document_list(_req(cfg, "group", self.kind), f"{self.kind}: group")
+        group = document_list(_req(cfg, "group"), "group")
         if not group:
-            raise ValidationError(f"{self.kind}: group must be non-empty")
+            raise ValidationError("group must be non-empty")
         for name in group:
             spec = schema.feature(name)
             if spec.dtype != "boolean":
                 raise ValidationError(
-                    f"{self.kind}: group feature {name!r} must be boolean, is {spec.dtype}")
-        target = str(_req(cfg, "target", self.kind))
-        restore = _restore(cfg, target, self.kind, ("categorical",))
+                    f"group feature {name!r} must be boolean, is {spec.dtype}")
+        target = str(_req(cfg, "target"))
+        restore = _restore(cfg, target, ("categorical",))
         categories = restore["categories"]
         if len(categories) != len(group):
             raise ValidationError(
-                f"{self.kind}: category count must equal group size "
+                "category count must equal group size "
                 f"({len(categories)} != {len(group)})")
         zero_hot = str(cfg.get("zero_hot") or "error")
         if zero_hot not in ("error", "missing"):
-            raise ValidationError(f"{self.kind}: zero_hot must be 'error' or 'missing'")
+            raise ValidationError("zero_hot must be 'error' or 'missing'")
         return {"group": group, "target": target, "restore": restore, "zero_hot": zero_hot}
 
     def plan(self, schema, cfg):
@@ -579,33 +574,33 @@ class Standardize(_OneToOne):
     keys = ("feature", "mean", "scale", "target", "display_format")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
-        _numeric_feature(schema, feature, self.kind)
+        feature = str(_req(cfg, "feature"))
+        _numeric_feature(schema, feature)
         mean, scale = cfg.get("mean"), cfg.get("scale")
         if (mean is None) != (scale is None):
-            raise ValidationError(f"{self.kind}: configure mean and scale together or neither")
+            raise ValidationError("configure mean and scale together or neither")
         if scale is not None:
-            mean, scale = _number(mean, self.kind, "mean"), _number(scale, self.kind, "scale")
+            mean, scale = document_number(mean, "mean"), document_number(scale, "scale")
             if scale <= 0:
-                raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
-        target, _ = _target(cfg, feature, self.kind)
+                raise ValidationError(f"scale must be > 0, got {scale}")
+        target, _ = _target(cfg, feature)
         return {
             "feature": feature,
             "mean": mean,
             "scale": scale,
             "target": target,
-            "display_format": _display_format(cfg, self.kind),
+            "display_format": _display_format(cfg),
         }
 
     def fit(self, table, cfg):
         values = _non_missing(table.values(cfg["feature"]))
         if not values:
-            raise KernelError(f"{self.kind}: column {cfg['feature']!r} has no observed values")
+            raise KernelError(f"column {cfg['feature']!r} has no observed values")
         mean = sum_in_order(values) / len(values)
         variance = sum_in_order((v - mean) ** 2 for v in values) / len(values)
         scale = math.sqrt(variance)
         if scale <= 0:
-            raise KernelError(f"{self.kind}: column {cfg['feature']!r} is constant (scale 0)")
+            raise KernelError(f"column {cfg['feature']!r} is constant (scale 0)")
         return {"mean": mean, "scale": scale}
 
     def _out_fields(self, spec, cfg):
@@ -633,16 +628,16 @@ class Unstandardize(_OneToOne):
             "display_format")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
-        _numeric_feature(schema, feature, self.kind)
-        mean = _number(_req(cfg, "mean", self.kind), self.kind, "mean")
-        scale = _number(_req(cfg, "scale", self.kind), self.kind, "scale")
+        feature = str(_req(cfg, "feature"))
+        _numeric_feature(schema, feature)
+        mean = document_number(_req(cfg, "mean"), "mean")
+        scale = document_number(_req(cfg, "scale"), "scale")
         if scale <= 0:
-            raise ValidationError(f"{self.kind}: scale must be > 0, got {scale}")
-        target, _ = _target(cfg, feature, self.kind)
+            raise ValidationError(f"scale must be > 0, got {scale}")
+        target, _ = _target(cfg, feature)
         return {"feature": feature, "mean": mean, "scale": scale, "target": target,
-                "restore": _restore(cfg, target, self.kind, ("numeric",)),
-                "display_format": _display_format(cfg, self.kind)}
+                "restore": _restore(cfg, target, ("numeric",)),
+                "display_format": _display_format(cfg)}
 
     def _out_fields(self, spec, cfg):
         return _restored_fields(cfg["restore"])
@@ -664,18 +659,18 @@ class Unstandardize(_OneToOne):
 MAX_BINS = 10_000
 
 
-def _boundaries_and_labels(cfg: Mapping, kind: str,
+def _boundaries_and_labels(cfg: Mapping,
                            prefix: str = "") -> tuple[tuple[float, ...], tuple[str, ...]]:
     """A binning's ``boundaries``, non-empty and strictly increasing, and its
     ``labels``, one per bin; errors call them ``{prefix}boundaries``/``labels``."""
-    boundaries = _numbers(_req(cfg, "boundaries", kind), kind, f"{prefix}boundaries")
+    boundaries = _numbers(_req(cfg, "boundaries"), f"{prefix}boundaries")
     if not boundaries or any(a >= b for a, b in zip(boundaries, boundaries[1:])):
         raise ValidationError(
-            f"{kind}: {prefix}boundaries must be non-empty and strictly increasing")
-    labels = document_list(_req(cfg, "labels", kind), f"{kind}: {prefix}labels")
+            f"{prefix}boundaries must be non-empty and strictly increasing")
+    labels = document_list(_req(cfg, "labels"), f"{prefix}labels")
     if len(labels) != len(boundaries) + 1:
         raise ValidationError(
-            f"{kind}: need {len(boundaries) + 1} {prefix}labels, got {len(labels)}")
+            f"need {len(boundaries) + 1} {prefix}labels, got {len(labels)}")
     return boundaries, labels
 
 
@@ -698,45 +693,45 @@ class StatisticalBin(_OneToOne):
     keys = ("feature", "bins", "min", "max", "labels", "target", "keep_original", "wording")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
-        _numeric_feature(schema, feature, self.kind)
-        bins = document_int(_req(cfg, "bins", self.kind), f"{self.kind}: bins")
+        feature = str(_req(cfg, "feature"))
+        _numeric_feature(schema, feature)
+        bins = document_int(_req(cfg, "bins"), "bins")
         if bins < 1:
-            raise ValidationError(f"{self.kind}: bins must be >= 1")
+            raise ValidationError("bins must be >= 1")
         if bins > MAX_BINS:  # every bin gets an edge and a label
-            raise ValidationError(f"{self.kind}: bins must be <= {MAX_BINS}")
+            raise ValidationError(f"bins must be <= {MAX_BINS}")
         lo, hi = cfg.get("min"), cfg.get("max")
         if (lo is None) != (hi is None):
-            raise ValidationError(f"{self.kind}: configure min and max together or neither")
+            raise ValidationError("configure min and max together or neither")
         if lo is not None:
-            lo, hi = _number(lo, self.kind, "min"), _number(hi, self.kind, "max")
+            lo, hi = document_number(lo, "min"), document_number(hi, "max")
             if lo >= hi:
-                raise ValidationError(f"{self.kind}: min must be < max")
+                raise ValidationError("min must be < max")
             if not self._finite_edges({"min": lo, "max": hi, "bins": bins}):
-                raise ValidationError(f"{self.kind}: bin edges of [{lo}, {hi}] overflow")
+                raise ValidationError(f"bin edges of [{lo}, {hi}] overflow")
         labels = cfg.get("labels")
         if labels is None:
             labels = tuple(f"Bin {i + 1}" for i in range(bins))
         else:
-            labels = document_list(labels, f"{self.kind}: labels")
+            labels = document_list(labels, "labels")
         if len(labels) != bins:
-            raise ValidationError(f"{self.kind}: need exactly {bins} labels, got {len(labels)}")
-        target, keep = _target(cfg, feature, self.kind)
+            raise ValidationError(f"need exactly {bins} labels, got {len(labels)}")
+        target, keep = _target(cfg, feature)
         return {
             "feature": feature, "bins": bins, "min": lo, "max": hi,
             "labels": labels, "target": target, "keep_original": keep,
-            "wording": _wording_cfg(cfg, self.kind),
+            "wording": _wording_cfg(cfg),
         }
 
     def fit(self, table, cfg):
         values = _non_missing(table.values(cfg["feature"]))
         if not values:
-            raise KernelError(f"{self.kind}: column {cfg['feature']!r} has no observed values")
+            raise KernelError(f"column {cfg['feature']!r} has no observed values")
         lo, hi = float(min(values)), float(max(values))
         if lo >= hi:
-            raise KernelError(f"{self.kind}: column {cfg['feature']!r} has a degenerate range")
+            raise KernelError(f"column {cfg['feature']!r} has a degenerate range")
         if not self._finite_edges({**cfg, "min": lo, "max": hi}):
-            raise KernelError(f"{self.kind}: bin edges of column {cfg['feature']!r} overflow")
+            raise KernelError(f"bin edges of column {cfg['feature']!r} overflow")
         return {"min": lo, "max": hi, "edges": self._edges({**cfg, "min": lo, "max": hi})}
 
     def check_learned(self, cfg, fit_state, schema):
@@ -745,7 +740,7 @@ class StatisticalBin(_OneToOne):
             cfg, {k: v for k, v in fit_state.items() if k != "edges"}, schema)
         edges = self._edges({**cfg, **state})
         if _tuples(fit_state.get("edges")) != edges:
-            raise ValidationError(f"{self.kind}: fitted edges do not match min, max and bins")
+            raise ValidationError("fitted edges do not match min, max and bins")
         return {**state, "edges": edges}
 
     @staticmethod
@@ -794,13 +789,13 @@ class SemanticBin(_OneToOne):
     keys = ("feature", "boundaries", "labels", "target", "keep_original", "wording")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
-        _numeric_feature(schema, feature, self.kind)
-        boundaries, labels = _boundaries_and_labels(cfg, self.kind)
-        target, keep = _target(cfg, feature, self.kind)
+        feature = str(_req(cfg, "feature"))
+        _numeric_feature(schema, feature)
+        boundaries, labels = _boundaries_and_labels(cfg)
+        target, keep = _target(cfg, feature)
         return {"feature": feature, "boundaries": boundaries, "labels": labels,
                 "target": target, "keep_original": keep,
-                "wording": _wording_cfg(cfg, self.kind)}
+                "wording": _wording_cfg(cfg)}
 
     def _out_fields(self, spec, cfg):
         return {"dtype": "ordinal", "description": f"Semantic bins for {spec.name}",
@@ -818,19 +813,19 @@ class ImputeFlagged(Kernel):
     keys = ("feature", "strategy", "constant", "flag_name")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
+        feature = str(_req(cfg, "feature"))
         spec = schema.feature(feature)
-        strategy = str(_req(cfg, "strategy", self.kind))
+        strategy = str(_req(cfg, "strategy"))
         if strategy not in ("mean", "constant", "forward_fill"):
-            raise ValidationError(f"{self.kind}: unknown strategy {strategy!r}")
+            raise ValidationError(f"unknown strategy {strategy!r}")
         if strategy == "mean" and spec.dtype != "numeric":
             raise ValidationError(
-                f"{self.kind}: mean strategy requires a numeric feature, "
+                "mean strategy requires a numeric feature, "
                 f"{feature!r} is {spec.dtype}")
         constant = cfg.get("constant")
         if strategy == "constant":
             if constant is None:
-                raise ValidationError(f"{self.kind}: constant strategy needs a constant value")
+                raise ValidationError("constant strategy needs a constant value")
             check_cell(constant, spec)
         flag_name = str(cfg.get("flag_name") or f"{feature} Flag")
         return {"feature": feature, "strategy": strategy, "constant": constant,
@@ -843,14 +838,14 @@ class ImputeFlagged(Kernel):
         observed = _non_missing(table.values(cfg["feature"]))
         if not observed:
             raise KernelError(
-                f"{self.kind}: column {cfg['feature']!r} is entirely missing; "
+                f"column {cfg['feature']!r} is entirely missing; "
                 "mean strategy has nothing to average")
         return {"mean": sum_in_order(observed) / len(observed)}
 
     def check_learned(self, cfg, fit_state, schema):
         _check_fit_state(self, cfg, fit_state, ("mean",))
         if fit_state.get("mean") is None:
-            raise ValidationError(f"{self.kind}: mean strategy is not fitted")
+            raise ValidationError("mean strategy is not fitted")
         check_cell(fit_state["mean"], schema.feature(cfg["feature"]))
         return {"mean": fit_state["mean"]}
 
@@ -901,21 +896,21 @@ class ImputeFlagged(Kernel):
         return Rewrite({feature: ("add", feature, flag)}, (feature, flag))
 
 
-def _formula_normalized(formula, inputs: tuple[str, ...], kind: str):
+def _formula_normalized(formula, inputs: tuple[str, ...]):
     if isinstance(formula, str):
         if formula in ("euclidean_floor", "sum", "mean"):
             return formula
         raise ValidationError(
-            f"{kind}: unknown formula {formula!r}; use euclidean_floor, sum, mean, "
+            f"unknown formula {formula!r}; use euclidean_floor, sum, mean, "
             "or {'expr': ...}")
     if isinstance(formula, Mapping) and set(formula) == {"expr"}:
         expr = str(formula["expr"])
         unknown = sorted(expression_names(parse_expression(expr)) - set(inputs))
         if unknown:
             raise ValidationError(
-                f"{kind}: expression references unknown feature {unknown[0]!r}")
+                f"expression references unknown feature {unknown[0]!r}")
         return {"expr": expr}
-    raise ValidationError(f"{kind}: formula must be a name or {{'expr': ...}}")
+    raise ValidationError(f"formula must be a name or {{'expr': ...}}")
 
 
 def _formula_descriptor(formula) -> str:
@@ -982,20 +977,20 @@ class AggregateNumeric(Kernel):
             "description")
 
     def normalize(self, cfg, schema):
-        inputs = document_list(_req(cfg, "inputs", self.kind), f"{self.kind}: inputs")
+        inputs = document_list(_req(cfg, "inputs"), "inputs")
         if not inputs:
-            raise ValidationError(f"{self.kind}: inputs must be non-empty")
+            raise ValidationError("inputs must be non-empty")
         for name in inputs:
-            _numeric_feature(schema, name, self.kind)
-        formula = _formula_normalized(_req(cfg, "formula", self.kind), inputs, self.kind)
-        target = str(_req(cfg, "target", self.kind))
-        keep = document_bool(cfg.get("keep_inputs", False), f"{self.kind}: keep_inputs")
+            _numeric_feature(schema, name)
+        formula = _formula_normalized(_req(cfg, "formula"), inputs)
+        target = str(_req(cfg, "target"))
+        keep = document_bool(cfg.get("keep_inputs", False), "keep_inputs")
         return {"inputs": inputs, "formula": formula, "target": target,
-                "keep_inputs": keep, "wording": _wording_cfg(cfg, self.kind),
-                "display_format": _display_format(cfg, self.kind),
+                "keep_inputs": keep, "wording": _wording_cfg(cfg),
+                "display_format": _display_format(cfg),
                 "unit": None if cfg.get("unit") is None else str(cfg["unit"]),
                 "description": document_text(cfg.get("description"),
-                                             f"{self.kind}: description")}
+                                             "description")}
 
     def _value_fields(self, cfg) -> dict[str, Any]:
         """The produced spec's dtype and the fields that go with it."""
@@ -1047,9 +1042,9 @@ class AbstractConcept(AggregateNumeric):
         labeling = cfg.get("labeling")
         base = super().normalize(cfg, schema)
         if labeling is not None:
-            labeling = document_mapping(labeling, f"{self.kind}: labeling",
-                                        ("boundaries", "labels"), unknown=UNKNOWN_CONFIG)
-            boundaries, labels = _boundaries_and_labels(labeling, self.kind, "labeling ")
+            labeling = document_mapping(labeling, "labeling",
+                                        ("boundaries", "labels"))
+            boundaries, labels = _boundaries_and_labels(labeling, "labeling ")
             labeling = {"boundaries": boundaries, "labels": labels}
         base["labeling"] = labeling
         return base
@@ -1073,25 +1068,24 @@ class HierarchyRollup(_OneToOne):
     keys = ("feature", "mapping", "target", "keep_original", "wording", "description")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
+        feature = str(_req(cfg, "feature"))
         spec = schema.feature(feature)
         if spec.dtype not in ("categorical", "ordinal"):
             raise ValidationError(
-                f"{self.kind}: feature {feature!r} must be categorical, is {spec.dtype}")
-        where = f"{self.kind}: mapping"
+                f"feature {feature!r} must be categorical, is {spec.dtype}")
         mapping = {str(k): str(v) for k, v in
-                   document_mapping(_req(cfg, "mapping", self.kind), where, None).items()}
+                   document_mapping(_req(cfg, "mapping"), "mapping", None).items()}
         declared = set(spec.categories or ())
         unmapped = sorted(declared - set(mapping))
         if unmapped:
-            raise ValidationError(f"{self.kind}: categories missing from mapping: {unmapped}")
-        document_mapping(mapping, where, declared,
+            raise ValidationError(f"categories missing from mapping: {unmapped}")
+        document_mapping(mapping, "mapping", declared,
                          unknown="{where} keys not in declared categories: {names}")
-        target, keep = _target(cfg, feature, self.kind)
+        target, keep = _target(cfg, feature)
         return {"feature": feature, "mapping": mapping, "target": target,
-                "keep_original": keep, "wording": _wording_cfg(cfg, self.kind),
+                "keep_original": keep, "wording": _wording_cfg(cfg),
                 "description": document_text(cfg.get("description"),
-                                             f"{self.kind}: description")}
+                                             "description")}
 
     def _out_fields(self, spec, cfg):
         parents = tuple(dict.fromkeys(cfg["mapping"][c] for c in spec.categories))
@@ -1110,16 +1104,16 @@ class RenderStatement(_OneToOne):
     keys = ("feature", "target")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
+        feature = str(_req(cfg, "feature"))
         spec = schema.feature(feature)
         if spec.dtype not in ("boolean", "categorical", "ordinal"):
             raise ValidationError(
-                f"{self.kind}: only boolean and categorical features can be rendered "
+                "only boolean and categorical features can be rendered "
                 f"as a column ({feature!r} is {spec.dtype}); use render_value for numerics")
         rendered = rendered_categories(spec)
         if len(set(rendered)) != len(rendered):
             raise ValidationError(
-                f"{self.kind}: wording templates for {feature!r} do not produce "
+                f"wording templates for {feature!r} do not produce "
                 "distinct statements; rendering would not be invertible")
         target = str(cfg.get("target") or f"{feature} Statement")
         return {"feature": feature, "target": target}
@@ -1149,17 +1143,17 @@ class UnrenderStatement(_OneToOne):
     keys = ("feature", "target", "restore")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
+        feature = str(_req(cfg, "feature"))
         spec = schema.feature(feature)
         # A feature with a wording template holds the values it renders; a
         # statement feature, as render_statement makes one, has none.
         if spec.dtype not in ("categorical", "ordinal") or spec.wording is not None:
-            raise ValidationError(f"{self.kind}: feature {feature!r} must hold rendered statements")
-        target = str(_req(cfg, "target", self.kind))
-        _req(cfg, "restore", self.kind)
-        restore = _restore(cfg, target, self.kind, ("boolean", "categorical", "ordinal"))
+            raise ValidationError(f"feature {feature!r} must hold rendered statements")
+        target = str(_req(cfg, "target"))
+        _req(cfg, "restore")
+        restore = _restore(cfg, target, ("boolean", "categorical", "ordinal"))
         if "wording" not in restore:
-            raise ValidationError(f"{self.kind}: restore must carry the wording templates")
+            raise ValidationError("restore must carry the wording templates")
         return {"feature": feature, "target": target, "restore": restore}
 
     def _out_fields(self, spec, cfg):
@@ -1185,33 +1179,33 @@ class PcaProject(Kernel):
     keys = ("inputs", "components", "means", "loadings", "name_template", "display_format")
 
     def normalize(self, cfg, schema):
-        inputs = document_list(_req(cfg, "inputs", self.kind), f"{self.kind}: inputs")
+        inputs = document_list(_req(cfg, "inputs"), "inputs")
         if not inputs:
-            raise ValidationError(f"{self.kind}: inputs must be non-empty")
+            raise ValidationError("inputs must be non-empty")
         for name in inputs:
-            _numeric_feature(schema, name, self.kind)
-        components = document_int(_req(cfg, "components", self.kind),
-                                  f"{self.kind}: components")
+            _numeric_feature(schema, name)
+        components = document_int(_req(cfg, "components"),
+                                  "components")
         if components < 1 or components > len(inputs):
             raise ValidationError(
-                f"{self.kind}: components must be in [1, {len(inputs)}], got {components}")
+                f"components must be in [1, {len(inputs)}], got {components}")
         means, loadings = cfg.get("means"), cfg.get("loadings")
         if (means is None) != (loadings is None):
-            raise ValidationError(f"{self.kind}: configure means and loadings together or neither")
+            raise ValidationError("configure means and loadings together or neither")
         if loadings is not None:
-            loadings = document_list(loadings, f"{self.kind}: loadings",
-                                     lambda row: _numbers(row, self.kind, "loadings"))
-            means = _numbers(means, self.kind, "means")
+            loadings = document_list(loadings, "loadings",
+                                     lambda row: _numbers(row, "loadings"))
+            means = _numbers(means, "means")
             if len(means) != len(inputs) or len(loadings) != len(inputs) or \
                     any(len(row) != components for row in loadings):
                 raise ValidationError(
-                    f"{self.kind}: loadings must be (inputs x components) and means per input")
+                    "loadings must be (inputs x components) and means per input")
         template = str(cfg.get("name_template") or "PCA {i}")
         if "{i}" not in template:
-            raise ValidationError(f"{self.kind}: name_template needs an {{i}} placeholder")
+            raise ValidationError(f"name_template needs an {{i}} placeholder")
         return {"inputs": inputs, "components": components,
                 "means": means, "loadings": loadings,
-                "name_template": template, "display_format": _display_format(cfg, self.kind)}
+                "name_template": template, "display_format": _display_format(cfg)}
 
     def fit(self, table, cfg):
         inputs = cfg["inputs"]
@@ -1220,10 +1214,10 @@ class PcaProject(Kernel):
             data = np.array(columns, dtype=float).T
         except TypeError:  # a MISSING cell, the only cell float() refuses
             name = next(name for name, column in zip(inputs, columns) if MISSING in column)
-            raise KernelError(f"{self.kind}: column {name!r} contains MISSING values; "
+            raise KernelError(f"column {name!r} contains MISSING values; "
                               "impute first") from None
         if data.shape[0] < 2:
-            raise KernelError(f"{self.kind}: need at least 2 rows to fit")
+            raise KernelError("need at least 2 rows to fit")
         means = data.mean(axis=0)
         centered = data - means
         cov = centered.T @ centered / data.shape[0]
@@ -1235,7 +1229,7 @@ class PcaProject(Kernel):
         rank = int(np.sum(eigenvalues > top * 1e-10)) if top > 0 else 0
         if rank < cfg["components"]:
             raise KernelError(
-                f"{self.kind}: covariance rank {rank} < requested components "
+                f"covariance rank {rank} < requested components "
                 f"{cfg['components']}")
         vectors = eigenvectors[:, :cfg["components"]].copy()
         for k in range(vectors.shape[1]):
@@ -1246,7 +1240,7 @@ class PcaProject(Kernel):
                 "loadings": tuple(tuple(float(v) for v in row) for row in vectors)}
 
     def _names(self, cfg) -> tuple[str, ...]:
-        return tuple(_format_template(cfg["name_template"], f"{self.kind}: name_template", i=i + 1)
+        return tuple(_format_template(cfg["name_template"], "name_template", i=i + 1)
                      for i in range(cfg["components"]))
 
     def plan(self, schema, cfg):
@@ -1308,20 +1302,20 @@ class LinkRaw(Kernel):
     keys = ("feature", "series_id", "window", "series")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature", self.kind))
+        feature = str(_req(cfg, "feature"))
         source = schema.feature(feature).raw_source
         # A step that names its series and window needs no raw_source: the
         # inverse of a link whose feature a later step replaced reads neither.
         if source is None and not (cfg.get("series_id") and cfg.get("window")):
             raise ValidationError(
-                f"{self.kind}: feature {feature!r} does not declare a raw_source")
+                f"feature {feature!r} does not declare a raw_source")
         series_id = str(cfg.get("series_id") or source.series_id)
-        window = document_window(cfg.get("window") or source.window, f"{self.kind}: window")
+        window = document_window(cfg.get("window") or source.window, "window")
         if window[0] < 0 or window[1] <= window[0]:
-            raise ValidationError(f"{self.kind}: window must satisfy 0 <= start < stop")
+            raise ValidationError("window must satisfy 0 <= start < stop")
         series = cfg.get("series")
         if series is not None:
-            series = _numbers(series, self.kind, "series")
+            series = _numbers(series, "series")
         return {"feature": feature, "series_id": series_id, "window": window,
                 "series": series}
 
@@ -1336,9 +1330,9 @@ class LinkRaw(Kernel):
         start, stop = cfg["window"]
         error = None
         if series is None:
-            error = f"{self.kind}: unknown series {series_id!r}"
+            error = f"unknown series {series_id!r}"
         elif stop > len(series):
-            error = (f"{self.kind}: window [{start}, {stop}) outside series "
+            error = (f"window [{start}, {stop}) outside series "
                      f"{series_id!r} of length {len(series)}")
         return feature, error, (ColumnLineage(feature, RawSource(series_id, (start, stop))),)
 

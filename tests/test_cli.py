@@ -484,11 +484,12 @@ def test_demo_covertype_missing_data_exits_1(tmp_path):
      "error: {data}: row 1: expected 2 fields or more, got 1\n"),
     (b"Elevation\n3000\n3000\n", "constant"),
     (b"Elevation\n\n", "no observed values"),
+    (b"Slope,Elevation\n1,\n2,\n", "error: {data}: column 'Elevation' has no observed values\n"),
     (b"Elevation\n3000\n" + b"0" * 5000 + b"2724\n",  # more digits than int() reads
      "error: {data}: row 1: feature 'Elevation': integer of 5004 characters "
      "has too many digits to read\n"),
 ], ids=["stats_differ", "not_utf8", "bad_cell", "short_row", "constant", "empty",
-        "long_integer"])
+        "all_cells_empty", "long_integer"])
 def test_demo_covertype_data_exits_1(tmp_path, capsys, content, message):
     data = tmp_path / "covtype.csv"
     data.write_bytes(content)
@@ -552,7 +553,7 @@ def _unfitted_impute_mean(doc):
     ("model_ready", _nan_configured_scale, "scale must be a finite number"),
     ("model_ready", _fit_state_on_configured_step, "fit_state must be null"),
     ("learned", _unfitted_impute_mean,
-     "step 1 (impute_flagged): impute_flagged: mean strategy is not fitted"),
+     "step 1 (impute_flagged): mean strategy is not fitted"),
 ], ids=["pca_loadings", "bin_edges", "bin_min_max", "standardize_scale",
         "pca_stray_key", "pca_nan_mean", "configured_nan_scale",
         "configured_with_fit_state", "impute_mean_unfitted"])
@@ -706,19 +707,19 @@ def _fitted_mean_true(workspace):
 
 @pytest.mark.parametrize("argv_for, key", [
     (lambda w: _one_step(w, "semantic_bin", {**ZONES, "keep_original": "false"}),
-     "semantic_bin: keep_original must be true or false, got 'false'"),
+     "step 1 (semantic_bin): keep_original must be true or false, got 'false'"),
     (lambda w: _one_step(w, "aggregate_numeric", {
         "inputs": ["Elevation"], "formula": "sum", "target": "Height",
         "keep_inputs": "false"}),
-     "aggregate_numeric: keep_inputs must be true or false, got 'false'"),
+     "step 1 (aggregate_numeric): keep_inputs must be true or false, got 'false'"),
     (lambda w: _one_step(w, "statistical_bin", {"feature": "Elevation", "bins": 2.5,
                                                 "target": "Band"}),
-     "statistical_bin: bins must be an integer, got 2.5"),
+     "step 1 (statistical_bin): bins must be an integer, got 2.5"),
     (lambda w: _one_step(w, "statistical_bin", {"feature": "Elevation", "bins": True,
                                                 "target": "Band"}),
-     "statistical_bin: bins must be an integer, got True"),
+     "step 1 (statistical_bin): bins must be an integer, got True"),
     (lambda w: _one_step(w, "pca_project", {"inputs": ["Elevation"], "components": 1.9}),
-     "pca_project: components must be an integer, got 1.9"),
+     "step 1 (pca_project): components must be an integer, got 1.9"),
     (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
         FIRST_FLAGS, "properties: {readable: true, meaningful: 'false'}", 1)),
      "features[0].properties: meaningful must be true or false, got 'false'"),
@@ -733,14 +734,14 @@ def _fitted_mean_true(workspace):
      "features[0].raw_source: window must be [start, stop], got [1]"),
     (lambda w: _audit(w, persona="kind: developer\nrequire_all: 'false'\n"),
      "require_all must be true or false, got 'false'"),
-    (_fitted_mean_true, "standardize: mean must be a finite number, got True"),
+    (_fitted_mean_true, "step 3 (standardize): mean must be a finite number, got True"),
     (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
         FIRST_FLAGS, FIRST_FLAGS + "\n    description: 5", 1)),
      "features[0]: description must be a string, got 5"),
     (lambda w: _one_step(w, "aggregate_numeric", {**HEIGHT, "description": ["tall"]}),
-     "aggregate_numeric: description must be a string, got ['tall']"),
+     "step 1 (aggregate_numeric): description must be a string, got ['tall']"),
     (lambda w: _one_step(w, "hierarchy_rollup", {**REGIONS, "description": False}),
-     "hierarchy_rollup: description must be a string, got False"),
+     "step 1 (hierarchy_rollup): description must be a string, got False"),
     (lambda w: _audit(w, ORIGINAL_MANIFEST.replace(
         "categories: [Rawah, Neota, Comache Peak, Cache la Poudre]", "categories: 5", 1)),
      "features[0]: categories must be a list, got 5"),
@@ -895,20 +896,20 @@ def _template_argv(workspace, kind, config, manifest):
 
 @pytest.mark.parametrize("kind, config, manifest, message", [
     ("one_hot_encode", {"feature": "Wilderness area", "name_template": "{category} {0}"},
-     ORIGINAL_MANIFEST, "one_hot_encode: name_template '{category} {0}' cannot be formatted "
+     ORIGINAL_MANIFEST, "name_template '{category} {0}' cannot be formatted "
                         "(IndexError: "),
     ("one_hot_encode", {"feature": "Wilderness area", "name_template": "{category}{bogus}"},
-     ORIGINAL_MANIFEST, "one_hot_encode: name_template '{category}{bogus}' cannot be formatted "
+     ORIGINAL_MANIFEST, "name_template '{category}{bogus}' cannot be formatted "
                         "(KeyError: 'bogus')"),
     ("one_hot_encode", {"feature": "Wilderness area",
                         "name_template": "{category} {category.bogus}"},
-     ORIGINAL_MANIFEST, "one_hot_encode: name_template '{category} {category.bogus}' cannot be "
+     ORIGINAL_MANIFEST, "name_template '{category} {category.bogus}' cannot be "
                         "formatted (AttributeError: 'str' object has no attribute 'bogus')"),
     ("pca_project", {"inputs": ["Elevation"], "components": 1, "name_template": "{i} {x}"},
-     ORIGINAL_MANIFEST, "pca_project: name_template '{i} {x}' cannot be formatted "
+     ORIGINAL_MANIFEST, "name_template '{i} {x}' cannot be formatted "
                         "(KeyError: 'x')"),
     ("pca_project", {"inputs": ["Elevation"], "components": 1, "name_template": "{i.bogus}{i}"},
-     ORIGINAL_MANIFEST, "pca_project: name_template '{i.bogus}{i}' cannot be formatted "
+     ORIGINAL_MANIFEST, "name_template '{i.bogus}{i}' cannot be formatted "
                         "(AttributeError: 'int' object has no attribute 'bogus')"),
     ("render_statement", {"feature": "Region"}, ORIGINAL_MANIFEST,
      "feature 'Region': wording value 'region {value} {0}' cannot be formatted (IndexError: "),
@@ -953,7 +954,7 @@ def test_more_bins_than_the_cap_exits_1(workspace, capsys, argv_for):
     ``bins`` is capped where it is read."""
     argv, step = argv_for(workspace)
     _fails_cleanly(argv + ["--out", str(workspace / "out")], capsys, 1,
-                   f"{step} (statistical_bin): statistical_bin: bins must be <= "
+                   f"{step} (statistical_bin): bins must be <= "
                    f"{MAX_BINS}\n")
     assert not (workspace / "out").exists()
 
@@ -1017,7 +1018,7 @@ def test_overflow_to_infinity_exits_2(workspace, capsys, formula, message):
 
 @pytest.mark.parametrize("kind, config, column, message", [
     ("standardize", {"feature": "a"}, ["1.5e308", "1.4e308"],
-     "step 1 (standardize): standardize: mean must be a finite number, got inf"),
+     "step 1 (standardize): mean must be a finite number, got inf"),
     ("impute_flagged", {"feature": "a", "strategy": "mean"}, ["1.5e308", "1.4e308", ""],
      "step 1 (impute_flagged): feature 'a': non-finite value inf"),
     ("standardize", {"feature": "a"}, ["1e200", "-1e200"],
@@ -1096,11 +1097,11 @@ AREAS = ["Rawah", "Neota", "Comache Peak", "Cache la Poudre"]
 
 @pytest.mark.parametrize("restore, message", [
     ({"dtype": "categorical", "categories": AREAS, "bogus": 1},
-     "one_hot_decode.restore: unknown config keys ['bogus']"),
+     "restore: unknown keys ['bogus']"),
     ({"dtype": "categorical", "categories": ["a", "a"]},
      "feature 'g': duplicate category labels"),
     ({"dtype": "categorical", "categories": AREAS, "observed": "yes"},
-     "one_hot_decode.restore: observed must be true or false, got 'yes'"),
+     "restore: observed must be true or false, got 'yes'"),
 ], ids=["unknown_key", "duplicate_categories", "observed_text"])
 def test_malformed_restore_names_the_step(workspace, capsys, restore, message):
     argv = _steps(workspace,
@@ -1364,7 +1365,7 @@ def test_fitted_document_with_a_bom_loads(tmp_path):
      "implication references unknown property: bogus=>readable"),
     (lambda w: _audit(w, ORIGINAL_MANIFEST + "1: x\nzz: y\n"), "manifest: unknown keys [1, 'zz']"),
     (lambda w: _one_step(w, "standardize", {"feature": "Elevation", 1: "x", "zz": "y"}),
-     "standardize: unknown config keys [1, 'zz']"),
+     "step 1 (standardize): config: unknown keys [1, 'zz']"),
     (lambda w: _one_step(w, "standardize", {"feature": "Elevation"},
                          {"Elevation": {1: True, "zz": True}}),
      "steps[0] property_delta references unknown flags: [1, 'zz']"),

@@ -27,12 +27,19 @@ from featurespace.pipeline import (
     run,
     save_fitted,
 )
-from featurespace.schema import FeatureSpec, SchemaManifest, Wording, serialize_manifest
+from featurespace.schema import (
+    FeatureSpec,
+    RawSource,
+    SchemaManifest,
+    Wording,
+    serialize_manifest,
+)
 from featurespace.table import MISSING, DataTable
 from featurespace.transforms import (
     EXACT_KINDS,
     KERNELS,
     TRANSFORM_KINDS,
+    Kernel,
     Standardize,
     TransformStep,
     kernel_for,
@@ -149,9 +156,97 @@ def test_the_pipeline_checks_the_config_keys_each_kernel_declares(kind, data):
         assert set(fstep.step.config) <= set(kernel_for(fstep.step.kind).keys)
     fstep = fitted.steps[len(first) - 1]
     step = TransformStep(kind, {**fstep.step.config, "zz": 1})
-    message = f"step 1 ({kind}): {kind}: unknown config keys ['zz']"
+    message = f"step 1 ({kind}): config: unknown keys ['zz']"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         compose([step], fstep.input_schema, fitted.direction)
+
+
+ONCE_SCHEMA = SchemaManifest(features=(
+    FeatureSpec("x", "numeric", properties=BASE_PROPS, raw_source=RawSource("s", (0, 2))),
+    FeatureSpec("y", "numeric", properties=BASE_PROPS),
+    FeatureSpec("c", "categorical", categories=("p", "q"), properties=BASE_PROPS),
+    FeatureSpec("b", "boolean", properties=BASE_PROPS),
+))
+FILL_Y = TransformStep("impute_flagged", {"feature": "y", "strategy": "constant",
+                                          "constant": 0.0})
+# Per kind: a config that fails to compose as step 2, and its error after the prefix.
+BAD_CONFIGS = {
+    "one_hot_encode": ({"feature": "c", "name_template": "{category}{zz}"},
+                       "name_template '{category}{zz}' cannot be formatted (KeyError: 'zz')"),
+    "one_hot_decode": ({"group": ["b"], "target": "t",
+                        "restore": {"dtype": "categorical", "categories": ["on"], "zz": 1}},
+                       "restore: unknown keys ['zz']"),
+    "standardize": ({"feature": "x", "mean": 0.0},
+                    "configure mean and scale together or neither"),
+    "unstandardize": ({"feature": "x", "mean": 0.0, "scale": -1.0},
+                      "scale must be > 0, got -1.0"),
+    "statistical_bin": ({"feature": "x", "bins": 2, "wording": {"zz": "t"}},
+                        "wording: unknown keys ['zz']"),
+    "semantic_bin": ({"feature": "x", "boundaries": [1.0, 0.0], "labels": ["a", "b", "c"]},
+                     "boundaries must be non-empty and strictly increasing"),
+    "impute_flagged": ({"feature": "x", "strategy": "median"}, "unknown strategy 'median'"),
+    "aggregate_numeric": ({"inputs": ["x"], "formula": "max", "target": "t"},
+                          "unknown formula 'max'; use euclidean_floor, sum, mean, "
+                          "or {'expr': ...}"),
+    "abstract_concept": ({"inputs": ["x"], "formula": "sum", "target": "t",
+                          "labeling": {"boundaries": [0.0], "labels": ["L", "H"], "zz": 1}},
+                         "labeling: unknown keys ['zz']"),
+    "hierarchy_rollup": ({"feature": "c", "mapping": {"p": "P"}},
+                         "categories missing from mapping: ['q']"),
+    "render_statement": ({"feature": "x"},
+                         "only boolean and categorical features can be rendered as a column "
+                         "('x' is numeric); use render_value for numerics"),
+    "unrender_statement": ({"feature": "c", "target": "t"},
+                           "missing required config key 'restore'"),
+    "pca_project": ({"inputs": ["x", "y"], "components": 1, "name_template": "PCA"},
+                    "name_template needs an {i} placeholder"),
+    "link_raw": ({"feature": "y"}, "feature 'y' does not declare a raw_source"),
+}
+# Per kind whose ``fit`` can reject its data: a config, the x column it
+# rejects and the error after the prefix.
+BAD_FITS = {
+    "standardize": ({"feature": "x"}, [MISSING, MISSING],
+                    "column 'x' has no observed values"),
+    "statistical_bin": ({"feature": "x", "bins": 2}, [1.0, 1.0],
+                        "column 'x' has a degenerate range"),
+    "impute_flagged": ({"feature": "x", "strategy": "mean"}, [MISSING, MISSING],
+                       "column 'x' is entirely missing; mean strategy has nothing to average"),
+    "pca_project": ({"inputs": ["x", "y"], "components": 1}, [1.0],
+                    "need at least 2 rows to fit"),
+}
+
+
+def _said_of_step_2(exc, kind, message):
+    """``exc`` names step 2 and its kind once, before ``message``."""
+    prefix = f"step 2 ({kind}): "
+    text = str(exc)
+    assert text.startswith(prefix) and not text[len(prefix):].startswith(kind), text
+    assert text == prefix + message
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+def test_every_error_names_the_step_and_its_kind_once(kind):
+    """The pipeline names a step and its kind; the kernel's text names
+    neither: in composing, fitting and running."""
+    assert (kind in BAD_FITS) == (type(KERNELS[kind]).fit is not Kernel.fit)
+    config, message = BAD_CONFIGS[kind]
+    with pytest.raises(ValidationError) as raised:
+        compose([FILL_Y, TransformStep(kind, config)], ONCE_SCHEMA, "to_interpretable")
+    _said_of_step_2(raised.value, kind, message)
+    if kind in BAD_FITS:
+        config, column, message = BAD_FITS[kind]
+        pipeline = compose([FILL_Y, TransformStep(kind, config)], ONCE_SCHEMA,
+                           "to_interpretable")
+        table = DataTable(ONCE_SCHEMA, tuple((x, 1.0, "p", True) for x in column))
+        with pytest.raises(KernelError) as raised:
+            fit(pipeline, table)
+        _said_of_step_2(raised.value, kind, message)
+    if kind == "link_raw":
+        fitted = as_fitted(compose([FILL_Y, TransformStep(kind, {
+            "feature": "x", "series_id": "other"})], ONCE_SCHEMA, "to_interpretable"))
+        with pytest.raises(KernelError) as raised:
+            run(fitted, DataTable(ONCE_SCHEMA, ((1.0, 1.0, "p", True),)))
+        _said_of_step_2(raised.value, kind, "unknown series 'other'")
 
 
 def test_fit_standardize_matches_single_pass_oracle():

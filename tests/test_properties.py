@@ -90,6 +90,13 @@ def test_valid_iff_fixed_point():
         assert ok == (implication_closure(p) == p)
 
 
+def test_closure_of_a_closed_set_is_the_set_itself():
+    """Planning closes every produced feature's flags; one that no edge
+    changes is not built again."""
+    for p in all_property_sets():
+        assert (implication_closure(p) is p) == (validate_property_set(p) == ())
+
+
 def test_extra_implications_extend_the_edge_set():
     extra = [("understandable", "readable")]
     p = PropertySet(understandable=True)

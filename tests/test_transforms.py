@@ -727,7 +727,7 @@ def test_pca_fit_names_the_first_input_holding_a_missing_cell():
     table = DataTable(schema, ((1.0, MISSING, 3.0), (MISSING, 0.0, 1.0), (2.0, 1.0, MISSING)))
     with pytest.raises(KernelError) as raised:
         fit(compose([step], schema, "to_interpretable"), table)
-    assert str(raised.value) == ("step 1 (pca_project): pca_project: column 'z' contains "
+    assert str(raised.value) == ("step 1 (pca_project): column 'z' contains "
                                  "MISSING values; impute first")
     assert raised.value.step_number == 1
 
@@ -836,6 +836,6 @@ PCA = {"inputs": ["x", "y"], "components": 1, "means": [0, 0], "loadings": [[1.0
     ("link_raw", {"feature": "x", "series": "12"}),
 ])
 def test_a_config_list_given_as_a_scalar_is_rejected(kind, config):
-    with pytest.raises(ValidationError, match=rf"^step 1 \({kind}\): {kind}: [a-z ]+ must be a "
+    with pytest.raises(ValidationError, match=rf"^step 1 \({kind}\): [a-z ]+ must be a "
                                               "list, got "):
         compose([TransformStep(kind, config)], LISTS_SCHEMA, "to_interpretable")
