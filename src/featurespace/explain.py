@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import IO, Callable, Mapping, Sequence
 
 from .errors import MappingError, ValidationError
-from .pipeline import FittedPipeline
+from .pipeline import FittedPipeline, _in_step
 from .schema import FeatureSpec, SchemaManifest, open_input
 from .table import DataTable, write_table_csv
 from .transforms import Rewrite, sum_in_order
@@ -250,7 +250,7 @@ class _Source:
 
 
 def _compile_step(rewrite: Rewrite, near: SchemaManifest, far: SchemaManifest,
-                  label: str, held: list[str], code: _Source) -> tuple[list[str], dict[str, int]]:
+                  held: list[str], code: _Source) -> tuple[list[str], dict[str, int]]:
     """Writes to ``code`` the statements that carry a vector from ``near``
     (the vector before the step, whose values are in the locals ``held``) to
     ``far``; returns the locals that hold the far-side values and each
@@ -284,10 +284,6 @@ def _compile_step(rewrite: Rewrite, near: SchemaManifest, far: SchemaManifest,
                 for n, weight in op[1]:
                     code.statement(f"{total} += {held[slot[n]]} * {code.bind('w', weight)}")
             out.append(total)
-    bad = {name: c for name, c in counts.items() if c != 1}
-    if bad:
-        raise MappingError(f"{label}: contribution partition violated "
-                           f"(consumption counts {bad})")
     return out, counts
 
 
@@ -313,13 +309,16 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
                 rewrite = kernel.reverse_rule(fstep, expose_flags)
                 near, far = fstep.output_schema, fstep.input_schema
             if rewrite is None:
-                raise MappingError(
-                    f"step ({kind}) has no contribution rule in the forward direction; "
-                    "map against the pipeline that produced the model-ready schema instead"
-                    if forward else
-                    f"step ({kind}) has no contribution rule in the reverse direction")
-            held, counts = _compile_step(rewrite, near, far, f"step {number} ({kind})",
-                                         held, code)
+                raise MappingError(_in_step(
+                    number, kind,
+                    "no contribution rule in the forward direction; map against the "
+                    "pipeline that produced the model-ready schema instead"
+                    if forward else "no contribution rule in the reverse direction"))
+            held, counts = _compile_step(rewrite, near, far, held, code)
+            bad = {name: c for name, c in counts.items() if c != 1}
+            if bad:
+                raise MappingError(_in_step(number, kind, "contribution partition violated "
+                                            f"(consumption counts {bad})"))
             if rewrite.note is not None:
                 notes.append(rewrite.note)
             audit.append((number, MappingProxyType(counts)))

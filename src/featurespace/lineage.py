@@ -3,6 +3,8 @@
 A run records lineage once per produced column, as a ``ColumnLineage``:
 one origin for every row, plus the rows that carry their own. An origin is
 the schema's own record, a ``DerivedFrom`` or a ``RawSource``, or ``Imputed``.
+A fitted step records each feature it builds once (``FittedStep.lineage``);
+a kernel's ``apply`` records only the features it rewrites in place.
 ``lineage_to_data`` expands a run's ``Lineage`` into one JSON-ready entry per
 produced cell, the form ``transform --lineage`` writes. It renders each
 column record's entry once and copies it for every row the record covers;
@@ -36,8 +38,8 @@ class ColumnLineage:
     Every row has ``origin`` (the produced spec's own ``derived_from``, a
     ``RawSource`` or an ``Imputed``), except the rows in ``exceptions``,
     which carry their own. With ``origin`` None only the exception rows
-    have a record. A record without exceptions, as a fitted step prepares
-    it for all of its runs, has a read-only empty ``exceptions``.
+    have a record. A record without exceptions, as a fitted step makes it
+    for all of its runs, has a read-only empty ``exceptions``.
     """
 
     feature: str

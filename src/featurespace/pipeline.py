@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import KernelError, ValidationError
-from .lineage import Lineage
+from .lineage import ColumnLineage, Lineage
 from .properties import PropertySet, implication_closure
 from .schema import (
     SchemaManifest,
@@ -73,7 +73,9 @@ class FittedStep:
     the step reads besides the rows, computed here once and shared, never
     mutated, by every run. A run passes it to the kernel's ``apply``, which
     stays the step's one call per run. A step that still needs fitting is
-    never run and has nothing prepared (None).
+    never run and has nothing prepared (None). ``lineage`` holds a record
+    per produced feature, made here once, whose origin is the output spec's
+    ``derived_from``: the lineage of each feature the step builds.
     """
 
     step: TransformStep
@@ -86,6 +88,7 @@ class FittedStep:
     validated: tuple[int, ...] = field(init=False, repr=False, compare=False)
     kernel: Kernel = field(init=False, repr=False, compare=False)
     prepared: Any = field(init=False, repr=False, compare=False)
+    lineage: tuple[ColumnLineage, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "config", _with_fit_state(self.step.config, self.fit_state))
@@ -103,6 +106,8 @@ class FittedStep:
             if spec.name in made and spec.dtype == "numeric"))
         unfitted = self.fit_state is None and kernel.requires_fit(self.step.config)
         object.__setattr__(self, "prepared", None if unfitted else kernel.prepare(self))
+        object.__setattr__(self, "lineage", tuple(ColumnLineage(
+            name, self.output_schema.feature(name).derived_from) for name in self.produced))
 
     def __reduce__(self):
         # ``prepared`` holds functions: a copy or an unpickled step prepares anew.
@@ -350,11 +355,12 @@ def _check_table_matches(table: DataTable, schema: SchemaManifest) -> None:
 
 
 def _apply_step(fstep: FittedStep, number: int, table: DataTable):
-    """Next table and the step's column lineage. Only the produced columns
-    are computed; every other column is carried over by reference, and only
-    the columns at the step's ``validated`` positions are validated."""
+    """Next table and its lineage: the kernel's records of the features it
+    rewrites, which come first in ``produced``, then the step's of the rest.
+    Only the produced columns are computed; every other column is carried
+    over by reference, and only those at ``validated`` are validated."""
     try:
-        columns, lineage = fstep.kernel.apply(table, fstep.prepared)
+        columns, records = fstep.kernel.apply(table, fstep.prepared)
     except KernelError as exc:
         raise KernelError(_in_step(number, fstep.step.kind, exc),
                           row_index=exc.row_index, step_number=number) from None
@@ -368,7 +374,7 @@ def _apply_step(fstep: FittedStep, number: int, table: DataTable):
     except ValidationError as exc:  # e.g. arithmetic that overflowed to infinity
         raise KernelError(_in_step(number, fstep.step.kind, exc),
                           step_number=number) from None
-    return out, lineage
+    return out, (*records, *fstep.lineage[len(records):])
 
 
 def run(fitted: FittedPipeline, table: DataTable) -> RunResult:

@@ -15,7 +15,8 @@ and booleans come from the output spec or from validated inputs. The seven
 kinds that derive one feature from one share ``_OneToOne``'s ``plan``,
 ``prepare`` and ``apply``, and give only the produced spec's fields and
 column function. The pipeline places each produced spec in the output
-schema and gives it its flags.
+schema, gives it its flags and records its lineage; a kernel records only
+the lineage of the features it rewrites in place.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ class Kernel:
       the produced specs, gives them their flags, and builds the output
       schema, its one check that no name collides;
     - ``prepare``: what ``apply`` reads besides the table, from a fitted step;
-    - ``apply``: the produced columns and their lineage;
+    - ``apply``: the produced columns, and the lineage of those it rewrites;
     - ``inverse``: the step that undoes this one, defined only by a kind
       that can be exact; ``exact``: whether a step with a given config is,
       which is never so for a kind whose ``inverse`` is None;
@@ -244,12 +245,12 @@ class Kernel:
     ``prepare`` runs once per fitted step, when the step is built, and the
     step keeps its result as ``prepared``. It holds everything a run needs
     that the rows do not change: the kind's constants (bin edges and labels,
-    PCA weights, a parsed formula, lookup maps) and the lineage records of
-    columns whose every row has one origin. Values ``plan`` already decided,
-    such as bin labels, produced names and ``derived_from``, are read from
-    the step's output schema. ``apply`` stays the one per-step call of a run,
-    the call a tracer wraps, and does only per-row work; the prepared state is
-    shared by every run of the step and is never mutated.
+    PCA weights, a parsed formula, lookup maps), but no lineage. Values
+    ``plan`` already decided, such as bin labels, produced names and
+    ``derived_from``, are read from the step's output schema. ``apply`` stays
+    the one per-step call of a run, the call a tracer wraps, and does only
+    per-row work; the prepared state is shared by every run of the step and
+    is never mutated.
 
     Every label and boolean ``apply`` produces comes from the output spec or
     from validated input cells, so only arithmetic can leave a produced
@@ -313,11 +314,11 @@ class Kernel:
         step's ``prepared`` state alone: everything a run needs is in the
         fitted step.
 
-        Returns one list of cells per produced feature, in the step's
-        ``produced`` order (rewritten, then built), and the lineage of those
-        columns: one ``ColumnLineage`` per produced feature that has a
-        record, in the order each row's entries are listed. Input columns
-        are read, never mutated.
+        Returns a pair, which a tracer that wraps ``apply`` unpacks: one list
+        of cells per produced feature, in the step's ``produced`` order
+        (rewritten, then built), and one ``ColumnLineage`` per rewritten
+        feature, in that order; the fitted step records the built ones.
+        Input columns are read, never mutated.
         """
         raise NotImplementedError
 
@@ -360,11 +361,11 @@ class _OneToOne(Kernel):
         return PlanResult((out,), () if cfg.get("keep_original") else (feature,))
 
     def prepare(self, fstep):
-        return fstep.config["feature"], self._column(fstep), _computed(fstep)
+        return fstep.config["feature"], self._column(fstep)
 
     def apply(self, table, prepared):
-        feature, column, lineage = prepared
-        return [column(table.values(feature))], lineage
+        feature, column = prepared
+        return [column(table.values(feature))], ()
 
     def forward_rule(self, fstep, expose_flags):
         cfg = fstep.config
@@ -415,16 +416,6 @@ def _lookup(mapping: Mapping, unknown: str) -> Callable[[list], list]:
     return column
 
 
-def _computed(fstep: FittedStep, names: Sequence[str] | None = None
-              ) -> tuple[ColumnLineage, ...]:
-    """The lineage of produced columns whose every row is computed, one
-    record per name (every produced feature by default): the origin is the
-    feature's own ``derived_from``, which ``plan`` set."""
-    schema = fstep.output_schema
-    return tuple(ColumnLineage(name, schema.feature(name).derived_from)
-                 for name in (fstep.produced if names is None else names))
-
-
 class OneHotEncode(Kernel):
     kind = "one_hot_encode"
     delta = {"model_compatible": True, "model_ready": True, "human_worded": False}
@@ -461,13 +452,13 @@ class OneHotEncode(Kernel):
 
     def prepare(self, fstep):
         feature = fstep.config["feature"]
-        return feature, fstep.input_schema.feature(feature).categories, _computed(fstep)
+        return feature, fstep.input_schema.feature(feature).categories
 
     def apply(self, table, prepared):
-        feature, categories, lineage = prepared
+        feature, categories = prepared
         values = table.values(feature)
         return [[MISSING if v is MISSING else v == c for v in values]
-                for c in categories], lineage
+                for c in categories], ()
 
     def inverse(self, cfg, input_schema):
         spec = input_schema.feature(cfg["feature"])
@@ -523,10 +514,10 @@ class OneHotDecode(Kernel):
 
     def prepare(self, fstep):
         cfg = fstep.config
-        return cfg["group"], cfg["restore"]["categories"], cfg["zero_hot"], _computed(fstep)
+        return cfg["group"], cfg["restore"]["categories"], cfg["zero_hot"]
 
     def apply(self, table, prepared):
-        group, categories, zero_hot, lineage = prepared
+        group, categories, zero_hot = prepared
         decoded = []
         for r, cells in enumerate(zip(*(table.values(n) for n in group))):
             missing = [c is MISSING for c in cells]
@@ -551,7 +542,7 @@ class OneHotDecode(Kernel):
                         f"row {r}: zero indicators TRUE in one-hot group {list(group)}",
                         row_index=r)
             decoded.append(value)
-        return [decoded], lineage
+        return [decoded], ()
 
     def exact(self, cfg):  # a zero-hot row decodes to MISSING, which encodes as all MISSING
         return cfg["zero_hot"] == "error"
@@ -735,11 +726,11 @@ class StatisticalBin(_OneToOne):
         return {"min": lo, "max": hi, "edges": self._edges({**cfg, "min": lo, "max": hi})}
 
     def check_learned(self, cfg, fit_state, schema):
-        _check_fit_state(self, cfg, fit_state, (*self.learned, "edges"))
-        state = super().check_learned(
-            cfg, {k: v for k, v in fit_state.items() if k != "edges"}, schema)
+        state = dict(document_mapping(fit_state, "fit_state", None))
+        fitted_edges = state.pop("edges", None)
+        state = super().check_learned(cfg, state, schema)
         edges = self._edges({**cfg, **state})
-        if _tuples(fit_state.get("edges")) != edges:
+        if _tuples(fitted_edges) != edges:
             raise ValidationError("fitted edges do not match min, max and bins")
         return {**state, "edges": edges}
 
@@ -861,11 +852,10 @@ class ImputeFlagged(Kernel):
         strategy = cfg["strategy"]
         fill_value = cfg["mean"] if strategy == "mean" else cfg["constant"]
         labels = fstep.input_schema.feature(cfg["feature"]).category_objects
-        return (cfg["feature"], strategy, labels.get(fill_value, fill_value), Imputed(strategy),
-                _computed(fstep, (cfg["flag_name"],)))
+        return cfg["feature"], strategy, labels.get(fill_value, fill_value), Imputed(strategy)
 
     def apply(self, table, prepared):
-        feature, strategy, fill_value, origin, flag_lineage = prepared
+        feature, strategy, fill_value, origin = prepared
         values = table.values(feature)
         flags = [v is MISSING for v in values]
         if strategy == "forward_fill":
@@ -883,7 +873,7 @@ class ImputeFlagged(Kernel):
         else:
             filled = [fill_value if v is MISSING else v for v in values]
         imputed = dict.fromkeys((r for r, flag in enumerate(flags) if flag), origin)
-        return [filled, flags], (ColumnLineage(feature, None, imputed), *flag_lineage)
+        return [filled, flags], (ColumnLineage(feature, None, imputed),)
 
     def forward_rule(self, fstep, expose_flags):
         return Rewrite({fstep.config["flag_name"]: ZERO})  # the flag is new; no share yet
@@ -1012,10 +1002,10 @@ class AggregateNumeric(Kernel):
         cfg = fstep.config
         on_row = _formula_function(cfg["formula"], cfg["inputs"])
         return (cfg["inputs"], _formula_columns(cfg["formula"], on_row), on_row,
-                self._labeling(fstep), _computed(fstep))
+                self._labeling(fstep))
 
     def apply(self, table, prepared):
-        inputs, on_columns, on_row, labeling, lineage = prepared
+        inputs, on_columns, on_row, labeling = prepared
         columns = [table.values(n) for n in inputs]
         try:
             column = on_columns(columns)
@@ -1023,7 +1013,7 @@ class AggregateNumeric(Kernel):
             column = _formula_rows(on_row, columns)
         if labeling is not None:
             column = _label_bins(column, *labeling)
-        return [column], lineage
+        return [column], ()
 
     def forward_rule(self, fstep, expose_flags):
         cfg = fstep.config
@@ -1260,10 +1250,10 @@ class PcaProject(Kernel):
         means = np.array(cfg["means"], dtype=float)[:, None]
         weights = np.array(cfg["loadings"], dtype=float)[:, :, None]
         means.flags.writeable = weights.flags.writeable = False
-        return positions, means, weights, _computed(fstep)
+        return positions, means, weights
 
     def apply(self, table, prepared):
-        positions, means, weights, lineage = prepared
+        positions, means, weights = prepared
         columns = [table.columns[i] for i in positions]
         try:
             centered = np.array(columns, dtype=float)
@@ -1285,7 +1275,7 @@ class PcaProject(Kernel):
         for k in range(1, len(products)):
             total += products[k]
         del products
-        return total.tolist(), lineage
+        return total.tolist(), ()
 
     def reverse_rule(self, fstep, expose_flags):
         cfg = fstep.config

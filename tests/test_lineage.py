@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featurespace.lineage import ColumnLineage, Imputed, Lineage, lineage_to_data
-from featurespace.pipeline import run
+from featurespace.pipeline import _apply_step, run
 from featurespace.schema import DerivedFrom, FeatureSpec, RawSource, SchemaManifest
 from featurespace.table import DataTable
-from featurespace.transforms import EXACT_KINDS
+from featurespace.transforms import EXACT_KINDS, TRANSFORM_KINDS
 
 from _reference_lineage import reference_entries
 from strategies import BASE_PROPS, fitted_pipelines, schemas
@@ -113,3 +114,21 @@ def test_run_origins_are_the_schema_records(pair):
             cfg = fstep.config
             assert [column.origin for column in columns] == \
                 [RawSource(cfg["series_id"], cfg["window"])]
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_kernel_records_only_the_features_it_rewrites(kind, data):
+    """Random pipelines that start with a step of ``kind``: every kernel's
+    ``apply`` returns one record per feature its step rewrites, in the plan's
+    order, and none for a step that rewrites nothing; the fitted step records
+    the features it builds (``test_run_origins_are_the_schema_records``)."""
+    first = ("render_statement", kind) if kind == "unrender_statement" else (kind,)
+    fitted, table = data.draw(fitted_pipelines(
+        schemas(["numeric", "categorical", "boolean", "one_hot"]), first=first))
+    for number, fstep in enumerate(fitted.steps, 1):
+        _, records = fstep.kernel.apply(table, fstep.prepared)
+        plan = fstep.kernel.plan(fstep.input_schema, fstep.config)
+        assert [record.feature for record in records] == list(plan.rewritten)
+        table, _ = _apply_step(fstep, number, table)

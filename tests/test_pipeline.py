@@ -214,6 +214,22 @@ BAD_FITS = {
     "pca_project": ({"inputs": ["x", "y"], "components": 1}, [1.0],
                     "need at least 2 rows to fit"),
 }
+# Per kind without a contribution rule in some direction: a config that
+# composes as step 2.
+NO_RULE_CONFIGS = {
+    "one_hot_encode": {"feature": "c"},
+    "one_hot_decode": {"group": ["b"], "target": "t",
+                       "restore": {"dtype": "categorical", "categories": ["on"]}},
+    "aggregate_numeric": {"inputs": ["x", "y"], "formula": "sum", "target": "t"},
+    "abstract_concept": {"inputs": ["x", "y"], "formula": "sum", "target": "t"},
+    "pca_project": {"inputs": ["x", "y"], "components": 1, "means": [0.0, 0.0],
+                    "loadings": [[1.0], [1.0]]},
+}
+NO_RULE = {
+    "to_interpretable": "no contribution rule in the forward direction; map against the "
+                        "pipeline that produced the model-ready schema instead",
+    "to_model_ready": "no contribution rule in the reverse direction",
+}
 
 
 def _said_of_step_2(exc, kind, message):
@@ -227,7 +243,7 @@ def _said_of_step_2(exc, kind, message):
 @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
 def test_every_error_names_the_step_and_its_kind_once(kind):
     """The pipeline names a step and its kind; the kernel's text names
-    neither: in composing, fitting and running."""
+    neither: in composing, fitting, running and mapping contributions."""
     assert (kind in BAD_FITS) == (type(KERNELS[kind]).fit is not Kernel.fit)
     config, message = BAD_CONFIGS[kind]
     with pytest.raises(ValidationError) as raised:
@@ -247,6 +263,12 @@ def test_every_error_names_the_step_and_its_kind_once(kind):
         with pytest.raises(KernelError) as raised:
             run(fitted, DataTable(ONCE_SCHEMA, ((1.0, 1.0, "p", True),)))
         _said_of_step_2(raised.value, kind, "unknown series 'other'")
+    unmapped = [direction for direction in DIRECTIONS if kind not in MAPPABLE[direction]]
+    assert (kind in NO_RULE_CONFIGS) == bool(unmapped)
+    for direction in unmapped:
+        fitted = as_fitted(compose([FILL_Y, TransformStep(kind, NO_RULE_CONFIGS[kind])],
+                                   ONCE_SCHEMA, direction))
+        _said_of_step_2(mapping_plan(fitted).error, kind, NO_RULE[direction])
 
 
 def test_fit_standardize_matches_single_pass_oracle():

@@ -137,6 +137,17 @@ def _step_inputs(fitted: FittedPipeline, table) -> list:
     return tables
 
 
+def _spoil(records) -> None:
+    """Change what can be changed of lineage records: a record that every run
+    of a step reuses is read-only; a run's own imputed rows are cleared."""
+    for record in records:
+        if record.origin is not None:
+            with pytest.raises(TypeError):
+                record.exceptions[0] = Imputed("mean")
+        else:
+            record.exceptions.clear()
+
+
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_what_a_run_returns_cannot_change_a_later_run(name):
     fitted = load_fitted(DATA / f"covertype_300_{name}.fitted.json")
@@ -150,12 +161,7 @@ def test_what_a_run_returns_cannot_change_a_later_run(name):
     table = read_table_csv(io.StringIO(text), fitted.input_schema)
     for fstep, step_input in zip(fitted.steps, _step_inputs(fitted, table)):
         columns, records = KERNELS[fstep.step.kind].apply(step_input, fstep.prepared)
-        for record in records:
-            if record.origin is not None:  # a record every run of the step reuses
-                with pytest.raises(TypeError):
-                    record.exceptions[0] = Imputed("mean")
-            else:  # this run's own imputed rows
-                record.exceptions.clear()
+        _spoil(records)
         for column in columns:
             column.reverse()
         for spec in fstep.output_schema.features:
@@ -164,6 +170,8 @@ def test_what_a_run_returns_cannot_change_a_later_run(name):
     result = run(fitted, table)
     for column in result.table.columns:
         column.clear()
+    for _, records in result.lineage._steps:
+        _spoil(records)
 
     assert _transform(fitted, text) == before
 

@@ -46,11 +46,19 @@ were written by ``featurespace transform --fit --lineage`` through
 with its series, and a ``semantic_bin`` that builds ``Pulse Band``) while
 run lineage still had record types of its own: the lineage pins the bytes of
 every kind of origin, ``imputed``, ``raw_linked`` and ``computed``.
+
+``LINEAGE_DIGESTS`` hold the SHA-256 of the lineage file that ``featurespace
+transform --lineage`` writes through the fitted ``model_ready``, ``learned``
+and ``exact`` pipelines over ``covertype_300.csv``, and through the inverse
+of ``exact`` over ``exact``'s own output, written while each kernel still
+returned the lineage records of the columns it built. With the interpretable
+and ``pulse_12`` lineage files they pin the lineage bytes of all 14 kinds.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -102,6 +110,38 @@ def test_link_raw_transform_is_byte_identical(tmp_path):
     assert lineage.read_bytes() == expected
     origins = {entry["origin"] for entry in json.loads(expected)}
     assert origins == {"imputed", "raw_linked", "computed"}
+
+
+LINEAGE_DIGESTS = {
+    "model_ready": "6a2b7ab8b9c9b8298a9a7eb97507d875b42a4f27282b4db02da902adc27eb2cb",
+    "learned": "dcc20111aedce871ccc050b9c7bf1340173e164d2db4e4dcb3dfde40328036e9",
+    "exact": "016110337afc1f5bc409f8d4974578a34721ad25f883bf19a23586e1fc20b85c",
+    "exact_inverse": "ca125e2a95da30365b99ac955db41ba8eb1b2517a8b27745baed66b687c5d9e7",
+}
+
+
+def _transform_with_lineage(fitted: Path, data: Path, out: Path) -> bytes:
+    """``transform --lineage`` of ``data`` through ``fitted`` into ``out``;
+    the lineage file's bytes."""
+    lineage = out.with_suffix(".lineage.json")
+    assert main(["transform", "--pipeline", str(fitted), "--data", str(data),
+                 "--out", str(out), "--lineage", str(lineage)]) == 0
+    return lineage.read_bytes()
+
+
+@pytest.mark.parametrize("name", LINEAGE_DIGESTS)
+def test_lineage_digest_is_unchanged(tmp_path, name):
+    fitted = DATA / f"covertype_300_{name}.fitted.json"
+    if name.startswith("exact"):
+        fitted = tmp_path / "exact.fitted.json"
+        assert main(["fit", "--pipeline", str(pipeline_path("exact", tmp_path)),
+                     "--data", str(ROWS), "--out", str(fitted)]) == 0
+    out = tmp_path / "out.csv"
+    lineage = _transform_with_lineage(fitted, ROWS, out)
+    if name == "exact_inverse":
+        lineage = _transform_with_lineage(DATA / "covertype_300_exact_inverse.fitted.json",
+                                          out, tmp_path / "inverse.csv")
+    assert hashlib.sha256(lineage).hexdigest() == LINEAGE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", NAMES)

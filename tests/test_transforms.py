@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 
+from featurespace import transforms
 from featurespace.errors import KernelError, ValidationError
 from featurespace.lineage import lineage_to_data
 from featurespace.pipeline import FittedStep, compose, fit, load_fitted, run, save_fitted
@@ -307,6 +309,23 @@ def test_statistical_bin_fit_edges_closed_form():
     assert state["min"] == 10.0 and state["max"] == 40.0
     expected = tuple(10.0 + i * (40.0 - 10.0) / 4 for i in range(5))
     assert state["edges"] == expected
+
+
+def test_a_fit_state_read_from_a_document_is_checked_once(monkeypatch):
+    """Loading the ``learned`` document checks the fit state of each of its
+    four learning steps once; a ``statistical_bin`` state drops its edges and
+    goes through the checks of every kind."""
+    calls = []
+    check = transforms._check_fit_state
+
+    def counting(kernel, cfg, fit_state, keys):
+        calls.append(kernel.kind)
+        check(kernel, cfg, fit_state, keys)
+
+    monkeypatch.setattr(transforms, "_check_fit_state", counting)
+    fitted = load_fitted(Path(__file__).parent / "data" / "covertype_300_learned.fitted.json")
+    assert calls == [fstep.step.kind for fstep in fitted.steps if fstep.fit_state is not None]
+    assert calls == ["impute_flagged", "statistical_bin", "standardize", "pca_project"]
 
 
 def test_statistical_bin_monotone_in_label_order():
