@@ -14,8 +14,10 @@ class ValidationError(FeatureSpaceError):
 class KernelError(FeatureSpaceError):
     """A transform kernel failed at runtime on concrete data.
 
-    ``row_index`` and ``step_number`` are attached where known so the CLI can
-    point at the offending cell.
+    A kernel raises it with its kind's facts alone, and the failing row, if
+    any, as ``row_index``. The pipeline names the step, and the row when
+    there is one, in the text (``step N (kind): row R: ``) and sets
+    ``step_number``.
     """
 
     def __init__(self, message: str, row_index: int | None = None,

@@ -298,32 +298,29 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
     code = _Source(len(expected.names))
     held = code.inputs
     notes, audit = [], []
-    try:
-        for number, fstep in order:
-            kind = fstep.step.kind
-            kernel = fstep.kernel
+    for number, fstep in order:
+        try:
             if forward:
-                rewrite = kernel.forward_rule(fstep, expose_flags)
+                rewrite = fstep.kernel.forward_rule(fstep, expose_flags)
                 near, far = fstep.input_schema, fstep.output_schema
             else:
-                rewrite = kernel.reverse_rule(fstep, expose_flags)
+                rewrite = fstep.kernel.reverse_rule(fstep, expose_flags)
                 near, far = fstep.output_schema, fstep.input_schema
             if rewrite is None:
-                raise MappingError(_in_step(
-                    number, kind,
+                raise MappingError(
                     "no contribution rule in the forward direction; map against the "
                     "pipeline that produced the model-ready schema instead"
-                    if forward else "no contribution rule in the reverse direction"))
+                    if forward else "no contribution rule in the reverse direction")
             held, counts = _compile_step(rewrite, near, far, held, code)
             bad = {name: c for name, c in counts.items() if c != 1}
             if bad:
-                raise MappingError(_in_step(number, kind, "contribution partition violated "
-                                            f"(consumption counts {bad})"))
-            if rewrite.note is not None:
-                notes.append(rewrite.note)
-            audit.append((number, MappingProxyType(counts)))
-    except ValidationError as exc:
-        return MappingPlan(expected, final, None, "", error=exc.with_traceback(None))
+                raise MappingError(f"contribution partition violated (consumption counts {bad})")
+        except ValidationError as exc:  # the one naming of the step that cannot be mapped
+            error = type(exc)(_in_step(number, fstep.step.kind, exc))
+            return MappingPlan(expected, final, None, "", error=error)
+        if rewrite.note is not None:
+            notes.append(rewrite.note)
+        audit.append((number, MappingProxyType(counts)))
     notes, audit = tuple(notes), tuple(audit)
     function, source = code.function(held, final, notes, audit)
     return MappingPlan(expected, final, function, source, notes, audit)

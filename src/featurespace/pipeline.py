@@ -37,8 +37,12 @@ _TARGET_SPACE = {"to_model_ready": "model_ready", "to_interpretable": "interpret
 
 
 def _in_step(number: int, kind: str, message: Any) -> str:
-    """``message`` said of step ``number`` (``kind``): the one naming of a step in errors."""
-    return f"step {number} ({kind}): {message}"
+    """``message`` said of step ``number`` (``kind``), and of its row when
+    ``message`` is an error with a ``row_index``: the one naming of a step
+    and a row in errors."""
+    row = getattr(message, "row_index", None)
+    at = "" if row is None else f"row {row}: "
+    return f"step {number} ({kind}): {at}{message}"
 
 
 def _with_fit_state(config: Mapping[str, Any],

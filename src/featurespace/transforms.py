@@ -16,7 +16,10 @@ kinds that derive one feature from one share ``_OneToOne``'s ``plan``,
 ``prepare`` and ``apply``, and give only the produced spec's fields and
 column function. The pipeline places each produced spec in the output
 schema, gives it its flags and records its lineage; a kernel records only
-the lineage of the features it rewrites in place.
+the lineage of the features it rewrites in place. Every kind reads the input
+features its config names through ``_input`` (``_numeric_inputs`` for a
+list of numeric ``inputs``). A kernel's messages say only its kind's facts:
+the pipeline names the step, its kind and the failing row.
 """
 
 from __future__ import annotations
@@ -151,11 +154,25 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _numeric_feature(schema: SchemaManifest, name: str) -> FeatureSpec:
+def _input(schema: SchemaManifest, name: Any, *dtypes: str) -> tuple[str, FeatureSpec]:
+    """The input feature a config names, and its spec, whose dtype must be
+    one of ``dtypes`` when any are given."""
+    name = str(name)
     spec = schema.feature(name)
-    if spec.dtype != "numeric":
-        raise ValidationError(f"feature {name!r} must be numeric, is {spec.dtype}")
-    return spec
+    if dtypes and spec.dtype not in dtypes:
+        raise ValidationError(
+            f"feature {name!r} must be {' or '.join(dtypes)}, is {spec.dtype}")
+    return name, spec
+
+
+def _numeric_inputs(cfg: Mapping, schema: SchemaManifest) -> tuple[str, ...]:
+    """The config's ``inputs``: a non-empty list of numeric features."""
+    inputs = document_list(_req(cfg, "inputs"), "inputs")
+    if not inputs:
+        raise ValidationError("inputs must be non-empty")
+    for name in inputs:
+        _input(schema, name, "numeric")
+    return inputs
 
 
 _STRUCTURAL_KEYS = ("dtype", "description", "unit", "categories", "wording", "observed")
@@ -257,8 +274,10 @@ class Kernel:
     column's domain (an overflow to ``inf``). The pipeline validates the
     produced columns whose output spec is numeric, and no others.
 
-    A kernel's messages name neither the step nor its kind, and a nested
-    value by its own key (``restore``); the pipeline prefixes ``step N (kind): ``.
+    A kernel's messages name neither the step, nor its kind, nor the row,
+    and a nested value by its own key (``restore``). An error of one row
+    carries it as ``KernelError.row_index``; the pipeline prefixes
+    ``step N (kind): `` and, for a row, ``row R: ``.
     """
 
     kind: str = ""
@@ -318,7 +337,8 @@ class Kernel:
         of cells per produced feature, in the step's ``produced`` order
         (rewritten, then built), and one ``ColumnLineage`` per rewritten
         feature, in that order; the fitted step records the built ones.
-        Input columns are read, never mutated.
+        Input columns are read, never mutated. A row that cannot be computed
+        raises ``KernelError`` with the row as ``row_index``, not in the text.
         """
         raise NotImplementedError
 
@@ -410,7 +430,7 @@ def _lookup(mapping: Mapping, unknown: str) -> Callable[[list], list]:
     def column(values):
         for r, value in enumerate(values):
             if value is not MISSING and value not in mapping:
-                raise KernelError(f"row {r}: " + unknown.format(value=value), row_index=r)
+                raise KernelError(unknown.format(value=value), row_index=r)
         return [MISSING if v is MISSING else mapping[v] for v in values]
 
     return column
@@ -422,11 +442,7 @@ class OneHotEncode(Kernel):
     keys = ("feature", "name_template", "names")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        spec = schema.feature(feature)
-        if spec.dtype != "categorical":
-            raise ValidationError(
-                f"feature {feature!r} must be categorical, is {spec.dtype}")
+        feature, spec = _input(schema, _req(cfg, "feature"), "categorical")
         categories = spec.categories or ()
         if cfg.get("names") is not None:
             names = document_list(cfg["names"], "names")
@@ -524,23 +540,20 @@ class OneHotDecode(Kernel):
             if all(missing):
                 value = MISSING
             elif any(missing):
-                raise KernelError(
-                    f"row {r}: one-hot group {list(group)} mixes MISSING and present cells",
-                    row_index=r)
+                raise KernelError(f"one-hot group {list(group)} mixes MISSING and present cells",
+                                  row_index=r)
             else:
                 trues = [i for i, c in enumerate(cells) if c]
                 if len(trues) == 1:
                     value = categories[trues[0]]
                 elif len(trues) > 1:
-                    raise KernelError(
-                        f"row {r}: ill-formed one-hot ({len(trues)} indicators TRUE)",
-                        row_index=r)
+                    raise KernelError(f"ill-formed one-hot ({len(trues)} indicators TRUE)",
+                                      row_index=r)
                 elif zero_hot == "missing":
                     value = MISSING
                 else:
-                    raise KernelError(
-                        f"row {r}: zero indicators TRUE in one-hot group {list(group)}",
-                        row_index=r)
+                    raise KernelError(f"zero indicators TRUE in one-hot group {list(group)}",
+                                      row_index=r)
             decoded.append(value)
         return [decoded], ()
 
@@ -565,8 +578,7 @@ class Standardize(_OneToOne):
     keys = ("feature", "mean", "scale", "target", "display_format")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        _numeric_feature(schema, feature)
+        feature, _ = _input(schema, _req(cfg, "feature"), "numeric")
         mean, scale = cfg.get("mean"), cfg.get("scale")
         if (mean is None) != (scale is None):
             raise ValidationError("configure mean and scale together or neither")
@@ -619,8 +631,7 @@ class Unstandardize(_OneToOne):
             "display_format")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        _numeric_feature(schema, feature)
+        feature, _ = _input(schema, _req(cfg, "feature"), "numeric")
         mean = document_number(_req(cfg, "mean"), "mean")
         scale = document_number(_req(cfg, "scale"), "scale")
         if scale <= 0:
@@ -684,8 +695,7 @@ class StatisticalBin(_OneToOne):
     keys = ("feature", "bins", "min", "max", "labels", "target", "keep_original", "wording")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        _numeric_feature(schema, feature)
+        feature, _ = _input(schema, _req(cfg, "feature"), "numeric")
         bins = document_int(_req(cfg, "bins"), "bins")
         if bins < 1:
             raise ValidationError("bins must be >= 1")
@@ -764,11 +774,10 @@ class StatisticalBin(_OneToOne):
         def column(values):
             present = _non_missing(values)
             if present and (min(present) < lo or max(present) > hi):
-                for r, value in enumerate(values):  # the error names the first bad row
+                for r, value in enumerate(values):  # the error is of the first bad row
                     if value is not MISSING and (value < lo or value > hi):
-                        raise KernelError(
-                            f"row {r}: value {value!r} of {feature!r} outside bin range "
-                            f"[{lo}, {hi}]", row_index=r)
+                        raise KernelError(f"value {value!r} of {feature!r} outside bin "
+                                          f"range [{lo}, {hi}]", row_index=r)
             return _label_bins(values, inner, labels)
 
         return column
@@ -780,8 +789,7 @@ class SemanticBin(_OneToOne):
     keys = ("feature", "boundaries", "labels", "target", "keep_original", "wording")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        _numeric_feature(schema, feature)
+        feature, _ = _input(schema, _req(cfg, "feature"), "numeric")
         boundaries, labels = _boundaries_and_labels(cfg)
         target, keep = _target(cfg, feature)
         return {"feature": feature, "boundaries": boundaries, "labels": labels,
@@ -804,8 +812,7 @@ class ImputeFlagged(Kernel):
     keys = ("feature", "strategy", "constant", "flag_name")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        spec = schema.feature(feature)
+        feature, spec = _input(schema, _req(cfg, "feature"))
         strategy = str(_req(cfg, "strategy"))
         if strategy not in ("mean", "constant", "forward_fill"):
             raise ValidationError(f"unknown strategy {strategy!r}")
@@ -864,9 +871,8 @@ class ImputeFlagged(Kernel):
             for r, value in enumerate(values):
                 if value is MISSING:
                     if previous is None:
-                        raise KernelError(
-                            f"row {r}: forward_fill has no preceding value for {feature!r}",
-                            row_index=r)
+                        raise KernelError(f"forward_fill has no preceding value for {feature!r}",
+                                          row_index=r)
                     value = previous
                 filled.append(value)
                 previous = value
@@ -930,8 +936,8 @@ def _column_sum(columns: Iterable[Iterable]) -> list:
 
 def _formula_rows(on_row: Callable, columns: list[list]) -> list:
     """``on_row`` over each row of the input columns: MISSING where the row
-    has a MISSING input, and a ``KernelError`` naming the first row whose
-    result overflows."""
+    has a MISSING input, and a ``KernelError`` at the first row whose result
+    overflows or fails."""
     column = []
     for r, values in enumerate(zip(*columns)):
         if MISSING in values:
@@ -940,7 +946,7 @@ def _formula_rows(on_row: Callable, columns: list[list]) -> list:
         try:
             column.append(on_row(values))
         except (KernelError, OverflowError) as exc:  # e.g. euclidean_floor of an infinite sum
-            raise KernelError(f"row {r}: {exc}", row_index=r) from None
+            raise KernelError(str(exc), row_index=r) from None
     return column
 
 
@@ -967,11 +973,7 @@ class AggregateNumeric(Kernel):
             "description")
 
     def normalize(self, cfg, schema):
-        inputs = document_list(_req(cfg, "inputs"), "inputs")
-        if not inputs:
-            raise ValidationError("inputs must be non-empty")
-        for name in inputs:
-            _numeric_feature(schema, name)
+        inputs = _numeric_inputs(cfg, schema)
         formula = _formula_normalized(_req(cfg, "formula"), inputs)
         target = str(_req(cfg, "target"))
         keep = document_bool(cfg.get("keep_inputs", False), "keep_inputs")
@@ -1058,11 +1060,7 @@ class HierarchyRollup(_OneToOne):
     keys = ("feature", "mapping", "target", "keep_original", "wording", "description")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        spec = schema.feature(feature)
-        if spec.dtype not in ("categorical", "ordinal"):
-            raise ValidationError(
-                f"feature {feature!r} must be categorical, is {spec.dtype}")
+        feature, spec = _input(schema, _req(cfg, "feature"), "categorical", "ordinal")
         mapping = {str(k): str(v) for k, v in
                    document_mapping(_req(cfg, "mapping"), "mapping", None).items()}
         declared = set(spec.categories or ())
@@ -1094,8 +1092,7 @@ class RenderStatement(_OneToOne):
     keys = ("feature", "target")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        spec = schema.feature(feature)
+        feature, spec = _input(schema, _req(cfg, "feature"))
         if spec.dtype not in ("boolean", "categorical", "ordinal"):
             raise ValidationError(
                 "only boolean and categorical features can be rendered "
@@ -1133,8 +1130,7 @@ class UnrenderStatement(_OneToOne):
     keys = ("feature", "target", "restore")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        spec = schema.feature(feature)
+        feature, spec = _input(schema, _req(cfg, "feature"))
         # A feature with a wording template holds the values it renders; a
         # statement feature, as render_statement makes one, has none.
         if spec.dtype not in ("categorical", "ordinal") or spec.wording is not None:
@@ -1169,11 +1165,7 @@ class PcaProject(Kernel):
     keys = ("inputs", "components", "means", "loadings", "name_template", "display_format")
 
     def normalize(self, cfg, schema):
-        inputs = document_list(_req(cfg, "inputs"), "inputs")
-        if not inputs:
-            raise ValidationError("inputs must be non-empty")
-        for name in inputs:
-            _numeric_feature(schema, name)
+        inputs = _numeric_inputs(cfg, schema)
         components = document_int(_req(cfg, "components"),
                                   "components")
         if components < 1 or components > len(inputs):
@@ -1259,21 +1251,20 @@ class PcaProject(Kernel):
             centered = np.array(columns, dtype=float)
         except TypeError:  # a MISSING cell, the only cell float() refuses
             r = min(column.index(MISSING) for column in columns if MISSING in column)
-            raise KernelError(f"row {r}: MISSING value in PCA inputs; impute first",
-                              row_index=r) from None
+            raise KernelError("MISSING value in PCA inputs; impute first", row_index=r) from None
         # Each cell is 0, plus, input by input, (value - mean) * loading.
         # Elementwise float64 subtract, multiply and add are the same single
-        # IEEE operations Python floats do, so adding the inputs' product
-        # arrays in place, in input order, to 0 + the first makes the
-        # additions of ``sum_in_order`` and gives each cell the bits of a
+        # IEEE operations Python floats do. ``accumulate`` adds the inputs'
+        # product arrays in place, one after another in input order. That sum
+        # differs from 0 + the first product + the others only where every
+        # product is -0.0 (-0.0 against 0.0), which ``+ 0`` mends; so each
+        # cell gets the additions of ``sum_in_order`` and the bits of a
         # per-row loop. A reduction (``@``, ``np.sum``) may reassociate the
         # sum and is not used.
         centered -= means
         products = weights * centered[:, None, :]
         del centered  # each array is freed once read, before the cells' floats are made
-        total = 0 + products[0]
-        for k in range(1, len(products)):
-            total += products[k]
+        total = np.add.accumulate(products, axis=0, out=products)[-1] + 0
         del products
         return total.tolist(), ()
 
@@ -1292,8 +1283,8 @@ class LinkRaw(Kernel):
     keys = ("feature", "series_id", "window", "series")
 
     def normalize(self, cfg, schema):
-        feature = str(_req(cfg, "feature"))
-        source = schema.feature(feature).raw_source
+        feature, spec = _input(schema, _req(cfg, "feature"))
+        source = spec.raw_source
         # A step that names its series and window needs no raw_source: the
         # inverse of a link whose feature a later step replaced reads neither.
         if source is None and not (cfg.get("series_id") and cfg.get("window")):

@@ -5,7 +5,7 @@ and rounding, and error for error."""
 
 from __future__ import annotations
 
-from featurespace.errors import MappingError
+from featurespace.errors import MappingError, ValidationError
 from featurespace.explain import ContributionVector, MappedContributions
 from featurespace.transforms import pca_redistribution_weights
 
@@ -27,7 +27,7 @@ def _group_total(values, names, counts) -> float:
     return total
 
 
-def _forward_step(number, fstep, values, expose_flags, notes, exposed):
+def _forward_step(fstep, values, expose_flags, notes, exposed):
     kind, cfg = fstep.step.kind, fstep.step.config
     counts = {name: 0 for name in fstep.input_schema.names}
     out = {}
@@ -45,13 +45,12 @@ def _forward_step(number, fstep, values, expose_flags, notes, exposed):
     elif kind == "impute_flagged":
         out[cfg["flag_name"]] = 0.0
     elif kind != "link_raw":
-        raise MappingError(
-            f"step {number} ({kind}): no contribution rule in the forward direction; "
-            "map against the pipeline that produced the model-ready schema instead")
+        raise MappingError("no contribution rule in the forward direction; "
+                           "map against the pipeline that produced the model-ready schema instead")
     return _pass_through(fstep.output_schema.names, values, out, counts)
 
 
-def _reverse_step(number, fstep, values, expose_flags, notes, exposed):
+def _reverse_step(fstep, values, expose_flags, notes, exposed):
     kind, cfg = fstep.step.kind, fstep.step.config
     counts = {name: 0 for name in fstep.output_schema.names}
     out = {}
@@ -86,8 +85,7 @@ def _reverse_step(number, fstep, values, expose_flags, notes, exposed):
         out.update(shares)
         notes.append(PCA_NOTE)
     elif kind != "link_raw":
-        raise MappingError(
-            f"step {number} ({kind}): no contribution rule in the reverse direction")
+        raise MappingError("no contribution rule in the reverse direction")
     return _pass_through(fstep.input_schema.names, values, out, counts)
 
 
@@ -117,11 +115,13 @@ def reference_map(fitted, contrib: ContributionVector,
     values = dict(zip(contrib.schema.names, contrib.values))
     notes, exposed, audit = [], {}, []
     for number, fstep in steps:
-        values, counts = mapper(number, fstep, values, expose_flags, notes, exposed)
-        bad = {name: c for name, c in counts.items() if c != 1}
-        if bad:
-            raise MappingError(f"step {number} ({fstep.step.kind}): contribution "
-                               f"partition violated (consumption counts {bad})")
+        try:
+            values, counts = mapper(fstep, values, expose_flags, notes, exposed)
+            bad = {name: c for name, c in counts.items() if c != 1}
+            if bad:
+                raise MappingError(f"contribution partition violated (consumption counts {bad})")
+        except ValidationError as exc:
+            raise type(exc)(f"step {number} ({fstep.step.kind}): {exc}") from None
         audit.append((number, counts))
     vector = ContributionVector(final, tuple(values[name] for name in final.names),
                                 contrib.base_value)

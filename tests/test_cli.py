@@ -1046,7 +1046,7 @@ def test_pca_loadings_whose_squares_overflow_exit_1(tmp_path, capsys, loadings):
     _fails_cleanly(["explain-map", "--pipeline", str(path),
                     "--contribs", str(DATA / "covertype_300_contribs_model_ready.csv"),
                     "--out", str(tmp_path / "out.csv")],
-                   capsys, 1, "error: PCA component 1: squared loadings overflow")
+                   capsys, 1, "error: step 4 (pca_project): PCA component 1: squared loadings overflow")
 
 
 def test_exponent_without_a_dot_names_the_yaml_spelling(workspace, capsys):

@@ -328,6 +328,12 @@ def pca_cases(draw):
 @example(([[0, 0], [0, 0]], [0.0, 0.0], [[-0.0], [-0.0]], 1))
 @example(([[2**53 + 1], [1e12]], [1.0, -1e12], [[1.0], [1.0]], 1))
 @example(([[0.0], [0.0], [0.0]], [0.0] * 3, [[-1.0]] * 3, 1))  # every product is -0.0
+@example(([[-0.0], [-0.0]], [0.0, 0.0], [[1.0], [1.0]], 1))  # -0.0 + -0.0 is -0.0
+@example(([[-0.0], [1.0]], [0.0, 1.0], [[1.0], [-1.0]], 1))  # -0.0, then 0.0 * -1.0
+@example(([[1e308], [1e308], [-1e308]], [0.0] * 3, [[1.0]] * 3, 1))  # inf, then inf - 1e308
+@example(([[1e308], [-1e308], [1e308]], [0.0] * 3, [[1.0]] * 3, 1))  # back in range
+@example(([[1e308], [-1e308]], [-1e308, 1e308], [[1.0], [1.0]], 1))  # inf - inf is nan
+@example(([[5e-324, -5e-324], [-5e-324, 5e-324]], [0.0, 0.0], [[1.0], [1.0]], 1))  # 0.0
 def test_pca_apply_matches_left_to_right_loop(case):
     columns, means, loadings, components = case
     names = tuple(f"x{i}" for i in range(len(columns)))
@@ -336,7 +342,8 @@ def test_pca_apply_matches_left_to_right_loop(case):
     fstep = _fitted_step("pca_project", {"inputs": list(names), "components": components,
                                          "means": means, "loadings": loadings}, schema)
     cfg = fstep.config
-    projected, _ = KERNELS["pca_project"].apply(table, fstep.prepared)
+    with np.errstate(over="ignore", invalid="ignore"):  # the examples that leave the range
+        projected, _ = KERNELS["pca_project"].apply(table, fstep.prepared)
     expected = reference_projection(columns, cfg["means"], cfg["loadings"], components)
     assert [type(v) for c in projected for v in c] == [float] * (components * table.num_rows)
     assert list(map(_bits, projected)) == list(map(_bits, expected))
@@ -347,7 +354,7 @@ def test_pca_apply_names_the_first_missing_row():
     table = DataTable.from_columns(schema, [[1, 2, MISSING], [1, MISSING, 3]], 3)
     fstep = _fitted_step("pca_project", {"inputs": ["a", "b"], "components": 1,
                                          "means": [0, 0], "loadings": [[1], [0]]}, schema)
-    with pytest.raises(KernelError, match="row 1: MISSING value in PCA inputs") as info:
+    with pytest.raises(KernelError, match="^MISSING value in PCA inputs") as info:
         KERNELS["pca_project"].apply(table, fstep.prepared)
     assert info.value.row_index == 1
 
@@ -400,7 +407,7 @@ def test_statistical_bin_matches_row_scan(case):
     categories = fstep.output_schema.feature("v").categories
     expected = reference_bins(values, cfg, categories)
     if isinstance(expected, int):
-        with pytest.raises(KernelError, match=f"^row {expected}: value ") as info:
+        with pytest.raises(KernelError, match="^value ") as info:
             kernel.apply(table, fstep.prepared)
         assert info.value.row_index == expected
         return
@@ -424,7 +431,7 @@ def reference_formula(formula, inputs, columns, labeling=None):
         try:
             value = on_row(values)
         except OverflowError as exc:
-            raise KernelError(f"row {r}: {exc}", row_index=r) from None
+            raise KernelError(str(exc), row_index=r) from None
         if labeling is not None:
             value = labeling["labels"][bisect.bisect_right(labeling["boundaries"], value)]
         column.append(value)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
-from featurespace.errors import FeatureSpaceError, KernelError, ValidationError
+from featurespace.errors import FeatureSpaceError, KernelError, MappingError, ValidationError
 from featurespace.explain import conservation_check, map_contributions, mapping_plan
 from featurespace.lineage import lineage_to_data
 from featurespace.pipeline import (
@@ -40,6 +40,7 @@ from featurespace.transforms import (
     KERNELS,
     TRANSFORM_KINDS,
     Kernel,
+    Rewrite,
     Standardize,
     TransformStep,
     kernel_for,
@@ -230,6 +231,36 @@ NO_RULE = {
                         "pipeline that produced the model-ready schema instead",
     "to_model_ready": "no contribution rule in the reverse direction",
 }
+# Per kind whose ``apply`` can fail on one row of valid cells: a config that
+# composes as step 2, the rows it fails on, the failing row and the kernel's
+# message. (``hierarchy_rollup`` maps every declared category.)
+ROW_FAILS = {
+    "one_hot_decode": ({"group": ["b"], "target": "t",
+                        "restore": {"dtype": "categorical", "categories": ["on"]}},
+                       [(1.0, 1.0, "p", True), (1.0, 1.0, "p", False)], 1,
+                       "zero indicators TRUE in one-hot group ['b']"),
+    "statistical_bin": ({"feature": "x", "bins": 2, "min": 0.0, "max": 1.0},
+                        [(0.5, 1.0, "p", True), (5.0, 1.0, "p", True)], 1,
+                        "value 5.0 of 'x' outside bin range [0.0, 1.0]"),
+    "impute_flagged": ({"feature": "x", "strategy": "forward_fill"},
+                       [(MISSING, 1.0, "p", True), (1.0, 1.0, "p", True)], 0,
+                       "forward_fill has no preceding value for 'x'"),
+    "aggregate_numeric": ({"inputs": ["x", "y"], "formula": {"expr": "x / y"}, "target": "t"},
+                          [(1.0, 1.0, "p", True), (1.0, 0.0, "p", True)], 1,
+                          "division by zero in expression"),
+    "abstract_concept": ({"inputs": ["x", "y"], "formula": "euclidean_floor", "target": "t"},
+                         [(1.0, 1.0, "p", True), (1e200, 1.0, "p", True)], 1,
+                         "cannot convert float infinity to integer"),
+    "unrender_statement": ({"feature": "c", "target": "t", "restore": {
+                               "dtype": "categorical", "categories": ["on"],
+                               "wording": {"value": "is {value}"}}},
+                           [(1.0, 1.0, "p", True)], 0,
+                           "statement 'p' does not match any template"),
+    "pca_project": ({"inputs": ["x", "y"], "components": 1, "means": [0.0, 0.0],
+                     "loadings": [[1.0], [1.0]]},
+                    [(1.0, 1.0, "p", True), (MISSING, 1.0, "p", True)], 1,
+                    "MISSING value in PCA inputs; impute first"),
+}
 
 
 def _said_of_step_2(exc, kind, message):
@@ -241,9 +272,10 @@ def _said_of_step_2(exc, kind, message):
 
 
 @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
-def test_every_error_names_the_step_and_its_kind_once(kind):
-    """The pipeline names a step and its kind; the kernel's text names
-    neither: in composing, fitting, running and mapping contributions."""
+def test_every_error_names_the_step_and_its_kind_once(kind, monkeypatch):
+    """The pipeline names a step and its kind, and the row of a row's error;
+    the kernel's text names none of them: in composing, fitting, running and
+    mapping contributions."""
     assert (kind in BAD_FITS) == (type(KERNELS[kind]).fit is not Kernel.fit)
     config, message = BAD_CONFIGS[kind]
     with pytest.raises(ValidationError) as raised:
@@ -263,12 +295,42 @@ def test_every_error_names_the_step_and_its_kind_once(kind):
         with pytest.raises(KernelError) as raised:
             run(fitted, DataTable(ONCE_SCHEMA, ((1.0, 1.0, "p", True),)))
         _said_of_step_2(raised.value, kind, "unknown series 'other'")
+    if kind in ROW_FAILS:
+        config, rows, row, message = ROW_FAILS[kind]
+        fitted = as_fitted(compose([FILL_Y, TransformStep(kind, config)], ONCE_SCHEMA,
+                                   "to_interpretable"))
+        table = DataTable(ONCE_SCHEMA, tuple(rows))
+        filled = run(as_fitted(compose([FILL_Y], ONCE_SCHEMA, "to_interpretable")), table)
+        fstep = fitted.steps[1]
+        with pytest.raises(KernelError) as raised:
+            fstep.kernel.apply(filled.table, fstep.prepared)
+        assert (str(raised.value), raised.value.row_index) == (message, row)
+        with pytest.raises(KernelError) as raised:
+            run(fitted, table)
+        _said_of_step_2(raised.value, kind, f"row {row}: {message}")
+        assert re.findall(r"row \d+: ", str(raised.value)) == [f"row {row}: "]
+        assert (raised.value.row_index, raised.value.step_number) == (row, 2)
     unmapped = [direction for direction in DIRECTIONS if kind not in MAPPABLE[direction]]
     assert (kind in NO_RULE_CONFIGS) == bool(unmapped)
     for direction in unmapped:
         fitted = as_fitted(compose([FILL_Y, TransformStep(kind, NO_RULE_CONFIGS[kind])],
                                    ONCE_SCHEMA, direction))
         _said_of_step_2(mapping_plan(fitted).error, kind, NO_RULE[direction])
+    if kind == "pca_project":  # an error of the rule itself
+        config = {**NO_RULE_CONFIGS[kind], "loadings": [[0.0], [0.0]]}
+        fitted = as_fitted(compose([FILL_Y, TransformStep(kind, config)], ONCE_SCHEMA,
+                                   "to_model_ready"))
+        error = mapping_plan(fitted).error
+        assert type(error) is ValidationError
+        _said_of_step_2(error, kind, "PCA component 1 has zero loadings")
+    if kind == "semantic_bin":  # a rule that leaves a built feature unwritten
+        monkeypatch.setattr(KERNELS[kind], "forward_rule", lambda fstep, flags: Rewrite({}))
+        config = {"feature": "x", "boundaries": [0.0], "labels": ["lo", "hi"], "target": "t"}
+        fitted = as_fitted(compose([FILL_Y, TransformStep(kind, config)], ONCE_SCHEMA,
+                                   "to_interpretable"))
+        error = mapping_plan(fitted).error
+        assert type(error) is MappingError
+        _said_of_step_2(error, kind, "feature 't' appeared without a mapping rule")
 
 
 def test_fit_standardize_matches_single_pass_oracle():

@@ -87,6 +87,22 @@ def test_one_hot_encode_requires_categorical():
                 table_schema, "to_interpretable")
 
 
+@pytest.mark.parametrize("kind, config, message", [
+    ("one_hot_encode", {"feature": "n"}, "feature 'n' must be categorical, is numeric"),
+    ("hierarchy_rollup", {"feature": "n", "mapping": {}},
+     "feature 'n' must be categorical or ordinal, is numeric"),
+    ("standardize", {"feature": "c"}, "feature 'c' must be numeric, is categorical"),
+    ("pca_project", {"inputs": ["n", "c"], "components": 1},
+     "feature 'c' must be numeric, is categorical"),
+])
+def test_an_input_of_another_dtype_names_the_dtypes_its_kind_reads(kind, config, message):
+    schema = SchemaManifest(features=(FeatureSpec("n", "numeric"),
+                                      FeatureSpec("c", "categorical", categories=("a",))))
+    with pytest.raises(ValidationError) as raised:
+        compose([TransformStep(kind, config)], schema, "to_interpretable")
+    assert str(raised.value) == f"step 1 ({kind}): {message}"
+
+
 # -- one_hot_decode ----------------------------------------------------------
 
 def decode_step(**overrides):
