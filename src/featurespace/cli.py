@@ -19,14 +19,8 @@ from pathlib import Path
 
 from . import demo
 from .errors import KernelError, ValidationError
-from .explain import (
-    conservation_check,
-    map_contributions,
-    mapping_plan,
-    read_contributions,
-    write_contributions,
-)
-from .lineage import lineage_to_data
+from .explain import map_batch, mapping_plan, read_contributions, write_contributions
+from .lineage import write_lineage_json
 from .pipeline import (
     FittedPipeline,
     InversionRefusal,
@@ -42,7 +36,7 @@ from .pipeline import (
 from .planner import audit, load_persona
 from .schema import SchemaManifest, load_manifest, open_input, open_outputs
 from .table import MISSING, DataTable, parse_cell, read_table_csv, write_table_csv
-from .transforms import kernel_for, sum_in_order
+from .transforms import kernel_for
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -86,8 +80,7 @@ def cmd_transform(args) -> int:
             out, lineage, report):
         write_table_csv(result.table, out, fitted.display_formats())
         if lineage:
-            json.dump(lineage_to_data(result.lineage), lineage, indent=2)
-            lineage.write("\n")
+            write_lineage_json(result.lineage, lineage)
         if report:
             lines = list(result.fidelity_notes) or ["no fidelity loss: every step is exact"]
             report.write("\n".join(lines) + "\n")
@@ -117,29 +110,27 @@ def cmd_explain_map(args) -> int:
     vectors = read_contributions(args.contribs, plan.expected)
     if not vectors:
         raise ValidationError(f"{args.contribs}: no contribution rows")
-    mapped = []
+    batch = map_batch(fitted, vectors, args.expose_flags)
+    r = batch.failed_row
+    if r is not None:
+        check = batch.checks[r]
+        if check.checkable:
+            print(f"conservation violated on row {r}: delta {check.delta:g} "
+                  f"exceeds {check.tolerance:g}", file=sys.stderr)
+        else:
+            print(f"conservation cannot be checked on row {r}: "
+                  "a contribution total is not finite", file=sys.stderr)
+        return EXIT_CONSERVATION
     notes = list(dict.fromkeys(plan.fidelity_notes))
-    for r, vector in enumerate(vectors):
-        result = map_contributions(fitted, vector, expose_flags=args.expose_flags)
-        extra = sum_in_order(result.exposed_flags.values())
-        check = conservation_check(vector, result.vector, extra_after=extra)
-        if not check.passed:
-            if check.checkable:
-                print(f"conservation violated on row {r}: delta {check.delta:g} "
-                      f"exceeds {check.tolerance:g}", file=sys.stderr)
-            else:
-                print(f"conservation cannot be checked on row {r}: "
-                      "a contribution total is not finite", file=sys.stderr)
-            return EXIT_CONSERVATION
-        mapped.append(result.vector)
-        for flag, value in result.exposed_flags.items():
+    for r, flags in enumerate(batch.exposed_flags):
+        for flag, value in flags.items():
             notes.append(f"row {r}: exposed flag contribution {flag} = {value!r}")
     sidecar = Path(str(args.out) + ".fidelity.txt")
     with open_outputs(args.out, sidecar) as (out, sidecar_out):
-        write_contributions(mapped, out)
+        write_contributions(batch.vectors, out)
         lines = notes or ["no fidelity loss: all contribution rules were exact"]
         sidecar_out.write("\n".join(lines) + "\n")
-    print(f"mapped {len(mapped)} contribution rows -> {args.out}")
+    print(f"mapped {len(batch.vectors)} contribution rows -> {args.out}")
     print(f"fidelity notes -> {sidecar}")
     return EXIT_OK
 

@@ -358,6 +358,40 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
     return plan.function(contrib)
 
 
+@dataclass(frozen=True)
+class MappedBatch:
+    """What ``map_batch`` gives, row by row: each mapped vector, the
+    contributions of its exposed flags and its conservation check. The rows
+    end with ``failed_row``, the first whose check does not pass, or with
+    the last vector when ``failed_row`` is None."""
+
+    vectors: tuple[ContributionVector, ...]
+    exposed_flags: tuple[Mapping[str, float], ...]
+    checks: tuple[ConservationResult, ...]
+    failed_row: int | None
+
+
+def map_batch(fitted: FittedPipeline, vectors: Sequence[ContributionVector],
+              expose_flags: bool = False) -> MappedBatch:
+    """Map each vector with ``map_contributions`` and check that it keeps
+    its total (``conservation_check``, the exposed flags' contributions
+    counted as carried outside the vector), stopping at the first row whose
+    check does not pass. An error of mapping propagates as it is raised."""
+    mapped, flags, checks = [], [], []
+    failed = None
+    for r, vector in enumerate(vectors):
+        result = map_contributions(fitted, vector, expose_flags)
+        extra = sum_in_order(result.exposed_flags.values())
+        check = conservation_check(vector, result.vector, extra_after=extra)
+        mapped.append(result.vector)
+        flags.append(result.exposed_flags)
+        checks.append(check)
+        if not check.passed:
+            failed = r
+            break
+    return MappedBatch(tuple(mapped), tuple(flags), tuple(checks), failed)
+
+
 # ---------------------------------------------------------------------------
 # contribution CSV: header is the schema's feature names, plus an optional
 # trailing __base__ column; one row per explained instance. Values are written

@@ -6,17 +6,19 @@ the schema's own record, a ``DerivedFrom`` or a ``RawSource``, or ``Imputed``.
 A fitted step records each feature it builds once (``FittedStep.lineage``);
 a kernel's ``apply`` records only the features it rewrites in place.
 ``lineage_to_data`` expands a run's ``Lineage`` into one JSON-ready entry per
-produced cell, the form ``transform --lineage`` writes. It renders each
-column record's entry once and copies it for every row the record covers;
-the entries of one record share its origin's ``inputs`` or ``window`` tuple.
+produced cell, the form ``transform --lineage`` writes (``write_lineage_json``).
+It renders each column record's entry once and copies it for every row the
+record covers; the entries of one record share its origin's ``inputs`` or
+``window`` tuple.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Union
+from typing import IO, Union
 
 from .schema import DerivedFrom, RawSource
 
@@ -104,3 +106,11 @@ def lineage_to_data(lineage: Lineage) -> list[dict]:
             start = r + 1
         entries += [dict(entry, row=i) for i in range(start, num_rows) for entry in common]
     return entries
+
+
+def write_lineage_json(lineage: Lineage, handle: IO[str]) -> None:
+    """Write ``lineage_to_data(lineage)`` to ``handle`` as JSON indented by
+    two spaces, then a line end: the file ``transform --lineage`` writes.
+    ``json.dump`` streams it, so no string of the whole file is built."""
+    json.dump(lineage_to_data(lineage), handle, indent=2)
+    handle.write("\n")

@@ -28,7 +28,7 @@ from .schema import (
     open_outputs,
     read_yaml,
 )
-from .table import DataTable
+from .table import CellError, DataTable
 from .transforms import Kernel, TransformStep, kernel_for
 
 DIRECTIONS = ("to_model_ready", "to_interpretable")
@@ -376,8 +376,10 @@ def _apply_step(fstep: FittedStep, number: int, table: DataTable):
         out = DataTable.from_columns(fstep.output_schema, fstep.pick(pool), table.num_rows,
                                      fstep.validated)
     except ValidationError as exc:  # e.g. arithmetic that overflowed to infinity
+        if isinstance(exc, CellError):  # its row, named once as a kernel's is
+            exc = KernelError(str(exc.reason), row_index=exc.row)
         raise KernelError(_in_step(number, fstep.step.kind, exc),
-                          step_number=number) from None
+                          row_index=getattr(exc, "row_index", None), step_number=number) from None
     return out, (*records, *fstep.lineage[len(records):])
 
 

@@ -11,13 +11,14 @@ import io
 import math
 import os
 import re
+from collections.abc import Mapping
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from types import MappingProxyType
-from typing import IO, Any, Callable, ContextManager, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, ContextManager, Iterable, Iterator, Sequence
 
 import yaml
 from yaml.composer import Composer
@@ -547,15 +548,18 @@ def manifest_from_data(data: Any) -> SchemaManifest:
 
 
 try:
-    from yaml.cyaml import CParser
+    from yaml.cyaml import CParser, CSafeLoader
 except ImportError:  # PyYAML built without libyaml
     _LIBYAML_LOADER = None
 else:
     class _LibyamlLoader(Composer, CParser, SafeConstructor, Resolver):
-        """``yaml.SafeLoader`` with libyaml's scanner and parser. Composing
-        stays PyYAML's Python code, so deep nesting raises ``RecursionError``
-        as it does with ``SafeLoader``: ``yaml.CSafeLoader`` composes in C
-        and overflows the C stack on 100,000 nested block sequences."""
+        """``yaml.SafeLoader`` with libyaml's scanner and parser, for text
+        that may nest ``_C_COMPOSER_DEPTH`` levels or more. Composing stays
+        PyYAML's Python code, so deep nesting raises ``RecursionError`` as it
+        does with ``SafeLoader``: ``yaml.CSafeLoader`` composes in C, with
+        no recursion limit, and overflows the C stack (a crash, not an
+        exception) somewhere between 20,000 and 50,000 nested block
+        sequences on an 8 MiB stack."""
 
         def __init__(self, stream):
             CParser.__init__(self, stream)
@@ -567,6 +571,9 @@ else:
 
 # The constructs load_yaml's docstring lists, where libyaml reads text differently.
 _PYYAML_ONLY = re.compile(r"[!\t]|.\ufeff|[|>][-+0-9]*#", re.DOTALL)
+
+# Text whose nesting is bounded below this composes in C (see load_yaml).
+_C_COMPOSER_DEPTH = 200
 
 
 def load_yaml(text: str) -> Any:
@@ -584,17 +591,31 @@ def load_yaml(text: str) -> Any:
     - A block-scalar header followed directly by ``#`` (``|#``, ``>-#``):
       PyYAML rejects it; libyaml accepts it.
 
-    Any exception from the libyaml path also re-parses with ``safe_load``,
+    Text that cannot nest ``_C_COMPOSER_DEPTH`` (200) levels deep also
+    composes in C (``yaml.CSafeLoader``), which builds no Python event
+    object per token. Every collection level needs one of the characters
+    ``[ { - ? :`` (a flow collection opens with a bracket, a block sequence
+    entry is ``-``, a block mapping key needs ``?`` or ``:``), so one more
+    than their count bounds the depth. Below the bound the C composer can
+    neither overflow the C stack nor succeed where PyYAML's composer raises
+    ``RecursionError``: that composer recurses two frames per level, about
+    400 frames at the bound, of the 1,000 Python allows. The bound assumes
+    the caller is not itself near the recursion limit; a caller that is
+    would see ``safe_load`` fail where the C composer succeeds. Other text
+    composes in PyYAML's Python code (``_LibyamlLoader``).
+
+    Any exception from a libyaml path also re-parses with ``safe_load``,
     so every error is PyYAML's own: libyaml's path raises ``IndexError`` on
     ``!!int |#|}`` and ``UnicodeEncodeError`` on a lone surrogate, where
     PyYAML raises ``yaml.YAMLError``. Without libyaml, ``safe_load`` does
     everything. Both parsers raise ``RecursionError`` on nesting near
-    Python's recursion limit, about 490 levels from a shallow stack; the
-    libyaml path's limit is up to four levels deeper.
+    Python's recursion limit, about 490 levels from a shallow stack;
+    ``_LibyamlLoader``'s limit is up to four levels deeper.
     """
     if _LIBYAML_LOADER is not None and not _PYYAML_ONLY.search(text):
+        shallow = sum(map(text.count, "[{-?:")) + 1 < _C_COMPOSER_DEPTH
         try:
-            return yaml.load(text, Loader=_LIBYAML_LOADER)
+            return yaml.load(text, Loader=CSafeLoader if shallow else _LIBYAML_LOADER)
         except Exception:  # re-parsed below, so the error raised is PyYAML's
             pass
     return yaml.safe_load(text)

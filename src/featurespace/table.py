@@ -68,6 +68,17 @@ def check_cell(cell, spec: FeatureSpec) -> None:
                 f"feature {spec.name!r}: label {cell!r} not in declared categories")
 
 
+class CellError(ValidationError):
+    """A cell that its feature's dtype rejects, found in a table being
+    built: the text is ``row R: <reason>``, ``row`` is R and ``reason`` the
+    error ``check_cell`` raised."""
+
+    def __init__(self, row: int, reason: ValidationError):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
 def _column_passes(values: list, spec: FeatureSpec) -> bool:
     """Whole-column fast check: True guarantees ``check_cell`` accepts every
     cell. False only means some cell needs ``check_cell`` to decide."""
@@ -152,7 +163,7 @@ class DataTable:
                 try:
                     check_cell(self.columns[i][r], features[i])
                 except ValidationError as exc:
-                    raise ValidationError(f"row {r}: {exc}") from None
+                    raise CellError(r, exc) from None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DataTable is immutable; cannot set {name!r}")

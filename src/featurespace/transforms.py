@@ -1260,12 +1260,14 @@ class PcaProject(Kernel):
         # product is -0.0 (-0.0 against 0.0), which ``+ 0`` mends; so each
         # cell gets the additions of ``sum_in_order`` and the bits of a
         # per-row loop. A reduction (``@``, ``np.sum``) may reassociate the
-        # sum and is not used.
-        centered -= means
-        products = weights * centered[:, None, :]
-        del centered  # each array is freed once read, before the cells' floats are made
-        total = np.add.accumulate(products, axis=0, out=products)[-1] + 0
-        del products
+        # sum and is not used. An overflow is left to the pipeline's check
+        # of the produced column, which names its row, so NumPy does not warn.
+        with np.errstate(all="ignore"):
+            centered -= means
+            products = weights * centered[:, None, :]
+            del centered  # each array is freed once read, before the cells' floats are made
+            total = np.add.accumulate(products, axis=0, out=products)[-1] + 0
+            del products
         return total.tolist(), ()
 
     def reverse_rule(self, fstep, expose_flags):

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import stat
+import warnings
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -1047,6 +1048,28 @@ def test_pca_loadings_whose_squares_overflow_exit_1(tmp_path, capsys, loadings):
                     "--contribs", str(DATA / "covertype_300_contribs_model_ready.csv"),
                     "--out", str(tmp_path / "out.csv")],
                    capsys, 1, "error: step 4 (pca_project): PCA component 1: squared loadings overflow")
+
+
+def test_pca_projection_overflow_prints_only_the_kernel_error(tmp_path, capsys):
+    """Four PCA inputs of one row at 1.7e308 overflow its first component:
+    exit 2 with the kernel error as the one line on stderr, and no
+    floating-point warning (which the CLI would print to stderr)."""
+    with open(ROWS, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header, row = next(reader), next(reader)
+    row[1:5] = ["1.7e308"] * 4  # the first four of the five PCA inputs
+    data = tmp_path / "data.csv"
+    with open(data, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([header, row])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["transform", "--pipeline",
+                     str(DATA / "covertype_300_model_ready.fitted.json"),
+                     "--data", str(data), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == ("kernel error: step 4 (pca_project): row 0: "
+                                       "feature 'PCA 1': non-finite value inf\n")
+    assert [str(warning.message) for warning in caught] == []
 
 
 def test_exponent_without_a_dot_names_the_yaml_spelling(workspace, capsys):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from featurespace.errors import KernelError, ValidationError
 from featurespace.explain import (
     conservation_check,
+    map_batch,
     map_contributions,
     mapping_plan,
     read_contributions,
@@ -329,6 +330,70 @@ def test_conservation_check_reads_totals_like_the_reference(case):
             assert check.passed is (checkable and delta <= tolerance)
             assert same_float(check.delta, delta)
             assert same_float(check.tolerance, tolerance)
+
+
+def _row(vector, flags, check) -> str:
+    """One mapped row as text: the vector down to its total's bits, the
+    exposed flags and the conservation check."""
+    return repr((vector.schema.names, vector.values, vector.base_value, vector.total(),
+                 dict(flags), check))
+
+
+def batch_outcome(fitted, vectors, expose_flags):
+    """``map_batch``'s rows and failed row, or the error it raised."""
+    try:
+        batch = map_batch(fitted, vectors, expose_flags)
+    except ValidationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    assert len(batch.vectors) == len(batch.exposed_flags) == len(batch.checks)
+    return [_row(*row) for row in zip(batch.vectors, batch.exposed_flags,
+                                      batch.checks)], batch.failed_row
+
+
+def loop_outcome(fitted, vectors, expose_flags):
+    """The same, from ``map_contributions`` and ``conservation_check`` called
+    vector by vector up to the first check that fails, as ``explain-map``
+    called them before ``map_batch``."""
+    rows = []
+    try:
+        for vector in vectors:
+            result = map_contributions(fitted, vector, expose_flags)
+            check = conservation_check(vector, result.vector,
+                                       extra_after=sum_in_order(result.exposed_flags.values()))
+            rows.append(_row(result.vector, result.exposed_flags, check))
+            if not check.passed:
+                return rows, len(rows) - 1
+    except ValidationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return rows, None
+
+
+@PROPERTY_SETTINGS
+@given(st.booleans().flatmap(cases), st.booleans(), st.integers(0, 4))
+def test_map_batch_gives_what_mapping_vector_by_vector_gives(case, expose_flags, violated):
+    """With row ``violated`` (none when 4) made to break conservation: its
+    first mapped value gets 1.0 more, which fails the check of a vector of
+    small values."""
+    fitted, vectors = case
+    plan = mapping_plan(fitted, expose_flags)
+    forced = violated < len(vectors) and plan.function is not None and plan.final.names
+    if forced:
+        function = plan.function
+
+        def violating(vector):
+            result = function(vector)
+            if vector is not vectors[violated]:
+                return result
+            values = result.vector.values
+            changed = dataclasses.replace(result.vector, values=(values[0] + 1.0, *values[1:]))
+            return dataclasses.replace(result, vector=changed)
+
+        fitted.mapping_plans[expose_flags] = dataclasses.replace(plan, function=violating)
+    expected = loop_outcome(fitted, vectors, expose_flags)
+    assert batch_outcome(fitted, vectors, expose_flags) == expected
+    if forced and max((abs(value) for vector in vectors for value in vector.values),
+                      default=0.0) <= 3.0:
+        assert expected[1] == violated
 
 
 def test_exposed_flags_are_a_new_dict_on_every_call():

@@ -72,14 +72,67 @@ def test_deep_nesting_raises_recursion_error_not_a_crash():
         load_yaml(text)
 
 
-@pytest.mark.skipif(schema._LIBYAML_LOADER is None, reason="PyYAML built without libyaml")
-def test_bundled_documents_take_the_libyaml_path(monkeypatch):
-    def refuse(text):
-        raise AssertionError("parsed with PyYAML's Python parser")
+def _loaders(monkeypatch) -> list:
+    """The loader of each ``yaml.load`` call from now on, ``safe_load``'s
+    ``SafeLoader`` included."""
+    used, load = [], yaml.load
 
-    monkeypatch.setattr(yaml, "safe_load", refuse)
+    def spy(stream, Loader):
+        used.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    return used
+
+
+needs_libyaml = pytest.mark.skipif(schema._LIBYAML_LOADER is None,
+                                   reason="PyYAML built without libyaml")
+C_LOADER = getattr(yaml, "CSafeLoader", None)  # None without libyaml
+
+
+@needs_libyaml
+def test_bundled_documents_take_the_libyaml_path(monkeypatch):
+    """The package's own documents compose in C; every document of the
+    tests' data parses with libyaml, but the larger manifests have more
+    than ``_C_COMPOSER_DEPTH`` indicator characters and compose in Python."""
+    used = _loaders(monkeypatch)
     for path in DOCUMENTS:
+        used.clear()
         load_yaml(path.read_text(encoding="utf-8"))
+        assert used in ([C_LOADER], [schema._LIBYAML_LOADER]), path
+        if path.parent == DEMO_DIR:
+            assert used == [C_LOADER], path
+
+
+def _nested_mappings(depth: int) -> str:
+    """Mappings of one key each nested ``depth`` levels deep, around a scalar."""
+    return "".join(f"{'  ' * i}k{i}:\n" for i in range(depth - 1)) + "  " * (depth - 1) + "a"
+
+
+# Texts whose depth, and one more than their count of indicator characters,
+# is just under the C composer's bound or at it; and a text of two levels
+# with more indicator characters than the bound.
+BOUND = schema._C_COMPOSER_DEPTH
+BOUNDARY_TEXTS = {
+    "block_sequences_under": ("- " * (BOUND - 2) + "a", C_LOADER),
+    "block_sequences_at": ("- " * (BOUND - 1) + "a", schema._LIBYAML_LOADER),
+    "flow_sequences_under": ("[" * (BOUND - 2) + "a" + "]" * (BOUND - 2), C_LOADER),
+    "flow_sequences_at": ("[" * (BOUND - 1) + "a" + "]" * (BOUND - 1), schema._LIBYAML_LOADER),
+    "mappings_under": (_nested_mappings(BOUND - 1), C_LOADER),
+    "mappings_at": (_nested_mappings(BOUND), schema._LIBYAML_LOADER),
+    "shallow_many_indicators": ("".join(f"- k-{i}: a-b:c ? d\n" for i in range(BOUND)),
+                                schema._LIBYAML_LOADER),
+}
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", BOUNDARY_TEXTS)
+def test_texts_at_the_c_composer_bound_load_as_safe_load_does(monkeypatch, name):
+    text, loader = BOUNDARY_TEXTS[name]
+    expected = _outcome(yaml.safe_load, text)
+    used = _loaders(monkeypatch)
+    assert _outcome(load_yaml, text) == expected
+    assert used == [loader]
 
 
 def test_without_libyaml_every_document_reads_alike(monkeypatch):

@@ -404,6 +404,21 @@ def test_run_rejects_a_wrong_typed_produced_cell(monkeypatch):
     assert err.value.step_number == 1
 
 
+def test_an_overflowed_produced_cell_carries_its_row():
+    schema = SchemaManifest(features=(
+        FeatureSpec("x", "numeric", properties=BASE_PROPS),
+        FeatureSpec("y", "numeric", properties=BASE_PROPS),))
+    step = TransformStep("aggregate_numeric", {"inputs": ["x", "y"], "formula": "sum",
+                                               "target": "t"})
+    fitted = as_fitted(compose([step], schema, "to_interpretable"))
+    table = DataTable(schema, ((1.0, 1.0), (1e308, 1e308)))
+    with pytest.raises(KernelError) as err:
+        run(fitted, table)
+    assert str(err.value) == ("step 1 (aggregate_numeric): row 1: feature 't': "
+                              "non-finite value inf")
+    assert (err.value.row_index, err.value.step_number) == (1, 1)
+
+
 def test_invert_reverses_step_order():
     schema = SchemaManifest(features=(
         FeatureSpec("c", "categorical", categories=("a", "b"),
