@@ -18,9 +18,9 @@ the error of a pipeline that cannot be mapped, and one generated Python
 function that does the whole mapping of one vector. Per vector, mapping is
 the plan lookup, the alignment check and one call of that function. The
 function carries the values across every step, adds the final values in
-``sum_in_order``'s order (a finite total proves them finite and is kept as
-the mapped vector's total for ``conservation_check``) and builds the result
-straight into its slots.
+``sum_in_order``'s order and builds the mapped vector with ``_vector``, the
+one check that a vector is finite, which keeps the total for
+``conservation_check``.
 
 The function is straight-line code that keeps each step's own summation
 order: a copy is a local passed on, and a sum starts from 0.0 and adds one
@@ -109,19 +109,18 @@ class ContributionVector:
 _new_vector = _builder(ContributionVector)
 
 
-def _checked_vector(schema: SchemaManifest, values: tuple[float, ...],
-                    base: float | None) -> ContributionVector:
+def _vector(schema: SchemaManifest, values: tuple[float, ...], base: float | None,
+            total: float) -> ContributionVector:
     """``ContributionVector(schema, values, base)`` for ``values`` a tuple of
-    floats of the schema's width and ``base`` a float or None. When every
-    number is finite, which a finite total of the values proves (an infinity
-    or a NaN among the terms makes the total one too), the constructor's
-    float pass is skipped and the total is kept. Otherwise the constructor
-    runs: it raises its own error, or builds the vector when only the total
-    overflowed."""
-    total = sum_in_order(values)
-    if not (isfinite(total) and (base is None or isfinite(base))):
-        return ContributionVector(schema, values, base)
-    return _new_vector(schema, values, base, total)
+    floats of the schema's width, ``total`` their ``sum_in_order`` and
+    ``base`` a float or None. A finite total proves every value finite (an
+    infinity or a NaN among the terms makes the total one too), so with a
+    finite base the constructor's float pass is skipped and ``total`` kept.
+    Otherwise the constructor runs: it raises its own error, or builds the
+    vector when only the total overflowed."""
+    if isfinite(total) and (base is None or isfinite(base)):
+        return _new_vector(schema, values, base, total)
+    return ContributionVector(schema, values, base)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,10 +186,10 @@ class MappingPlan:
     of each exposed flag's contribution. It raises ``ValidationError`` when a
     mapped value is not finite. ``source`` is its text: unrolled statements,
     one per term of each sum, over locals that hold the slots' values, then
-    one addition per final value for the total and the calls that build the
-    result. Flag names, weights, the final schema, the notes, the audit and
-    the builders are bound in the function's namespace, so the text holds no
-    feature name or number from the pipeline."""
+    one addition per final value for the total and the one ``return``, of
+    the result. Flag names, weights, the final schema, the notes, the audit
+    and the builders are bound in the function's namespace, so the text holds
+    no feature name or number from the pipeline."""
 
     expected: SchemaManifest
     final: SchemaManifest
@@ -213,8 +212,7 @@ class _Source:
         if width:
             self.statement("".join(f"{name}, " for name in self.inputs) + "= v.values")
         self.statement("x = new_dict()")
-        self.namespace: dict = {"__builtins__": {}, "new_dict": dict, "isfinite": isfinite,
-                                "new_vector": _new_vector, "checked": ContributionVector,
+        self.namespace: dict = {"__builtins__": {}, "new_dict": dict, "vector": _vector,
                                 "new_mapped": _new_mapped}
 
     def statement(self, text: str) -> None:
@@ -237,12 +235,8 @@ class _Source:
         self.statement("t = 0")
         for name in held:
             self.statement(f"t += {name}")
-        self.statement("b = v.base_value")
         self.namespace.update(final=final, notes=notes, audit=audit)
-        # A finite total proves every value finite (see _checked_vector).
-        self.statement("if isfinite(t) and (b is None or isfinite(b)):")
-        self.statement("    return new_mapped(new_vector(final, c, b, t), notes, x, audit)")
-        self.statement("return new_mapped(checked(final, c, b), notes, x, audit)")
+        self.statement("return new_mapped(vector(final, c, v.base_value, t), notes, x, audit)")
         source = "\n".join(self.lines) + "\n"
         # The text holds only generated identifiers and the constants 0 and 0.0.
         exec(compile(source, "<mapping plan>", "exec"), self.namespace)
@@ -430,7 +424,7 @@ def read_contributions(source: str | Path | IO[str],
                 raise ValidationError(f"contribution row {r}: {exc}") from None
             values, base = (numbers[:-1], numbers[-1]) if has_base else (numbers, None)
             try:
-                vectors.append(_checked_vector(schema, values, base))
+                vectors.append(_vector(schema, values, base, sum_in_order(values)))
             except ValidationError as exc:
                 raise ValidationError(f"contribution row {r}: {exc}") from None
     return vectors

@@ -286,7 +286,7 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
                     raise KernelError(_in_step(number, step.kind, exc),
                                       row_index=getattr(exc, "row_index", None),
                                       step_number=number) from None
-                except OverflowError:  # e.g. a squared deviation beyond the float range
+                except OverflowError:  # a learned value beyond the float range
                     raise KernelError(_in_step(number, step.kind, "fitting overflows "
                                                "the float range"), step_number=number) from None
             elif require_params:

@@ -40,7 +40,6 @@ MISSING = _MissingType()
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 _NUMERIC_TYPES = frozenset({int, float, _MissingType})
-_BOOLEAN_TYPES = frozenset({bool, _MissingType})
 _SHORT_NUMBER = 300  # characters; an integer literal this short is below 1e300
 
 
@@ -63,7 +62,7 @@ def check_cell(cell, spec: FeatureSpec) -> None:
     else:  # categorical / ordinal
         if not isinstance(cell, str):
             raise ValidationError(f"feature {spec.name!r}: expected category label, got {cell!r}")
-        if cell not in (spec.categories or ()):
+        if cell not in spec.category_objects:
             raise ValidationError(
                 f"feature {spec.name!r}: label {cell!r} not in declared categories")
 
@@ -81,7 +80,8 @@ class CellError(ValidationError):
 
 def _column_passes(values: list, spec: FeatureSpec) -> bool:
     """Whole-column fast check: True guarantees ``check_cell`` accepts every
-    cell. False only means some cell needs ``check_cell`` to decide."""
+    cell. False only means some cell needs ``check_cell`` to decide, as each
+    cell of a label or boolean column does."""
     if spec.dtype == "numeric":
         types = set(map(type, values))
         if not types <= _NUMERIC_TYPES:
@@ -92,14 +92,7 @@ def _column_passes(values: list, spec: FeatureSpec) -> bool:
             return all(map(math.isfinite, numbers))
         except OverflowError:  # an integer beyond the float range
             return False
-    if spec.dtype == "boolean":
-        return set(map(type, values)) <= _BOOLEAN_TYPES
-    try:
-        labels = set(values)
-    except TypeError:  # an unhashable cell
-        return False
-    labels.discard(MISSING)
-    return labels <= spec.category_objects.keys()
+    return False
 
 
 class DataTable:
@@ -109,7 +102,8 @@ class DataTable:
     ``DataTable(schema, rows)`` builds from row sequences and validates every
     cell; ``from_columns`` builds from column lists and validates only the
     columns it is told are not already known to be valid, none for the CSV
-    reader, which checks each cell as it parses it. Column lists may be
+    reader, which checks each cell as it parses it. A numeric column is
+    checked whole, a label or boolean column cell by cell. Column lists may be
     shared between tables and must never be mutated. ``rows`` is derived on
     first use. In a table read from CSV or produced by ``run``, each present
     label cell is one of its spec's ``categories`` objects.
@@ -143,8 +137,8 @@ class DataTable:
     def __post_init__(self, validate: Iterable[int]) -> None:
         """Validate the columns at the positions in ``validate``.
 
-        Each column gets a whole-column check; only columns that fail it are
-        rescanned cell by cell, row-major, so the error names the same first
+        Only the numeric columns pass a whole-column check; the others are
+        scanned cell by cell, row-major, so the error names the same first
         offending cell as a row-by-row scan would.
         """
         features = self.schema.features

@@ -602,6 +602,8 @@ class Standardize(_OneToOne):
         mean = sum_in_order(values) / len(values)
         variance = sum_in_order((v - mean) ** 2 for v in values) / len(values)
         scale = math.sqrt(variance)
+        if not math.isfinite(scale):  # as it is wherever the mean is not finite
+            raise OverflowError("scale beyond the float range")
         if scale <= 0:
             raise KernelError(f"column {cfg['feature']!r} is constant (scale 0)")
         return {"mean": mean, "scale": scale}
@@ -838,7 +840,10 @@ class ImputeFlagged(Kernel):
             raise KernelError(
                 f"column {cfg['feature']!r} is entirely missing; "
                 "mean strategy has nothing to average")
-        return {"mean": sum_in_order(observed) / len(observed)}
+        mean = sum_in_order(observed) / len(observed)
+        if not math.isfinite(mean):
+            raise OverflowError("mean beyond the float range")
+        return {"mean": mean}
 
     def check_learned(self, cfg, fit_state, schema):
         _check_fit_state(self, cfg, fit_state, ("mean",))
@@ -1200,9 +1205,12 @@ class PcaProject(Kernel):
                               "impute first") from None
         if data.shape[0] < 2:
             raise KernelError("need at least 2 rows to fit")
-        means = data.mean(axis=0)
-        centered = data - means
-        cov = centered.T @ centered / data.shape[0]
+        with np.errstate(all="ignore"):  # an overflow is raised below, not warned of
+            means = data.mean(axis=0)
+            centered = data - means
+            cov = centered.T @ centered / data.shape[0]
+        if not np.isfinite(cov).all():  # as it is wherever a mean is not finite
+            raise OverflowError("covariance beyond the float range")
         eigenvalues, eigenvectors = np.linalg.eigh(cov)
         order = np.argsort(eigenvalues)[::-1]
         eigenvalues = eigenvalues[order]

@@ -262,6 +262,7 @@ def test_hostile_names_map_like_the_reference_and_stay_out_of_the_source():
             outcome(reference_map, fitted, vector, flags)
         source = mapping_plan(fitted, flags).source
         assert re.fullmatch(r"[\w\s.,:=+*()\[\]]*", source)
+        assert source.count("return") == 1
         for name in names:
             assert name not in source
     assert set(map_contributions(fitted, vector, True).exposed_flags) == {HOSTILE[2]}

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featurespace import table as table_module
+from featurespace.cli import main
 from featurespace.errors import ValidationError
 from featurespace.schema import FeatureSpec, SchemaManifest, open_input
 from featurespace.table import (
@@ -24,6 +25,7 @@ from featurespace.table import (
     write_table_csv,
 )
 
+from _fitted_documents import DATA, DEMO, ROWS
 from _reference_table import reference_read_table_csv
 from _tables import tables_equal
 from strategies import schemas, tables
@@ -248,3 +250,27 @@ def test_a_chunk_is_read_only_when_it_is_taken(tmp_path, monkeypatch):
     with pytest.raises(ValidationError, match="cannot read data file .*'utf-8' codec"):
         list(read_table_chunks(path, simple_schema()))
     assert handles[1].closed
+
+
+def test_runs_check_only_numeric_columns_a_column_at_a_time(tmp_path, monkeypatch):
+    """Reading the covertype rows, fitting, running and writing both demo
+    pipelines with lineage, and mapping every contribution fixture check
+    only numeric columns whole: no run takes the per-cell path of a label or
+    boolean column."""
+    dtypes = []
+    column_passes = table_module._column_passes
+
+    def counting(values, spec):
+        dtypes.append(spec.dtype)
+        return column_passes(values, spec)
+
+    monkeypatch.setattr(table_module, "_column_passes", counting)
+    for name in ("model_ready", "interpretable"):
+        assert main(["transform", "--fit", "--pipeline", str(DEMO / f"pipeline_{name}.yaml"),
+                     "--data", str(ROWS), "--out", str(tmp_path / f"{name}.csv"),
+                     "--lineage", str(tmp_path / f"{name}_lineage.json")]) == 0
+    for name in ("model_ready", "interpretable", "learned"):
+        assert main(["explain-map", "--pipeline", str(DATA / f"covertype_300_{name}.fitted.json"),
+                     "--contribs", str(DATA / f"covertype_300_contribs_{name}.csv"),
+                     "--out", str(tmp_path / f"explain_{name}.csv")]) == 0
+    assert dtypes and set(dtypes) == {"numeric"}
