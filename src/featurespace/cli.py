@@ -7,6 +7,11 @@ So are outputs (``schema.open_outputs``): each file is written whole or not
 at all, ``transform`` and ``explain-map`` commit all of their files or none,
 and a command prints where it wrote only once its files are in place. A
 failed write creates no file and leaves existing outputs intact.
+
+Each error is reported once, where it is found: a missing or unreadable
+input by ``schema.open_input`` as the command reads it, and a pipeline that
+``explain-map`` cannot map before its contributions are read.
+``demo-covertype`` writes its golden outputs before it reads ``--data``.
 """
 
 from __future__ import annotations
@@ -45,12 +50,6 @@ EXIT_REFUSAL = 3
 EXIT_CONSERVATION = 4
 
 
-def _require_files(*paths) -> None:
-    for path in paths:
-        if path is not None and not Path(path).exists():
-            raise ValidationError(f"no such file: {path}")
-
-
 def _load_any_pipeline(path: str, to_fit: bool = False) -> FittedPipeline | Pipeline:
     """The document at ``path`` as a fitted pipeline; a pipeline document is
     returned unfitted when ``to_fit`` is set, for the caller to fit."""
@@ -61,7 +60,6 @@ def _load_any_pipeline(path: str, to_fit: bool = False) -> FittedPipeline | Pipe
 
 
 def cmd_fit(args) -> int:
-    _require_files(args.pipeline, args.data)
     pipeline = load_pipeline(args.pipeline)
     table = read_table_csv(args.data, pipeline.input_schema)
     fitted = fit(pipeline, table)
@@ -71,7 +69,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    _require_files(args.pipeline, args.data)
     pipeline = _load_any_pipeline(args.pipeline, args.fit)
     table = read_table_csv(args.data, pipeline.input_schema)
     fitted = pipeline if isinstance(pipeline, FittedPipeline) else fit(pipeline, table)
@@ -93,7 +90,6 @@ def cmd_transform(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    _require_files(args.pipeline)
     result = invert(_load_any_pipeline(args.pipeline))
     if isinstance(result, InversionRefusal):
         print(result.message, file=sys.stderr)
@@ -104,7 +100,6 @@ def cmd_invert(args) -> int:
 
 
 def cmd_explain_map(args) -> int:
-    _require_files(args.pipeline, args.contribs)
     fitted = _load_any_pipeline(args.pipeline)
     plan = mapping_plan(fitted, args.expose_flags)
     vectors = read_contributions(args.contribs, plan.expected)
@@ -136,7 +131,6 @@ def cmd_explain_map(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    _require_files(args.manifest)
     manifest = load_manifest(args.manifest)
     persona = load_persona(args.persona)
     report = audit(manifest, persona)
@@ -187,8 +181,6 @@ def _demo_elevation_stats(path: str) -> int:
 
 
 def cmd_demo_covertype(args) -> int:
-    if args.data is not None:
-        _require_files(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = demo.sample_table()

@@ -14,12 +14,13 @@ Nothing about a mapping depends on the vector's values except the arithmetic,
 so each ``(FittedPipeline, expose_flags)`` pair is compiled once, on first
 use, into a ``MappingPlan`` stored on the fitted pipeline. The plan caches the
 expected and final schemas, the static partition audit and fidelity notes,
-the error of a pipeline that cannot be mapped, and one generated Python
-function that does the whole mapping of one vector. Per vector, mapping is
-the plan lookup, the alignment check and one call of that function. The
-function carries the values across every step, adds the final values in
-``sum_in_order``'s order and builds the mapped vector with ``_vector``, the
-one check that a vector is finite, which keeps the total for
+and one generated Python function that does the whole mapping of one vector.
+A pipeline that cannot be mapped has no plan: compiling it raises its error,
+naming the step, on every call and before any vector is looked at. Per
+vector, mapping is the plan lookup, the alignment check and one call of that
+function. The function carries the values across every step, adds the final
+values in ``sum_in_order``'s order and builds the mapped vector with
+``_vector``, the one check that a vector is finite, which keeps the total for
 ``conservation_check``.
 
 The function is straight-line code that keeps each step's own summation
@@ -177,8 +178,7 @@ def conservation_check(before: ContributionVector,
 @dataclass(frozen=True)
 class MappingPlan:
     """Everything about mapping through one fitted pipeline that does not
-    depend on a vector's values. ``error`` is set when the pipeline cannot be
-    mapped; it is raised afresh on every call.
+    depend on a vector's values. Only a pipeline that can be mapped has one.
 
     ``function(vector)`` takes a ``ContributionVector`` aligned to
     ``expected`` and returns its ``MappedContributions``: the final vector
@@ -193,11 +193,10 @@ class MappingPlan:
 
     expected: SchemaManifest
     final: SchemaManifest
-    function: Callable[[ContributionVector], MappedContributions] | None
+    function: Callable[[ContributionVector], MappedContributions]
     source: str = field(repr=False)
     fidelity_notes: tuple[str, ...] = ()
     partition_audit: tuple[tuple[int, Mapping[str, int]], ...] = ()
-    error: ValidationError | None = None
 
 
 class _Source:
@@ -310,8 +309,7 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
             if bad:
                 raise MappingError(f"contribution partition violated (consumption counts {bad})")
         except ValidationError as exc:  # the one naming of the step that cannot be mapped
-            error = type(exc)(_in_step(number, fstep.step.kind, exc))
-            return MappingPlan(expected, final, None, "", error=error)
+            raise type(exc)(_in_step(number, fstep.step.kind, exc)) from None
         if rewrite.note is not None:
             notes.append(rewrite.note)
         audit.append((number, MappingProxyType(counts)))
@@ -322,7 +320,9 @@ def _compile(fitted: FittedPipeline, expose_flags: bool) -> MappingPlan:
 
 def mapping_plan(fitted: FittedPipeline, expose_flags: bool = False) -> MappingPlan:
     """The compiled plan for ``fitted``, built on first use and kept on the
-    fitted pipeline (which is immutable) for later calls."""
+    fitted pipeline (which is immutable) for later calls. A pipeline that
+    cannot be mapped raises its error, naming the step, and keeps nothing, so
+    every call raises it anew."""
     key = bool(expose_flags)
     plan = fitted.mapping_plans.get(key)
     if plan is None:
@@ -336,8 +336,10 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
 
     Every source feature must be consumed by exactly one rule application;
     dropped or double-counted features raise MappingError. The base value
-    passes through unchanged. After the plan lookup and the alignment check,
-    the plan's ``function`` does all the work, in one call.
+    passes through unchanged. The plan lookup raises the error of a pipeline
+    that cannot be mapped, before the vector's alignment is checked; after
+    the alignment check, the plan's ``function`` does all the work, in one
+    call.
     """
     # mapping_plan's cache read inline, as this runs once per vector
     plan = (fitted.mapping_plans.get(True if expose_flags else False)
@@ -347,8 +349,6 @@ def map_contributions(fitted: FittedPipeline, contrib: ContributionVector,
         raise MappingError(
             "contribution vector does not align with the pipeline's model-ready "
             f"schema: got {list(names)}, expected {list(expected)}")
-    if plan.error is not None:
-        raise type(plan.error)(*plan.error.args)
     return plan.function(contrib)
 
 

@@ -266,8 +266,8 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     if len(states) != len(steps):
         raise ValidationError("fit state count does not match step count")
     for number, (step, state) in enumerate(zip(steps, states), 1):
-        kernel = kernel_for(step.kind)
         try:
+            kernel = kernel_for(step.kind)
             document_mapping(step.config, "config", kernel.keys)
             cfg = kernel.normalize(step.config, schema)
             if state is not None:
@@ -362,20 +362,18 @@ def _apply_step(fstep: FittedStep, number: int, table: DataTable):
     """Next table and its lineage: the kernel's records of the features it
     rewrites, which come first in ``produced``, then the step's of the rest.
     Only the produced columns are computed; every other column is carried
-    over by reference, and only those at ``validated`` are validated."""
+    over by reference, and only those at ``validated`` are validated. An
+    error of the kernel, or of a produced cell (arithmetic that overflowed to
+    infinity), is one ``KernelError`` that names the step and its row once."""
     try:
         columns, records = fstep.kernel.apply(table, fstep.prepared)
-    except KernelError as exc:
-        raise KernelError(_in_step(number, fstep.step.kind, exc),
-                          row_index=exc.row_index, step_number=number) from None
-    if len(columns) != len(fstep.produced):
-        raise ValueError(_in_step(number, fstep.step.kind, f"kernel returned {len(columns)} "
-                                  f"columns for {len(fstep.produced)} features"))
-    pool = (*table.columns, *columns)
-    try:
-        out = DataTable.from_columns(fstep.output_schema, fstep.pick(pool), table.num_rows,
-                                     fstep.validated)
-    except ValidationError as exc:  # e.g. arithmetic that overflowed to infinity
+        if len(columns) != len(fstep.produced):
+            raise ValueError(_in_step(number, fstep.step.kind, f"kernel returned "
+                                      f"{len(columns)} columns for {len(fstep.produced)} "
+                                      "features"))
+        out = DataTable.from_columns(fstep.output_schema, fstep.pick((*table.columns, *columns)),
+                                     table.num_rows, fstep.validated)
+    except (KernelError, ValidationError) as exc:
         if isinstance(exc, CellError):  # its row, named once as a kernel's is
             exc = KernelError(str(exc.reason), row_index=exc.row)
         raise KernelError(_in_step(number, fstep.step.kind, exc),

@@ -390,7 +390,9 @@ def open_input(source: str | Path | IO[str], what: str) -> ContextManager[IO[str
     closed on exit. An ``OSError``, a ``UnicodeDecodeError`` or a
     ``csv.Error`` (a field longer than ``csv.field_size_limit()``) while
     opening or reading a path is a ValidationError naming ``what`` and the
-    path."""
+    path once: an ``OSError`` is said by its ``strerror``, such as ``No such
+    file or directory``. This is the one report of a missing or unreadable
+    input."""
     if isinstance(source, (str, Path)):
         return _open_path(source, what)
     return nullcontext(source)
@@ -402,7 +404,8 @@ def _open_path(path: str | Path, what: str) -> Iterator[IO[str]]:
         with open(path, encoding="utf-8-sig", newline="") as handle:
             yield handle
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read {what} {path}: {reason}") from exc
 
 
 def open_outputs(*targets: str | Path | IO[str] | None

@@ -1357,7 +1357,7 @@ EXACT_KINDS = tuple(k for k, v in KERNELS.items() if v.inverse is not None)  # c
 
 def kernel_for(kind: str) -> Kernel:
     if kind not in KERNELS:
-        raise ValidationError(f"unknown transform kind {kind!r}")
+        raise ValidationError("unknown transform kind")
     return KERNELS[kind]
 
 

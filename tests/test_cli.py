@@ -632,9 +632,68 @@ def test_a_bad_cell_is_reported_before_a_fault_of_a_later_chunk(workspace, capsy
     assert err == f"error: row 0: {message}\n"
 
 
-def _bad_input_exits_1(workspace, capsys, command, options, bad, content: bytes) -> str:
+WHAT = {"--pipeline": "pipeline", "--data": "data file", "--contribs": "contributions",
+        "--manifest": "manifest"}
+
+
+@pytest.mark.parametrize("command, options, bad", [
+    ("fit", ("--pipeline", "--data"), "--pipeline"),
+    ("fit", ("--pipeline", "--data"), "--data"),
+    ("transform", ("--pipeline", "--data"), "--pipeline"),
+    ("transform", ("--pipeline", "--data"), "--data"),
+    ("invert", ("--pipeline",), "--pipeline"),
+    ("explain-map", ("--pipeline", "--contribs"), "--pipeline"),
+    ("explain-map", ("--pipeline", "--contribs"), "--contribs"),
+    ("audit", ("--manifest", "--persona"), "--manifest"),
+    ("demo-covertype", ("--data",), "--data"),
+])
+def test_a_missing_input_is_reported_once(workspace, capsys, command, options, bad):
+    """A missing input is reported by the reader that opens it, in one line
+    that names the file once, and no output is written. ``demo-covertype``
+    writes its golden outputs before it reads ``--data``."""
+    err = _bad_input_exits_1(workspace, capsys, command, options, bad, None)
+    assert err == (f"error: cannot read {WHAT[bad]} {workspace / 'bad.txt'}: "
+                   "No such file or directory\n")
+    inputs = ["contribs.csv", "data.csv", "original.yaml", "persona.yaml", "pipeline.yaml"]
+    if command == "demo-covertype":
+        assert sorted(path.name for path in (workspace / "out").iterdir()) == [
+            "covertype_interpretable.csv", "covertype_model_ready.csv"]
+        inputs.append("out")
+    assert sorted(path.name for path in workspace.iterdir()) == sorted(inputs)
+
+
+def _encode_to_interpretable(workspace, contribs: str) -> list[str]:
+    """``explain-map`` argv for a ``to_interpretable`` pipeline whose step 1
+    is ``one_hot_encode``, which has no forward contribution rule, over a
+    contribution file of ``contribs``."""
+    (workspace / "encode.yaml").write_text(
+        ENCODE_PIPELINE.replace("to_model_ready", "to_interpretable"), encoding="utf-8")
+    (workspace / "contribs.csv").write_text(contribs, encoding="utf-8")
+    return ["explain-map", "--pipeline", str(workspace / "encode.yaml"),
+            "--contribs", str(workspace / "contribs.csv"), "--out", str(workspace / "out.csv")]
+
+
+@pytest.mark.parametrize("contribs", [
+    "Wilderness area,Elevation\n",
+    "Wilderness area,Elevation\nRawah,0.5\n",
+], ids=["header_only", "malformed_row_0"])
+def test_explain_map_reports_the_pipeline_before_the_file(workspace, capsys, contribs):
+    """A pipeline that cannot be mapped is reported, naming its step, before
+    the contribution file is read."""
+    argv = _encode_to_interpretable(workspace, contribs)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: step 1 (one_hot_encode): no contribution rule in the forward direction; "
+        "map against the pipeline that produced the model-ready schema instead\n")
+    assert not (workspace / "out.csv").exists()
+
+
+def _bad_input_exits_1(workspace, capsys, command, options, bad,
+                       content: bytes | None) -> str:
     """``command`` with valid inputs for ``options`` but ``bad``, a file of
-    ``content``, exits 1 naming that file, with no traceback; returns stderr."""
+    ``content`` (or no file for None), exits 1 naming that file, with no
+    traceback; returns stderr."""
     inputs = {"--pipeline": workspace / "pipeline.yaml", "--data": workspace / "data.csv",
               "--contribs": workspace / "contribs.csv",
               "--manifest": workspace / "original.yaml",
@@ -644,7 +703,8 @@ def _bad_input_exits_1(workspace, capsys, command, options, bad, content: bytes)
         "0.1,0.0,0.0,0.0,0.2\n", encoding="utf-8")
     inputs["--persona"].write_text("kind: developer\n", encoding="utf-8")
     inputs[bad] = workspace / "bad.txt"
-    inputs[bad].write_bytes(content)
+    if content is not None:
+        inputs[bad].write_bytes(content)
     argv = [command, "--out", str(workspace / "out")]
     for option in options:
         argv += [option, str(inputs[option])]
@@ -1117,6 +1177,7 @@ def test_non_text_wording_exits_1(workspace, capsys, wording, key):
      "step 1 (hierarchy_rollup): feature 'Region': categories must be non-empty strings"),
     ("semantic_bin", {**ZONES, "labels": ["a", "a"]},
      "step 1 (semantic_bin): feature 'Zone': duplicate category labels"),
+    ("bogus", {}, "step.yaml: step 1 (bogus): unknown transform kind"),
 ])
 def test_plan_errors_name_the_step(workspace, capsys, kind, config, message):
     _fails_cleanly(_one_step(workspace, kind, config) + ["--out", str(workspace / "o.csv")],

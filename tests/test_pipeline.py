@@ -315,22 +315,33 @@ def test_every_error_names_the_step_and_its_kind_once(kind, monkeypatch):
     for direction in unmapped:
         fitted = as_fitted(compose([FILL_Y, TransformStep(kind, NO_RULE_CONFIGS[kind])],
                                    ONCE_SCHEMA, direction))
-        _said_of_step_2(mapping_plan(fitted).error, kind, NO_RULE[direction])
+        with pytest.raises(ValidationError) as raised:
+            mapping_plan(fitted)
+        _said_of_step_2(raised.value, kind, NO_RULE[direction])
     if kind == "pca_project":  # an error of the rule itself
         config = {**NO_RULE_CONFIGS[kind], "loadings": [[0.0], [0.0]]}
         fitted = as_fitted(compose([FILL_Y, TransformStep(kind, config)], ONCE_SCHEMA,
                                    "to_model_ready"))
-        error = mapping_plan(fitted).error
-        assert type(error) is ValidationError
-        _said_of_step_2(error, kind, "PCA component 1 has zero loadings")
+        with pytest.raises(ValidationError) as raised:
+            mapping_plan(fitted)
+        assert type(raised.value) is ValidationError
+        _said_of_step_2(raised.value, kind, "PCA component 1 has zero loadings")
     if kind == "semantic_bin":  # a rule that leaves a built feature unwritten
         monkeypatch.setattr(KERNELS[kind], "forward_rule", lambda fstep, flags: Rewrite({}))
         config = {"feature": "x", "boundaries": [0.0], "labels": ["lo", "hi"], "target": "t"}
         fitted = as_fitted(compose([FILL_Y, TransformStep(kind, config)], ONCE_SCHEMA,
                                    "to_interpretable"))
-        error = mapping_plan(fitted).error
-        assert type(error) is MappingError
-        _said_of_step_2(error, kind, "feature 't' appeared without a mapping rule")
+        with pytest.raises(MappingError) as raised:
+            mapping_plan(fitted)
+        assert type(raised.value) is MappingError
+        _said_of_step_2(raised.value, kind, "feature 't' appeared without a mapping rule")
+
+
+def test_an_unknown_kind_names_its_step():
+    """A kind with no kernel is said of its step, as every error of a step is."""
+    with pytest.raises(ValidationError) as raised:
+        compose([FILL_Y, TransformStep("bogus")], ONCE_SCHEMA, "to_interpretable")
+    _said_of_step_2(raised.value, "bogus", "unknown transform kind")
 
 
 def test_fit_standardize_matches_single_pass_oracle():
@@ -643,7 +654,9 @@ def test_every_call_succeeds_or_fails_cleanly(data):
         back = run(inverse, result.table)
         assert tables_equal(back.table, table, numeric_tol=1e-9)
     flags = data.draw(st.booleans())
-    vector = data.draw(contributions(mapping_plan(fitted, flags).expected, 1e3))
+    side = (fitted.input_schema if fitted.direction == "to_interpretable"
+            else fitted.output_schema)
+    vector = data.draw(contributions(side, 1e3))
     try:
         result = map_contributions(fitted, vector, flags)
     except FeatureSpaceError:
