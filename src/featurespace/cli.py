@@ -8,9 +8,11 @@ at all, ``transform`` and ``explain-map`` commit all of their files or none,
 and a command prints where it wrote only once its files are in place. A
 failed write creates no file and leaves existing outputs intact.
 
-Each error is reported once, where it is found: a missing or unreadable
-input by ``schema.open_input`` as the command reads it, and a pipeline that
-``explain-map`` cannot map before its contributions are read.
+Each error is reported once, where it is found, and named by its file: a
+missing or unreadable input by ``schema.open_input`` as the command reads
+it, an error of an input's content by the same opener, which puts the
+file's path before it, and a pipeline that ``explain-map`` cannot map before
+its contributions are read.
 ``demo-covertype`` writes its golden outputs before it reads ``--data``.
 """
 
@@ -29,11 +31,10 @@ from .lineage import write_lineage_json
 from .pipeline import (
     FittedPipeline,
     InversionRefusal,
-    Pipeline,
-    as_fitted,
     fit,
     invert,
     load_document,
+    load_fitted,
     load_pipeline,
     run,
     save_fitted,
@@ -50,15 +51,6 @@ EXIT_REFUSAL = 3
 EXIT_CONSERVATION = 4
 
 
-def _load_any_pipeline(path: str, to_fit: bool = False) -> FittedPipeline | Pipeline:
-    """The document at ``path`` as a fitted pipeline; a pipeline document is
-    returned unfitted when ``to_fit`` is set, for the caller to fit."""
-    pipeline = load_document(path)
-    if isinstance(pipeline, FittedPipeline) or to_fit:
-        return pipeline
-    return as_fitted(pipeline)
-
-
 def cmd_fit(args) -> int:
     pipeline = load_pipeline(args.pipeline)
     table = read_table_csv(args.data, pipeline.input_schema)
@@ -69,7 +61,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    pipeline = _load_any_pipeline(args.pipeline, args.fit)
+    pipeline = load_document(args.pipeline) if args.fit else load_fitted(args.pipeline)
     table = read_table_csv(args.data, pipeline.input_schema)
     fitted = pipeline if isinstance(pipeline, FittedPipeline) else fit(pipeline, table)
     result = run(fitted, table)
@@ -90,7 +82,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    result = invert(_load_any_pipeline(args.pipeline))
+    result = invert(load_fitted(args.pipeline))
     if isinstance(result, InversionRefusal):
         print(result.message, file=sys.stderr)
         return EXIT_REFUSAL
@@ -100,7 +92,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_explain_map(args) -> int:
-    fitted = _load_any_pipeline(args.pipeline)
+    fitted = load_fitted(args.pipeline)
     plan = mapping_plan(fitted, args.expose_flags)
     vectors = read_contributions(args.contribs, plan.expected)
     if not vectors:
@@ -147,7 +139,7 @@ def _demo_elevation_stats(path: str) -> int:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or "Elevation" not in header:
-            raise ValidationError(f"{path}: expected a CSV with an Elevation column")
+            raise ValidationError("expected a CSV with an Elevation column")
         idx = header.index("Elevation")
         column = []
         for r, row in enumerate(reader):
@@ -158,7 +150,7 @@ def _demo_elevation_stats(path: str) -> int:
                     raise ValidationError(f"expected {idx + 1} fields or more, got {len(row)}")
                 column.append(parse_cell(row[idx], spec))
             except ValidationError as exc:
-                raise ValidationError(f"{path}: row {r}: {exc}") from None
+                raise ValidationError(f"row {r}: {exc}") from None
     table = DataTable.from_columns(SchemaManifest((spec,)), [column], len(column), validate=())
     try:
         stats = kernel_for("standardize").fit(table, {"feature": "Elevation"})

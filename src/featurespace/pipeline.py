@@ -250,7 +250,7 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
            fit_states: Sequence[Any] | None,
            fit_table: DataTable | None = None,
            require_params: bool = False):
-    """Shared schema-flow planner for compose / fit / as_fitted / load_fitted.
+    """Shared schema-flow planner for compose / fit / as_fitted / load_document.
 
     With a fit table, a step is applied to it only when a later step needs
     fitting, just before that step's ``fit``; the steps after the last one
@@ -263,8 +263,6 @@ def _build(steps: Sequence[TransformStep], input_schema: SchemaManifest,
     table = fit_table
     pending: list[tuple[FittedStep, int]] = []  # not yet applied to table
     states = list(fit_states) if fit_states is not None else [None] * len(steps)
-    if len(states) != len(steps):
-        raise ValidationError("fit state count does not match step count")
     for number, (step, state) in enumerate(zip(steps, states), 1):
         try:
             kernel = kernel_for(step.kind)
@@ -425,58 +423,31 @@ _FITTED_KEYS = {"document", "direction", "input_manifest", "steps"}
 FITTED_DOCUMENT = "fitted_pipeline"
 
 
-def _steps_from_data(data: Any, where: str,
-                     keys=_STEP_KEYS) -> tuple[list[TransformStep], list[Any]]:
+def _steps_from_data(data: Any, keys=_STEP_KEYS) -> tuple[list[TransformStep], list[Any]]:
     """The steps of a document's ``steps`` list (null reads as empty) and
-    each step's ``fit_state``; errors name the step as ``where: steps[i]``."""
+    each step's ``fit_state``. An error names the step as every step error
+    does: ``step N: `` for the step's own mapping, ``step N (kind): `` for
+    its config and property delta (``_in_step``)."""
     if data is None:
         data = []
     if not isinstance(data, list):
-        raise ValidationError(f"{where}: steps must be a list")
+        raise ValidationError("steps must be a list")
     steps, states = [], []
-    for i, item in enumerate(data):
-        at = f"{where}: steps[{i}]"
-        item = document_mapping(item, at, keys, required=("kind",))
+    for number, item in enumerate(data, 1):
+        item = document_mapping(item, f"step {number}", keys, required=("kind",))
+        kind = str(item["kind"])
         try:
-            steps.append(TransformStep(str(item["kind"]), item.get("config"),
-                                       item.get("property_delta")))
+            steps.append(TransformStep(kind, item.get("config"), item.get("property_delta")))
         except ValidationError as exc:
-            raise ValidationError(f"{at} {exc}") from None
+            raise ValidationError(_in_step(number, kind, exc)) from None
         states.append(item.get("fit_state"))
     return steps, states
 
 
 def pipeline_from_doc(doc: Any, input_schema: SchemaManifest) -> Pipeline:
     doc = document_mapping(doc, "pipeline document", _PIPELINE_KEYS, required=("direction",))
-    steps, _ = _steps_from_data(doc.get("steps"), "pipeline document")
+    steps, _ = _steps_from_data(doc.get("steps"))
     return compose(steps, input_schema, str(doc["direction"]))
-
-
-def _read_document(path: Path) -> str:
-    with open_input(path, "pipeline") as handle:
-        return handle.read()
-
-
-def load_pipeline(path: str | Path) -> Pipeline:
-    """Load a pipeline document; input_manifest resolves relative to it."""
-    path = Path(path)
-    return _pipeline_from_text(_read_document(path), path)
-
-
-def _pipeline_from_text(text: str, path: Path) -> Pipeline:
-    doc = document_mapping(read_yaml(text, f"{path}: pipeline"), f"{path}: pipeline document",
-                           None, required=("input_manifest",))
-    manifest = doc["input_manifest"]
-    if not isinstance(manifest, str):
-        # A fitted document holds the manifest itself, as a mapping.
-        hint = (" (fit takes a pipeline document, not a fitted one)"
-                if _is_fitted_document(doc) else "")
-        raise ValidationError(f"{path}: input_manifest must be the path of a manifest file{hint}")
-    schema = load_manifest(path.parent / manifest)
-    try:
-        return pipeline_from_doc(doc, schema)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
@@ -500,7 +471,7 @@ def save_fitted(fitted: FittedPipeline, path: str | Path) -> None:
         handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _json_document(text: str, path: Path) -> Any:
+def _json_document(text: str) -> Any:
     """``text`` read as JSON. Text that is not JSON raises ``JSONDecodeError``;
     JSON with an integer of more digits than ``int()`` reads, or nested past
     the parser's recursion limit, is a fitted document that cannot be read,
@@ -510,49 +481,66 @@ def _json_document(text: str, path: Path) -> Any:
     except json.JSONDecodeError:
         raise
     except ValueError:
-        raise ValidationError(f"{path}: fitted pipeline document: an integer has too many "
+        raise ValidationError("fitted pipeline document: an integer has too many "
                               "digits to read") from None
     except RecursionError:
-        raise ValidationError(f"{path}: fitted pipeline document: nested too deeply") from None
+        raise ValidationError("fitted pipeline document: nested too deeply") from None
+
+
+def load_pipeline(path: str | Path) -> Pipeline:
+    """The pipeline of a pipeline document (``load_document``), to be fitted.
+    A fitted document is built, then refused: ``fit`` takes a pipeline
+    document."""
+    pipeline = load_document(path)
+    if isinstance(pipeline, FittedPipeline):
+        raise ValidationError(f"{path}: fit takes a pipeline document, not a fitted one")
+    return pipeline
 
 
 def load_fitted(path: str | Path) -> FittedPipeline:
-    path = Path(path)
+    """The fitted pipeline of a document (``load_document``): a fitted
+    document's own, or ``as_fitted`` of a pipeline document whose every step
+    is configured. Every error names the path."""
+    pipeline = load_document(path)
+    if isinstance(pipeline, FittedPipeline):
+        return pipeline
     try:
-        doc = _json_document(_read_document(path), path)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: fitted pipeline parse error: {exc}") from exc
-    if not _is_fitted_document(doc):
-        raise ValidationError(f"{path}: not a fitted pipeline document")
-    return _fitted_from_doc(doc, path)
+        return as_fitted(pipeline)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_document(path: str | Path) -> Pipeline | FittedPipeline:
-    """Load a fitted pipeline document, or else a pipeline document, reading
-    and parsing the file once."""
+    """The pipeline of a fitted pipeline document (JSON), or else of a
+    pipeline document (YAML), whose ``input_manifest`` resolves relative to
+    it; the file is read and parsed once. It is parsed and built while
+    ``schema.open_input`` holds it open, so every error of its content, a
+    step's included, names the path, and a manifest's names both files."""
     path = Path(path)
-    text = _read_document(path)
-    try:
-        doc = _json_document(text, path)
-    except json.JSONDecodeError:
-        doc = None
-    if _is_fitted_document(doc):
-        return _fitted_from_doc(doc, path)
-    return _pipeline_from_text(text, path)
+    with open_input(path, "pipeline") as handle:
+        text = handle.read()
+        try:
+            doc = _json_document(text)
+        except json.JSONDecodeError:
+            doc = None
+        if isinstance(doc, Mapping) and doc.get("document") == FITTED_DOCUMENT:
+            return _fitted_from_doc(doc)
+        doc = document_mapping(read_yaml(text, "pipeline"), "pipeline document", None,
+                               required=("input_manifest",))
+        manifest = doc["input_manifest"]
+        if not isinstance(manifest, str):
+            raise ValidationError("input_manifest must be the path of a manifest file")
+        return pipeline_from_doc(doc, load_manifest(path.parent / manifest))
 
 
-def _is_fitted_document(doc: Any) -> bool:
-    return isinstance(doc, Mapping) and doc.get("document") == FITTED_DOCUMENT
-
-
-def _fitted_from_doc(doc: Mapping, path: Path) -> FittedPipeline:
-    where = f"{path}: fitted pipeline document"
-    doc = document_mapping(doc, where, _FITTED_KEYS, required=("input_manifest",))
+def _fitted_from_doc(doc: Mapping) -> FittedPipeline:
+    doc = document_mapping(doc, "fitted pipeline document", _FITTED_KEYS,
+                           required=("input_manifest",))
     try:
         schema = manifest_from_data(doc["input_manifest"])
     except ValidationError as exc:
-        raise ValidationError(f"{path}: input_manifest: {exc}") from None
-    steps, states = _steps_from_data(doc.get("steps"), where, _STEP_KEYS | {"fit_state"})
+        raise ValidationError(f"input_manifest: {exc}") from None
+    steps, states = _steps_from_data(doc.get("steps"), _STEP_KEYS | {"fit_state"})
     direction = str(doc.get("direction"))
     fitted_steps, output_schema = _build(steps, schema, direction, states,
                                          require_params=True)

@@ -101,17 +101,16 @@ def load_persona(name_or_path: str | Path) -> Persona:
             f"persona {name!r} is neither a builtin kind {list(PERSONA_KINDS)} "
             "nor an existing config file")
     with open_input(path, "persona") as handle:
-        text = handle.read()
-    doc = document_mapping(read_yaml(text, f"{path}: persona"), f"{path}: persona config",
-                           _PERSONA_KEYS, required=("kind",))
-    # An absent or null list keeps the kind's default.
-    required, avoid = doc.get("required"), doc.get("avoid")
-    return make_persona(
-        str(doc["kind"]),
-        required=None if required is None else document_list(required, f"{path}: required"),
-        avoid=None if avoid is None else document_list(avoid, f"{path}: avoid"),
-        require_all=document_bool(doc.get("require_all", True), f"{path}: require_all"),
-    )
+        doc = document_mapping(read_yaml(handle.read(), "persona"), "persona config",
+                               _PERSONA_KEYS, required=("kind",))
+        # An absent or null list keeps the kind's default.
+        required, avoid = doc.get("required"), doc.get("avoid")
+        return make_persona(
+            str(doc["kind"]),
+            required=None if required is None else document_list(required, "required"),
+            avoid=None if avoid is None else document_list(avoid, "avoid"),
+            require_all=document_bool(doc.get("require_all", True), "require_all"),
+        )
 
 
 @dataclass(frozen=True)

@@ -392,7 +392,14 @@ def open_input(source: str | Path | IO[str], what: str) -> ContextManager[IO[str
     opening or reading a path is a ValidationError naming ``what`` and the
     path once: an ``OSError`` is said by its ``strerror``, such as ``No such
     file or directory``. This is the one report of a missing or unreadable
-    input."""
+    input.
+
+    Every ValidationError raised in the block while a path is open, whatever
+    its type (a ``MappingError`` stays one), is raised again with ``<path>: ``
+    before its text: this is the one naming of an input file in the errors
+    of its content, so a reader parses inside the block and passes no path
+    on. A file opened within the block (a pipeline's manifest) names itself
+    in turn, after the outer path."""
     if isinstance(source, (str, Path)):
         return _open_path(source, what)
     return nullcontext(source)
@@ -402,7 +409,11 @@ def open_input(source: str | Path | IO[str], what: str) -> ContextManager[IO[str
 def _open_path(path: str | Path, what: str) -> Iterator[IO[str]]:
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            yield handle
+            try:
+                yield handle
+            except ValidationError as exc:
+                exc.args = (f"{path}: {exc}",)
+                raise
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(f"cannot read {what} {path}: {reason}") from exc
@@ -652,11 +663,7 @@ def parse_manifest(text: str) -> SchemaManifest:
 
 def load_manifest(path: str | Path) -> SchemaManifest:
     with open_input(path, "manifest") as handle:
-        text = handle.read()
-    try:
-        return parse_manifest(text)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        return parse_manifest(handle.read())
 
 
 def wording_to_data(w: Wording) -> dict[str, str]:

@@ -193,11 +193,14 @@ def structural_data(spec: FeatureSpec) -> dict[str, Any]:
 def _restore(cfg: Mapping, target: str, dtypes: tuple[str, ...]) -> dict[str, Any]:
     """The step's ``restore``, checked as the document entry of feature
     ``target`` and normalized to ``structural_data``. A step without one
-    gives the restore keys of its own config, and the dtype ``dtypes[0]``."""
+    gives the restore keys of its own config, and the dtype ``dtypes[0]``;
+    a step may not give both."""
     data = cfg.get("restore")
+    own = sorted(k for k in _STRUCTURAL_KEYS if cfg.get(k) is not None)
     if data is None:
-        data = {"dtype": dtypes[0],
-                **{k: cfg[k] for k in _STRUCTURAL_KEYS if cfg.get(k) is not None}}
+        data = {"dtype": dtypes[0], **{k: cfg[k] for k in own}}
+    elif own:
+        raise ValidationError(f"give restore or {', '.join(own)}, not both")
     data = document_mapping(data, "restore", _STRUCTURAL_KEYS)
     restore = structural_data(feature_from_data({**data, "name": target}, "restore"))
     if restore["dtype"] not in dtypes:

@@ -204,7 +204,7 @@ def test_malformed_fitted_document_exits_1(workspace, capsys, corrupt, field):
 
 def _corrupted_document(workspace, document, corrupt):
     """The workspace pipeline as a YAML pipeline or a fitted document, with
-    ``corrupt`` applied to its standardize step (steps[1])."""
+    ``corrupt`` applied to its standardize step (step 2)."""
     if document == "fitted":
         path = workspace / "fitted.json"
         assert main(["fit", "--pipeline", str(workspace / "pipeline.yaml"),
@@ -250,7 +250,8 @@ def _delta_entry_not_a_mapping(step):
 ], ids=["config", "property_delta", "property_delta_entry"])
 def test_malformed_step_exits_1(workspace, capsys, document, corrupt, field):
     path = _corrupted_document(workspace, document, corrupt)
-    _transform_fails_cleanly(workspace, capsys, path, "steps[1]", field)
+    _transform_fails_cleanly(workspace, capsys, path,
+                             f"error: {path}: step 2 (standardize): {field}")
 
 
 @pytest.mark.parametrize("document", ["pipeline", "fitted"])
@@ -260,7 +261,8 @@ def test_non_boolean_property_flag_exits_1(workspace, capsys, document, value):
         step["property_delta"] = {"Elevation": {"meaningful": value}}
 
     path = _corrupted_document(workspace, document, corrupt)
-    _transform_fails_cleanly(workspace, capsys, path, "steps[1]", "property_delta")
+    _transform_fails_cleanly(workspace, capsys, path,
+                             f"error: {path}: step 2 (standardize): property_delta 'Elevation': ")
 
 
 LEARN_THEN_BIN = """
@@ -408,6 +410,18 @@ def test_explain_map_total_beyond_the_float_range_exits_4(tmp_path, capsys, larg
                                "total is not finite")
 
 
+def test_explain_map_of_a_violated_conservation_exits_4(tmp_path, capsys):
+    """Contributions of 1e16 and -1e16 beside 1.0: rounding in the mapping
+    moves the total by more than the tolerance."""
+    _explain_map_one_row_fails(tmp_path, capsys, {0: 1e16, 1: -1e16, 2: 1.0}, 4,
+                               "conservation violated on row 0: delta 0.375 exceeds 1e-09\n")
+
+
+def test_explain_map_of_no_rows_exits_1(tmp_path, capsys):
+    _explain_map_one_row_fails(tmp_path, capsys, None, 1,
+                               f"error: {tmp_path / 'contribs.csv'}: no contribution rows\n")
+
+
 def test_explain_map_mapped_value_beyond_the_float_range_exits_1(tmp_path, capsys):
     """Two finite soil indicators whose mapped sum overflows: the mapped
     vector cannot be built, exit 1 naming the interpretable feature."""
@@ -417,14 +431,15 @@ def test_explain_map_mapped_value_beyond_the_float_range_exits_1(tmp_path, capsy
 
 def _explain_map_one_row_fails(tmp_path, capsys, large, code, message):
     """One model-ready contribution row, 0.0 but for the ``large`` values by
-    position, through the model-ready fixture: exit ``code`` with ``message``,
-    and no output."""
+    position (no row for None), through the model-ready fixture: exit
+    ``code`` with ``message``, and no output."""
     with open(DATA / "covertype_300_contribs_model_ready.csv", encoding="utf-8") as handle:
         header = next(csv.reader(handle))
-    row = [repr(large.get(i, 0.0)) for i in range(len(header) - 1)] + ["0.5"]
+    rows = [] if large is None else [
+        [repr(large.get(i, 0.0)) for i in range(len(header) - 1)] + ["0.5"]]
     contribs = tmp_path / "contribs.csv"
     with open(contribs, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerows([header, row])
+        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
     out = tmp_path / "mapped.csv"
     stdout = _fails_cleanly(["explain-map", "--pipeline",
                              str(DATA / "covertype_300_model_ready.fitted.json"),
@@ -629,7 +644,7 @@ def test_a_bad_cell_is_reported_before_a_fault_of_a_later_chunk(workspace, capsy
     assert main(["transform", "--pipeline", str(workspace / "pipeline.yaml"),
                  "--data", str(data), "--out", str(workspace / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: row 0: {message}\n"
+    assert err == f"error: {data}: row 0: {message}\n"
 
 
 WHAT = {"--pipeline": "pipeline", "--data": "data file", "--contribs": "contributions",
@@ -660,6 +675,78 @@ def test_a_missing_input_is_reported_once(workspace, capsys, command, options, b
             "covertype_interpretable.csv", "covertype_model_ready.csv"]
         inputs.append("out")
     assert sorted(path.name for path in workspace.iterdir()) == sorted(inputs)
+
+
+def _bogus_step(workspace):
+    """``transform`` of the model-ready fixture with step 2's kind ``bogus``."""
+    doc = json.loads((DATA / "covertype_300_model_ready.fitted.json").read_text("utf-8"))
+    doc["steps"][1]["kind"] = "bogus"
+    path = workspace / "bogus.fitted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return (["transform", "--pipeline", str(path), "--data", str(ROWS)],
+            f"{path}: step 2 (bogus): unknown transform kind")
+
+
+def _unfitted(command, *options):
+    """``command`` of the workspace pipeline with its standardize step
+    unfitted, and the workspace data for each of ``options``."""
+    def argv_for(workspace):
+        path = workspace / "unfitted.yaml"
+        path.write_text(ENCODE_PIPELINE.replace(", mean: 2959.36, scale: 279.98", ""),
+                        encoding="utf-8")
+        argv = [command, "--pipeline", str(path)]
+        for option in options:
+            argv += [option, str(workspace / "data.csv")]
+        return argv, f"{path}: step 2 (standardize): requires fitting; call fit() with data"
+    return argv_for
+
+
+def _manifest_of_pipeline(workspace, manifest):
+    """``fit`` of the workspace pipeline over a manifest of text ``manifest``
+    (None for no manifest file)."""
+    (workspace / "original.yaml").unlink()
+    if manifest is not None:
+        (workspace / "original.yaml").write_text(manifest, encoding="utf-8")
+    return ["fit", "--pipeline", str(workspace / "pipeline.yaml"),
+            "--data", str(workspace / "data.csv")]
+
+
+def _contribution_row(workspace):
+    (workspace / "contribs.csv").write_text(
+        "Area Rawah,Area Neota,Area Comache Peak,Area Cache la Poudre,Elevation\n"
+        "abc,0.0,0.0,0.0,0.0\n", encoding="utf-8")
+    return (["explain-map", "--pipeline", str(workspace / "pipeline.yaml"),
+             "--contribs", str(workspace / "contribs.csv")],
+            f"{workspace / 'contribs.csv'}: contribution row 0: could not convert string "
+            "to float: 'abc'")
+
+
+@pytest.mark.parametrize("argv_for", [
+    _bogus_step,
+    _unfitted("transform", "--data"),
+    _unfitted("invert"),
+    _unfitted("explain-map", "--contribs"),
+    lambda w: (_audit(w, persona="kind: bogus\n"),
+               f"{w / 'persona.yaml'}: unknown persona kind 'bogus'"),
+    lambda w: (_audit(w, persona="kind: developer\nrequired: [zz]\n"),
+               f"{w / 'persona.yaml'}: unknown property flags: ['zz']"),
+    lambda w: (_manifest_of_pipeline(w, ORIGINAL_MANIFEST + "1: x\n"),
+               f"{w / 'pipeline.yaml'}: {w / 'original.yaml'}: manifest: unknown keys [1]"),
+    lambda w: (_manifest_of_pipeline(w, None),
+               f"{w / 'pipeline.yaml'}: cannot read manifest {w / 'original.yaml'}: "
+               "No such file or directory"),
+    _contribution_row,
+], ids=["fitted_step", "unfitted_transform", "unfitted_invert", "unfitted_explain_map",
+        "persona_kind", "persona_flags", "manifest_of_pipeline", "missing_manifest_of_pipeline",
+        "contribution_row"])
+def test_an_error_of_an_input_names_its_file(workspace, capsys, argv_for):
+    """An error of a file's content is named by the file, once, whatever
+    reads it; a manifest read for a pipeline document is named after it."""
+    argv, message = argv_for(workspace)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(workspace / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workspace / "out").exists()
 
 
 def _encode_to_interpretable(workspace, contribs: str) -> list[str]:
@@ -741,7 +828,8 @@ def test_unknown_property_flag_names_the_step(workspace, capsys):
     argv = _one_step(workspace, "semantic_bin", ZONES, {"Zone": {"bogus": True}})
     assert main(argv + ["--out", str(workspace / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert "steps[0] property_delta references unknown flags: ['bogus']" in err
+    assert err == (f"error: {workspace / 'step.yaml'}: step 1 (semantic_bin): property_delta "
+                   "references unknown flags: ['bogus']\n")
     assert "Traceback" not in err
 
 
@@ -873,8 +961,8 @@ def test_a_data_integer_of_too_many_digits_exits_1(workspace, capsys):
         encoding="utf-8")
     argv = ["transform", "--pipeline", str(workspace / "pipeline.yaml"), "--fit",
             "--data", str(workspace / "data.csv"), "--out", str(workspace / "out.csv")]
-    _fails_cleanly(argv, capsys, 1, "error: row 1: feature 'Elevation': integer of 5004 "
-                   "characters has too many digits to read")
+    _fails_cleanly(argv, capsys, 1, f"error: {workspace / 'data.csv'}: row 1: feature "
+                   "'Elevation': integer of 5004 characters has too many digits to read")
     assert not (workspace / "out.csv").exists()
 
 
@@ -1460,10 +1548,11 @@ def test_fitted_document_with_a_bom_loads(tmp_path):
      "step 1 (standardize): config: unknown keys [1, 'zz']"),
     (lambda w: _one_step(w, "standardize", {"feature": "Elevation"},
                          {"Elevation": {1: True, "zz": True}}),
-     "steps[0] property_delta references unknown flags: [1, 'zz']"),
-    (lambda w: _one_step(w, "standardize", 0), "steps[0] config must be a mapping"),
+     "step.yaml: step 1 (standardize): property_delta references unknown flags: [1, 'zz']"),
+    (lambda w: _one_step(w, "standardize", 0),
+     "step.yaml: step 1 (standardize): config must be a mapping"),
     (lambda w: _one_step(w, "standardize", {"feature": "Elevation"}, 0),
-     "steps[0] property_delta must be a mapping"),
+     "step.yaml: step 1 (standardize): property_delta must be a mapping"),
 ], ids=["feature_key", "wording_key", "property_list", "property_nested_list", "persona_key",
         "persona_required", "persona_required_5", "persona_avoid_5", "persona_required_nested",
         "implications_0", "implication_flag", "implication_flag_no_features",
@@ -1474,7 +1563,7 @@ def test_malformed_document_value_exits_1(workspace, capsys, argv_for, message):
 
 
 @pytest.mark.parametrize("tail, message", [
-    ("steps: 0\n", "pipeline document: steps must be a list"),
+    ("steps: 0\n", "pipeline.yaml: steps must be a list"),
     ("steps: []\n1: x\nzz: y\n", "pipeline document: unknown keys [1, 'zz']"),
 ], ids=["steps_0", "top_level_keys"])
 def test_malformed_pipeline_top_level_exits_1(workspace, capsys, tail, message):
@@ -1485,10 +1574,10 @@ def test_malformed_pipeline_top_level_exits_1(workspace, capsys, tail, message):
 
 
 def test_fit_on_a_fitted_document_says_so(tmp_path, capsys):
-    _fails_cleanly(["fit", "--pipeline", str(DATA / "covertype_300_model_ready.fitted.json"),
-                    "--data", str(ROWS), "--out", str(tmp_path / "f.json")], capsys, 1,
-                   "input_manifest must be the path of a manifest file (fit takes a "
-                   "pipeline document, not a fitted one)")
+    path = DATA / "covertype_300_model_ready.fitted.json"
+    _fails_cleanly(["fit", "--pipeline", str(path), "--data", str(ROWS),
+                    "--out", str(tmp_path / "f.json")], capsys, 1,
+                   f"error: {path}: fit takes a pipeline document, not a fitted one\n")
 
 
 def test_failed_write_leaves_no_file(workspace, capsys):

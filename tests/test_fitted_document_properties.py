@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import re
 
 import pytest
 import yaml
@@ -113,7 +114,8 @@ def test_fuzzed_pipeline_documents_fail_cleanly(pipeline_documents, data):
         feature = data.draw(st.sampled_from(produced[name][i]))
         step["property_delta"] = {feature: {data.draw(st.sampled_from(PROPERTY_NAMES)): value}}
         if not isinstance(value, bool):
-            with pytest.raises(ValidationError, match=rf"steps\[{i}\] property_delta"):
+            named = re.escape(f"step {i + 1} ({step['kind']}): property_delta {feature!r}: ")
+            with pytest.raises(ValidationError, match=f"^{named}"):
                 pipeline_from_doc(doc, schema)
             return
     elif target == "display_format":

@@ -607,14 +607,54 @@ steps:
         load_pipeline(bad)
 
 
-def test_run_requires_matching_table():
-    schema = SchemaManifest(features=(
-        FeatureSpec("x", "numeric", properties=BASE_PROPS),))
-    other = SchemaManifest(features=(
-        FeatureSpec("y", "numeric", properties=BASE_PROPS),))
-    fitted = as_fitted(compose([], schema, "to_interpretable"))
-    with pytest.raises(ValidationError, match="missing pipeline input columns"):
-        run(fitted, DataTable(other, ((1.0,),)))
+def test_each_loader_takes_the_documents_it_can_use(tmp_path):
+    """``load_fitted`` takes a fitted document, or a pipeline document whose
+    every step is configured (``as_fitted``); ``load_pipeline`` takes only a
+    pipeline document. Each error names the path."""
+    schema = SchemaManifest(features=(FeatureSpec("x", "numeric", properties=BASE_PROPS),))
+    (tmp_path / "m.yaml").write_text(serialize_manifest(schema), encoding="utf-8")
+    configured, unfitted, saved = (tmp_path / name for name in ("c.yaml", "u.yaml", "f.json"))
+    for path, config in ((configured, "{feature: x, mean: 0.0, scale: 2.0}"),
+                         (unfitted, "{feature: x}")):
+        path.write_text("input_manifest: m.yaml\ndirection: to_model_ready\nsteps:\n"
+                        f"  - kind: standardize\n    config: {config}\n", encoding="utf-8")
+    fitted = load_fitted(configured)
+    assert list(map(signature, fitted.steps)) == list(
+        map(signature, as_fitted(load_pipeline(configured)).steps))
+    save_fitted(fitted, saved)
+    assert list(map(signature, load_fitted(saved).steps)) == list(map(signature, fitted.steps))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(saved))}: fit takes a "
+                                              "pipeline document, not a fitted one$"):
+        load_pipeline(saved)
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            f"{unfitted}: step 1 (standardize): requires fitting; call fit() with data") + "$"):
+        load_fitted(unfitted)
+
+
+def _columns(*specs) -> SchemaManifest:
+    """A schema of ``(name, dtype)`` or ``(name, dtype, categories)`` specs."""
+    return SchemaManifest(features=tuple(
+        FeatureSpec(name, dtype, categories=rest[0] if rest else None, properties=BASE_PROPS)
+        for name, dtype, *rest in specs))
+
+
+@pytest.mark.parametrize("call", [fit, run], ids=["fit", "run"])
+@pytest.mark.parametrize("columns, message", [
+    (_columns(("y", "numeric")), "table is missing pipeline input columns: ['a', 'b', 'c']"),
+    (_columns(("b", "numeric"), ("a", "numeric"), ("c", "categorical", ("p", "q"))),
+     "table columns ['b', 'a', 'c'] do not match pipeline input ['a', 'b', 'c']"),
+    (_columns(("a", "numeric"), ("b", "boolean"), ("c", "categorical", ("p", "q"))),
+     "column 'b': dtype boolean does not match pipeline input dtype numeric"),
+    (_columns(("a", "numeric"), ("b", "numeric"), ("c", "categorical", ("p", "r"))),
+     "column 'c': categories do not match the pipeline input schema"),
+], ids=["missing", "reordered", "dtype", "categories"])
+def test_run_requires_matching_table(call, columns, message):
+    """``fit`` and ``run`` take only a table of the pipeline's input columns,
+    in order, each of its dtype and categories."""
+    pipeline = compose([], _columns(("a", "numeric"), ("b", "numeric"),
+                                    ("c", "categorical", ("p", "q"))), "to_interpretable")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(as_fitted(pipeline) if call is run else pipeline, DataTable(columns, ()))
 
 
 # -- pipelines drawn from all 14 kinds --------------------------------------------

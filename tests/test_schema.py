@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featurespace.errors import ValidationError
+from featurespace.errors import MappingError, ValidationError
 from featurespace.properties import IMPLICATIONS, PROPERTY_NAMES, PropertySet, implication_closure
 from featurespace.schema import (
     DerivedFrom,
@@ -26,6 +26,7 @@ from featurespace.schema import (
     serialize_manifest,
     shown,
 )
+from featurespace.table import CellError
 
 from strategies import schemas
 
@@ -289,3 +290,28 @@ def test_an_error_in_the_block_of_an_open_handle_propagates_unchanged(name, erro
     assert raised.value is raising
     assert raised.value.__cause__ is None and raised.value.__context__ is None
     assert not handle.closed
+
+
+CONTENT_ERRORS = {
+    "ValidationError": lambda: ValidationError("row 0: bad"),
+    "MappingError": lambda: MappingError("contribution header does not match"),
+    "CellError": lambda: CellError(3, ValidationError("bad")),
+}
+
+
+@pytest.mark.parametrize("error", CONTENT_ERRORS)
+def test_an_error_in_the_block_of_a_path_names_the_path(tmp_path, error):
+    """The error itself is raised again, its type and fields kept, with the
+    path before its text; a file opened within names itself after it."""
+    outer, inner = tmp_path / "outer.yaml", tmp_path / "inner.csv"
+    outer.write_text("a\n", encoding="utf-8")
+    inner.write_text("a\n", encoding="utf-8")
+    raising = CONTENT_ERRORS[error]()
+    text = str(raising)
+    with pytest.raises(type(raising)) as raised:
+        with open_input(outer, "pipeline") as handle, open_input(inner, "data file"):
+            raise raising
+    assert raised.value is raising
+    assert str(raised.value) == f"{outer}: {inner}: {text}"
+    assert getattr(raised.value, "row", None) == (3 if isinstance(raising, CellError) else None)
+    assert handle.closed

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,23 @@ def test_unstandardize_own_keys_normalize_as_their_restore(own):
     if own:
         assert by_keys["restore"] == {"dtype": "numeric", "description": "Height",
                                       "unit": "5"}
+
+
+@pytest.mark.parametrize("step, schema, keys", [
+    (decode_step(unit="m", description="Area",
+                 restore={"dtype": "categorical", "categories": ["w", "x", "y", "z"]}),
+     boolean_group_schema(), "categories, description, unit"),
+    (TransformStep("unstandardize", {"feature": "Elevation", "mean": 1.0, "scale": 2.0,
+                                     "unit": "m", "description": "Height",
+                                     "restore": {"dtype": "numeric"}}),
+     elevation_table(1.0).schema, "description, unit"),
+], ids=["one_hot_decode", "unstandardize"])
+def test_restore_beside_its_own_keys_is_refused(step, schema, keys):
+    """A step gives its restore keys at top level or in ``restore``; given
+    both, neither is dropped silently."""
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            f"step 1 ({step.kind}): give restore or {keys}, not both") + "$"):
+        compose([step], schema, "to_interpretable")
 
 
 def test_standardize_rejects_bad_scale():
